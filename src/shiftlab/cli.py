@@ -17,7 +17,7 @@ error (unreadable file, schema violation, shape mismatch).
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -60,8 +60,6 @@ from .symbols import (
     zero_symbol,
 )
 
-CHECK_IDS = ("twocond", "invariance", "kernel_rep", "range_rep", "splitting",
-             "intertwining", "nehari", "partial_isometry")
 DEFAULT_N_LIST = (8, 16, 32)
 DEFAULT_TOL = 1e-8
 
@@ -121,7 +119,6 @@ class Scenario:
     checks: tuple[str, ...]
     n_list: tuple[int, ...]
     tol: float = DEFAULT_TOL
-    samples: int | None = None
     window: int | None = None
     expect: dict = field(default_factory=dict)
     nehari_candidates: tuple = ()
@@ -231,11 +228,8 @@ def _scenario_from_payload(payload: dict, fallback_name: str) -> Scenario:
     for c in checks:
         if c not in CHECK_IDS:
             raise ScenarioError(f"unknown check id {c!r}; valid: {CHECK_IDS}")
-    n_list = tuple(int(n) for n in payload.get("n_list", DEFAULT_N_LIST))
-    if not n_list or list(n_list) != sorted(n_list):
-        raise ScenarioError("field n_list must be nonempty and ascending")
+    n_list = _parse_n_list(payload.get("n_list", DEFAULT_N_LIST), "field n_list")
     tol = float(payload.get("tol", DEFAULT_TOL))
-    samples = payload.get("samples")
     window = payload.get("window")
     expect = payload.get("expect", {})
     candidates = []
@@ -246,11 +240,22 @@ def _scenario_from_payload(payload: dict, fallback_name: str) -> Scenario:
             if "L2" in cand else None
         candidates.append((l1, l2))
     scenario = Scenario(name, spec, checks, n_list, tol,
-                        None if samples is None else int(samples),
                         None if window is None else int(window),
                         dict(expect), tuple(candidates))
     _validate_check_requirements(scenario)
     return scenario
+
+
+def _parse_n_list(values, source: str) -> tuple[int, ...]:
+    """Validate a truncation sweep: nonempty, ascending, positive integers."""
+    try:
+        n_list = tuple(int(n) for n in values)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"{source}: expected integer truncations ({exc})") from exc
+    if not n_list or list(n_list) != sorted(n_list) or n_list[0] <= 0:
+        raise ScenarioError(
+            f"{source} must be nonempty, ascending and positive; got {list(n_list)}")
+    return n_list
 
 
 def _derived_psi(spec: InvariantSubspaceSpec) -> LaurentSymbol | None:
@@ -333,88 +338,99 @@ def _records_from_report(sc: Scenario, check: str, n: int,
     return [Record(sc.name, check, n, residual, rep.overall, window, detail)]
 
 
-def _run_check(sc: Scenario, check: str, n: int) -> list[Record]:
-    spec = sc.spec
-    tol = sc.tol
-    if check == "twocond":
-        rep = twocond_check(spec, sc.samples, tol)
-        return _records_from_report(sc, check, n, rep)
-    if check == "invariance":
-        basis = _target_subspace(sc, n)
-        resid = invariance_check(basis)
-        return [Record(sc.name, check, n, resid, resid <= tol, basis.window)]
-    if check == "kernel_rep":
-        basis = _target_subspace(sc, n)
-        rep = kernel_representation_check(basis, _derived_psi(spec),
-                                          spec.theta, n, tol)
-        return _records_from_report(sc, check, n, rep)
-    if check == "range_rep":
-        basis = _target_subspace(sc, n)
-        theta = spec.theta if spec.variant == RANGE_REP else None
-        rep = range_representation_check(basis, _derived_phi(spec), theta, n, tol)
-        return _records_from_report(sc, check, n, rep)
-    if check == "splitting":
-        phi = _derived_phi(spec)
-        tl, tr, bl, br = split_square_blocks(phi, 1, 1)
-        result = splitting_check_scalar(tl, tr, bl.conj_arg(), br.conj_arg(), tol)
-        expected = bool(sc.expect.get("splitting", False))
-        ok = result.splitting == expected
-        return [Record(sc.name, check, n, 0.0 if ok else 1.0, ok,
-                       detail=f"splitting={result.splitting} expected={expected}")]
-    if check == "intertwining":
-        phi = _derived_phi(spec)
-        psi = _derived_psi(spec)
-        worst = 0.0
-        parts = []
-        if phi is not None:
-            a, b, c, d = split_square_blocks(phi, spec.dim_e, spec.dim_f)
-            v = build_range_operator(a, b, c, d, n)
-            r = intertwining_residual(v, "range", n)
-            worst = max(worst, r)
-            parts.append(f"range={_fmt(r)}")
-        if psi is not None:
-            c, d, a, b = split_square_blocks(psi, spec.dim_e, spec.dim_f)
-            w = build_kernel_operator(c, d, a, b, n)
-            r = intertwining_residual(w, "kernel", n)
-            worst = max(worst, r)
-            parts.append(f"kernel={_fmt(r)}")
-        return [Record(sc.name, check, n, worst, worst <= max(tol, 1e-10),
-                       detail="; ".join(parts))]
-    if check == "nehari":
-        phi = _derived_phi(spec)
+def _mixed_operators(spec: InvariantSubspaceSpec, n: int):
+    """Yield ("range", V) for the derived Phi and ("kernel", W) for the derived Psi."""
+    phi, psi = _derived_phi(spec), _derived_psi(spec)
+    if phi is not None:
         a, b, c, d = split_square_blocks(phi, spec.dim_e, spec.dim_f)
-        bracket = nehari_bounds(a, b, c, d, list(sc.n_list),
-                                list(sc.nehari_candidates) or None)
-        lows = [lo for _, lo in bracket.lower_bounds]
-        monotone = all(x <= y + 1e-12 for x, y in zip(lows, lows[1:]))
-        violation = 0.0
-        if bracket.upper_bounds:
-            violation = max(0.0, max(lows) - min(bracket.upper_bounds))
-        ok = monotone and violation <= tol
-        detail = (f"lower={[_fmt(x) for x in lows]} "
-                  f"upper={[_fmt(x) for x in bracket.upper_bounds]}")
-        return [Record(sc.name, check, n, violation, ok, detail=detail)]
-    if check == "partial_isometry":
-        expected = bool(sc.expect.get("partial_isometry", True))
-        flags = []
-        parts = []
-        phi = _derived_phi(spec)
-        psi = _derived_psi(spec)
-        if phi is not None:
-            a, b, c, d = split_square_blocks(phi, spec.dim_e, spec.dim_f)
-            rep = svd_analysis(build_range_operator(a, b, c, d, n), tol)
-            flags.append(rep.is_partial_isometry)
-            parts.append(f"range_op={rep.is_partial_isometry}")
-        if psi is not None:
-            c, d, a, b = split_square_blocks(psi, spec.dim_e, spec.dim_f)
-            rep = svd_analysis(build_kernel_operator(c, d, a, b, n), tol)
-            flags.append(rep.is_partial_isometry)
-            parts.append(f"kernel_op={rep.is_partial_isometry}")
-        observed = all(flags)
-        ok = observed == expected
-        return [Record(sc.name, check, n, 0.0 if ok else 1.0, ok,
-                       detail="; ".join(parts) + f" expected={expected}")]
-    raise ScenarioError(f"unknown check id {check!r}")
+        yield "range", build_range_operator(a, b, c, d, n)
+    if psi is not None:
+        c, d, a, b = split_square_blocks(psi, spec.dim_e, spec.dim_f)
+        yield "kernel", build_kernel_operator(c, d, a, b, n)
+
+
+def _check_twocond(sc: Scenario, n: int) -> list[Record]:
+    return _records_from_report(sc, "twocond", n, twocond_check(sc.spec, sc.tol))
+
+
+def _check_invariance(sc: Scenario, n: int) -> list[Record]:
+    basis = _target_subspace(sc, n)
+    resid = invariance_check(basis)
+    return [Record(sc.name, "invariance", n, resid, resid <= sc.tol, basis.window)]
+
+
+def _check_kernel_rep(sc: Scenario, n: int) -> list[Record]:
+    rep = kernel_representation_check(_target_subspace(sc, n), _derived_psi(sc.spec),
+                                      sc.spec.theta, n, sc.tol)
+    return _records_from_report(sc, "kernel_rep", n, rep)
+
+
+def _check_range_rep(sc: Scenario, n: int) -> list[Record]:
+    theta = sc.spec.theta if sc.spec.variant == RANGE_REP else None
+    rep = range_representation_check(_target_subspace(sc, n), _derived_phi(sc.spec),
+                                     theta, n, sc.tol)
+    return _records_from_report(sc, "range_rep", n, rep)
+
+
+def _check_splitting(sc: Scenario, n: int) -> list[Record]:
+    tl, tr, bl, br = split_square_blocks(_derived_phi(sc.spec), 1, 1)
+    result = splitting_check_scalar(tl, tr, bl.conj_arg(), br.conj_arg(), sc.tol)
+    expected = bool(sc.expect.get("splitting", False))
+    ok = result.splitting == expected
+    return [Record(sc.name, "splitting", n, 0.0 if ok else 1.0, ok,
+                   detail=f"splitting={result.splitting} expected={expected}")]
+
+
+def _check_intertwining(sc: Scenario, n: int) -> list[Record]:
+    worst = 0.0
+    parts = []
+    for kind, op in _mixed_operators(sc.spec, n):
+        r = intertwining_residual(op, kind, n)
+        worst = max(worst, r)
+        parts.append(f"{kind}={_fmt(r)}")
+    return [Record(sc.name, "intertwining", n, worst, worst <= max(sc.tol, 1e-10),
+                   detail="; ".join(parts))]
+
+
+def _check_nehari(sc: Scenario, n: int) -> list[Record]:
+    a, b, c, d = split_square_blocks(_derived_phi(sc.spec), sc.spec.dim_e, sc.spec.dim_f)
+    bracket = nehari_bounds(a, b, c, d, list(sc.n_list),
+                            list(sc.nehari_candidates) or None)
+    lows = [lo for _, lo in bracket.lower_bounds]
+    monotone = all(x <= y + 1e-12 for x, y in zip(lows, lows[1:]))
+    violation = 0.0
+    if bracket.upper_bounds:
+        violation = max(0.0, max(lows) - min(bracket.upper_bounds))
+    ok = monotone and violation <= sc.tol
+    detail = (f"lower={[_fmt(x) for x in lows]} "
+              f"upper={[_fmt(x) for x in bracket.upper_bounds]}")
+    return [Record(sc.name, "nehari", n, violation, ok, detail=detail)]
+
+
+def _check_partial_isometry(sc: Scenario, n: int) -> list[Record]:
+    expected = bool(sc.expect.get("partial_isometry", True))
+    flags = []
+    parts = []
+    for kind, op in _mixed_operators(sc.spec, n):
+        flag = svd_analysis(op, sc.tol).is_partial_isometry
+        flags.append(flag)
+        parts.append(f"{kind}_op={flag}")
+    ok = all(flags) == expected
+    return [Record(sc.name, "partial_isometry", n, 0.0 if ok else 1.0, ok,
+                   detail="; ".join(parts) + f" expected={expected}")]
+
+
+_CHECKS = {
+    "twocond": _check_twocond,
+    "invariance": _check_invariance,
+    "kernel_rep": _check_kernel_rep,
+    "range_rep": _check_range_rep,
+    "splitting": _check_splitting,
+    "intertwining": _check_intertwining,
+    "nehari": _check_nehari,
+    "partial_isometry": _check_partial_isometry,
+}
+CHECK_IDS = tuple(_CHECKS)
 
 
 def run(scenario: Scenario) -> Report:
@@ -426,7 +442,7 @@ def run(scenario: Scenario) -> Report:
             else scenario.n_list
         for n in n_values:
             try:
-                records.extend(_run_check(scenario, check, n))
+                records.extend(_CHECKS[check](scenario, n))
             except (ValueError, KeyError) as exc:
                 records.append(Record(scenario.name, check, n, float("inf"),
                                       False, detail=f"error: {exc}"))
@@ -642,20 +658,13 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "demo":
             report = demo(args.name)
         else:
-            scenarios = []
-            for path in args.paths:
-                sc = parse_scenario(path)
-                if args.n is not None:
-                    n_list = tuple(int(v) for v in args.n.split(","))
-                    sc = Scenario(sc.name, sc.spec, sc.checks, n_list, sc.tol,
-                                  sc.samples, sc.window, sc.expect,
-                                  sc.nehari_candidates)
-                if args.tol is not None:
-                    sc = Scenario(sc.name, sc.spec, sc.checks, sc.n_list,
-                                  args.tol, sc.samples, sc.window, sc.expect,
-                                  sc.nehari_candidates)
-                scenarios.append(sc)
-            report = run_batch(scenarios)
+            overrides = {}
+            if args.n is not None:
+                overrides["n_list"] = _parse_n_list(args.n.split(","), "option --n")
+            if args.tol is not None:
+                overrides["tol"] = args.tol
+            report = run_batch([replace(parse_scenario(path), **overrides)
+                                for path in args.paths])
     except ScenarioError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -1,8 +1,8 @@
 """Dense complex linear-algebra helpers shared across the package.
 
 Everything here routes through numpy's SVD so that rank decisions,
-nullspaces, column spaces and principal angles are computed the same
-way in every module.
+nullspaces, column spaces and principal-angle distances are computed
+the same way in every module.
 """
 
 import numpy as np
@@ -46,12 +46,15 @@ def column_space(m: np.ndarray, rtol: float = DEFAULT_NULL_RTOL) -> np.ndarray:
     return u[:, :rank]
 
 
-def orthonormal_union(blocks: list[np.ndarray], rtol: float = DEFAULT_NULL_RTOL) -> np.ndarray:
-    """Orthonormal basis of the span of the stacked column blocks."""
-    blocks = [b for b in blocks if b.size]
-    if not blocks:
-        return np.zeros((0, 0), dtype=complex)
-    return column_space(np.hstack(blocks), rtol)
+def image_within(m: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the images m x that vanish outside the rows keep,
+    restricted to those rows.
+
+    Solving for the inputs, rather than cutting them, keeps images whose
+    content outside the rows cancels.
+    """
+    outside = np.delete(np.arange(m.shape[0]), keep)
+    return column_space(m[keep] @ nullspace(m[outside]))
 
 
 def intersection(b1: np.ndarray, b2: np.ndarray,
@@ -89,12 +92,3 @@ def principal_angle_distance(b1: np.ndarray, b2: np.ndarray) -> float:
     r12 = b2 - b1 @ (b1.conj().T @ b2)
     r21 = b1 - b2 @ (b2.conj().T @ b1)
     return min(1.0, max(spectral_norm(r12), spectral_norm(r21)))
-
-
-def principal_angles(b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
-    if b1.shape[0] != b2.shape[0]:
-        raise ValueError("ambient dimensions differ")
-    if b1.shape[1] == 0 or b2.shape[1] == 0:
-        return np.zeros(0)
-    sv = np.clip(np.linalg.svd(b1.conj().T @ b2, compute_uv=False), -1.0, 1.0)
-    return np.arccos(sv)

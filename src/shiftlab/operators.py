@@ -61,8 +61,11 @@ class TruncatedSpace:
             raise IndexError(f"degree {k} outside [{self.deg_lo}, {self.deg_hi}]")
         return (k - self.deg_lo) * self.fiber_dim + fiber
 
-    def degrees(self) -> range:
-        return range(self.deg_lo, self.deg_hi + 1)
+    def degree_indices(self, lo: int, hi: int) -> np.ndarray:
+        """Flat indices of degrees [lo, hi], clipped to the stored range."""
+        start = (max(lo, self.deg_lo) - self.deg_lo) * self.fiber_dim
+        stop = (min(hi, self.deg_hi) - self.deg_lo + 1) * self.fiber_dim
+        return np.arange(start, max(start, stop))
 
     def window_indices(self, w: int) -> np.ndarray:
         """Flat indices of the degrees kept by window w.
@@ -70,17 +73,7 @@ class TruncatedSpace:
         Hardy windows keep degrees [0, w]; two-sided windows keep
         degrees [-w, w] (clipped to the stored range).  w < 0 is empty.
         """
-        if w < 0:
-            return np.zeros(0, dtype=int)
-        lo = max(self.deg_lo, -w if self.kind == LEBESGUE else 0)
-        hi = min(self.deg_hi, w)
-        if lo > hi:
-            return np.zeros(0, dtype=int)
-        out = []
-        for k in range(lo, hi + 1):
-            base = (k - self.deg_lo) * self.fiber_dim
-            out.extend(range(base, base + self.fiber_dim))
-        return np.asarray(out, dtype=int)
+        return self.degree_indices(-w, w)
 
 
 @dataclass(frozen=True)
@@ -111,22 +104,13 @@ class ProductSpace:
     def index(self, part: int, k: int, fiber: int = 0) -> int:
         return self.offsets()[part] + self.parts[part].index(k, fiber)
 
-    def window_indices(self, w: int) -> np.ndarray:
-        out = []
-        for off, p in zip(self.offsets(), self.parts):
-            out.append(off + p.window_indices(w))
-        return np.concatenate(out) if out else np.zeros(0, dtype=int)
+    def degree_indices(self, lo: int, hi: int) -> np.ndarray:
+        """Flat indices of degrees [lo, hi] in every part."""
+        return np.concatenate([off + p.degree_indices(lo, hi)
+                               for off, p in zip(self.offsets(), self.parts)])
 
-    def windowed(self, w: int) -> "ProductSpace":
-        """The product space carved out by window w (same part layout)."""
-        parts = []
-        for p in self.parts:
-            if p.kind == HARDY:
-                parts.append(TruncatedSpace(p.fiber_dim, 0, min(w, p.deg_hi), HARDY))
-            else:
-                parts.append(TruncatedSpace(p.fiber_dim, max(p.deg_lo, -w),
-                                            min(p.deg_hi, w), LEBESGUE))
-        return ProductSpace(tuple(parts))
+    def window_indices(self, w: int) -> np.ndarray:
+        return self.degree_indices(-w, w)
 
 
 @dataclass(frozen=True)
@@ -174,7 +158,6 @@ class OperatorMatrix:
     codomain: ProductSpace
     entries: np.ndarray
     exact_window: int
-    provenance: str
 
     def __post_init__(self):
         if self.entries.shape != (self.codomain.dim, self.domain.dim):
@@ -188,21 +171,31 @@ class OperatorMatrix:
         w = self.exact_window if w is None else w
         return self.entries[:, self.domain.window_indices(w)]
 
-    def compose(self, other: "OperatorMatrix", provenance: str = "composite",
-                degree_growth: int = 0) -> "OperatorMatrix":
-        """self after other; the window shrinks by other's degree growth."""
-        if other.codomain.dim != self.domain.dim:
-            raise ValueError("composition dimension mismatch")
-        window = min(other.exact_window, self.exact_window - degree_growth)
-        return OperatorMatrix(other.domain, self.codomain,
-                              self.entries @ other.entries, max(window, -1),
-                              provenance)
-
 
 def _hardy_pair(sym: LaurentSymbol, n: int) -> tuple[ProductSpace, ProductSpace]:
     dom = ProductSpace.of(TruncatedSpace.hardy(sym.cols, n))
     cod = ProductSpace.of(TruncatedSpace.hardy(sym.rows, n))
     return dom, cod
+
+
+def multiplication_matrix(sym: LaurentSymbol, in_lo: int, in_hi: int,
+                          out_lo: int, out_hi: int) -> np.ndarray:
+    """Dense matrix of h |-> S h from input degrees [in_lo, in_hi] to output
+    degrees [out_lo, out_hi]; output degrees outside that range are dropped.
+
+    Degree block (j, i) is the coefficient of z**(j-i).  Toeplitz and
+    Hankel truncations and the bilateral generators are all slices of it.
+    """
+    r, c = sym.rows, sym.cols
+    n_out, n_in = out_hi - out_lo + 1, in_hi - in_lo + 1
+    ent = np.zeros((n_out, r, n_in, c), dtype=complex)
+    for k in range(sym.kmin, sym.kmax + 1):
+        blk = sym.coeff(k)
+        if not np.any(blk):
+            continue
+        i = np.arange(max(in_lo, out_lo - k), min(in_hi, out_hi - k) + 1)
+        ent[i + k - out_lo, :, i - in_lo, :] = blk
+    return ent.reshape(n_out * r, n_in * c)
 
 
 def toeplitz_op(sym: LaurentSymbol, n: int) -> OperatorMatrix:
@@ -218,18 +211,9 @@ def toeplitz_op(sym: LaurentSymbol, n: int) -> OperatorMatrix:
             f"[{sym.kmin}, {sym.kmax}]"
         )
     dom, cod = _hardy_pair(sym, n)
-    r, c = sym.rows, sym.cols
-    ent = np.zeros((cod.dim, dom.dim), dtype=complex)
-    for k in range(sym.kmin, sym.kmax + 1):
-        blk = sym.coeff(k)
-        if not np.any(blk):
-            continue
-        for i in range(n + 1):
-            j = i + k
-            if 0 <= j <= n:
-                ent[j * r:(j + 1) * r, i * c:(i + 1) * c] = blk
+    ent = multiplication_matrix(sym, 0, n, 0, n)
     window = n - max(sym.kmax, 0)
-    return OperatorMatrix(dom, cod, ent, window, "toeplitz")
+    return OperatorMatrix(dom, cod, ent, window)
 
 
 def hankel_op(sym: LaurentSymbol, n: int) -> OperatorMatrix:
@@ -242,66 +226,50 @@ def hankel_op(sym: LaurentSymbol, n: int) -> OperatorMatrix:
     (top-left corner of the infinite matrix) but no input is exact.
     """
     dom, cod = _hardy_pair(sym, n)
-    r, c = sym.rows, sym.cols
-    ent = np.zeros((cod.dim, dom.dim), dtype=complex)
-    for j in range(n + 1):
-        for i in range(n + 1):
-            k = -(j + i + 1)
-            if k >= sym.kmin:
-                blk = sym.coeff(k)
-                if np.any(blk):
-                    ent[j * r:(j + 1) * r, i * c:(i + 1) * c] = blk
+    # output degrees -n-1 .. -1 of S h, reversed blockwise by J
+    m = multiplication_matrix(sym, 0, n, -n - 1, -1)
+    ent = m.reshape(n + 1, sym.rows, -1)[::-1].reshape(m.shape)
     depth = max(0, -sym.kmin)
     window = n if depth <= n + 1 else -1
-    return OperatorMatrix(dom, cod, ent, window, "hankel")
+    return OperatorMatrix(dom, cod, ent, window)
 
 
 @dataclass(frozen=True)
 class ShiftOps:
     forward: OperatorMatrix
     backward: OperatorMatrix
-    flip: OperatorMatrix
 
 
 def shift_ops(space: TruncatedSpace) -> ShiftOps:
-    """Truncated multiplication by z, its adjoint, and the degree flip.
-
-    The flip J sends z**k to z**(-k-1); a Hardy window [0, n] lands
-    inside the two-sided window [-n-1, n] (embedded), a two-sided window
-    [lo, hi] lands onto [-hi-1, -lo-1] (a bijection, so J*J = I there).
-    """
-    f = space.fiber_dim
+    """Truncated multiplication by z and its adjoint."""
     prod = ProductSpace.of(space)
-    dim = space.dim
-    fwd = np.zeros((dim, dim), dtype=complex)
-    for k in space.degrees():
-        if k + 1 <= space.deg_hi:
-            a, b = space.index(k + 1), space.index(k)
-            fwd[a:a + f, b:b + f] = np.eye(f)
+    fwd = np.eye(space.dim, k=-space.fiber_dim, dtype=complex)
     if space.kind == HARDY:
         fwd_window = space.deg_hi - 1
         bwd_window = space.deg_hi
     else:
         fwd_window = min(space.deg_hi - 1, -space.deg_lo)
         bwd_window = min(space.deg_hi, -space.deg_lo - 1)
-    forward = OperatorMatrix(prod, prod, fwd, fwd_window, "shift")
-    backward = OperatorMatrix(prod, prod, fwd.conj().T, bwd_window, "shift")
+    forward = OperatorMatrix(prod, prod, fwd, fwd_window)
+    backward = OperatorMatrix(prod, prod, fwd.conj().T, bwd_window)
+    return ShiftOps(forward, backward)
 
-    if space.kind == HARDY:
-        flip_space = TruncatedSpace(f, -space.deg_hi - 1, space.deg_hi, LEBESGUE)
-    else:
-        flip_space = TruncatedSpace(f, -space.deg_hi - 1, -space.deg_lo - 1, LEBESGUE)
-    flip_prod = ProductSpace.of(flip_space)
-    flp = np.zeros((flip_space.dim, dim), dtype=complex)
-    for k in space.degrees():
-        j = -k - 1
-        if flip_space.deg_lo <= j <= flip_space.deg_hi:
-            flp[flip_space.index(j):flip_space.index(j) + f,
-                space.index(k):space.index(k) + f] = np.eye(f)
-    flip_window = space.deg_hi if space.kind == HARDY else \
-        min(space.deg_hi, -space.deg_lo - 1)
-    flip = OperatorMatrix(prod, flip_prod, flp, flip_window, "flip")
-    return ShiftOps(forward, backward, flip)
+
+def shift_rows(m: np.ndarray, space: ProductSpace, kinds: tuple[str, ...]) -> np.ndarray:
+    """X @ m for the block shift X moving each part of ``space`` one degree
+    "forward" or "backward" (one entry of ``kinds`` per part).
+
+    The same product as the dense ``shift_ops`` matrices, done by row index.
+    """
+    out = np.zeros_like(m)
+    for off, part, kind in zip(space.offsets(), space.parts, kinds):
+        src, dst = m[off:off + part.dim], out[off:off + part.dim]
+        f = part.fiber_dim
+        if kind == "forward":
+            dst[f:] = src[:-f]
+        else:
+            dst[:-f] = src[f:]
+    return out
 
 
 def _require_analytic(sym: LaurentSymbol, name: str) -> None:
@@ -358,7 +326,7 @@ def build_range_operator(a: LaurentSymbol, b: LaurentSymbol, c: LaurentSymbol,
     ent = _assemble([[t_a, t_b], [h_c, h_d]])
     window = min(t_a.exact_window, t_b.exact_window,
                  h_c.exact_window, h_d.exact_window)
-    return OperatorMatrix(dom, cod, ent, window, "mixed_range")
+    return OperatorMatrix(dom, cod, ent, window)
 
 
 def build_kernel_operator(c: LaurentSymbol, d: LaurentSymbol, a: LaurentSymbol,
@@ -390,7 +358,7 @@ def build_kernel_operator(c: LaurentSymbol, d: LaurentSymbol, a: LaurentSymbol,
     ent = _assemble([[h_c_adj, t_a_adj], [h_d_adj, t_b_adj]])
     window = min(h_c_adj.exact_window, h_d_adj.exact_window,
                  t_a_adj.exact_window, t_b_adj.exact_window)
-    return OperatorMatrix(dom, cod, ent, window, "mixed_kernel")
+    return OperatorMatrix(dom, cod, ent, window)
 
 
 @dataclass(frozen=True)
@@ -437,19 +405,6 @@ def svd_analysis(op: OperatorMatrix, tol: float = 1e-8) -> SvdReport:
     return SvdReport(norm, sv, kernel, rng, flag)
 
 
-def mixed_shift_pair(dim_e: int, dim_f: int, n: int) -> tuple[OperatorMatrix, OperatorMatrix]:
-    """(forward (+) backward, forward (+) forward) on the paired Hardy window."""
-    se = shift_ops(TruncatedSpace.hardy(dim_e, n))
-    sf = shift_ops(TruncatedSpace.hardy(dim_f, n))
-    space = _mixed_space(dim_e, dim_f, n)
-    ze = np.zeros((se.forward.entries.shape[0], sf.forward.entries.shape[1]))
-    x = np.block([[se.forward.entries, ze], [ze.T, sf.backward.entries]])
-    y = np.block([[se.forward.entries, ze], [ze.T, sf.forward.entries]])
-    x_op = OperatorMatrix(space, space, x, n - 1, "block")
-    y_op = OperatorMatrix(space, space, y, n - 1, "block")
-    return x_op, y_op
-
-
 def intertwining_residual(op: OperatorMatrix, kind: str, n: int) -> float:
     """Residual of the shift intertwining identity on the exact window.
 
@@ -460,16 +415,18 @@ def intertwining_residual(op: OperatorMatrix, kind: str, n: int) -> float:
     """
     if kind not in ("range", "kernel"):
         raise ValueError(f"unknown intertwining kind {kind!r}")
-    dim_e = op.domain.parts[0].fiber_dim
-    dim_f = op.domain.parts[1].fiber_dim
     if op.domain.parts[0].deg_hi != n or op.codomain.parts[0].deg_hi != n:
         raise ValueError("operator truncation does not match n")
-    x, y = mixed_shift_pair(dim_e, dim_f, n)
+    v, space = op.entries, op.domain
+    # a product V Y with a shift Y on the right is (Y^T V^T)^T, and the
+    # transpose of a forward shift is the backward one
     if kind == "range":
-        resid = x.entries @ op.entries - op.entries @ y.entries
+        resid = (shift_rows(v, space, ("forward", "backward"))
+                 - shift_rows(v.T, space, ("backward", "backward")).T)
         w = min(op.exact_window, n) - 1
     else:
-        resid = op.entries @ x.entries - y.entries.conj().T @ op.entries
+        resid = (shift_rows(v.T, space, ("backward", "forward")).T
+                 - shift_rows(v, space, ("backward", "backward")))
         w = min(op.exact_window, n - 1)
     if w < 0:
         raise ValueError("empty exactness window: truncation too small")
@@ -486,8 +443,8 @@ class NehariBracket:
 
 def nehari_bounds(a: LaurentSymbol, b: LaurentSymbol, c: LaurentSymbol,
                   d: LaurentSymbol, n_list: list[int],
-                  candidate_completions: list[tuple[LaurentSymbol, LaurentSymbol]] | None = None,
-                  num_samples: int | None = None) -> NehariBracket:
+                  candidate_completions: list[tuple[LaurentSymbol, LaurentSymbol]] | None = None
+                  ) -> NehariBracket:
     """Bracket the distance-type norm of the mixed range operator.
 
     Lower bounds: the window-compressed spectral norm of the truncated
@@ -512,9 +469,8 @@ def nehari_bounds(a: LaurentSymbol, b: LaurentSymbol, c: LaurentSymbol,
         c_mod = c - l1
         d_mod = d - l2
         band = max(s.bandwidth for s in (a, b, c_mod, d_mod))
-        m = num_samples if num_samples is not None else 4 * band + 1
         sup = 0.0
-        for z in unit_circle_points(m):
+        for z in unit_circle_points(4 * band + 1):
             full = np.block([
                 [a.eval_at(z), b.eval_at(z)],
                 [c_mod.eval_at(z), d_mod.eval_at(z)],
@@ -525,21 +481,3 @@ def nehari_bounds(a: LaurentSymbol, b: LaurentSymbol, c: LaurentSymbol,
     if upper and lower:
         gap = min(upper) - lower[-1][1]
     return NehariBracket(lower, upper, gap)
-
-
-def export_matrix(op: OperatorMatrix) -> dict:
-    """Row-major structured-text form for cross-checks with external tools."""
-    ent = np.asarray(op.entries, dtype=complex)
-    return {
-        "rows": int(ent.shape[0]),
-        "cols": int(ent.shape[1]),
-        "re": [float(v) for v in ent.real.ravel(order="C")],
-        "im": [float(v) for v in ent.imag.ravel(order="C")],
-    }
-
-
-def import_matrix(payload: dict) -> np.ndarray:
-    rows, cols = int(payload["rows"]), int(payload["cols"])
-    re = np.asarray(payload["re"], dtype=float).reshape(rows, cols)
-    im = np.asarray(payload["im"], dtype=float).reshape(rows, cols)
-    return re + 1j * im

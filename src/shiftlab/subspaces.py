@@ -19,6 +19,7 @@ import numpy as np
 
 from .linalg import (
     column_space,
+    image_within,
     intersection,
     nullspace,
     principal_angle_distance,
@@ -30,7 +31,8 @@ from .operators import (
     TruncatedSpace,
     build_kernel_operator,
     build_range_operator,
-    shift_ops,
+    multiplication_matrix,
+    shift_rows,
     toeplitz_op,
 )
 from .symbols import (
@@ -45,12 +47,10 @@ from .symbols import (
     rank_profile,
     submatrix,
     symbol_mul,
-    unit_circle_points,
     zero_symbol,
 )
 
 DEFAULT_ANGLE_TOL = 1e-8
-DEFAULT_INVARIANCE_TOL = 1e-10
 
 TYPE_I = "type_i"
 TYPE_II = "type_ii"
@@ -193,11 +193,6 @@ def default_window(spec: InvariantSubspaceSpec, n: int) -> int:
     return n - band
 
 
-def _default_samples(*symbols: LaurentSymbol | None) -> int:
-    band = max((s.bandwidth for s in symbols if s is not None), default=0)
-    return 4 * band + 1
-
-
 def _u_blocks(spec: InvariantSubspaceSpec):
     u = spec.u
     u_e = submatrix(u, range(spec.dim_e), range(u.cols))
@@ -205,7 +200,7 @@ def _u_blocks(spec: InvariantSubspaceSpec):
     return u_e, u_f
 
 
-def twocond_check(spec: InvariantSubspaceSpec, num_samples: int | None = None,
+def twocond_check(spec: InvariantSubspaceSpec,
                   tol: float = DEFAULT_ANGLE_TOL) -> VerificationReport:
     """Admissibility of the bilateral data (or of the representation symbols).
 
@@ -219,7 +214,6 @@ def twocond_check(spec: InvariantSubspaceSpec, num_samples: int | None = None,
     """
     checks: list[CheckResult] = []
     if spec.variant in (TYPE_I, TYPE_II):
-        m = num_samples or _default_samples(spec.u, spec.omega)
         expected_rank = spec.dim_e0 + spec.dim_e2 - spec.dim_e
         if spec.u is not None:
             cls = classify_isometry(spec.u)
@@ -234,11 +228,8 @@ def twocond_check(spec: InvariantSubspaceSpec, num_samples: int | None = None,
             for k in range(2, u_e.kmax + 1):
                 causal = max(causal, float(np.max(np.abs(u_e.coeff(k)))))
             checks.append(CheckResult("u_e_causal", causal, causal <= tol))
-            if u_f.is_zero():
-                ranks = [0] * m
-            else:
-                samples = max(m, 2 * u_f.bandwidth + 1)
-                ranks = rank_profile(u_f, samples, tol).ranks
+            band = max(s.bandwidth for s in spec.bilateral_symbols())
+            ranks = rank_profile(u_f, 4 * band + 1, tol).ranks
             worst = max(abs(r - expected_rank) for r in ranks)
             checks.append(CheckResult(
                 "u_f_rank", float(worst), worst == 0,
@@ -262,11 +253,8 @@ def twocond_check(spec: InvariantSubspaceSpec, num_samples: int | None = None,
                 ocls.kind in (IsometryKind.ISOMETRY, IsometryKind.UNITARY),
                 detail=ocls.kind.value))
             if spec.u is not None:
-                worst = 0.0
-                for z in unit_circle_points(m):
-                    cross = spec.u.eval_at(z).conj().T @ omega_full.eval_at(z)
-                    worst = max(worst, float(np.max(np.abs(cross))) if cross.size else 0.0)
-                checks.append(CheckResult("omega_orthogonal_u", worst, worst <= tol))
+                cross = (spec.u.adjoint() @ omega_full).max_abs_coeff()
+                checks.append(CheckResult("omega_orthogonal_u", cross, cross <= tol))
     elif spec.variant == KERNEL_REP:
         checks.extend(_representation_symbol_checks(spec.psi, spec, kernel=True, tol=tol))
     else:
@@ -317,66 +305,42 @@ def bilateral_subspace(spec: InvariantSubspaceSpec, n: int) -> SubspaceBasis:
     used by downstream comparisons.
     """
     amb = bilateral_ambient(spec.dim_e, spec.dim_f, n)
-    cols: list[np.ndarray] = []
+    gens = [np.zeros((amb.dim, 0), dtype=complex)]
     if spec.u is not None:
-        u = spec.u
-        if n < max(abs(u.kmin), abs(u.kmax)):
-            raise ValueError(f"symbol band [{u.kmin}, {u.kmax}] exceeds truncation {n}")
-        for k in range(0, n - u.kmax + 1):
-            if k + u.kmin < -n:
-                continue
-            for e in range(u.cols):
-                cols.append(_symbol_column(u, k, e, spec, amb))
+        gens.append(_generators(spec.u, spec.dim_e, 0, n - spec.u.kmax, n))
     omega = spec.omega_full()
     if omega is not None:
-        if n < max(abs(omega.kmin), abs(omega.kmax)):
-            raise ValueError(
-                f"symbol band [{omega.kmin}, {omega.kmax}] exceeds truncation {n}")
-        for k in range(-n - omega.kmin, n - omega.kmax + 1):
-            for e in range(omega.cols):
-                cols.append(_symbol_column(omega, k, e, spec, amb))
-    if not cols:
-        basis = np.zeros((amb.dim, 0), dtype=complex)
-    else:
-        stacked = np.column_stack(cols)
-        basis = column_space(stacked)
-        if basis.shape[1] != len(cols):
-            raise ValueError(
-                f"generators are numerically dependent: {len(cols)} columns "
-                f"span only {basis.shape[1]} directions")
+        gens.append(_generators(omega, spec.dim_e, -n - omega.kmin, n - omega.kmax, n))
+    stacked = np.hstack(gens)
+    basis = column_space(stacked)
+    if basis.shape[1] != stacked.shape[1]:
+        raise ValueError(
+            f"generators are numerically dependent: {stacked.shape[1]} columns "
+            f"span only {basis.shape[1]} directions")
     return SubspaceBasis(amb, basis, window=default_window(spec, n))
 
 
-def _symbol_column(sym: LaurentSymbol, k: int, e: int,
-                   spec: InvariantSubspaceSpec, amb: ProductSpace) -> np.ndarray:
-    vec = np.zeros(amb.dim, dtype=complex)
-    e_part, f_part = amb.parts
-    for m in range(sym.kmin, sym.kmax + 1):
-        blk = sym.coeff(m)
-        deg = k + m
-        for i in range(spec.dim_e):
-            if blk[i, e] != 0:
-                if not (e_part.deg_lo <= deg <= e_part.deg_hi):
-                    raise ValueError(f"generator degree {deg} escapes the ambient")
-                vec[amb.index(0, deg, i)] += blk[i, e]
-        for i in range(spec.dim_f):
-            val = blk[spec.dim_e + i, e]
-            if val != 0:
-                if deg < 0:
-                    raise ValueError(
-                        "second-fiber generator content at negative degree "
-                        f"{deg}: the symbol violates analyticity")
-                vec[amb.index(1, deg, i)] += val
-    return vec
+def _generators(sym: LaurentSymbol, dim_e: int, k_lo: int, k_hi: int,
+                n: int) -> np.ndarray:
+    """Columns sym z^k e for k in [k_lo, k_hi] in the bilateral ambient:
+    first-fiber rows at degrees [-n, n] over second-fiber rows at [0, n]."""
+    if n < max(abs(sym.kmin), abs(sym.kmax)):
+        raise ValueError(f"symbol band [{sym.kmin}, {sym.kmax}] exceeds truncation {n}")
+    s_e = submatrix(sym, range(dim_e), range(sym.cols))
+    s_f = submatrix(sym, range(dim_e, sym.rows), range(sym.cols))
+    if not s_f.is_zero() and k_lo + s_f.kmin < 0:
+        raise ValueError(
+            "second-fiber generator content at negative degree "
+            f"{k_lo + s_f.kmin}: the symbol violates analyticity")
+    return np.vstack([multiplication_matrix(s_e, k_lo, k_hi, -n, n),
+                      multiplication_matrix(s_f, k_lo, k_hi, 0, n)])
 
 
 def _flip_permutation(amb: ProductSpace) -> np.ndarray:
     """Index permutation of the coefficient flip k -> -k on the first part."""
-    perm = np.arange(amb.dim)
     e_part = amb.parts[0]
-    for k in e_part.degrees():
-        for i in range(e_part.fiber_dim):
-            perm[amb.index(0, k, i)] = amb.index(0, -k, i)
+    perm = np.arange(amb.dim)
+    perm[:e_part.dim] = perm[:e_part.dim].reshape(-1, e_part.fiber_dim)[::-1].ravel()
     return perm
 
 
@@ -404,23 +368,10 @@ def mixed_from_bilateral(n3: SubspaceBasis, n: int,
     perm = _flip_permutation(amb)
     flipped = n3.basis[perm, :]
     target = analytic_ambient(dim_e, dim_f, w)
-    keep = _analytic_window_indices(amb, w)
+    keep = amb.degree_indices(0, w)
     constraints = flipped.conj().T[:, keep]
     kernel = nullspace(constraints)
     return SubspaceBasis(target, kernel, window=w)
-
-
-def _analytic_window_indices(amb: ProductSpace, w: int) -> np.ndarray:
-    """Ambient indices of first-part degrees [0, w] and second-part [0, w]."""
-    e_part, f_part = amb.parts
-    out = []
-    for k in range(0, w + 1):
-        base = amb.index(0, k, 0)
-        out.extend(range(base, base + e_part.fiber_dim))
-    for k in range(0, w + 1):
-        base = amb.index(1, k, 0)
-        out.extend(range(base, base + f_part.fiber_dim))
-    return np.asarray(out, dtype=int)
 
 
 def mixed_invariant_subspace(spec: InvariantSubspaceSpec, n: int,
@@ -438,33 +389,19 @@ def shift_invariance_residual(basis: SubspaceBasis, kinds: tuple[str, str]) -> f
     at float level.
     """
     amb = basis.ambient
-    blocks = []
-    kill_rows: list[int] = []
-    for part_idx, (part, kind) in enumerate(zip(amb.parts, kinds)):
-        ops = shift_ops(part)
-        blocks.append(ops.forward.entries if kind == "forward" else ops.backward.entries)
-        if kind == "forward":
-            base = amb.index(part_idx, part.deg_hi, 0)
-            kill_rows.extend(range(base, base + part.fiber_dim))
-    x = np.zeros((amb.dim, amb.dim), dtype=complex)
-    off = 0
-    for blk in blocks:
-        x[off:off + blk.shape[0], off:off + blk.shape[1]] = blk
-        off += blk.shape[0]
+    # the forward shift pushes the top degree of a part out of the window
+    top = [off + part.degree_indices(part.deg_hi, part.deg_hi)
+           for off, part, kind in zip(amb.offsets(), amb.parts, kinds)
+           if kind == "forward"]
+    kill_rows = np.concatenate(top) if top else np.zeros(0, dtype=int)
     b = basis.basis
-    if b.shape[1] == 0:
-        return 0.0
-    coeffs = nullspace(b[kill_rows, :]) if kill_rows else np.eye(b.shape[1])
-    compressed = b @ coeffs
-    if compressed.shape[1] == 0:
-        return 0.0
-    image = x @ compressed
+    compressed = b @ nullspace(b[kill_rows, :])
+    image = shift_rows(compressed, amb, kinds)
     resid = image - b @ (b.conj().T @ image)
     return spectral_norm(resid)
 
 
-def invariance_check(basis: SubspaceBasis, n: int | None = None,
-                     tol: float = DEFAULT_INVARIANCE_TOL) -> float:
+def invariance_check(basis: SubspaceBasis) -> float:
     """Invariance residual under (forward shift) (+) (backward shift)."""
     return shift_invariance_residual(basis, ("forward", "backward"))
 
@@ -536,18 +473,9 @@ def range_window_basis(phi: LaurentSymbol, dim_e: int, dim_f: int, n: int,
     n_op = _operator_truncation((a, b, c, d), window, n)
     v_op = build_range_operator(a, b, c, d, n_op)
     growth = max(0, a.kmax, b.kmax)
-    target = analytic_ambient(dim_e, dim_f, window)
-    in_idx = v_op.domain.window_indices(n_op - growth)
-    if in_idx.size == 0:
-        return SubspaceBasis(target, np.zeros((target.dim, 0), dtype=complex),
-                             window=window)
-    image = v_op.entries[:, in_idx]
-    keep = v_op.codomain.window_indices(window)
-    outside = np.delete(np.arange(v_op.codomain.dim), keep)
-    coeffs = nullspace(image[outside, :]) if outside.size else \
-        np.eye(image.shape[1], dtype=complex)
-    basis = column_space(image[keep, :] @ coeffs)
-    return SubspaceBasis(target, basis, window=window)
+    image = v_op.window_columns(n_op - growth)
+    basis = image_within(image, v_op.codomain.window_indices(window))
+    return SubspaceBasis(analytic_ambient(dim_e, dim_f, window), basis, window=window)
 
 
 def model_space_basis(theta: LaurentSymbol, n: int) -> SubspaceBasis:
@@ -565,28 +493,9 @@ def model_space_basis(theta: LaurentSymbol, n: int) -> SubspaceBasis:
     if cls.kind not in (IsometryKind.ISOMETRY, IsometryKind.UNITARY):
         raise ValueError(
             f"inner factor must be isometry-valued (classified {cls.kind.value})")
-    gens = _inner_multiple_columns(theta, n)
-    kernel = nullspace(gens.conj().T) if gens.size else np.eye(space.dim, dtype=complex)
-    return SubspaceBasis(space, kernel, window=n)
-
-
-def _inner_multiple_columns(theta: LaurentSymbol, w: int) -> np.ndarray:
-    """Columns spanning the pairings of theta-multiples against window w.
-
-    Generators theta z^k e for k in [0, w], truncated to degrees <= w;
-    higher k never pair against the window.
-    """
-    rows = theta.rows * (w + 1)
-    cols = []
-    for k in range(0, w + 1):
-        for e in range(theta.cols):
-            vec = np.zeros(rows, dtype=complex)
-            for m in range(theta.kmin, theta.kmax + 1):
-                deg = k + m
-                if 0 <= deg <= w:
-                    vec[deg * theta.rows:(deg + 1) * theta.rows] += theta.coeff(m)[:, e]
-            cols.append(vec)
-    return np.column_stack(cols) if cols else np.zeros((rows, 0), dtype=complex)
+    # multiples theta z^k e with k > n never pair against the window
+    gens = multiplication_matrix(theta, 0, n, 0, n)
+    return SubspaceBasis(space, nullspace(gens.conj().T), window=n)
 
 
 def inner_multiples_window_basis(theta: LaurentSymbol, w: int) -> np.ndarray:
@@ -600,12 +509,7 @@ def inner_multiples_window_basis(theta: LaurentSymbol, w: int) -> np.ndarray:
         return np.zeros((theta.rows * (w + 1), 0), dtype=complex)
     n_in = w + max(0, theta.kmax)
     t_op = toeplitz_op(theta, n_in)
-    entries = t_op.entries
-    keep = t_op.codomain.window_indices(w)
-    outside = np.delete(np.arange(t_op.codomain.dim), keep)
-    coeffs = nullspace(entries[outside, :]) if outside.size else \
-        np.eye(entries.shape[1], dtype=complex)
-    return column_space(entries[keep, :] @ coeffs)
+    return image_within(t_op.entries, t_op.codomain.window_indices(w))
 
 
 def kernel_representation_check(n_basis: SubspaceBasis, psi: LaurentSymbol,
@@ -748,11 +652,11 @@ class UnitaryMatchResult:
 
 
 def constant_unitary_match(s1: LaurentSymbol, s2: LaurentSymbol,
-                           num_samples: int | None = None,
                            tol: float = 1e-10) -> UnitaryMatchResult:
     """Recover a constant unitary W with s1 = s2 W, when one exists.
 
-    W is the sample average of s2(z)^H s1(z); acceptance requires W to be
+    W is the constant coefficient of s2^H s1 (its mean over the circle),
+    which is W itself when s2 is isometry-valued; acceptance requires W to be
     unitary and the coefficient residual of s1 - s2 W to vanish within
     tol.  A large residual is a negative finding, not an error.
     """
@@ -763,21 +667,16 @@ def constant_unitary_match(s1: LaurentSymbol, s2: LaurentSymbol,
         if cls.kind not in (IsometryKind.ISOMETRY, IsometryKind.UNITARY):
             raise ValueError(
                 f"{name} symbol is not isometry-valued (classified {cls.kind.value})")
-    m = num_samples or _default_samples(s1, s2)
-    acc = np.zeros((s2.cols, s1.cols), dtype=complex)
-    for z in unit_circle_points(m):
-        acc += s2.eval_at(z).conj().T @ s1.eval_at(z)
-    w = acc / m
+    w = (s2.adjoint() @ s1).coeff(0)
     defect = float(np.max(np.abs(w.conj().T @ w - np.eye(s1.cols))))
     resid = coeff_distance(s1, symbol_mul(s2, constant_symbol(w)))
     return UnitaryMatchResult(defect <= tol and resid <= tol, w, defect, resid)
 
 
 def classify_type(spec: InvariantSubspaceSpec, n: int,
-                  num_samples: int | None = None,
                   tol: float = DEFAULT_ANGLE_TOL):
     """Label the spec as type_i / type_ii / not_invariant, with the report."""
-    report = twocond_check(spec, num_samples, tol)
+    report = twocond_check(spec, tol)
     if not report.overall:
         return "not_invariant", report
     has_doubly = spec.omega is not None and not spec.omega.is_zero()
@@ -838,15 +737,11 @@ def bilateral_roundtrip(spec: InvariantSubspaceSpec, n: int) -> RoundtripResult:
         raise ValueError("truncation too small for a reverse window")
     amb = b3.ambient
     lifted = np.zeros((amb.dim, mixed.dim), dtype=complex)
-    lifted[_analytic_window_indices(amb, w), :] = mixed.basis
+    lifted[amb.degree_indices(0, w), :] = mixed.basis
     perm = _flip_permutation(amb)
     flipped = lifted[perm, :]
     keep = amb.window_indices(w3)
     reverse = nullspace(flipped.conj().T[:, keep])
-    original = b3.basis[keep, :]
-    outside = np.delete(np.arange(amb.dim), keep)
-    coeffs = nullspace(b3.basis[outside, :])
-    restricted = column_space(original @ coeffs) if coeffs.size else \
-        np.zeros((keep.size, 0), dtype=complex)
+    restricted = image_within(b3.basis, keep)
     dist = principal_angle_distance(reverse, restricted)
     return RoundtripResult(inv, dist, w, w3, mixed.dim)

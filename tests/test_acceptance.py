@@ -290,7 +290,7 @@ def test_criterion_9_constant_unitary_recovery():
     for _ in range(20):
         g = haar_unitary(rng, 2)
         planted = symbol_mul(u, constant_symbol(g))
-        result = constant_unitary_match(planted, u, 9)
+        result = constant_unitary_match(planted, u)
         assert result.matched
         worst = max(worst, float(np.max(np.abs(result.w - g))))
     report(9, worst <= 1e-10,

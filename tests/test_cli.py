@@ -38,6 +38,22 @@ def minimal_payload():
     }
 
 
+def skewed_omega_payload():
+    """type_ii data whose Omega = [1; 0] is not orthogonal to U = [0.6; 0.8]."""
+    return {
+        "name": "skewed-omega",
+        "spec": {
+            "variant": "type_ii",
+            "dimE": 1,
+            "dimF": 1,
+            "U": {"rows": 2, "cols": 1, "coeffs": [{"k": 0, "re": [0.6, 0.8]}]},
+            "Omega": {"rows": 1, "cols": 1, "coeffs": [{"k": 0, "re": [1.0]}]},
+        },
+        "checks": ["twocond"],
+        "n_list": [8],
+    }
+
+
 class TestSymbolLiteral:
     def test_round_trip(self):
         sym = make_symbol(2, 1, {0: [[1], [0]], -2: [[0.5j], [1]]})
@@ -205,6 +221,33 @@ class TestMainEntry:
         ns = {json.loads(line)["n"] for line in lines
               if json.loads(line)["check"] == "invariance"}
         assert ns == {4, 6}
+
+    @pytest.mark.parametrize("n_list, override, source", [
+        ([8], "8,x", "--n"),
+        ([8], "16,8", "--n"),
+        ([0, 8], None, "n_list"),
+    ])
+    def test_bad_sweep_exit_two(self, tmp_path, capsys, n_list, override, source):
+        payload = dict(minimal_payload(), n_list=n_list)
+        argv = ["verify", write_scenario(tmp_path, payload)]
+        if override is not None:
+            argv += ["--n", override]
+        assert main(argv) == 2
+        assert source in capsys.readouterr().err
+
+    def test_tol_override(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, skewed_omega_payload())
+        assert main(["verify", path]) == 1
+        assert main(["verify", path, "--tol", "0.7"]) == 0
+
+    def test_omega_orthogonality_ignores_samples_key(self, tmp_path, capsys):
+        # "samples" is not a scenario key: it cannot shrink the check to no samples
+        payload = dict(skewed_omega_payload(), samples=-5)
+        path = write_scenario(tmp_path, payload)
+        assert main(["verify", path, "--format", "structured"]) == 1
+        rec = json.loads(capsys.readouterr().out.strip())
+        assert rec["check"] == "twocond" and not rec["pass"]
+        assert rec["residual"] == pytest.approx(0.6, abs=1e-12)
 
     def test_list_demos(self, capsys):
         assert main(["list-demos"]) == 0

@@ -2,18 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftlab.linalg import spectral_norm
 from shiftlab.operators import (
+    ProductSpace,
     TruncatedSpace,
     build_kernel_operator,
     build_range_operator,
-    export_matrix,
     hankel_op,
-    import_matrix,
     intertwining_residual,
     nehari_bounds,
     shift_ops,
+    shift_rows,
     svd_analysis,
     toeplitz_op,
 )
@@ -33,6 +35,15 @@ def rand_symbol(rng, rows, cols, kmin, kmax):
         k: rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
         for k in range(kmin, kmax + 1)
     })
+
+
+@st.composite
+def band_symbols(draw, rows, cols, analytic=False):
+    """Generic symbols: every coefficient in the band is a random complex matrix."""
+    kmin = draw(st.integers(0 if analytic else -10, 3))
+    kmax = draw(st.integers(kmin, kmin + 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return rand_symbol(rng, rows, cols, kmin, kmax)
 
 
 def timotin_range_blocks():
@@ -115,32 +126,16 @@ class TestShiftOps:
         assert ops.forward.exact_window == 1
         assert ops.backward.exact_window == 2
 
-    def test_flip_square_on_hardy(self):
-        space = TruncatedSpace.hardy(1, 3)
-        ops = shift_ops(space)
-        flip_space = ops.flip.codomain.parts[0]
-        assert (flip_space.deg_lo, flip_space.deg_hi) == (-4, 3)
-        # z**k lands on z**(-k-1)
-        for k in range(4):
-            col = ops.flip.entries[:, space.index(k)]
-            assert col[flip_space.index(-k - 1)] == 1 and np.sum(np.abs(col)) == 1
-
-    def test_flip_squares_to_identity_on_lebesgue(self):
-        space = TruncatedSpace.lebesgue(2, 3)
-        ops = shift_ops(space)
-        again = shift_ops(ops.flip.codomain.parts[0])
-        prod = again.flip.entries @ ops.flip.entries
-        np.testing.assert_allclose(prod, np.eye(space.dim), atol=1e-14)
-
-    def test_flip_intertwines_bilateral_shifts(self):
-        space = TruncatedSpace.lebesgue(1, 4)
-        ops = shift_ops(space)
-        flip_target = ops.flip.codomain.parts[0]
-        target_ops = shift_ops(flip_target)
-        lhs = ops.flip.entries @ ops.backward.entries
-        rhs = target_ops.forward.entries @ ops.flip.entries
-        cols = [space.index(k) for k in range(-3, 4)]
-        np.testing.assert_allclose(lhs[:, cols], rhs[:, cols], atol=1e-14)
+    def test_shift_rows_matches_dense_shifts(self):
+        parts = (TruncatedSpace.lebesgue(2, 3), TruncatedSpace.hardy(1, 4))
+        space = ProductSpace.of(*parts)
+        m = np.random.default_rng(5).standard_normal((space.dim, 3))
+        for kinds in (("forward", "backward"), ("backward", "forward")):
+            blocks = [getattr(shift_ops(p), k).entries for p, k in zip(parts, kinds)]
+            dense = np.zeros((space.dim, space.dim), dtype=complex)
+            dense[:parts[0].dim, :parts[0].dim] = blocks[0]
+            dense[parts[0].dim:, parts[0].dim:] = blocks[1]
+            np.testing.assert_array_equal(shift_rows(m, space, kinds), dense @ m)
 
 
 class TestMixedOperators:
@@ -204,19 +199,60 @@ class TestMixedOperators:
         np.testing.assert_allclose(bottom_left, expected)
 
 
-class TestComposition:
-    def test_window_shrinks_by_degree_growth(self):
-        z = make_symbol(1, 1, {1: [1]})
-        t = toeplitz_op(z, 6)
-        square = t.compose(t, degree_growth=1)
-        np.testing.assert_allclose(square.entries, np.eye(7, k=-2))
-        assert square.exact_window == 4
+class TestWindowTightness:
+    """The exactness window is tight, checked against a deeper truncation:
+    the deeper matrix agrees on the window columns and stays inside degrees
+    0..n there, and generic symbols leave 0..n one degree past the window."""
 
-    def test_dimension_mismatch(self):
-        t1 = toeplitz_op(identity_symbol(1), 4)
-        t2 = toeplitz_op(identity_symbol(2), 4)
-        with pytest.raises(ValueError, match="composition"):
-            t1.compose(t2)
+    @staticmethod
+    def check_tight(build, n, band):
+        shallow, deep = build(n), build(n + band + 8)
+        w = shallow.exact_window
+        rows = deep.codomain.window_indices(n)
+        outside = np.delete(np.arange(deep.codomain.dim), rows)
+        cols = deep.domain.window_indices(w)
+        np.testing.assert_array_equal(deep.entries[np.ix_(rows, cols)],
+                                      shallow.window_columns())
+        assert not np.any(deep.entries[np.ix_(outside, cols)])
+        if w < n:
+            beyond = np.setdiff1d(deep.domain.window_indices(w + 1), cols)
+            assert np.any(deep.entries[np.ix_(outside, beyond)])
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), rows=st.integers(1, 2), cols=st.integers(1, 2))
+    def test_toeplitz(self, data, rows, cols):
+        s = data.draw(band_symbols(rows, cols))
+        n = data.draw(st.integers(max(-s.kmin, s.kmax), 10))
+        self.check_tight(lambda m: toeplitz_op(s, m), n, s.bandwidth)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), rows=st.integers(1, 2), cols=st.integers(1, 2),
+           n=st.integers(0, 8))
+    def test_hankel(self, data, rows, cols, n):
+        s = data.draw(band_symbols(rows, cols))
+        self.check_tight(lambda m: hankel_op(s, m), n, s.bandwidth)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), de=st.integers(1, 2), df=st.integers(1, 2))
+    def test_range_operator(self, data, de, df):
+        a = data.draw(band_symbols(de, de, analytic=True))
+        b = data.draw(band_symbols(de, df, analytic=True))
+        c = data.draw(band_symbols(df, de))
+        d = data.draw(band_symbols(df, df))
+        n = data.draw(st.integers(max(a.kmax, b.kmax), 10))
+        band = max(s.bandwidth for s in (a, b, c, d))
+        self.check_tight(lambda m: build_range_operator(a, b, c, d, m), n, band)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), de=st.integers(1, 2), df=st.integers(1, 2))
+    def test_kernel_operator(self, data, de, df):
+        c = data.draw(band_symbols(de, de))
+        d = data.draw(band_symbols(de, df))
+        a = data.draw(band_symbols(df, de, analytic=True))
+        b = data.draw(band_symbols(df, df, analytic=True))
+        n = data.draw(st.integers(max(a.kmax, b.kmax), 10))
+        band = max(s.bandwidth for s in (a, b, c, d))
+        self.check_tight(lambda m: build_kernel_operator(c, d, a, b, m), n, band)
 
 
 class TestSvdAnalysis:
@@ -410,13 +446,3 @@ class TestNehari:
         d = make_symbol(1, 1, {-1: [1]})
         with pytest.raises(ValueError, match="ascending"):
             nehari_bounds(*self._blocks_for_scalar_d(d), [8, 4], None)
-
-
-class TestExport:
-    def test_round_trip(self):
-        rng = np.random.default_rng(9)
-        op = toeplitz_op(rand_symbol(rng, 2, 2, -1, 1), 3)
-        payload = export_matrix(op)
-        assert payload["rows"] == op.entries.shape[0]
-        back = import_matrix(payload)
-        np.testing.assert_allclose(back, op.entries, atol=0)

@@ -432,7 +432,7 @@ class TestSplitting:
 class TestConstantUnitaryMatch:
     def test_identity(self):
         u = timotin_u()
-        res = constant_unitary_match(u, u, 9)
+        res = constant_unitary_match(u, u)
         assert res.matched
         np.testing.assert_allclose(res.w, np.eye(2), atol=1e-12)
 
@@ -441,19 +441,19 @@ class TestConstantUnitaryMatch:
         u = timotin_u()
         q, r = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
         g = q * (np.diag(r) / np.abs(np.diag(r)))
-        res = constant_unitary_match(symbol_mul(u, constant_symbol(g)), u, 9)
+        res = constant_unitary_match(symbol_mul(u, constant_symbol(g)), u)
         assert res.matched
         assert np.max(np.abs(res.w - g)) <= 1e-10
 
     def test_incompatible_diagonals_report_failure(self):
         d1 = make_symbol(2, 2, {0: [[0, 0], [0, 1]], 1: [[1, 0], [0, 0]]})
         d2 = make_symbol(2, 2, {0: [[1, 0], [0, 0]], 1: [[0, 0], [0, 1]]})
-        res = constant_unitary_match(d1, d2, 9)
+        res = constant_unitary_match(d1, d2)
         assert not res.matched
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError, match="shape"):
-            constant_unitary_match(identity_symbol(1), identity_symbol(2), 5)
+            constant_unitary_match(identity_symbol(1), identity_symbol(2))
 
 
 class TestClassifyType:
