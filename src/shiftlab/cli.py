@@ -16,8 +16,10 @@ error (unreadable file, schema violation, shape mismatch).
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field, replace
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -89,6 +91,11 @@ def symbol_from_literal(payload, field_name: str = "symbol") -> LaurentSymbol:
             raise ScenarioError(
                 f"field {field_name}: coefficient k={k} carries {re.size} "
                 f"entries, expected rows*cols = {rows * cols}")
+        if k in coeffs:
+            raise ScenarioError(f"field {field_name}: coefficient k={k} given twice")
+        if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
+            raise ScenarioError(
+                f"field {field_name}: coefficient k={k} has a non-finite entry")
         coeffs[k] = (re + 1j * im).reshape(rows, cols)
     if not coeffs:
         return zero_symbol(rows, cols)
@@ -229,16 +236,19 @@ def _scenario_from_payload(payload: dict, fallback_name: str) -> Scenario:
         if c not in CHECK_IDS:
             raise ScenarioError(f"unknown check id {c!r}; valid: {CHECK_IDS}")
     n_list = _parse_n_list(payload.get("n_list", DEFAULT_N_LIST), "field n_list")
-    tol = float(payload.get("tol", DEFAULT_TOL))
+    tol = _parse_tol(payload.get("tol", DEFAULT_TOL), "field tol")
     window = payload.get("window")
     expect = payload.get("expect", {})
+    raw_candidates = payload.get("nehari_candidates", [])
+    if not isinstance(raw_candidates, list):
+        raise ScenarioError("field nehari_candidates must be a list")
     candidates = []
-    for i, cand in enumerate(payload.get("nehari_candidates", [])):
-        l1 = symbol_from_literal(cand["L1"], f"nehari_candidates[{i}].L1") \
-            if "L1" in cand else None
-        l2 = symbol_from_literal(cand["L2"], f"nehari_candidates[{i}].L2") \
-            if "L2" in cand else None
-        candidates.append((l1, l2))
+    for i, cand in enumerate(raw_candidates):
+        if not (isinstance(cand, dict) and "L1" in cand and "L2" in cand):
+            raise ScenarioError(f"field nehari_candidates[{i}]: expected an "
+                                f"object with symbol literals L1 and L2")
+        candidates.append((symbol_from_literal(cand["L1"], f"nehari_candidates[{i}].L1"),
+                           symbol_from_literal(cand["L2"], f"nehari_candidates[{i}].L2")))
     scenario = Scenario(name, spec, checks, n_list, tol,
                         None if window is None else int(window),
                         dict(expect), tuple(candidates))
@@ -256,6 +266,17 @@ def _parse_n_list(values, source: str) -> tuple[int, ...]:
         raise ScenarioError(
             f"{source} must be nonempty, ascending and positive; got {list(n_list)}")
     return n_list
+
+
+def _parse_tol(value, source: str) -> float:
+    """Validate a tolerance: a finite positive number."""
+    try:
+        tol = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"{source}: expected a number ({exc})") from exc
+    if not (math.isfinite(tol) and tol > 0):
+        raise ScenarioError(f"{source} must be finite and positive; got {value!r}")
+    return tol
 
 
 def _derived_psi(spec: InvariantSubspaceSpec) -> LaurentSymbol | None:
@@ -349,30 +370,30 @@ def _mixed_operators(spec: InvariantSubspaceSpec, n: int):
         yield "kernel", build_kernel_operator(c, d, a, b, n)
 
 
-def _check_twocond(sc: Scenario, n: int) -> list[Record]:
+def _check_twocond(sc: Scenario, n: int, target) -> list[Record]:
     return _records_from_report(sc, "twocond", n, twocond_check(sc.spec, sc.tol))
 
 
-def _check_invariance(sc: Scenario, n: int) -> list[Record]:
-    basis = _target_subspace(sc, n)
+def _check_invariance(sc: Scenario, n: int, target) -> list[Record]:
+    basis = target(n)
     resid = invariance_check(basis)
     return [Record(sc.name, "invariance", n, resid, resid <= sc.tol, basis.window)]
 
 
-def _check_kernel_rep(sc: Scenario, n: int) -> list[Record]:
-    rep = kernel_representation_check(_target_subspace(sc, n), _derived_psi(sc.spec),
+def _check_kernel_rep(sc: Scenario, n: int, target) -> list[Record]:
+    rep = kernel_representation_check(target(n), _derived_psi(sc.spec),
                                       sc.spec.theta, n, sc.tol)
     return _records_from_report(sc, "kernel_rep", n, rep)
 
 
-def _check_range_rep(sc: Scenario, n: int) -> list[Record]:
+def _check_range_rep(sc: Scenario, n: int, target) -> list[Record]:
     theta = sc.spec.theta if sc.spec.variant == RANGE_REP else None
-    rep = range_representation_check(_target_subspace(sc, n), _derived_phi(sc.spec),
+    rep = range_representation_check(target(n), _derived_phi(sc.spec),
                                      theta, n, sc.tol)
     return _records_from_report(sc, "range_rep", n, rep)
 
 
-def _check_splitting(sc: Scenario, n: int) -> list[Record]:
+def _check_splitting(sc: Scenario, n: int, target) -> list[Record]:
     tl, tr, bl, br = split_square_blocks(_derived_phi(sc.spec), 1, 1)
     result = splitting_check_scalar(tl, tr, bl.conj_arg(), br.conj_arg(), sc.tol)
     expected = bool(sc.expect.get("splitting", False))
@@ -381,7 +402,7 @@ def _check_splitting(sc: Scenario, n: int) -> list[Record]:
                    detail=f"splitting={result.splitting} expected={expected}")]
 
 
-def _check_intertwining(sc: Scenario, n: int) -> list[Record]:
+def _check_intertwining(sc: Scenario, n: int, target) -> list[Record]:
     worst = 0.0
     parts = []
     for kind, op in _mixed_operators(sc.spec, n):
@@ -392,7 +413,7 @@ def _check_intertwining(sc: Scenario, n: int) -> list[Record]:
                    detail="; ".join(parts))]
 
 
-def _check_nehari(sc: Scenario, n: int) -> list[Record]:
+def _check_nehari(sc: Scenario, n: int, target) -> list[Record]:
     a, b, c, d = split_square_blocks(_derived_phi(sc.spec), sc.spec.dim_e, sc.spec.dim_f)
     bracket = nehari_bounds(a, b, c, d, list(sc.n_list),
                             list(sc.nehari_candidates) or None)
@@ -407,12 +428,12 @@ def _check_nehari(sc: Scenario, n: int) -> list[Record]:
     return [Record(sc.name, "nehari", n, violation, ok, detail=detail)]
 
 
-def _check_partial_isometry(sc: Scenario, n: int) -> list[Record]:
+def _check_partial_isometry(sc: Scenario, n: int, target) -> list[Record]:
     expected = bool(sc.expect.get("partial_isometry", True))
     flags = []
     parts = []
     for kind, op in _mixed_operators(sc.spec, n):
-        flag = svd_analysis(op, sc.tol).is_partial_isometry
+        flag = svd_analysis(op, sc.tol)
         flags.append(flag)
         parts.append(f"{kind}_op={flag}")
     ok = all(flags) == expected
@@ -434,15 +455,21 @@ CHECK_IDS = tuple(_CHECKS)
 
 
 def run(scenario: Scenario) -> Report:
-    """Execute every requested check at every truncation in the sweep."""
+    """Execute every requested check at every truncation in the sweep.
+
+    Checks comparing against the target subspace share one build per n,
+    made on first use and kept only for this call; a build that raises is
+    not kept, so each check records its own error.
+    """
     records: list[Record] = []
+    target = lru_cache(maxsize=None)(partial(_target_subspace, scenario))
     once_per_scenario = {"twocond", "splitting", "nehari"}
     for check in scenario.checks:
         n_values = (scenario.n_list[-1],) if check in once_per_scenario \
             else scenario.n_list
         for n in n_values:
             try:
-                records.extend(_CHECKS[check](scenario, n))
+                records.extend(_CHECKS[check](scenario, n, target))
             except (ValueError, KeyError) as exc:
                 records.append(Record(scenario.name, check, n, float("inf"),
                                       False, detail=f"error: {exc}"))
@@ -636,8 +663,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("paths", nargs="+", metavar="scenario-file")
     p_verify.add_argument("--n", default=None,
                           help="comma-separated truncation sweep override")
-    p_verify.add_argument("--tol", type=float, default=None,
-                          help="tolerance override")
+    p_verify.add_argument("--tol", default=None,
+                          help="tolerance override (finite, positive)")
     p_verify.add_argument("--format", choices=("text", "structured"),
                           default="text")
     p_demo = sub.add_parser("demo", help="run a built-in demo")
@@ -662,7 +689,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.n is not None:
                 overrides["n_list"] = _parse_n_list(args.n.split(","), "option --n")
             if args.tol is not None:
-                overrides["tol"] = args.tol
+                overrides["tol"] = _parse_tol(args.tol, "option --tol")
             report = run_batch([replace(parse_scenario(path), **overrides)
                                 for path in args.paths])
     except ScenarioError as exc:

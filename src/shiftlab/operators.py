@@ -361,48 +361,31 @@ def build_kernel_operator(c: LaurentSymbol, d: LaurentSymbol, a: LaurentSymbol,
     return OperatorMatrix(dom, cod, ent, window)
 
 
-@dataclass(frozen=True)
-class SvdReport:
-    norm: float
-    singular_values: np.ndarray
-    kernel_basis: SubspaceBasis
-    range_basis: SubspaceBasis
-    is_partial_isometry: bool
-
-
-def _binary_singular_values(m: np.ndarray, tol: float) -> bool | None:
-    """None when there is nothing to test (empty window gives no evidence)."""
+def _binary_singular_values(m: np.ndarray, tol: float) -> bool:
+    """Every singular value within tol of 0 or 1; an empty matrix gives no
+    evidence, so False."""
     if m.size == 0:
-        return None
+        return False
     sv = np.linalg.svd(m, compute_uv=False)
     return bool(np.all((sv <= tol) | (np.abs(sv - 1.0) <= tol)))
 
 
-def svd_analysis(op: OperatorMatrix, tol: float = 1e-8) -> SvdReport:
-    """Full SVD of the truncated matrix.
+def svd_analysis(op: OperatorMatrix, tol: float = 1e-8) -> bool:
+    """Partial-isometry flag of the truncated matrix on its exactness window.
 
-    Norm, singular values and kernel/range bases come from the full
-    matrix.  The partial-isometry flag compresses to the exactness
-    window and asks for every singular value within tol of 0 or 1; the
-    compression is applied on the domain side and, failing that, on the
-    codomain side (an operator is a partial isometry iff its adjoint
-    is, and depending on which of the kernel or co-kernel is graded by
-    degree only one of the two restrictions stays binary).  An empty
-    window certifies nothing, so the flag is then False.
+    True when every singular value of a window compression is within tol
+    of 0 or 1.  An operator is a partial isometry iff its adjoint is, and
+    depending on which of the kernel or co-kernel is graded by degree only
+    one of the two compressions stays binary, so the flag is (codomain
+    rows binary) or (domain columns binary).  The codomain side is tried
+    first and decides every mixed operator of the demos; the domain side
+    is computed only when it does not.  An empty window certifies nothing.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    u, sv, vh = np.linalg.svd(op.entries)
-    norm = float(sv[0]) if sv.size else 0.0
-    cutoff = tol * max(norm, 1.0)
-    rank = int(np.sum(sv > cutoff))
-    kernel = SubspaceBasis(op.domain, vh[rank:].conj().T)
-    rng = SubspaceBasis(op.codomain, u[:, :rank])
-    domain_side = _binary_singular_values(op.window_columns(), tol)
     rows = op.codomain.window_indices(op.exact_window)
-    codomain_side = _binary_singular_values(op.entries[rows, :], tol)
-    flag = bool(domain_side) or bool(codomain_side)
-    return SvdReport(norm, sv, kernel, rng, flag)
+    return (_binary_singular_values(op.entries[rows, :], tol)
+            or _binary_singular_values(op.window_columns(), tol))
 
 
 def intertwining_residual(op: OperatorMatrix, kind: str, n: int) -> float:

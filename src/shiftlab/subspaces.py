@@ -302,7 +302,9 @@ def bilateral_subspace(spec: InvariantSubspaceSpec, n: int) -> SubspaceBasis:
     fitting the two-sided window) and Omega z^k e, embedded in the
     ambient (two-sided window of the first fiber) (+) (one-sided window
     of the second fiber).  The returned basis carries the shrunk window
-    used by downstream comparisons.
+    used by downstream comparisons.  For admissible data the generators
+    are orthonormal as they stand and are the basis; otherwise they are
+    orthonormalized.
     """
     amb = bilateral_ambient(spec.dim_e, spec.dim_f, n)
     gens = [np.zeros((amb.dim, 0), dtype=complex)]
@@ -312,12 +314,18 @@ def bilateral_subspace(spec: InvariantSubspaceSpec, n: int) -> SubspaceBasis:
     if omega is not None:
         gens.append(_generators(omega, spec.dim_e, -n - omega.kmin, n - omega.kmax, n))
     stacked = np.hstack(gens)
+    window = default_window(spec, n)
+    try:
+        # SubspaceBasis rejects columns whose Gram error exceeds 1e-10
+        return SubspaceBasis(amb, stacked, window=window)
+    except ValueError:
+        pass
     basis = column_space(stacked)
     if basis.shape[1] != stacked.shape[1]:
         raise ValueError(
             f"generators are numerically dependent: {stacked.shape[1]} columns "
             f"span only {basis.shape[1]} directions")
-    return SubspaceBasis(amb, basis, window=default_window(spec, n))
+    return SubspaceBasis(amb, basis, window=window)
 
 
 def _generators(sym: LaurentSymbol, dim_e: int, k_lo: int, k_hi: int,

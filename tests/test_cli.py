@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from shiftlab import cli
 from shiftlab.cli import (
     DEMOS,
     ScenarioError,
@@ -68,6 +69,24 @@ class TestSymbolLiteral:
         with pytest.raises(ScenarioError, match="expected rows\\*cols"):
             symbol_from_literal(
                 {"rows": 2, "cols": 2, "coeffs": [{"k": 0, "re": [1.0]}]}, "f")
+
+    def test_duplicate_k_exit_two(self, tmp_path, capsys):
+        payload = minimal_payload()
+        payload["spec"]["U"]["coeffs"].append({"k": 0, "re": [0.0, 1.0]})
+        assert main(["verify", write_scenario(tmp_path, payload)]) == 2
+        err = capsys.readouterr().err
+        assert "spec.U" in err and "k=0 given twice" in err
+
+    @pytest.mark.parametrize("entry", [
+        {"k": 0, "re": [float("nan"), 0.0]},
+        {"k": 0, "re": [1.0, 0.0], "im": [0.0, float("inf")]},
+    ])
+    def test_non_finite_coefficient_exit_two(self, tmp_path, capsys, entry):
+        payload = minimal_payload()
+        payload["spec"]["U"]["coeffs"] = [entry]
+        assert main(["verify", write_scenario(tmp_path, payload)]) == 2
+        err = capsys.readouterr().err
+        assert "spec.U" in err and "non-finite" in err
 
 
 class TestParseScenario:
@@ -154,6 +173,23 @@ class TestRun:
         failed = [r for r in report.records if not r.passed]
         assert any(r.check == "twocond" for r in failed)
 
+    def test_target_built_once_per_n(self, monkeypatch):
+        builds = []
+        original = cli.mixed_invariant_subspace
+
+        def counted(spec, n, window=None):
+            builds.append(n)
+            return original(spec, n, window)
+
+        monkeypatch.setattr(cli, "mixed_invariant_subspace", counted)
+        sc, = DEMOS["timotin-nonsplitting"]()
+        first = run(sc)
+        assert builds == [8, 16]
+        # nothing is kept across calls
+        second = run(sc)
+        assert builds == [8, 16, 8, 16]
+        assert first.structured() == second.structured()
+
     def test_batch_ordering_by_name(self, tmp_path):
         a = parse_scenario(write_scenario(tmp_path, dict(minimal_payload(), name="b"),
                                           "b.json"))
@@ -239,6 +275,30 @@ class TestMainEntry:
         path = write_scenario(tmp_path, skewed_omega_payload())
         assert main(["verify", path]) == 1
         assert main(["verify", path, "--tol", "0.7"]) == 0
+
+    @pytest.mark.parametrize("tol", ["abc", float("nan"), float("inf"), 0, -1e-8])
+    def test_bad_tol_field_exit_two(self, tmp_path, capsys, tol):
+        path = write_scenario(tmp_path, dict(minimal_payload(), tol=tol))
+        assert main(["verify", path]) == 2
+        assert "field tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["abc", "nan", "inf", "0", "-1"])
+    def test_bad_tol_option_exit_two(self, tmp_path, capsys, tol):
+        path = write_scenario(tmp_path, minimal_payload())
+        assert main(["verify", path, "--tol", tol]) == 2
+        assert "option --tol" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("candidates, named", [
+        ([{}], "nehari_candidates[0]"),
+        ([{"L1": {"rows": 1, "cols": 1, "coeffs": []}}], "nehari_candidates[0]"),
+        ([{"L2": {"rows": 1, "cols": 1, "coeffs": []}}], "nehari_candidates[0]"),
+        (["zero"], "nehari_candidates[0]"),
+        ({}, "nehari_candidates must be a list"),
+    ], ids=["empty", "no-L2", "no-L1", "not-object", "not-list"])
+    def test_malformed_nehari_candidate_exit_two(self, tmp_path, capsys, candidates, named):
+        payload = dict(minimal_payload(), nehari_candidates=candidates)
+        assert main(["verify", write_scenario(tmp_path, payload)]) == 2
+        assert named in capsys.readouterr().err
 
     def test_omega_orthogonality_ignores_samples_key(self, tmp_path, capsys):
         # "samples" is not a scenario key: it cannot shrink the check to no samples

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from shiftlab.linalg import column_space, nullspace, principal_angle_distance
-from shiftlab.operators import SubspaceBasis, build_range_operator, hankel_op
+from shiftlab.operators import (
+    SubspaceBasis,
+    build_range_operator,
+    hankel_op,
+    multiplication_matrix,
+)
 from shiftlab.subspaces import (
     InvariantSubspaceSpec,
     SpecValidationError,
@@ -36,6 +41,7 @@ from shiftlab.symbols import (
     make_cyclic_symbol,
     make_symbol,
     monomial_symbol,
+    submatrix,
     symbol_mul,
     zero_symbol,
 )
@@ -202,6 +208,37 @@ class TestBilateralSubspace:
                     if blk[1, e]:
                         vec[amb.index(1, k + m, 0)] += blk[1, e]
                 np.testing.assert_allclose(proj @ vec, vec, atol=1e-12)
+
+    @staticmethod
+    def scalar_fiber_generators(u, n):
+        """Columns U z^k e, k = 0..n - kmax, in the bilateral ambient of 1 + 1 fibers."""
+        cols = range(u.cols)
+        return np.vstack([
+            multiplication_matrix(submatrix(u, range(1), cols), 0, n - u.kmax, -n, n),
+            multiplication_matrix(submatrix(u, range(1, 2), cols), 0, n - u.kmax, 0, n)])
+
+    def test_orthonormal_generators_are_the_basis(self):
+        n = 6
+        b3 = bilateral_subspace(timotin_spec(), n)
+        np.testing.assert_array_equal(b3.basis, self.scalar_fiber_generators(timotin_u(), n))
+
+    def test_non_isometric_column_is_orthonormalized(self):
+        # the generators of 2 U are orthogonal with norm 2, not a basis as they stand
+        n = 6
+        u = 2 * timotin_u()
+        gens = self.scalar_fiber_generators(u, n)
+        np.testing.assert_allclose(gens.conj().T @ gens, 4 * np.eye(gens.shape[1]),
+                                   atol=1e-12)
+        b3 = bilateral_subspace(InvariantSubspaceSpec("type_i", 1, 1, u=u), n)
+        np.testing.assert_allclose(b3.basis.conj().T @ b3.basis, np.eye(b3.dim),
+                                   atol=1e-12)
+        assert b3.dim == gens.shape[1]
+        assert principal_angle_distance(b3.basis, column_space(gens)) <= 1e-12
+
+    def test_dependent_generators_rejected(self):
+        u = make_symbol(2, 2, {0: [[0.6, 0.6], [0.8, 0.8]]})
+        with pytest.raises(ValueError, match="numerically dependent"):
+            bilateral_subspace(InvariantSubspaceSpec("type_i", 1, 1, u=u), 4)
 
     def test_band_exceeding_truncation_rejected(self):
         spec = InvariantSubspaceSpec(
