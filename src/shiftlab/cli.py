@@ -64,6 +64,10 @@ from .symbols import (
 
 DEFAULT_N_LIST = (8, 16, 32)
 DEFAULT_TOL = 1e-8
+_SCENARIO_KEYS = ("name", "spec", "checks", "n_list", "tol", "window", "expect",
+                  "nehari_candidates")
+_SPEC_KEYS = ("variant", "dimE", "dimF", "U", "Omega", "Psi", "Phi", "Theta")
+_EXPECT_KEYS = ("splitting", "partial_isometry")
 
 
 class ScenarioError(ValueError):
@@ -188,6 +192,9 @@ def _sig12(x: float) -> float:
 
 
 def _spec_from_payload(payload: dict) -> InvariantSubspaceSpec:
+    if not isinstance(payload, dict):
+        raise ScenarioError("field spec must be a JSON object")
+    _reject_unknown_keys(payload, _SPEC_KEYS, "field spec")
     if "variant" not in payload:
         raise ScenarioError("field spec.variant is required")
     kwargs = {}
@@ -195,11 +202,10 @@ def _spec_from_payload(payload: dict) -> InvariantSubspaceSpec:
                       ("Phi", "phi"), ("Theta", "theta")):
         if key in payload and payload[key] is not None:
             kwargs[attr] = symbol_from_literal(payload[key], f"spec.{key}")
-    try:
-        dim_e = int(payload["dimE"])
-        dim_f = int(payload["dimF"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ScenarioError(f"fields spec.dimE/spec.dimF are required ({exc})") from exc
+    dim_e, dim_f = payload.get("dimE"), payload.get("dimF")
+    if not (_is_int(dim_e) and _is_int(dim_f)):
+        raise ScenarioError(f"fields spec.dimE/spec.dimF must be integers; "
+                            f"got {dim_e!r}/{dim_f!r}")
     try:
         spec = InvariantSubspaceSpec(payload["variant"], dim_e, dim_f, **kwargs)
     except SpecValidationError as exc:
@@ -224,21 +230,48 @@ def _validate_membership(spec: InvariantSubspaceSpec) -> None:
                 "(block A or B carries negative coefficients)")
 
 
+def _reject_unknown_keys(payload: dict, valid: tuple[str, ...], source: str) -> None:
+    for key in payload:
+        if key not in valid:
+            raise ScenarioError(f"{source}: unknown key {key!r}; valid: {valid}")
+
+
+def _is_int(value) -> bool:
+    """A JSON integer: Python's bool is an int, JSON's true is not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _scenario_from_payload(payload: dict, fallback_name: str) -> Scenario:
     if not isinstance(payload, dict):
         raise ScenarioError("scenario file must hold a JSON object")
+    _reject_unknown_keys(payload, _SCENARIO_KEYS, "scenario")
     name = payload.get("name", fallback_name)
+    if not isinstance(name, str):
+        raise ScenarioError(f"field name must be a string; got {name!r}")
     if "spec" not in payload:
         raise ScenarioError("field spec is required")
     spec = _spec_from_payload(payload["spec"])
-    checks = tuple(payload.get("checks", ("twocond", "invariance")))
+    checks = payload.get("checks", ["twocond", "invariance"])
+    if not (isinstance(checks, list) and checks):
+        raise ScenarioError(f"field checks must be a nonempty list of check ids; "
+                            f"got {checks!r}")
     for c in checks:
         if c not in CHECK_IDS:
-            raise ScenarioError(f"unknown check id {c!r}; valid: {CHECK_IDS}")
-    n_list = _parse_n_list(payload.get("n_list", DEFAULT_N_LIST), "field n_list")
+            raise ScenarioError(f"field checks: unknown check id {c!r}; valid: {CHECK_IDS}")
+        if checks.count(c) > 1:
+            raise ScenarioError(f"field checks: check id {c!r} given twice")
+    n_list = _parse_n_list(payload.get("n_list", list(DEFAULT_N_LIST)), "field n_list")
     tol = _parse_tol(payload.get("tol", DEFAULT_TOL), "field tol")
     window = payload.get("window")
+    if window is not None and not (_is_int(window) and window >= 0):
+        raise ScenarioError(f"field window must be an integer >= 0; got {window!r}")
     expect = payload.get("expect", {})
+    if not isinstance(expect, dict):
+        raise ScenarioError(f"field expect must be a JSON object; got {expect!r}")
+    _reject_unknown_keys(expect, _EXPECT_KEYS, "field expect")
+    for key, value in expect.items():
+        if not isinstance(value, bool):
+            raise ScenarioError(f"field expect.{key} must be true or false; got {value!r}")
     raw_candidates = payload.get("nehari_candidates", [])
     if not isinstance(raw_candidates, list):
         raise ScenarioError("field nehari_candidates must be a list")
@@ -249,23 +282,19 @@ def _scenario_from_payload(payload: dict, fallback_name: str) -> Scenario:
                                 f"object with symbol literals L1 and L2")
         candidates.append((symbol_from_literal(cand["L1"], f"nehari_candidates[{i}].L1"),
                            symbol_from_literal(cand["L2"], f"nehari_candidates[{i}].L2")))
-    scenario = Scenario(name, spec, checks, n_list, tol,
-                        None if window is None else int(window),
-                        dict(expect), tuple(candidates))
+    scenario = Scenario(name, spec, tuple(checks), n_list, tol, window, expect,
+                        tuple(candidates))
     _validate_check_requirements(scenario)
     return scenario
 
 
 def _parse_n_list(values, source: str) -> tuple[int, ...]:
-    """Validate a truncation sweep: nonempty, ascending, positive integers."""
-    try:
-        n_list = tuple(int(n) for n in values)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{source}: expected integer truncations ({exc})") from exc
-    if not n_list or list(n_list) != sorted(n_list) or n_list[0] <= 0:
-        raise ScenarioError(
-            f"{source} must be nonempty, ascending and positive; got {list(n_list)}")
-    return n_list
+    """Validate a truncation sweep: a nonempty ascending list of positive integers."""
+    if not (isinstance(values, list) and values and all(_is_int(n) for n in values)) \
+            or values != sorted(values) or values[0] <= 0:
+        raise ScenarioError(f"{source} must be a nonempty ascending list of "
+                            f"positive integers; got {values!r}")
+    return tuple(values)
 
 
 def _parse_tol(value, source: str) -> float:
@@ -387,16 +416,14 @@ def _check_kernel_rep(sc: Scenario, n: int, target) -> list[Record]:
 
 
 def _check_range_rep(sc: Scenario, n: int, target) -> list[Record]:
-    theta = sc.spec.theta if sc.spec.variant == RANGE_REP else None
-    rep = range_representation_check(target(n), _derived_phi(sc.spec),
-                                     theta, n, sc.tol)
+    rep = range_representation_check(target(n), _derived_phi(sc.spec), n, sc.tol)
     return _records_from_report(sc, "range_rep", n, rep)
 
 
 def _check_splitting(sc: Scenario, n: int, target) -> list[Record]:
     tl, tr, bl, br = split_square_blocks(_derived_phi(sc.spec), 1, 1)
     result = splitting_check_scalar(tl, tr, bl.conj_arg(), br.conj_arg(), sc.tol)
-    expected = bool(sc.expect.get("splitting", False))
+    expected = sc.expect.get("splitting", False)
     ok = result.splitting == expected
     return [Record(sc.name, "splitting", n, 0.0 if ok else 1.0, ok,
                    detail=f"splitting={result.splitting} expected={expected}")]
@@ -429,7 +456,7 @@ def _check_nehari(sc: Scenario, n: int, target) -> list[Record]:
 
 
 def _check_partial_isometry(sc: Scenario, n: int, target) -> list[Record]:
-    expected = bool(sc.expect.get("partial_isometry", True))
+    expected = sc.expect.get("partial_isometry", True)
     flags = []
     parts = []
     for kind, op in _mixed_operators(sc.spec, n):
@@ -687,7 +714,11 @@ def main(argv: list[str] | None = None) -> int:
         else:
             overrides = {}
             if args.n is not None:
-                overrides["n_list"] = _parse_n_list(args.n.split(","), "option --n")
+                try:
+                    n_list = [int(v) for v in args.n.split(",")]
+                except ValueError as exc:
+                    raise ScenarioError(f"option --n: expected integers ({exc})") from exc
+                overrides["n_list"] = _parse_n_list(n_list, "option --n")
             if args.tol is not None:
                 overrides["tol"] = _parse_tol(args.tol, "option --tol")
             report = run_batch([replace(parse_scenario(path), **overrides)

@@ -18,15 +18,6 @@ def spectral_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, 2))
 
 
-def numerical_rank(m: np.ndarray, rtol: float = DEFAULT_NULL_RTOL) -> int:
-    if m.size == 0:
-        return 0
-    sv = np.linalg.svd(m, compute_uv=False)
-    if sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > rtol * sv[0]))
-
-
 def nullspace(m: np.ndarray, rtol: float = DEFAULT_NULL_RTOL) -> np.ndarray:
     """Orthonormal basis (columns) of the kernel of m."""
     if m.shape[0] == 0 or m.size == 0:

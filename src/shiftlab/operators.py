@@ -56,24 +56,11 @@ class TruncatedSpace:
     def dim(self) -> int:
         return self.fiber_dim * self.num_degrees
 
-    def index(self, k: int, fiber: int = 0) -> int:
-        if not (self.deg_lo <= k <= self.deg_hi):
-            raise IndexError(f"degree {k} outside [{self.deg_lo}, {self.deg_hi}]")
-        return (k - self.deg_lo) * self.fiber_dim + fiber
-
     def degree_indices(self, lo: int, hi: int) -> np.ndarray:
         """Flat indices of degrees [lo, hi], clipped to the stored range."""
         start = (max(lo, self.deg_lo) - self.deg_lo) * self.fiber_dim
         stop = (min(hi, self.deg_hi) - self.deg_lo + 1) * self.fiber_dim
         return np.arange(start, max(start, stop))
-
-    def window_indices(self, w: int) -> np.ndarray:
-        """Flat indices of the degrees kept by window w.
-
-        Hardy windows keep degrees [0, w]; two-sided windows keep
-        degrees [-w, w] (clipped to the stored range).  w < 0 is empty.
-        """
-        return self.degree_indices(-w, w)
 
 
 @dataclass(frozen=True)
@@ -101,15 +88,14 @@ class ProductSpace:
         off = self.offsets()
         return slice(off[i], off[i] + self.parts[i].dim)
 
-    def index(self, part: int, k: int, fiber: int = 0) -> int:
-        return self.offsets()[part] + self.parts[part].index(k, fiber)
-
     def degree_indices(self, lo: int, hi: int) -> np.ndarray:
         """Flat indices of degrees [lo, hi] in every part."""
         return np.concatenate([off + p.degree_indices(lo, hi)
                                for off, p in zip(self.offsets(), self.parts)])
 
     def window_indices(self, w: int) -> np.ndarray:
+        """Flat indices of degrees [-w, w] in every part, clipped to the stored
+        range (so [0, w] in a Hardy part); w < 0 is empty."""
         return self.degree_indices(-w, w)
 
 
@@ -139,9 +125,6 @@ class SubspaceBasis:
     @property
     def dim(self) -> int:
         return self.basis.shape[1]
-
-    def projector(self) -> np.ndarray:
-        return self.basis @ self.basis.conj().T
 
 
 @dataclass(frozen=True)
@@ -421,7 +404,6 @@ def intertwining_residual(op: OperatorMatrix, kind: str, n: int) -> float:
 class NehariBracket:
     lower_bounds: list[tuple[int, float]]
     upper_bounds: list[float]
-    gap: float | None
 
 
 def nehari_bounds(a: LaurentSymbol, b: LaurentSymbol, c: LaurentSymbol,
@@ -460,7 +442,4 @@ def nehari_bounds(a: LaurentSymbol, b: LaurentSymbol, c: LaurentSymbol,
             ])
             sup = max(sup, spectral_norm(full))
         upper.append(sup)
-    gap = None
-    if upper and lower:
-        gap = min(upper) - lower[-1][1]
-    return NehariBracket(lower, upper, gap)
+    return NehariBracket(lower, upper)

@@ -158,7 +158,6 @@ class CheckResult:
     residual: float
     passed: bool
     window: int | None = None
-    n: int | None = None
     gating: bool = True
     detail: str = ""
 
@@ -522,16 +521,13 @@ def inner_multiples_window_basis(theta: LaurentSymbol, w: int) -> np.ndarray:
 
 def kernel_representation_check(n_basis: SubspaceBasis, psi: LaurentSymbol,
                                 theta: LaurentSymbol | None, n: int,
-                                tol: float = DEFAULT_ANGLE_TOL,
-                                gamma: LaurentSymbol | None = None) -> VerificationReport:
+                                tol: float = DEFAULT_ANGLE_TOL) -> VerificationReport:
     """Compare a subspace against kernel-of-mixed-operator form.
 
     Computes the window slice of ker of the mixed adjoint operator,
     intersects it with (inner multiples of theta) (+) (full second part)
     when theta is present (the zero symbol pins the first part to zero),
-    and reports the principal-angle distance to the supplied basis.  A
-    supplied gamma additionally verifies the coefficient-level
-    factorization of the analytic first-fiber block.
+    and reports the principal-angle distance to the supplied basis.
     """
     amb = n_basis.ambient
     dim_e, dim_f = amb.parts[0].fiber_dim, amb.parts[1].fiber_dim
@@ -550,11 +546,7 @@ def kernel_representation_check(n_basis: SubspaceBasis, psi: LaurentSymbol,
         candidate = SubspaceBasis(candidate.ambient, joint, window=w)
         checks.append(_theta_check(theta, tol))
     dist = principal_angle_distance(candidate.basis, n_basis.basis)
-    checks.append(CheckResult("kernel_distance", dist, dist <= tol, window=w, n=n))
-    if gamma is not None and theta is not None:
-        a_block = submatrix(psi, range(dim_e), range(dim_e + dim_f)).conj_arg()
-        resid = coeff_distance(symbol_mul(theta, gamma), a_block)
-        checks.append(CheckResult("factorization", resid, resid <= tol))
+    checks.append(CheckResult("kernel_distance", dist, dist <= tol, window=w))
     return VerificationReport(tuple(checks))
 
 
@@ -574,40 +566,19 @@ def _first_part_constraint_basis(theta: LaurentSymbol, dim_e: int, dim_f: int,
     return np.hstack([top, bottom])
 
 
-def range_representation_check(n_basis: SubspaceBasis, phi: LaurentSymbol,
-                               theta: LaurentSymbol | None, n: int,
+def range_representation_check(n_basis: SubspaceBasis, phi: LaurentSymbol, n: int,
                                tol: float = DEFAULT_ANGLE_TOL) -> VerificationReport:
-    """Compare a subspace against span of (mixed-operator range, model space).
-
-    Reports both the spanned distance and, separately, how far the range
-    alone is from the target (informational when theta is present).
-    """
+    """Compare a subspace against the window slice of the mixed-operator range."""
     amb = n_basis.ambient
     dim_e, dim_f = amb.parts[0].fiber_dim, amb.parts[1].fiber_dim
     w = amb.parts[0].deg_hi
-    checks = []
     cls = classify_isometry(phi)
-    checks.append(CheckResult(
-        "phi_class", cls.residual, accepts_partial_isometry(cls),
-        detail=cls.kind.value))
     rng = range_window_basis(phi, dim_e, dim_f, n, w)
-    dist_range_only = principal_angle_distance(rng.basis, n_basis.basis)
-    blocks = [rng.basis]
-    if theta is not None and not theta.is_zero():
-        checks.append(_theta_check(theta, tol))
-        model = model_space_basis(theta, w)
-        e_dim = amb.parts[0].dim
-        lifted = np.vstack([np.zeros((e_dim, model.dim), dtype=complex), model.basis])
-        blocks.append(lifted)
-    span = column_space(np.hstack(blocks)) if blocks else rng.basis
-    dist = principal_angle_distance(span, n_basis.basis)
-    checks.append(CheckResult("span_distance", dist, dist <= tol, window=w, n=n))
-    checks.append(CheckResult(
-        "range_only_distance", dist_range_only,
-        True if theta is not None else dist_range_only <= tol,
-        window=w, n=n, gating=theta is None,
-        detail="informational" if theta is not None else ""))
-    return VerificationReport(tuple(checks))
+    dist = principal_angle_distance(rng.basis, n_basis.basis)
+    return VerificationReport((
+        CheckResult("phi_class", cls.residual, accepts_partial_isometry(cls),
+                    detail=cls.kind.value),
+        CheckResult("span_distance", dist, dist <= tol, window=w)))
 
 
 @dataclass(frozen=True)
@@ -679,16 +650,6 @@ def constant_unitary_match(s1: LaurentSymbol, s2: LaurentSymbol,
     defect = float(np.max(np.abs(w.conj().T @ w - np.eye(s1.cols))))
     resid = coeff_distance(s1, symbol_mul(s2, constant_symbol(w)))
     return UnitaryMatchResult(defect <= tol and resid <= tol, w, defect, resid)
-
-
-def classify_type(spec: InvariantSubspaceSpec, n: int,
-                  tol: float = DEFAULT_ANGLE_TOL):
-    """Label the spec as type_i / type_ii / not_invariant, with the report."""
-    report = twocond_check(spec, tol)
-    if not report.overall:
-        return "not_invariant", report
-    has_doubly = spec.omega is not None and not spec.omega.is_zero()
-    return (TYPE_II if has_doubly else TYPE_I), report
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ A symbol is a finite sum ``S(z) = sum_k S_k z**k`` with complex matrix
 coefficients, understood as a function on the unit circle.  Products,
 adjoints and isometry classification all work at the coefficient level,
 so algebraic identities are exact (no circle sampling involved); only
-rank profiles and pointwise completions sample the circle.
+rank profiles sample the circle.
 """
 
 from dataclasses import dataclass
@@ -347,50 +347,6 @@ def rank_profile(s: LaurentSymbol, num_samples: int,
         else:
             ranks.append(int(np.sum(sv > tol * sv[0])))
     return RankProfile(points, ranks, len(set(ranks)) == 1)
-
-
-@dataclass(frozen=True)
-class CompletionFrame:
-    points: np.ndarray
-    completions: list[np.ndarray]
-
-
-def complementary_completion(u: LaurentSymbol, num_samples: int,
-                             tol: float = DEFAULT_RANK_TOL) -> CompletionFrame:
-    """Pointwise orthonormal completion of an isometry-valued column symbol.
-
-    At each sampled z the returned frame V(z) has rows - cols orthonormal
-    columns spanning the complement of the column space of U(z), so
-    [U(z) V(z)] is unitary.  Columns come from orthogonalizing the
-    standard basis against U(z), always picking the largest remaining
-    residual (lowest index on ties), which makes the output reproducible.
-    """
-    cls = classify_isometry(u)
-    if cls.kind not in (IsometryKind.ISOMETRY, IsometryKind.UNITARY):
-        raise ValueError(f"symbol is not isometry-valued (classified {cls.kind.value})")
-    if u.rows <= u.cols:
-        raise ValueError("completion needs strictly more rows than columns")
-    points = unit_circle_points(num_samples)
-    completions = []
-    for z in points:
-        uz = u.eval_at(z)
-        resid = np.eye(u.rows, dtype=complex) - uz @ uz.conj().T
-        cols = []
-        for _ in range(u.rows - u.cols):
-            norms = np.linalg.norm(resid, axis=0)
-            pick = int(np.argmax(norms))
-            if norms[pick] <= np.sqrt(tol):
-                raise ValueError(f"rank-deficient completion at sample z = {z}")
-            v = resid[:, pick] / norms[pick]
-            cols.append(v)
-            resid -= np.outer(v, v.conj() @ resid)
-        vz = np.column_stack(cols)
-        frame = np.hstack([uz, vz])
-        gap = np.max(np.abs(frame.conj().T @ frame - np.eye(u.rows)))
-        if gap > np.sqrt(tol):
-            raise ValueError(f"completion failed unitarity check at z = {z}")
-        completions.append(vz)
-    return CompletionFrame(points, completions)
 
 
 def make_cyclic_symbol(poles, weights, degree: int) -> LaurentSymbol:

@@ -225,7 +225,7 @@ def test_criterion_6_replicated_evaluation_examples():
     explicit = SubspaceBasis(analytic_ambient(1, 2, w),
                              explicit_replicated_basis(1, 2, w), window=w)
     phi = replicated_range_symbol(1, 2)
-    rep = range_representation_check(explicit, phi, None, n)
+    rep = range_representation_check(explicit, phi, n)
     dist = rep.named("span_distance").residual
     # two copies of f, three of f(0): invariance plus the dimension test
     explicit23 = SubspaceBasis(analytic_ambient(2, 3, w),

@@ -16,6 +16,7 @@ from shiftlab.cli import (
     symbol_from_literal,
     symbol_to_literal,
 )
+from shiftlab.subspaces import kernel_symbol_from_u, range_symbol_from_u
 from shiftlab.symbols import coeff_distance, make_symbol
 
 
@@ -52,6 +53,19 @@ def skewed_omega_payload():
         },
         "checks": ["twocond"],
         "n_list": [8],
+    }
+
+
+def representation_payload(variant, checks):
+    """The timotin subspace given by its range symbol Phi or kernel symbol Psi."""
+    key, build = ("Phi", range_symbol_from_u) if variant == "range_rep" \
+        else ("Psi", kernel_symbol_from_u)
+    return {
+        "name": variant,
+        "spec": {"variant": variant, "dimE": 1, "dimF": 1,
+                 key: symbol_to_literal(build(cli.timotin_u(), 1, 1))},
+        "checks": checks,
+        "n_list": [8, 16],
     }
 
 
@@ -301,13 +315,76 @@ class TestMainEntry:
         assert named in capsys.readouterr().err
 
     def test_omega_orthogonality_ignores_samples_key(self, tmp_path, capsys):
-        # "samples" is not a scenario key: it cannot shrink the check to no samples
-        payload = dict(skewed_omega_payload(), samples=-5)
-        path = write_scenario(tmp_path, payload)
+        # the Omega/U orthogonality is exact, so no sample count can shrink it
+        # to a vacuous pass; a "samples" key itself is rejected as unknown
+        path = write_scenario(tmp_path, skewed_omega_payload())
         assert main(["verify", path, "--format", "structured"]) == 1
         rec = json.loads(capsys.readouterr().out.strip())
         assert rec["check"] == "twocond" and not rec["pass"]
         assert rec["residual"] == pytest.approx(0.6, abs=1e-12)
+
+    @pytest.mark.parametrize("window", ["abc", 2.7, True, -3])
+    def test_bad_window_exit_two(self, tmp_path, capsys, window):
+        path = write_scenario(tmp_path, dict(minimal_payload(), window=window))
+        assert main(["verify", path]) == 2
+        assert "field window" in capsys.readouterr().err
+
+    def test_window_override(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, dict(minimal_payload(), window=3))
+        assert main(["verify", path]) == 0
+        assert "window=3 " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("expect, named", [
+        (5, "field expect"),
+        ("x", "field expect"),
+        ({"splitting": "false"}, "field expect.splitting"),
+        ({"partial_isometry": 1}, "field expect.partial_isometry"),
+        ({"spliting": True}, "'spliting'"),
+    ], ids=["number", "string", "string-value", "number-value", "unknown-key"])
+    def test_bad_expect_exit_two(self, tmp_path, capsys, expect, named):
+        path = write_scenario(tmp_path, dict(minimal_payload(), expect=expect))
+        assert main(["verify", path]) == 2
+        err = capsys.readouterr().err
+        assert "field expect" in err and named in err
+
+    @pytest.mark.parametrize("checks, named", [
+        ([], "nonempty list"),
+        ("invariance", "nonempty list"),
+        (["twocond", "invariance", "twocond"], "'twocond' given twice"),
+        ([["twocond"]], "unknown check id"),
+    ], ids=["empty", "string", "repeated", "nested"])
+    def test_bad_checks_exit_two(self, tmp_path, capsys, checks, named):
+        path = write_scenario(tmp_path, dict(minimal_payload(), checks=checks))
+        assert main(["verify", path]) == 2
+        err = capsys.readouterr().err
+        assert "field checks" in err and named in err
+
+    @pytest.mark.parametrize("where, key", [
+        ("top", "n_lists"), ("top", "samples"), ("spec", "u"), ("spec", "Thetta"),
+    ])
+    def test_unknown_key_exit_two(self, tmp_path, capsys, where, key):
+        payload = minimal_payload()
+        (payload if where == "top" else payload["spec"])[key] = [8]
+        assert main(["verify", write_scenario(tmp_path, payload)]) == 2
+        err = capsys.readouterr().err
+        assert f"unknown key {key!r}" in err
+        assert where == "top" or "field spec" in err
+
+    @pytest.mark.parametrize("field, value", [
+        ("name", 5), ("dimE", 1.9), ("dimE", True), ("dimF", "1"), ("dimF", None),
+    ])
+    def test_non_string_name_or_non_integer_dims_exit_two(self, tmp_path, capsys,
+                                                          field, value):
+        payload = minimal_payload()
+        (payload if field == "name" else payload["spec"])[field] = value
+        assert main(["verify", write_scenario(tmp_path, payload)]) == 2
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_list", [[8.9], [8.0], [True], ["8"], 8])
+    def test_non_integer_n_list_exit_two(self, tmp_path, capsys, n_list):
+        path = write_scenario(tmp_path, dict(minimal_payload(), n_list=n_list))
+        assert main(["verify", path]) == 2
+        assert "field n_list" in capsys.readouterr().err
 
     def test_list_demos(self, capsys):
         assert main(["list-demos"]) == 0
@@ -320,3 +397,46 @@ class TestMainEntry:
 
     def test_unknown_demo_exit_two(self, capsys):
         assert main(["demo", "nope"]) == 2
+
+
+class TestRepresentationVariants:
+    """Scenarios that give the subspace by a mixed symbol instead of bilateral data."""
+
+    @pytest.mark.parametrize("variant, checks", [
+        ("range_rep", ["twocond", "invariance", "partial_isometry", "intertwining",
+                       "nehari", "splitting"]),
+        ("kernel_rep", ["twocond", "invariance", "partial_isometry", "intertwining"]),
+    ])
+    def test_timotin_symbol_passes(self, tmp_path, capsys, variant, checks):
+        path = write_scenario(tmp_path, representation_payload(variant, checks))
+        assert main(["verify", path, "--format", "structured"]) == 0
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert all(rec["pass"] for rec in records)
+        once = {"twocond", "splitting", "nehari"}
+        assert sorted((rec["check"], rec["n"]) for rec in records) == sorted(
+            (c, n) for c in checks for n in ([16] if c in once else [8, 16]))
+
+    def test_kernel_rep_check_on_range_rep_spec_exit_two(self, tmp_path, capsys):
+        payload = representation_payload("range_rep", ["kernel_rep"])
+        assert main(["verify", write_scenario(tmp_path, payload)]) == 2
+        assert "check kernel_rep needs bilateral data" in capsys.readouterr().err
+
+    def test_range_rep_check_without_phi_exit_two(self, tmp_path, capsys):
+        payload = dict(skewed_omega_payload(), checks=["range_rep"])
+        del payload["spec"]["U"]
+        assert main(["verify", write_scenario(tmp_path, payload)]) == 2
+        assert "check range_rep requires field Phi" in capsys.readouterr().err
+
+    def test_splitting_needs_scalar_fibers_exit_two(self, tmp_path, capsys):
+        payload = dict(minimal_payload(), checks=["splitting"])
+        payload["spec"].update(dimE=2, U={"rows": 3, "cols": 1,
+                                          "coeffs": [{"k": 0, "re": [1.0, 0.0, 0.0]}]})
+        assert main(["verify", write_scenario(tmp_path, payload)]) == 2
+        assert "scalar fibers" in capsys.readouterr().err
+
+    def test_non_analytic_phi_exit_two(self, tmp_path, capsys):
+        payload = representation_payload("range_rep", ["invariance"])
+        payload["spec"]["Phi"] = {"rows": 2, "cols": 2,
+                                  "coeffs": [{"k": -1, "re": [1, 0, 0, 0]}]}
+        assert main(["verify", write_scenario(tmp_path, payload)]) == 2
+        assert "field spec.Phi" in capsys.readouterr().err

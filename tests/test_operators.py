@@ -467,7 +467,8 @@ class TestNehari:
         for _, lo in bracket.lower_bounds:
             assert abs(lo - 1.0) <= 1e-10
         assert abs(bracket.upper_bounds[0] - 1.0) <= 1e-10
-        assert abs(bracket.gap) <= 1e-10
+        gap = bracket.upper_bounds[0] - bracket.lower_bounds[-1][1]
+        assert abs(gap) <= 1e-10
 
     def test_analytic_blocks_toeplitz_norm(self):
         a = make_symbol(1, 1, {0: [1], 1: [0.5]})

@@ -9,7 +9,6 @@ from shiftlab.symbols import (
     IsometryKind,
     classify_isometry,
     coeff_distance,
-    complementary_completion,
     constant_symbol,
     identity_symbol,
     make_cyclic_symbol,
@@ -240,43 +239,6 @@ class TestRankProfile:
     def test_undersampling_rejected(self):
         with pytest.raises(ValueError, match="undersamples"):
             rank_profile(timotin_symbol(), 2)
-
-
-class TestComplementaryCompletion:
-    def test_constant_column(self):
-        u = make_symbol(2, 1, {0: [[1], [0]]})
-        frame = complementary_completion(u, 5)
-        for v in frame.completions:
-            np.testing.assert_allclose(np.abs(v.ravel()), [0, 1], atol=1e-12)
-
-    def test_column_isometry_completion_unitary(self):
-        r = 1 / np.sqrt(3)
-        u = make_symbol(3, 1, {0: [[r], [0], [0]], -1: [[0], [r], [r]]})
-        frame = complementary_completion(u, 9)
-        for z, v in zip(frame.points, frame.completions):
-            assert v.shape == (3, 2)
-            full = np.hstack([u.eval_at(z), v])
-            np.testing.assert_allclose(
-                full.conj().T @ full, np.eye(3), atol=1e-12)
-
-    def test_complement_of_unitary_column_is_other_column(self):
-        phi = timotin_symbol()
-        from shiftlab.symbols import submatrix
-        col0 = submatrix(phi, [0, 1], [0])
-        col1 = submatrix(phi, [0, 1], [1])
-        frame = complementary_completion(col0, 9)
-        for z, v in zip(frame.points, frame.completions):
-            # complement of a line in dimension 2 is unique up to phase
-            overlap = np.abs(v.conj().T @ col1.eval_at(z))[0, 0]
-            np.testing.assert_allclose(overlap, 1.0, atol=1e-12)
-
-    def test_rejects_non_isometry(self):
-        with pytest.raises(ValueError, match="isometry"):
-            complementary_completion(make_symbol(2, 1, {0: [[2], [0]]}), 5)
-
-    def test_rejects_square(self):
-        with pytest.raises(ValueError, match="more rows"):
-            complementary_completion(identity_symbol(2), 5)
 
 
 class TestCyclicSymbol:
