@@ -77,20 +77,29 @@ class ScenarioError(ValueError):
 def symbol_from_literal(payload, field_name: str = "symbol") -> LaurentSymbol:
     """Parse the structured-text symbol literal."""
     try:
-        rows, cols = int(payload["rows"]), int(payload["cols"])
+        rows, cols = payload["rows"], payload["cols"]
         entries = payload["coeffs"]
     except (KeyError, TypeError) as exc:
         raise ScenarioError(f"field {field_name}: expected a symbol literal "
                             f"with rows/cols/coeffs ({exc})") from exc
+    for key, value in (("rows", rows), ("cols", cols)):
+        if not (_is_int(value) and value >= 0):
+            raise ScenarioError(f"field {field_name}.{key} must be an integer >= 0; "
+                                f"got {value!r}")
+    if not isinstance(entries, list):
+        raise ScenarioError(f"field {field_name}.coeffs must be a list; got {entries!r}")
     coeffs = {}
-    for item in entries:
+    for i, item in enumerate(entries):
         try:
-            k = int(item["k"])
+            k = item["k"]
             re = np.asarray(item["re"], dtype=float)
             im = np.asarray(item.get("im", np.zeros_like(re)), dtype=float)
         except (KeyError, TypeError, ValueError) as exc:
             raise ScenarioError(f"field {field_name}: bad coefficient entry "
                                 f"({exc})") from exc
+        if not _is_int(k):
+            raise ScenarioError(f"field {field_name}.coeffs[{i}].k must be an "
+                                f"integer; got {k!r}")
         if re.size != rows * cols or im.size != rows * cols:
             raise ScenarioError(
                 f"field {field_name}: coefficient k={k} carries {re.size} "
@@ -261,7 +270,10 @@ def _scenario_from_payload(payload: dict, fallback_name: str) -> Scenario:
         if checks.count(c) > 1:
             raise ScenarioError(f"field checks: check id {c!r} given twice")
     n_list = _parse_n_list(payload.get("n_list", list(DEFAULT_N_LIST)), "field n_list")
-    tol = _parse_tol(payload.get("tol", DEFAULT_TOL), "field tol")
+    tol = payload.get("tol", DEFAULT_TOL)
+    if not (isinstance(tol, (int, float)) and not isinstance(tol, bool)):
+        raise ScenarioError(f"field tol must be a JSON number; got {tol!r}")
+    tol = _parse_tol(tol, "field tol")
     window = payload.get("window")
     if window is not None and not (_is_int(window) and window >= 0):
         raise ScenarioError(f"field window must be an integer >= 0; got {window!r}")

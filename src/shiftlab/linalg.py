@@ -1,8 +1,12 @@
 """Dense complex linear-algebra helpers shared across the package.
 
-Everything here routes through numpy's SVD so that rank decisions,
-nullspaces, column spaces and principal-angle distances are computed
-the same way in every module.
+Every SVD of the package happens here.  The truncated operators pair
+banded Toeplitz blocks with finite-rank Hankel blocks, so most of their
+rows or columns are entirely zero.  Each helper factors only the core
+of m on the rows and columns that hold a nonzero entry and embeds the
+result back.  That is exact: m and its core have the same nonzero
+singular values, hence the same sigma_max and the same rank at every
+relative cutoff, and every zero column of m is a kernel direction.
 """
 
 import numpy as np
@@ -10,33 +14,62 @@ import numpy as np
 DEFAULT_NULL_RTOL = 1e-10
 
 
+def _support(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the rows and of the columns of m with an entry != 0."""
+    nonzero = m != 0
+    return np.flatnonzero(nonzero.any(axis=1)), np.flatnonzero(nonzero.any(axis=0))
+
+
+def singular_values(m: np.ndarray) -> np.ndarray:
+    """Singular values of the nonzero core of m, descending.
+
+    These are the nonzero singular values of m, possibly followed by
+    zeros; the zeros that m's zero rows and columns add are left out, so
+    an empty or all-zero matrix gives an empty array.
+    """
+    rows, cols = _support(m)
+    if rows.size == 0:
+        return np.zeros(0)
+    return np.linalg.svd(m[np.ix_(rows, cols)], compute_uv=False)
+
+
 def spectral_norm(m: np.ndarray) -> float:
-    """Largest singular value; exactly 0.0, with no SVD, for an empty or
-    all-zero matrix (residuals built from index shifts are often exact)."""
-    if not m.any():
-        return 0.0
-    return float(np.linalg.norm(m, 2))
+    """Largest singular value; exactly 0.0 for an empty or all-zero matrix
+    (residuals built from index shifts are often exact)."""
+    sv = singular_values(m)
+    return float(sv[0]) if sv.size else 0.0
 
 
 def nullspace(m: np.ndarray, rtol: float = DEFAULT_NULL_RTOL) -> np.ndarray:
-    """Orthonormal basis (columns) of the kernel of m."""
-    if m.shape[0] == 0 or m.size == 0:
-        return np.eye(m.shape[1], dtype=complex)
-    u, sv, vh = np.linalg.svd(m, full_matrices=True)
-    cutoff = rtol * sv[0] if sv.size and sv[0] > 0 else rtol
-    rank = int(np.sum(sv > cutoff))
-    return vh[rank:].conj().T
+    """Orthonormal basis (columns) of the kernel of m: the kernel of the
+    nonzero core on the support columns, then one unit vector per zero
+    column."""
+    rows, cols = _support(m)
+    d = m.shape[1]
+    if rows.size == 0:
+        return np.eye(d, dtype=complex)
+    core = m[np.ix_(rows, cols)]
+    # a tall core's thin factors already hold every right singular vector
+    _, sv, vh = np.linalg.svd(core, full_matrices=core.shape[0] < core.shape[1])
+    rank = int(np.sum(sv > rtol * sv[0]))
+    zero_cols = np.delete(np.arange(d), cols)
+    out = np.zeros((d, d - rank), dtype=complex)
+    out[cols, :cols.size - rank] = vh[rank:].conj().T
+    out[zero_cols, cols.size - rank:] = np.eye(zero_cols.size)
+    return out
 
 
 def column_space(m: np.ndarray, rtol: float = DEFAULT_NULL_RTOL) -> np.ndarray:
-    """Orthonormal basis (columns) of the column space of m."""
-    if m.size == 0 or m.shape[1] == 0:
+    """Orthonormal basis (columns) of the column space of m, supported on
+    the rows of m with a nonzero entry."""
+    rows, cols = _support(m)
+    if rows.size == 0:
         return np.zeros((m.shape[0], 0), dtype=complex)
-    u, sv, _ = np.linalg.svd(m, full_matrices=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return np.zeros((m.shape[0], 0), dtype=complex)
+    u, sv, _ = np.linalg.svd(m[np.ix_(rows, cols)], full_matrices=False)
     rank = int(np.sum(sv > rtol * sv[0]))
-    return u[:, :rank]
+    out = np.zeros((m.shape[0], rank), dtype=complex)
+    out[rows] = u[:, :rank]
+    return out
 
 
 def image_within(m: np.ndarray, keep: np.ndarray) -> np.ndarray:

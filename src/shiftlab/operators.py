@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import spectral_norm
+from .linalg import singular_values, spectral_norm
 from .symbols import LaurentSymbol, unit_circle_points
 
 HARDY = "hardy"
@@ -349,7 +349,7 @@ def _binary_singular_values(m: np.ndarray, tol: float) -> bool:
     evidence, so False."""
     if m.size == 0:
         return False
-    sv = np.linalg.svd(m, compute_uv=False)
+    sv = singular_values(m)
     return bool(np.all((sv <= tol) | (np.abs(sv - 1.0) <= tol)))
 
 

@@ -596,7 +596,9 @@ def splitting_check_scalar(a: LaurentSymbol, b: LaurentSymbol, c: LaurentSymbol,
     The four scalars assemble into the square symbol [[a(z), b(z)],
     [c(zbar), d(zbar)]], which must be unitary-valued.  The subspace it
     represents splits exactly when the coefficient vectors of a and b are
-    linearly dependent; the witness is the dependence vector.
+    linearly dependent, that is, when the stack of their coefficients
+    has rank <= 1 at the relative cutoff tol; the witness is the
+    dependence vector, from the same factorisation as the rank.
     """
     for name, s in (("a", a), ("b", b), ("c", c), ("d", d)):
         if s.shape != (1, 1):
@@ -614,11 +616,11 @@ def splitting_check_scalar(a: LaurentSymbol, b: LaurentSymbol, c: LaurentSymbol,
     for k in range(kmin, kmax + 1):
         stack[k - kmin, 0] = a.coeff(k)[0, 0]
         stack[k - kmin, 1] = b.coeff(k)[0, 0]
-    sv = np.linalg.svd(stack, compute_uv=False)
-    rank = int(np.sum(sv > tol * max(sv[0], 1.0)))
+    kernel = nullspace(stack, tol)
+    rank = 2 - kernel.shape[1]
     if rank <= 1:
-        witness = nullspace(stack)[:, 0]
-        return SplittingResult(True, witness, rank)
+        # the last kernel column is the direction in which the stack is smallest
+        return SplittingResult(True, kernel[:, -1], rank)
     return SplittingResult(False, None, rank)
 
 

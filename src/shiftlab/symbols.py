@@ -12,6 +12,8 @@ from enum import Enum
 
 import numpy as np
 
+from .linalg import singular_values
+
 DEFAULT_CLASSIFY_TOL = 1e-10
 DEFAULT_RANK_TOL = 1e-8
 
@@ -341,11 +343,8 @@ def rank_profile(s: LaurentSymbol, num_samples: int,
     points = unit_circle_points(num_samples)
     ranks = []
     for z in points:
-        sv = np.linalg.svd(s.eval_at(z), compute_uv=False)
-        if sv.size == 0 or sv[0] == 0.0:
-            ranks.append(0)
-        else:
-            ranks.append(int(np.sum(sv > tol * sv[0])))
+        sv = singular_values(s.eval_at(z))
+        ranks.append(int(np.sum(sv > tol * sv[0])) if sv.size else 0)
     return RankProfile(points, ranks, len(set(ranks)) == 1)
 
 

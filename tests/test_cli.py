@@ -1,6 +1,7 @@
 """Scenario parsing, batch running, demos, and exit-code contract."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -90,6 +91,24 @@ class TestSymbolLiteral:
         assert main(["verify", write_scenario(tmp_path, payload)]) == 2
         err = capsys.readouterr().err
         assert "spec.U" in err and "k=0 given twice" in err
+
+    @pytest.mark.parametrize("key, value, named", [
+        ("rows", 2.7, "field spec.U.rows"),
+        ("rows", "2", "field spec.U.rows"),
+        ("rows", -1, "field spec.U.rows"),
+        ("cols", True, "field spec.U.cols"),
+        ("cols", 1.0, "field spec.U.cols"),
+        ("coeffs", 5, "field spec.U.coeffs"),
+        ("k", 1.9, "field spec.U.coeffs[0].k"),
+        ("k", "0", "field spec.U.coeffs[0].k"),
+    ], ids=["rows-float", "rows-string", "rows-negative", "cols-true", "cols-float",
+            "coeffs-number", "k-float", "k-string"])
+    def test_non_integer_literal_field_exit_two(self, tmp_path, capsys, key, value, named):
+        payload = minimal_payload()
+        target = payload["spec"]["U"]["coeffs"][0] if key == "k" else payload["spec"]["U"]
+        target[key] = value
+        assert main(["verify", write_scenario(tmp_path, payload)]) == 2
+        assert named in capsys.readouterr().err
 
     @pytest.mark.parametrize("entry", [
         {"k": 0, "re": [float("nan"), 0.0]},
@@ -290,7 +309,8 @@ class TestMainEntry:
         assert main(["verify", path]) == 1
         assert main(["verify", path, "--tol", "0.7"]) == 0
 
-    @pytest.mark.parametrize("tol", ["abc", float("nan"), float("inf"), 0, -1e-8])
+    @pytest.mark.parametrize("tol", ["abc", float("nan"), float("inf"), 0, -1e-8,
+                                     "1e-8", True])
     def test_bad_tol_field_exit_two(self, tmp_path, capsys, tol):
         path = write_scenario(tmp_path, dict(minimal_payload(), tol=tol))
         assert main(["verify", path]) == 2
@@ -301,6 +321,15 @@ class TestMainEntry:
         path = write_scenario(tmp_path, minimal_payload())
         assert main(["verify", path, "--tol", tol]) == 2
         assert "option --tol" in capsys.readouterr().err
+
+    def test_large_tol_reports_without_traceback(self, capsys):
+        # the splitting rank and its witness come from one factorisation, so a
+        # tolerance that keeps fewer singular values cannot leave it without one
+        sample = Path(__file__).resolve().parent.parent / "scenarios" \
+            / "sample-inner-column.json"
+        assert main(["verify", str(sample), "--tol", "0.9"]) == 0
+        out = capsys.readouterr().out
+        assert "splitting=False expected=False" in out and "error" not in out
 
     @pytest.mark.parametrize("candidates, named", [
         ([{}], "nehari_candidates[0]"),

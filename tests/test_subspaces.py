@@ -432,6 +432,28 @@ class TestSplitting:
         assert res.splitting == base.splitting
         assert res.coefficient_rank == base.coefficient_rank
 
+    @pytest.mark.parametrize("tol, rank", [(0.5, 2), (0.9, 2), (1.5, 0)])
+    def test_large_tol_takes_witness_from_the_same_rank(self, tol, rank):
+        # the coefficient stack has singular values (1/sqrt 2, 1/sqrt 2):
+        # below tol 1 both are kept, at tol 1.5 neither is, and the witness
+        # must still come from the factorisation that decided the rank
+        a = constant_symbol([[RS2]])
+        b = monomial_symbol(1, [[RS2]])
+        c = monomial_symbol(1, [[RS2]])
+        d = constant_symbol([[-RS2]])
+        res = splitting_check_scalar(a, b, c, d, tol)
+        assert res.coefficient_rank == rank and res.splitting == (rank <= 1)
+        if res.splitting:
+            assert np.linalg.norm(res.witness) == pytest.approx(1.0, abs=1e-15)
+
+    def test_witness_ignores_degree_gaps(self):
+        # a = 1/sqrt 2 and b = z^3/sqrt 2 leave two all-zero coefficient rows
+        a = constant_symbol([[RS2]])
+        b = monomial_symbol(3, [[RS2]])
+        res = splitting_check_scalar(a, b, monomial_symbol(3, [[RS2]]),
+                                     constant_symbol([[-RS2]]))
+        assert not res.splitting and res.coefficient_rank == 2
+
     def test_non_unitary_rejected(self):
         with pytest.raises(ValueError, match="unitary"):
             splitting_check_scalar(identity_symbol(1), identity_symbol(1),
