@@ -1,25 +1,21 @@
 """Batch front end: parse scenario files, run verification pipelines, report.
 
-Scenario files are JSON with symbols in a structured-text literal form::
-
-    {"rows": 2, "cols": 1,
-     "coeffs": [{"k": 0, "re": [1.0, 0.0], "im": [0.0, 0.0]}]}
-
-re/im are row-major per coefficient; im may be omitted.  A scenario picks
-an invariant-subspace description, a list of checks, and a truncation
-sweep; reports are deterministic (fixed sampling grids and pivoting), so
-two runs of one scenario produce byte-identical structured output.
+A scenario file is a JSON object read through the field tables below (the
+README's "Scenario files" lists them).  It picks an invariant-subspace
+description, a list of checks, and a truncation sweep; reports are
+deterministic, so two runs of one scenario give byte-identical output.
 
 Exit codes: 0 all checks pass, 1 some check failed or errored, 2 input
-error (unreadable file, schema violation, shape mismatch).
+error (unreadable file, schema violation, shape mismatch, oversized run).
 """
 
 import argparse
 import json
-import math
+import reprlib
 import sys
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -35,6 +31,7 @@ from .subspaces import (
     RANGE_REP,
     TYPE_I,
     TYPE_II,
+    VARIANTS,
     InvariantSubspaceSpec,
     SpecValidationError,
     SubspaceBasis,
@@ -64,72 +61,151 @@ from .symbols import (
 
 DEFAULT_N_LIST = (8, 16, 32)
 DEFAULT_TOL = 1e-8
-_SCENARIO_KEYS = ("name", "spec", "checks", "n_list", "tol", "window", "expect",
-                  "nehari_candidates")
-_SPEC_KEYS = ("variant", "dimE", "dimF", "U", "Omega", "Psi", "Phi", "Theta")
-_EXPECT_KEYS = ("splitting", "partial_isometry")
+# Largest dense complex array a scenario may ask for: 2**24 entries are
+# 256 MiB of complex128.  The sample scenario at n = 512 needs 4.2e6.
+MAX_DENSE_ENTRIES = 2 ** 24
 
 
 class ScenarioError(ValueError):
     """Input-level problem: bad file, schema violation, shape mismatch."""
 
 
+# --- scenario schema: one field table per JSON object, read only by _fields ---
+
+
+class Row(NamedTuple):
+    default: object  # _REQUIRED for a key that must be given
+    test: Callable[[object], bool | str]  # a str rejects and says why
+    phrase: str  # completes "field <path> must be ..."
+
+
+_REQUIRED = object()
+_INT_LIMIT = 2 ** 53  # JSON integers beyond this are not interoperable (RFC 7493)
+
+
+def _of(*types):
+    return lambda value: isinstance(value, types)
+
+
+def _is_int(value, lo: int = 1 - _INT_LIMIT) -> bool:
+    """A JSON integer in [lo, 2**53): Python's bool is an int, JSON's true is not."""
+    return isinstance(value, int) and not isinstance(value, bool) and lo <= value < _INT_LIMIT
+
+
+def _is_real(value) -> bool:
+    """A finite JSON number."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and abs(value) <= sys.float_info.max
+
+
+def _is_check_list(value) -> bool | str:
+    if not (isinstance(value, list) and value):
+        return False
+    for check in value:
+        if check not in CHECK_IDS:
+            return f"unknown check id {reprlib.repr(check)}; valid: {CHECK_IDS}"
+        if value.count(check) > 1:
+            return f"check id {check!r} given twice"
+    return True
+
+
+_SCENARIO = {
+    "name": Row(None, _of(str), "a string"),
+    "spec": Row(_REQUIRED, _of(dict), "a JSON object"),
+    "checks": Row(("twocond", "invariance"), _is_check_list,
+                  "a nonempty list of distinct check ids"),
+    "n_list": Row(DEFAULT_N_LIST, lambda v: isinstance(v, list) and len(v) > 0
+                  and all(_is_int(n, 1) for n in v) and all(a < b for a, b in zip(v, v[1:])),
+                  "a nonempty strictly ascending list of integers in [1, 2**53)"),
+    "tol": Row(DEFAULT_TOL, lambda v: _is_real(v) and v > 0, "a finite positive JSON number"),
+    "window": Row(None, lambda v: v is None or _is_int(v, 0), "an integer in [0, 2**53) or null"),
+    "expect": Row({}, _of(dict), "a JSON object"),
+    "nehari_candidates": Row((), _of(list), "a list of objects with symbol literals L1 and L2"),
+}
+_SPEC = {
+    "variant": Row(_REQUIRED, lambda v: v in VARIANTS, f"one of {VARIANTS}"),
+    "dimE": Row(_REQUIRED, lambda v: _is_int(v, 1), "an integer in [1, 2**53)"),
+    "dimF": Row(_REQUIRED, lambda v: _is_int(v, 1), "an integer in [1, 2**53)"),
+    **{key: Row(None, _of(dict, type(None)), "a symbol literal or null")
+       for key in ("U", "Omega", "Psi", "Phi", "Theta")},
+}
+_EXPECT = {key: Row(default, _of(bool), "true or false")
+           for key, default in (("splitting", False), ("partial_isometry", True))}
+_CANDIDATE = {key: Row(_REQUIRED, _of(dict), "a symbol literal") for key in ("L1", "L2")}
+_COUNT = Row(_REQUIRED, lambda v: _is_int(v, 0), "an integer in [0, 2**53)")
+_LITERAL = {"rows": _COUNT, "cols": _COUNT,
+            "coeffs": Row(_REQUIRED, _of(list), "a list of coefficient entries")}
+_REALS = Row(None, lambda v: isinstance(v, list) and all(_is_real(x) for x in v),
+             "a flat list of JSON numbers, none of them non-finite")
+_COEFF = {"k": Row(_REQUIRED, _is_int, "an integer in (-2**53, 2**53)"),
+          "re": _REALS._replace(default=_REQUIRED), "im": _REALS}
+
+
+def _checked(value, row: Row, name: str):
+    """value, if it passes the row's test; else an error naming it."""
+    verdict = row.test(value)
+    if isinstance(verdict, str) or not verdict:
+        why = f" ({verdict})" if verdict else ""
+        raise ScenarioError(f"{name} must be {row.phrase}; got {reprlib.repr(value)}{why}")
+    return value
+
+
+def _fields(obj, table: dict[str, Row], path: str) -> dict:
+    """Read one JSON object against its field table, defaults filled in."""
+    where = f"field {path}" if path else "scenario"
+    if not isinstance(obj, dict):
+        raise ScenarioError(f"{where} must be a JSON object; got {reprlib.repr(obj)}")
+    for key in obj:
+        if key not in table:
+            raise ScenarioError(f"{where}: unknown key {reprlib.repr(key)}; "
+                                f"valid: {tuple(table)}")
+    out = {}
+    for key, row in table.items():
+        name = f"field {path}.{key}" if path else f"field {key}"
+        if key in obj:
+            out[key] = _checked(obj[key], row, name)
+        elif row.default is _REQUIRED:
+            raise ScenarioError(f"{name} is required")
+        else:
+            out[key] = row.default
+    return out
+
+
+def _within_cap(entries: int, source: str, what: str) -> None:
+    """Reject, before it is allocated, a dense complex array above the cap."""
+    if entries > MAX_DENSE_ENTRIES:
+        raise ScenarioError(f"{source}: {what} holds {entries:.3g} complex entries "
+                            f"({entries / 2 ** 26:.3g} GiB), above the cap of "
+                            f"{MAX_DENSE_ENTRIES} ({MAX_DENSE_ENTRIES / 2 ** 26:g} GiB)")
+
+
 def symbol_from_literal(payload, field_name: str = "symbol") -> LaurentSymbol:
     """Parse the structured-text symbol literal."""
-    try:
-        rows, cols = payload["rows"], payload["cols"]
-        entries = payload["coeffs"]
-    except (KeyError, TypeError) as exc:
-        raise ScenarioError(f"field {field_name}: expected a symbol literal "
-                            f"with rows/cols/coeffs ({exc})") from exc
-    for key, value in (("rows", rows), ("cols", cols)):
-        if not (_is_int(value) and value >= 0):
-            raise ScenarioError(f"field {field_name}.{key} must be an integer >= 0; "
-                                f"got {value!r}")
-    if not isinstance(entries, list):
-        raise ScenarioError(f"field {field_name}.coeffs must be a list; got {entries!r}")
+    rows, cols, items = _fields(payload, _LITERAL, field_name).values()
+    entries = [_fields(item, _COEFF, f"{field_name}.coeffs[{i}]")
+               for i, item in enumerate(items)]
+    # zero blocks are stored at degree 0, and Psi and Phi derived from U are square
+    ks, side = [0] + [entry["k"] for entry in entries], max(rows, cols, 1)
+    _within_cap((max(ks) - min(ks) + 1) * side ** 2, f"field {field_name}",
+                f"the stack of degrees {min(ks)}..{max(ks)} at {side}x{side}")
     coeffs = {}
-    for i, item in enumerate(entries):
-        try:
-            k = item["k"]
-            re = np.asarray(item["re"], dtype=float)
-            im = np.asarray(item.get("im", np.zeros_like(re)), dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ScenarioError(f"field {field_name}: bad coefficient entry "
-                                f"({exc})") from exc
-        if not _is_int(k):
-            raise ScenarioError(f"field {field_name}.coeffs[{i}].k must be an "
-                                f"integer; got {k!r}")
-        if re.size != rows * cols or im.size != rows * cols:
-            raise ScenarioError(
-                f"field {field_name}: coefficient k={k} carries {re.size} "
-                f"entries, expected rows*cols = {rows * cols}")
+    for i, (k, re, im) in enumerate(entry.values() for entry in entries):
+        for part, values in (("re", re), ("im", re if im is None else im)):
+            if len(values) != rows * cols:
+                raise ScenarioError(f"field {field_name}.coeffs[{i}].{part} carries "
+                                    f"{len(values)} entries, expected rows*cols = {rows * cols}")
         if k in coeffs:
             raise ScenarioError(f"field {field_name}: coefficient k={k} given twice")
-        if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
-            raise ScenarioError(
-                f"field {field_name}: coefficient k={k} has a non-finite entry")
-        coeffs[k] = (re + 1j * im).reshape(rows, cols)
-    if not coeffs:
-        return zero_symbol(rows, cols)
-    try:
-        return make_symbol(rows, cols, coeffs)
-    except ValueError as exc:
-        raise ScenarioError(f"field {field_name}: {exc}") from exc
+        coeffs[k] = np.asarray(re, dtype=float) + 1j * np.asarray(
+            0.0 if im is None else im, dtype=float)
+    return make_symbol(rows, cols, coeffs) if coeffs else zero_symbol(rows, cols)
 
 
 def symbol_to_literal(sym: LaurentSymbol) -> dict:
-    out = {"rows": sym.rows, "cols": sym.cols, "coeffs": []}
-    for k in range(sym.kmin, sym.kmax + 1):
-        blk = sym.coeff(k)
-        if not np.any(blk):
-            continue
-        out["coeffs"].append({
-            "k": k,
-            "re": [float(v) for v in blk.real.ravel()],
-            "im": [float(v) for v in blk.imag.ravel()],
-        })
-    return out
+    return {"rows": sym.rows, "cols": sym.cols, "coeffs": [
+        {"k": sym.kmin + i, "re": [float(v) for v in blk.real.ravel()],
+         "im": [float(v) for v in blk.imag.ravel()]}
+        for i, blk in enumerate(sym.coeffs) if np.any(blk)]}
 
 
 @dataclass(frozen=True)
@@ -164,16 +240,13 @@ class Report:
         return 0 if all(r.passed for r in self.records) else 1
 
     def structured(self) -> str:
-        lines = []
-        for r in self.records:
-            lines.append(json.dumps({
-                "scenario": r.scenario,
-                "check": r.check,
-                "n": r.n,
-                "residual": _sig12(r.residual),
-                "pass": r.passed,
-            }, sort_keys=True))
-        return "\n".join(lines) + "\n"
+        return "\n".join(json.dumps({
+            "scenario": r.scenario,
+            "check": r.check,
+            "n": r.n,
+            "residual": _sig12(r.residual),
+            "pass": r.passed,
+        }, sort_keys=True) for r in self.records) + "\n"
 
     def text(self) -> str:
         lines = []
@@ -200,23 +273,12 @@ def _sig12(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-def _spec_from_payload(payload: dict) -> InvariantSubspaceSpec:
-    if not isinstance(payload, dict):
-        raise ScenarioError("field spec must be a JSON object")
-    _reject_unknown_keys(payload, _SPEC_KEYS, "field spec")
-    if "variant" not in payload:
-        raise ScenarioError("field spec.variant is required")
-    kwargs = {}
-    for key, attr in (("U", "u"), ("Omega", "omega"), ("Psi", "psi"),
-                      ("Phi", "phi"), ("Theta", "theta")):
-        if key in payload and payload[key] is not None:
-            kwargs[attr] = symbol_from_literal(payload[key], f"spec.{key}")
-    dim_e, dim_f = payload.get("dimE"), payload.get("dimF")
-    if not (_is_int(dim_e) and _is_int(dim_f)):
-        raise ScenarioError(f"fields spec.dimE/spec.dimF must be integers; "
-                            f"got {dim_e!r}/{dim_f!r}")
+def _spec_from_payload(payload) -> InvariantSubspaceSpec:
+    f = _fields(payload, _SPEC, "spec")
+    symbols = {key.lower(): symbol_from_literal(f[key], f"spec.{key}")
+               for key in ("U", "Omega", "Psi", "Phi", "Theta") if f[key] is not None}
     try:
-        spec = InvariantSubspaceSpec(payload["variant"], dim_e, dim_f, **kwargs)
+        spec = InvariantSubspaceSpec(f["variant"], f["dimE"], f["dimF"], **symbols)
     except SpecValidationError as exc:
         raise ScenarioError(str(exc)) from exc
     _validate_membership(spec)
@@ -239,101 +301,32 @@ def _validate_membership(spec: InvariantSubspaceSpec) -> None:
                 "(block A or B carries negative coefficients)")
 
 
-def _reject_unknown_keys(payload: dict, valid: tuple[str, ...], source: str) -> None:
-    for key in payload:
-        if key not in valid:
-            raise ScenarioError(f"{source}: unknown key {key!r}; valid: {valid}")
-
-
-def _is_int(value) -> bool:
-    """A JSON integer: Python's bool is an int, JSON's true is not."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _scenario_from_payload(payload: dict, fallback_name: str) -> Scenario:
-    if not isinstance(payload, dict):
-        raise ScenarioError("scenario file must hold a JSON object")
-    _reject_unknown_keys(payload, _SCENARIO_KEYS, "scenario")
-    name = payload.get("name", fallback_name)
-    if not isinstance(name, str):
-        raise ScenarioError(f"field name must be a string; got {name!r}")
-    if "spec" not in payload:
-        raise ScenarioError("field spec is required")
-    spec = _spec_from_payload(payload["spec"])
-    checks = payload.get("checks", ["twocond", "invariance"])
-    if not (isinstance(checks, list) and checks):
-        raise ScenarioError(f"field checks must be a nonempty list of check ids; "
-                            f"got {checks!r}")
-    for c in checks:
-        if c not in CHECK_IDS:
-            raise ScenarioError(f"field checks: unknown check id {c!r}; valid: {CHECK_IDS}")
-        if checks.count(c) > 1:
-            raise ScenarioError(f"field checks: check id {c!r} given twice")
-    n_list = _parse_n_list(payload.get("n_list", list(DEFAULT_N_LIST)), "field n_list")
-    tol = payload.get("tol", DEFAULT_TOL)
-    if not (isinstance(tol, (int, float)) and not isinstance(tol, bool)):
-        raise ScenarioError(f"field tol must be a JSON number; got {tol!r}")
-    tol = _parse_tol(tol, "field tol")
-    window = payload.get("window")
-    if window is not None and not (_is_int(window) and window >= 0):
-        raise ScenarioError(f"field window must be an integer >= 0; got {window!r}")
-    expect = payload.get("expect", {})
-    if not isinstance(expect, dict):
-        raise ScenarioError(f"field expect must be a JSON object; got {expect!r}")
-    _reject_unknown_keys(expect, _EXPECT_KEYS, "field expect")
-    for key, value in expect.items():
-        if not isinstance(value, bool):
-            raise ScenarioError(f"field expect.{key} must be true or false; got {value!r}")
-    raw_candidates = payload.get("nehari_candidates", [])
-    if not isinstance(raw_candidates, list):
-        raise ScenarioError("field nehari_candidates must be a list")
-    candidates = []
-    for i, cand in enumerate(raw_candidates):
-        if not (isinstance(cand, dict) and "L1" in cand and "L2" in cand):
-            raise ScenarioError(f"field nehari_candidates[{i}]: expected an "
-                                f"object with symbol literals L1 and L2")
-        candidates.append((symbol_from_literal(cand["L1"], f"nehari_candidates[{i}].L1"),
-                           symbol_from_literal(cand["L2"], f"nehari_candidates[{i}].L2")))
-    scenario = Scenario(name, spec, tuple(checks), n_list, tol, window, expect,
-                        tuple(candidates))
+def _scenario_from_payload(payload, fallback_name: str) -> Scenario:
+    f = _fields(payload, _SCENARIO, "")
+    candidates = tuple(
+        tuple(symbol_from_literal(lit, f"nehari_candidates[{i}].{key}")
+              for key, lit in _fields(cand, _CANDIDATE, f"nehari_candidates[{i}]").items())
+        for i, cand in enumerate(f["nehari_candidates"]))
+    scenario = Scenario(
+        fallback_name if f["name"] is None else f["name"], _spec_from_payload(f["spec"]),
+        tuple(f["checks"]), tuple(f["n_list"]), float(f["tol"]), f["window"],
+        _fields(f["expect"], _EXPECT, "expect"), candidates)
     _validate_check_requirements(scenario)
     return scenario
 
 
-def _parse_n_list(values, source: str) -> tuple[int, ...]:
-    """Validate a truncation sweep: a nonempty ascending list of positive integers."""
-    if not (isinstance(values, list) and values and all(_is_int(n) for n in values)) \
-            or values != sorted(values) or values[0] <= 0:
-        raise ScenarioError(f"{source} must be a nonempty ascending list of "
-                            f"positive integers; got {values!r}")
-    return tuple(values)
-
-
-def _parse_tol(value, source: str) -> float:
-    """Validate a tolerance: a finite positive number."""
-    try:
-        tol = float(value)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{source}: expected a number ({exc})") from exc
-    if not (math.isfinite(tol) and tol > 0):
-        raise ScenarioError(f"{source} must be finite and positive; got {value!r}")
-    return tol
-
-
 def _derived_psi(spec: InvariantSubspaceSpec) -> LaurentSymbol | None:
-    if spec.psi is not None:
-        return spec.psi
-    if spec.variant == TYPE_I:
+    """Psi as given, else derived from a type_i U; None without either."""
+    if spec.psi is None and spec.variant == TYPE_I:
         return kernel_symbol_from_u(spec.u, spec.dim_e, spec.dim_f)
-    return None
+    return spec.psi
 
 
 def _derived_phi(spec: InvariantSubspaceSpec) -> LaurentSymbol | None:
-    if spec.phi is not None:
-        return spec.phi
-    if spec.variant == TYPE_I:
+    """Phi as given, else derived from a type_i U; None without either."""
+    if spec.phi is None and spec.variant == TYPE_I:
         return range_symbol_from_u(spec.u, spec.dim_e, spec.dim_f)
-    return None
+    return spec.phi
 
 
 def _validate_check_requirements(sc: Scenario) -> None:
@@ -372,6 +365,8 @@ def parse_scenario(path: str) -> Scenario:
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: invalid JSON at line {exc.lineno}, "
                             f"column {exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, a 4300-digit integer, deep nesting
+        raise ScenarioError(f"{path}: unreadable JSON ({exc})") from exc
     name = path.rsplit("/", 1)[-1].rsplit(".", 1)[0]
     try:
         return _scenario_from_payload(payload, name)
@@ -390,13 +385,27 @@ def _target_subspace(sc: Scenario, n: int) -> SubspaceBasis:
     return range_window_basis(spec.phi, spec.dim_e, spec.dim_f, n, w)
 
 
+def _check_run_size(sc: Scenario, source: str) -> None:
+    """Cap the largest dense complex matrix a run of sc builds.
+
+    The bilateral ambient has 2n + 1 degrees per fiber, and an operator that
+    kernel_subspace or range_window_basis deepens past the symbol band stays
+    within max(n, window) + max |k| + 1 degrees (the 1 for Psi and Phi
+    derived from U).
+    """
+    spec, n = sc.spec, sc.n_list[-1]
+    reach = 1 + max(max(-sym.kmin, sym.kmax) for sym in
+                    (spec.u, spec.omega, spec.psi, spec.phi, spec.theta) if sym is not None)
+    degrees, dpf = 2 * (max(n, sc.window or 0) + reach) + 1, spec.dim_e + spec.dim_f
+    _within_cap((degrees * dpf) ** 2, source, f"at n = {n} the largest dense matrix, "
+                f"{degrees} degrees of dimE + dimF = {dpf} fibers,")
+
+
 def _records_from_report(sc: Scenario, check: str, n: int,
                          rep: VerificationReport) -> list[Record]:
-    gating = [c for c in rep.checks if c.gating]
-    residual = max((c.residual for c in gating), default=0.0)
+    residual = max((c.residual for c in rep.checks if c.gating), default=0.0)
     window = next((c.window for c in rep.checks if c.window is not None), None)
-    detail = "; ".join(
-        f"{c.name}={'ok' if c.passed else 'FAIL'}" for c in rep.checks)
+    detail = "; ".join(f"{c.name}={'ok' if c.passed else 'FAIL'}" for c in rep.checks)
     return [Record(sc.name, check, n, residual, rep.overall, window, detail)]
 
 
@@ -442,14 +451,11 @@ def _check_splitting(sc: Scenario, n: int, target) -> list[Record]:
 
 
 def _check_intertwining(sc: Scenario, n: int, target) -> list[Record]:
-    worst = 0.0
-    parts = []
-    for kind, op in _mixed_operators(sc.spec, n):
-        r = intertwining_residual(op, kind, n)
-        worst = max(worst, r)
-        parts.append(f"{kind}={_fmt(r)}")
+    resid = {kind: intertwining_residual(op, kind, n)
+             for kind, op in _mixed_operators(sc.spec, n)}
+    worst = max(resid.values(), default=0.0)
     return [Record(sc.name, "intertwining", n, worst, worst <= max(sc.tol, 1e-10),
-                   detail="; ".join(parts))]
+                   detail="; ".join(f"{kind}={_fmt(r)}" for kind, r in resid.items()))]
 
 
 def _check_nehari(sc: Scenario, n: int, target) -> list[Record]:
@@ -458,9 +464,8 @@ def _check_nehari(sc: Scenario, n: int, target) -> list[Record]:
                             list(sc.nehari_candidates) or None)
     lows = [lo for _, lo in bracket.lower_bounds]
     monotone = all(x <= y + 1e-12 for x, y in zip(lows, lows[1:]))
-    violation = 0.0
-    if bracket.upper_bounds:
-        violation = max(0.0, max(lows) - min(bracket.upper_bounds))
+    violation = max(0.0, max(lows) - min(bracket.upper_bounds)) \
+        if bracket.upper_bounds else 0.0
     ok = monotone and violation <= sc.tol
     detail = (f"lower={[_fmt(x) for x in lows]} "
               f"upper={[_fmt(x) for x in bracket.upper_bounds]}")
@@ -469,15 +474,11 @@ def _check_nehari(sc: Scenario, n: int, target) -> list[Record]:
 
 def _check_partial_isometry(sc: Scenario, n: int, target) -> list[Record]:
     expected = sc.expect.get("partial_isometry", True)
-    flags = []
-    parts = []
-    for kind, op in _mixed_operators(sc.spec, n):
-        flag = svd_analysis(op, sc.tol)
-        flags.append(flag)
-        parts.append(f"{kind}_op={flag}")
-    ok = all(flags) == expected
+    flags = {kind: svd_analysis(op, sc.tol) for kind, op in _mixed_operators(sc.spec, n)}
+    ok = all(flags.values()) == expected
+    parts = "; ".join(f"{kind}_op={flag}" for kind, flag in flags.items())
     return [Record(sc.name, "partial_isometry", n, 0.0 if ok else 1.0, ok,
-                   detail="; ".join(parts) + f" expected={expected}")]
+                   detail=f"{parts} expected={expected}")]
 
 
 _CHECKS = {
@@ -545,13 +546,10 @@ def replicated_u(dim_e: int, dim_f: int) -> LaurentSymbol:
     dpf = dim_e + dim_f
     ones = np.ones(dpf) / np.sqrt(dpf)
     # orthonormal basis of {(a, ..., a, b) : dim_e * a + sum(b) = 0}
-    cols = []
-    for j in range(dim_f):
-        v = np.zeros(dpf)
-        v[:dim_e] = 1.0 / dim_e
-        v[dim_e + j] = -1.0
-        cols.append(v)
-    q, _ = np.linalg.qr(np.column_stack(cols))
+    cols = np.zeros((dpf, dim_f))
+    cols[:dim_e] = 1.0 / dim_e
+    cols[dim_e:] = -np.eye(dim_f)
+    q, _ = np.linalg.qr(cols)
     const = q[:, :dim_f]
     u0 = np.hstack([const, np.zeros((dpf, 1))])
     u1 = np.hstack([np.zeros((dpf, dim_f)), ones[:, None]])
@@ -562,13 +560,10 @@ def replicated_omega(dim_e: int, dim_f: int) -> LaurentSymbol | None:
     """Doubly invariant columns of the replicated-evaluation subspace."""
     if dim_e < 2:
         return None
-    cols = []
-    for j in range(1, dim_e):
-        v = np.zeros(dim_e)
-        v[0] = 1.0
-        v[j] = -1.0
-        cols.append(v)
-    q, _ = np.linalg.qr(np.column_stack(cols))
+    cols = np.zeros((dim_e, dim_e - 1))
+    cols[0] = 1.0
+    cols[1:] = -np.eye(dim_e - 1)
+    q, _ = np.linalg.qr(cols)
     return constant_symbol(q[:, :dim_e - 1])
 
 
@@ -631,9 +626,8 @@ def _demo_splitting_scalar() -> list[Scenario]:
 
 
 def _demo_f_f0() -> list[Scenario]:
-    spec12 = demo_subspace_specs()["replicated-1-2"]
-    spec12 = InvariantSubspaceSpec(
-        spec12.variant, 1, 2, u=spec12.u, phi=replicated_range_symbol(1, 2))
+    spec12 = replace(demo_subspace_specs()["replicated-1-2"],
+                     phi=replicated_range_symbol(1, 2))
     spec23 = demo_subspace_specs()["replicated-2-3"]
     # the explicit range symbol is isometry-valued but its mixed operator
     # is not a partial isometry (the subspace is still exactly its range),
@@ -665,9 +659,8 @@ def _demo_cyclic_kernel() -> list[Scenario]:
 
 
 def _demo_type2_corner() -> list[Scenario]:
-    spec = demo_subspace_specs()["doubly-invariant-corner"]
-    spec = InvariantSubspaceSpec(TYPE_II, 1, 1, omega=spec.omega,
-                                 psi=zero_symbol(2, 2), theta=zero_symbol(1, 1))
+    spec = replace(demo_subspace_specs()["doubly-invariant-corner"],
+                   psi=zero_symbol(2, 2), theta=zero_symbol(1, 1))
     return [Scenario("type2-corner", spec,
                      ("twocond", "invariance", "kernel_rep"), (8, 16))]
 
@@ -700,41 +693,45 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     p_verify = sub.add_parser("verify", help="run scenario files")
     p_verify.add_argument("paths", nargs="+", metavar="scenario-file")
-    p_verify.add_argument("--n", default=None,
-                          help="comma-separated truncation sweep override")
-    p_verify.add_argument("--tol", default=None,
-                          help="tolerance override (finite, positive)")
-    p_verify.add_argument("--format", choices=("text", "structured"),
-                          default="text")
+    p_verify.add_argument("--n", help="comma-separated truncation sweep override")
+    p_verify.add_argument("--tol", help="tolerance override (finite, positive)")
     p_demo = sub.add_parser("demo", help="run a built-in demo")
     p_demo.add_argument("name")
-    p_demo.add_argument("--format", choices=("text", "structured"),
-                        default="text")
+    for p in (p_verify, p_demo):
+        p.add_argument("--format", choices=("text", "structured"), default="text")
     sub.add_parser("list-demos", help="list built-in demo names")
     return parser
+
+
+def _option(text: str, convert, key: str, option: str):
+    """An option's text, converted, then tested by the row of its scenario key."""
+    try:
+        value = convert(text)
+    except ValueError as exc:
+        raise ScenarioError(f"option {option}: cannot read {text!r} ({exc})") from exc
+    return _checked(value, _SCENARIO[key], f"option {option}")
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "list-demos":
-            for name in sorted(DEMOS):
-                print(name)
+            print("\n".join(sorted(DEMOS)))
             return 0
         if args.command == "demo":
             report = demo(args.name)
         else:
             overrides = {}
             if args.n is not None:
-                try:
-                    n_list = [int(v) for v in args.n.split(",")]
-                except ValueError as exc:
-                    raise ScenarioError(f"option --n: expected integers ({exc})") from exc
-                overrides["n_list"] = _parse_n_list(n_list, "option --n")
+                overrides["n_list"] = tuple(_option(
+                    args.n, lambda text: [int(v) for v in text.split(",")], "n_list", "--n"))
             if args.tol is not None:
-                overrides["tol"] = _parse_tol(args.tol, "option --tol")
-            report = run_batch([replace(parse_scenario(path), **overrides)
-                                for path in args.paths])
+                overrides["tol"] = _option(args.tol, float, "tol", "--tol")
+            scenarios = [replace(parse_scenario(path), **overrides) for path in args.paths]
+            for path, sc in zip(args.paths, scenarios):
+                _check_run_size(sc, f"{path}: " + ("option --n" if args.n is not None
+                                                   else "field n_list"))
+            report = run_batch(scenarios)
     except ScenarioError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

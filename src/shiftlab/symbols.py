@@ -137,10 +137,10 @@ class LaurentSymbol:
 def _canonical(rows: int, cols: int, kmin: int, coeffs: np.ndarray) -> LaurentSymbol:
     """Trim zero extreme coefficients; collapse the zero symbol to k = 0."""
     coeffs = np.ascontiguousarray(np.asarray(coeffs, dtype=complex))
-    nz = [i for i in range(coeffs.shape[0]) if np.any(coeffs[i])]
-    if not nz:
+    nz = np.flatnonzero(coeffs.reshape(len(coeffs), rows * cols).any(axis=1))
+    if nz.size == 0:
         return LaurentSymbol(rows, cols, 0, np.zeros((1, rows, cols), dtype=complex))
-    lo, hi = nz[0], nz[-1]
+    lo, hi = int(nz[0]), int(nz[-1])
     return LaurentSymbol(rows, cols, kmin + lo, coeffs[lo:hi + 1])
 
 

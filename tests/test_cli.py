@@ -1,6 +1,9 @@
 """Scenario parsing, batch running, demos, and exit-code contract."""
 
 import json
+import re
+import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -19,6 +22,9 @@ from shiftlab.cli import (
 )
 from shiftlab.subspaces import kernel_symbol_from_u, range_symbol_from_u
 from shiftlab.symbols import coeff_distance, make_symbol
+
+
+SAMPLE = Path(__file__).resolve().parent.parent / "scenarios" / "sample-inner-column.json"
 
 
 def write_scenario(tmp_path, payload, name="scenario.json"):
@@ -101,14 +107,44 @@ class TestSymbolLiteral:
         ("coeffs", 5, "field spec.U.coeffs"),
         ("k", 1.9, "field spec.U.coeffs[0].k"),
         ("k", "0", "field spec.U.coeffs[0].k"),
+        ("colour", 1, "field spec.U: unknown key 'colour'"),
     ], ids=["rows-float", "rows-string", "rows-negative", "cols-true", "cols-float",
-            "coeffs-number", "k-float", "k-string"])
+            "coeffs-number", "k-float", "k-string", "unknown-key"])
     def test_non_integer_literal_field_exit_two(self, tmp_path, capsys, key, value, named):
         payload = minimal_payload()
         target = payload["spec"]["U"]["coeffs"][0] if key == "k" else payload["spec"]["U"]
         target[key] = value
         assert main(["verify", write_scenario(tmp_path, payload)]) == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entry, named", [
+        ({"k": 0, "re": [1.0, 0.0], "imag": [0.0, 1.0]},
+         "field spec.U.coeffs[0]: unknown key 'imag'"),
+        ({"k": 0, "re": [1.0, 0.0], "scale": 2.0}, "field spec.U.coeffs[0]: unknown key"),
+        ({"k": 0, "re": ["0.7", "0"]}, "field spec.U.coeffs[0].re must be"),
+        ({"k": 0, "re": [True, False]}, "field spec.U.coeffs[0].re must be"),
+        ({"k": 0, "re": [[0.7], [0.0]]}, "field spec.U.coeffs[0].re must be"),
+        ({"k": 0, "re": [1.0, 0.0], "im": None}, "field spec.U.coeffs[0].im must be"),
+    ], ids=["imag-typo", "unknown-key", "re-strings", "re-booleans", "re-nested", "im-null"])
+    def test_malformed_coefficient_entry_exit_two(self, tmp_path, capsys, entry, named):
+        payload = minimal_payload()
+        payload["spec"]["U"]["coeffs"] = [entry]
+        assert main(["verify", write_scenario(tmp_path, payload)]) == 2
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("literal", [
+        # degrees from -(2**53 - 1) to 2**53 - 1: an exbibyte, beyond any address space
+        {"rows": 2, "cols": 1, "coeffs": [{"k": 1 - 2 ** 53, "re": [1.0, 0.0]},
+                                          {"k": 2 ** 53 - 1, "re": [0.0, 1.0]}]},
+        # 2**80 entries: more bytes than numpy can index
+        {"rows": 2 ** 40, "cols": 2 ** 40, "coeffs": []},
+    ], ids=["far-degrees", "huge-shape"])
+    def test_oversized_literal_exit_two(self, tmp_path, capsys, literal):
+        payload = minimal_payload()
+        payload["spec"]["U"] = literal
+        assert main(["verify", write_scenario(tmp_path, payload)]) == 2
+        err = capsys.readouterr().err
+        assert "field spec.U: the stack of degrees" in err and "above the cap" in err
 
     @pytest.mark.parametrize("entry", [
         {"k": 0, "re": [float("nan"), 0.0]},
@@ -295,6 +331,8 @@ class TestMainEntry:
         ([8], "8,x", "--n"),
         ([8], "16,8", "--n"),
         ([0, 8], None, "n_list"),
+        ([8, 8], None, "n_list"),
+        ([8], "8,8", "--n"),
     ])
     def test_bad_sweep_exit_two(self, tmp_path, capsys, n_list, override, source):
         payload = dict(minimal_payload(), n_list=n_list)
@@ -337,7 +375,9 @@ class TestMainEntry:
         ([{"L2": {"rows": 1, "cols": 1, "coeffs": []}}], "nehari_candidates[0]"),
         (["zero"], "nehari_candidates[0]"),
         ({}, "nehari_candidates must be a list"),
-    ], ids=["empty", "no-L2", "no-L1", "not-object", "not-list"])
+        ([{key: {"rows": 1, "cols": 1, "coeffs": []} for key in ("L1", "L2", "L3")}],
+         "field nehari_candidates[0]: unknown key 'L3'"),
+    ], ids=["empty", "no-L2", "no-L1", "not-object", "not-list", "unknown-key"])
     def test_malformed_nehari_candidate_exit_two(self, tmp_path, capsys, candidates, named):
         payload = dict(minimal_payload(), nehari_candidates=candidates)
         assert main(["verify", write_scenario(tmp_path, payload)]) == 2
@@ -409,6 +449,57 @@ class TestMainEntry:
         assert main(["verify", write_scenario(tmp_path, payload)]) == 2
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [("variant", 5), ("variant", "type_iii"),
+                                              ("dimE", 0), ("dimF", -1)])
+    def test_bad_spec_field_named(self, tmp_path, capsys, field, value):
+        payload = minimal_payload()
+        payload["spec"][field] = value
+        assert main(["verify", write_scenario(tmp_path, payload)]) == 2
+        assert f"field spec.{field} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k, checks, named", [
+        # a single coefficient at degree 10**12 used to hang the causality check
+        (10 ** 12, ["twocond"], "field spec.U: the stack of degrees 0..1000000000000"),
+        # within the literal cap, but Psi derived from it spans degrees 0..4e6
+        (4_000_000, ["kernel_rep"], "field n_list: at n = 4 the largest dense matrix"),
+    ], ids=["twocond", "derived-psi"])
+    def test_far_coefficient_finishes_in_seconds(self, tmp_path, capsys, k, checks, named):
+        payload = dict(minimal_payload(), checks=checks, n_list=[4])
+        payload["spec"]["U"]["coeffs"][0]["k"] = k
+        start = time.perf_counter()
+        assert main(["verify", write_scenario(tmp_path, payload)]) == 2
+        assert time.perf_counter() - start < 5.0
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("payload, argv, named", [
+        (minimal_payload(), ["--n", "1000000000"], "option --n: at n = 1000000000 "),
+        (dict(minimal_payload(), n_list=[10 ** 9]), [], "field n_list: at n = 1000000000 "),
+        (dict(representation_payload("kernel_rep", ["invariance"]), window=2 ** 52), [],
+         "field n_list: at n = 16 the largest dense matrix, 9007199254740997 degrees"),
+    ], ids=["option", "field", "deepened-window"])
+    def test_oversized_run_exit_two(self, tmp_path, capsys, payload, argv, named):
+        # each run would ask numpy for more bytes than it can index
+        assert main(["verify", write_scenario(tmp_path, payload), *argv]) == 2
+        err = capsys.readouterr().err
+        assert named in err and "above the cap" in err
+
+    def test_size_cap_admits_the_shipped_runs(self):
+        sample = parse_scenario(str(SAMPLE))
+        runs = [sc for make in DEMOS.values() for sc in make()] + [
+            replace(sample, n_list=(64, 128, 256, 512)),
+            cli.Scenario("operators-wide", cli.replicated_spec(1, 2),
+                         ("partial_isometry", "intertwining", "nehari"), (64, 128, 256))]
+        for sc in runs:
+            cli._check_run_size(sc, sc.name)
+
+    @pytest.mark.parametrize("text", ["[" * 100000 + "]" * 100000, "1" * 5000],
+                             ids=["deep-nesting", "long-integer"])
+    def test_unreadable_json_exit_two(self, tmp_path, capsys, text):
+        path = tmp_path / "scenario.json"
+        path.write_text(text)
+        assert main(["verify", str(path)]) == 2
+        assert "unreadable JSON" in capsys.readouterr().err
+
     @pytest.mark.parametrize("n_list", [[8.9], [8.0], [True], ["8"], 8])
     def test_non_integer_n_list_exit_two(self, tmp_path, capsys, n_list):
         path = write_scenario(tmp_path, dict(minimal_payload(), n_list=n_list))
@@ -469,3 +560,16 @@ class TestRepresentationVariants:
                                   "coeffs": [{"k": -1, "re": [1, 0, 0, 0]}]}
         assert main(["verify", write_scenario(tmp_path, payload)]) == 2
         assert "field spec.Phi" in capsys.readouterr().err
+
+
+def test_readme_lists_every_scenario_key():
+    """Each key of the parser's field tables has a row in the README's table."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Scenario files", 1)[1].split("\n## ", 1)[0]
+    documented = {cell.rsplit(".", 1)[-1]
+                  for cell in re.findall(r"^\| `([^`]+)` \|", section, re.MULTILINE)}
+    tables = [t for t in vars(cli).values() if isinstance(t, dict) and t
+              and all(isinstance(row, cli.Row) for row in t.values())]
+    assert len(tables) == 6
+    missing = {key for table in tables for key in table} - documented
+    assert not missing, f"scenario keys missing from the README table: {sorted(missing)}"

@@ -160,6 +160,16 @@ class TestTwocond:
         rep = twocond_check(InvariantSubspaceSpec("type_i", 1, 1, u=u))
         assert not rep.named("u_e_causal").passed
 
+    @pytest.mark.parametrize("coeffs, causal", [
+        ({10 ** 12: [[1], [0]]}, 1.0),
+        ({0: [[0.6], [0]], 3: [[0.8], [0]]}, 0.8),
+        ({-3: [[1], [0]]}, 0.0),
+    ], ids=["far-degree", "gap", "anti-analytic"])
+    def test_causal_check_reads_the_stored_coefficients(self, coeffs, causal):
+        # a degree of 10**12 costs one stored coefficient, not a loop to it
+        rep = twocond_check(InvariantSubspaceSpec("type_i", 1, 1, u=make_symbol(2, 1, coeffs)))
+        assert rep.named("u_e_causal").residual == causal
+
     def test_type_ii_orthogonality_violation_detected(self):
         # omega aligned with the first-fiber content of U
         u = make_symbol(3, 2, {0: [[RS2, 0], [0, RS2], [0, -RS2]],
