@@ -59,14 +59,14 @@ def nullspace(m: np.ndarray, rtol: float = DEFAULT_NULL_RTOL) -> np.ndarray:
     return out
 
 
-def column_space(m: np.ndarray, rtol: float = DEFAULT_NULL_RTOL) -> np.ndarray:
+def column_space(m: np.ndarray) -> np.ndarray:
     """Orthonormal basis (columns) of the column space of m, supported on
     the rows of m with a nonzero entry."""
     rows, cols = _support(m)
     if rows.size == 0:
         return np.zeros((m.shape[0], 0), dtype=complex)
     u, sv, _ = np.linalg.svd(m[np.ix_(rows, cols)], full_matrices=False)
-    rank = int(np.sum(sv > rtol * sv[0]))
+    rank = int(np.sum(sv > DEFAULT_NULL_RTOL * sv[0]))
     out = np.zeros((m.shape[0], rank), dtype=complex)
     out[rows] = u[:, :rank]
     return out
@@ -83,8 +83,7 @@ def image_within(m: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return column_space(m[keep] @ nullspace(m[outside]))
 
 
-def intersection(b1: np.ndarray, b2: np.ndarray,
-                 rtol: float = DEFAULT_NULL_RTOL) -> np.ndarray:
+def intersection(b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the intersection of two column spans.
 
     Works on the stacked complement projectors, so no alternating
@@ -98,7 +97,7 @@ def intersection(b1: np.ndarray, b2: np.ndarray,
         eye - b1 @ b1.conj().T,
         eye - b2 @ b2.conj().T,
     ])
-    return nullspace(stacked, rtol)
+    return nullspace(stacked)
 
 
 def principal_angle_distance(b1: np.ndarray, b2: np.ndarray) -> float:

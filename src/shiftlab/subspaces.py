@@ -36,6 +36,7 @@ from .operators import (
     toeplitz_op,
 )
 from .symbols import (
+    CLASSIFY_TOL,
     IsometryKind,
     LaurentSymbol,
     accepts_partial_isometry,
@@ -300,8 +301,10 @@ def bilateral_subspace(spec: InvariantSubspaceSpec, n: int) -> SubspaceBasis:
     fitting the two-sided window) and Omega z^k e, embedded in the
     ambient (two-sided window of the first fiber) (+) (one-sided window
     of the second fiber).  The returned basis carries the shrunk window
-    used by downstream comparisons.  For admissible data the generators
-    are orthonormal as they stand and are the basis; otherwise they are
+    used by downstream comparisons.  The Gram matrix of the generators is
+    a section of the block Toeplitz matrix of the coefficient Grams of
+    [U, Omega], so when that symbol is isometry-valued they are
+    orthonormal as they stand and are the basis; otherwise they are
     orthonormalized.
     """
     amb = bilateral_ambient(spec.dim_e, spec.dim_f, n)
@@ -312,18 +315,15 @@ def bilateral_subspace(spec: InvariantSubspaceSpec, n: int) -> SubspaceBasis:
     if omega is not None:
         gens.append(_generators(omega, spec.dim_e, -n - omega.kmin, n - omega.kmax, n))
     stacked = np.hstack(gens)
-    window = default_window(spec, n)
-    try:
-        # SubspaceBasis rejects columns whose Gram error exceeds 1e-10
-        return SubspaceBasis(amb, stacked, window=window)
-    except ValueError:
-        pass
-    basis = column_space(stacked)
-    if basis.shape[1] != stacked.shape[1]:
-        raise ValueError(
-            f"generators are numerically dependent: {stacked.shape[1]} columns "
-            f"span only {basis.shape[1]} directions")
-    return SubspaceBasis(amb, basis, window=window)
+    columns = block_symbol([[s for s in (spec.u, omega) if s is not None]])
+    basis = stacked
+    if classify_isometry(columns).kind not in (IsometryKind.ISOMETRY, IsometryKind.UNITARY):
+        basis = column_space(stacked)
+        if basis.shape[1] != stacked.shape[1]:
+            raise ValueError(
+                f"generators are numerically dependent: {stacked.shape[1]} columns "
+                f"span only {basis.shape[1]} directions")
+    return SubspaceBasis(amb, basis, window=default_window(spec, n))
 
 
 def _generators(sym: LaurentSymbol, dim_e: int, k_lo: int, k_hi: int,
@@ -350,8 +350,7 @@ def _flip_permutation(amb: ProductSpace) -> np.ndarray:
     return perm
 
 
-def mixed_from_bilateral(n3: SubspaceBasis, n: int,
-                         window: int | None = None) -> SubspaceBasis:
+def mixed_from_bilateral(n3: SubspaceBasis, window: int | None = None) -> SubspaceBasis:
     """Analytic-pair subspace carved out of the bilateral complement.
 
     Applies the coefficient flip on the first (two-sided) part, takes the
@@ -383,7 +382,7 @@ def mixed_from_bilateral(n3: SubspaceBasis, n: int,
 def mixed_invariant_subspace(spec: InvariantSubspaceSpec, n: int,
                              window: int | None = None) -> SubspaceBasis:
     """One-shot bilateral construction followed by the analytic carve-out."""
-    return mixed_from_bilateral(bilateral_subspace(spec, n), n, window)
+    return mixed_from_bilateral(bilateral_subspace(spec, n), window)
 
 
 def shift_invariance_residual(basis: SubspaceBasis, kinds: tuple[str, str]) -> float:
@@ -511,8 +510,6 @@ def inner_multiples_window_basis(theta: LaurentSymbol, w: int) -> np.ndarray:
     multiples that a plain generator cut would miss (the image of a
     degree-w input can stay low-degree when top coefficients cancel).
     """
-    if theta.is_zero():
-        return np.zeros((theta.rows * (w + 1), 0), dtype=complex)
     n_in = w + max(0, theta.kmax)
     t_op = toeplitz_op(theta, n_in)
     return image_within(t_op.entries, t_op.codomain.window_indices(w))
@@ -555,10 +552,7 @@ def _first_part_constraint_basis(theta: LaurentSymbol, dim_e: int, dim_f: int,
     amb = analytic_ambient(dim_e, dim_f, w)
     e_dim = amb.parts[0].dim
     f_dim = amb.parts[1].dim
-    if theta.is_zero():
-        e_basis = np.zeros((e_dim, 0), dtype=complex)
-    else:
-        e_basis = inner_multiples_window_basis(theta, w)
+    e_basis = inner_multiples_window_basis(theta, w)
     top = np.vstack([e_basis, np.zeros((f_dim, e_basis.shape[1]), dtype=complex)])
     bottom = np.vstack([np.zeros((e_dim, f_dim), dtype=complex),
                         np.eye(f_dim, dtype=complex)])
@@ -631,14 +625,13 @@ class UnitaryMatchResult:
     residual: float
 
 
-def constant_unitary_match(s1: LaurentSymbol, s2: LaurentSymbol,
-                           tol: float = 1e-10) -> UnitaryMatchResult:
+def constant_unitary_match(s1: LaurentSymbol, s2: LaurentSymbol) -> UnitaryMatchResult:
     """Recover a constant unitary W with s1 = s2 W, when one exists.
 
     W is the constant coefficient of s2^H s1 (its mean over the circle),
     which is W itself when s2 is isometry-valued; acceptance requires W to be
     unitary and the coefficient residual of s1 - s2 W to vanish within
-    tol.  A large residual is a negative finding, not an error.
+    CLASSIFY_TOL.  A large residual is a negative finding, not an error.
     """
     if s1.shape != s2.shape:
         raise ValueError(f"shape mismatch {s1.shape} vs {s2.shape}")
@@ -650,7 +643,8 @@ def constant_unitary_match(s1: LaurentSymbol, s2: LaurentSymbol,
     w = (s2.adjoint() @ s1).coeff(0)
     defect = float(np.max(np.abs(w.conj().T @ w - np.eye(s1.cols))))
     resid = coeff_distance(s1, symbol_mul(s2, constant_symbol(w)))
-    return UnitaryMatchResult(defect <= tol and resid <= tol, w, defect, resid)
+    ok = defect <= CLASSIFY_TOL and resid <= CLASSIFY_TOL
+    return UnitaryMatchResult(ok, w, defect, resid)
 
 
 @dataclass(frozen=True)
@@ -699,7 +693,7 @@ def bilateral_roundtrip(spec: InvariantSubspaceSpec, n: int) -> RoundtripResult:
     """
     b3 = bilateral_subspace(spec, n)
     w = b3.window
-    mixed = mixed_from_bilateral(b3, n, w)
+    mixed = mixed_from_bilateral(b3, w)
     inv = invariance_check(mixed)
     band = max((s.bandwidth for s in spec.bilateral_symbols()), default=0)
     w3 = w - band

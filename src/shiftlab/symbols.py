@@ -14,7 +14,7 @@ import numpy as np
 
 from .linalg import singular_values
 
-DEFAULT_CLASSIFY_TOL = 1e-10
+CLASSIFY_TOL = 1e-10
 DEFAULT_RANK_TOL = 1e-8
 
 
@@ -67,8 +67,8 @@ class LaurentSymbol:
             return self.coeffs[k - self.kmin]
         return np.zeros((self.rows, self.cols), dtype=complex)
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return bool(np.max(np.abs(self.coeffs)) <= tol)
+    def is_zero(self) -> bool:
+        return self.max_abs_coeff() == 0.0
 
     def is_analytic(self, tol: float = 0.0) -> bool:
         """True when every coefficient with negative index vanishes."""
@@ -84,7 +84,7 @@ class LaurentSymbol:
     def eval_at(self, z: complex) -> np.ndarray:
         """Evaluate sum_k S_k z**k; intended for unit-modulus z."""
         acc = np.zeros((self.rows, self.cols), dtype=complex)
-        for i in range(self.coeffs.shape[0]):
+        for i in _nonzero_terms(self.coeffs):
             acc += self.coeffs[i] * z ** (self.kmin + i)
         return acc
 
@@ -134,13 +134,22 @@ class LaurentSymbol:
                 f"degrees [{self.kmin}, {self.kmax}])")
 
 
+def _nonzero_terms(coeffs: np.ndarray) -> list[int]:
+    """Stack positions of the coefficients with an entry != 0.
+
+    Loops over terms visit only these: a zero coefficient adds exact
+    zeros, so skipping it leaves every sum bit-identical.
+    """
+    return np.flatnonzero(coeffs.any(axis=(1, 2))).tolist()
+
+
 def _canonical(rows: int, cols: int, kmin: int, coeffs: np.ndarray) -> LaurentSymbol:
     """Trim zero extreme coefficients; collapse the zero symbol to k = 0."""
     coeffs = np.ascontiguousarray(np.asarray(coeffs, dtype=complex))
-    nz = np.flatnonzero(coeffs.reshape(len(coeffs), rows * cols).any(axis=1))
-    if nz.size == 0:
+    nz = _nonzero_terms(coeffs)
+    if not nz:
         return LaurentSymbol(rows, cols, 0, np.zeros((1, rows, cols), dtype=complex))
-    lo, hi = int(nz[0]), int(nz[-1])
+    lo, hi = nz[0], nz[-1]
     return LaurentSymbol(rows, cols, kmin + lo, coeffs[lo:hi + 1])
 
 
@@ -201,8 +210,8 @@ def symbol_mul(s1: LaurentSymbol, s2: LaurentSymbol) -> LaurentSymbol:
     kmin = s1.kmin + s2.kmin
     n1, n2 = s1.coeffs.shape[0], s2.coeffs.shape[0]
     out = np.zeros((n1 + n2 - 1, s1.rows, s2.cols), dtype=complex)
-    for i in range(n1):
-        for j in range(n2):
+    for i in _nonzero_terms(s1.coeffs):
+        for j in _nonzero_terms(s2.coeffs):
             out[i + j] += s1.coeffs[i] @ s2.coeffs[j]
     return _canonical(s1.rows, s2.cols, kmin, out)
 
@@ -263,17 +272,15 @@ class IsometryClass:
 def _left_gram(s: LaurentSymbol) -> dict[int, np.ndarray]:
     """G(m) = sum_j S_j^H S_(j+m); S isometry-valued iff G(m) = delta_m0 I."""
     n = s.coeffs.shape[0]
-    gram = {}
-    for m in range(-(n - 1), n):
-        acc = np.zeros((s.cols, s.cols), dtype=complex)
-        for j in range(n):
-            if 0 <= j + m < n:
-                acc += s.coeffs[j].conj().T @ s.coeffs[j + m]
-        gram[m] = acc
+    gram = {m: np.zeros((s.cols, s.cols), dtype=complex) for m in range(1 - n, n)}
+    terms = _nonzero_terms(s.coeffs)
+    for j in terms:
+        for i in terms:
+            gram[i - j] += s.coeffs[j].conj().T @ s.coeffs[i]
     return gram
 
 
-def classify_isometry(s: LaurentSymbol, tol: float = DEFAULT_CLASSIFY_TOL) -> IsometryClass:
+def classify_isometry(s: LaurentSymbol) -> IsometryClass:
     """Classify S by the exact coefficient convolutions of S^H S and S S^H.
 
     Partial-isometry-valued means S(z)^H S(z) is one fixed orthogonal
@@ -282,8 +289,6 @@ def classify_isometry(s: LaurentSymbol, tol: float = DEFAULT_CLASSIFY_TOL) -> Is
     product S(z) S(z)^H.  The residual reports the maximal violation of
     the identities backing the returned kind.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if s.is_zero():
         return IsometryClass(IsometryKind.ZERO, 0, 0.0)
     left = _left_gram(s)
@@ -301,13 +306,13 @@ def classify_isometry(s: LaurentSymbol, tol: float = DEFAULT_CLASSIFY_TOL) -> Is
         float(np.max(np.abs(g0 @ g0 - g0))),
         float(np.max(np.abs(g0 - g0.conj().T))),
     )
-    if v_unitary <= tol:
+    if v_unitary <= CLASSIFY_TOL:
         return IsometryClass(IsometryKind.UNITARY, s.cols, v_unitary)
-    if v_iso <= tol:
+    if v_iso <= CLASSIFY_TOL:
         return IsometryClass(IsometryKind.ISOMETRY, s.cols, v_iso)
-    if v_coiso <= tol:
+    if v_coiso <= CLASSIFY_TOL:
         return IsometryClass(IsometryKind.COISOMETRY, s.rows, v_coiso)
-    if v_partial <= tol:
+    if v_partial <= CLASSIFY_TOL:
         rank = int(round(float(np.real(np.trace(g0)))))
         return IsometryClass(IsometryKind.PARTIAL_ISOMETRY, rank, v_partial)
     return IsometryClass(IsometryKind.NONE, 0, min(v_partial, v_coiso))

@@ -1,10 +1,11 @@
-"""Every public top-level name of the package has a caller in the pipeline.
+"""Every public top-level name of the package has a caller in the pipeline,
+and every default of a public function or method is overridden by one.
 
 A public function or class counts as used when some code outside its own
 definition refers to it: another definition in any ``src/shiftlab``
 module (``__init__.py`` re-exports do not count), the acceptance gate
 ``tests/test_acceptance.py``, or the benchmark under ``perfbench/``.
-Unit tests alone do not keep a name alive.
+Unit tests alone do not keep a name or a default alive.
 """
 
 import ast
@@ -54,3 +55,70 @@ def test_every_public_name_has_a_pipeline_caller():
             if definition.name not in used | referenced_names(rest):
                 unused.append(f"{path.stem}.{definition.name}")
     assert not unused, f"public names with no pipeline caller: {unused}"
+
+
+def defaulted_parameters(tree: ast.Module):
+    """(qualified name, bare name, parameter, position) for every defaulted
+    parameter of a public function or method.  The position is that of the
+    argument in a call, so it does not count self or cls; it is None for a
+    keyword-only parameter."""
+    functions = []
+    for definition in public_definitions(tree):
+        if isinstance(definition, ast.FunctionDef):
+            functions.append((definition.name, definition, 0))
+            continue
+        for node in definition.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in node.decorator_list)
+                functions.append((f"{definition.name}.{node.name}", node, 0 if static else 1))
+    found = []
+    for qualified, node, skip in functions:
+        positional = node.args.posonlyargs + node.args.args
+        first_default = len(positional) - len(node.args.defaults)
+        found += [(qualified, node.name, arg.arg, i - skip)
+                  for i, arg in enumerate(positional) if i >= first_default]
+        found += [(qualified, node.name, arg.arg, None)
+                  for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults)
+                  if default is not None]
+    return found
+
+
+def passed_arguments(nodes) -> set[tuple[str, object]]:
+    """(callee name, keyword) and (callee name, position) of every argument
+    some call in the given subtrees passes; "*" and "**" stand for unpacked
+    arguments, which may pass any parameter."""
+    passed = set()
+    for root in nodes:
+        for node in ast.walk(root):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            passed.update((name, "*" if isinstance(arg, ast.Starred) else i)
+                          for i, arg in enumerate(node.args))
+            passed.update((name, "**" if kw.arg is None else kw.arg) for kw in node.keywords)
+    return passed
+
+
+def test_every_default_is_set_by_a_pipeline_caller():
+    """A default that no caller overrides is a constant posing as an option.
+
+    Every defaulted parameter of a public function or method must be
+    passed, by keyword or by position, by some call in the package, the
+    acceptance gate or the benchmark.  The console entry point cli.main
+    is exempt: it takes argv so that tests can call it.
+    """
+    modules = {path: ast.parse(path.read_text(encoding="utf-8"))
+               for path in sorted(PACKAGE.glob("*.py"))}
+    callers = list(modules.values()) + [
+        ast.parse(path.read_text(encoding="utf-8"))
+        for path in [ROOT / "tests" / "test_acceptance.py",
+                     *sorted((ROOT / "perfbench").glob("*.py"))]]
+    passed = passed_arguments(callers)
+    unset = [f"{path.stem}.{qualified}({param})"
+             for path, tree in modules.items()
+             for qualified, name, param, position in defaulted_parameters(tree)
+             if f"{path.stem}.{qualified}" != "cli.main"
+             and not {(name, param), (name, position), (name, "*"), (name, "**")} & passed]
+    assert not unset, f"defaulted parameters no pipeline call sets: {unset}"

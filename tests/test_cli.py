@@ -471,6 +471,18 @@ class TestMainEntry:
         assert time.perf_counter() - start < 5.0
         assert named in capsys.readouterr().err
 
+    def test_twocond_cost_follows_nonzero_coefficients(self, tmp_path, capsys):
+        # two coefficients 1000 degrees apart: the symbol products and the
+        # circle samples of twocond used to visit every zero in between
+        r = 2 ** -0.5
+        payload = dict(minimal_payload(), checks=["twocond"])
+        payload["spec"]["U"] = {"rows": 2, "cols": 2, "coeffs": [
+            {"k": 0, "re": [0, r, 0, -r]}, {"k": 1000, "re": [r, 0, r, 0]}]}
+        start = time.perf_counter()
+        assert main(["verify", write_scenario(tmp_path, payload)]) == 1
+        assert time.perf_counter() - start < 5.0
+        assert "u_isometry=ok" in capsys.readouterr().out
+
     @pytest.mark.parametrize("payload, argv, named", [
         (minimal_payload(), ["--n", "1000000000"], "option --n: at n = 1000000000 "),
         (dict(minimal_payload(), n_list=[10 ** 9]), [], "field n_list: at n = 1000000000 "),

@@ -1,8 +1,12 @@
 """Invariant-subspace construction and verification tests."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from shiftlab import cli, subspaces
 from shiftlab.linalg import column_space, nullspace, principal_angle_distance
 from shiftlab.operators import (
     SubspaceBasis,
@@ -576,3 +580,65 @@ class TestHankelRankLink:
             sv = np.linalg.svd(h.entries, compute_uv=False)
             rank = int(np.sum(sv > 1e-10 * sv[0]))
             assert rank == npoles
+
+
+class TestEveryBasisIsOrthonormal:
+    """SubspaceBasis trusts its maker: while the CLI runs, every basis built
+    has orthonormal columns, and every construction site is reached."""
+
+    SITES = {"bilateral_subspace", "mixed_from_bilateral", "kernel_subspace",
+             "range_window_basis", "kernel_representation_check"}
+
+    @staticmethod
+    def scenarios():
+        all_checks = ("twocond", "invariance", "kernel_rep", "range_rep", "splitting",
+                      "partial_isometry", "intertwining")
+        scalar_splitting = cli.demo_subspace_specs()["scalar-splitting"]
+        timotin = cli.demo_subspace_specs()["timotin"]
+        runs = [sc for make in cli.DEMOS.values() for sc in make()]
+        runs.append(cli.parse_scenario(str(
+            Path(__file__).resolve().parents[1] / "scenarios" / "sample-inner-column.json")))
+        runs += [cli.Scenario(f"sweep-{name}", spec, all_checks, (8, 16),
+                              expect={"splitting": splits})
+                 for name, spec, splits in (("timotin", timotin, False),
+                                            ("scalar-splitting", scalar_splitting, True))]
+        runs += [cli.Scenario(variant, InvariantSubspaceSpec(variant, 1, 1, **{key: sym}),
+                              checks, (8, 16))
+                 for variant, key, sym, checks in (
+                     ("range_rep", "phi", range_symbol_from_u(timotin_u(), 1, 1),
+                      ("twocond", "invariance", "partial_isometry", "intertwining",
+                       "nehari", "splitting")),
+                     ("kernel_rep", "psi", kernel_symbol_from_u(timotin_u(), 1, 1),
+                      ("twocond", "invariance", "partial_isometry", "intertwining")))]
+        # generators of 2 U are not orthonormal: the column_space fallback
+        runs.append(cli.Scenario("twice-timotin", InvariantSubspaceSpec(
+            "type_i", 1, 1, u=2 * timotin_u()), ("invariance", "kernel_rep"), (8, 16)))
+        return runs
+
+    def test_every_basis_built_is_orthonormal(self, monkeypatch):
+        built, fallbacks = [], []
+        check_rows = SubspaceBasis.__post_init__
+        orthonormalize = subspaces.column_space
+
+        def recording_post_init(self):
+            check_rows(self)
+            # frame 1 is the dataclass __init__, frame 2 the code building the basis
+            site = sys._getframe(2).f_code.co_name
+            gram = self.basis.conj().T @ self.basis - np.eye(self.dim)
+            built.append((site, float(np.max(np.abs(gram), initial=0.0))))
+
+        def recording_column_space(m):
+            fallbacks.append(sys._getframe(1).f_code.co_name)
+            return orthonormalize(m)
+
+        monkeypatch.setattr(SubspaceBasis, "__post_init__", recording_post_init)
+        monkeypatch.setattr(subspaces, "column_space", recording_column_space)
+        report = cli.run_batch(self.scenarios())
+        bad = [(site, err) for site, err in built if err > 1e-10]
+        assert not bad, f"bases with Gram error above 1e-10: {bad}"
+        sites = {site for site, _ in built}
+        assert self.SITES <= sites, f"construction sites not reached: {self.SITES - sites}"
+        bilateral = sum(site == "bilateral_subspace" for site, _ in built)
+        orthonormalized = fallbacks.count("bilateral_subspace")
+        assert 0 < orthonormalized < bilateral, "both bilateral paths must run"
+        assert report.exit_status == 0

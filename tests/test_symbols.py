@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from shiftlab.symbols import (
     IsometryKind,
+    _left_gram,
     classify_isometry,
     coeff_distance,
     constant_symbol,
@@ -161,6 +162,42 @@ class TestProperties:
         for z in unit_circle_points(4):
             np.testing.assert_allclose(
                 s.conj_arg().eval_at(z), s.eval_at(np.conj(z)), atol=1e-12)
+
+
+class TestNonzeroTermLoops:
+    """The coefficient loops skip zero coefficients; the dense loops over
+    every stored coefficient are the reference, to the last bit."""
+
+    @staticmethod
+    def gapped_symbol(rng, rows, cols):
+        ks = rng.choice(np.arange(-6, 7), size=3, replace=False)
+        return make_symbol(rows, cols, {
+            int(k): rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+            for k in ks})
+
+    def test_bit_identical_to_dense_loops(self):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            s1, s2 = self.gapped_symbol(rng, 2, 3), self.gapped_symbol(rng, 3, 2)
+            dense = np.zeros((len(s1.coeffs) + len(s2.coeffs) - 1, 2, 2), dtype=complex)
+            for i, a in enumerate(s1.coeffs):
+                for j, b in enumerate(s2.coeffs):
+                    dense[i + j] += a @ b
+            np.testing.assert_array_equal(symbol_mul(s1, s2).coeffs, dense)
+            n = len(s1.coeffs)
+            gram = _left_gram(s1)
+            assert sorted(gram) == list(range(1 - n, n))
+            for m in range(1 - n, n):
+                ref = np.zeros((3, 3), dtype=complex)
+                for j in range(n):
+                    if 0 <= j + m < n:
+                        ref += s1.coeffs[j].conj().T @ s1.coeffs[j + m]
+                np.testing.assert_array_equal(gram[m], ref)
+            for z in unit_circle_points(9):
+                ref = np.zeros((2, 3), dtype=complex)
+                for i, c in enumerate(s1.coeffs):
+                    ref += c * z ** (s1.kmin + i)
+                np.testing.assert_array_equal(s1.eval_at(z), ref)
 
 
 class TestClassification:
