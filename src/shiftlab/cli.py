@@ -11,6 +11,7 @@ error (unreadable file, schema violation, shape mismatch, oversized run).
 
 import argparse
 import json
+import math
 import reprlib
 import sys
 from dataclasses import dataclass, field, replace
@@ -44,7 +45,6 @@ from .subspaces import (
     range_representation_check,
     range_symbol_from_u,
     range_window_basis,
-    split_square_blocks,
     splitting_check_scalar,
     twocond_check,
 )
@@ -56,6 +56,7 @@ from .symbols import (
     make_cyclic_symbol,
     make_symbol,
     monomial_symbol,
+    split_square_blocks,
     zero_symbol,
 )
 
@@ -244,9 +245,10 @@ class Report:
             "scenario": r.scenario,
             "check": r.check,
             "n": r.n,
-            "residual": _sig12(r.residual),
+            # an errored check records inf, which JSON cannot carry
+            "residual": _sig12(r.residual) if math.isfinite(r.residual) else None,
             "pass": r.passed,
-        }, sort_keys=True) for r in self.records) + "\n"
+        }, sort_keys=True, allow_nan=False) for r in self.records) + "\n"
 
     def text(self) -> str:
         lines = []
@@ -288,13 +290,13 @@ def _spec_from_payload(payload) -> InvariantSubspaceSpec:
 def _validate_membership(spec: InvariantSubspaceSpec) -> None:
     """Reject representation symbols whose analytic blocks are not analytic."""
     if spec.variant == RANGE_REP:
-        a, b, _, _ = split_square_blocks(spec.phi, spec.dim_e, spec.dim_f)
+        a, b, _, _ = split_square_blocks(spec.phi, spec.dim_e)
         if not (a.is_analytic() and b.is_analytic()):
             raise ScenarioError(
                 "field spec.Phi: the top blocks must be bounded analytic "
                 "(block A or B carries negative coefficients)")
     if spec.variant == KERNEL_REP:
-        _, _, a, b = split_square_blocks(spec.psi, spec.dim_e, spec.dim_f)
+        _, _, a, b = split_square_blocks(spec.psi, spec.dim_e)
         if not (a.is_analytic() and b.is_analytic()):
             raise ScenarioError(
                 "field spec.Psi: the bottom blocks must be bounded analytic "
@@ -413,11 +415,9 @@ def _mixed_operators(spec: InvariantSubspaceSpec, n: int):
     """Yield ("range", V) for the derived Phi and ("kernel", W) for the derived Psi."""
     phi, psi = _derived_phi(spec), _derived_psi(spec)
     if phi is not None:
-        a, b, c, d = split_square_blocks(phi, spec.dim_e, spec.dim_f)
-        yield "range", build_range_operator(a, b, c, d, n)
+        yield "range", build_range_operator(phi, spec.dim_e, n)
     if psi is not None:
-        c, d, a, b = split_square_blocks(psi, spec.dim_e, spec.dim_f)
-        yield "kernel", build_kernel_operator(c, d, a, b, n)
+        yield "kernel", build_kernel_operator(psi, spec.dim_e, n)
 
 
 def _check_twocond(sc: Scenario, n: int, target) -> list[Record]:
@@ -442,8 +442,7 @@ def _check_range_rep(sc: Scenario, n: int, target) -> list[Record]:
 
 
 def _check_splitting(sc: Scenario, n: int, target) -> list[Record]:
-    tl, tr, bl, br = split_square_blocks(_derived_phi(sc.spec), 1, 1)
-    result = splitting_check_scalar(tl, tr, bl.conj_arg(), br.conj_arg(), sc.tol)
+    result = splitting_check_scalar(_derived_phi(sc.spec), sc.tol)
     expected = sc.expect.get("splitting", False)
     ok = result.splitting == expected
     return [Record(sc.name, "splitting", n, 0.0 if ok else 1.0, ok,
@@ -451,7 +450,7 @@ def _check_splitting(sc: Scenario, n: int, target) -> list[Record]:
 
 
 def _check_intertwining(sc: Scenario, n: int, target) -> list[Record]:
-    resid = {kind: intertwining_residual(op, kind, n)
+    resid = {kind: intertwining_residual(op, kind)
              for kind, op in _mixed_operators(sc.spec, n)}
     worst = max(resid.values(), default=0.0)
     return [Record(sc.name, "intertwining", n, worst, worst <= max(sc.tol, 1e-10),
@@ -459,9 +458,8 @@ def _check_intertwining(sc: Scenario, n: int, target) -> list[Record]:
 
 
 def _check_nehari(sc: Scenario, n: int, target) -> list[Record]:
-    a, b, c, d = split_square_blocks(_derived_phi(sc.spec), sc.spec.dim_e, sc.spec.dim_f)
-    bracket = nehari_bounds(a, b, c, d, list(sc.n_list),
-                            list(sc.nehari_candidates) or None)
+    bracket = nehari_bounds(_derived_phi(sc.spec), sc.spec.dim_e, sc.n_list,
+                            sc.nehari_candidates)
     lows = [lo for _, lo in bracket.lower_bounds]
     monotone = all(x <= y + 1e-12 for x, y in zip(lows, lows[1:]))
     violation = max(0.0, max(lows) - min(bracket.upper_bounds)) \

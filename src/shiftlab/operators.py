@@ -10,12 +10,19 @@ Basis ordering is degree-major, fiber-minor throughout: the coordinate
 of degree k, fiber i sits at flat index (k - deg_lo) * fiber_dim + i.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import singular_values, spectral_norm
-from .symbols import LaurentSymbol, unit_circle_points
+from .symbols import (
+    LaurentSymbol,
+    block_symbol,
+    split_square_blocks,
+    unit_circle_points,
+    zero_symbol,
+)
 
 HARDY = "hardy"
 LEBESGUE = "lebesgue"
@@ -149,10 +156,9 @@ class OperatorMatrix:
                 f"({self.codomain.dim}, {self.domain.dim})"
             )
 
-    def window_columns(self, w: int | None = None) -> np.ndarray:
-        """Submatrix keeping only domain columns inside the window."""
-        w = self.exact_window if w is None else w
-        return self.entries[:, self.domain.window_indices(w)]
+    def window_columns(self) -> np.ndarray:
+        """Submatrix keeping only domain columns inside the exactness window."""
+        return self.entries[:, self.domain.window_indices(self.exact_window)]
 
 
 def _hardy_pair(sym: LaurentSymbol, n: int) -> tuple[ProductSpace, ProductSpace]:
@@ -263,85 +269,44 @@ def _require_analytic(sym: LaurentSymbol, name: str) -> None:
         )
 
 
-def _block_shapes(top_left, top_right, bot_left, bot_right):
-    dim_e = top_left.rows
-    dim_f = bot_right.rows
-    expected = {
-        "top-left": (dim_e, dim_e), "top-right": (dim_e, dim_f),
-        "bottom-left": (dim_f, dim_e), "bottom-right": (dim_f, dim_f),
-    }
-    got = {
-        "top-left": top_left.shape, "top-right": top_right.shape,
-        "bottom-left": bot_left.shape, "bottom-right": bot_right.shape,
-    }
-    for key in expected:
-        if got[key] != expected[key]:
-            raise ValueError(
-                f"{key} block has shape {got[key]}, expected {expected[key]}"
-            )
-    return dim_e, dim_f
+def _mixed_operator(blocks) -> OperatorMatrix:
+    """The 2x2 grid of truncated blocks as one operator on paired Hardy
+    windows, exact where every block is."""
+    space = ProductSpace.of(*(row[0].codomain.parts[0] for row in blocks))
+    ent = np.vstack([np.hstack([b.entries for b in row]) for row in blocks])
+    window = min(b.exact_window for row in blocks for b in row)
+    return OperatorMatrix(space, space, ent, window)
 
 
-def _mixed_space(dim_e: int, dim_f: int, n: int) -> ProductSpace:
-    return ProductSpace.of(TruncatedSpace.hardy(dim_e, n),
-                           TruncatedSpace.hardy(dim_f, n))
+def build_range_operator(phi: LaurentSymbol, dim_e: int, n: int) -> OperatorMatrix:
+    """Mixed block operator [T_A, T_B; H_C, H_D] of phi = [A, B; C, D] on
+    paired Hardy windows, dim E = dim_e.
 
-
-def _assemble(blocks) -> np.ndarray:
-    return np.vstack([np.hstack([b.entries for b in row]) for row in blocks])
-
-
-def build_range_operator(a: LaurentSymbol, b: LaurentSymbol, c: LaurentSymbol,
-                         d: LaurentSymbol, n: int) -> OperatorMatrix:
-    """Mixed block operator [T_a, T_b; H_c, H_d] on paired Hardy windows.
-
-    Block roles: a maps the first fiber to itself and b the second fiber
-    into the first (both must be analytic); c and d feed the Hankel row
-    and may have any band.  Ranges of these operators realize invariant
-    subspaces of the forward-plus-backward shift.
+    The top row maps into the first fiber and must be analytic; the bottom
+    row feeds the Hankel row and may have any band.  Ranges of these
+    operators realize invariant subspaces of the forward-plus-backward shift.
     """
-    dim_e, dim_f = _block_shapes(a, b, c, d)
+    a, b, c, d = split_square_blocks(phi, dim_e)
     _require_analytic(a, "A")
     _require_analytic(b, "B")
-    dom = cod = _mixed_space(dim_e, dim_f, n)
-    t_a, t_b = toeplitz_op(a, n), toeplitz_op(b, n)
-    h_c, h_d = hankel_op(c, n), hankel_op(d, n)
-    ent = _assemble([[t_a, t_b], [h_c, h_d]])
-    window = min(t_a.exact_window, t_b.exact_window,
-                 h_c.exact_window, h_d.exact_window)
-    return OperatorMatrix(dom, cod, ent, window)
+    return _mixed_operator([[toeplitz_op(a, n), toeplitz_op(b, n)],
+                            [hankel_op(c, n), hankel_op(d, n)]])
 
 
-def build_kernel_operator(c: LaurentSymbol, d: LaurentSymbol, a: LaurentSymbol,
-                          b: LaurentSymbol, n: int) -> OperatorMatrix:
-    """Mixed block operator [H_c*, T_a*; H_d*, T_b*] on paired Hardy windows.
+def build_kernel_operator(psi: LaurentSymbol, dim_e: int, n: int) -> OperatorMatrix:
+    """Mixed block operator [H_C*, T_A*; H_D*, T_B*] of psi = [C, D; A, B] on
+    paired Hardy windows, dim E = dim_e: the adjoint of [H_C, H_D; T_A, T_B].
 
-    Block roles mirror the square symbol [c, d; a, b] acting on the two
-    fibers: a and b must be analytic.  Kernels of these operators realize
+    The bottom row must be analytic.  Kernels of these operators realize
     invariant subspaces of the forward-plus-backward shift.
     """
-    dim_e = c.rows
-    dim_f = b.rows
-    expected = {
-        "C": ((dim_e, dim_e), c), "D": ((dim_e, dim_f), d),
-        "A": ((dim_f, dim_e), a), "B": ((dim_f, dim_f), b),
-    }
-    for name, (shape, blk) in expected.items():
-        if blk.shape != shape:
-            raise ValueError(f"block {name} has shape {blk.shape}, expected {shape}")
+    c, d, a, b = split_square_blocks(psi, dim_e)
     _require_analytic(a, "A")
     _require_analytic(b, "B")
-    dom = cod = _mixed_space(dim_e, dim_f, n)
     # H_S^* equals the Hankel matrix of the symbol with each coefficient
     # conjugate-transposed in place; T_S^* is the Toeplitz matrix of S^*.
-    h_c_adj = hankel_op(c.entry_conj(), n)
-    h_d_adj = hankel_op(d.entry_conj(), n)
-    t_a_adj = toeplitz_op(a.adjoint(), n)
-    t_b_adj = toeplitz_op(b.adjoint(), n)
-    ent = _assemble([[h_c_adj, t_a_adj], [h_d_adj, t_b_adj]])
-    window = min(h_c_adj.exact_window, h_d_adj.exact_window,
-                 t_a_adj.exact_window, t_b_adj.exact_window)
-    return OperatorMatrix(dom, cod, ent, window)
+    return _mixed_operator([[hankel_op(c.entry_conj(), n), toeplitz_op(a.adjoint(), n)],
+                            [hankel_op(d.entry_conj(), n), toeplitz_op(b.adjoint(), n)]])
 
 
 def _binary_singular_values(m: np.ndarray, tol: float) -> bool:
@@ -371,7 +336,7 @@ def svd_analysis(op: OperatorMatrix, tol: float = 1e-8) -> bool:
             or _binary_singular_values(op.window_columns(), tol))
 
 
-def intertwining_residual(op: OperatorMatrix, kind: str, n: int) -> float:
+def intertwining_residual(op: OperatorMatrix, kind: str) -> float:
     """Residual of the shift intertwining identity on the exact window.
 
     kind "range":  || X V - V Y ||  with X = fwd (+) bwd, Y = fwd (+) fwd;
@@ -381,9 +346,8 @@ def intertwining_residual(op: OperatorMatrix, kind: str, n: int) -> float:
     """
     if kind not in ("range", "kernel"):
         raise ValueError(f"unknown intertwining kind {kind!r}")
-    if op.domain.parts[0].deg_hi != n or op.codomain.parts[0].deg_hi != n:
-        raise ValueError("operator truncation does not match n")
     v, space = op.entries, op.domain
+    n = space.parts[0].deg_hi
     # a product V Y with a shift Y on the right is (Y^T V^T)^T, and the
     # transpose of a forward shift is the backward one
     if kind == "range":
@@ -406,40 +370,36 @@ class NehariBracket:
     upper_bounds: list[float]
 
 
-def nehari_bounds(a: LaurentSymbol, b: LaurentSymbol, c: LaurentSymbol,
-                  d: LaurentSymbol, n_list: list[int],
-                  candidate_completions: list[tuple[LaurentSymbol, LaurentSymbol]] | None = None
+def nehari_bounds(phi: LaurentSymbol, dim_e: int, n_list: Sequence[int],
+                  candidates: Sequence[tuple[LaurentSymbol, LaurentSymbol]]
                   ) -> NehariBracket:
-    """Bracket the distance-type norm of the mixed range operator.
+    """Bracket the distance-type norm of the mixed range operator of phi.
 
     Lower bounds: the window-compressed spectral norm of the truncated
     operator, nondecreasing along the truncation sweep.  Upper bounds:
     for each analytic candidate pair (L1, L2), the sampled sup-norm of
-    [a, b; c - L1, d - L2] over the circle, since subtracting analytic
-    symbols from the Hankel row does not change the operator.
+    phi - [0, 0; L1, L2] over the circle, since subtracting analytic
+    symbols from the Hankel row does not change the operator.  The sample
+    count follows the widest block band, not the band of the whole symbol.
     """
     if list(n_list) != sorted(n_list):
         raise ValueError("n_list must be ascending")
     lower = []
     for n in n_list:
-        op = build_range_operator(a, b, c, d, n)
+        op = build_range_operator(phi, dim_e, n)
         lower.append((n, spectral_norm(op.window_columns())))
     upper = []
-    candidates = candidate_completions or []
+    dim_f = phi.rows - dim_e
     for l1, l2 in candidates:
         _require_analytic(l1, "L1")
         _require_analytic(l2, "L2")
-        if l1.shape != c.shape or l2.shape != d.shape:
+        if l1.shape != (dim_f, dim_e) or l2.shape != (dim_f, dim_f):
             raise ValueError("candidate completion shapes must match C and D")
-        c_mod = c - l1
-        d_mod = d - l2
-        band = max(s.bandwidth for s in (a, b, c_mod, d_mod))
+        completed = phi - block_symbol([[zero_symbol(dim_e, dim_e), zero_symbol(dim_e, dim_f)],
+                                        [l1, l2]])
+        band = max(s.bandwidth for s in split_square_blocks(completed, dim_e))
         sup = 0.0
         for z in unit_circle_points(4 * band + 1):
-            full = np.block([
-                [a.eval_at(z), b.eval_at(z)],
-                [c_mod.eval_at(z), d_mod.eval_at(z)],
-            ])
-            sup = max(sup, spectral_norm(full))
+            sup = max(sup, spectral_norm(completed.eval_at(z)))
         upper.append(sup)
     return NehariBracket(lower, upper)

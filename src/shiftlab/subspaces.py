@@ -46,7 +46,8 @@ from .symbols import (
     constant_symbol,
     monomial_symbol,
     rank_profile,
-    submatrix,
+    split_fiber_rows,
+    split_square_blocks,
     symbol_mul,
     zero_symbol,
 )
@@ -193,13 +194,6 @@ def default_window(spec: InvariantSubspaceSpec, n: int) -> int:
     return n - band
 
 
-def _u_blocks(spec: InvariantSubspaceSpec):
-    u = spec.u
-    u_e = submatrix(u, range(spec.dim_e), range(u.cols))
-    u_f = submatrix(u, range(spec.dim_e, spec.dim_e + spec.dim_f), range(u.cols))
-    return u_e, u_f
-
-
 def twocond_check(spec: InvariantSubspaceSpec,
                   tol: float = DEFAULT_ANGLE_TOL) -> VerificationReport:
     """Admissibility of the bilateral data (or of the representation symbols).
@@ -221,7 +215,7 @@ def twocond_check(spec: InvariantSubspaceSpec,
                 "u_isometry", cls.residual,
                 cls.kind in (IsometryKind.ISOMETRY, IsometryKind.UNITARY),
                 detail=cls.kind.value))
-            u_e, u_f = _u_blocks(spec)
+            u_e, u_f = split_fiber_rows(spec.u, spec.dim_e)
             r_f = u_f.anti_analytic_weight()
             checks.append(CheckResult("u_f_analytic", r_f, r_f <= tol))
             # stored coefficients of index >= 2, however sparse the degrees
@@ -239,13 +233,9 @@ def twocond_check(spec: InvariantSubspaceSpec,
                 detail=f"expected rank {expected_rank} with no U present"))
         if spec.omega is not None:
             omega_full = spec.omega_full()
-            into_e = 0.0
-            f_rows = submatrix(omega_full,
-                               range(spec.dim_e, spec.dim_e + spec.dim_f),
-                               range(omega_full.cols))
-            into_e = f_rows.max_abs_coeff()
+            omega_e, omega_f = split_fiber_rows(omega_full, spec.dim_e)
+            into_e = omega_f.max_abs_coeff()
             checks.append(CheckResult("omega_into_e", into_e, into_e <= tol))
-            omega_e = submatrix(omega_full, range(spec.dim_e), range(omega_full.cols))
             ocls = classify_isometry(omega_e)
             checks.append(CheckResult(
                 "omega_isometry", ocls.residual,
@@ -266,13 +256,8 @@ def twocond_check(spec: InvariantSubspaceSpec,
 def _representation_symbol_checks(sym, spec, kernel, tol):
     checks = []
     label = "psi" if kernel else "phi"
-    if kernel:
-        a = submatrix(sym, range(spec.dim_e, spec.dim_e + spec.dim_f), range(spec.dim_e))
-        b = submatrix(sym, range(spec.dim_e, spec.dim_e + spec.dim_f),
-                      range(spec.dim_e, spec.dim_e + spec.dim_f))
-    else:
-        a = submatrix(sym, range(spec.dim_e), range(spec.dim_e))
-        b = submatrix(sym, range(spec.dim_e), range(spec.dim_e, spec.dim_e + spec.dim_f))
+    blocks = split_square_blocks(sym, spec.dim_e)
+    a, b = blocks[2:] if kernel else blocks[:2]
     weight = max(a.anti_analytic_weight(), b.anti_analytic_weight())
     checks.append(CheckResult(f"{label}_analytic_blocks", weight, weight <= tol))
     cls = classify_isometry(sym)
@@ -332,8 +317,7 @@ def _generators(sym: LaurentSymbol, dim_e: int, k_lo: int, k_hi: int,
     first-fiber rows at degrees [-n, n] over second-fiber rows at [0, n]."""
     if n < max(abs(sym.kmin), abs(sym.kmax)):
         raise ValueError(f"symbol band [{sym.kmin}, {sym.kmax}] exceeds truncation {n}")
-    s_e = submatrix(sym, range(dim_e), range(sym.cols))
-    s_f = submatrix(sym, range(dim_e, sym.rows), range(sym.cols))
+    s_e, s_f = split_fiber_rows(sym, dim_e)
     if not s_f.is_zero() and k_lo + s_f.kmin < 0:
         raise ValueError(
             "second-fiber generator content at negative degree "
@@ -411,16 +395,6 @@ def invariance_check(basis: SubspaceBasis) -> float:
     return shift_invariance_residual(basis, ("forward", "backward"))
 
 
-def split_square_blocks(sym: LaurentSymbol, dim_e: int, dim_f: int):
-    """Blocks (top-left, top-right, bottom-left, bottom-right) of a square symbol."""
-    e_rows = range(dim_e)
-    f_rows = range(dim_e, dim_e + dim_f)
-    e_cols = range(dim_e)
-    f_cols = range(dim_e, dim_e + dim_f)
-    return (submatrix(sym, e_rows, e_cols), submatrix(sym, e_rows, f_cols),
-            submatrix(sym, f_rows, e_cols), submatrix(sym, f_rows, f_cols))
-
-
 def kernel_symbol_from_u(u: LaurentSymbol, dim_e: int, dim_f: int) -> LaurentSymbol:
     """Square mixed symbol whose kernel operator annihilates the subspace of U.
 
@@ -428,8 +402,7 @@ def kernel_symbol_from_u(u: LaurentSymbol, dim_e: int, dim_f: int) -> LaurentSym
     and pads with zero columns up to the full fiber dimension.
     """
     dpf = dim_e + dim_f
-    u_e = submatrix(u, range(dim_e), range(u.cols))
-    u_f = submatrix(u, range(dim_e, dpf), range(u.cols))
+    u_e, u_f = split_fiber_rows(u, dim_e)
     top = symbol_mul(monomial_symbol(-1, np.eye(dim_e)), u_e)
     rect = block_symbol([[top], [u_f]])
     if u.cols == dpf:
@@ -443,9 +416,8 @@ def range_symbol_from_u(u: LaurentSymbol, dim_e: int, dim_f: int) -> LaurentSymb
     return kernel_symbol_from_u(u, dim_e, dim_f).conj_arg()
 
 
-def _operator_truncation(blocks, w: int, n: int) -> int:
-    depth = max(max(0, -blk.kmin) for blk in blocks)
-    height = max(max(0, blk.kmax) for blk in blocks)
+def _operator_truncation(sym: LaurentSymbol, w: int, n: int) -> int:
+    depth, height = max(0, -sym.kmin), max(0, sym.kmax)
     return max(n, w + height, depth, height)
 
 
@@ -456,9 +428,7 @@ def kernel_subspace(psi: LaurentSymbol, dim_e: int, dim_f: int, n: int,
     The operator is built at a truncation deep enough to make the window
     columns exact even when the symbol has a deep anti-analytic band.
     """
-    c, d, a, b = split_square_blocks(psi, dim_e, dim_f)
-    n_op = _operator_truncation((c, d, a, b), window, n)
-    w_op = build_kernel_operator(c, d, a, b, n_op)
+    w_op = build_kernel_operator(psi, dim_e, _operator_truncation(psi, window, n))
     cols = w_op.domain.window_indices(window)
     kernel = nullspace(w_op.entries[:, cols])
     return SubspaceBasis(analytic_ambient(dim_e, dim_f, window), kernel, window=window)
@@ -474,12 +444,8 @@ def range_window_basis(phi: LaurentSymbol, dim_e: int, dim_f: int, n: int,
     input degree, keeps range elements whose high-degree input content
     cancels in the image.
     """
-    a, b, c, d = split_square_blocks(phi, dim_e, dim_f)
-    n_op = _operator_truncation((a, b, c, d), window, n)
-    v_op = build_range_operator(a, b, c, d, n_op)
-    growth = max(0, a.kmax, b.kmax)
-    image = v_op.window_columns(n_op - growth)
-    basis = image_within(image, v_op.codomain.window_indices(window))
+    v_op = build_range_operator(phi, dim_e, _operator_truncation(phi, window, n))
+    basis = image_within(v_op.window_columns(), v_op.codomain.window_indices(window))
     return SubspaceBasis(analytic_ambient(dim_e, dim_f, window), basis, window=window)
 
 
@@ -581,35 +547,30 @@ class SplittingResult:
     coefficient_rank: int
 
 
-def splitting_check_scalar(a: LaurentSymbol, b: LaurentSymbol, c: LaurentSymbol,
-                           d: LaurentSymbol,
+def splitting_check_scalar(phi: LaurentSymbol,
                            tol: float = DEFAULT_ANGLE_TOL) -> SplittingResult:
     """Scalar splitting test: do the two analytic top entries line up?
 
-    The four scalars assemble into the square symbol [[a(z), b(z)],
-    [c(zbar), d(zbar)]], which must be unitary-valued.  The subspace it
+    phi is the 2x2 square symbol [[a(z), b(z)], [c(zbar), d(zbar)]] with
+    a, b, c and d analytic, and must be unitary-valued.  The subspace it
     represents splits exactly when the coefficient vectors of a and b are
     linearly dependent, that is, when the stack of their coefficients
     has rank <= 1 at the relative cutoff tol; the witness is the
     dependence vector, from the same factorisation as the rank.
     """
-    for name, s in (("a", a), ("b", b), ("c", c), ("d", d)):
-        if s.shape != (1, 1):
-            raise ValueError(f"entry {name} must be scalar, got {s.shape}")
+    if phi.shape != (2, 2):
+        raise ValueError(f"symbol must be 2x2, got {phi.shape}")
+    a, b, c, d = split_square_blocks(phi, 1)
+    for name, s in (("a", a), ("b", b), ("c", c.conj_arg()), ("d", d.conj_arg())):
         if not s.is_analytic():
             raise ValueError(f"entry {name} must be analytic")
-    full = block_symbol([[a, b], [c.conj_arg(), d.conj_arg()]])
-    cls = classify_isometry(full)
+    cls = classify_isometry(phi)
     if cls.kind is not IsometryKind.UNITARY:
         raise ValueError(
             f"assembled symbol is not unitary-valued (classified {cls.kind.value})")
-    kmin = min(a.kmin, b.kmin)
-    kmax = max(a.kmax, b.kmax)
-    stack = np.zeros((kmax - kmin + 1, 2), dtype=complex)
-    for k in range(kmin, kmax + 1):
-        stack[k - kmin, 0] = a.coeff(k)[0, 0]
-        stack[k - kmin, 1] = b.coeff(k)[0, 0]
-    kernel = nullspace(stack, tol)
+    # the top row's coefficients, one degree per row; nullspace drops the
+    # zero rows of degrees only the bottom row reaches
+    kernel = nullspace(phi.coeffs[:, 0, :], tol)
     rank = 2 - kernel.shape[1]
     if rank <= 1:
         # the last kernel column is the direction in which the stack is smallest

@@ -230,6 +230,24 @@ def submatrix(s: LaurentSymbol, row_idx, col_idx) -> LaurentSymbol:
     return _canonical(sub.shape[1], sub.shape[2], s.kmin, sub)
 
 
+def split_fiber_rows(s: LaurentSymbol, dim_e: int) -> tuple[LaurentSymbol, LaurentSymbol]:
+    """Rows (first fiber, second fiber) of a symbol into E (+) F, dim E = dim_e."""
+    if not 0 < dim_e < s.rows:
+        raise ValueError(f"first fiber dimension {dim_e} does not split {s.rows} rows")
+    cols = range(s.cols)
+    return submatrix(s, range(dim_e), cols), submatrix(s, range(dim_e, s.rows), cols)
+
+
+def split_square_blocks(s: LaurentSymbol, dim_e: int) -> tuple[LaurentSymbol, ...]:
+    """Blocks (top-left, top-right, bottom-left, bottom-right) of a square
+    symbol on E (+) F, dim E = dim_e."""
+    if s.rows != s.cols:
+        raise ValueError(f"symbol of shape {s.shape} is not square")
+    return tuple(submatrix(half, range(half.rows), cols)
+                 for half in split_fiber_rows(s, dim_e)
+                 for cols in (range(dim_e), range(dim_e, s.cols)))
+
+
 def block_symbol(grid) -> LaurentSymbol:
     """Assemble a symbol from a 2D grid of block symbols."""
     row_heights = [row[0].rows for row in grid]

@@ -42,7 +42,6 @@ from shiftlab.subspaces import (
     range_representation_check,
     range_symbol_from_u,
     range_window_basis,
-    split_square_blocks,
     splitting_check_scalar,
 )
 from shiftlab.symbols import (
@@ -106,12 +105,12 @@ def test_criterion_1_intertwining_identities():
     n = 16
     worst = 0.0
     for _ in range(50):
-        _, _, a, b, c, d = random_gamma_blocks(rng)
-        v = build_range_operator(a, b, c, d, n)
-        worst = max(worst, intertwining_residual(v, "range", n))
-        _, _, cc, dd, aa, bb = random_lambda_blocks(rng)
-        w = build_kernel_operator(cc, dd, aa, bb, n)
-        worst = max(worst, intertwining_residual(w, "kernel", n))
+        dim_e, _, a, b, c, d = random_gamma_blocks(rng)
+        v = build_range_operator(block_symbol([[a, b], [c, d]]), dim_e, n)
+        worst = max(worst, intertwining_residual(v, "range"))
+        dim_e, _, cc, dd, aa, bb = random_lambda_blocks(rng)
+        w = build_kernel_operator(block_symbol([[cc, dd], [aa, bb]]), dim_e, n)
+        worst = max(worst, intertwining_residual(w, "kernel"))
     report(1, worst <= 1e-10,
            f"50 randomized block symbols, worst intertwining residual {worst:.3e} "
            f"<= 1e-10 at n = {n}")
@@ -157,12 +156,10 @@ def test_criterion_3_partial_isometry_suite():
         psi = kernel_symbol_from_u(u, dim_e, dim_f)
         phi = psi.conj_arg()
         for n in (8, 16, 32):
-            cb, db, ab, bb = split_square_blocks(psi, dim_e, dim_f)
-            w_op = build_kernel_operator(cb, db, ab, bb, n)
+            w_op = build_kernel_operator(psi, dim_e, n)
             worst_w = max(worst_w, binary_deviation(w_op.window_columns()))
             if dim_e0 == dim_e + dim_f:
-                ag, bg, cg, dg = split_square_blocks(phi, dim_e, dim_f)
-                v_op = build_range_operator(ag, bg, cg, dg, n)
+                v_op = build_range_operator(phi, dim_e, n)
                 rows = v_op.codomain.window_indices(v_op.exact_window)
                 worst_v = max(worst_v, binary_deviation(v_op.entries[rows, :]))
                 w = min(w_op.exact_window, v_op.exact_window)
@@ -206,9 +203,8 @@ def test_criterion_5_scalar_nonsplitting_reproduction():
     d1 = principal_angle_distance(mixed.basis, ker.basis)
     d2 = principal_angle_distance(mixed.basis, rng_basis.basis)
     d3 = principal_angle_distance(ker.basis, rng_basis.basis)
-    a, b, c, d = split_square_blocks(phi, 1, 1)
-    split = splitting_check_scalar(a, b, c.conj_arg(), d.conj_arg())
-    v_flag = svd_analysis(build_range_operator(a, b, c, d, n))
+    split = splitting_check_scalar(phi)
+    v_flag = svd_analysis(build_range_operator(phi, 1, n))
     ok = max(d1, d2, d3) <= 1e-8 and not split.splitting and v_flag
     report(5, ok,
            f"triple agreement {max(d1, d2, d3):.3e} <= 1e-8, splitting flag "
@@ -243,13 +239,13 @@ def test_criterion_6_replicated_evaluation_examples():
 def test_criterion_7_norm_bracket():
     z11 = zero_symbol(1, 1)
     d = make_symbol(1, 1, {-1: [1]})
-    bracket = nehari_bounds(z11, z11, z11, d, [2, 4, 8],
+    bracket = nehari_bounds(block_symbol([[z11, z11], [z11, d]]), 1, [2, 4, 8],
                             [(z11, zero_symbol(1, 1))])
     lower_gap = max(abs(lo - 1.0) for _, lo in bracket.lower_bounds)
     upper_gap = abs(bracket.upper_bounds[0] - 1.0)
     d2 = make_symbol(1, 1, {-1: [2], 1: [1]})
     cand = (z11, make_symbol(1, 1, {1: [1]}))
-    bracket2 = nehari_bounds(z11, z11, z11, d2, [4, 8, 16], [cand])
+    bracket2 = nehari_bounds(block_symbol([[z11, z11], [z11, d2]]), 1, [4, 8, 16], [cand])
     low2 = abs(bracket2.lower_bounds[-1][1] - 2.0)
     up2 = abs(bracket2.upper_bounds[0] - 2.0)
     ok = (lower_gap <= 1e-10 and upper_gap <= 1e-10

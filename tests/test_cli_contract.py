@@ -5,10 +5,11 @@ with ``symbol_to_literal``.  Each example applies one mutation at one
 place in the JSON tree (drop a key, swap the JSON type, a non-finite
 number, a negative or huge integer, one more level of nesting, a
 duplicated list entry), optionally with a ``--n``/``--tol`` override,
-and runs it through ``cli.main`` in-process.  No exception may escape
-and each example must finish within the deadline.  The seeds sweep
-n <= 16 (a dropped n_list falls back to the default, up to 32), so a run
-that survives validation is cheap.
+and runs it through ``cli.main`` in-process, in text or structured
+format.  No exception may escape, each example must finish within the
+deadline, and structured output must be strict JSON, one object a line.
+The seeds sweep n <= 16 (a dropped n_list falls back to the default, up
+to 32), so a run that survives validation is cheap.
 """
 
 import contextlib
@@ -46,7 +47,7 @@ SEEDS = [json.loads(SAMPLE.read_text(encoding="utf-8"))] + [
 SWAPS = [None, True, "x", 0, 1, 2.5, [], {}, [1], {"k": 1}]
 NON_FINITE = [math.nan, math.inf, -math.inf]
 INTEGERS = [-1, -7, 2 ** 31, -(2 ** 31), 10 ** 12, 2 ** 53, 2 ** 63, -(10 ** 30)]
-N_OPTIONS = ["4,8", "8", "0", "-1", "8,8", "16,8", "8,x", "", "1000000000"]
+N_OPTIONS = ["1", "4,8", "8", "0", "-1", "8,8", "16,8", "8,x", "", "1000000000"]
 TOL_OPTIONS = ["1e-8", "0.5", "0", "-1", "nan", "inf", "abc"]
 
 
@@ -87,17 +88,22 @@ def scenario_path(tmp_path_factory):
     return tmp_path_factory.mktemp("contract") / "scenario.json"
 
 
-def run_main(argv: list[str]) -> tuple[int, str]:
+def run_main(argv: list[str]) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def reject_constant(name: str):
+    raise ValueError(f"{name} is not JSON (RFC 8259)")
 
 
 @pytest.mark.parametrize("index", range(len(SEEDS)))
 def test_seed_scenarios_pass(scenario_path, index):
     scenario_path.write_text(json.dumps(SEEDS[index]))
-    assert run_main(["verify", str(scenario_path)]) == (0, "")
+    code, _, err = run_main(["verify", str(scenario_path)])
+    assert (code, err) == (0, "")
 
 
 @settings(max_examples=200, deadline=2000)
@@ -110,7 +116,13 @@ def test_mutated_scenario_keeps_the_exit_contract(scenario_path, data):
         argv += ["--n", data.draw(st.sampled_from(N_OPTIONS))]
     if data.draw(st.booleans(), label="--tol"):
         argv += ["--tol", data.draw(st.sampled_from(TOL_OPTIONS))]
+    structured = data.draw(st.booleans(), label="--format structured")
+    if structured:
+        argv += ["--format", "structured"]
     scenario_path.write_text(json.dumps(payload))
-    code, err = run_main(argv)
+    code, out, err = run_main(argv)
     assert code in (0, 1, 2)
     assert (code == 2) == err.startswith("input error: ")
+    if structured and code != 2:
+        for line in out.splitlines():
+            json.loads(line, parse_constant=reject_constant)

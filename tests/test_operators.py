@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shiftlab.linalg import spectral_norm
@@ -19,16 +19,14 @@ from shiftlab.operators import (
     svd_analysis,
     toeplitz_op,
 )
-from shiftlab.subspaces import (
-    kernel_symbol_from_u,
-    range_symbol_from_u,
-    split_square_blocks,
-)
+from shiftlab.subspaces import kernel_symbol_from_u, range_symbol_from_u
 from shiftlab.symbols import (
+    block_symbol,
     constant_symbol,
     identity_symbol,
     make_symbol,
     monomial_symbol,
+    split_square_blocks,
     zero_symbol,
 )
 
@@ -51,21 +49,39 @@ def band_symbols(draw, rows, cols, analytic=False):
     return rand_symbol(rng, rows, cols, kmin, kmax)
 
 
-def timotin_range_blocks():
+@st.composite
+def mixed_symbols(draw, analytic_row):
+    """(square symbol, dim_e, n) from generic blocks, with the block row
+    analytic_row ("top" for the range form, "bottom" for the kernel form)
+    analytic and n at least that row's top degree."""
+    de, df = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    top = [draw(band_symbols(de, cols, analytic=analytic_row == "top")) for cols in (de, df)]
+    bottom = [draw(band_symbols(df, cols, analytic=analytic_row == "bottom"))
+              for cols in (de, df)]
+    n = draw(st.integers(max(s.kmax for s in (top if analytic_row == "top" else bottom)), 10))
+    return block_symbol([top, bottom]), de, n
+
+
+# one coefficient at k = -10: a Hankel matrix of it reaches deeper than its
+# bandwidth, so a tightness check must deepen by the anti-analytic depth
+ONE, DEEP = constant_symbol([[1.0]]), make_symbol(1, 1, {-10: [1]})
+
+
+def timotin_phi():
     a = constant_symbol([[RS2]])
     b = monomial_symbol(1, [[RS2]])
     c = monomial_symbol(-1, [[RS2]])
     d = constant_symbol([[-RS2]])
-    return a, b, c, d
+    return block_symbol([[a, b], [c, d]])
 
 
-def timotin_kernel_blocks():
+def timotin_psi():
     # square symbol evaluated at the conjugate argument of the one above
     c = constant_symbol([[RS2]])
     d = monomial_symbol(-1, [[RS2]])
     a = monomial_symbol(1, [[RS2]])
     b = constant_symbol([[-RS2]])
-    return c, d, a, b
+    return block_symbol([[c, d], [a, b]])
 
 
 class TestToeplitz:
@@ -145,27 +161,36 @@ class TestShiftOps:
 
 class TestMixedOperators:
     def test_zero_symbol_gives_zero_operator(self):
-        z11 = zero_symbol(1, 1)
-        w = build_kernel_operator(z11, z11, z11, z11, 4)
+        w = build_kernel_operator(zero_symbol(2, 2), 1, 4)
         assert not np.any(w.entries)
 
     def test_scalar_antianalytic_corner(self):
-        w = build_kernel_operator(
-            make_symbol(1, 1, {-1: [1]}), zero_symbol(1, 1),
-            zero_symbol(1, 1), zero_symbol(1, 1), 3)
+        w = build_kernel_operator(make_symbol(2, 2, {-1: [[1, 0], [0, 0]]}), 1, 3)
         expected = np.zeros((8, 8))
         expected[0, 0] = 1
         np.testing.assert_allclose(w.entries, expected)
 
     def test_kernel_operator_rejects_non_analytic_blocks(self):
-        z11 = zero_symbol(1, 1)
         with pytest.raises(ValueError, match="analytic"):
-            build_kernel_operator(z11, z11, make_symbol(1, 1, {-1: [1]}), z11, 4)
+            build_kernel_operator(make_symbol(2, 2, {-1: [[0, 0], [1, 0]]}), 1, 4)
 
     def test_range_operator_rejects_non_analytic_blocks(self):
-        z11 = zero_symbol(1, 1)
         with pytest.raises(ValueError, match="analytic"):
-            build_range_operator(make_symbol(1, 1, {-1: [1]}), z11, z11, z11, 4)
+            build_range_operator(make_symbol(2, 2, {-1: [[1, 0], [0, 0]]}), 1, 4)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=mixed_symbols("bottom"))
+    def test_kernel_operator_is_the_adjoint_of_hankel_over_toeplitz(self, case):
+        # [H_C*, T_A*; H_D*, T_B*] = [H_C, H_D; T_A, T_B]^H entry for entry,
+        # exact on the Hankel row's window (the analytic row loses nothing)
+        psi, de, n = case
+        c, d, a, b = split_square_blocks(psi, de)
+        w = build_kernel_operator(psi, de, n)
+        h_c, h_d = hankel_op(c, n), hankel_op(d, n)
+        forward = np.block([[h_c.entries, h_d.entries],
+                            [toeplitz_op(a, n).entries, toeplitz_op(b, n).entries]])
+        np.testing.assert_array_equal(w.entries, forward.conj().T)
+        assert w.exact_window == min(h_c.exact_window, h_d.exact_window)
 
     def test_replicated_evaluation_operator(self):
         # columns act as f |-> (f, f(0), f(0)) / sqrt(3) on the window
@@ -174,7 +199,7 @@ class TestMixedOperators:
         b = zero_symbol(1, 2)
         c = make_symbol(2, 1, {-1: [[r], [r]]})
         d = zero_symbol(2, 2)
-        v = build_range_operator(a, b, c, d, 4)
+        v = build_range_operator(block_symbol([[a, b], [c, d]]), 1, 4)
         n = 4
         f_off = v.codomain.part_slice(1).start
         for k in range(n + 1):
@@ -190,12 +215,12 @@ class TestMixedOperators:
     def test_analytic_only_bottom_rows_zero(self):
         a = constant_symbol([[1.0]])
         b = make_symbol(1, 1, {1: [1]})
-        v = build_range_operator(a, b, zero_symbol(1, 1), zero_symbol(1, 1), 4)
+        v = build_range_operator(block_symbol([[a, b], [zero_symbol(1, 1), zero_symbol(1, 1)]]), 1, 4)
         bottom = v.entries[v.codomain.part_slice(1), :]
         assert not np.any(bottom)
 
     def test_timotin_block_layout(self):
-        v = build_range_operator(*timotin_range_blocks(), 4)
+        v = build_range_operator(timotin_phi(), 1, 4)
         top_left = v.entries[v.codomain.part_slice(0), v.domain.part_slice(0)]
         bottom_left = v.entries[v.codomain.part_slice(1), v.domain.part_slice(0)]
         np.testing.assert_allclose(top_left, RS2 * np.eye(5))
@@ -231,33 +256,28 @@ class TestWindowTightness:
         self.check_tight(lambda m: toeplitz_op(s, m), n, s.bandwidth)
 
     @settings(max_examples=40, deadline=None)
-    @given(data=st.data(), rows=st.integers(1, 2), cols=st.integers(1, 2),
+    @given(s=st.tuples(st.integers(1, 2), st.integers(1, 2)).flatmap(
+               lambda shape: band_symbols(*shape)),
            n=st.integers(0, 8))
-    def test_hankel(self, data, rows, cols, n):
-        s = data.draw(band_symbols(rows, cols))
-        self.check_tight(lambda m: hankel_op(s, m), n, s.bandwidth)
+    @example(s=DEEP, n=0)
+    def test_hankel(self, s, n):
+        self.check_tight(lambda m: hankel_op(s, m), n, max(s.bandwidth, -s.kmin))
 
     @settings(max_examples=40, deadline=None)
-    @given(data=st.data(), de=st.integers(1, 2), df=st.integers(1, 2))
-    def test_range_operator(self, data, de, df):
-        a = data.draw(band_symbols(de, de, analytic=True))
-        b = data.draw(band_symbols(de, df, analytic=True))
-        c = data.draw(band_symbols(df, de))
-        d = data.draw(band_symbols(df, df))
-        n = data.draw(st.integers(max(a.kmax, b.kmax), 10))
-        band = max(s.bandwidth for s in (a, b, c, d))
-        self.check_tight(lambda m: build_range_operator(a, b, c, d, m), n, band)
+    @given(case=mixed_symbols("top"))
+    @example(case=(block_symbol([[ONE, ONE], [DEEP, DEEP]]), 1, 0))
+    def test_range_operator(self, case):
+        phi, de, n = case
+        self.check_tight(lambda m: build_range_operator(phi, de, m), n,
+                         max(phi.bandwidth, -phi.kmin))
 
     @settings(max_examples=40, deadline=None)
-    @given(data=st.data(), de=st.integers(1, 2), df=st.integers(1, 2))
-    def test_kernel_operator(self, data, de, df):
-        c = data.draw(band_symbols(de, de))
-        d = data.draw(band_symbols(de, df))
-        a = data.draw(band_symbols(df, de, analytic=True))
-        b = data.draw(band_symbols(df, df, analytic=True))
-        n = data.draw(st.integers(max(a.kmax, b.kmax), 10))
-        band = max(s.bandwidth for s in (a, b, c, d))
-        self.check_tight(lambda m: build_kernel_operator(c, d, a, b, m), n, band)
+    @given(case=mixed_symbols("bottom"))
+    @example(case=(block_symbol([[DEEP, DEEP], [ONE, ONE]]), 1, 0))
+    def test_kernel_operator(self, case):
+        psi, de, n = case
+        self.check_tight(lambda m: build_kernel_operator(psi, de, m), n,
+                         max(psi.bandwidth, -psi.kmin))
 
 
 def reference_flag(op, tol):
@@ -287,14 +307,16 @@ def flag_operators(draw):
         u, _, _ = inner_mixture(rng, de, df, draw(st.integers(de, de + df)))
         sym = kernel_symbol_from_u(u, de, df) if kernel_form \
             else range_symbol_from_u(u, de, df)
-        blocks = [scale * blk for blk in split_square_blocks(sym, de, df)]
+        sym = scale * sym
         n = draw(st.integers(2, 8))
     elif family == "tall":
         kernel_form = False
         df = draw(st.integers(1, 2))
         p = draw(st.integers(1, 3))
         a = make_symbol(2, 2, {0: [[0, 0], [RS2, 0]], p: [[RS2, 0], [0, 0]]})
-        blocks = [scale * a, zero_symbol(2, df), zero_symbol(df, 2), zero_symbol(df, df)]
+        de = 2
+        sym = block_symbol([[scale * a, zero_symbol(2, df)],
+                            [zero_symbol(df, 2), zero_symbol(df, df)]])
         n = draw(st.integers(p, 8))
     else:
         de, df = draw(st.integers(1, 2)), draw(st.integers(1, 2))
@@ -308,9 +330,10 @@ def flag_operators(draw):
                       draw(band_symbols(de, df, analytic=True)),
                       draw(band_symbols(df, de)), draw(band_symbols(df, df))]
             analytic = blocks[:2]
+        sym = block_symbol([blocks[:2], blocks[2:]])
         n = draw(st.integers(max(s.kmax for s in analytic), 10))
     build = build_kernel_operator if kernel_form else build_range_operator
-    return build(*blocks, n)
+    return build(sym, de, n)
 
 
 class TestSvdAnalysis:
@@ -325,8 +348,8 @@ class TestSvdAnalysis:
         assert svd_analysis(toeplitz_op(zero_symbol(2, 2), 3))
 
     def test_mixed_partial_isometries(self):
-        v = build_range_operator(*timotin_range_blocks(), 8)
-        w = build_kernel_operator(*timotin_kernel_blocks(), 8)
+        v = build_range_operator(timotin_phi(), 1, 8)
+        w = build_kernel_operator(timotin_psi(), 1, 8)
         assert svd_analysis(v)
         assert svd_analysis(w)
 
@@ -347,32 +370,29 @@ class TestIntertwining:
         for _ in range(5):
             de = int(rng.integers(1, 4))
             df = int(rng.integers(1, 4))
-            v = build_range_operator(
-                rand_symbol(rng, de, de, 0, 3), rand_symbol(rng, de, df, 0, 3),
-                rand_symbol(rng, df, de, -3, 3), rand_symbol(rng, df, df, -3, 3), 16)
-            assert intertwining_residual(v, "range", 16) <= 1e-10
-            w = build_kernel_operator(
-                rand_symbol(rng, de, de, -3, 3), rand_symbol(rng, de, df, -3, 3),
-                rand_symbol(rng, df, de, 0, 3), rand_symbol(rng, df, df, 0, 3), 16)
-            assert intertwining_residual(w, "kernel", 16) <= 1e-10
+            v = build_range_operator(block_symbol([
+                [rand_symbol(rng, de, de, 0, 3), rand_symbol(rng, de, df, 0, 3)],
+                [rand_symbol(rng, df, de, -3, 3), rand_symbol(rng, df, df, -3, 3)]]), de, 16)
+            assert intertwining_residual(v, "range") <= 1e-10
+            w = build_kernel_operator(block_symbol([
+                [rand_symbol(rng, de, de, -3, 3), rand_symbol(rng, de, df, -3, 3)],
+                [rand_symbol(rng, df, de, 0, 3), rand_symbol(rng, df, df, 0, 3)]]), de, 16)
+            assert intertwining_residual(w, "kernel") <= 1e-10
 
     def test_zero_symbol(self):
-        z11 = zero_symbol(1, 1)
-        v = build_range_operator(z11, z11, z11, z11, 6)
-        assert intertwining_residual(v, "range", 6) == 0
+        v = build_range_operator(zero_symbol(2, 2), 1, 6)
+        assert intertwining_residual(v, "range") == 0
 
     def test_degree_one_blocks_small_truncation(self):
-        v = build_range_operator(*timotin_range_blocks(), 8)
-        assert intertwining_residual(v, "range", 8) <= 1e-12
-        w = build_kernel_operator(*timotin_kernel_blocks(), 8)
-        assert intertwining_residual(w, "kernel", 8) <= 1e-12
+        v = build_range_operator(timotin_phi(), 1, 8)
+        assert intertwining_residual(v, "range") <= 1e-12
+        w = build_kernel_operator(timotin_psi(), 1, 8)
+        assert intertwining_residual(w, "kernel") <= 1e-12
 
     def test_window_empty_raises(self):
-        a = make_symbol(1, 1, {3: [1]})
-        v = build_range_operator(a, zero_symbol(1, 1), zero_symbol(1, 1),
-                                 zero_symbol(1, 1), 3)
+        v = build_range_operator(make_symbol(2, 2, {3: [[1, 0], [0, 0]]}), 1, 3)
         with pytest.raises(ValueError, match="window"):
-            intertwining_residual(v, "range", 3)
+            intertwining_residual(v, "range")
 
 
 class TestStructureCharacterizations:
@@ -456,14 +476,14 @@ class TestMixedIsometryIdentities:
 
 
 class TestNehari:
-    def _blocks_for_scalar_d(self, d):
+    def _phi_for_scalar_d(self, d):
         z11 = zero_symbol(1, 1)
-        return z11, z11, z11, d
+        return block_symbol([[z11, z11], [z11, d]])
 
     def test_rank_one_distance(self):
         d = make_symbol(1, 1, {-1: [1]})
-        blocks = self._blocks_for_scalar_d(d)
-        bracket = nehari_bounds(*blocks, [4, 8], [(zero_symbol(1, 1), zero_symbol(1, 1))])
+        phi = self._phi_for_scalar_d(d)
+        bracket = nehari_bounds(phi, 1, [4, 8], [(zero_symbol(1, 1), zero_symbol(1, 1))])
         for _, lo in bracket.lower_bounds:
             assert abs(lo - 1.0) <= 1e-10
         assert abs(bracket.upper_bounds[0] - 1.0) <= 1e-10
@@ -475,7 +495,7 @@ class TestNehari:
         b = zero_symbol(1, 1)
         c = make_symbol(1, 1, {0: [0.25]})
         d = make_symbol(1, 1, {1: [0.5]})
-        bracket = nehari_bounds(a, b, c, d, [4, 8, 16, 32], [(c, d)])
+        bracket = nehari_bounds(block_symbol([[a, b], [c, d]]), 1, [4, 8, 16, 32], [(c, d)])
         lows = [lo for _, lo in bracket.lower_bounds]
         assert all(x <= y + 1e-12 for x, y in zip(lows, lows[1:]))
         # with the analytic candidates the bottom row cancels, so the
@@ -490,19 +510,19 @@ class TestNehari:
 
     def test_hankel_ignores_analytic_part(self):
         d = make_symbol(1, 1, {-1: [2], 1: [1]})
-        blocks = self._blocks_for_scalar_d(d)
+        phi = self._phi_for_scalar_d(d)
         cand = (zero_symbol(1, 1), make_symbol(1, 1, {1: [1]}))
-        bracket = nehari_bounds(*blocks, [4, 8], [cand])
+        bracket = nehari_bounds(phi, 1, [4, 8], [cand])
         assert abs(bracket.lower_bounds[-1][1] - 2.0) <= 1e-8
         assert abs(bracket.upper_bounds[0] - 2.0) <= 1e-8
 
     def test_non_analytic_candidate_rejected(self):
         d = make_symbol(1, 1, {-1: [1]})
-        blocks = self._blocks_for_scalar_d(d)
+        phi = self._phi_for_scalar_d(d)
         with pytest.raises(ValueError, match="analytic"):
-            nehari_bounds(*blocks, [4], [(zero_symbol(1, 1), d)])
+            nehari_bounds(phi, 1, [4], [(zero_symbol(1, 1), d)])
 
     def test_unsorted_sweep_rejected(self):
         d = make_symbol(1, 1, {-1: [1]})
         with pytest.raises(ValueError, match="ascending"):
-            nehari_bounds(*self._blocks_for_scalar_d(d), [8, 4], None)
+            nehari_bounds(self._phi_for_scalar_d(d), 1, [8, 4], [])

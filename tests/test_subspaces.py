@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from shiftlab import cli, subspaces
-from shiftlab.linalg import column_space, nullspace, principal_angle_distance
+from shiftlab.linalg import column_space, image_within, nullspace, principal_angle_distance
 from shiftlab.operators import (
     SubspaceBasis,
     build_range_operator,
@@ -33,7 +33,6 @@ from shiftlab.subspaces import (
     range_symbol_from_u,
     range_window_basis,
     shift_invariance_residual,
-    split_square_blocks,
     splitting_check_scalar,
     twocond_check,
 )
@@ -305,8 +304,7 @@ class TestInvariance:
 
     def test_kernel_of_range_operator_forward_invariant(self):
         phi = range_symbol_from_u(timotin_u(), 1, 1)
-        a, b, c, d = split_square_blocks(phi, 1, 1)
-        v = build_range_operator(a, b, c, d, 12)
+        v = build_range_operator(phi, 1, 12)
         w = v.exact_window
         ker = nullspace(v.entries[:, v.domain.window_indices(w)])
         kb = SubspaceBasis(analytic_ambient(1, 1, w), ker, window=w)
@@ -382,6 +380,36 @@ class TestRangeRepresentation:
         rng = range_window_basis(phi, 1, 1, n, w)
         assert principal_angle_distance(ker.basis, rng.basis) <= 1e-10
 
+    @pytest.mark.parametrize("window", [0, 3, 9])
+    def test_image_is_the_operator_window(self, monkeypatch, window):
+        # the columns range_window_basis solves over are the operator's
+        # exactness window, which is the truncation less the growth of the
+        # analytic top row: the Hankel row is exact at the deepened truncation
+        from conftest import random_symbol
+        built, images = [], []
+
+        def recording_build(*args):
+            built.append(build_range_operator(*args))
+            return built[-1]
+
+        def recording_image_within(m, keep):
+            images.append(m)
+            return image_within(m, keep)
+
+        monkeypatch.setattr(subspaces, "build_range_operator", recording_build)
+        monkeypatch.setattr(subspaces, "image_within", recording_image_within)
+        rng = np.random.default_rng(40 + window)
+        for _ in range(20):
+            de, df = int(rng.integers(1, 3)), int(rng.integers(1, 3))
+            top = [random_symbol(rng, de, cols, 0, int(rng.integers(0, 4))) for cols in (de, df)]
+            bottom = [random_symbol(rng, df, cols, int(rng.integers(-6, 1)), int(rng.integers(0, 3)))
+                      for cols in (de, df)]
+            phi = block_symbol([top, bottom])
+            range_window_basis(phi, de, df, int(rng.integers(2, 12)), window)
+            v_op, growth = built[-1], max(0, top[0].kmax, top[1].kmax)
+            columns = v_op.domain.window_indices(v_op.domain.parts[0].deg_hi - growth)
+            np.testing.assert_array_equal(images[-1], v_op.entries[:, columns])
+
 
 class TestModelSpace:
     def test_scalar_power(self):
@@ -407,19 +435,24 @@ class TestModelSpace:
             model_space_basis(make_symbol(1, 1, {0: [2]}), 4)
 
 
+def scalar_phi(a, b, c, d):
+    """The square symbol [[a(z), b(z)], [c(zbar), d(zbar)]] of analytic scalars."""
+    return block_symbol([[a, b], [c.conj_arg(), d.conj_arg()]])
+
+
 class TestSplitting:
     def test_degree_separated_entries_do_not_split(self):
         a = constant_symbol([[RS2]])
         b = monomial_symbol(1, [[RS2]])
         c = monomial_symbol(1, [[RS2]])
         d = constant_symbol([[-RS2]])
-        res = splitting_check_scalar(a, b, c, d)
+        res = splitting_check_scalar(scalar_phi(a, b, c, d))
         assert not res.splitting and res.coefficient_rank == 2
 
     def test_zero_second_entry_splits(self):
-        res = splitting_check_scalar(
+        res = splitting_check_scalar(scalar_phi(
             identity_symbol(1), zero_symbol(1, 1),
-            zero_symbol(1, 1), monomial_symbol(1, [[1]]))
+            zero_symbol(1, 1), monomial_symbol(1, [[1]])))
         assert res.splitting
         np.testing.assert_allclose(np.abs(res.witness), [0, 1], atol=1e-12)
 
@@ -428,7 +461,7 @@ class TestSplitting:
         b = monomial_symbol(1, [[1j * RS2]])
         c = constant_symbol([[1j * RS2]])
         d = constant_symbol([[RS2]])
-        res = splitting_check_scalar(a, b, c, d)
+        res = splitting_check_scalar(scalar_phi(a, b, c, d))
         assert res.splitting
         # witness proportional to (i, -1)
         ratio = res.witness[0] / res.witness[1]
@@ -439,10 +472,10 @@ class TestSplitting:
         b = monomial_symbol(1, [[RS2]])
         c = monomial_symbol(1, [[RS2]])
         d = constant_symbol([[-RS2]])
-        base = splitting_check_scalar(a, b, c, d)
+        base = splitting_check_scalar(scalar_phi(a, b, c, d))
         u = np.exp(0.7j)
         # rotating the top row or the bottom row keeps unitarity and the verdict
-        res = splitting_check_scalar(u * a, u * b, c, d)
+        res = splitting_check_scalar(scalar_phi(u * a, u * b, c, d))
         assert res.splitting == base.splitting
         assert res.coefficient_rank == base.coefficient_rank
 
@@ -455,7 +488,7 @@ class TestSplitting:
         b = monomial_symbol(1, [[RS2]])
         c = monomial_symbol(1, [[RS2]])
         d = constant_symbol([[-RS2]])
-        res = splitting_check_scalar(a, b, c, d, tol)
+        res = splitting_check_scalar(scalar_phi(a, b, c, d), tol)
         assert res.coefficient_rank == rank and res.splitting == (rank <= 1)
         if res.splitting:
             assert np.linalg.norm(res.witness) == pytest.approx(1.0, abs=1e-15)
@@ -464,14 +497,14 @@ class TestSplitting:
         # a = 1/sqrt 2 and b = z^3/sqrt 2 leave two all-zero coefficient rows
         a = constant_symbol([[RS2]])
         b = monomial_symbol(3, [[RS2]])
-        res = splitting_check_scalar(a, b, monomial_symbol(3, [[RS2]]),
-                                     constant_symbol([[-RS2]]))
+        res = splitting_check_scalar(scalar_phi(a, b, monomial_symbol(3, [[RS2]]),
+                                                constant_symbol([[-RS2]])))
         assert not res.splitting and res.coefficient_rank == 2
 
     def test_non_unitary_rejected(self):
         with pytest.raises(ValueError, match="unitary"):
-            splitting_check_scalar(identity_symbol(1), identity_symbol(1),
-                                   zero_symbol(1, 1), zero_symbol(1, 1))
+            splitting_check_scalar(scalar_phi(identity_symbol(1), identity_symbol(1),
+                                              zero_symbol(1, 1), zero_symbol(1, 1)))
 
 
 class TestConstantUnitaryMatch:

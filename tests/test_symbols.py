@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from shiftlab.symbols import (
     IsometryKind,
     _left_gram,
+    block_symbol,
     classify_isometry,
     coeff_distance,
     constant_symbol,
@@ -16,6 +17,8 @@ from shiftlab.symbols import (
     make_symbol,
     monomial_symbol,
     rank_profile,
+    split_fiber_rows,
+    split_square_blocks,
     symbol_mul,
     unit_circle_points,
     zero_symbol,
@@ -73,6 +76,20 @@ class TestConstruction:
     def test_duplicate_index_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             make_symbol(1, 1, [(0, [1]), (0, [2])])
+
+    def test_square_blocks_reassemble(self):
+        rng = np.random.default_rng(8)
+        s = make_symbol(3, 3, {k: rng.standard_normal((3, 3)) for k in (-2, 0, 1)})
+        a, b, c, d = split_square_blocks(s, 1)
+        assert [blk.shape for blk in (a, b, c, d)] == [(1, 1), (1, 2), (2, 1), (2, 2)]
+        assert coeff_distance(block_symbol([[a, b], [c, d]]), s) == 0.0
+        top, bottom = split_fiber_rows(s, 1)
+        assert coeff_distance(block_symbol([[top], [bottom]]), s) == 0.0
+
+    @pytest.mark.parametrize("shape, dim_e", [((3, 2), 1), ((2, 2), 0), ((2, 2), 2)])
+    def test_split_rejects_a_layout_it_cannot_make(self, shape, dim_e):
+        with pytest.raises(ValueError, match="square|split"):
+            split_square_blocks(zero_symbol(*shape), dim_e)
 
 
 class TestAlgebra:
