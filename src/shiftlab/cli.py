@@ -21,10 +21,12 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .operators import (
+    OperatorMatrix,
     build_kernel_operator,
     build_range_operator,
     intertwining_residual,
     nehari_bounds,
+    nehari_lower_bound,
     svd_analysis,
 )
 from .subspaces import (
@@ -411,37 +413,43 @@ def _records_from_report(sc: Scenario, check: str, n: int,
     return [Record(sc.name, check, n, residual, rep.overall, window, detail)]
 
 
-def _mixed_operators(spec: InvariantSubspaceSpec, n: int):
-    """Yield ("range", V) for the derived Phi and ("kernel", W) for the derived Psi."""
-    phi, psi = _derived_phi(spec), _derived_psi(spec)
-    if phi is not None:
-        yield "range", build_range_operator(phi, spec.dim_e, n)
-    if psi is not None:
-        yield "kernel", build_kernel_operator(psi, spec.dim_e, n)
+def _operator_kinds(spec: InvariantSubspaceSpec) -> list[str]:
+    """The mixed operators the operator checks read, in build order: "range"
+    when Phi derives, then "kernel" when Psi does."""
+    return [kind for kind, sym in (("range", _derived_phi(spec)), ("kernel", _derived_psi(spec)))
+            if sym is not None]
 
 
-def _check_twocond(sc: Scenario, n: int, target) -> list[Record]:
+def _mixed_operator(sc: Scenario, n: int, kind: str) -> OperatorMatrix:
+    """The range operator of the derived Phi, or the kernel operator of the
+    derived Psi, at truncation n."""
+    if kind == "range":
+        return build_range_operator(_derived_phi(sc.spec), sc.spec.dim_e, n)
+    return build_kernel_operator(_derived_psi(sc.spec), sc.spec.dim_e, n)
+
+
+def _check_twocond(sc: Scenario, n: int, target, operator) -> list[Record]:
     return _records_from_report(sc, "twocond", n, twocond_check(sc.spec, sc.tol))
 
 
-def _check_invariance(sc: Scenario, n: int, target) -> list[Record]:
-    basis = target(n)
+def _check_invariance(sc: Scenario, n: int, target, operator) -> list[Record]:
+    basis = target()
     resid = invariance_check(basis)
     return [Record(sc.name, "invariance", n, resid, resid <= sc.tol, basis.window)]
 
 
-def _check_kernel_rep(sc: Scenario, n: int, target) -> list[Record]:
-    rep = kernel_representation_check(target(n), _derived_psi(sc.spec),
+def _check_kernel_rep(sc: Scenario, n: int, target, operator) -> list[Record]:
+    rep = kernel_representation_check(target(), _derived_psi(sc.spec),
                                       sc.spec.theta, n, sc.tol)
     return _records_from_report(sc, "kernel_rep", n, rep)
 
 
-def _check_range_rep(sc: Scenario, n: int, target) -> list[Record]:
-    rep = range_representation_check(target(n), _derived_phi(sc.spec), n, sc.tol)
+def _check_range_rep(sc: Scenario, n: int, target, operator) -> list[Record]:
+    rep = range_representation_check(target(), _derived_phi(sc.spec), n, sc.tol)
     return _records_from_report(sc, "range_rep", n, rep)
 
 
-def _check_splitting(sc: Scenario, n: int, target) -> list[Record]:
+def _check_splitting(sc: Scenario, n: int, target, operator) -> list[Record]:
     result = splitting_check_scalar(_derived_phi(sc.spec), sc.tol)
     expected = sc.expect.get("splitting", False)
     ok = result.splitting == expected
@@ -449,16 +457,21 @@ def _check_splitting(sc: Scenario, n: int, target) -> list[Record]:
                    detail=f"splitting={result.splitting} expected={expected}")]
 
 
-def _check_intertwining(sc: Scenario, n: int, target) -> list[Record]:
-    resid = {kind: intertwining_residual(op, kind)
-             for kind, op in _mixed_operators(sc.spec, n)}
+def _check_intertwining(sc: Scenario, n: int, target, operator) -> list[Record]:
+    resid = {kind: intertwining_residual(operator(kind), kind)
+             for kind in _operator_kinds(sc.spec)}
     worst = max(resid.values(), default=0.0)
     return [Record(sc.name, "intertwining", n, worst, worst <= max(sc.tol, 1e-10),
                    detail="; ".join(f"{kind}={_fmt(r)}" for kind, r in resid.items()))]
 
 
-def _check_nehari(sc: Scenario, n: int, target) -> list[Record]:
-    bracket = nehari_bounds(_derived_phi(sc.spec), sc.spec.dim_e, sc.n_list,
+def _check_nehari(sc: Scenario, n: int, target, operator, swept) -> list[Record]:
+    """Add the lower bound at n, from the shared range operator, to the run's
+    swept list; at the last n, bracket the sweep."""
+    swept.append((n, nehari_lower_bound(operator("range"))))
+    if n != sc.n_list[-1]:
+        return []
+    bracket = nehari_bounds(_derived_phi(sc.spec), sc.spec.dim_e, swept,
                             sc.nehari_candidates)
     lows = [lo for _, lo in bracket.lower_bounds]
     monotone = all(x <= y + 1e-12 for x, y in zip(lows, lows[1:]))
@@ -470,9 +483,9 @@ def _check_nehari(sc: Scenario, n: int, target) -> list[Record]:
     return [Record(sc.name, "nehari", n, violation, ok, detail=detail)]
 
 
-def _check_partial_isometry(sc: Scenario, n: int, target) -> list[Record]:
+def _check_partial_isometry(sc: Scenario, n: int, target, operator) -> list[Record]:
     expected = sc.expect.get("partial_isometry", True)
-    flags = {kind: svd_analysis(op, sc.tol) for kind, op in _mixed_operators(sc.spec, n)}
+    flags = {kind: svd_analysis(operator(kind), sc.tol) for kind in _operator_kinds(sc.spec)}
     ok = all(flags.values()) == expected
     parts = "; ".join(f"{kind}_op={flag}" for kind, flag in flags.items())
     return [Record(sc.name, "partial_isometry", n, 0.0 if ok else 1.0, ok,
@@ -492,26 +505,40 @@ _CHECKS = {
 CHECK_IDS = tuple(_CHECKS)
 
 
+# checks that read only the last n of the sweep
+_LAST_N_ONLY = {"twocond", "splitting"}
+
+
 def run(scenario: Scenario) -> Report:
     """Execute every requested check at every truncation in the sweep.
 
-    Checks comparing against the target subspace share one build per n,
-    made on first use and kept only for this call; a build that raises is
-    not kept, so each check records its own error.
+    The loop is n-major: at each n, every check that reads n runs in the
+    order listed.  The target subspace and each mixed operator ("range",
+    "kernel") are built at most once per n, on first use, shared by the
+    checks at that n and dropped when n moves on, so only one n's builds
+    are alive at a time; a build that raises is not kept, so each check
+    records its own error.  twocond and splitting run at the last n only.
+    nehari takes its lower bound at every n and records once, at the last
+    n; an error at an earlier n ends its sweep and becomes that record.
+    Records are emitted check-major, and nothing is kept across calls.
     """
-    records: list[Record] = []
-    target = lru_cache(maxsize=None)(partial(_target_subspace, scenario))
-    once_per_scenario = {"twocond", "splitting", "nehari"}
-    for check in scenario.checks:
-        n_values = (scenario.n_list[-1],) if check in once_per_scenario \
-            else scenario.n_list
-        for n in n_values:
+    last = scenario.n_list[-1]
+    checks = dict(_CHECKS, nehari=partial(_check_nehari, swept=[]))
+    records: dict[str, list[Record]] = {check: [] for check in scenario.checks}
+    for n in scenario.n_list:
+        target = lru_cache(maxsize=None)(partial(_target_subspace, scenario, n))
+        operator = lru_cache(maxsize=None)(partial(_mixed_operator, scenario, n))
+        for check in scenario.checks:
+            # a nehari record before the last n is the error that ended its sweep
+            if (check in _LAST_N_ONLY and n != last) or (check == "nehari" and records[check]):
+                continue
             try:
-                records.extend(_CHECKS[check](scenario, n, target))
+                records[check].extend(checks[check](scenario, n, target, operator))
             except (ValueError, KeyError) as exc:
-                records.append(Record(scenario.name, check, n, float("inf"),
-                                      False, detail=f"error: {exc}"))
-    return Report(records)
+                records[check].append(Record(scenario.name, check,
+                                             last if check == "nehari" else n, float("inf"),
+                                             False, detail=f"error: {exc}"))
+    return Report([r for check in scenario.checks for r in records[check]])
 
 
 def run_batch(scenarios: list[Scenario]) -> Report:

@@ -156,9 +156,17 @@ class OperatorMatrix:
                 f"({self.codomain.dim}, {self.domain.dim})"
             )
 
+    def window_rows(self) -> np.ndarray:
+        """Submatrix keeping only codomain rows inside the exactness window;
+        the matrix itself, not a copy, when the window keeps every row."""
+        rows = self.codomain.window_indices(self.exact_window)
+        return self.entries if rows.size == self.codomain.dim else self.entries[rows, :]
+
     def window_columns(self) -> np.ndarray:
-        """Submatrix keeping only domain columns inside the exactness window."""
-        return self.entries[:, self.domain.window_indices(self.exact_window)]
+        """Submatrix keeping only domain columns inside the exactness window;
+        the matrix itself, not a copy, when the window keeps every column."""
+        cols = self.domain.window_indices(self.exact_window)
+        return self.entries if cols.size == self.domain.dim else self.entries[:, cols]
 
 
 def _hardy_pair(sym: LaurentSymbol, n: int) -> tuple[ProductSpace, ProductSpace]:
@@ -168,31 +176,39 @@ def _hardy_pair(sym: LaurentSymbol, n: int) -> tuple[ProductSpace, ProductSpace]
 
 
 def multiplication_matrix(sym: LaurentSymbol, in_lo: int, in_hi: int,
-                          out_lo: int, out_hi: int) -> np.ndarray:
+                          out_lo: int, out_hi: int,
+                          out: np.ndarray | None = None) -> np.ndarray:
     """Dense matrix of h |-> S h from input degrees [in_lo, in_hi] to output
     degrees [out_lo, out_hi]; output degrees outside that range are dropped.
 
     Degree block (j, i) is the coefficient of z**(j-i).  Toeplitz and
     Hankel truncations and the bilateral generators are all slices of it.
+    The entries go into ``out`` when given: a zeroed array, possibly a
+    strided view into a larger matrix, that reshapes without a copy to
+    (output degree, output fiber, input degree, input fiber).  That array
+    is returned.
     """
     r, c = sym.rows, sym.cols
     n_out, n_in = out_hi - out_lo + 1, in_hi - in_lo + 1
-    ent = np.zeros((n_out, r, n_in, c), dtype=complex)
+    if out is None:
+        out = np.zeros((n_out * r, n_in * c), dtype=complex)
+    ent = out.reshape(n_out, r, n_in, c, copy=False)
     for k in range(sym.kmin, sym.kmax + 1):
         blk = sym.coeff(k)
         if not np.any(blk):
             continue
         i = np.arange(max(in_lo, out_lo - k), min(in_hi, out_hi - k) + 1)
         ent[i + k - out_lo, :, i - in_lo, :] = blk
-    return ent.reshape(n_out * r, n_in * c)
+    return out
 
 
-def toeplitz_op(sym: LaurentSymbol, n: int) -> OperatorMatrix:
+def toeplitz_op(sym: LaurentSymbol, n: int, out: np.ndarray | None = None) -> OperatorMatrix:
     """Truncation of h |-> P[S h] on degree-n Hardy windows.
 
     Degree block (j, i) of the matrix is the coefficient of z**(j-i).
     Exact window: n - max(kmax, 0), since the symbol raises degrees by
-    at most kmax.
+    at most kmax.  ``out``, when given, is a zeroed view that receives the
+    entries in place (see ``multiplication_matrix``).
     """
     if n < max(abs(sym.kmin), sym.kmax):
         raise ValueError(
@@ -200,12 +216,12 @@ def toeplitz_op(sym: LaurentSymbol, n: int) -> OperatorMatrix:
             f"[{sym.kmin}, {sym.kmax}]"
         )
     dom, cod = _hardy_pair(sym, n)
-    ent = multiplication_matrix(sym, 0, n, 0, n)
+    ent = multiplication_matrix(sym, 0, n, 0, n, out)
     window = n - max(sym.kmax, 0)
     return OperatorMatrix(dom, cod, ent, window)
 
 
-def hankel_op(sym: LaurentSymbol, n: int) -> OperatorMatrix:
+def hankel_op(sym: LaurentSymbol, n: int, out: np.ndarray | None = None) -> OperatorMatrix:
     """Truncation of h |-> PJ[S h], with J sending z**k to z**(-k-1).
 
     Degree block (j, i) is the coefficient of z**(-(j+i+1)), so only the
@@ -213,11 +229,14 @@ def hankel_op(sym: LaurentSymbol, n: int) -> OperatorMatrix:
     the scalar example S = zbar, whose matrix is E00 (h |-> h(0)).  When
     the anti-analytic band is deeper than n+1 the matrix is still formed
     (top-left corner of the infinite matrix) but no input is exact.
+    ``out``, when given, is a zeroed view that receives the entries in place.
     """
     dom, cod = _hardy_pair(sym, n)
-    # output degrees -n-1 .. -1 of S h, reversed blockwise by J
-    m = multiplication_matrix(sym, 0, n, -n - 1, -1)
-    ent = m.reshape(n + 1, sym.rows, -1)[::-1].reshape(m.shape)
+    ent = np.zeros((cod.dim, dom.dim), dtype=complex) if out is None else out
+    # output degrees -n-1 .. -1 of S h, written through a view that J
+    # reverses blockwise
+    multiplication_matrix(sym, 0, n, -n - 1, -1,
+                          ent.reshape(n + 1, sym.rows, -1, copy=False)[::-1])
     depth = max(0, -sym.kmin)
     window = n if depth <= n + 1 else -1
     return OperatorMatrix(dom, cod, ent, window)
@@ -269,13 +288,13 @@ def _require_analytic(sym: LaurentSymbol, name: str) -> None:
         )
 
 
-def _mixed_operator(blocks) -> OperatorMatrix:
-    """The 2x2 grid of truncated blocks as one operator on paired Hardy
-    windows, exact where every block is."""
-    space = ProductSpace.of(*(row[0].codomain.parts[0] for row in blocks))
-    ent = np.vstack([np.hstack([b.entries for b in row]) for row in blocks])
-    window = min(b.exact_window for row in blocks for b in row)
-    return OperatorMatrix(space, space, ent, window)
+def _paired_hardy(dim_e: int, dim_f: int, n: int):
+    """Paired Hardy windows of fibers dim_e and dim_f, one zeroed matrix on
+    them that the mixed builders write their blocks into, and the view of
+    its block (i, j)."""
+    space = ProductSpace.of(TruncatedSpace.hardy(dim_e, n), TruncatedSpace.hardy(dim_f, n))
+    ent = np.zeros((space.dim, space.dim), dtype=complex)
+    return space, ent, lambda i, j: ent[space.part_slice(i), space.part_slice(j)]
 
 
 def build_range_operator(phi: LaurentSymbol, dim_e: int, n: int) -> OperatorMatrix:
@@ -289,8 +308,10 @@ def build_range_operator(phi: LaurentSymbol, dim_e: int, n: int) -> OperatorMatr
     a, b, c, d = split_square_blocks(phi, dim_e)
     _require_analytic(a, "A")
     _require_analytic(b, "B")
-    return _mixed_operator([[toeplitz_op(a, n), toeplitz_op(b, n)],
-                            [hankel_op(c, n), hankel_op(d, n)]])
+    space, ent, block = _paired_hardy(dim_e, phi.rows - dim_e, n)
+    blocks = (toeplitz_op(a, n, block(0, 0)), toeplitz_op(b, n, block(0, 1)),
+              hankel_op(c, n, block(1, 0)), hankel_op(d, n, block(1, 1)))
+    return OperatorMatrix(space, space, ent, min(op.exact_window for op in blocks))
 
 
 def build_kernel_operator(psi: LaurentSymbol, dim_e: int, n: int) -> OperatorMatrix:
@@ -305,8 +326,10 @@ def build_kernel_operator(psi: LaurentSymbol, dim_e: int, n: int) -> OperatorMat
     _require_analytic(b, "B")
     # H_S^* equals the Hankel matrix of the symbol with each coefficient
     # conjugate-transposed in place; T_S^* is the Toeplitz matrix of S^*.
-    return _mixed_operator([[hankel_op(c.entry_conj(), n), toeplitz_op(a.adjoint(), n)],
-                            [hankel_op(d.entry_conj(), n), toeplitz_op(b.adjoint(), n)]])
+    space, ent, block = _paired_hardy(dim_e, psi.rows - dim_e, n)
+    blocks = (hankel_op(c.entry_conj(), n, block(0, 0)), toeplitz_op(a.adjoint(), n, block(0, 1)),
+              hankel_op(d.entry_conj(), n, block(1, 0)), toeplitz_op(b.adjoint(), n, block(1, 1)))
+    return OperatorMatrix(space, space, ent, min(op.exact_window for op in blocks))
 
 
 def _binary_singular_values(m: np.ndarray, tol: float) -> bool:
@@ -327,13 +350,16 @@ def svd_analysis(op: OperatorMatrix, tol: float = 1e-8) -> bool:
     one of the two compressions stays binary, so the flag is (codomain
     rows binary) or (domain columns binary).  The codomain side is tried
     first and decides every mixed operator of the demos; the domain side
-    is computed only when it does not.  An empty window certifies nothing.
+    is computed only when it does not, and only when it is a different
+    matrix: a window that keeps every row and every column (the kernel
+    operator's) compresses both sides to the whole matrix.  An empty
+    window certifies nothing.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    rows = op.codomain.window_indices(op.exact_window)
-    return (_binary_singular_values(op.entries[rows, :], tol)
-            or _binary_singular_values(op.window_columns(), tol))
+    rows, cols = op.window_rows(), op.window_columns()
+    return (_binary_singular_values(rows, tol)
+            or (cols is not rows and _binary_singular_values(cols, tol)))
 
 
 def intertwining_residual(op: OperatorMatrix, kind: str) -> float:
@@ -370,24 +396,29 @@ class NehariBracket:
     upper_bounds: list[float]
 
 
-def nehari_bounds(phi: LaurentSymbol, dim_e: int, n_list: Sequence[int],
+def nehari_lower_bound(op: OperatorMatrix) -> float:
+    """Window-compressed spectral norm of a truncated mixed range operator:
+    a lower bound for the norm of the untruncated operator."""
+    return spectral_norm(op.window_columns())
+
+
+def nehari_bounds(phi: LaurentSymbol, dim_e: int,
+                  lower_bounds: Sequence[tuple[int, float]],
                   candidates: Sequence[tuple[LaurentSymbol, LaurentSymbol]]
                   ) -> NehariBracket:
     """Bracket the distance-type norm of the mixed range operator of phi.
 
-    Lower bounds: the window-compressed spectral norm of the truncated
-    operator, nondecreasing along the truncation sweep.  Upper bounds:
-    for each analytic candidate pair (L1, L2), the sampled sup-norm of
-    phi - [0, 0; L1, L2] over the circle, since subtracting analytic
-    symbols from the Hankel row does not change the operator.  The sample
-    count follows the widest block band, not the band of the whole symbol.
+    Lower bounds: one (n, ``nehari_lower_bound``) pair per truncation of
+    the sweep, taken from the range operator of phi at n; a correct sweep
+    is nondecreasing.  Upper bounds: for each analytic candidate pair
+    (L1, L2), the sampled sup-norm of phi - [0, 0; L1, L2] over the
+    circle, since subtracting analytic symbols from the Hankel row does
+    not change the operator.  The sample count follows the widest block
+    band, not the band of the whole symbol.
     """
-    if list(n_list) != sorted(n_list):
+    n_list = [n for n, _ in lower_bounds]
+    if n_list != sorted(n_list):
         raise ValueError("n_list must be ascending")
-    lower = []
-    for n in n_list:
-        op = build_range_operator(phi, dim_e, n)
-        lower.append((n, spectral_norm(op.window_columns())))
     upper = []
     dim_f = phi.rows - dim_e
     for l1, l2 in candidates:
@@ -402,4 +433,4 @@ def nehari_bounds(phi: LaurentSymbol, dim_e: int, n_list: Sequence[int],
         for z in unit_circle_points(4 * band + 1):
             sup = max(sup, spectral_norm(completed.eval_at(z)))
         upper.append(sup)
-    return NehariBracket(lower, upper)
+    return NehariBracket(list(lower_bounds), upper)

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from shiftlab.operators import build_range_operator, nehari_lower_bound
 from shiftlab.symbols import LaurentSymbol, block_symbol, make_symbol, monomial_symbol
 
 
@@ -48,3 +49,9 @@ def inner_mixture(rng, dim_e, dim_f, dim_e0, max_exp=2):
     top = monomial_symbol(1, np.eye(dim_e)) @ a_prime.conj_arg()
     u = block_symbol([[top], [c_sym]])
     return u, a_prime, c_sym
+
+
+def swept_lower_bounds(phi, dim_e, n_list):
+    """nehari's (n, lower bound) pairs over a truncation sweep, each from the
+    range operator of phi at n, as ``cli.run`` collects them."""
+    return [(n, nehari_lower_bound(build_range_operator(phi, dim_e, n))) for n in n_list]

@@ -6,7 +6,7 @@ per-criterion lines; ``-s`` additionally shows the printed summaries).
 
 import numpy as np
 
-from conftest import haar_unitary, inner_mixture, random_symbol
+from conftest import haar_unitary, inner_mixture, random_symbol, swept_lower_bounds
 from shiftlab.cli import (
     demo,
     demo_subspace_specs,
@@ -239,13 +239,15 @@ def test_criterion_6_replicated_evaluation_examples():
 def test_criterion_7_norm_bracket():
     z11 = zero_symbol(1, 1)
     d = make_symbol(1, 1, {-1: [1]})
-    bracket = nehari_bounds(block_symbol([[z11, z11], [z11, d]]), 1, [2, 4, 8],
+    phi = block_symbol([[z11, z11], [z11, d]])
+    bracket = nehari_bounds(phi, 1, swept_lower_bounds(phi, 1, [2, 4, 8]),
                             [(z11, zero_symbol(1, 1))])
     lower_gap = max(abs(lo - 1.0) for _, lo in bracket.lower_bounds)
     upper_gap = abs(bracket.upper_bounds[0] - 1.0)
     d2 = make_symbol(1, 1, {-1: [2], 1: [1]})
     cand = (z11, make_symbol(1, 1, {1: [1]}))
-    bracket2 = nehari_bounds(block_symbol([[z11, z11], [z11, d2]]), 1, [4, 8, 16], [cand])
+    phi2 = block_symbol([[z11, z11], [z11, d2]])
+    bracket2 = nehari_bounds(phi2, 1, swept_lower_bounds(phi2, 1, [4, 8, 16]), [cand])
     low2 = abs(bracket2.lower_bounds[-1][1] - 2.0)
     up2 = abs(bracket2.upper_bounds[0] - 2.0)
     ok = (lower_gap <= 1e-10 and upper_gap <= 1e-10

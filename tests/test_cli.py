@@ -208,6 +208,62 @@ class TestParseScenario:
             parse_scenario(str(path))
 
 
+ZERO_CANDIDATE = {"L1": {"rows": 1, "cols": 1, "coeffs": []},
+                  "L2": {"rows": 1, "cols": 1, "coeffs": []}}
+# Scenarios whose operator builds fail at small n, with their text output
+# and their structured records as (check, n, pass, residual).  The kernel
+# operator of U = [1; z^3] / sqrt(2) needs n >= 3, and so does the range
+# operator of Phi = [z^3, 0; 0, zbar], whose nehari sweep error is recorded
+# at the last n.
+BUILD_ERROR_CASES = [
+    ({"name": "kernel-too-small",
+      "spec": {"variant": "type_i", "dimE": 1, "dimF": 1,
+               "U": {"rows": 2, "cols": 1, "coeffs": [
+                   {"k": 0, "re": [0.7071067811865476, 0]},
+                   {"k": 3, "re": [0, 0.7071067811865476]}]}},
+      "checks": ["partial_isometry", "intertwining", "nehari", "invariance", "kernel_rep"],
+      "n_list": [1, 2, 8],
+      "nehari_candidates": [ZERO_CANDIDATE]},
+     ("scenario kernel-too-small\n"
+      "  partial_isometry   n=1    residual=inf FAIL  [error: truncation n = 1 is smaller than the symbol band [-3, -3]]\n"
+      "  partial_isometry   n=2    residual=inf FAIL  [error: truncation n = 2 is smaller than the symbol band [-3, -3]]\n"
+      "  partial_isometry   n=8    residual=1 FAIL  [range_op=False; kernel_op=False expected=True]\n"
+      "  intertwining       n=1    residual=inf FAIL  [error: empty exactness window: truncation too small]\n"
+      "  intertwining       n=2    residual=inf FAIL  [error: truncation n = 2 is smaller than the symbol band [-3, -3]]\n"
+      "  intertwining       n=8    residual=0 PASS  [range=0; kernel=0]\n"
+      "  nehari             n=8    residual=0 PASS  [lower=['0', '1', '1'] upper=['1']]\n"
+      "  invariance         n=1    residual=inf FAIL  [error: symbol band [0, 3] exceeds truncation 1]\n"
+      "  invariance         n=2    residual=inf FAIL  [error: symbol band [0, 3] exceeds truncation 2]\n"
+      "  invariance         n=8    window=5 residual=0 PASS\n"
+      "  kernel_rep         n=1    residual=inf FAIL  [error: symbol band [0, 3] exceeds truncation 1]\n"
+      "  kernel_rep         n=2    residual=inf FAIL  [error: symbol band [0, 3] exceeds truncation 2]\n"
+      "  kernel_rep         n=8    window=5 residual=0 PASS  [psi_class=ok; kernel_distance=ok]\n"
+      "overall FAIL\n"),
+     [("partial_isometry", 1, False, None), ("partial_isometry", 2, False, None),
+      ("partial_isometry", 8, False, 1.0), ("intertwining", 1, False, None),
+      ("intertwining", 2, False, None), ("intertwining", 8, True, 0.0),
+      ("nehari", 8, True, 0.0), ("invariance", 1, False, None),
+      ("invariance", 2, False, None), ("invariance", 8, True, 0.0),
+      ("kernel_rep", 1, False, None), ("kernel_rep", 2, False, None),
+      ("kernel_rep", 8, True, 0.0)]),
+    ({"name": "range-too-small",
+      "spec": {"variant": "range_rep", "dimE": 1, "dimF": 1,
+               "Phi": {"rows": 2, "cols": 2, "coeffs": [
+                   {"k": 3, "re": [1, 0, 0, 0]}, {"k": -1, "re": [0, 0, 0, 1]}]}},
+      "checks": ["nehari", "intertwining"],
+      "n_list": [1, 2, 8],
+      "nehari_candidates": [ZERO_CANDIDATE]},
+     ("scenario range-too-small\n"
+      "  nehari             n=8    residual=inf FAIL  [error: truncation n = 1 is smaller than the symbol band [3, 3]]\n"
+      "  intertwining       n=1    residual=inf FAIL  [error: truncation n = 1 is smaller than the symbol band [3, 3]]\n"
+      "  intertwining       n=2    residual=inf FAIL  [error: truncation n = 2 is smaller than the symbol band [3, 3]]\n"
+      "  intertwining       n=8    residual=0 PASS  [range=0]\n"
+      "overall FAIL\n"),
+     [("nehari", 8, False, None), ("intertwining", 1, False, None),
+      ("intertwining", 2, False, None), ("intertwining", 8, True, 0.0)]),
+]
+
+
 class TestRun:
     def test_nehari_scenario_with_candidate(self, tmp_path):
         payload = {
@@ -258,6 +314,48 @@ class TestRun:
         second = run(sc)
         assert builds == [8, 16, 8, 16]
         assert first.structured() == second.structured()
+
+    def test_mixed_operators_built_once_per_kind_and_n(self, monkeypatch, tmp_path):
+        builds = []
+        for kind in ("range", "kernel"):
+            original = getattr(cli, f"build_{kind}_operator")
+
+            def counted(sym, dim_e, n, kind=kind, original=original):
+                builds.append((kind, n))
+                return original(sym, dim_e, n)
+
+            monkeypatch.setattr(cli, f"build_{kind}_operator", counted)
+        zero = {"rows": 1, "cols": 1, "coeffs": []}
+        payload = {
+            "name": "replicated-1-2",
+            "spec": {"variant": "type_i", "dimE": 1, "dimF": 2,
+                     "U": symbol_to_literal(cli.replicated_u(1, 2))},
+            "checks": ["partial_isometry", "intertwining", "nehari"],
+            "n_list": [4, 8],
+            "nehari_candidates": [{"L1": dict(zero, rows=2),
+                                   "L2": dict(zero, rows=2, cols=2)}],
+        }
+        sc = parse_scenario(write_scenario(tmp_path, payload))
+        first = run(sc)
+        assert first.exit_status == 0, first.text()
+        once = [("range", 4), ("kernel", 4), ("range", 8), ("kernel", 8)]
+        assert builds == once
+        # nothing is kept across calls
+        second = run(sc)
+        assert builds == once + once
+        assert first.structured() == second.structured()
+
+    @pytest.mark.parametrize("payload, text, records", BUILD_ERROR_CASES,
+                             ids=["kernel-too-small", "range-too-small"])
+    def test_build_errors_keep_their_records(self, tmp_path, payload, text, records):
+        # a build error stays with the check that met it: the same records,
+        # in the same order, as when every check built its own operators
+        report = run(parse_scenario(write_scenario(tmp_path, payload)))
+        assert report.text() == text
+        assert report.structured() == "".join(
+            json.dumps({"check": check, "n": n, "pass": passed, "residual": residual,
+                        "scenario": payload["name"]}, sort_keys=True) + "\n"
+            for check, n, passed, residual in records)
 
     def test_batch_ordering_by_name(self, tmp_path):
         a = parse_scenario(write_scenario(tmp_path, dict(minimal_payload(), name="b"),

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import swept_lower_bounds
+from shiftlab import operators
 from shiftlab.linalg import spectral_norm
 from shiftlab.operators import (
     ProductSpace,
@@ -192,6 +194,19 @@ class TestMixedOperators:
         np.testing.assert_array_equal(w.entries, forward.conj().T)
         assert w.exact_window == min(h_c.exact_window, h_d.exact_window)
 
+    @settings(max_examples=60, deadline=None)
+    @given(case=mixed_symbols("top"))
+    def test_range_operator_is_toeplitz_over_hankel(self, case):
+        # [T_A, T_B; H_C, H_D] entry for entry, exact where every block is
+        phi, de, n = case
+        a, b, c, d = split_square_blocks(phi, de)
+        v = build_range_operator(phi, de, n)
+        blocks = [[toeplitz_op(a, n), toeplitz_op(b, n)],
+                  [hankel_op(c, n), hankel_op(d, n)]]
+        np.testing.assert_array_equal(
+            v.entries, np.block([[op.entries for op in row] for row in blocks]))
+        assert v.exact_window == min(op.exact_window for row in blocks for op in row)
+
     def test_replicated_evaluation_operator(self):
         # columns act as f |-> (f, f(0), f(0)) / sqrt(3) on the window
         r = 1 / np.sqrt(3)
@@ -363,6 +378,34 @@ class TestSvdAnalysis:
     def test_flag_matches_two_sided_reference(self, op, tol):
         assert svd_analysis(op, tol) == reference_flag(op, tol)
 
+    @staticmethod
+    def column_kernel_operator(n):
+        """Kernel operator of U = [1; z] / sqrt(2), outside the theorem's
+        class; its window keeps every row and column."""
+        u = make_symbol(2, 1, {0: [[RS2], [0]], 1: [[0], [RS2]]})
+        w = build_kernel_operator(kernel_symbol_from_u(u, 1, 1), 1, n)
+        assert w.exact_window == n
+        return w
+
+    def test_full_window_factored_once(self, monkeypatch):
+        # both compressions are the whole matrix, so one SVD decides the flag
+        w = self.column_kernel_operator(64)
+        shapes = []
+        original = operators.singular_values
+
+        def counted(m):
+            shapes.append(m.shape)
+            return original(m)
+
+        monkeypatch.setattr(operators, "singular_values", counted)
+        assert not svd_analysis(w)
+        assert shapes == [(130, 130)]
+
+    def test_full_window_compression_is_the_matrix(self):
+        w = self.column_kernel_operator(16)
+        assert np.shares_memory(w.window_rows(), w.entries)
+        assert np.shares_memory(w.window_columns(), w.entries)
+
 
 class TestIntertwining:
     def test_randomized_blocks_exact_on_window(self):
@@ -483,7 +526,8 @@ class TestNehari:
     def test_rank_one_distance(self):
         d = make_symbol(1, 1, {-1: [1]})
         phi = self._phi_for_scalar_d(d)
-        bracket = nehari_bounds(phi, 1, [4, 8], [(zero_symbol(1, 1), zero_symbol(1, 1))])
+        bracket = nehari_bounds(phi, 1, swept_lower_bounds(phi, 1, [4, 8]),
+                                [(zero_symbol(1, 1), zero_symbol(1, 1))])
         for _, lo in bracket.lower_bounds:
             assert abs(lo - 1.0) <= 1e-10
         assert abs(bracket.upper_bounds[0] - 1.0) <= 1e-10
@@ -495,7 +539,8 @@ class TestNehari:
         b = zero_symbol(1, 1)
         c = make_symbol(1, 1, {0: [0.25]})
         d = make_symbol(1, 1, {1: [0.5]})
-        bracket = nehari_bounds(block_symbol([[a, b], [c, d]]), 1, [4, 8, 16, 32], [(c, d)])
+        phi = block_symbol([[a, b], [c, d]])
+        bracket = nehari_bounds(phi, 1, swept_lower_bounds(phi, 1, [4, 8, 16, 32]), [(c, d)])
         lows = [lo for _, lo in bracket.lower_bounds]
         assert all(x <= y + 1e-12 for x, y in zip(lows, lows[1:]))
         # with the analytic candidates the bottom row cancels, so the
@@ -512,7 +557,7 @@ class TestNehari:
         d = make_symbol(1, 1, {-1: [2], 1: [1]})
         phi = self._phi_for_scalar_d(d)
         cand = (zero_symbol(1, 1), make_symbol(1, 1, {1: [1]}))
-        bracket = nehari_bounds(phi, 1, [4, 8], [cand])
+        bracket = nehari_bounds(phi, 1, swept_lower_bounds(phi, 1, [4, 8]), [cand])
         assert abs(bracket.lower_bounds[-1][1] - 2.0) <= 1e-8
         assert abs(bracket.upper_bounds[0] - 2.0) <= 1e-8
 
@@ -520,9 +565,10 @@ class TestNehari:
         d = make_symbol(1, 1, {-1: [1]})
         phi = self._phi_for_scalar_d(d)
         with pytest.raises(ValueError, match="analytic"):
-            nehari_bounds(phi, 1, [4], [(zero_symbol(1, 1), d)])
+            nehari_bounds(phi, 1, swept_lower_bounds(phi, 1, [4]), [(zero_symbol(1, 1), d)])
 
     def test_unsorted_sweep_rejected(self):
         d = make_symbol(1, 1, {-1: [1]})
         with pytest.raises(ValueError, match="ascending"):
-            nehari_bounds(self._phi_for_scalar_d(d), 1, [8, 4], [])
+            phi = self._phi_for_scalar_d(d)
+            nehari_bounds(phi, 1, swept_lower_bounds(phi, 1, [8, 4]), [])
