@@ -21,6 +21,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .operators import (
+    DEFAULT_TOL,
     OperatorMatrix,
     build_kernel_operator,
     build_range_operator,
@@ -63,7 +64,9 @@ from .symbols import (
 )
 
 DEFAULT_N_LIST = (8, 16, 32)
-DEFAULT_TOL = 1e-8
+# Lower bounds of one nehari sweep may fall by this much, float noise on
+# equal bounds, and still count as rising with n.
+NEHARI_MONOTONE_SLACK = 1e-12
 # Largest dense complex array a scenario may ask for: 2**24 entries are
 # 256 MiB of complex128.  The sample scenario at n = 512 needs 4.2e6.
 MAX_DENSE_ENTRIES = 2 ** 24
@@ -450,7 +453,7 @@ def _check_range_rep(sc: Scenario, n: int, target, operator) -> list[Record]:
 
 
 def _check_splitting(sc: Scenario, n: int, target, operator) -> list[Record]:
-    result = splitting_check_scalar(_derived_phi(sc.spec), sc.tol)
+    result = splitting_check_scalar(_derived_phi(sc.spec))
     expected = sc.expect.get("splitting", False)
     ok = result.splitting == expected
     return [Record(sc.name, "splitting", n, 0.0 if ok else 1.0, ok,
@@ -461,7 +464,7 @@ def _check_intertwining(sc: Scenario, n: int, target, operator) -> list[Record]:
     resid = {kind: intertwining_residual(operator(kind), kind)
              for kind in _operator_kinds(sc.spec)}
     worst = max(resid.values(), default=0.0)
-    return [Record(sc.name, "intertwining", n, worst, worst <= max(sc.tol, 1e-10),
+    return [Record(sc.name, "intertwining", n, worst, worst <= sc.tol,
                    detail="; ".join(f"{kind}={_fmt(r)}" for kind, r in resid.items()))]
 
 
@@ -474,7 +477,7 @@ def _check_nehari(sc: Scenario, n: int, target, operator, swept) -> list[Record]
     bracket = nehari_bounds(_derived_phi(sc.spec), sc.spec.dim_e, swept,
                             sc.nehari_candidates)
     lows = [lo for _, lo in bracket.lower_bounds]
-    monotone = all(x <= y + 1e-12 for x, y in zip(lows, lows[1:]))
+    monotone = all(x <= y + NEHARI_MONOTONE_SLACK for x, y in zip(lows, lows[1:]))
     violation = max(0.0, max(lows) - min(bracket.upper_bounds)) \
         if bracket.upper_bounds else 0.0
     ok = monotone and violation <= sc.tol
@@ -719,7 +722,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run scenario files")
     p_verify.add_argument("paths", nargs="+", metavar="scenario-file")
     p_verify.add_argument("--n", help="comma-separated truncation sweep override")
-    p_verify.add_argument("--tol", help="tolerance override (finite, positive)")
+    p_verify.add_argument("--tol", help="residual tolerance override (finite, positive); "
+                          "it never moves a rank decision")
     p_demo = sub.add_parser("demo", help="run a built-in demo")
     p_demo.add_argument("name")
     for p in (p_verify, p_demo):

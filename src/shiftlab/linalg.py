@@ -7,11 +7,14 @@ of m on the rows and columns that hold a nonzero entry and embeds the
 result back.  That is exact: m and its core have the same nonzero
 singular values, hence the same sigma_max and the same rank at every
 relative cutoff, and every zero column of m is a kernel direction.
+
+Every numerical rank of the package is counted by ``numerical_rank``, at
+the one relative cutoff ``RANK_RTOL``.  No residual tolerance moves it.
 """
 
 import numpy as np
 
-DEFAULT_NULL_RTOL = 1e-10
+RANK_RTOL = 1e-10
 
 
 def _support(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -40,7 +43,13 @@ def spectral_norm(m: np.ndarray) -> float:
     return float(sv[0]) if sv.size else 0.0
 
 
-def nullspace(m: np.ndarray, rtol: float = DEFAULT_NULL_RTOL) -> np.ndarray:
+def numerical_rank(sv: np.ndarray) -> int:
+    """Number of the descending singular values sv above RANK_RTOL * sv[0];
+    0 for an empty array."""
+    return int(np.sum(sv > RANK_RTOL * sv[0])) if sv.size else 0
+
+
+def nullspace(m: np.ndarray) -> np.ndarray:
     """Orthonormal basis (columns) of the kernel of m: the kernel of the
     nonzero core on the support columns, then one unit vector per zero
     column."""
@@ -51,7 +60,7 @@ def nullspace(m: np.ndarray, rtol: float = DEFAULT_NULL_RTOL) -> np.ndarray:
     core = m[np.ix_(rows, cols)]
     # a tall core's thin factors already hold every right singular vector
     _, sv, vh = np.linalg.svd(core, full_matrices=core.shape[0] < core.shape[1])
-    rank = int(np.sum(sv > rtol * sv[0]))
+    rank = numerical_rank(sv)
     zero_cols = np.delete(np.arange(d), cols)
     out = np.zeros((d, d - rank), dtype=complex)
     out[cols, :cols.size - rank] = vh[rank:].conj().T
@@ -66,7 +75,7 @@ def column_space(m: np.ndarray) -> np.ndarray:
     if rows.size == 0:
         return np.zeros((m.shape[0], 0), dtype=complex)
     u, sv, _ = np.linalg.svd(m[np.ix_(rows, cols)], full_matrices=False)
-    rank = int(np.sum(sv > DEFAULT_NULL_RTOL * sv[0]))
+    rank = numerical_rank(sv)
     out = np.zeros((m.shape[0], rank), dtype=complex)
     out[rows] = u[:, :rank]
     return out

@@ -26,6 +26,9 @@ from .symbols import (
 
 HARDY = "hardy"
 LEBESGUE = "lebesgue"
+# The residual tolerance: every residual gate of a check is residual <= tol,
+# and svd_analysis's binary band is tol wide.  It decides no rank.
+DEFAULT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -341,7 +344,7 @@ def _binary_singular_values(m: np.ndarray, tol: float) -> bool:
     return bool(np.all((sv <= tol) | (np.abs(sv - 1.0) <= tol)))
 
 
-def svd_analysis(op: OperatorMatrix, tol: float = 1e-8) -> bool:
+def svd_analysis(op: OperatorMatrix, tol: float = DEFAULT_TOL) -> bool:
     """Partial-isometry flag of the truncated matrix on its exactness window.
 
     True when every singular value of a window compression is within tol

@@ -26,6 +26,7 @@ from .linalg import (
     spectral_norm,
 )
 from .operators import (
+    DEFAULT_TOL,
     ProductSpace,
     SubspaceBasis,
     TruncatedSpace,
@@ -51,8 +52,6 @@ from .symbols import (
     symbol_mul,
     zero_symbol,
 )
-
-DEFAULT_ANGLE_TOL = 1e-8
 
 TYPE_I = "type_i"
 TYPE_II = "type_ii"
@@ -195,7 +194,7 @@ def default_window(spec: InvariantSubspaceSpec, n: int) -> int:
 
 
 def twocond_check(spec: InvariantSubspaceSpec,
-                  tol: float = DEFAULT_ANGLE_TOL) -> VerificationReport:
+                  tol: float = DEFAULT_TOL) -> VerificationReport:
     """Admissibility of the bilateral data (or of the representation symbols).
 
     For the bilateral variants this verifies, sample-free where possible:
@@ -222,7 +221,7 @@ def twocond_check(spec: InvariantSubspaceSpec,
             causal = float(np.max(np.abs(u_e.coeffs[max(0, 2 - u_e.kmin):]), initial=0.0))
             checks.append(CheckResult("u_e_causal", causal, causal <= tol))
             band = max(s.bandwidth for s in spec.bilateral_symbols())
-            ranks = rank_profile(u_f, 4 * band + 1, tol).ranks
+            ranks = rank_profile(u_f, 4 * band + 1)
             worst = max(abs(r - expected_rank) for r in ranks)
             checks.append(CheckResult(
                 "u_f_rank", float(worst), worst == 0,
@@ -483,7 +482,7 @@ def inner_multiples_window_basis(theta: LaurentSymbol, w: int) -> np.ndarray:
 
 def kernel_representation_check(n_basis: SubspaceBasis, psi: LaurentSymbol,
                                 theta: LaurentSymbol | None, n: int,
-                                tol: float = DEFAULT_ANGLE_TOL) -> VerificationReport:
+                                tol: float = DEFAULT_TOL) -> VerificationReport:
     """Compare a subspace against kernel-of-mixed-operator form.
 
     Computes the window slice of ker of the mixed adjoint operator,
@@ -526,7 +525,7 @@ def _first_part_constraint_basis(theta: LaurentSymbol, dim_e: int, dim_f: int,
 
 
 def range_representation_check(n_basis: SubspaceBasis, phi: LaurentSymbol, n: int,
-                               tol: float = DEFAULT_ANGLE_TOL) -> VerificationReport:
+                               tol: float = DEFAULT_TOL) -> VerificationReport:
     """Compare a subspace against the window slice of the mixed-operator range."""
     amb = n_basis.ambient
     dim_e, dim_f = amb.parts[0].fiber_dim, amb.parts[1].fiber_dim
@@ -547,16 +546,15 @@ class SplittingResult:
     coefficient_rank: int
 
 
-def splitting_check_scalar(phi: LaurentSymbol,
-                           tol: float = DEFAULT_ANGLE_TOL) -> SplittingResult:
+def splitting_check_scalar(phi: LaurentSymbol) -> SplittingResult:
     """Scalar splitting test: do the two analytic top entries line up?
 
     phi is the 2x2 square symbol [[a(z), b(z)], [c(zbar), d(zbar)]] with
     a, b, c and d analytic, and must be unitary-valued.  The subspace it
     represents splits exactly when the coefficient vectors of a and b are
     linearly dependent, that is, when the stack of their coefficients
-    has rank <= 1 at the relative cutoff tol; the witness is the
-    dependence vector, from the same factorisation as the rank.
+    has numerical rank <= 1; the witness is the dependence vector, from
+    the same factorisation as the rank.
     """
     if phi.shape != (2, 2):
         raise ValueError(f"symbol must be 2x2, got {phi.shape}")
@@ -570,7 +568,7 @@ def splitting_check_scalar(phi: LaurentSymbol,
             f"assembled symbol is not unitary-valued (classified {cls.kind.value})")
     # the top row's coefficients, one degree per row; nullspace drops the
     # zero rows of degrees only the bottom row reaches
-    kernel = nullspace(phi.coeffs[:, 0, :], tol)
+    kernel = nullspace(phi.coeffs[:, 0, :])
     rank = 2 - kernel.shape[1]
     if rank <= 1:
         # the last kernel column is the direction in which the stack is smallest

@@ -12,10 +12,9 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import singular_values
+from .linalg import numerical_rank, singular_values
 
 CLASSIFY_TOL = 1e-10
-DEFAULT_RANK_TOL = 1e-8
 
 
 class IsometryKind(Enum):
@@ -346,29 +345,14 @@ def accepts_partial_isometry(cls: IsometryClass) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class RankProfile:
-    points: np.ndarray
-    ranks: list[int]
-    is_constant: bool
-
-
-def rank_profile(s: LaurentSymbol, num_samples: int,
-                 tol: float = DEFAULT_RANK_TOL) -> RankProfile:
-    """Numerical rank at equally spaced circle points plus a constancy flag.
-
-    Rank counts singular values above tol * sigma_max at each sample.
-    """
+def rank_profile(s: LaurentSymbol, num_samples: int) -> list[int]:
+    """Numerical rank of S at equally spaced circle points."""
     if num_samples < 2 * s.bandwidth + 1:
         raise ValueError(
             f"num_samples = {num_samples} undersamples a bandwidth-{s.bandwidth} symbol"
         )
-    points = unit_circle_points(num_samples)
-    ranks = []
-    for z in points:
-        sv = singular_values(s.eval_at(z))
-        ranks.append(int(np.sum(sv > tol * sv[0])) if sv.size else 0)
-    return RankProfile(points, ranks, len(set(ranks)) == 1)
+    return [numerical_rank(singular_values(s.eval_at(z)))
+            for z in unit_circle_points(num_samples)]
 
 
 def make_cyclic_symbol(poles, weights, degree: int) -> LaurentSymbol:

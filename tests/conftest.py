@@ -51,6 +51,15 @@ def inner_mixture(rng, dim_e, dim_f, dim_e0, max_exp=2):
     return u, a_prime, c_sym
 
 
+def rotation_column_symbol(t) -> LaurentSymbol:
+    """U_t = [z cos t, -sin t; z sin t, cos t]: unitary-valued and admissible
+    for every t.  The top row of its range symbol has a coefficient stack
+    with singular values cos t and sin t, so the subspace splits only at
+    t = 0, and sin t is the margin of the splitting rank decision."""
+    c, s = np.cos(t), np.sin(t)
+    return make_symbol(2, 2, {0: [[0, -s], [0, c]], 1: [[c, 0], [s, 0]]})
+
+
 def swept_lower_bounds(phi, dim_e, n_list):
     """nehari's (n, lower bound) pairs over a truncation sweep, each from the
     range operator of phi at n, as ``cli.run`` collects them."""

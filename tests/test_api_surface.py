@@ -122,3 +122,48 @@ def test_every_default_is_set_by_a_pipeline_caller():
              if f"{path.stem}.{qualified}" != "cli.main"
              and not {(name, param), (name, position), (name, "*"), (name, "**")} & passed]
     assert not unset, f"defaulted parameters no pipeline call sets: {unset}"
+
+
+def float_literals(node):
+    """Float constants in the subtree of node other than 0.0 and 1.0."""
+    return [c for c in ast.walk(node) if isinstance(c, ast.Constant)
+            and isinstance(c.value, float) and c.value not in (0.0, 1.0)]
+
+
+def test_no_bare_float_threshold():
+    """A float literal inside a comparison, or as a parameter default, is a
+    threshold without a name; every threshold is a module constant with a
+    row in the README's "Thresholds" table.  0.0 and 1.0 are values, not
+    thresholds (a zero floor, the unit singular value)."""
+    bare = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Compare):
+                found = float_literals(node)
+            elif isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                found = [c for d in node.args.defaults + node.args.kw_defaults
+                         if d is not None for c in float_literals(d)]
+            else:
+                continue
+            bare += [f"{path.name}:{c.lineno} ({c.value!r})" for c in found]
+    assert not bare, f"bare float thresholds: {sorted(set(bare))}"
+
+
+def test_readme_lists_every_threshold():
+    """Each module-level float constant of the package (a name bound to a
+    float literal) has a row, with its value, in the README's "Thresholds"
+    table."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Thresholds", 1)[1].split("\n## ", 1)[0]
+    documented = dict(re.findall(r"^\| `(\w+)` \(`\w+`\) \| `([^`]+)` \|", section, re.MULTILINE))
+    constants = {target.id: node.value.value
+                 for path in sorted(PACKAGE.glob("*.py"))
+                 for node in ast.parse(path.read_text(encoding="utf-8")).body
+                 if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+                 and isinstance(node.value.value, float)
+                 for target in node.targets if isinstance(target, ast.Name)}
+    assert constants, "no module-level float constant found"
+    missing = sorted(set(constants) - set(documented))
+    assert not missing, f"float constants missing from the README's Thresholds table: {missing}"
+    wrong = sorted(name for name, value in constants.items() if float(documented[name]) != value)
+    assert not wrong, f"README Thresholds rows whose value differs from the code: {wrong}"

@@ -467,6 +467,23 @@ class TestMainEntry:
         out = capsys.readouterr().out
         assert "splitting=False expected=False" in out and "error" not in out
 
+    def test_tol_moves_no_rank_decision(self, tmp_path, capsys):
+        # U_t does not split: its splitting stack keeps sin t = 1e-5, which a
+        # residual tolerance of 1e-3 must not drop
+        from conftest import rotation_column_symbol
+        payload = dict(minimal_payload(), checks=[
+            "twocond", "invariance", "kernel_rep", "range_rep", "splitting",
+            "partial_isometry", "intertwining"])
+        payload["spec"]["U"] = symbol_to_literal(rotation_column_symbol(1e-5))
+        path = write_scenario(tmp_path, payload)
+        outputs = []
+        for tol in ("1e-8", "1e-3"):
+            for fmt in ("text", "structured"):
+                assert main(["verify", path, "--tol", tol, "--format", fmt]) == 0
+                outputs.append(capsys.readouterr().out)
+        assert outputs[:2] == outputs[2:]
+        assert "splitting=False expected=False" in outputs[0]
+
     @pytest.mark.parametrize("candidates, named", [
         ([{}], "nehari_candidates[0]"),
         ([{"L1": {"rows": 1, "cols": 1, "coeffs": []}}], "nehari_candidates[0]"),

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from shiftlab import cli
 from shiftlab.linalg import (
-    DEFAULT_NULL_RTOL,
+    RANK_RTOL,
     column_space,
     nullspace,
     principal_angle_distance,
@@ -63,7 +63,7 @@ def ref_singular_values(m):
     return np.linalg.svd(m, compute_uv=False) if m.size else np.zeros(0)
 
 
-def ref_nullspace(m, rtol=DEFAULT_NULL_RTOL):
+def ref_nullspace(m, rtol=RANK_RTOL):
     if m.size == 0:
         return np.eye(m.shape[1], dtype=complex)
     _, sv, vh = np.linalg.svd(m, full_matrices=True)
@@ -71,7 +71,7 @@ def ref_nullspace(m, rtol=DEFAULT_NULL_RTOL):
     return vh[int(np.sum(sv > cutoff)):].conj().T
 
 
-def ref_column_space(m, rtol=DEFAULT_NULL_RTOL):
+def ref_column_space(m, rtol=RANK_RTOL):
     if m.size == 0:
         return np.zeros((m.shape[0], 0), dtype=complex)
     u, sv, _ = np.linalg.svd(m, full_matrices=False)

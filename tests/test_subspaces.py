@@ -479,19 +479,20 @@ class TestSplitting:
         assert res.splitting == base.splitting
         assert res.coefficient_rank == base.coefficient_rank
 
-    @pytest.mark.parametrize("tol, rank", [(0.5, 2), (0.9, 2), (1.5, 0)])
-    def test_large_tol_takes_witness_from_the_same_rank(self, tol, rank):
-        # the coefficient stack has singular values (1/sqrt 2, 1/sqrt 2):
-        # below tol 1 both are kept, at tol 1.5 neither is, and the witness
-        # must still come from the factorisation that decided the rank
-        a = constant_symbol([[RS2]])
-        b = monomial_symbol(1, [[RS2]])
-        c = monomial_symbol(1, [[RS2]])
-        d = constant_symbol([[-RS2]])
-        res = splitting_check_scalar(scalar_phi(a, b, c, d), tol)
+    @pytest.mark.parametrize("t, rank", [(1e-9, 2), (1e-11, 1)])
+    def test_fixed_cutoff_boundary(self, t, rank):
+        # the top row's coefficient stack of U_t has singular values cos t and
+        # sin t: sin t = 1e-9 is kept at the relative cutoff RANK_RTOL = 1e-10,
+        # 1e-11 is dropped, and the witness comes from the same factorisation
+        from conftest import rotation_column_symbol
+        phi = range_symbol_from_u(rotation_column_symbol(t), 1, 1)
+        res = splitting_check_scalar(phi)
         assert res.coefficient_rank == rank and res.splitting == (rank <= 1)
         if res.splitting:
             assert np.linalg.norm(res.witness) == pytest.approx(1.0, abs=1e-15)
+            np.testing.assert_allclose(np.abs(res.witness), [0, 1], atol=1e-12)
+        else:
+            assert res.witness is None
 
     def test_witness_ignores_degree_gaps(self):
         # a = 1/sqrt 2 and b = z^3/sqrt 2 leave two all-zero coefficient rows

@@ -270,25 +270,22 @@ class TestRankProfile:
     def test_unitary_valued_implies_constant_full_rank(self):
         phi = timotin_symbol()
         assert classify_isometry(phi).kind is IsometryKind.UNITARY
-        prof = rank_profile(phi, 9, 1e-8)
-        assert prof.is_constant and set(prof.ranks) == {2}
+        assert set(rank_profile(phi, 9)) == {2}
 
     def test_diagonal_full_rank(self):
         s = make_symbol(2, 2, {0: [[1, 0], [0, 0]], 1: [[0, 0], [0, 1]]})
-        prof = rank_profile(s, 9, 1e-8)
-        assert prof.is_constant and set(prof.ranks) == {2}
+        assert set(rank_profile(s, 9)) == {2}
 
     def test_row_never_vanishes(self):
         s = make_symbol(1, 2, {0: [[0, -1 / np.sqrt(2)]], 1: [[1 / np.sqrt(2), 0]]})
-        prof = rank_profile(s, 9, 1e-8)
-        assert prof.is_constant and set(prof.ranks) == {1}
+        assert set(rank_profile(s, 9)) == {1}
 
     def test_zero_of_scalar_polynomial_detected(self):
         # z - 1 vanishes at the sample z = 1 and nowhere else on the grid
         s = make_symbol(1, 1, {0: [-1], 1: [1]})
-        prof = rank_profile(s, 8, 1e-8)
-        assert not prof.is_constant
-        assert prof.ranks[0] == 0 and all(r == 1 for r in prof.ranks[1:])
+        ranks = rank_profile(s, 8)
+        assert len(set(ranks)) > 1
+        assert ranks[0] == 0 and all(r == 1 for r in ranks[1:])
 
     def test_undersampling_rejected(self):
         with pytest.raises(ValueError, match="undersamples"):
