@@ -1,73 +1,1 @@
 """Truncated-operator toolkit for shift-invariant subspace verification."""
-
-from .symbols import (
-    IsometryClass,
-    IsometryKind,
-    LaurentSymbol,
-    block_symbol,
-    classify_isometry,
-    coeff_distance,
-    constant_symbol,
-    identity_symbol,
-    make_cyclic_symbol,
-    make_symbol,
-    monomial_symbol,
-    rank_profile,
-    split_fiber_rows,
-    split_square_blocks,
-    submatrix,
-    symbol_mul,
-    unit_circle_points,
-    zero_symbol,
-)
-from .operators import (
-    NehariBracket,
-    OperatorMatrix,
-    ProductSpace,
-    ShiftOps,
-    SubspaceBasis,
-    TruncatedSpace,
-    build_kernel_operator,
-    build_range_operator,
-    hankel_op,
-    intertwining_residual,
-    multiplication_matrix,
-    nehari_bounds,
-    nehari_lower_bound,
-    shift_ops,
-    shift_rows,
-    svd_analysis,
-    toeplitz_op,
-)
-from .subspaces import (
-    CheckResult,
-    InvariantSubspaceSpec,
-    RoundtripResult,
-    SpecValidationError,
-    SplitProfile,
-    SplittingResult,
-    UnitaryMatchResult,
-    VerificationReport,
-    analytic_ambient,
-    bilateral_ambient,
-    bilateral_roundtrip,
-    bilateral_subspace,
-    constant_unitary_match,
-    coordinate_split_profile,
-    default_window,
-    invariance_check,
-    kernel_representation_check,
-    kernel_subspace,
-    kernel_symbol_from_u,
-    mixed_from_bilateral,
-    mixed_invariant_subspace,
-    model_space_basis,
-    range_representation_check,
-    range_symbol_from_u,
-    range_window_basis,
-    splitting_check_scalar,
-    twocond_check,
-)
-from .linalg import image_within, principal_angle_distance
-
-__all__ = [name for name in dir() if not name.startswith("_")]

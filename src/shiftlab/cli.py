@@ -138,7 +138,7 @@ _SPEC = {
 _EXPECT = {key: Row(default, _of(bool), "true or false")
            for key, default in (("splitting", False), ("partial_isometry", True))}
 _CANDIDATE = {key: Row(_REQUIRED, _of(dict), "a symbol literal") for key in ("L1", "L2")}
-_COUNT = Row(_REQUIRED, lambda v: _is_int(v, 0), "an integer in [0, 2**53)")
+_COUNT = Row(_REQUIRED, lambda v: _is_int(v, 1), "an integer in [1, 2**53)")
 _LITERAL = {"rows": _COUNT, "cols": _COUNT,
             "coeffs": Row(_REQUIRED, _of(list), "a list of coefficient entries")}
 _REALS = Row(None, lambda v: isinstance(v, list) and all(_is_real(x) for x in v),
@@ -191,7 +191,7 @@ def symbol_from_literal(payload, field_name: str = "symbol") -> LaurentSymbol:
     entries = [_fields(item, _COEFF, f"{field_name}.coeffs[{i}]")
                for i, item in enumerate(items)]
     # zero blocks are stored at degree 0, and Psi and Phi derived from U are square
-    ks, side = [0] + [entry["k"] for entry in entries], max(rows, cols, 1)
+    ks, side = [0] + [entry["k"] for entry in entries], max(rows, cols)
     _within_cap((max(ks) - min(ks) + 1) * side ** 2, f"field {field_name}",
                 f"the stack of degrees {min(ks)}..{max(ks)} at {side}x{side}")
     coeffs = {}
@@ -314,12 +314,29 @@ def _scenario_from_payload(payload, fallback_name: str) -> Scenario:
         tuple(symbol_from_literal(lit, f"nehari_candidates[{i}].{key}")
               for key, lit in _fields(cand, _CANDIDATE, f"nehari_candidates[{i}]").items())
         for i, cand in enumerate(f["nehari_candidates"]))
+    spec = _spec_from_payload(f["spec"])
+    _validate_candidates(spec, candidates)
     scenario = Scenario(
-        fallback_name if f["name"] is None else f["name"], _spec_from_payload(f["spec"]),
+        fallback_name if f["name"] is None else f["name"], spec,
         tuple(f["checks"]), tuple(f["n_list"]), float(f["tol"]), f["window"],
         _fields(f["expect"], _EXPECT, "expect"), candidates)
     _validate_check_requirements(scenario)
     return scenario
+
+
+def _validate_candidates(spec: InvariantSubspaceSpec, candidates: tuple) -> None:
+    """Reject a nehari candidate (L1, L2) that is not analytic or does not
+    have the shapes (dimF, dimE), (dimF, dimF) of blocks C and D."""
+    for i, pair in enumerate(candidates):
+        for key, sym, shape in zip(("L1", "L2"), pair,
+                                   ((spec.dim_f, spec.dim_e), (spec.dim_f, spec.dim_f))):
+            name = f"field nehari_candidates[{i}].{key}"
+            if sym.shape != shape:
+                raise ScenarioError(f"{name} has shape {sym.shape}, expected {shape}, "
+                                    f"the shape of block {'C' if key == 'L1' else 'D'}")
+            if not sym.is_analytic():
+                raise ScenarioError(f"{name} must be analytic; found coefficients "
+                                    f"down to index {sym.kmin}")
 
 
 def _derived_psi(spec: InvariantSubspaceSpec) -> LaurentSymbol | None:
@@ -770,4 +787,4 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

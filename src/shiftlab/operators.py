@@ -245,33 +245,10 @@ def hankel_op(sym: LaurentSymbol, n: int, out: np.ndarray | None = None) -> Oper
     return OperatorMatrix(dom, cod, ent, window)
 
 
-@dataclass(frozen=True)
-class ShiftOps:
-    forward: OperatorMatrix
-    backward: OperatorMatrix
-
-
-def shift_ops(space: TruncatedSpace) -> ShiftOps:
-    """Truncated multiplication by z and its adjoint."""
-    prod = ProductSpace.of(space)
-    fwd = np.eye(space.dim, k=-space.fiber_dim, dtype=complex)
-    if space.kind == HARDY:
-        fwd_window = space.deg_hi - 1
-        bwd_window = space.deg_hi
-    else:
-        fwd_window = min(space.deg_hi - 1, -space.deg_lo)
-        bwd_window = min(space.deg_hi, -space.deg_lo - 1)
-    forward = OperatorMatrix(prod, prod, fwd, fwd_window)
-    backward = OperatorMatrix(prod, prod, fwd.conj().T, bwd_window)
-    return ShiftOps(forward, backward)
-
-
 def shift_rows(m: np.ndarray, space: ProductSpace, kinds: tuple[str, ...]) -> np.ndarray:
     """X @ m for the block shift X moving each part of ``space`` one degree
-    "forward" or "backward" (one entry of ``kinds`` per part).
-
-    The same product as the dense ``shift_ops`` matrices, done by row index.
-    """
+    "forward" or "backward" (one entry of ``kinds`` per part), done by row
+    index."""
     out = np.zeros_like(m)
     for off, part, kind in zip(space.offsets(), space.parts, kinds):
         src, dst = m[off:off + part.dim], out[off:off + part.dim]

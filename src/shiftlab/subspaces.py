@@ -37,14 +37,11 @@ from .operators import (
     toeplitz_op,
 )
 from .symbols import (
-    CLASSIFY_TOL,
     IsometryKind,
     LaurentSymbol,
     accepts_partial_isometry,
     block_symbol,
     classify_isometry,
-    coeff_distance,
-    constant_symbol,
     monomial_symbol,
     rank_profile,
     split_fiber_rows,
@@ -448,26 +445,6 @@ def range_window_basis(phi: LaurentSymbol, dim_e: int, dim_f: int, n: int,
     return SubspaceBasis(analytic_ambient(dim_e, dim_f, window), basis, window=window)
 
 
-def model_space_basis(theta: LaurentSymbol, n: int) -> SubspaceBasis:
-    """Elements of degree <= n orthogonal to every multiple of the inner column.
-
-    theta must be analytic and isometry-valued (the zero symbol means no
-    multiples at all, so the answer is the whole window).
-    """
-    space = ProductSpace.of(TruncatedSpace.hardy(theta.rows, n))
-    if theta.is_zero():
-        return SubspaceBasis(space, np.eye(space.dim, dtype=complex), window=n)
-    if not theta.is_analytic():
-        raise ValueError("inner factor must be analytic")
-    cls = classify_isometry(theta)
-    if cls.kind not in (IsometryKind.ISOMETRY, IsometryKind.UNITARY):
-        raise ValueError(
-            f"inner factor must be isometry-valued (classified {cls.kind.value})")
-    # multiples theta z^k e with k > n never pair against the window
-    gens = multiplication_matrix(theta, 0, n, 0, n)
-    return SubspaceBasis(space, nullspace(gens.conj().T), window=n)
-
-
 def inner_multiples_window_basis(theta: LaurentSymbol, w: int) -> np.ndarray:
     """Orthonormal basis of the multiples of the inner column with degree <= w.
 
@@ -574,97 +551,3 @@ def splitting_check_scalar(phi: LaurentSymbol) -> SplittingResult:
         # the last kernel column is the direction in which the stack is smallest
         return SplittingResult(True, kernel[:, -1], rank)
     return SplittingResult(False, None, rank)
-
-
-@dataclass(frozen=True)
-class UnitaryMatchResult:
-    matched: bool
-    w: np.ndarray
-    unitarity_defect: float
-    residual: float
-
-
-def constant_unitary_match(s1: LaurentSymbol, s2: LaurentSymbol) -> UnitaryMatchResult:
-    """Recover a constant unitary W with s1 = s2 W, when one exists.
-
-    W is the constant coefficient of s2^H s1 (its mean over the circle),
-    which is W itself when s2 is isometry-valued; acceptance requires W to be
-    unitary and the coefficient residual of s1 - s2 W to vanish within
-    CLASSIFY_TOL.  A large residual is a negative finding, not an error.
-    """
-    if s1.shape != s2.shape:
-        raise ValueError(f"shape mismatch {s1.shape} vs {s2.shape}")
-    for name, s in (("first", s1), ("second", s2)):
-        cls = classify_isometry(s)
-        if cls.kind not in (IsometryKind.ISOMETRY, IsometryKind.UNITARY):
-            raise ValueError(
-                f"{name} symbol is not isometry-valued (classified {cls.kind.value})")
-    w = (s2.adjoint() @ s1).coeff(0)
-    defect = float(np.max(np.abs(w.conj().T @ w - np.eye(s1.cols))))
-    resid = coeff_distance(s1, symbol_mul(s2, constant_symbol(w)))
-    ok = defect <= CLASSIFY_TOL and resid <= CLASSIFY_TOL
-    return UnitaryMatchResult(ok, w, defect, resid)
-
-
-@dataclass(frozen=True)
-class SplitProfile:
-    dim: int
-    dim_first_only: int
-    dim_second_only: int
-
-    @property
-    def splits_along_fibers(self) -> bool:
-        return self.dim == self.dim_first_only + self.dim_second_only
-
-
-def coordinate_split_profile(basis: SubspaceBasis) -> SplitProfile:
-    """Dimensions of the parts of the subspace lying inside a single fiber block.
-
-    The subspace is a fiber-aligned direct sum exactly when those parts
-    exhaust it; a deficit certifies that no splitting along the given
-    coordinates exists.
-    """
-    amb = basis.ambient
-    e_rows = np.arange(amb.part_slice(0).start, amb.part_slice(0).stop)
-    f_rows = np.arange(amb.part_slice(1).start, amb.part_slice(1).stop)
-    in_e = nullspace(basis.basis[f_rows, :]).shape[1]
-    in_f = nullspace(basis.basis[e_rows, :]).shape[1]
-    return SplitProfile(basis.dim, in_e, in_f)
-
-
-@dataclass(frozen=True)
-class RoundtripResult:
-    invariance_residual: float
-    reverse_distance: float
-    window: int
-    reverse_window: int
-    dim: int
-
-
-def bilateral_roundtrip(spec: InvariantSubspaceSpec, n: int) -> RoundtripResult:
-    """Forward and reverse pass through the bilateral correspondence.
-
-    Forward: build the bilateral basis, carve out the analytic subspace,
-    measure its invariance residual.  Reverse: flip the subspace back,
-    complement it inside the bilateral ambient, restrict to a window
-    shrunk once more by the symbol band, and compare against the same
-    restriction of the original bilateral basis.
-    """
-    b3 = bilateral_subspace(spec, n)
-    w = b3.window
-    mixed = mixed_from_bilateral(b3, w)
-    inv = invariance_check(mixed)
-    band = max((s.bandwidth for s in spec.bilateral_symbols()), default=0)
-    w3 = w - band
-    if w3 < 0:
-        raise ValueError("truncation too small for a reverse window")
-    amb = b3.ambient
-    lifted = np.zeros((amb.dim, mixed.dim), dtype=complex)
-    lifted[amb.degree_indices(0, w), :] = mixed.basis
-    perm = _flip_permutation(amb)
-    flipped = lifted[perm, :]
-    keep = amb.window_indices(w3)
-    reverse = nullspace(flipped.conj().T[:, keep])
-    restricted = image_within(b3.basis, keep)
-    dist = principal_angle_distance(reverse, restricted)
-    return RoundtripResult(inv, dist, w, w3, mixed.dim)

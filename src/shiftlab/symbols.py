@@ -215,14 +215,6 @@ def symbol_mul(s1: LaurentSymbol, s2: LaurentSymbol) -> LaurentSymbol:
     return _canonical(s1.rows, s2.cols, kmin, out)
 
 
-def coeff_distance(s1: LaurentSymbol, s2: LaurentSymbol) -> float:
-    """Largest coefficient-wise difference max_k |S1_k - S2_k|."""
-    if s1.shape != s2.shape:
-        raise ValueError(f"shape mismatch {s1.shape} vs {s2.shape}")
-    d = s1 - s2
-    return d.max_abs_coeff()
-
-
 def submatrix(s: LaurentSymbol, row_idx, col_idx) -> LaurentSymbol:
     """Extract a block by row/column index lists (or slices)."""
     sub = s.coeffs[:, row_idx, :][:, :, col_idx]
@@ -282,7 +274,6 @@ def unit_circle_points(num_samples: int) -> np.ndarray:
 @dataclass(frozen=True)
 class IsometryClass:
     kind: IsometryKind
-    initial_rank: int
     residual: float
 
 
@@ -307,7 +298,7 @@ def classify_isometry(s: LaurentSymbol) -> IsometryClass:
     the identities backing the returned kind.
     """
     if s.is_zero():
-        return IsometryClass(IsometryKind.ZERO, 0, 0.0)
+        return IsometryClass(IsometryKind.ZERO, 0.0)
     left = _left_gram(s)
     right = _left_gram(s.adjoint())
     off_left = max((np.max(np.abs(g)) for m, g in left.items() if m != 0), default=0.0)
@@ -324,15 +315,14 @@ def classify_isometry(s: LaurentSymbol) -> IsometryClass:
         float(np.max(np.abs(g0 - g0.conj().T))),
     )
     if v_unitary <= CLASSIFY_TOL:
-        return IsometryClass(IsometryKind.UNITARY, s.cols, v_unitary)
+        return IsometryClass(IsometryKind.UNITARY, v_unitary)
     if v_iso <= CLASSIFY_TOL:
-        return IsometryClass(IsometryKind.ISOMETRY, s.cols, v_iso)
+        return IsometryClass(IsometryKind.ISOMETRY, v_iso)
     if v_coiso <= CLASSIFY_TOL:
-        return IsometryClass(IsometryKind.COISOMETRY, s.rows, v_coiso)
+        return IsometryClass(IsometryKind.COISOMETRY, v_coiso)
     if v_partial <= CLASSIFY_TOL:
-        rank = int(round(float(np.real(np.trace(g0)))))
-        return IsometryClass(IsometryKind.PARTIAL_ISOMETRY, rank, v_partial)
-    return IsometryClass(IsometryKind.NONE, 0, min(v_partial, v_coiso))
+        return IsometryClass(IsometryKind.PARTIAL_ISOMETRY, v_partial)
+    return IsometryClass(IsometryKind.NONE, min(v_partial, v_coiso))
 
 
 def accepts_partial_isometry(cls: IsometryClass) -> bool:

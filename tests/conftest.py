@@ -1,9 +1,22 @@
-"""Shared builders for randomized test families."""
+"""Shared builders for randomized test families, and the reference
+computations the tests hold the pipeline against.
+
+The references are written here, apart from ``src/``, so that a check
+does not judge the pipeline with the pipeline's own code.
+"""
 
 import numpy as np
 
+from shiftlab.linalg import image_within, nullspace, principal_angle_distance
 from shiftlab.operators import build_range_operator, nehari_lower_bound
-from shiftlab.symbols import LaurentSymbol, block_symbol, make_symbol, monomial_symbol
+from shiftlab.subspaces import bilateral_subspace, invariance_check, mixed_from_bilateral
+from shiftlab.symbols import (
+    LaurentSymbol,
+    block_symbol,
+    make_symbol,
+    monomial_symbol,
+    zero_symbol,
+)
 
 
 def random_symbol(rng, rows, cols, kmin, kmax) -> LaurentSymbol:
@@ -44,7 +57,6 @@ def inner_mixture(rng, dim_e, dim_f, dim_e0, max_exp=2):
         term = monomial_symbol(int(c_exp[j]), np.outer(w_f[:, j], g[dim_e + j, :]))
         c_sym = term if c_sym is None else c_sym + term
     if c_sym is None:
-        from shiftlab.symbols import zero_symbol
         c_sym = zero_symbol(dim_f, dim_e0)
     top = monomial_symbol(1, np.eye(dim_e)) @ a_prime.conj_arg()
     u = block_symbol([[top], [c_sym]])
@@ -64,3 +76,56 @@ def swept_lower_bounds(phi, dim_e, n_list):
     """nehari's (n, lower bound) pairs over a truncation sweep, each from the
     range operator of phi at n, as ``cli.run`` collects them."""
     return [(n, nehari_lower_bound(build_range_operator(phi, dim_e, n))) for n in n_list]
+
+
+def coeff_distance(s1, s2) -> float:
+    """Largest coefficient-wise difference max_k |S1_k - S2_k|."""
+    return (s1 - s2).max_abs_coeff()
+
+
+def shift_matrix(space, kind) -> np.ndarray:
+    """Dense truncated multiplication by z ("forward") on one truncated
+    space, or its adjoint ("backward"): the reference for shift_rows."""
+    fwd = np.eye(space.dim, k=-space.fiber_dim, dtype=complex)
+    return fwd if kind == "forward" else fwd.conj().T
+
+
+def flip_first_part(m, ambient) -> np.ndarray:
+    """Rows of m with the coefficient flip k -> -k applied to the first
+    (two-sided) part of the ambient, degree by degree."""
+    part, out = ambient.parts[0], m.copy()
+    for k in range(part.deg_lo, part.deg_hi + 1):
+        out[part.degree_indices(k, k)] = m[part.degree_indices(-k, -k)]
+    return out
+
+
+def bilateral_roundtrip(spec, n) -> tuple[float, float]:
+    """Forward and reverse pass through the bilateral correspondence.
+
+    Forward: the carve-out of the bilateral basis and its invariance
+    residual.  Reverse: lift the carve-out into the bilateral ambient, flip
+    it back, complement it on a window shrunk once more by the symbol band,
+    and compare with the bilateral basis restricted to that window.
+    Returns (invariance residual, reverse distance).
+    """
+    b3 = bilateral_subspace(spec, n)
+    mixed = mixed_from_bilateral(b3)
+    w3 = b3.window - max(s.bandwidth for s in spec.bilateral_symbols())
+    assert w3 >= 0, "truncation too small for a reverse window"
+    amb = b3.ambient
+    lifted = np.zeros((amb.dim, mixed.dim), dtype=complex)
+    lifted[amb.degree_indices(0, b3.window)] = mixed.basis
+    keep = amb.window_indices(w3)
+    reverse = nullspace(flip_first_part(lifted, amb).conj().T[:, keep])
+    distance = principal_angle_distance(reverse, image_within(b3.basis, keep))
+    return invariance_check(mixed), distance
+
+
+def in_fiber_dims(basis) -> tuple[int, int]:
+    """Dimensions of the parts of the subspace lying inside the first fiber
+    block and inside the second.  The subspace is a fiber-aligned direct sum
+    exactly when they add up to its dimension; the deficit is its split
+    defect."""
+    amb = basis.ambient
+    first, second = (basis.basis[amb.part_slice(i)] for i in (0, 1))
+    return nullspace(second).shape[1], nullspace(first).shape[1]

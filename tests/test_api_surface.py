@@ -1,11 +1,13 @@
 """Every public top-level name of the package has a caller in the pipeline,
 and every default of a public function or method is overridden by one.
 
-A public function or class counts as used when some code outside its own
-definition refers to it: another definition in any ``src/shiftlab``
-module (``__init__.py`` re-exports do not count), the acceptance gate
-``tests/test_acceptance.py``, or the benchmark under ``perfbench/``.
-Unit tests alone do not keep a name or a default alive.
+The pipeline is the package's modules under ``src/shiftlab`` and the
+benchmark under ``perfbench/``.  A public function or class counts as used
+when some code there, outside its own definition, refers to it.  Tests do
+not keep a name or a default alive, the acceptance gate included: a
+reference computation that only tests need lives in ``tests/conftest.py``,
+apart from the code it judges.  The package re-exports nothing; modules
+are imported directly, as in ``from shiftlab import cli``.
 """
 
 import ast
@@ -39,13 +41,14 @@ def public_definitions(tree: ast.Module):
             and not node.name.startswith("_")]
 
 
+def parsed(paths) -> dict[Path, ast.Module]:
+    return {path: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(paths)}
+
+
 def test_every_public_name_has_a_pipeline_caller():
-    modules = {path: ast.parse(path.read_text(encoding="utf-8"))
-               for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
-    gate = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
-    bench = [ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted((ROOT / "perfbench").glob("*.py"))]
-    outside = referenced_names([gate]) | referenced_names(bench, strings=True)
+    modules = parsed(PACKAGE.glob("*.py"))
+    outside = referenced_names(parsed((ROOT / "perfbench").glob("*.py")).values(),
+                               strings=True)
     per_module = {path: referenced_names([tree]) for path, tree in modules.items()}
     unused = []
     for path, tree in modules.items():
@@ -55,6 +58,28 @@ def test_every_public_name_has_a_pipeline_caller():
             if definition.name not in used | referenced_names(rest):
                 unused.append(f"{path.stem}.{definition.name}")
     assert not unused, f"public names with no pipeline caller: {unused}"
+
+
+def test_every_import_is_used():
+    """An import the module never reads is dead code, and keeps a removed
+    name looking alive."""
+    unused = []
+    for path, tree in parsed(PACKAGE.glob("*.py")).items():
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{node.lineno} {alias.asname or alias.name}"
+                   for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                   for alias in node.names
+                   if (alias.asname or alias.name).split(".")[0] not in read]
+    assert not unused, f"imports no code of the module reads: {unused}"
+
+
+def test_package_init_is_only_its_docstring():
+    """``shiftlab/__init__.py`` holds its docstring and nothing else: no
+    re-exports, so every name is reached through the module that defines it."""
+    body = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8")).body
+    assert len(body) == 1 and isinstance(body[0], ast.Expr) \
+        and isinstance(body[0].value, ast.Constant) and isinstance(body[0].value.value, str), \
+        f"__init__.py holds more than its docstring: {[ast.dump(node)[:60] for node in body]}"
 
 
 def defaulted_parameters(tree: ast.Module):
@@ -105,22 +130,17 @@ def test_every_default_is_set_by_a_pipeline_caller():
     """A default that no caller overrides is a constant posing as an option.
 
     Every defaulted parameter of a public function or method must be
-    passed, by keyword or by position, by some call in the package, the
-    acceptance gate or the benchmark.  The console entry point cli.main
-    is exempt: it takes argv so that tests can call it.
+    passed, by keyword or by position, by some call in the package or the
+    benchmark.  No name is exempt: ``python -m shiftlab.cli`` passes
+    cli.main its argv, and the console script takes the default.
     """
-    modules = {path: ast.parse(path.read_text(encoding="utf-8"))
-               for path in sorted(PACKAGE.glob("*.py"))}
-    callers = list(modules.values()) + [
-        ast.parse(path.read_text(encoding="utf-8"))
-        for path in [ROOT / "tests" / "test_acceptance.py",
-                     *sorted((ROOT / "perfbench").glob("*.py"))]]
-    passed = passed_arguments(callers)
+    modules = parsed(PACKAGE.glob("*.py"))
+    passed = passed_arguments([*modules.values(),
+                               *parsed((ROOT / "perfbench").glob("*.py")).values()])
     unset = [f"{path.stem}.{qualified}({param})"
              for path, tree in modules.items()
              for qualified, name, param, position in defaulted_parameters(tree)
-             if f"{path.stem}.{qualified}" != "cli.main"
-             and not {(name, param), (name, position), (name, "*"), (name, "**")} & passed]
+             if not {(name, param), (name, position), (name, "*"), (name, "**")} & passed]
     assert not unset, f"defaulted parameters no pipeline call sets: {unset}"
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import coeff_distance
 from shiftlab import cli
 from shiftlab.cli import (
     DEMOS,
@@ -21,7 +22,7 @@ from shiftlab.cli import (
     symbol_to_literal,
 )
 from shiftlab.subspaces import kernel_symbol_from_u, range_symbol_from_u
-from shiftlab.symbols import coeff_distance, make_symbol
+from shiftlab.symbols import make_symbol
 
 
 SAMPLE = Path(__file__).resolve().parent.parent / "scenarios" / "sample-inner-column.json"
@@ -492,11 +493,38 @@ class TestMainEntry:
         ({}, "nehari_candidates must be a list"),
         ([{key: {"rows": 1, "cols": 1, "coeffs": []} for key in ("L1", "L2", "L3")}],
          "field nehari_candidates[0]: unknown key 'L3'"),
-    ], ids=["empty", "no-L2", "no-L1", "not-object", "not-list", "unknown-key"])
+        ([dict(ZERO_CANDIDATE, L1={"rows": 2, "cols": 1, "coeffs": []})],
+         "field nehari_candidates[0].L1 has shape (2, 1), expected (1, 1)"),
+        ([ZERO_CANDIDATE, dict(ZERO_CANDIDATE, L2={"rows": 1, "cols": 2, "coeffs": []})],
+         "field nehari_candidates[1].L2 has shape (1, 2), expected (1, 1)"),
+        ([dict(ZERO_CANDIDATE, L1={"rows": 1, "cols": 1,
+                                   "coeffs": [{"k": -1, "re": [1.0]}]})],
+         "field nehari_candidates[0].L1 must be analytic"),
+        ([dict(ZERO_CANDIDATE, L2={"rows": 1, "cols": 1,
+                                   "coeffs": [{"k": 0, "re": [1.0]}, {"k": -2, "re": [1.0]}]})],
+         "field nehari_candidates[0].L2 must be analytic"),
+    ], ids=["empty", "no-L2", "no-L1", "not-object", "not-list", "unknown-key",
+            "L1-shape", "L2-shape", "L1-not-analytic", "L2-not-analytic"])
     def test_malformed_nehari_candidate_exit_two(self, tmp_path, capsys, candidates, named):
-        payload = dict(minimal_payload(), nehari_candidates=candidates)
+        # with the nehari check listed, a candidate that got past the parser
+        # would become an error record and exit 1
+        payload = dict(minimal_payload(), checks=["nehari"], nehari_candidates=candidates)
         assert main(["verify", write_scenario(tmp_path, payload)]) == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, literal, variant, checks", [
+        ("U", {"rows": 2, "cols": 0, "coeffs": []}, "type_i", ["twocond", "invariance"]),
+        ("Omega", {"rows": 1, "cols": 0, "coeffs": []}, "type_ii", ["twocond", "invariance"]),
+        ("Theta", {"rows": 1, "cols": 0, "coeffs": []}, "type_i", ["kernel_rep"]),
+    ], ids=["U", "Omega", "Theta"])
+    def test_zero_width_literal_exit_two(self, tmp_path, capsys, key, literal, variant, checks):
+        # no valid literal has a zero dimension; past the parser these ran
+        # into numpy's empty reductions and exited 1
+        payload = dict(minimal_payload(), checks=checks)
+        payload["spec"].update({"variant": variant, key: literal})
+        assert main(["verify", write_scenario(tmp_path, payload)]) == 2
+        assert f"field spec.{key}.cols must be an integer in [1, 2**53)" \
+            in capsys.readouterr().err
 
     def test_omega_orthogonality_ignores_samples_key(self, tmp_path, capsys):
         # the Omega/U orthogonality is exact, so no sample count can shrink it

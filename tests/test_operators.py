@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import swept_lower_bounds
+from conftest import shift_matrix, swept_lower_bounds
 from shiftlab import operators
 from shiftlab.linalg import spectral_norm
 from shiftlab.operators import (
@@ -16,7 +16,6 @@ from shiftlab.operators import (
     hankel_op,
     intertwining_residual,
     nehari_bounds,
-    shift_ops,
     shift_rows,
     svd_analysis,
     toeplitz_op,
@@ -143,18 +142,12 @@ class TestHankel:
 
 
 class TestShiftOps:
-    def test_hardy_forward(self):
-        ops = shift_ops(TruncatedSpace.hardy(1, 2))
-        np.testing.assert_allclose(ops.forward.entries, np.eye(3, k=-1))
-        assert ops.forward.exact_window == 1
-        assert ops.backward.exact_window == 2
-
     def test_shift_rows_matches_dense_shifts(self):
         parts = (TruncatedSpace.lebesgue(2, 3), TruncatedSpace.hardy(1, 4))
         space = ProductSpace.of(*parts)
         m = np.random.default_rng(5).standard_normal((space.dim, 3))
         for kinds in (("forward", "backward"), ("backward", "forward")):
-            blocks = [getattr(shift_ops(p), k).entries for p, k in zip(parts, kinds)]
+            blocks = [shift_matrix(p, k) for p, k in zip(parts, kinds)]
             dense = np.zeros((space.dim, space.dim), dtype=complex)
             dense[:parts[0].dim, :parts[0].dim] = blocks[0]
             dense[parts[0].dim:, parts[0].dim:] = blocks[1]
@@ -446,8 +439,8 @@ class TestStructureCharacterizations:
             s = rand_symbol(rng, rows, cols, -3, 3)
             n = 16
             t = toeplitz_op(s, n)
-            fwd_c = shift_ops(TruncatedSpace.hardy(cols, n)).forward.entries
-            bwd_r = shift_ops(TruncatedSpace.hardy(rows, n)).backward.entries
+            fwd_c = shift_matrix(TruncatedSpace.hardy(cols, n), "forward")
+            bwd_r = shift_matrix(TruncatedSpace.hardy(rows, n), "backward")
             resid = bwd_r @ t.entries @ fwd_c - t.entries
             w = t.exact_window - 1
             cols_idx = t.domain.window_indices(w)
@@ -460,8 +453,8 @@ class TestStructureCharacterizations:
             s = rand_symbol(rng, rows, cols, -3, 3)
             n = 16
             h = hankel_op(s, n)
-            fwd_c = shift_ops(TruncatedSpace.hardy(cols, n)).forward.entries
-            bwd_r = shift_ops(TruncatedSpace.hardy(rows, n)).backward.entries
+            fwd_c = shift_matrix(TruncatedSpace.hardy(cols, n), "forward")
+            bwd_r = shift_matrix(TruncatedSpace.hardy(rows, n), "backward")
             resid = h.entries @ fwd_c - bwd_r @ h.entries
             cols_idx = h.domain.window_indices(n - 1)
             assert spectral_norm(resid[:, cols_idx]) <= 1e-12
