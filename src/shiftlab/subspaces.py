@@ -23,7 +23,9 @@ from .linalg import (
     intersection,
     nullspace,
     principal_angle_distance,
+    project,
     spectral_norm,
+    times,
 )
 from .operators import (
     DEFAULT_TOL,
@@ -380,9 +382,9 @@ def shift_invariance_residual(basis: SubspaceBasis, kinds: tuple[str, str]) -> f
            if kind == "forward"]
     kill_rows = np.concatenate(top) if top else np.zeros(0, dtype=int)
     b = basis.basis
-    compressed = b @ nullspace(b[kill_rows, :])
+    compressed = times(b, nullspace(b[kill_rows, :]))
     image = shift_rows(compressed, amb, kinds)
-    resid = image - b @ (b.conj().T @ image)
+    resid = image - project(b, image)
     return spectral_norm(resid)
 
 

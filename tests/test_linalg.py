@@ -1,5 +1,7 @@
 """Shared linear-algebra helpers."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,8 +13,10 @@ from shiftlab.linalg import (
     column_space,
     nullspace,
     principal_angle_distance,
+    project,
     singular_values,
     spectral_norm,
+    times,
 )
 from shiftlab.operators import _binary_singular_values
 from shiftlab.subspaces import TYPE_I, InvariantSubspaceSpec
@@ -180,6 +184,65 @@ class TestSupportStripping:
         np.testing.assert_allclose(np.abs(basis[:, 0]), [0.6, 0, 0, 0.8, 0], atol=1e-15)
 
 
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """(calling function, matrix) of every numpy SVD issued in the test."""
+    try:
+        from numpy.linalg import _linalg
+    except ImportError:  # numpy < 2
+        from numpy.linalg import linalg as _linalg
+    calls = []
+    original = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        calls.append((sys._getframe(1).f_code.co_name, np.asarray(a)))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    monkeypatch.setattr(_linalg, "svd", recording_svd)
+    return calls
+
+
+def duplicated_column_core():
+    """4 x 3 core [1, 1, ramp] whose Householder triangle has an exactly-zero
+    middle row: the second column is the first, so nothing is left of it
+    once the first reflector has acted."""
+    ones = np.ones(4)
+    return np.column_stack([ones, ones, np.arange(1.0, 5.0)]).astype(complex)
+
+
+class TestTriangleFirst:
+    """Tall cores reach nullspace, and wide cores column_space, through the
+    triangle of a QR factorisation; both must agree with the dense
+    factorization of the core itself."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), short=st.integers(1, 10),
+           extra=st.integers(1, 12), rank=st.integers(0, 10), binary=st.booleans(),
+           wide=st.booleans())
+    def test_planted_full_support_cores(self, seed, short, extra, rank, binary, wide):
+        rng = np.random.default_rng(seed)
+        rows, cols = (short, short + extra) if wide else (short + extra, short)
+        m = planted(rng, rows, cols, np.arange(rows), np.arange(cols), rank, binary)
+        assert_same_span(nullspace(m), ref_nullspace(m))
+        assert_same_span(column_space(m), ref_column_space(m))
+
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_triangle_with_an_exactly_zero_row(self, wide, svd_calls):
+        core = duplicated_column_core()
+        triangle = np.linalg.qr(core, mode="r")
+        assert not triangle[1].any() and triangle[2].any()
+        m = core.conj().T if wide else core
+        kernel, span = nullspace(m), column_space(m)
+        assert kernel.shape[1] == (2 if wide else 1) and span.shape[1] == 2
+        # the zero row is stripped again before the SVD
+        assert len(svd_calls) == 2
+        for _, a in svd_calls:
+            assert (a != 0).any(axis=1).all() and (a != 0).any(axis=0).all()
+        assert_same_span(kernel, ref_nullspace(m))
+        assert_same_span(span, ref_column_space(m))
+
+
 class TestEverySvdIsStripped:
     """While the CLI runs, no matrix reaching numpy's SVD has a zero row or
     column: the pipeline's matrices all go through the stripping helpers."""
@@ -211,3 +274,60 @@ class TestEverySvdIsStripped:
         assert len(seen) > 20
         bad = [shape for shape, rows_ok, cols_ok in seen if not (rows_ok and cols_ok)]
         assert not bad, f"factorised with a zero row or column: {bad}"
+
+
+class TestEverySvdIsOneSided:
+    """While the CLI runs, nullspace factors a tall core through its triangle
+    and column_space a wide one through the triangle of its conjugate
+    transpose, so neither SVD has a long side whose vectors are discarded."""
+
+    def test_no_svd_forms_the_long_side(self, svd_calls):
+        replicated = cli.Scenario(
+            "replicated-1-2", InvariantSubspaceSpec(TYPE_I, 1, 2, u=cli.replicated_u(1, 2)),
+            ("invariance", "kernel_rep", "range_rep"), (8, 16))
+        scenarios = [sc for build in cli.DEMOS.values() for sc in build()] + [replicated]
+        assert cli.run_batch(scenarios).exit_status == 0
+        kernel = [m.shape for site, m in svd_calls if site == "nullspace"]
+        span = [m.shape for site, m in svd_calls if site == "column_space"]
+        assert len(kernel) > 20 and len(span) > 5
+        assert not [s for s in kernel if s[0] > s[1]], "nullspace factored a tall matrix"
+        assert not [s for s in span if s[0] < s[1]], "column_space factored a wide matrix"
+
+
+@st.composite
+def unit_heavy_bases(draw):
+    """d x k orthonormal basis: `units` coordinate vectors at distinct rows,
+    the other columns orthonormal on the remaining rows, columns shuffled."""
+    d = draw(st.integers(1, 24))
+    k = draw(st.integers(1, d))
+    kind = draw(st.sampled_from(["none", "only", "mixed"]))
+    units = {"none": 0, "only": k, "mixed": draw(st.integers(0, k))}[kind]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows = rng.permutation(d)
+    b = np.zeros((d, k), dtype=complex)
+    b[rows[:units], np.arange(units)] = 1.0
+    b[rows[units:], units:] = orthonormal(rng, d - units, k - units)
+    return b[:, rng.permutation(k)], rng
+
+
+class TestUnitColumnProducts:
+    @settings(max_examples=120, deadline=None)
+    @given(drawn=unit_heavy_bases(), left=st.integers(0, 8))
+    def test_times_and_project_match_dense_products(self, drawn, left):
+        b, rng = drawn
+        d, k = b.shape
+        a = rng.standard_normal((left, d)) + 1j * rng.standard_normal((left, d))
+        x = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
+        assert np.max(np.abs(times(a, b) - a @ b), initial=0.0) <= 1e-13
+        assert np.max(np.abs(project(b, x) - b @ (b.conj().T @ x)), initial=0.0) <= 1e-13
+
+    @settings(max_examples=120, deadline=None)
+    @given(first=unit_heavy_bases(), second=unit_heavy_bases(), log_eps=st.floats(-16, 0))
+    def test_principal_angle_distance_is_symmetric(self, first, second, log_eps):
+        b1, rng = first
+        b2 = second[0]
+        if b2.shape != b1.shape:  # a rotated copy of b1 instead
+            noise = rng.standard_normal(b1.shape) + 1j * rng.standard_normal(b1.shape)
+            b2 = np.linalg.qr(b1 + 10.0 ** log_eps * noise)[0]
+        assert abs(principal_angle_distance(b1, b2)
+                   - principal_angle_distance(b2, b1)) <= 1e-14
