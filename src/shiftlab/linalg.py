@@ -33,10 +33,24 @@ import numpy as np
 RANK_RTOL = 1e-10
 
 
+def _nonzero_parts(m: np.ndarray) -> np.ndarray:
+    """(m.real != 0, m.imag != 0) side by side: a rows x 2 cols mask whose
+    columns 2j and 2j + 1 belong to column j of m.  It is taken on the float
+    view of the complex data, which numpy compares several times faster than
+    the complex array; an entry is != 0 exactly when one of its parts is
+    (-0.0 is not).  A C-contiguous complex m is not copied."""
+    return np.ascontiguousarray(m, dtype=complex).view(np.float64) != 0
+
+
 def _support(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Indices of the rows and of the columns of m with an entry != 0."""
-    nonzero = m != 0
-    return np.flatnonzero(nonzero.any(axis=1)), np.flatnonzero(nonzero.any(axis=0))
+    if m.flags.f_contiguous and not m.flags.c_contiguous:
+        # a column gather m[:, cols] is laid out column-major: read m.T uncopied
+        cols, rows = _support(m.T)
+        return rows, cols
+    nonzero = _nonzero_parts(m)
+    cols = nonzero.any(axis=0).reshape(m.shape[1], 2).any(axis=1)
+    return np.flatnonzero(nonzero.any(axis=1)), np.flatnonzero(cols)
 
 
 def singular_values(m: np.ndarray) -> np.ndarray:
@@ -113,9 +127,12 @@ def _unit_columns(b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Indices of the columns of b that are unit vectors (one nonzero entry,
     exactly 1), the row of that entry in each, and the indices of the other
     columns."""
-    nonzero = b != 0
-    single = np.flatnonzero(np.count_nonzero(nonzero, axis=0) == 1)
-    at = nonzero[:, single].argmax(axis=0) if single.size else single
+    nonzero = _nonzero_parts(b)
+    # nonzero real and imaginary parts per column; int32 holds any row count
+    # below MAX_DENSE_ENTRIES, and sums faster than count_nonzero's intp
+    count = nonzero.sum(axis=0, dtype=np.int32).reshape(b.shape[1], 2)
+    single = np.flatnonzero((count[:, 0] == 1) & (count[:, 1] == 0))
+    at = nonzero[:, 2 * single].argmax(axis=0) if single.size else single
     unit = b[at, single] == 1
     dense = np.ones(b.shape[1], dtype=bool)
     dense[single[unit]] = False

@@ -4,12 +4,14 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shiftlab import cli
 from shiftlab.linalg import (
     RANK_RTOL,
+    _support,
+    _unit_columns,
     column_space,
     nullspace,
     principal_angle_distance,
@@ -18,7 +20,7 @@ from shiftlab.linalg import (
     spectral_norm,
     times,
 )
-from shiftlab.operators import _binary_singular_values
+from shiftlab.operators import _binary_singular_values, _penrose_certified
 from shiftlab.subspaces import TYPE_I, InvariantSubspaceSpec
 from shiftlab.symbols import zero_symbol
 
@@ -182,6 +184,102 @@ class TestSupportStripping:
         basis = column_space(m)
         assert basis.shape == (5, 1)
         np.testing.assert_allclose(np.abs(basis[:, 0]), [0.6, 0, 0, 0.8, 0], atol=1e-15)
+
+
+PENROSE_TOLS = [1e-12, 1e-8, 1e-4, 0.3, 0.7, 1.5]
+
+
+def band_edges(tol):
+    """Singular values just inside and just outside the binary band of tol
+    at both of its edges, and 0.5, 0 and 1."""
+    near = [tol * (1 - 1e-3), tol * (1 + 1e-3)]
+    edges = near + [1 - t for t in near] + [1 + t for t in near] + [0.5, 0.0, 1.0]
+    return [s for s in edges if s >= 0]
+
+
+class TestPenroseCertificate:
+    """The certificate ||a (a* a - I)||_F < PENROSE_MARGIN tol (1 - tol^2)
+    is sufficient, never necessary: a certified matrix has every singular
+    value in the band.  The cores have full support, so the fallback SVD
+    factors the same matrix as the reference and the two verdicts agree
+    exactly wherever the certificate does not decide."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(tol=st.sampled_from(PENROSE_TOLS), picks=st.lists(st.integers(0, 8), min_size=1,
+                                                             max_size=5),
+           extra=st.integers(0, 4), wide=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    # one singular value just above the band's lower edge: s |s^2 - 1| = 0.91 tol
+    @example(tol=0.3, picks=[1], extra=0, wide=False, seed=0)
+    def test_certified_matrices_are_in_the_band(self, tol, picks, extra, wide, seed):
+        edges = band_edges(tol)
+        sv = np.array([edges[i % len(edges)] for i in picks])
+        rng = np.random.default_rng(seed)
+        short, long = sv.size, sv.size + extra
+        u, v = orthonormal(rng, long, short), orthonormal(rng, short, short)
+        m = (u * sv) @ v.conj().T
+        if wide:
+            m = m.conj().T
+        if _penrose_certified(m, tol):
+            assert ref_binary(m, tol)
+        assert _binary_singular_values(m, tol) == ref_binary(m, tol)
+
+    @pytest.mark.parametrize("tol", PENROSE_TOLS)
+    def test_partial_isometries_are_certified_below_one(self, tol):
+        rng = np.random.default_rng(3)
+        m = orthonormal(rng, 9, 4)[:, [0, 1, 2]] @ orthonormal(rng, 6, 3).conj().T
+        assert _penrose_certified(m, tol) == (tol < 1.0)
+        assert _binary_singular_values(m, tol)
+
+
+def ref_support(m):
+    nonzero = m != 0
+    return np.flatnonzero(nonzero.any(axis=1)), np.flatnonzero(nonzero.any(axis=0))
+
+
+def ref_unit_columns(b):
+    nonzero = b != 0
+    single = np.flatnonzero(np.count_nonzero(nonzero, axis=0) == 1)
+    at = nonzero[:, single].argmax(axis=0) if single.size else single
+    unit = b[at, single] == 1
+    return single[unit], at[unit], np.setdiff1d(np.arange(b.shape[1]), single[unit])
+
+
+def signed_zero_matrix(rng, rows, cols):
+    """Entries drawn from 0, -0.0, complex(-0.0, -0.0), real-only,
+    imaginary-only, both parts, and exact 1, -1 and 1j."""
+    values = np.array([0, -0.0, complex(-0.0, -0.0), complex(0.0, -0.0), 1, -1, 1j,
+                       -1j, 2.5, 0.75j, 1 + 1j, complex(-0.0, 3.0), complex(3.0, -0.0)])
+    weights = np.where(np.arange(values.size) < 4, 6.0, 1.0)
+    return rng.choice(values, size=(rows, cols), p=weights / weights.sum())
+
+
+class TestNonzeroMasks:
+    """_support and _unit_columns read the float view of the complex data;
+    they must find exactly the entries m != 0 finds."""
+
+    def check(self, m):
+        for got, ref in zip(_support(m), ref_support(m)):
+            np.testing.assert_array_equal(got, ref)
+        for got, ref in zip(_unit_columns(m), ref_unit_columns(m)):
+            np.testing.assert_array_equal(got, ref)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(0, 9), cols=st.integers(0, 9))
+    def test_signed_zeros_and_single_parts(self, seed, rows, cols):
+        self.check(signed_zero_matrix(np.random.default_rng(seed), rows, cols))
+
+    @pytest.mark.parametrize("view", ["strided", "transposed", "column-gather", "column-slice",
+                                      "real"])
+    def test_non_contiguous_and_real_inputs(self, view):
+        big = signed_zero_matrix(np.random.default_rng(7), 12, 15)
+        big[3, :] = 0
+        big[:, 4] = -0.0
+        # a transpose and a column gather are column-major, the slices neither
+        m = {"strided": big[::2, 1::3], "transposed": big.T,
+             "column-gather": big[:, [0, 4, 5, 9, 14]], "column-slice": big[:, 2:9],
+             "real": big.real.copy()}[view]
+        assert view == "real" or not m.flags.c_contiguous
+        self.check(m)
 
 
 @pytest.fixture

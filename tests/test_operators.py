@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import shift_matrix, swept_lower_bounds
-from shiftlab import operators
+from shiftlab import cli, operators
 from shiftlab.linalg import spectral_norm
 from shiftlab.operators import (
     ProductSpace,
@@ -379,6 +379,19 @@ class TestSvdAnalysis:
         w = build_kernel_operator(kernel_symbol_from_u(u, 1, 1), 1, n)
         assert w.exact_window == n
         return w
+
+    @pytest.mark.parametrize("u", ["timotin", "replicated-1-2"])
+    def test_partial_isometries_need_no_svd(self, u, monkeypatch):
+        # the Penrose certificate passes the mixed operators of the workloads
+        calls, original = [], operators.singular_values
+        monkeypatch.setattr(operators, "singular_values",
+                            lambda m: calls.append(m.shape) or original(m))
+        sym_u, de, df = {"timotin": (cli.timotin_u(), 1, 1),
+                         "replicated-1-2": (cli.replicated_u(1, 2), 1, 2)}[u]
+        v = build_range_operator(range_symbol_from_u(sym_u, de, df), de, 64)
+        w = build_kernel_operator(kernel_symbol_from_u(sym_u, de, df), de, 64)
+        assert svd_analysis(v) and svd_analysis(w)
+        assert calls == []
 
     def test_full_window_factored_once(self, monkeypatch):
         # both compressions are the whole matrix, so one SVD decides the flag
