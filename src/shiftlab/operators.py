@@ -12,10 +12,19 @@ of degree k, fiber i sits at flat index (k - deg_lo) * fiber_dim + i.
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .linalg import _support, singular_values, spectral_norm
+from .linalg import (
+    Triplets,
+    nonzero_triplets,
+    singular_values,
+    sparse_difference,
+    sparse_product,
+    spectral_norm,
+    support_core,
+)
 from .symbols import (
     LaurentSymbol,
     block_symbol,
@@ -31,8 +40,8 @@ LEBESGUE = "lebesgue"
 DEFAULT_TOL = 1e-8
 # The share of the Penrose bound tol (1 - tol^2) that ||V V* V - V||_F may
 # reach and still certify the binary band without an SVD; the rest covers
-# the rounding of the two products, which leave ||V V* V - V||_F at most
-# 1.3e-14 on the benchmark's partial isometries.
+# the rounding of the two products, which leave ||V V* V - V||_F below
+# 2e-14 on the partial isometries of the demos and the benchmark.
 PENROSE_MARGIN = 0.5
 
 
@@ -163,6 +172,12 @@ class OperatorMatrix:
                 f"entries shape {self.entries.shape} does not match spaces "
                 f"({self.codomain.dim}, {self.domain.dim})"
             )
+
+    @cached_property
+    def nonzeros(self) -> Triplets:
+        """The entries != 0, scanned once per operator: every operator check
+        reads these instead of a dense copy of the matrix."""
+        return nonzero_triplets(self.entries)
 
     def window_rows(self) -> np.ndarray:
         """Submatrix keeping only codomain rows inside the exactness window;
@@ -317,33 +332,72 @@ def build_kernel_operator(psi: LaurentSymbol, dim_e: int, n: int) -> OperatorMat
     return OperatorMatrix(space, space, ent, min(op.exact_window for op in blocks))
 
 
-def _penrose_certified(m: np.ndarray, tol: float) -> bool:
-    """True only when every singular value of m is within tol of 0 or 1.
+def _within(t: Triplets, axis: int, keep: np.ndarray, dim: int) -> Triplets:
+    """The entries of t whose row (axis 0) or column (axis 1) is one of the
+    indices keep, out of dim."""
+    if keep.size == dim:
+        return t
+    mask = np.zeros(dim, dtype=bool)
+    mask[keep] = True
+    inside = mask[t[axis]]
+    return Triplets(*(x[inside] for x in t))
 
-    E = a (a* a - I) of the nonzero core a, taken tall (a wide core is
-    conjugate-transposed, which keeps its singular values), has singular
-    values s |s^2 - 1| over the core's s.  Each s outside the band gives at
-    least tol (1 - tol^2), the value at s = tol (conservative for tol >= 1/2,
-    never passing for tol >= 1), so a smaller ||E||_F leaves no s outside
-    it.  PENROSE_MARGIN covers the rounding of the two products.
+
+def _moved(t: Triplets, axis: int, space: ProductSpace, kinds: tuple[str, ...]) -> Triplets:
+    """The entries of X m (axis 0) or of m X^T (axis 1), for the matrix m
+    that t lists and the block shift X of ``shift_rows``: the row or column
+    index of each entry moves by one fiber within its part, and an entry
+    moved out of its part drops out."""
+    bounds = np.array(space.offsets() + [space.dim])
+    step = np.array([p.fiber_dim if kind == "forward" else -p.fiber_dim
+                     for p, kind in zip(space.parts, kinds)])
+    part = sum(t[axis] >= bound for bound in bounds[1:-1])
+    moved = t[axis] + step[part]
+    keep = (moved >= bounds[part]) & (moved < bounds[part + 1])
+    out = [x[keep] for x in t]
+    out[axis] = moved[keep]
+    return Triplets(*out)
+
+
+def _penrose_defect(v: Triplets) -> float:
+    """||V V* V - V||_F of the matrix V that v lists.
+
+    The norm is the same for V*, and for V with its zero rows and columns
+    stripped, so the two products run on the list as it stands.  They are
+    sparse while each forms no more terms than V's nonzero core has
+    entries, which keeps their memory to that of the core; a denser core is
+    multiplied as a dense array, taken tall so that V* V is the smaller Gram
+    matrix.
     """
-    rows, cols = _support(m)
-    a = m[np.ix_(rows, cols)]
+    core_size = np.count_nonzero(np.bincount(v.rows)) * np.count_nonzero(np.bincount(v.cols))
+    gram = sparse_product(Triplets(v.cols, v.rows, v.vals.conj()), v, core_size)
+    image = None if gram is None else sparse_product(v, gram, core_size)
+    if image is not None:
+        return float(np.linalg.norm(sparse_difference(image, v).vals))
+    a = support_core(v)
     if a.shape[0] < a.shape[1]:
         a = a.conj().T
-    gram = a.conj().T @ a
-    gram[np.diag_indices_from(gram)] -= 1.0
-    return bool(np.linalg.norm(a @ gram) < PENROSE_MARGIN * tol * (1.0 - tol * tol))
+    return float(np.linalg.norm(a @ (a.conj().T @ a) - a))
+
+
+def _penrose_certified(v: Triplets, tol: float) -> bool:
+    """True only when every singular value of the matrix V that v lists is
+    within tol of 0 or 1.
+
+    E = V (V* V) - V has singular values s |s^2 - 1| over V's s.  Each s
+    outside the band gives at least tol (1 - tol^2), the value at s = tol
+    (conservative for tol >= 1/2, never passing for tol >= 1), so a smaller
+    ||E||_F leaves no s outside it.  PENROSE_MARGIN covers the rounding of
+    the two products.
+    """
+    return _penrose_defect(v) < PENROSE_MARGIN * tol * (1.0 - tol * tol)
 
 
 def _binary_singular_values(m: np.ndarray, tol: float) -> bool:
-    """Every singular value within tol of 0 or 1; an empty matrix gives no
-    evidence, so False.  The Penrose certificate decides first when it can;
-    the SVD decides every other matrix."""
+    """Every singular value of m within tol of 0 or 1, by the values-only
+    SVD; an empty matrix gives no evidence, so False."""
     if m.size == 0:
         return False
-    if _penrose_certified(m, tol):
-        return True
     sv = singular_values(m)
     return bool(np.all((sv <= tol) | (np.abs(sv - 1.0) <= tol)))
 
@@ -364,18 +418,24 @@ def svd_analysis(op: OperatorMatrix, tol: float = DEFAULT_TOL) -> bool:
 
     Each side is first tried with the Penrose identity V V* V = V, which
     holds exactly for partial isometries (Halmos & McLaughlin, Pacific J.
-    Math. 13, 1963): two products of the side's nonzero core bound every
-    singular value outside the band away from it, so a small enough
-    ||V V* V - V||_F passes the side without an SVD.  The certificate is
-    sufficient, never necessary: a side it does not pass goes to the
-    values-only SVD, which alone can reject, so every verdict is the
-    SVD's.
+    Math. 13, 1963), on the operator's nonzero entries inside the window:
+    two sparse products bound every singular value outside the band away
+    from it, so a small enough ||V V* V - V||_F passes the side without a
+    dense copy or an SVD.  The certificate is sufficient, never necessary:
+    a side it does not pass is compressed and goes to the values-only SVD,
+    which alone can reject, so every verdict is the SVD's.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    rows, cols = op.window_rows(), op.window_columns()
-    return (_binary_singular_values(rows, tol)
-            or (cols is not rows and _binary_singular_values(cols, tol)))
+    rows = op.codomain.window_indices(op.exact_window)
+    cols = op.domain.window_indices(op.exact_window)
+    sides = [(rows, 0, op.codomain.dim, op.window_rows)]
+    if rows.size < op.codomain.dim or cols.size < op.domain.dim:
+        sides.append((cols, 1, op.domain.dim, op.window_columns))
+    return any(keep.size > 0
+               and (_penrose_certified(_within(op.nonzeros, axis, keep, dim), tol)
+                    or _binary_singular_values(compress(), tol))
+               for keep, axis, dim, compress in sides)
 
 
 def intertwining_residual(op: OperatorMatrix, kind: str) -> float:
@@ -385,25 +445,35 @@ def intertwining_residual(op: OperatorMatrix, kind: str) -> float:
     kind "kernel": || W X - Y* W ||.
     Both identities hold exactly for the untruncated operators, so the
     window-compressed residual of a correct truncation is at float level.
+
+    A shift moves entries, so both products are the operator's nonzero
+    entries with their row or column indices moved; entries of the two
+    that meet at one position are subtracted, and only the window columns
+    are kept.  Equal entries cancel exactly, which leaves nothing on the
+    mixed operators of the demos and the benchmark, and the residual is
+    then exactly 0.0.  Otherwise its spectral norm is that of the
+    residual's nonzero core, the array the dense residual's SVD would
+    factor.
     """
     if kind not in ("range", "kernel"):
         raise ValueError(f"unknown intertwining kind {kind!r}")
-    v, space = op.entries, op.domain
+    v, space = op.nonzeros, op.domain
     n = space.parts[0].deg_hi
-    # a product V Y with a shift Y on the right is (Y^T V^T)^T, and the
-    # transpose of a forward shift is the backward one
+    # a product V Y with a shift Y on the right moves column indices by Y^T,
+    # and the transpose of a forward shift is the backward one
     if kind == "range":
-        resid = (shift_rows(v, space, ("forward", "backward"))
-                 - shift_rows(v.T, space, ("backward", "backward")).T)
+        pair = (_moved(v, 0, op.codomain, ("forward", "backward")),
+                _moved(v, 1, space, ("backward", "backward")))
         w = min(op.exact_window, n) - 1
     else:
-        resid = (shift_rows(v.T, space, ("backward", "forward")).T
-                 - shift_rows(v, space, ("backward", "backward")))
+        pair = (_moved(v, 1, space, ("backward", "forward")),
+                _moved(v, 0, op.codomain, ("backward", "backward")))
         w = min(op.exact_window, n - 1)
     if w < 0:
         raise ValueError("empty exactness window: truncation too small")
-    cols = op.domain.window_indices(w)
-    return spectral_norm(resid[:, cols])
+    cols = space.window_indices(w)
+    resid = sparse_difference(*(_within(t, 1, cols, space.dim) for t in pair))
+    return spectral_norm(support_core(resid))
 
 
 @dataclass(frozen=True)
@@ -414,8 +484,11 @@ class NehariBracket:
 
 def nehari_lower_bound(op: OperatorMatrix) -> float:
     """Window-compressed spectral norm of a truncated mixed range operator:
-    a lower bound for the norm of the untruncated operator."""
-    return spectral_norm(op.window_columns())
+    a lower bound for the norm of the untruncated operator.  The SVD factors
+    the nonzero core of the window columns, built from the operator's
+    nonzero entries there: the array a dense compression would strip to."""
+    cols = op.domain.window_indices(op.exact_window)
+    return spectral_norm(support_core(_within(op.nonzeros, 1, cols, op.domain.dim)))
 
 
 def nehari_bounds(phi: LaurentSymbol, dim_e: int,

@@ -7,8 +7,8 @@ does not judge the pipeline with the pipeline's own code.
 
 import numpy as np
 
-from shiftlab.linalg import image_within, nullspace, principal_angle_distance
-from shiftlab.operators import build_range_operator, nehari_lower_bound
+from shiftlab.linalg import image_within, nullspace, principal_angle_distance, spectral_norm
+from shiftlab.operators import build_range_operator, nehari_lower_bound, shift_rows
 from shiftlab.subspaces import bilateral_subspace, invariance_check, mixed_from_bilateral
 from shiftlab.symbols import (
     LaurentSymbol,
@@ -81,6 +81,37 @@ def swept_lower_bounds(phi, dim_e, n_list):
 def coeff_distance(s1, s2) -> float:
     """Largest coefficient-wise difference max_k |S1_k - S2_k|."""
     return (s1 - s2).max_abs_coeff()
+
+
+def ref_intertwining_residual(op, kind) -> float:
+    """The intertwining residual from dense shifted copies of the whole
+    operator: || X V - V Y || (range) or || W X - Y* W || (kernel) on the
+    window columns, as ``operators.intertwining_residual`` defines it."""
+    v, space = op.entries, op.domain
+    n = space.parts[0].deg_hi
+    # a product V Y with a shift Y on the right is (Y^T V^T)^T, and the
+    # transpose of a forward shift is the backward one
+    if kind == "range":
+        resid = (shift_rows(v, space, ("forward", "backward"))
+                 - shift_rows(v.T, space, ("backward", "backward")).T)
+        w = min(op.exact_window, n) - 1
+    else:
+        resid = (shift_rows(v.T, space, ("backward", "forward")).T
+                 - shift_rows(v, space, ("backward", "backward")))
+        w = min(op.exact_window, n - 1)
+    return spectral_norm(resid[:, op.domain.window_indices(w)])
+
+
+def ref_penrose_norm(m) -> float:
+    """||m m* m - m||_F from dense products on the nonzero core of m, taken
+    tall (a wide core is conjugate-transposed, which keeps the norm)."""
+    nonzero = m != 0
+    a = m[np.ix_(nonzero.any(axis=1), nonzero.any(axis=0))]
+    if a.shape[0] < a.shape[1]:
+        a = a.conj().T
+    gram = a.conj().T @ a
+    gram[np.diag_indices_from(gram)] -= 1.0
+    return float(np.linalg.norm(a @ gram))
 
 
 def shift_matrix(space, kind) -> np.ndarray:

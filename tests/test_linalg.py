@@ -13,6 +13,10 @@ from shiftlab.linalg import (
     _support,
     _unit_columns,
     column_space,
+    nonzero_triplets,
+    sparse_difference,
+    sparse_product,
+    support_core,
     nullspace,
     principal_angle_distance,
     project,
@@ -20,9 +24,14 @@ from shiftlab.linalg import (
     spectral_norm,
     times,
 )
-from shiftlab.operators import _binary_singular_values, _penrose_certified
+from shiftlab.operators import (
+    _binary_singular_values,
+    _penrose_certified,
+    build_kernel_operator,
+    hankel_op,
+)
 from shiftlab.subspaces import TYPE_I, InvariantSubspaceSpec
-from shiftlab.symbols import zero_symbol
+from shiftlab.symbols import make_symbol, zero_symbol
 
 
 class TestSpectralNorm:
@@ -198,11 +207,11 @@ def band_edges(tol):
 
 
 class TestPenroseCertificate:
-    """The certificate ||a (a* a - I)||_F < PENROSE_MARGIN tol (1 - tol^2)
-    is sufficient, never necessary: a certified matrix has every singular
-    value in the band.  The cores have full support, so the fallback SVD
-    factors the same matrix as the reference and the two verdicts agree
-    exactly wherever the certificate does not decide."""
+    """The certificate ||a (a* a) - a||_F < PENROSE_MARGIN tol (1 - tol^2),
+    taken on the nonzero triplets of a, is sufficient, never necessary: a
+    certified matrix has every singular value in the band.  The cores have
+    full support, so the fallback SVD factors the same matrix as the
+    reference and the two verdicts agree exactly."""
 
     @settings(max_examples=200, deadline=None)
     @given(tol=st.sampled_from(PENROSE_TOLS), picks=st.lists(st.integers(0, 8), min_size=1,
@@ -219,7 +228,7 @@ class TestPenroseCertificate:
         m = (u * sv) @ v.conj().T
         if wide:
             m = m.conj().T
-        if _penrose_certified(m, tol):
+        if _penrose_certified(nonzero_triplets(m), tol):
             assert ref_binary(m, tol)
         assert _binary_singular_values(m, tol) == ref_binary(m, tol)
 
@@ -227,7 +236,7 @@ class TestPenroseCertificate:
     def test_partial_isometries_are_certified_below_one(self, tol):
         rng = np.random.default_rng(3)
         m = orthonormal(rng, 9, 4)[:, [0, 1, 2]] @ orthonormal(rng, 6, 3).conj().T
-        assert _penrose_certified(m, tol) == (tol < 1.0)
+        assert _penrose_certified(nonzero_triplets(m), tol) == (tol < 1.0)
         assert _binary_singular_values(m, tol)
 
 
@@ -280,6 +289,94 @@ class TestNonzeroMasks:
              "real": big.real.copy()}[view]
         assert view == "real" or not m.flags.c_contiguous
         self.check(m)
+
+
+def dense_of(t, shape):
+    """The matrix a triplet list describes, repeated positions summed."""
+    m = np.zeros(shape, dtype=complex)
+    np.add.at(m, (t.rows, t.cols), t.vals)
+    return m
+
+
+class TestNonzeroTriplets:
+    """nonzero_triplets lists exactly the entries np.nonzero(m) finds, in its
+    order and with their values: -0.0 and complex(-0.0, -0.0) are dropped
+    as m != 0 drops them."""
+
+    def check(self, m):
+        t = nonzero_triplets(m)
+        rows, cols = np.nonzero(m)
+        np.testing.assert_array_equal(t.rows, rows)
+        np.testing.assert_array_equal(t.cols, cols)
+        np.testing.assert_array_equal(t.vals, m[rows, cols])
+        assert np.all(t.vals != 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(0, 9), cols=st.integers(0, 9))
+    def test_signed_zeros_and_single_parts(self, seed, rows, cols):
+        self.check(signed_zero_matrix(np.random.default_rng(seed), rows, cols))
+
+    def test_all_zero_operator(self):
+        op = build_kernel_operator(zero_symbol(2, 2), 1, 4)
+        op.entries[::3, ::2] = complex(-0.0, -0.0)
+        self.check(op.entries)
+        assert op.nonzeros.rows.size == 0
+
+    def test_operator_with_an_empty_window(self):
+        # the scan lists the whole matrix; the window is applied by each check
+        op = hankel_op(make_symbol(1, 1, {-5: [1], -6: [-0.0]}), 2)
+        assert op.exact_window == -1
+        self.check(op.entries)
+        assert op.nonzeros is op.nonzeros
+        np.testing.assert_array_equal(dense_of(op.nonzeros, op.entries.shape), op.entries)
+
+
+@st.composite
+def sparse_pairs(draw):
+    """(a, b): two signed-zero matrices that can be multiplied; their
+    entries are dyadic, so every product and sum of them is exact."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows, inner, cols = (draw(st.integers(0, 9)) for _ in range(3))
+    return signed_zero_matrix(rng, rows, inner), signed_zero_matrix(rng, inner, cols)
+
+
+class TestSparseProducts:
+    """The triplet products, differences and cores against dense arrays;
+    the entries are exact in binary, so the results must be equal."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(pair=sparse_pairs())
+    def test_product_matches_dense(self, pair):
+        a, b = pair
+        ta, tb = nonzero_triplets(a), nonzero_triplets(b)
+        terms = sum(np.count_nonzero(b[k]) for k in ta.cols)
+        product = sparse_product(ta, tb, terms)
+        np.testing.assert_array_equal(dense_of(product, (a.shape[0], b.shape[1])), a @ b)
+        keys = product.rows * max(b.shape[1], 1) + product.cols
+        assert np.all(np.diff(keys) > 0), "one entry per position, row-major"
+        if terms:
+            assert sparse_product(ta, tb, terms - 1) is None
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(0, 9), cols=st.integers(0, 9))
+    def test_difference_matches_dense(self, seed, rows, cols):
+        rng = np.random.default_rng(seed)
+        a = signed_zero_matrix(rng, rows, cols)
+        b = np.where(rng.random((rows, cols)) < 0.5, a, signed_zero_matrix(rng, rows, cols))
+        diff = sparse_difference(nonzero_triplets(a), nonzero_triplets(b))
+        assert np.all(diff.vals != 0)
+        np.testing.assert_array_equal(dense_of(diff, a.shape), a - b)
+        for got, ref in zip(diff, nonzero_triplets(a - b)):
+            np.testing.assert_array_equal(got, ref)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(0, 9), cols=st.integers(0, 9))
+    def test_support_core_is_the_stripped_matrix(self, seed, rows, cols):
+        m = signed_zero_matrix(np.random.default_rng(seed), rows, cols)
+        core = support_core(nonzero_triplets(m))
+        ref = m[np.ix_(*ref_support(m))]
+        assert core.shape == ref.shape
+        np.testing.assert_array_equal(core, ref)
 
 
 @pytest.fixture

@@ -1,14 +1,24 @@
 """Truncated operator construction and identity tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import shift_matrix, swept_lower_bounds
+from conftest import (
+    ref_intertwining_residual,
+    ref_penrose_norm,
+    shift_matrix,
+    swept_lower_bounds,
+)
 from shiftlab import cli, operators
-from shiftlab.linalg import spectral_norm
+from shiftlab.linalg import nonzero_triplets, spectral_norm
 from shiftlab.operators import (
+    _penrose_defect,
+    _within,
+    OperatorMatrix,
     ProductSpace,
     TruncatedSpace,
     build_kernel_operator,
@@ -16,6 +26,7 @@ from shiftlab.operators import (
     hankel_op,
     intertwining_residual,
     nehari_bounds,
+    nehari_lower_bound,
     shift_rows,
     svd_analysis,
     toeplitz_op,
@@ -301,10 +312,11 @@ def reference_flag(op, tol):
 
 
 @st.composite
-def flag_operators(draw):
-    """Mixed operators built from column isometries (partial isometries),
-    from a tall isometric block (only the domain side is binary), and from
-    generic symbols; the first two are also drawn scaled off isometry."""
+def operator_cases(draw):
+    """(operator, kind): mixed operators built from column isometries
+    (partial isometries), from a tall isometric block (only the domain side
+    is binary), and from generic symbols, the first two also drawn scaled
+    off isometry; kind is "kernel" for a kernel operator, else "range"."""
     family = draw(st.sampled_from(["inner", "tall", "generic"]))
     scale = draw(st.sampled_from([1.0, 0.5, 2.0]))
     kernel_form = draw(st.booleans())
@@ -341,7 +353,39 @@ def flag_operators(draw):
         sym = block_symbol([blocks[:2], blocks[2:]])
         n = draw(st.integers(max(s.kmax for s in analytic), 10))
     build = build_kernel_operator if kernel_form else build_range_operator
-    return build(sym, de, n)
+    return build(sym, de, n), "kernel" if kernel_form else "range"
+
+
+@st.composite
+def planted_cases(draw):
+    """operator_cases, and half of the time one entry set to a random value
+    inside the window rows and columns, which no shift identity survives."""
+    op, kind = draw(operator_cases())
+    rows = op.codomain.window_indices(op.exact_window)
+    cols = op.domain.window_indices(op.exact_window)
+    if rows.size and draw(st.booleans()):
+        entries = op.entries.copy()
+        value = complex(*draw(st.tuples(*[st.floats(-2, 2, allow_nan=False)] * 2)))
+        entries[draw(st.sampled_from(rows)), draw(st.sampled_from(cols))] = value
+        op = OperatorMatrix(op.domain, op.codomain, entries, op.exact_window)
+    return op, kind
+
+
+def intertwining_window(op, kind):
+    """The window intertwining_residual keeps, as it computes it."""
+    n = op.domain.parts[0].deg_hi
+    return min(op.exact_window, n) - 1 if kind == "range" else min(op.exact_window, n - 1)
+
+
+def planted_timotin(kind):
+    """The timotin operator of kind at n = 16 with one entry inside the
+    window replaced, so the intertwining residual is not exactly zero."""
+    build, sym = {"range": (build_range_operator, timotin_phi()),
+                  "kernel": (build_kernel_operator, timotin_psi())}[kind]
+    op = build(sym, 1, 16)
+    entries = op.entries.copy()
+    entries[5, 7] = 0.25 - 0.5j
+    return OperatorMatrix(op.domain, op.codomain, entries, op.exact_window)
 
 
 class TestSvdAnalysis:
@@ -367,9 +411,9 @@ class TestSvdAnalysis:
         assert not svd_analysis(h)
 
     @settings(max_examples=60, deadline=None)
-    @given(op=flag_operators(), tol=st.sampled_from([1e-8, 1e-4]))
-    def test_flag_matches_two_sided_reference(self, op, tol):
-        assert svd_analysis(op, tol) == reference_flag(op, tol)
+    @given(case=planted_cases(), tol=st.sampled_from([1e-8, 1e-4]))
+    def test_flag_matches_two_sided_reference(self, case, tol):
+        assert svd_analysis(case[0], tol) == reference_flag(case[0], tol)
 
     @staticmethod
     def column_kernel_operator(n):
@@ -383,9 +427,15 @@ class TestSvdAnalysis:
     @pytest.mark.parametrize("u", ["timotin", "replicated-1-2"])
     def test_partial_isometries_need_no_svd(self, u, monkeypatch):
         # the Penrose certificate passes the mixed operators of the workloads
+        # on their nonzero entries: no SVD, and no dense window compression
         calls, original = [], operators.singular_values
         monkeypatch.setattr(operators, "singular_values",
                             lambda m: calls.append(m.shape) or original(m))
+        for name in ("window_rows", "window_columns"):
+            compress = getattr(OperatorMatrix, name)
+            monkeypatch.setattr(OperatorMatrix, name,
+                                lambda op, name=name, compress=compress:
+                                calls.append(name) or compress(op))
         sym_u, de, df = {"timotin": (cli.timotin_u(), 1, 1),
                          "replicated-1-2": (cli.replicated_u(1, 2), 1, 2)}[u]
         v = build_range_operator(range_symbol_from_u(sym_u, de, df), de, 64)
@@ -442,6 +492,94 @@ class TestIntertwining:
         v = build_range_operator(make_symbol(2, 2, {3: [[1, 0], [0, 0]]}), 1, 3)
         with pytest.raises(ValueError, match="window"):
             intertwining_residual(v, "range")
+
+
+class TestTripletChecks:
+    """The operator checks read the nonzero entries; each must agree with
+    the dense computation it replaces (the references in conftest), on
+    operators that satisfy the identities and on operators with an entry
+    planted inside the window, which do not."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=planted_cases())
+    def test_intertwining_matches_dense_reference(self, case):
+        op, kind = case
+        if intertwining_window(op, kind) < 0:
+            with pytest.raises(ValueError, match="window"):
+                intertwining_residual(op, kind)
+            return
+        # the residual's nonzero core is the array the dense SVD factors
+        assert intertwining_residual(op, kind) == ref_intertwining_residual(op, kind)
+
+    @pytest.mark.parametrize("kind", ["range", "kernel"])
+    def test_planted_entry_leaves_a_residual(self, kind):
+        op = planted_timotin(kind)
+        resid = intertwining_residual(op, kind)
+        assert resid > 0.1
+        assert resid == ref_intertwining_residual(op, kind)
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=planted_cases())
+    def test_penrose_defect_matches_dense_reference(self, case):
+        op, _ = case
+        rows = op.codomain.window_indices(op.exact_window)
+        cols = op.domain.window_indices(op.exact_window)
+        for side, dense in ((_within(op.nonzeros, 0, rows, op.codomain.dim), op.window_rows()),
+                            (_within(op.nonzeros, 1, cols, op.domain.dim), op.window_columns())):
+            assert _penrose_defect(side) == pytest.approx(ref_penrose_norm(dense),
+                                                          rel=1e-10, abs=1e-12)
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=planted_cases())
+    def test_nehari_lower_bound_is_the_dense_norm(self, case):
+        op, _ = case
+        assert nehari_lower_bound(op) == spectral_norm(op.window_columns())
+
+    @pytest.mark.parametrize("case", ["banded", "dense"])
+    def test_both_product_routes_match_the_dense_reference(self, case, monkeypatch):
+        # a banded operator takes the sparse products; a dense matrix has
+        # more product terms than entries and is multiplied densely
+        routes, original = [], operators.sparse_product
+
+        def spied(a, b, limit):
+            product = original(a, b, limit)
+            routes.append(product is not None)
+            return product
+
+        monkeypatch.setattr(operators, "sparse_product", spied)
+        if case == "banded":
+            m = build_range_operator(timotin_phi(), 1, 32).entries
+        else:
+            rng = np.random.default_rng(4)
+            m = rng.standard_normal((7, 5)) + 1j * rng.standard_normal((7, 5))
+        assert _penrose_defect(nonzero_triplets(m)) == pytest.approx(ref_penrose_norm(m),
+                                                                     rel=1e-10, abs=1e-12)
+        assert routes == ([True, True] if case == "banded" else [False])
+
+
+class TestNoOperatorSizedCopies:
+    """Once the nonzero entries are scanned, the partial-isometry flag of a
+    certified operator and the intertwining residual allocate nothing near
+    the size of the operator (numpy's allocations, seen by tracemalloc)."""
+
+    @staticmethod
+    def peak_bytes(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("kind", ["range", "kernel"])
+    def test_operator_checks_stay_small(self, kind):
+        u = cli.replicated_u(1, 2)
+        op = (build_range_operator(range_symbol_from_u(u, 1, 2), 1, 128) if kind == "range"
+              else build_kernel_operator(kernel_symbol_from_u(u, 1, 2), 1, 128))
+        size = op.entries.nbytes
+        assert self.peak_bytes(lambda: op.nonzeros) < size / 4
+        assert self.peak_bytes(lambda: svd_analysis(op)) < size / 8
+        assert self.peak_bytes(lambda: intertwining_residual(op, kind)) < size / 8
 
 
 class TestStructureCharacterizations:
