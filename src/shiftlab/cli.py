@@ -412,15 +412,18 @@ def _target_subspace(sc: Scenario, n: int) -> SubspaceBasis:
 def _check_run_size(sc: Scenario, source: str) -> None:
     """Cap the largest dense complex matrix a run of sc builds.
 
-    The bilateral ambient has 2n + 1 degrees per fiber, and an operator that
-    kernel_subspace or range_window_basis deepens past the symbol band stays
-    within max(n, window) + max |k| + 1 degrees (the 1 for Psi and Phi
-    derived from U).
+    Without invariance, kernel_rep or range_rep no subspace is built, and
+    the largest is the mixed operator at n.  Otherwise the bilateral
+    ambient has 2n + 1 degrees per fiber, and an operator that
+    kernel_subspace or range_window_basis deepens stays within
+    max(n, window) + max |k| + 1 degrees (the 1 for Psi, Phi from U).
     """
     spec, n = sc.spec, sc.n_list[-1]
-    reach = 1 + max(max(-sym.kmin, sym.kmax) for sym in
-                    (spec.u, spec.omega, spec.psi, spec.phi, spec.theta) if sym is not None)
-    degrees, dpf = 2 * (max(n, sc.window or 0) + reach) + 1, spec.dim_e + spec.dim_f
+    degrees, dpf = n + 1, spec.dim_e + spec.dim_f
+    if {"invariance", "kernel_rep", "range_rep"} & set(sc.checks):
+        reach = 1 + max(max(-sym.kmin, sym.kmax) for sym in
+                        (spec.u, spec.omega, spec.psi, spec.phi, spec.theta) if sym is not None)
+        degrees = 2 * (max(n, sc.window or 0) + reach) + 1
     _within_cap((degrees * dpf) ** 2, source, f"at n = {n} the largest dense matrix, "
                 f"{degrees} degrees of dimE + dimF = {dpf} fibers,")
 

@@ -27,14 +27,13 @@ multiplied.  A pick is exact.
 Every numerical rank of the package is counted by ``numerical_rank``, at
 the one relative cutoff ``RANK_RTOL``.  No residual tolerance moves it.
 
-The operator checks read a matrix as its list of nonzero entries, the
-``Triplets`` that ``nonzero_triplets`` scans once per operator.  At every
-window compression of the benchmark inputs under 1 % of the entries are
-nonzero, so products and differences of these lists
-(``sparse_product``, ``sparse_difference``) cost O(nnz) where the dense
-arrays cost O(d^2) memory and up to O(d^3) time.  ``support_core`` turns
-a list back into the dense core on its nonzero rows and columns, the same
-array the stripping helpers above factor.
+The truncated operators are held as their lists of nonzero entries, the
+``Triplets`` their builders emit, in ``row_major`` order.  Under 1 % of
+their entries are nonzero on the benchmark inputs, so products and
+differences of these lists (``sparse_product``, ``sparse_difference``)
+cost O(nnz) where the dense arrays cost O(d^2) memory and up to O(d^3)
+time.  A list goes back to a dense array only through ``dense_matrix``, or
+``support_core``, the core the stripping helpers above factor.
 """
 
 from typing import NamedTuple
@@ -239,16 +238,6 @@ class Triplets(NamedTuple):
     vals: np.ndarray
 
 
-def nonzero_triplets(m: np.ndarray) -> Triplets:
-    """The entries of m that are != 0, in the row-major order of
-    np.nonzero(m).  The mask is taken on the float view of the data (see
-    ``_nonzero_parts``), so -0.0 and complex(-0.0, -0.0) are left out, as
-    m != 0 leaves them out."""
-    parts = _nonzero_parts(m)
-    rows, cols = np.nonzero(parts[:, 0::2] | parts[:, 1::2])
-    return Triplets(rows, cols, m[rows, cols])
-
-
 def _keys(t: Triplets, width: int) -> np.ndarray:
     """Row-major position of each entry in a matrix of ``width`` columns."""
     return t.rows.astype(np.int64) * width + t.cols
@@ -256,6 +245,22 @@ def _keys(t: Triplets, width: int) -> np.ndarray:
 
 def _width(*lists: Triplets) -> int:
     return 1 + max((int(t.cols.max()) for t in lists if t.cols.size), default=0)
+
+
+def row_major(t: Triplets) -> Triplets:
+    """The entries of t, each position listed at most once, in the row-major
+    order of np.nonzero.  The sort is stable, so a list made of sorted runs
+    is merged in linear time."""
+    order = np.argsort(_keys(t, _width(t)), kind="stable")
+    return Triplets(*(x[order] for x in t))
+
+
+def dense_matrix(t: Triplets, shape: tuple[int, int]) -> np.ndarray:
+    """The matrix of the given shape that holds the entries t lists, each
+    position at most once, and zeros elsewhere."""
+    m = np.zeros(shape, dtype=t.vals.dtype)
+    m[t.rows, t.cols] = t.vals
+    return m
 
 
 def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -319,6 +324,4 @@ def support_core(t: Triplets) -> np.ndarray:
     that hold one: for nonzero entries, the core the stripping helpers
     factor."""
     (rows, at_row), (cols, at_col) = _distinct(t.rows), _distinct(t.cols)
-    core = np.zeros((rows.size, cols.size), dtype=t.vals.dtype)
-    core[at_row, at_col] = t.vals
-    return core
+    return dense_matrix(Triplets(at_row, at_col, t.vals), (rows.size, cols.size))

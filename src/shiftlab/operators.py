@@ -12,13 +12,13 @@ of degree k, fiber i sits at flat index (k - deg_lo) * fiber_dim + i.
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .linalg import (
     Triplets,
-    nonzero_triplets,
+    dense_matrix,
+    row_major,
     singular_values,
     sparse_difference,
     sparse_product,
@@ -108,10 +108,6 @@ class ProductSpace:
             acc += p.dim
         return out
 
-    def part_slice(self, i: int) -> slice:
-        off = self.offsets()
-        return slice(off[i], off[i] + self.parts[i].dim)
-
     def degree_indices(self, lo: int, hi: int) -> np.ndarray:
         """Flat indices of degrees [lo, hi] in every part."""
         return np.concatenate([off + p.degree_indices(lo, hi)
@@ -153,7 +149,9 @@ class SubspaceBasis:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense matrix between truncated spaces with an exactness window.
+    """Matrix between truncated spaces with an exactness window, held only as
+    its entries != 0 in the row-major order of np.nonzero; ``dense``
+    materialises the slice a factorisation needs.
 
     ``exact_window = w`` means: for inputs supported on the domain's
     window-w degrees, applying the matrix agrees with the untruncated
@@ -163,88 +161,72 @@ class OperatorMatrix:
 
     domain: ProductSpace
     codomain: ProductSpace
-    entries: np.ndarray
+    entries: Triplets
     exact_window: int
 
     def __post_init__(self):
-        if self.entries.shape != (self.codomain.dim, self.domain.dim):
-            raise ValueError(
-                f"entries shape {self.entries.shape} does not match spaces "
-                f"({self.codomain.dim}, {self.domain.dim})"
-            )
+        for index, dim in ((self.entries.rows, self.codomain.dim),
+                           (self.entries.cols, self.domain.dim)):
+            if index.size and not 0 <= index.min() <= index.max() < dim:
+                raise ValueError(f"an entry lies outside the {self.codomain.dim} x "
+                                 f"{self.domain.dim} matrix")
 
-    @cached_property
-    def nonzeros(self) -> Triplets:
-        """The entries != 0, scanned once per operator: every operator check
-        reads these instead of a dense copy of the matrix."""
-        return nonzero_triplets(self.entries)
-
-    def window_rows(self) -> np.ndarray:
-        """Submatrix keeping only codomain rows inside the exactness window;
-        the matrix itself, not a copy, when the window keeps every row."""
-        rows = self.codomain.window_indices(self.exact_window)
-        return self.entries if rows.size == self.codomain.dim else self.entries[rows, :]
-
-    def window_columns(self) -> np.ndarray:
-        """Submatrix keeping only domain columns inside the exactness window;
-        the matrix itself, not a copy, when the window keeps every column."""
-        cols = self.domain.window_indices(self.exact_window)
-        return self.entries if cols.size == self.domain.dim else self.entries[:, cols]
+    def dense(self, rows: np.ndarray | None = None,
+              cols: np.ndarray | None = None) -> np.ndarray:
+        """The dense submatrix on the given codomain rows and domain columns
+        (ascending distinct indices; None keeps all of them)."""
+        t, shape = self.entries, [self.codomain.dim, self.domain.dim]
+        for axis, keep in enumerate((rows, cols)):
+            if keep is not None:
+                t, shape[axis] = _within(t, axis, keep, shape[axis]), keep.size
+        return dense_matrix(t, tuple(shape))
 
 
-def _hardy_pair(sym: LaurentSymbol, n: int) -> tuple[ProductSpace, ProductSpace]:
-    dom = ProductSpace.of(TruncatedSpace.hardy(sym.cols, n))
-    cod = ProductSpace.of(TruncatedSpace.hardy(sym.rows, n))
-    return dom, cod
+def _hardy_op(sym: LaurentSymbol, n: int, entries: Triplets, window: int) -> OperatorMatrix:
+    """The operator of the entries, sorted once, from the degree-n Hardy
+    window of sym's column fiber to that of its row fiber."""
+    dom, cod = (ProductSpace.of(TruncatedSpace.hardy(d, n)) for d in (sym.cols, sym.rows))
+    return OperatorMatrix(dom, cod, row_major(entries), window)
 
 
-def multiplication_matrix(sym: LaurentSymbol, in_lo: int, in_hi: int,
-                          out_lo: int, out_hi: int,
-                          out: np.ndarray | None = None) -> np.ndarray:
-    """Dense matrix of h |-> S h from input degrees [in_lo, in_hi] to output
-    degrees [out_lo, out_hi]; output degrees outside that range are dropped.
+def multiplication_entries(sym: LaurentSymbol, in_lo: int, in_hi: int,
+                           out_lo: int, out_hi: int) -> Triplets:
+    """Entries != 0 of the matrix of h |-> S h from input degrees
+    [in_lo, in_hi] to output degrees [out_lo, out_hi]; output degrees
+    outside that range are dropped.
 
     Degree block (j, i) is the coefficient of z**(j-i).  Toeplitz and
-    Hankel truncations and the bilateral generators are all slices of it.
-    The entries go into ``out`` when given: a zeroed array, possibly a
-    strided view into a larger matrix, that reshapes without a copy to
-    (output degree, output fiber, input degree, input fiber).  That array
-    is returned.
+    Hankel truncations and the bilateral generators all come from these
+    entries.  An entry == 0 (-0.0 too) is left out, as m != 0 leaves it
+    out; the list runs coefficient by coefficient, each a row-major run.
     """
     r, c = sym.rows, sym.cols
-    n_out, n_in = out_hi - out_lo + 1, in_hi - in_lo + 1
-    if out is None:
-        out = np.zeros((n_out * r, n_in * c), dtype=complex)
-    ent = out.reshape(n_out, r, n_in, c, copy=False)
-    for k in range(sym.kmin, sym.kmax + 1):
-        blk = sym.coeff(k)
-        if not np.any(blk):
-            continue
-        i = np.arange(max(in_lo, out_lo - k), min(in_hi, out_hi - k) + 1)
-        ent[i + k - out_lo, :, i - in_lo, :] = blk
-    return out
+    rows, cols, vals = [], [], []
+    for k, blk in enumerate(sym.coeffs, sym.kmin):
+        a, b = np.nonzero(blk)
+        i = np.arange(max(in_lo, out_lo - k), min(in_hi, out_hi - k) + 1)[:, None]
+        rows.append(((i + k - out_lo) * r + a).ravel())
+        cols.append(((i - in_lo) * c + b).ravel())
+        vals.append(np.broadcast_to(blk[a, b], (i.size, a.size)).ravel())
+    return Triplets(*map(np.concatenate, (rows, cols, vals)))
 
 
-def toeplitz_op(sym: LaurentSymbol, n: int, out: np.ndarray | None = None) -> OperatorMatrix:
+def toeplitz_op(sym: LaurentSymbol, n: int) -> OperatorMatrix:
     """Truncation of h |-> P[S h] on degree-n Hardy windows.
 
     Degree block (j, i) of the matrix is the coefficient of z**(j-i).
     Exact window: n - max(kmax, 0), since the symbol raises degrees by
-    at most kmax.  ``out``, when given, is a zeroed view that receives the
-    entries in place (see ``multiplication_matrix``).
+    at most kmax.
     """
     if n < max(abs(sym.kmin), sym.kmax):
         raise ValueError(
             f"truncation n = {n} is smaller than the symbol band "
             f"[{sym.kmin}, {sym.kmax}]"
         )
-    dom, cod = _hardy_pair(sym, n)
-    ent = multiplication_matrix(sym, 0, n, 0, n, out)
-    window = n - max(sym.kmax, 0)
-    return OperatorMatrix(dom, cod, ent, window)
+    return _hardy_op(sym, n, multiplication_entries(sym, 0, n, 0, n), n - max(sym.kmax, 0))
 
 
-def hankel_op(sym: LaurentSymbol, n: int, out: np.ndarray | None = None) -> OperatorMatrix:
+def hankel_op(sym: LaurentSymbol, n: int) -> OperatorMatrix:
     """Truncation of h |-> PJ[S h], with J sending z**k to z**(-k-1).
 
     Degree block (j, i) is the coefficient of z**(-(j+i+1)), so only the
@@ -252,17 +234,13 @@ def hankel_op(sym: LaurentSymbol, n: int, out: np.ndarray | None = None) -> Oper
     the scalar example S = zbar, whose matrix is E00 (h |-> h(0)).  When
     the anti-analytic band is deeper than n+1 the matrix is still formed
     (top-left corner of the infinite matrix) but no input is exact.
-    ``out``, when given, is a zeroed view that receives the entries in place.
     """
-    dom, cod = _hardy_pair(sym, n)
-    ent = np.zeros((cod.dim, dom.dim), dtype=complex) if out is None else out
-    # output degrees -n-1 .. -1 of S h, written through a view that J
-    # reverses blockwise
-    multiplication_matrix(sym, 0, n, -n - 1, -1,
-                          ent.reshape(n + 1, sym.rows, -1, copy=False)[::-1])
-    depth = max(0, -sym.kmin)
-    window = n if depth <= n + 1 else -1
-    return OperatorMatrix(dom, cod, ent, window)
+    # output degrees -n-1 .. -1 of S h sit on row blocks 0 .. n, and J
+    # sends row block p (degree p - n - 1) to degree n - p
+    t = multiplication_entries(sym, 0, n, -n - 1, -1)
+    block, fiber = np.divmod(t.rows, sym.rows)
+    window = n if max(0, -sym.kmin) <= n + 1 else -1
+    return _hardy_op(sym, n, Triplets((n - block) * sym.rows + fiber, t.cols, t.vals), window)
 
 
 def shift_rows(m: np.ndarray, space: ProductSpace, kinds: tuple[str, ...]) -> np.ndarray:
@@ -288,13 +266,16 @@ def _require_analytic(sym: LaurentSymbol, name: str) -> None:
         )
 
 
-def _paired_hardy(dim_e: int, dim_f: int, n: int):
-    """Paired Hardy windows of fibers dim_e and dim_f, one zeroed matrix on
-    them that the mixed builders write their blocks into, and the view of
-    its block (i, j)."""
-    space = ProductSpace.of(TruncatedSpace.hardy(dim_e, n), TruncatedSpace.hardy(dim_f, n))
-    ent = np.zeros((space.dim, space.dim), dtype=complex)
-    return space, ent, lambda i, j: ent[space.part_slice(i), space.part_slice(j)]
+def _block_operator(blocks: list[list[OperatorMatrix]]) -> OperatorMatrix:
+    """The square 2 x 2 block operator of the given blocks on the sum of
+    their diagonal domains, with one window, the minimum over the blocks."""
+    space = ProductSpace.of(blocks[0][0].domain.parts[0], blocks[1][1].domain.parts[0])
+    off = space.offsets()
+    parts = [Triplets(op.entries.rows + off[i], op.entries.cols + off[j], op.entries.vals)
+             for i, row in enumerate(blocks) for j, op in enumerate(row)]
+    entries = row_major(Triplets(*map(np.concatenate, zip(*parts))))
+    return OperatorMatrix(space, space, entries,
+                          min(op.exact_window for row in blocks for op in row))
 
 
 def build_range_operator(phi: LaurentSymbol, dim_e: int, n: int) -> OperatorMatrix:
@@ -308,10 +289,8 @@ def build_range_operator(phi: LaurentSymbol, dim_e: int, n: int) -> OperatorMatr
     a, b, c, d = split_square_blocks(phi, dim_e)
     _require_analytic(a, "A")
     _require_analytic(b, "B")
-    space, ent, block = _paired_hardy(dim_e, phi.rows - dim_e, n)
-    blocks = (toeplitz_op(a, n, block(0, 0)), toeplitz_op(b, n, block(0, 1)),
-              hankel_op(c, n, block(1, 0)), hankel_op(d, n, block(1, 1)))
-    return OperatorMatrix(space, space, ent, min(op.exact_window for op in blocks))
+    return _block_operator([[toeplitz_op(a, n), toeplitz_op(b, n)],
+                            [hankel_op(c, n), hankel_op(d, n)]])
 
 
 def build_kernel_operator(psi: LaurentSymbol, dim_e: int, n: int) -> OperatorMatrix:
@@ -326,21 +305,24 @@ def build_kernel_operator(psi: LaurentSymbol, dim_e: int, n: int) -> OperatorMat
     _require_analytic(b, "B")
     # H_S^* equals the Hankel matrix of the symbol with each coefficient
     # conjugate-transposed in place; T_S^* is the Toeplitz matrix of S^*.
-    space, ent, block = _paired_hardy(dim_e, psi.rows - dim_e, n)
-    blocks = (hankel_op(c.entry_conj(), n, block(0, 0)), toeplitz_op(a.adjoint(), n, block(0, 1)),
-              hankel_op(d.entry_conj(), n, block(1, 0)), toeplitz_op(b.adjoint(), n, block(1, 1)))
-    return OperatorMatrix(space, space, ent, min(op.exact_window for op in blocks))
+    return _block_operator([[hankel_op(c.entry_conj(), n), toeplitz_op(a.adjoint(), n)],
+                            [hankel_op(d.entry_conj(), n), toeplitz_op(b.adjoint(), n)]])
 
 
 def _within(t: Triplets, axis: int, keep: np.ndarray, dim: int) -> Triplets:
-    """The entries of t whose row (axis 0) or column (axis 1) is one of the
-    indices keep, out of dim."""
+    """The entries of the submatrix on the rows (axis 0) or the columns
+    (axis 1) keep, ascending distinct indices out of dim: the entries whose
+    index is kept, renumbered by its position in keep, which keeps their
+    order."""
     if keep.size == dim:
         return t
-    mask = np.zeros(dim, dtype=bool)
-    mask[keep] = True
-    inside = mask[t[axis]]
-    return Triplets(*(x[inside] for x in t))
+    at = np.full(dim, -1)
+    at[keep] = np.arange(keep.size)
+    moved = at[t[axis]]
+    inside = moved >= 0
+    out = [x[inside] for x in t]
+    out[axis] = moved[inside]
+    return Triplets(*out)
 
 
 def _moved(t: Triplets, axis: int, space: ProductSpace, kinds: tuple[str, ...]) -> Triplets:
@@ -422,18 +404,19 @@ def svd_analysis(op: OperatorMatrix, tol: float = DEFAULT_TOL) -> bool:
     two sparse products bound every singular value outside the band away
     from it, so a small enough ||V V* V - V||_F passes the side without a
     dense copy or an SVD.  The certificate is sufficient, never necessary:
-    a side it does not pass is compressed and goes to the values-only SVD,
-    which alone can reject, so every verdict is the SVD's.
+    a side it does not pass is materialised as its dense window slice
+    (``OperatorMatrix.dense``) and goes to the values-only SVD, which alone
+    can reject, so every verdict is the SVD's.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     rows = op.codomain.window_indices(op.exact_window)
     cols = op.domain.window_indices(op.exact_window)
-    sides = [(rows, 0, op.codomain.dim, op.window_rows)]
+    sides = [(rows, 0, op.codomain.dim, lambda: op.dense(rows=rows))]
     if rows.size < op.codomain.dim or cols.size < op.domain.dim:
-        sides.append((cols, 1, op.domain.dim, op.window_columns))
+        sides.append((cols, 1, op.domain.dim, lambda: op.dense(cols=cols)))
     return any(keep.size > 0
-               and (_penrose_certified(_within(op.nonzeros, axis, keep, dim), tol)
+               and (_penrose_certified(_within(op.entries, axis, keep, dim), tol)
                     or _binary_singular_values(compress(), tol))
                for keep, axis, dim, compress in sides)
 
@@ -457,7 +440,7 @@ def intertwining_residual(op: OperatorMatrix, kind: str) -> float:
     """
     if kind not in ("range", "kernel"):
         raise ValueError(f"unknown intertwining kind {kind!r}")
-    v, space = op.nonzeros, op.domain
+    v, space = op.entries, op.domain
     n = space.parts[0].deg_hi
     # a product V Y with a shift Y on the right moves column indices by Y^T,
     # and the transpose of a forward shift is the backward one
@@ -488,7 +471,7 @@ def nehari_lower_bound(op: OperatorMatrix) -> float:
     the nonzero core of the window columns, built from the operator's
     nonzero entries there: the array a dense compression would strip to."""
     cols = op.domain.window_indices(op.exact_window)
-    return spectral_norm(support_core(_within(op.nonzeros, 1, cols, op.domain.dim)))
+    return spectral_norm(support_core(_within(op.entries, 1, cols, op.domain.dim)))
 
 
 def nehari_bounds(phi: LaurentSymbol, dim_e: int,

@@ -19,6 +19,7 @@ import numpy as np
 
 from .linalg import (
     column_space,
+    dense_matrix,
     image_within,
     intersection,
     nullspace,
@@ -34,7 +35,7 @@ from .operators import (
     TruncatedSpace,
     build_kernel_operator,
     build_range_operator,
-    multiplication_matrix,
+    multiplication_entries,
     shift_rows,
     toeplitz_op,
 )
@@ -320,8 +321,10 @@ def _generators(sym: LaurentSymbol, dim_e: int, k_lo: int, k_hi: int,
         raise ValueError(
             "second-fiber generator content at negative degree "
             f"{k_lo + s_f.kmin}: the symbol violates analyticity")
-    return np.vstack([multiplication_matrix(s_e, k_lo, k_hi, -n, n),
-                      multiplication_matrix(s_f, k_lo, k_hi, 0, n)])
+    width = (k_hi - k_lo + 1) * sym.cols
+    return np.vstack([dense_matrix(multiplication_entries(s, k_lo, k_hi, lo, n),
+                                   ((n - lo + 1) * s.rows, width))
+                      for s, lo in ((s_e, -n), (s_f, 0))])
 
 
 def _flip_permutation(amb: ProductSpace) -> np.ndarray:
@@ -428,7 +431,7 @@ def kernel_subspace(psi: LaurentSymbol, dim_e: int, dim_f: int, n: int,
     """
     w_op = build_kernel_operator(psi, dim_e, _operator_truncation(psi, window, n))
     cols = w_op.domain.window_indices(window)
-    kernel = nullspace(w_op.entries[:, cols])
+    kernel = nullspace(w_op.dense(cols=cols))
     return SubspaceBasis(analytic_ambient(dim_e, dim_f, window), kernel, window=window)
 
 
@@ -443,7 +446,8 @@ def range_window_basis(phi: LaurentSymbol, dim_e: int, dim_f: int, n: int,
     cancels in the image.
     """
     v_op = build_range_operator(phi, dim_e, _operator_truncation(phi, window, n))
-    basis = image_within(v_op.window_columns(), v_op.codomain.window_indices(window))
+    basis = image_within(v_op.dense(cols=v_op.domain.window_indices(v_op.exact_window)),
+                         v_op.codomain.window_indices(window))
     return SubspaceBasis(analytic_ambient(dim_e, dim_f, window), basis, window=window)
 
 
@@ -456,7 +460,7 @@ def inner_multiples_window_basis(theta: LaurentSymbol, w: int) -> np.ndarray:
     """
     n_in = w + max(0, theta.kmax)
     t_op = toeplitz_op(theta, n_in)
-    return image_within(t_op.entries, t_op.codomain.window_indices(w))
+    return image_within(t_op.dense(), t_op.codomain.window_indices(w))
 
 
 def kernel_representation_check(n_basis: SubspaceBasis, psi: LaurentSymbol,

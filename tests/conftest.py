@@ -7,7 +7,13 @@ does not judge the pipeline with the pipeline's own code.
 
 import numpy as np
 
-from shiftlab.linalg import image_within, nullspace, principal_angle_distance, spectral_norm
+from shiftlab.linalg import (
+    Triplets,
+    image_within,
+    nullspace,
+    principal_angle_distance,
+    spectral_norm,
+)
 from shiftlab.operators import build_range_operator, nehari_lower_bound, shift_rows
 from shiftlab.subspaces import bilateral_subspace, invariance_check, mixed_from_bilateral
 from shiftlab.symbols import (
@@ -15,6 +21,7 @@ from shiftlab.symbols import (
     block_symbol,
     make_symbol,
     monomial_symbol,
+    split_square_blocks,
     zero_symbol,
 )
 
@@ -24,6 +31,15 @@ def random_symbol(rng, rows, cols, kmin, kmax) -> LaurentSymbol:
         k: rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
         for k in range(kmin, kmax + 1)
     })
+
+
+def signed_zero_matrix(rng, rows, cols):
+    """Entries drawn from 0, -0.0, complex(-0.0, -0.0), real-only,
+    imaginary-only, both parts, and exact 1, -1 and 1j."""
+    values = np.array([0, -0.0, complex(-0.0, -0.0), complex(0.0, -0.0), 1, -1, 1j,
+                       -1j, 2.5, 0.75j, 1 + 1j, complex(-0.0, 3.0), complex(3.0, -0.0)])
+    weights = np.where(np.arange(values.size) < 4, 6.0, 1.0)
+    return rng.choice(values, size=(rows, cols), p=weights / weights.sum())
 
 
 def haar_unitary(rng, n) -> np.ndarray:
@@ -87,7 +103,7 @@ def ref_intertwining_residual(op, kind) -> float:
     """The intertwining residual from dense shifted copies of the whole
     operator: || X V - V Y || (range) or || W X - Y* W || (kernel) on the
     window columns, as ``operators.intertwining_residual`` defines it."""
-    v, space = op.entries, op.domain
+    v, space = op.dense(), op.domain
     n = space.parts[0].deg_hi
     # a product V Y with a shift Y on the right is (Y^T V^T)^T, and the
     # transpose of a forward shift is the backward one
@@ -152,11 +168,68 @@ def bilateral_roundtrip(spec, n) -> tuple[float, float]:
     return invariance_check(mixed), distance
 
 
+def part_rows(space, i) -> slice:
+    """The flat indices of part i of a product space, as a slice."""
+    off = space.offsets()[i]
+    return slice(off, off + space.parts[i].dim)
+
+
 def in_fiber_dims(basis) -> tuple[int, int]:
     """Dimensions of the parts of the subspace lying inside the first fiber
     block and inside the second.  The subspace is a fiber-aligned direct sum
     exactly when they add up to its dimension; the deficit is its split
     defect."""
     amb = basis.ambient
-    first, second = (basis.basis[amb.part_slice(i)] for i in (0, 1))
+    first, second = (basis.basis[part_rows(amb, i)] for i in (0, 1))
     return nullspace(second).shape[1], nullspace(first).shape[1]
+
+
+def nonzero_triplets(m) -> Triplets:
+    """The entries of m that are != 0, in the row-major order of
+    np.nonzero(m): -0.0 and complex(-0.0, -0.0) are left out, as m != 0
+    leaves them out.  The reference for the operator builders' entries."""
+    rows, cols = np.nonzero(m)
+    return Triplets(rows, cols, m[rows, cols])
+
+
+def ref_multiplication_matrix(sym, in_lo, in_hi, out_lo, out_hi) -> np.ndarray:
+    """Dense matrix of h |-> S h from input degrees [in_lo, in_hi] to output
+    degrees [out_lo, out_hi], written coefficient block by coefficient
+    block: degree block (j, i) is the coefficient of z**(j-i)."""
+    r, c = sym.rows, sym.cols
+    n_out, n_in = out_hi - out_lo + 1, in_hi - in_lo + 1
+    ent = np.zeros((n_out, r, n_in, c), dtype=complex)
+    for k in range(sym.kmin, sym.kmax + 1):
+        blk = sym.coeff(k)
+        if not np.any(blk):
+            continue
+        i = np.arange(max(in_lo, out_lo - k), min(in_hi, out_hi - k) + 1)
+        ent[i + k - out_lo, :, i - in_lo, :] = blk
+    return ent.reshape(n_out * r, n_in * c)
+
+
+def ref_toeplitz(sym, n) -> np.ndarray:
+    """Dense Toeplitz truncation on degree-n Hardy windows."""
+    return ref_multiplication_matrix(sym, 0, n, 0, n)
+
+
+def ref_hankel(sym, n) -> np.ndarray:
+    """Dense Hankel truncation: output degrees -n-1 .. -1 of S h, with the
+    degree blocks reversed by J (z**k to z**(-k-1))."""
+    m = ref_multiplication_matrix(sym, 0, n, -n - 1, -1)
+    return m.reshape(n + 1, sym.rows, -1)[::-1].reshape(m.shape)
+
+
+def ref_range_operator(phi, dim_e, n) -> np.ndarray:
+    """Dense [T_A, T_B; H_C, H_D] of phi = [A, B; C, D], stacked block by block."""
+    a, b, c, d = split_square_blocks(phi, dim_e)
+    return np.block([[ref_toeplitz(a, n), ref_toeplitz(b, n)],
+                     [ref_hankel(c, n), ref_hankel(d, n)]])
+
+
+def ref_kernel_operator(psi, dim_e, n) -> np.ndarray:
+    """Dense [H_C*, T_A*; H_D*, T_B*] of psi = [C, D; A, B], stacked block by
+    block."""
+    c, d, a, b = split_square_blocks(psi, dim_e)
+    return np.block([[ref_hankel(c.entry_conj(), n), ref_toeplitz(a.adjoint(), n)],
+                     [ref_hankel(d.entry_conj(), n), ref_toeplitz(b.adjoint(), n)]])

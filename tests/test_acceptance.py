@@ -131,15 +131,15 @@ def test_criterion_2_toeplitz_hankel_structure():
         t = toeplitz_op(s, n)
         fwd = shift_matrix(TruncatedSpace.hardy(cols, n), "forward")
         bwd = shift_matrix(TruncatedSpace.hardy(rows, n), "backward")
-        resid = bwd @ t.entries @ fwd - t.entries
+        resid = bwd @ t.dense() @ fwd - t.dense()
         idx = t.domain.window_indices(t.exact_window - 1)
         worst_toe = max(worst_toe, spectral_norm(resid[:, idx]))
         h = hankel_op(s, n)
-        resid = h.entries @ fwd - bwd @ h.entries
+        resid = h.dense() @ fwd - bwd @ h.dense()
         idx = h.domain.window_indices(n - 1)
         worst_han = max(worst_han, spectral_norm(resid[:, idx]))
-        adj_gap = np.max(np.abs(h.entries.conj().T
-                                - hankel_op(s.conj_arg().adjoint(), n).entries))
+        adj_gap = np.max(np.abs(h.dense().conj().T
+                                - hankel_op(s.conj_arg().adjoint(), n).dense()))
         worst_adj = max(worst_adj, float(adj_gap))
     ok = worst_toe <= 1e-12 and worst_han <= 1e-12 and worst_adj <= 1e-12
     report(2, ok,
@@ -161,15 +161,16 @@ def test_criterion_3_partial_isometry_suite():
         phi = psi.conj_arg()
         for n in (8, 16, 32):
             w_op = build_kernel_operator(psi, dim_e, n)
-            worst_w = max(worst_w, binary_deviation(w_op.window_columns()))
+            worst_w = max(worst_w, binary_deviation(
+                w_op.dense(cols=w_op.domain.window_indices(w_op.exact_window))))
             if dim_e0 == dim_e + dim_f:
                 v_op = build_range_operator(phi, dim_e, n)
                 rows = v_op.codomain.window_indices(v_op.exact_window)
-                worst_v = max(worst_v, binary_deviation(v_op.entries[rows, :]))
+                worst_v = max(worst_v, binary_deviation(v_op.dense(rows=rows)))
                 w = min(w_op.exact_window, v_op.exact_window)
                 idx = w_op.domain.window_indices(w)
-                total = (w_op.entries.conj().T @ w_op.entries
-                         + v_op.entries @ v_op.entries.conj().T)
+                total = (w_op.dense().conj().T @ w_op.dense()
+                         + v_op.dense() @ v_op.dense().conj().T)
                 gap = np.max(np.abs(total[np.ix_(idx, idx)] - np.eye(idx.size)))
                 worst_sum = max(worst_sum, float(gap))
     ok = worst_w <= tol and worst_v <= tol and worst_sum <= tol
@@ -265,7 +266,7 @@ def test_criterion_8_finite_rank_kernel_demo():
     n = 16
     a = make_cyclic_symbol(poles, weights, 2 * n + 1)
     h = hankel_op(a, n)
-    sv = np.linalg.svd(h.entries, compute_uv=False)
+    sv = np.linalg.svd(h.dense(), compute_uv=False)
     rank = int(np.sum(sv > 1e-8 * sv[0]))
     theta_f = make_symbol(1, 1, {2: [1]})
     psi = block_symbol([[a, zero_symbol(1, 1)], [zero_symbol(1, 1), theta_f]])

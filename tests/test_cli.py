@@ -6,9 +6,10 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from conftest import coeff_distance
+from conftest import coeff_distance, haar_unitary
 from shiftlab import cli
 from shiftlab.cli import (
     DEMOS,
@@ -637,6 +638,24 @@ class TestMainEntry:
         assert main(["verify", write_scenario(tmp_path, payload), *argv]) == 2
         err = capsys.readouterr().err
         assert named in err and "above the cap" in err
+
+    @pytest.mark.parametrize("n, code", [(1024, 0), (4096, 2)])
+    def test_operator_only_run_is_sized_by_the_mixed_operator(self, tmp_path, capsys, n, code):
+        # partial_isometry and intertwining build no subspace, only the mixed
+        # operators: (n + 1)(dimE + dimF) = 3075 rows at n = 1024, within the cap
+        rng = np.random.default_rng(1)
+        u = cli.replicated_u(1, 2)
+        d = np.zeros((3, 3), dtype=complex)
+        d[:1, :1], d[1:, 1:] = haar_unitary(rng, 1), haar_unitary(rng, 2)
+        w = haar_unitary(rng, u.cols)
+        rotated = make_symbol(3, u.cols, {u.kmin + i: d @ c @ w for i, c in enumerate(u.coeffs)})
+        payload = {"name": "replicated-1-2-rot",
+                   "spec": {"variant": "type_i", "dimE": 1, "dimF": 2,
+                            "U": symbol_to_literal(rotated)},
+                   "checks": ["partial_isometry", "intertwining"], "n_list": [8]}
+        assert main(["verify", write_scenario(tmp_path, payload), "--n", str(n)]) == code
+        out, err = capsys.readouterr()
+        assert ("above the cap" in err) if code else ("overall PASS" in out)
 
     def test_size_cap_admits_the_shipped_runs(self):
         sample = parse_scenario(str(SAMPLE))

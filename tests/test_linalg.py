@@ -7,13 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import nonzero_triplets, signed_zero_matrix
 from shiftlab import cli
 from shiftlab.linalg import (
     RANK_RTOL,
     _support,
     _unit_columns,
     column_space,
-    nonzero_triplets,
     sparse_difference,
     sparse_product,
     support_core,
@@ -253,15 +253,6 @@ def ref_unit_columns(b):
     return single[unit], at[unit], np.setdiff1d(np.arange(b.shape[1]), single[unit])
 
 
-def signed_zero_matrix(rng, rows, cols):
-    """Entries drawn from 0, -0.0, complex(-0.0, -0.0), real-only,
-    imaginary-only, both parts, and exact 1, -1 and 1j."""
-    values = np.array([0, -0.0, complex(-0.0, -0.0), complex(0.0, -0.0), 1, -1, 1j,
-                       -1j, 2.5, 0.75j, 1 + 1j, complex(-0.0, 3.0), complex(3.0, -0.0)])
-    weights = np.where(np.arange(values.size) < 4, 6.0, 1.0)
-    return rng.choice(values, size=(rows, cols), p=weights / weights.sum())
-
-
 class TestNonzeroMasks:
     """_support and _unit_columns read the float view of the complex data;
     they must find exactly the entries m != 0 finds."""
@@ -299,9 +290,10 @@ def dense_of(t, shape):
 
 
 class TestNonzeroTriplets:
-    """nonzero_triplets lists exactly the entries np.nonzero(m) finds, in its
-    order and with their values: -0.0 and complex(-0.0, -0.0) are dropped
-    as m != 0 drops them."""
+    """The oracle nonzero_triplets (tests/conftest.py) lists exactly the
+    entries np.nonzero(m) finds, in its order and with their values: -0.0
+    and complex(-0.0, -0.0) are dropped as m != 0 drops them.  The
+    operator builders' entries are held against it."""
 
     def check(self, m):
         t = nonzero_triplets(m)
@@ -318,17 +310,21 @@ class TestNonzeroTriplets:
 
     def test_all_zero_operator(self):
         op = build_kernel_operator(zero_symbol(2, 2), 1, 4)
-        op.entries[::3, ::2] = complex(-0.0, -0.0)
-        self.check(op.entries)
-        assert op.nonzeros.rows.size == 0
+        assert op.entries.rows.size == 0
+        m = op.dense()
+        m[::3, ::2] = complex(-0.0, -0.0)
+        self.check(m)
+        assert nonzero_triplets(m).rows.size == 0
 
     def test_operator_with_an_empty_window(self):
-        # the scan lists the whole matrix; the window is applied by each check
+        # the builder lists the whole matrix; the window is applied by each check
         op = hankel_op(make_symbol(1, 1, {-5: [1], -6: [-0.0]}), 2)
         assert op.exact_window == -1
-        self.check(op.entries)
-        assert op.nonzeros is op.nonzeros
-        np.testing.assert_array_equal(dense_of(op.nonzeros, op.entries.shape), op.entries)
+        m = op.dense()
+        self.check(m)
+        for got, ref in zip(op.entries, nonzero_triplets(m)):
+            np.testing.assert_array_equal(got, ref)
+        np.testing.assert_array_equal(dense_of(op.entries, m.shape), m)
 
 
 @st.composite

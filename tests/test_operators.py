@@ -8,13 +8,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    nonzero_triplets,
+    part_rows,
+    ref_hankel,
     ref_intertwining_residual,
+    ref_kernel_operator,
     ref_penrose_norm,
+    ref_range_operator,
+    ref_toeplitz,
     shift_matrix,
+    signed_zero_matrix,
     swept_lower_bounds,
 )
 from shiftlab import cli, operators
-from shiftlab.linalg import nonzero_triplets, spectral_norm
+from shiftlab.linalg import Triplets, spectral_norm
 from shiftlab.operators import (
     _penrose_defect,
     _within,
@@ -99,18 +106,18 @@ def timotin_psi():
 class TestToeplitz:
     def test_shift_matrix(self):
         t = toeplitz_op(make_symbol(1, 1, {1: [1]}), 3)
-        np.testing.assert_allclose(t.entries, np.eye(4, k=-1))
+        np.testing.assert_allclose(t.dense(), np.eye(4, k=-1))
         assert t.exact_window == 2
 
     def test_identity_symbol(self):
         t = toeplitz_op(identity_symbol(2), 5)
-        np.testing.assert_allclose(t.entries, np.eye(12))
+        np.testing.assert_allclose(t.dense(), np.eye(12))
         assert t.exact_window == 5
 
     def test_backward_shift_is_adjoint(self):
         fwd = toeplitz_op(make_symbol(1, 1, {1: [1]}), 3)
         bwd = toeplitz_op(make_symbol(1, 1, {-1: [1]}), 3)
-        np.testing.assert_allclose(bwd.entries, fwd.entries.conj().T)
+        np.testing.assert_allclose(bwd.dense(), fwd.dense().conj().T)
 
     def test_band_too_wide_rejected(self):
         with pytest.raises(ValueError, match="band"):
@@ -122,33 +129,33 @@ class TestHankel:
         h = hankel_op(make_symbol(1, 1, {-1: [1]}), 3)
         expected = np.zeros((4, 4))
         expected[0, 0] = 1
-        np.testing.assert_allclose(h.entries, expected)
+        np.testing.assert_allclose(h.dense(), expected)
         assert h.exact_window == 3
 
     def test_analytic_symbol_gives_zero(self):
         h = hankel_op(make_symbol(1, 1, {0: [1], 2: [1]}), 3)
-        assert not np.any(h.entries)
+        assert not np.any(h.dense())
 
     def test_zbar_squared_antidiagonal(self):
         h = hankel_op(make_symbol(1, 1, {-2: [1]}), 3)
         expected = np.zeros((4, 4))
         expected[0, 1] = expected[1, 0] = 1
-        np.testing.assert_allclose(h.entries, expected)
+        np.testing.assert_allclose(h.dense(), expected)
 
     def test_deep_band_allowed_with_empty_window(self):
         deep = make_symbol(1, 1, {-9: [1]})
         h = hankel_op(deep, 3)
         assert h.exact_window == -1
-        assert h.entries[3, 3] == 0  # -(3+3+1) = -7 > -9 stays out of range...
-        assert h.entries[3, 2] == 0
+        assert h.dense()[3, 3] == 0  # -(3+3+1) = -7 > -9 stays out of range...
+        assert h.dense()[3, 2] == 0
         # block (j, i) holds the coefficient at -(j+i+1)
-        assert hankel_op(deep, 4).entries[4, 4] == 1
+        assert hankel_op(deep, 4).dense()[4, 4] == 1
 
     def test_adjoint_identity(self):
         rng = np.random.default_rng(3)
         s = rand_symbol(rng, 2, 3, -3, 2)
-        lhs = hankel_op(s, 6).entries.conj().T
-        rhs = hankel_op(s.conj_arg().adjoint(), 6).entries
+        lhs = hankel_op(s, 6).dense().conj().T
+        rhs = hankel_op(s.conj_arg().adjoint(), 6).dense()
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
@@ -168,13 +175,13 @@ class TestShiftOps:
 class TestMixedOperators:
     def test_zero_symbol_gives_zero_operator(self):
         w = build_kernel_operator(zero_symbol(2, 2), 1, 4)
-        assert not np.any(w.entries)
+        assert not np.any(w.dense())
 
     def test_scalar_antianalytic_corner(self):
         w = build_kernel_operator(make_symbol(2, 2, {-1: [[1, 0], [0, 0]]}), 1, 3)
         expected = np.zeros((8, 8))
         expected[0, 0] = 1
-        np.testing.assert_allclose(w.entries, expected)
+        np.testing.assert_allclose(w.dense(), expected)
 
     def test_kernel_operator_rejects_non_analytic_blocks(self):
         with pytest.raises(ValueError, match="analytic"):
@@ -193,9 +200,9 @@ class TestMixedOperators:
         c, d, a, b = split_square_blocks(psi, de)
         w = build_kernel_operator(psi, de, n)
         h_c, h_d = hankel_op(c, n), hankel_op(d, n)
-        forward = np.block([[h_c.entries, h_d.entries],
-                            [toeplitz_op(a, n).entries, toeplitz_op(b, n).entries]])
-        np.testing.assert_array_equal(w.entries, forward.conj().T)
+        forward = np.block([[h_c.dense(), h_d.dense()],
+                            [toeplitz_op(a, n).dense(), toeplitz_op(b, n).dense()]])
+        np.testing.assert_array_equal(w.dense(), forward.conj().T)
         assert w.exact_window == min(h_c.exact_window, h_d.exact_window)
 
     @settings(max_examples=60, deadline=None)
@@ -208,7 +215,7 @@ class TestMixedOperators:
         blocks = [[toeplitz_op(a, n), toeplitz_op(b, n)],
                   [hankel_op(c, n), hankel_op(d, n)]]
         np.testing.assert_array_equal(
-            v.entries, np.block([[op.entries for op in row] for row in blocks]))
+            v.dense(), np.block([[op.dense() for op in row] for row in blocks]))
         assert v.exact_window == min(op.exact_window for row in blocks for op in row)
 
     def test_replicated_evaluation_operator(self):
@@ -220,9 +227,9 @@ class TestMixedOperators:
         d = zero_symbol(2, 2)
         v = build_range_operator(block_symbol([[a, b], [c, d]]), 1, 4)
         n = 4
-        f_off = v.codomain.part_slice(1).start
+        f_off = part_rows(v.codomain, 1).start
         for k in range(n + 1):
-            image = v.entries[:, k]
+            image = v.dense()[:, k]
             expected = np.zeros(v.codomain.dim)
             expected[k] = r
             if k == 0:
@@ -235,17 +242,77 @@ class TestMixedOperators:
         a = constant_symbol([[1.0]])
         b = make_symbol(1, 1, {1: [1]})
         v = build_range_operator(block_symbol([[a, b], [zero_symbol(1, 1), zero_symbol(1, 1)]]), 1, 4)
-        bottom = v.entries[v.codomain.part_slice(1), :]
+        bottom = v.dense()[part_rows(v.codomain, 1), :]
         assert not np.any(bottom)
 
     def test_timotin_block_layout(self):
         v = build_range_operator(timotin_phi(), 1, 4)
-        top_left = v.entries[v.codomain.part_slice(0), v.domain.part_slice(0)]
-        bottom_left = v.entries[v.codomain.part_slice(1), v.domain.part_slice(0)]
+        top_left = v.dense()[part_rows(v.codomain, 0), part_rows(v.domain, 0)]
+        bottom_left = v.dense()[part_rows(v.codomain, 1), part_rows(v.domain, 0)]
         np.testing.assert_allclose(top_left, RS2 * np.eye(5))
         expected = np.zeros((5, 5))
         expected[0, 0] = RS2
         np.testing.assert_allclose(bottom_left, expected)
+
+
+@st.composite
+def signed_zero_symbols(draw, rows, cols, analytic=False):
+    """Symbols whose coefficients hold 0, -0.0, complex(-0.0, -0.0),
+    single-part and exact entries, with bands down to k = -10."""
+    kmin = draw(st.integers(0 if analytic else -10, 3))
+    kmax = draw(st.integers(kmin, kmin + 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return make_symbol(rows, cols, {k: signed_zero_matrix(rng, rows, cols)
+                                    for k in range(kmin, kmax + 1)})
+
+
+class TestBuilders:
+    """Each builder emits exactly the entries != 0 of the dense matrix the
+    reference builders in conftest write block by block, in the row-major
+    order of np.nonzero: signed zeros dropped, single-part entries kept."""
+
+    @staticmethod
+    def check(op, ref):
+        for got, want in zip(op.entries, nonzero_triplets(ref)):
+            np.testing.assert_array_equal(got, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), rows=st.integers(1, 2), cols=st.integers(1, 2))
+    def test_toeplitz(self, data, rows, cols):
+        s = data.draw(signed_zero_symbols(rows, cols))
+        n = data.draw(st.integers(max(-s.kmin, s.kmax), 10))
+        self.check(toeplitz_op(s, n), ref_toeplitz(s, n))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), rows=st.integers(1, 2), cols=st.integers(1, 2),
+           n=st.integers(0, 8))
+    def test_hankel(self, data, rows, cols, n):
+        # bands reach k = -10, deeper than n + 1 for small n
+        s = data.draw(signed_zero_symbols(rows, cols))
+        self.check(hankel_op(s, n), ref_hankel(s, n))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), de=st.integers(1, 2), df=st.integers(1, 2))
+    def test_range_operator(self, data, de, df):
+        top = [data.draw(signed_zero_symbols(de, cols, analytic=True)) for cols in (de, df)]
+        bottom = [data.draw(signed_zero_symbols(df, cols)) for cols in (de, df)]
+        n = data.draw(st.integers(max(s.kmax for s in top), 10))
+        phi = block_symbol([top, bottom])
+        self.check(build_range_operator(phi, de, n), ref_range_operator(phi, de, n))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), de=st.integers(1, 2), df=st.integers(1, 2))
+    def test_kernel_operator(self, data, de, df):
+        top = [data.draw(signed_zero_symbols(de, cols)) for cols in (de, df)]
+        bottom = [data.draw(signed_zero_symbols(df, cols, analytic=True)) for cols in (de, df)]
+        n = data.draw(st.integers(max(s.kmax for s in bottom), 10))
+        psi = block_symbol([top, bottom])
+        self.check(build_kernel_operator(psi, de, n), ref_kernel_operator(psi, de, n))
+
+    def test_entry_outside_the_spaces_rejected(self):
+        space = ProductSpace.of(TruncatedSpace.hardy(1, 2))
+        with pytest.raises(ValueError, match="outside"):
+            OperatorMatrix(space, space, Triplets(np.array([3]), np.array([0]), np.ones(1)), 2)
 
 
 class TestWindowTightness:
@@ -260,12 +327,12 @@ class TestWindowTightness:
         rows = deep.codomain.window_indices(n)
         outside = np.delete(np.arange(deep.codomain.dim), rows)
         cols = deep.domain.window_indices(w)
-        np.testing.assert_array_equal(deep.entries[np.ix_(rows, cols)],
-                                      shallow.window_columns())
-        assert not np.any(deep.entries[np.ix_(outside, cols)])
+        np.testing.assert_array_equal(deep.dense(rows, cols),
+                                      shallow.dense(cols=shallow.domain.window_indices(w)))
+        assert not np.any(deep.dense(outside, cols))
         if w < n:
             beyond = np.setdiff1d(deep.domain.window_indices(w + 1), cols)
-            assert np.any(deep.entries[np.ix_(outside, beyond)])
+            assert np.any(deep.dense(outside, beyond))
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), rows=st.integers(1, 2), cols=st.integers(1, 2))
@@ -308,7 +375,8 @@ def reference_flag(op, tol):
         sv = np.linalg.svd(m, compute_uv=False)
         return bool(np.all((sv <= tol) | (np.abs(sv - 1.0) <= tol)))
     rows = op.codomain.window_indices(op.exact_window)
-    return binary(op.window_columns()) or binary(op.entries[rows, :])
+    cols = op.domain.window_indices(op.exact_window)
+    return binary(op.dense(cols=cols)) or binary(op.dense(rows=rows))
 
 
 @st.composite
@@ -364,10 +432,10 @@ def planted_cases(draw):
     rows = op.codomain.window_indices(op.exact_window)
     cols = op.domain.window_indices(op.exact_window)
     if rows.size and draw(st.booleans()):
-        entries = op.entries.copy()
+        m = op.dense()
         value = complex(*draw(st.tuples(*[st.floats(-2, 2, allow_nan=False)] * 2)))
-        entries[draw(st.sampled_from(rows)), draw(st.sampled_from(cols))] = value
-        op = OperatorMatrix(op.domain, op.codomain, entries, op.exact_window)
+        m[draw(st.sampled_from(rows)), draw(st.sampled_from(cols))] = value
+        op = OperatorMatrix(op.domain, op.codomain, nonzero_triplets(m), op.exact_window)
     return op, kind
 
 
@@ -383,9 +451,9 @@ def planted_timotin(kind):
     build, sym = {"range": (build_range_operator, timotin_phi()),
                   "kernel": (build_kernel_operator, timotin_psi())}[kind]
     op = build(sym, 1, 16)
-    entries = op.entries.copy()
-    entries[5, 7] = 0.25 - 0.5j
-    return OperatorMatrix(op.domain, op.codomain, entries, op.exact_window)
+    m = op.dense()
+    m[5, 7] = 0.25 - 0.5j
+    return OperatorMatrix(op.domain, op.codomain, nonzero_triplets(m), op.exact_window)
 
 
 class TestSvdAnalysis:
@@ -427,15 +495,13 @@ class TestSvdAnalysis:
     @pytest.mark.parametrize("u", ["timotin", "replicated-1-2"])
     def test_partial_isometries_need_no_svd(self, u, monkeypatch):
         # the Penrose certificate passes the mixed operators of the workloads
-        # on their nonzero entries: no SVD, and no dense window compression
-        calls, original = [], operators.singular_values
+        # on their nonzero entries: no SVD, and no dense window slice
+        calls, original, dense = [], operators.singular_values, OperatorMatrix.dense
         monkeypatch.setattr(operators, "singular_values",
                             lambda m: calls.append(m.shape) or original(m))
-        for name in ("window_rows", "window_columns"):
-            compress = getattr(OperatorMatrix, name)
-            monkeypatch.setattr(OperatorMatrix, name,
-                                lambda op, name=name, compress=compress:
-                                calls.append(name) or compress(op))
+        monkeypatch.setattr(OperatorMatrix, "dense",
+                            lambda op, *args, **kwargs: calls.append("dense")
+                            or dense(op, *args, **kwargs))
         sym_u, de, df = {"timotin": (cli.timotin_u(), 1, 1),
                          "replicated-1-2": (cli.replicated_u(1, 2), 1, 2)}[u]
         v = build_range_operator(range_symbol_from_u(sym_u, de, df), de, 64)
@@ -456,11 +522,6 @@ class TestSvdAnalysis:
         monkeypatch.setattr(operators, "singular_values", counted)
         assert not svd_analysis(w)
         assert shapes == [(130, 130)]
-
-    def test_full_window_compression_is_the_matrix(self):
-        w = self.column_kernel_operator(16)
-        assert np.shares_memory(w.window_rows(), w.entries)
-        assert np.shares_memory(w.window_columns(), w.entries)
 
 
 class TestIntertwining:
@@ -524,8 +585,8 @@ class TestTripletChecks:
         op, _ = case
         rows = op.codomain.window_indices(op.exact_window)
         cols = op.domain.window_indices(op.exact_window)
-        for side, dense in ((_within(op.nonzeros, 0, rows, op.codomain.dim), op.window_rows()),
-                            (_within(op.nonzeros, 1, cols, op.domain.dim), op.window_columns())):
+        for side, dense in ((_within(op.entries, 0, rows, op.codomain.dim), op.dense(rows=rows)),
+                            (_within(op.entries, 1, cols, op.domain.dim), op.dense(cols=cols))):
             assert _penrose_defect(side) == pytest.approx(ref_penrose_norm(dense),
                                                           rel=1e-10, abs=1e-12)
 
@@ -533,7 +594,8 @@ class TestTripletChecks:
     @given(case=planted_cases())
     def test_nehari_lower_bound_is_the_dense_norm(self, case):
         op, _ = case
-        assert nehari_lower_bound(op) == spectral_norm(op.window_columns())
+        cols = op.domain.window_indices(op.exact_window)
+        assert nehari_lower_bound(op) == spectral_norm(op.dense(cols=cols))
 
     @pytest.mark.parametrize("case", ["banded", "dense"])
     def test_both_product_routes_match_the_dense_reference(self, case, monkeypatch):
@@ -548,7 +610,7 @@ class TestTripletChecks:
 
         monkeypatch.setattr(operators, "sparse_product", spied)
         if case == "banded":
-            m = build_range_operator(timotin_phi(), 1, 32).entries
+            m = build_range_operator(timotin_phi(), 1, 32).dense()
         else:
             rng = np.random.default_rng(4)
             m = rng.standard_normal((7, 5)) + 1j * rng.standard_normal((7, 5))
@@ -558,9 +620,10 @@ class TestTripletChecks:
 
 
 class TestNoOperatorSizedCopies:
-    """Once the nonzero entries are scanned, the partial-isometry flag of a
-    certified operator and the intertwining residual allocate nothing near
-    the size of the operator (numpy's allocations, seen by tracemalloc)."""
+    """Building a mixed operator as its nonzero entries, the partial-isometry
+    flag of a certified operator and the intertwining residual allocate
+    nothing near the size of the dense operator (numpy's allocations, seen
+    by tracemalloc)."""
 
     @staticmethod
     def peak_bytes(call):
@@ -571,13 +634,24 @@ class TestNoOperatorSizedCopies:
         finally:
             tracemalloc.stop()
 
+    @staticmethod
+    def replicated_operator(kind):
+        """The n = 128 operator of kind for replicated_u(1, 2), and the bytes
+        of its dense complex matrix."""
+        u = cli.replicated_u(1, 2)
+        build, sym = ((build_range_operator, range_symbol_from_u(u, 1, 2)) if kind == "range"
+                      else (build_kernel_operator, kernel_symbol_from_u(u, 1, 2)))
+        op = build(sym, 1, 128)
+        return op, 16 * op.domain.dim ** 2, lambda: build(sym, 1, 128)
+
+    @pytest.mark.parametrize("kind", ["range", "kernel"])
+    def test_operator_build_stays_small(self, kind):
+        _, size, build = self.replicated_operator(kind)
+        assert self.peak_bytes(build) < size / 8
+
     @pytest.mark.parametrize("kind", ["range", "kernel"])
     def test_operator_checks_stay_small(self, kind):
-        u = cli.replicated_u(1, 2)
-        op = (build_range_operator(range_symbol_from_u(u, 1, 2), 1, 128) if kind == "range"
-              else build_kernel_operator(kernel_symbol_from_u(u, 1, 2), 1, 128))
-        size = op.entries.nbytes
-        assert self.peak_bytes(lambda: op.nonzeros) < size / 4
+        op, size, _ = self.replicated_operator(kind)
         assert self.peak_bytes(lambda: svd_analysis(op)) < size / 8
         assert self.peak_bytes(lambda: intertwining_residual(op, kind)) < size / 8
 
@@ -592,7 +666,7 @@ class TestStructureCharacterizations:
             t = toeplitz_op(s, n)
             fwd_c = shift_matrix(TruncatedSpace.hardy(cols, n), "forward")
             bwd_r = shift_matrix(TruncatedSpace.hardy(rows, n), "backward")
-            resid = bwd_r @ t.entries @ fwd_c - t.entries
+            resid = bwd_r @ t.dense() @ fwd_c - t.dense()
             w = t.exact_window - 1
             cols_idx = t.domain.window_indices(w)
             assert spectral_norm(resid[:, cols_idx]) <= 1e-12
@@ -606,7 +680,7 @@ class TestStructureCharacterizations:
             h = hankel_op(s, n)
             fwd_c = shift_matrix(TruncatedSpace.hardy(cols, n), "forward")
             bwd_r = shift_matrix(TruncatedSpace.hardy(rows, n), "backward")
-            resid = h.entries @ fwd_c - bwd_r @ h.entries
+            resid = h.dense() @ fwd_c - bwd_r @ h.dense()
             cols_idx = h.domain.window_indices(n - 1)
             assert spectral_norm(resid[:, cols_idx]) <= 1e-12
 
@@ -632,13 +706,13 @@ class TestMixedIsometryIdentities:
             n = 12
             a_flip = a_prime.conj_arg()
             w_rect = np.hstack([
-                hankel_op(a_flip.entry_conj(), n).entries,
-                toeplitz_op(c_sym.adjoint(), n).entries,
+                hankel_op(a_flip.entry_conj(), n).dense(),
+                toeplitz_op(c_sym.adjoint(), n).dense(),
             ])
             t = toeplitz_op(a_flip, n)
             w = n - max(0, a_prime.kmax, c_sym.kmax)
             idx_dom = t.domain.window_indices(w)
-            lhs = (w_rect @ w_rect.conj().T + t.entries.conj().T @ t.entries)
+            lhs = (w_rect @ w_rect.conj().T + t.dense().conj().T @ t.dense())
             gap = np.max(np.abs(lhs[np.ix_(idx_dom, idx_dom)] - np.eye(idx_dom.size)))
             assert gap <= 1e-10
 
@@ -651,13 +725,13 @@ class TestMixedIsometryIdentities:
             n = 12
             c_flip = c_sym.conj_arg()
             v_rect = np.vstack([
-                toeplitz_op(monomial_symbol(1, np.eye(dim_e)) @ a_prime, n).entries,
-                hankel_op(c_flip, n).entries,
+                toeplitz_op(monomial_symbol(1, np.eye(dim_e)) @ a_prime, n).dense(),
+                hankel_op(c_flip, n).dense(),
             ])
             t = toeplitz_op(c_flip.adjoint(), n)
             w = n - max(0, c_flip.adjoint().kmax, 1 + a_prime.kmax)
             idx = t.domain.window_indices(w)
-            lhs = v_rect.conj().T @ v_rect + t.entries @ t.entries.conj().T
+            lhs = v_rect.conj().T @ v_rect + t.dense() @ t.dense().conj().T
             gap = np.max(np.abs(lhs[np.ix_(idx, idx)] - np.eye(idx.size)))
             assert gap <= 1e-10
 
