@@ -207,7 +207,7 @@ def multiplication_entries(sym: LaurentSymbol, in_lo: int, in_hi: int,
         i = np.arange(max(in_lo, out_lo - k), min(in_hi, out_hi - k) + 1)[:, None]
         rows.append(((i + k - out_lo) * r + a).ravel())
         cols.append(((i - in_lo) * c + b).ravel())
-        vals.append(np.broadcast_to(blk[a, b], (i.size, a.size)).ravel())
+        vals.append(np.tile(blk[a, b], i.size))
     return Triplets(*map(np.concatenate, (rows, cols, vals)))
 
 
