@@ -1,12 +1,13 @@
 """Dense complex linear-algebra helpers shared across the package.
 
-Every SVD of the package happens here.  The truncated operators pair
-banded Toeplitz blocks with finite-rank Hankel blocks, so most of their
-rows or columns are entirely zero.  Each helper factors only the core
-of m on the rows and columns that hold a nonzero entry and embeds the
-result back.  That is exact: m and its core have the same nonzero
-singular values, hence the same sigma_max and the same rank at every
-relative cutoff, and every zero column of m is a kernel direction.
+Every SVD of the package happens here, and its one ``eigvalsh``, in
+``sparse_norm``.  The truncated operators pair banded Toeplitz blocks with
+finite-rank Hankel blocks, so most of their rows or columns are entirely
+zero.  Each helper factors only the core of m on the rows and columns that
+hold a nonzero entry and embeds the result back.  That is exact: m and its
+core have the same nonzero singular values, hence the same sigma_max and the
+same rank at every relative cutoff, and every zero column of m is a kernel
+direction.
 
 A tall core reaches ``nullspace``, and a wide one ``column_space``, as the
 triangle R of its QR factorisation (of its conjugate transpose when wide),
@@ -325,3 +326,25 @@ def support_core(t: Triplets) -> np.ndarray:
     factor."""
     (rows, at_row), (cols, at_col) = _distinct(t.rows), _distinct(t.cols)
     return dense_matrix(Triplets(at_row, at_col, t.vals), (rows.size, cols.size))
+
+
+def short_gram(t: Triplets) -> tuple[Triplets, Triplets] | tuple[np.ndarray, np.ndarray]:
+    """(W, W* W) for W the one of V, the matrix t lists, and V* with no more
+    nonzero columns than rows, so W* W is the smaller Gram matrix.  Sparse
+    while the product forms no more terms than V's nonzero core has entries,
+    which keeps its memory to the core's; past that, W is the dense core."""
+    rows, cols = (np.count_nonzero(np.bincount(x)) for x in (t.rows, t.cols))
+    w = t if rows >= cols else Triplets(t.cols, t.rows, t.vals.conj())
+    gram = sparse_product(Triplets(w.cols, w.rows, w.vals.conj()), w, rows * cols)
+    if gram is not None:
+        return w, gram
+    a = support_core(w)
+    return a, a.conj().T @ a
+
+
+def sparse_norm(t: Triplets) -> float:
+    """Spectral norm of the matrix t lists, 0.0 when empty: sqrt(lambda_max)
+    of its ``short_gram``, accurate to order eps, as the SVD's norm is."""
+    gram = short_gram(t)[1]
+    gram = support_core(gram) if isinstance(gram, Triplets) else gram
+    return float(np.sqrt(np.max(np.linalg.eigvalsh(gram), initial=0.0)))

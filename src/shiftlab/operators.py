@@ -20,7 +20,9 @@ from .linalg import (
     dense_matrix,
     row_major,
     singular_values,
+    short_gram,
     sparse_difference,
+    sparse_norm,
     sparse_product,
     spectral_norm,
     support_core,
@@ -182,13 +184,6 @@ class OperatorMatrix:
         return dense_matrix(t, tuple(shape))
 
 
-def _hardy_op(sym: LaurentSymbol, n: int, entries: Triplets, window: int) -> OperatorMatrix:
-    """The operator of the entries, sorted once, from the degree-n Hardy
-    window of sym's column fiber to that of its row fiber."""
-    dom, cod = (ProductSpace.of(TruncatedSpace.hardy(d, n)) for d in (sym.cols, sym.rows))
-    return OperatorMatrix(dom, cod, row_major(entries), window)
-
-
 def multiplication_entries(sym: LaurentSymbol, in_lo: int, in_hi: int,
                            out_lo: int, out_hi: int) -> Triplets:
     """Entries != 0 of the matrix of h |-> S h from input degrees
@@ -218,12 +213,15 @@ def toeplitz_op(sym: LaurentSymbol, n: int) -> OperatorMatrix:
     Exact window: n - max(kmax, 0), since the symbol raises degrees by
     at most kmax.
     """
+    return _block_operator(n, (sym.rows,), (sym.cols,), [[_toeplitz(sym, n)]])
+
+
+def _toeplitz(sym: LaurentSymbol, n: int) -> tuple[Triplets, int]:
+    """The entries, unsorted, and the window of ``toeplitz_op``."""
     if n < max(abs(sym.kmin), sym.kmax):
-        raise ValueError(
-            f"truncation n = {n} is smaller than the symbol band "
-            f"[{sym.kmin}, {sym.kmax}]"
-        )
-    return _hardy_op(sym, n, multiplication_entries(sym, 0, n, 0, n), n - max(sym.kmax, 0))
+        raise ValueError(f"truncation n = {n} is smaller than the symbol band "
+                         f"[{sym.kmin}, {sym.kmax}]")
+    return multiplication_entries(sym, 0, n, 0, n), n - max(sym.kmax, 0)
 
 
 def hankel_op(sym: LaurentSymbol, n: int) -> OperatorMatrix:
@@ -235,12 +233,17 @@ def hankel_op(sym: LaurentSymbol, n: int) -> OperatorMatrix:
     the anti-analytic band is deeper than n+1 the matrix is still formed
     (top-left corner of the infinite matrix) but no input is exact.
     """
+    return _block_operator(n, (sym.rows,), (sym.cols,), [[_hankel(sym, n)]])
+
+
+def _hankel(sym: LaurentSymbol, n: int) -> tuple[Triplets, int]:
+    """The entries, unsorted, and the window of ``hankel_op``."""
     # output degrees -n-1 .. -1 of S h sit on row blocks 0 .. n, and J
     # sends row block p (degree p - n - 1) to degree n - p
     t = multiplication_entries(sym, 0, n, -n - 1, -1)
     block, fiber = np.divmod(t.rows, sym.rows)
     window = n if max(0, -sym.kmin) <= n + 1 else -1
-    return _hardy_op(sym, n, Triplets((n - block) * sym.rows + fiber, t.cols, t.vals), window)
+    return Triplets((n - block) * sym.rows + fiber, t.cols, t.vals), window
 
 
 def shift_rows(m: np.ndarray, space: ProductSpace, kinds: tuple[str, ...]) -> np.ndarray:
@@ -266,16 +269,16 @@ def _require_analytic(sym: LaurentSymbol, name: str) -> None:
         )
 
 
-def _block_operator(blocks: list[list[OperatorMatrix]]) -> OperatorMatrix:
-    """The square 2 x 2 block operator of the given blocks on the sum of
-    their diagonal domains, with one window, the minimum over the blocks."""
-    space = ProductSpace.of(blocks[0][0].domain.parts[0], blocks[1][1].domain.parts[0])
-    off = space.offsets()
-    parts = [Triplets(op.entries.rows + off[i], op.entries.cols + off[j], op.entries.vals)
-             for i, row in enumerate(blocks) for j, op in enumerate(row)]
+def _block_operator(n: int, rows: tuple[int, ...], cols: tuple[int, ...],
+                    blocks: list[list[tuple[Triplets, int]]]) -> OperatorMatrix:
+    """The block operator of the blocks' (entries, window) from the degree-n
+    Hardy windows of the fibers cols to those of the fibers rows, its entries
+    sorted once, with one window, the minimum over the blocks."""
+    dom, cod = (ProductSpace.of(*(TruncatedSpace.hardy(d, n) for d in f)) for f in (cols, rows))
+    parts = [Triplets(t.rows + cod.offsets()[i], t.cols + dom.offsets()[j], t.vals)
+             for i, row in enumerate(blocks) for j, (t, _) in enumerate(row)]
     entries = row_major(Triplets(*map(np.concatenate, zip(*parts))))
-    return OperatorMatrix(space, space, entries,
-                          min(op.exact_window for row in blocks for op in row))
+    return OperatorMatrix(dom, cod, entries, min(w for row in blocks for _, w in row))
 
 
 def build_range_operator(phi: LaurentSymbol, dim_e: int, n: int) -> OperatorMatrix:
@@ -289,8 +292,9 @@ def build_range_operator(phi: LaurentSymbol, dim_e: int, n: int) -> OperatorMatr
     a, b, c, d = split_square_blocks(phi, dim_e)
     _require_analytic(a, "A")
     _require_analytic(b, "B")
-    return _block_operator([[toeplitz_op(a, n), toeplitz_op(b, n)],
-                            [hankel_op(c, n), hankel_op(d, n)]])
+    dims = (dim_e, phi.rows - dim_e)
+    return _block_operator(n, dims, dims, [[_toeplitz(a, n), _toeplitz(b, n)],
+                                           [_hankel(c, n), _hankel(d, n)]])
 
 
 def build_kernel_operator(psi: LaurentSymbol, dim_e: int, n: int) -> OperatorMatrix:
@@ -305,8 +309,10 @@ def build_kernel_operator(psi: LaurentSymbol, dim_e: int, n: int) -> OperatorMat
     _require_analytic(b, "B")
     # H_S^* equals the Hankel matrix of the symbol with each coefficient
     # conjugate-transposed in place; T_S^* is the Toeplitz matrix of S^*.
-    return _block_operator([[hankel_op(c.entry_conj(), n), toeplitz_op(a.adjoint(), n)],
-                            [hankel_op(d.entry_conj(), n), toeplitz_op(b.adjoint(), n)]])
+    dims = (dim_e, psi.rows - dim_e)
+    return _block_operator(n, dims, dims,
+                           [[_hankel(c.entry_conj(), n), _toeplitz(a.adjoint(), n)],
+                            [_hankel(d.entry_conj(), n), _toeplitz(b.adjoint(), n)]])
 
 
 def _within(t: Triplets, axis: int, keep: np.ndarray, dim: int) -> Triplets:
@@ -342,24 +348,17 @@ def _moved(t: Triplets, axis: int, space: ProductSpace, kinds: tuple[str, ...]) 
 
 
 def _penrose_defect(v: Triplets) -> float:
-    """||V V* V - V||_F of the matrix V that v lists.
-
-    The norm is the same for V*, and for V with its zero rows and columns
-    stripped, so the two products run on the list as it stands.  They are
-    sparse while each forms no more terms than V's nonzero core has
-    entries, which keeps their memory to that of the core; a denser core is
-    multiplied as a dense array, taken tall so that V* V is the smaller Gram
-    matrix.
-    """
-    core_size = np.count_nonzero(np.bincount(v.rows)) * np.count_nonzero(np.bincount(v.cols))
-    gram = sparse_product(Triplets(v.cols, v.rows, v.vals.conj()), v, core_size)
-    image = None if gram is None else sparse_product(v, gram, core_size)
-    if image is not None:
-        return float(np.linalg.norm(sparse_difference(image, v).vals))
-    a = support_core(v)
-    if a.shape[0] < a.shape[1]:
-        a = a.conj().T
-    return float(np.linalg.norm(a @ (a.conj().T @ a) - a))
+    """||V V* V - V||_F of the matrix V that v lists, which is the same for V*
+    and for V's nonzero core: ||W G - W||_F for the W and G = W* W of
+    ``short_gram``, W G sparse under G's term budget, else dense."""
+    w, gram = short_gram(v)
+    if isinstance(gram, Triplets):
+        core_size = np.count_nonzero(np.bincount(v.rows)) * np.count_nonzero(np.bincount(v.cols))
+        image = sparse_product(w, gram, core_size)
+        if image is not None:
+            return float(np.linalg.norm(sparse_difference(image, w).vals))
+        w, gram = support_core(w), support_core(gram)
+    return float(np.linalg.norm(w @ gram - w))
 
 
 def _penrose_certified(v: Triplets, tol: float) -> bool:
@@ -467,11 +466,11 @@ class NehariBracket:
 
 def nehari_lower_bound(op: OperatorMatrix) -> float:
     """Window-compressed spectral norm of a truncated mixed range operator:
-    a lower bound for the norm of the untruncated operator.  The SVD factors
-    the nonzero core of the window columns, built from the operator's
-    nonzero entries there: the array a dense compression would strip to."""
+    a lower bound for the norm of the untruncated operator, taken by
+    ``sparse_norm`` from the operator's nonzero entries in the window
+    columns, through their short-side Gram matrix rather than an SVD."""
     cols = op.domain.window_indices(op.exact_window)
-    return spectral_norm(support_core(_within(op.entries, 1, cols, op.domain.dim)))
+    return sparse_norm(_within(op.entries, 1, cols, op.domain.dim))
 
 
 def nehari_bounds(phi: LaurentSymbol, dim_e: int,
@@ -501,8 +500,6 @@ def nehari_bounds(phi: LaurentSymbol, dim_e: int,
         completed = phi - block_symbol([[zero_symbol(dim_e, dim_e), zero_symbol(dim_e, dim_f)],
                                         [l1, l2]])
         band = max(s.bandwidth for s in split_square_blocks(completed, dim_e))
-        sup = 0.0
-        for z in unit_circle_points(4 * band + 1):
-            sup = max(sup, spectral_norm(completed.eval_at(z)))
-        upper.append(sup)
+        upper.append(max(spectral_norm(completed.eval_at(z))
+                         for z in unit_circle_points(4 * band + 1)))
     return NehariBracket(list(lower_bounds), upper)

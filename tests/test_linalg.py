@@ -8,13 +8,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import nonzero_triplets, signed_zero_matrix
-from shiftlab import cli
+from shiftlab import cli, linalg
 from shiftlab.linalg import (
     RANK_RTOL,
+    Triplets,
     _support,
     _unit_columns,
     column_space,
+    short_gram,
     sparse_difference,
+    sparse_norm,
     sparse_product,
     support_core,
     nullspace,
@@ -375,6 +378,85 @@ class TestSparseProducts:
         np.testing.assert_array_equal(core, ref)
 
 
+def ref_norm(m):
+    """sigma_max by the values-only SVD of the dense matrix; 0.0 when empty."""
+    return float(np.linalg.svd(m, compute_uv=False)[0]) if m.size else 0.0
+
+
+def hadamard_blocks(rng, blocks, wide):
+    """Block-diagonal [[1, 1], [1, -1]] blocks, each scaled by a power of 2,
+    transposed when wide: the two columns (rows) of a block share both
+    rows (columns), so their Gram entry is a sum of two terms that cancels
+    to exactly 0, and the norm is sqrt(2) times the largest scale."""
+    scales = 2.0 ** rng.integers(-3, 4, blocks)
+    m = np.kron(np.diag(scales), np.array([[1, 1], [1, -1]])).astype(complex)
+    return (m.T if wide else m), np.sqrt(2) * scales.max()
+
+
+class TestSparseNorm:
+    """sparse_norm, sqrt(lambda_max) of the short-side Gram matrix, against
+    the values-only SVD of the dense matrix.  Both are backward stable, so
+    they agree to a small multiple of eps: rel=1e-13 is about 450 eps."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(m=st.one_of(planted_matrices(), st.builds(
+        lambda seed, rows, cols: signed_zero_matrix(np.random.default_rng(seed), rows, cols),
+        st.integers(0, 2 ** 32 - 1), st.integers(0, 12), st.integers(0, 12))))
+    @example(m=np.zeros((0, 0), dtype=complex))
+    @example(m=np.zeros((3, 5), dtype=complex))
+    def test_matches_the_dense_svd(self, m):
+        # tall, wide, rank-deficient, zero rows and columns, signed zeros
+        value = sparse_norm(nonzero_triplets(m))
+        assert type(value) is float
+        assert value == pytest.approx(ref_norm(m), rel=1e-13, abs=0.0)
+
+    def test_empty_list_is_exactly_zero(self):
+        empty = np.zeros(0, dtype=np.intp)
+        value = sparse_norm(Triplets(empty, empty, np.zeros(0, dtype=complex)))
+        assert value == 0.0 and type(value) is float
+
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_the_gram_is_taken_on_the_short_side(self, wide):
+        rng = np.random.default_rng(8)
+        m = planted(rng, 9, 4, np.arange(9), np.arange(4), 3, False)
+        m = m.conj().T if wide else m
+        w, gram = short_gram(nonzero_triplets(m))
+        assert (gram.shape if isinstance(gram, np.ndarray) else support_core(gram).shape) \
+            == (4, 4)
+        assert sparse_norm(nonzero_triplets(m)) == pytest.approx(ref_norm(m), rel=1e-13)
+
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_gram_entries_that_cancel(self, wide):
+        m, norm = hadamard_blocks(np.random.default_rng(9), 5, wide)
+        t = nonzero_triplets(m)
+        _, gram = short_gram(t)
+        assert isinstance(gram, Triplets), "banded blocks take the sparse product"
+        off_diagonal = gram.vals[gram.rows != gram.cols]
+        assert off_diagonal.size and np.all(off_diagonal == 0)
+        assert sparse_norm(t) == pytest.approx(norm, rel=1e-13)
+        assert sparse_norm(t) == pytest.approx(ref_norm(m), rel=1e-13)
+
+    @pytest.mark.parametrize("case", ["banded", "dense"])
+    def test_both_gram_routes_match_the_dense_svd(self, case, monkeypatch):
+        # a banded list takes the sparse product; a dense matrix has more
+        # product terms than entries, and its Gram matrix is formed densely
+        routes, original = [], linalg.sparse_product
+
+        def spied(a, b, limit):
+            product = original(a, b, limit)
+            routes.append(product is not None)
+            return product
+
+        monkeypatch.setattr(linalg, "sparse_product", spied)
+        rng = np.random.default_rng(4)
+        if case == "banded":
+            m = hadamard_blocks(rng, 6, False)[0]
+        else:
+            m = rng.standard_normal((7, 5)) + 1j * rng.standard_normal((7, 5))
+        assert sparse_norm(nonzero_triplets(m)) == pytest.approx(ref_norm(m), rel=1e-13)
+        assert routes == [case == "banded"]
+
+
 @pytest.fixture
 def svd_calls(monkeypatch):
     """(calling function, matrix) of every numpy SVD issued in the test."""
@@ -465,6 +547,26 @@ class TestEverySvdIsStripped:
         assert len(seen) > 20
         bad = [shape for shape, rows_ok, cols_ok in seen if not (rows_ok and cols_ok)]
         assert not bad, f"factorised with a zero row or column: {bad}"
+
+
+class TestNoOperatorSizedSvd:
+    """The operator checks of replicated_u(1, 2) factor nothing larger than
+    the symbol's 3 x 3 fiber: the Penrose certificate passes
+    partial_isometry, intertwining leaves no residual, and nehari reads its
+    lower bound off the Gram matrix's eigenvalues.  What reaches the SVD is
+    only nehari_bounds' samples of the symbol on the circle."""
+
+    def test_operator_checks_factor_only_circle_samples(self, svd_calls):
+        zero = (zero_symbol(2, 1), zero_symbol(2, 2))
+        replicated = cli.Scenario(
+            "replicated-1-2", InvariantSubspaceSpec(TYPE_I, 1, 2, u=cli.replicated_u(1, 2)),
+            ("partial_isometry", "intertwining", "nehari"), (64, 128, 256),
+            expect={"partial_isometry": True}, nehari_candidates=(zero,))
+        assert cli.run_batch([replicated]).exit_status == 0
+        assert svd_calls, "the circle samples are factored"
+        shapes = {a.shape for _, a in svd_calls}
+        assert all(rows <= 3 and cols <= 3 for rows, cols in shapes), \
+            f"operator-sized SVDs: {sorted(shapes)}"
 
 
 class TestEverySvdIsOneSided:
