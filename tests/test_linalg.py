@@ -383,14 +383,15 @@ def ref_norm(m):
     return float(np.linalg.svd(m, compute_uv=False)[0]) if m.size else 0.0
 
 
-def hadamard_blocks(rng, blocks, wide):
-    """Block-diagonal [[1, 1], [1, -1]] blocks, each scaled by a power of 2,
-    transposed when wide: the two columns (rows) of a block share both
-    rows (columns), so their Gram entry is a sum of two terms that cancels
-    to exactly 0, and the norm is sqrt(2) times the largest scale."""
+def cancelling_blocks(rng, blocks, wide):
+    """Block-diagonal 3 x 2 blocks [[1, 1], [1, -1], [1, 0]], each scaled by
+    a power of 2, transposed when wide.  The two columns (rows) of a block
+    share two rows (columns), so their Gram entry is a sum of two terms
+    that cancels to exactly 0; they are orthogonal, and the norm is
+    sqrt(3) times the largest scale."""
     scales = 2.0 ** rng.integers(-3, 4, blocks)
-    m = np.kron(np.diag(scales), np.array([[1, 1], [1, -1]])).astype(complex)
-    return (m.T if wide else m), np.sqrt(2) * scales.max()
+    m = np.kron(np.diag(scales), np.array([[1, 1], [1, -1], [1, 0]])).astype(complex)
+    return (m.T if wide else m), np.sqrt(3) * scales.max()
 
 
 class TestSparseNorm:
@@ -416,18 +417,20 @@ class TestSparseNorm:
         assert value == 0.0 and type(value) is float
 
     @pytest.mark.parametrize("wide", [False, True])
-    def test_the_gram_is_taken_on_the_short_side(self, wide):
+    @pytest.mark.parametrize("route", ["sparse", "dense"])
+    def test_the_gram_is_taken_on_the_short_side(self, route, wide):
         rng = np.random.default_rng(8)
-        m = planted(rng, 9, 4, np.arange(9), np.arange(4), 3, False)
+        m = (cancelling_blocks(rng, 4, False)[0] if route == "sparse"
+             else planted(rng, 12, 8, np.arange(12), np.arange(8), 3, False))
         m = m.conj().T if wide else m
-        w, gram = short_gram(nonzero_triplets(m))
-        assert (gram.shape if isinstance(gram, np.ndarray) else support_core(gram).shape) \
-            == (4, 4)
+        gram = short_gram(nonzero_triplets(m))[1]
+        assert isinstance(gram, Triplets) == (route == "sparse")
+        assert (support_core(gram) if route == "sparse" else gram).shape == (8, 8)
         assert sparse_norm(nonzero_triplets(m)) == pytest.approx(ref_norm(m), rel=1e-13)
 
     @pytest.mark.parametrize("wide", [False, True])
     def test_gram_entries_that_cancel(self, wide):
-        m, norm = hadamard_blocks(np.random.default_rng(9), 5, wide)
+        m, norm = cancelling_blocks(np.random.default_rng(9), 5, wide)
         t = nonzero_triplets(m)
         _, gram = short_gram(t)
         assert isinstance(gram, Triplets), "banded blocks take the sparse product"
@@ -450,7 +453,7 @@ class TestSparseNorm:
         monkeypatch.setattr(linalg, "sparse_product", spied)
         rng = np.random.default_rng(4)
         if case == "banded":
-            m = hadamard_blocks(rng, 6, False)[0]
+            m = cancelling_blocks(rng, 6, False)[0]
         else:
             m = rng.standard_normal((7, 5)) + 1j * rng.standard_normal((7, 5))
         assert sparse_norm(nonzero_triplets(m)) == pytest.approx(ref_norm(m), rel=1e-13)

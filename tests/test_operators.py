@@ -594,8 +594,8 @@ class TestTripletChecks:
     @given(case=planted_cases())
     def test_nehari_lower_bound_is_the_dense_norm(self, case):
         # sqrt(lambda_max) of the short-side Gram is backward stable but not
-        # the SVD's rounding: it keeps relative accuracy of order eps (3.7 eps
-        # at most on random mixed symbols), here held to about 450 eps
+        # the SVD's rounding: it keeps relative accuracy of order eps (6.6 eps
+        # at most on 192 random mixed operators), here held to about 450 eps
         op, _ = case
         cols = op.domain.window_indices(op.exact_window)
         assert nehari_lower_bound(op) == pytest.approx(spectral_norm(op.dense(cols=cols)),
