@@ -45,6 +45,7 @@ from .subspaces import (
     kernel_subspace,
     kernel_symbol_from_u,
     mixed_invariant_subspace,
+    operator_truncation,
     range_representation_check,
     range_symbol_from_u,
     range_window_basis,
@@ -372,6 +373,13 @@ def _validate_check_requirements(sc: Scenario) -> None:
         if check in needs_either and _derived_phi(spec) is None \
                 and _derived_psi(spec) is None:
             raise ScenarioError(f"check {check} requires field Phi or Psi")
+        if check == "nehari":
+            phi = _derived_phi(spec)
+            for i, pair in enumerate(sc.nehari_candidates):
+                lo, hi = min(phi.kmin, 0), max(sym.kmax for sym in (phi, *pair))
+                _within_cap((hi - lo + 1) * phi.rows ** 2, f"field nehari_candidates[{i}]",
+                            f"the completed stack Phi - [0, 0; L1, L2] of degrees "
+                            f"{lo}..{hi} at {phi.rows}x{phi.rows}")
         if check == "splitting":
             phi = _derived_phi(spec)
             if phi.shape != (2, 2) or spec.dim_e != 1 or spec.dim_f != 1:
@@ -398,15 +406,14 @@ def parse_scenario(path: str) -> Scenario:
         raise ScenarioError(f"{path}: {exc}") from exc
 
 
-def _target_subspace(sc: Scenario, n: int) -> SubspaceBasis:
+def _target_subspace(sc: Scenario, n: int, operator) -> SubspaceBasis:
     spec = sc.spec
     if spec.variant in (TYPE_I, TYPE_II):
         return mixed_invariant_subspace(spec, n, sc.window)
-    rep_symbol = spec.psi if spec.variant == KERNEL_REP else spec.phi
-    w = sc.window if sc.window is not None else n - rep_symbol.bandwidth
-    if spec.variant == KERNEL_REP:
-        return kernel_subspace(spec.psi, spec.dim_e, spec.dim_f, n, w)
-    return range_window_basis(spec.phi, spec.dim_e, spec.dim_f, n, w)
+    kind, sym = ("kernel", spec.psi) if spec.variant == KERNEL_REP else ("range", spec.phi)
+    w = sc.window if sc.window is not None else n - sym.bandwidth
+    op = operator(kind, operator_truncation(sym, w, n))
+    return kernel_subspace(op, w) if kind == "kernel" else range_window_basis(op, w)
 
 
 def _check_run_size(sc: Scenario, source: str) -> None:
@@ -414,9 +421,11 @@ def _check_run_size(sc: Scenario, source: str) -> None:
 
     Without invariance, kernel_rep or range_rep no subspace is built, and
     the largest is the mixed operator at n.  Otherwise the bilateral
-    ambient has 2n + 1 degrees per fiber, and an operator that
-    kernel_subspace or range_window_basis deepens stays within
+    ambient has 2n + 1 degrees per fiber, and a mixed operator requested
+    at the ``operator_truncation`` of a window stays within
     max(n, window) + max |k| + 1 degrees (the 1 for Psi, Phi from U).
+    The nehari candidates are capped with the check's requirements, at
+    parse time: their completed stack does not depend on n.
     """
     spec, n = sc.spec, sc.n_list[-1]
     degrees, dpf = n + 1, spec.dim_e + spec.dim_f
@@ -428,12 +437,11 @@ def _check_run_size(sc: Scenario, source: str) -> None:
                 f"{degrees} degrees of dimE + dimF = {dpf} fibers,")
 
 
-def _records_from_report(sc: Scenario, check: str, n: int,
-                         rep: VerificationReport) -> list[Record]:
+def _record_from_report(sc: Scenario, check: str, n: int, rep: VerificationReport) -> Record:
     residual = max((c.residual for c in rep.checks if c.gating), default=0.0)
     window = next((c.window for c in rep.checks if c.window is not None), None)
     detail = "; ".join(f"{c.name}={'ok' if c.passed else 'FAIL'}" for c in rep.checks)
-    return [Record(sc.name, check, n, residual, rep.overall, window, detail)]
+    return Record(sc.name, check, n, residual, rep.overall, window, detail)
 
 
 def _operator_kinds(spec: InvariantSubspaceSpec) -> list[str]:
@@ -443,57 +451,58 @@ def _operator_kinds(spec: InvariantSubspaceSpec) -> list[str]:
             if sym is not None]
 
 
-def _mixed_operator(sc: Scenario, n: int, kind: str) -> OperatorMatrix:
+def _mixed_operator(sc: Scenario, kind: str, m: int) -> OperatorMatrix:
     """The range operator of the derived Phi, or the kernel operator of the
-    derived Psi, at truncation n."""
+    derived Psi, at truncation m: the one call of the mixed builders."""
     if kind == "range":
-        return build_range_operator(_derived_phi(sc.spec), sc.spec.dim_e, n)
-    return build_kernel_operator(_derived_psi(sc.spec), sc.spec.dim_e, n)
+        return build_range_operator(_derived_phi(sc.spec), sc.spec.dim_e, m)
+    return build_kernel_operator(_derived_psi(sc.spec), sc.spec.dim_e, m)
 
 
-def _check_twocond(sc: Scenario, n: int, target, operator) -> list[Record]:
-    return _records_from_report(sc, "twocond", n, twocond_check(sc.spec, sc.tol))
+def _check_twocond(sc: Scenario, n: int, target, operator) -> Record:
+    return _record_from_report(sc, "twocond", n, twocond_check(sc.spec, sc.tol))
 
 
-def _check_invariance(sc: Scenario, n: int, target, operator) -> list[Record]:
+def _check_invariance(sc: Scenario, n: int, target, operator) -> Record:
     basis = target()
     resid = invariance_check(basis)
-    return [Record(sc.name, "invariance", n, resid, resid <= sc.tol, basis.window)]
+    return Record(sc.name, "invariance", n, resid, resid <= sc.tol, basis.window)
 
 
-def _check_kernel_rep(sc: Scenario, n: int, target, operator) -> list[Record]:
-    rep = kernel_representation_check(target(), _derived_psi(sc.spec),
-                                      sc.spec.theta, n, sc.tol)
-    return _records_from_report(sc, "kernel_rep", n, rep)
+def _check_kernel_rep(sc: Scenario, n: int, target, operator) -> Record:
+    basis, psi = target(), _derived_psi(sc.spec)
+    op = operator("kernel", operator_truncation(psi, basis.window, n))
+    rep = kernel_representation_check(basis, psi, sc.spec.theta, op, sc.tol)
+    return _record_from_report(sc, "kernel_rep", n, rep)
 
 
-def _check_range_rep(sc: Scenario, n: int, target, operator) -> list[Record]:
-    rep = range_representation_check(target(), _derived_phi(sc.spec), n, sc.tol)
-    return _records_from_report(sc, "range_rep", n, rep)
+def _check_range_rep(sc: Scenario, n: int, target, operator) -> Record:
+    basis, phi = target(), _derived_phi(sc.spec)
+    op = operator("range", operator_truncation(phi, basis.window, n))
+    return _record_from_report(sc, "range_rep", n,
+                               range_representation_check(basis, phi, op, sc.tol))
 
 
-def _check_splitting(sc: Scenario, n: int, target, operator) -> list[Record]:
+def _check_splitting(sc: Scenario, n: int, target, operator) -> Record:
     result = splitting_check_scalar(_derived_phi(sc.spec))
     expected = sc.expect.get("splitting", False)
     ok = result.splitting == expected
-    return [Record(sc.name, "splitting", n, 0.0 if ok else 1.0, ok,
-                   detail=f"splitting={result.splitting} expected={expected}")]
+    return Record(sc.name, "splitting", n, 0.0 if ok else 1.0, ok,
+                  detail=f"splitting={result.splitting} expected={expected}")
 
 
-def _check_intertwining(sc: Scenario, n: int, target, operator) -> list[Record]:
-    resid = {kind: intertwining_residual(operator(kind), kind)
+def _check_intertwining(sc: Scenario, n: int, target, operator) -> Record:
+    resid = {kind: intertwining_residual(operator(kind, n), kind)
              for kind in _operator_kinds(sc.spec)}
     worst = max(resid.values(), default=0.0)
-    return [Record(sc.name, "intertwining", n, worst, worst <= sc.tol,
-                   detail="; ".join(f"{kind}={_fmt(r)}" for kind, r in resid.items()))]
+    return Record(sc.name, "intertwining", n, worst, worst <= sc.tol,
+                  detail="; ".join(f"{kind}={_fmt(r)}" for kind, r in resid.items()))
 
 
-def _check_nehari(sc: Scenario, n: int, target, operator, swept) -> list[Record]:
-    """Add the lower bound at n, from the shared range operator, to the run's
-    swept list; at the last n, bracket the sweep."""
-    swept.append((n, nehari_lower_bound(operator("range"))))
-    if n != sc.n_list[-1]:
-        return []
+def _check_nehari(sc: Scenario, n: int, target, operator) -> Record:
+    """Bracket the sweep at its last n, with one lower bound per n of the
+    sweep from the shared range operator at that n."""
+    swept = [(m, nehari_lower_bound(operator("range", m))) for m in sc.n_list]
     bracket = nehari_bounds(_derived_phi(sc.spec), sc.spec.dim_e, swept,
                             sc.nehari_candidates)
     lows = [lo for _, lo in bracket.lower_bounds]
@@ -503,16 +512,16 @@ def _check_nehari(sc: Scenario, n: int, target, operator, swept) -> list[Record]
     ok = monotone and violation <= sc.tol
     detail = (f"lower={[_fmt(x) for x in lows]} "
               f"upper={[_fmt(x) for x in bracket.upper_bounds]}")
-    return [Record(sc.name, "nehari", n, violation, ok, detail=detail)]
+    return Record(sc.name, "nehari", n, violation, ok, detail=detail)
 
 
-def _check_partial_isometry(sc: Scenario, n: int, target, operator) -> list[Record]:
+def _check_partial_isometry(sc: Scenario, n: int, target, operator) -> Record:
     expected = sc.expect.get("partial_isometry", True)
-    flags = {kind: svd_analysis(operator(kind), sc.tol) for kind in _operator_kinds(sc.spec)}
+    flags = {kind: svd_analysis(operator(kind, n), sc.tol) for kind in _operator_kinds(sc.spec)}
     ok = all(flags.values()) == expected
     parts = "; ".join(f"{kind}_op={flag}" for kind, flag in flags.items())
-    return [Record(sc.name, "partial_isometry", n, 0.0 if ok else 1.0, ok,
-                   detail=f"{parts} expected={expected}")]
+    return Record(sc.name, "partial_isometry", n, 0.0 if ok else 1.0, ok,
+                  detail=f"{parts} expected={expected}")
 
 
 _CHECKS = {
@@ -528,39 +537,36 @@ _CHECKS = {
 CHECK_IDS = tuple(_CHECKS)
 
 
-# checks that read only the last n of the sweep
-_LAST_N_ONLY = {"twocond", "splitting"}
+# checks that run at the last n of the sweep only
+_LAST_N_ONLY = {"twocond", "splitting", "nehari"}
 
 
 def run(scenario: Scenario) -> Report:
     """Execute every requested check at every truncation in the sweep.
 
     The loop is n-major: at each n, every check that reads n runs in the
-    order listed.  The target subspace and each mixed operator ("range",
-    "kernel") are built at most once per n, on first use, shared by the
-    checks at that n and dropped when n moves on, so only one n's builds
-    are alive at a time; a build that raises is not kept, so each check
-    records its own error.  twocond and splitting run at the last n only.
-    nehari takes its lower bound at every n and records once, at the last
-    n; an error at an earlier n ends its sweep and becomes that record.
-    Records are emitted check-major, and nothing is kept across calls.
+    order listed.  The target subspace is built at most once per n, on
+    first use.  Each mixed operator is built at most once per call, on
+    first use, keyed by kind ("range", "kernel") and truncation: operator
+    checks read it at n, representation checks and targets at the
+    ``operator_truncation`` of their window, nehari at every n.  A build
+    that raises is not kept, so each check records its own error.
+    twocond, splitting and nehari run at the last n only.  Records are
+    emitted check-major, and nothing is kept across calls.
     """
     last = scenario.n_list[-1]
-    checks = dict(_CHECKS, nehari=partial(_check_nehari, swept=[]))
+    operator = lru_cache(maxsize=None)(partial(_mixed_operator, scenario))
     records: dict[str, list[Record]] = {check: [] for check in scenario.checks}
     for n in scenario.n_list:
-        target = lru_cache(maxsize=None)(partial(_target_subspace, scenario, n))
-        operator = lru_cache(maxsize=None)(partial(_mixed_operator, scenario, n))
+        target = lru_cache(maxsize=None)(partial(_target_subspace, scenario, n, operator))
         for check in scenario.checks:
-            # a nehari record before the last n is the error that ended its sweep
-            if (check in _LAST_N_ONLY and n != last) or (check == "nehari" and records[check]):
+            if check in _LAST_N_ONLY and n != last:
                 continue
             try:
-                records[check].extend(checks[check](scenario, n, target, operator))
+                records[check].append(_CHECKS[check](scenario, n, target, operator))
             except (ValueError, KeyError) as exc:
-                records[check].append(Record(scenario.name, check,
-                                             last if check == "nehari" else n, float("inf"),
-                                             False, detail=f"error: {exc}"))
+                records[check].append(Record(scenario.name, check, n, float("inf"), False,
+                                             detail=f"error: {exc}"))
     return Report([r for check in scenario.checks for r in records[check]])
 
 

@@ -30,11 +30,10 @@ from .linalg import (
 )
 from .operators import (
     DEFAULT_TOL,
+    OperatorMatrix,
     ProductSpace,
     SubspaceBasis,
     TruncatedSpace,
-    build_kernel_operator,
-    build_range_operator,
     multiplication_entries,
     shift_rows,
     toeplitz_op,
@@ -417,38 +416,40 @@ def range_symbol_from_u(u: LaurentSymbol, dim_e: int, dim_f: int) -> LaurentSymb
     return kernel_symbol_from_u(u, dim_e, dim_f).conj_arg()
 
 
-def _operator_truncation(sym: LaurentSymbol, w: int, n: int) -> int:
+def operator_truncation(sym: LaurentSymbol, w: int, n: int) -> int:
+    """The truncation, at least n, that makes sym's degree-w window exact."""
     depth, height = max(0, -sym.kmin), max(0, sym.kmax)
     return max(n, w + height, depth, height)
 
 
-def kernel_subspace(psi: LaurentSymbol, dim_e: int, dim_f: int, n: int,
-                    window: int) -> SubspaceBasis:
-    """Elements of the kernel of the mixed adjoint operator with degree <= window.
+def _window_ambient(op: OperatorMatrix, w: int) -> ProductSpace:
+    """The analytic window ambient at degree w on op's two fibers."""
+    return analytic_ambient(op.domain.parts[0].fiber_dim, op.domain.parts[1].fiber_dim, w)
 
-    The operator is built at a truncation deep enough to make the window
-    columns exact even when the symbol has a deep anti-analytic band.
+
+def kernel_subspace(op: OperatorMatrix, window: int) -> SubspaceBasis:
+    """Elements of the kernel of the mixed adjoint operator op with degree <= window.
+
+    op must be built at ``operator_truncation`` of its symbol, deep enough
+    to make the window columns exact even when the symbol has a deep
+    anti-analytic band.
     """
-    w_op = build_kernel_operator(psi, dim_e, _operator_truncation(psi, window, n))
-    cols = w_op.domain.window_indices(window)
-    kernel = nullspace(w_op.dense(cols=cols))
-    return SubspaceBasis(analytic_ambient(dim_e, dim_f, window), kernel, window=window)
+    kernel = nullspace(op.dense(cols=op.domain.window_indices(window)))
+    return SubspaceBasis(_window_ambient(op, window), kernel, window=window)
 
 
-def range_window_basis(phi: LaurentSymbol, dim_e: int, dim_f: int, n: int,
-                       window: int) -> SubspaceBasis:
-    """Elements of the range of the mixed operator with degree <= window.
+def range_window_basis(op: OperatorMatrix, window: int) -> SubspaceBasis:
+    """Elements of the range of the mixed operator op with degree <= window.
 
-    Solves for every input (up to the working truncation, shrunk so the
-    full image is visible) whose image is supported inside the window,
-    then orthonormalizes the images.  Solving, rather than cutting the
-    input degree, keeps range elements whose high-degree input content
-    cancels in the image.
+    Solves for every input (up to op's truncation, from
+    ``operator_truncation``, shrunk so the full image is visible) whose
+    image is supported inside the window, then orthonormalizes the images.
+    Solving, rather than cutting the input degree, keeps range elements
+    whose high-degree input content cancels in the image.
     """
-    v_op = build_range_operator(phi, dim_e, _operator_truncation(phi, window, n))
-    basis = image_within(v_op.dense(cols=v_op.domain.window_indices(v_op.exact_window)),
-                         v_op.codomain.window_indices(window))
-    return SubspaceBasis(analytic_ambient(dim_e, dim_f, window), basis, window=window)
+    basis = image_within(op.dense(cols=op.domain.window_indices(op.exact_window)),
+                         op.codomain.window_indices(window))
+    return SubspaceBasis(_window_ambient(op, window), basis, window=window)
 
 
 def inner_multiples_window_basis(theta: LaurentSymbol, w: int) -> np.ndarray:
@@ -464,14 +465,15 @@ def inner_multiples_window_basis(theta: LaurentSymbol, w: int) -> np.ndarray:
 
 
 def kernel_representation_check(n_basis: SubspaceBasis, psi: LaurentSymbol,
-                                theta: LaurentSymbol | None, n: int,
+                                theta: LaurentSymbol | None, op: OperatorMatrix,
                                 tol: float = DEFAULT_TOL) -> VerificationReport:
     """Compare a subspace against kernel-of-mixed-operator form.
 
-    Computes the window slice of ker of the mixed adjoint operator,
-    intersects it with (inner multiples of theta) (+) (full second part)
-    when theta is present (the zero symbol pins the first part to zero),
-    and reports the principal-angle distance to the supplied basis.
+    Computes the window slice of ker of op, the mixed adjoint operator of
+    psi at ``operator_truncation``, intersects it with (inner multiples of
+    theta) (+) (full second part) when theta is present (the zero symbol
+    pins the first part to zero), and reports the principal-angle
+    distance to the supplied basis.
     """
     amb = n_basis.ambient
     dim_e, dim_f = amb.parts[0].fiber_dim, amb.parts[1].fiber_dim
@@ -483,7 +485,7 @@ def kernel_representation_check(n_basis: SubspaceBasis, psi: LaurentSymbol,
     cls = classify_isometry(psi)
     checks.append(CheckResult(
         "psi_class", cls.residual, True, gating=False, detail=cls.kind.value))
-    candidate = kernel_subspace(psi, dim_e, dim_f, n, w)
+    candidate = kernel_subspace(op, w)
     if theta is not None:
         constraint = _first_part_constraint_basis(theta, dim_e, dim_f, w)
         joint = intersection(candidate.basis, constraint)
@@ -507,14 +509,14 @@ def _first_part_constraint_basis(theta: LaurentSymbol, dim_e: int, dim_f: int,
     return np.hstack([top, bottom])
 
 
-def range_representation_check(n_basis: SubspaceBasis, phi: LaurentSymbol, n: int,
+def range_representation_check(n_basis: SubspaceBasis, phi: LaurentSymbol,
+                               op: OperatorMatrix,
                                tol: float = DEFAULT_TOL) -> VerificationReport:
-    """Compare a subspace against the window slice of the mixed-operator range."""
-    amb = n_basis.ambient
-    dim_e, dim_f = amb.parts[0].fiber_dim, amb.parts[1].fiber_dim
-    w = amb.parts[0].deg_hi
+    """Compare a subspace against the window slice of the range of op, the
+    mixed operator of phi at ``operator_truncation``."""
+    w = n_basis.ambient.parts[0].deg_hi
     cls = classify_isometry(phi)
-    rng = range_window_basis(phi, dim_e, dim_f, n, w)
+    rng = range_window_basis(op, w)
     dist = principal_angle_distance(rng.basis, n_basis.basis)
     return VerificationReport((
         CheckResult("phi_class", cls.residual, accepts_partial_isometry(cls),

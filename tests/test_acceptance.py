@@ -43,6 +43,7 @@ from shiftlab.subspaces import (
     kernel_subspace,
     kernel_symbol_from_u,
     mixed_invariant_subspace,
+    operator_truncation,
     range_representation_check,
     range_symbol_from_u,
     range_window_basis,
@@ -203,8 +204,8 @@ def test_criterion_5_scalar_nonsplitting_reproduction():
     mixed = mixed_invariant_subspace(spec, n)
     psi = kernel_symbol_from_u(u, 1, 1)
     phi = range_symbol_from_u(u, 1, 1)
-    ker = kernel_subspace(psi, 1, 1, n, w)
-    rng_basis = range_window_basis(phi, 1, 1, n, w)
+    ker = kernel_subspace(build_kernel_operator(psi, 1, operator_truncation(psi, w, n)), w)
+    rng_basis = range_window_basis(build_range_operator(phi, 1, operator_truncation(phi, w, n)), w)
     d1 = principal_angle_distance(mixed.basis, ker.basis)
     d2 = principal_angle_distance(mixed.basis, rng_basis.basis)
     d3 = principal_angle_distance(ker.basis, rng_basis.basis)
@@ -226,7 +227,8 @@ def test_criterion_6_replicated_evaluation_examples():
     explicit = SubspaceBasis(analytic_ambient(1, 2, w),
                              explicit_replicated_basis(1, 2, w), window=w)
     phi = replicated_range_symbol(1, 2)
-    rep = range_representation_check(explicit, phi, n)
+    op = build_range_operator(phi, 1, operator_truncation(phi, w, n))
+    rep = range_representation_check(explicit, phi, op)
     dist = rep.named("span_distance").residual
     # two copies of f, three of f(0): invariance plus the dimension test
     explicit23 = SubspaceBasis(analytic_ambient(2, 3, w),
@@ -274,7 +276,8 @@ def test_criterion_8_finite_rank_kernel_demo():
     # zero (+) the model space of z^2 in the window: span{1, z} in the second fiber
     target = SubspaceBasis(analytic_ambient(1, 1, w),
                            np.eye(2 * (w + 1))[:, [w + 1, w + 2]], window=w)
-    rep = kernel_representation_check(target, psi, None, n)
+    op = build_kernel_operator(psi, 1, operator_truncation(psi, w, n))
+    rep = kernel_representation_check(target, psi, None, op)
     dist = rep.named("kernel_distance").residual
     ok = rank == 4 and rep.overall and dist <= 1e-8
     report(8, ok,

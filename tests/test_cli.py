@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import coeff_distance, haar_unitary
-from shiftlab import cli
+from shiftlab import cli, linalg, operators, subspaces, symbols
 from shiftlab.cli import (
     DEMOS,
     ScenarioError,
@@ -319,14 +319,16 @@ class TestRun:
 
     def test_mixed_operators_built_once_per_kind_and_n(self, monkeypatch, tmp_path):
         builds = []
-        for kind in ("range", "kernel"):
-            original = getattr(cli, f"build_{kind}_operator")
+        # every module that could import a mixed builder is counted
+        for module in (cli, subspaces):
+            for kind in ("range", "kernel"):
+                original = getattr(operators, f"build_{kind}_operator")
 
-            def counted(sym, dim_e, n, kind=kind, original=original):
-                builds.append((kind, n))
-                return original(sym, dim_e, n)
+                def counted(sym, dim_e, n, kind=kind, original=original):
+                    builds.append((kind, n))
+                    return original(sym, dim_e, n)
 
-            monkeypatch.setattr(cli, f"build_{kind}_operator", counted)
+                monkeypatch.setattr(module, f"build_{kind}_operator", counted, raising=False)
         zero = {"rows": 1, "cols": 1, "coeffs": []}
         payload = {
             "name": "replicated-1-2",
@@ -337,15 +339,21 @@ class TestRun:
             "nehari_candidates": [{"L1": dict(zero, rows=2),
                                    "L2": dict(zero, rows=2, cols=2)}],
         }
-        sc = parse_scenario(write_scenario(tmp_path, payload))
-        first = run(sc)
-        assert first.exit_status == 0, first.text()
-        once = [("range", 4), ("kernel", 4), ("range", 8), ("kernel", 8)]
-        assert builds == once
-        # nothing is kept across calls
-        second = run(sc)
-        assert builds == once + once
-        assert first.structured() == second.structured()
+        timotin, = DEMOS["timotin-nonsplitting"]()
+        # the demo runs all seven checks: kernel_rep and range_rep read the
+        # operators that partial_isometry and intertwining read at each n
+        for sc, once in (
+                (parse_scenario(write_scenario(tmp_path, payload)),
+                 [("range", 4), ("kernel", 4), ("range", 8), ("kernel", 8)]),
+                (timotin, [("kernel", 8), ("range", 8), ("kernel", 16), ("range", 16)])):
+            builds.clear()
+            first = run(sc)
+            assert first.exit_status == 0, first.text()
+            assert builds == once
+            # nothing is kept across calls
+            second = run(sc)
+            assert builds == once + once
+            assert first.structured() == second.structured()
 
     @pytest.mark.parametrize("payload, text, records", BUILD_ERROR_CASES,
                              ids=["kernel-too-small", "range-too-small"])
@@ -388,6 +396,29 @@ class TestDemos:
         report = demo("splitting-scalar")
         rec = next(r for r in report.records if r.check == "splitting")
         assert rec.passed and "splitting=True" in rec.detail
+
+    def test_rank_decisions_clear_their_cutoff_tenfold(self, monkeypatch):
+        # every numerical_rank decision of the demos and the sample scenario,
+        # with its margin min(kept_min / cutoff, cutoff / dropped_max); a
+        # decision that moves toward its cutoff, or a changed count, is a finding
+        margins = []
+        count = linalg.numerical_rank
+
+        def recorded(sv):
+            rank = count(sv)
+            cutoff = linalg.RANK_RTOL * sv[0] if sv.size else 0.0
+            kept = sv[rank - 1] / cutoff if rank else np.inf
+            dropped = cutoff / sv[rank] if rank < sv.size and sv[rank] > 0 else np.inf
+            margins.append(min(kept, dropped))
+            return rank
+
+        for module in (linalg, symbols):
+            monkeypatch.setattr(module, "numerical_rank", recorded)
+        for name in DEMOS:
+            assert demo(name).exit_status == 0
+        assert run(parse_scenario(str(SAMPLE))).exit_status == 0
+        assert len(margins) == 71
+        assert min(margins) >= 10.0, sorted(margins)[:5]
 
     def test_structured_output_deterministic(self):
         first = demo("timotin-nonsplitting").structured()
@@ -638,6 +669,18 @@ class TestMainEntry:
         assert main(["verify", write_scenario(tmp_path, payload), *argv]) == 2
         err = capsys.readouterr().err
         assert named in err and "above the cap" in err
+
+    def test_nehari_candidate_completion_is_capped(self, tmp_path, capsys):
+        # L1 alone is 5e6 + 1 entries, within the literal cap; completed
+        # against the 2x2 Phi it would be 2.0e7, above it
+        zero = {"rows": 1, "cols": 1, "coeffs": []}
+        far = dict(zero, coeffs=[{"k": 5_000_000, "re": [1.0]}])
+        payload = dict(minimal_payload(), checks=["nehari"], n_list=[4],
+                       nehari_candidates=[{"L1": zero, "L2": zero}, {"L1": far, "L2": zero}])
+        assert main(["verify", write_scenario(tmp_path, payload)]) == 2
+        err = capsys.readouterr().err
+        assert "field nehari_candidates[1]: the completed stack" in err
+        assert "degrees 0..5000000 at 2x2" in err and "above the cap" in err
 
     @pytest.mark.parametrize("n, code", [(1024, 0), (4096, 2)])
     def test_operator_only_run_is_sized_by_the_mixed_operator(self, tmp_path, capsys, n, code):

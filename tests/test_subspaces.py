@@ -11,6 +11,7 @@ from shiftlab import cli, subspaces
 from shiftlab.linalg import column_space, image_within, nullspace, principal_angle_distance
 from shiftlab.operators import (
     SubspaceBasis,
+    build_kernel_operator,
     build_range_operator,
     hankel_op,
 )
@@ -25,6 +26,7 @@ from shiftlab.subspaces import (
     kernel_subspace,
     kernel_symbol_from_u,
     mixed_invariant_subspace,
+    operator_truncation,
     range_representation_check,
     range_symbol_from_u,
     range_window_basis,
@@ -272,7 +274,8 @@ class TestMixedFromBilateral:
         n = 12
         mixed = mixed_invariant_subspace(spec, n)
         psi = kernel_symbol_from_u(spec.u, 1, 1)
-        ker = kernel_subspace(psi, 1, 1, n, mixed.window)
+        op = build_kernel_operator(psi, 1, operator_truncation(psi, mixed.window, n))
+        ker = kernel_subspace(op, mixed.window)
         assert principal_angle_distance(mixed.basis, ker.basis) <= 1e-8
 
 
@@ -294,7 +297,8 @@ class TestInvariance:
         spec = timotin_spec()
         phi = range_symbol_from_u(spec.u, 1, 1)
         n = 12
-        rng_basis = range_window_basis(phi, 1, 1, n, n - 1)
+        op = build_range_operator(phi, 1, operator_truncation(phi, n - 1, n))
+        rng_basis = range_window_basis(op, n - 1)
         assert invariance_check(rng_basis) <= 1e-10
 
     def test_kernel_of_range_operator_forward_invariant(self):
@@ -312,7 +316,8 @@ class TestKernelRepresentation:
         n = 16
         mixed = mixed_invariant_subspace(spec, n)
         psi = kernel_symbol_from_u(spec.u, 1, 1)
-        rep = kernel_representation_check(mixed, psi, None, n)
+        op = build_kernel_operator(psi, 1, operator_truncation(psi, mixed.window, n))
+        rep = kernel_representation_check(mixed, psi, None, op)
         assert rep.overall
         assert rep.named("kernel_distance").residual <= 1e-8
 
@@ -321,7 +326,8 @@ class TestKernelRepresentation:
         n = 16
         mixed = mixed_invariant_subspace(spec, n)
         psi = kernel_symbol_from_u(spec.u, 1, 1)
-        rep = kernel_representation_check(mixed, psi, identity_symbol(1), n)
+        op = build_kernel_operator(psi, 1, operator_truncation(psi, mixed.window, n))
+        rep = kernel_representation_check(mixed, psi, identity_symbol(1), op)
         assert rep.overall
         assert rep.named("kernel_distance").residual <= 1e-8
 
@@ -331,7 +337,8 @@ class TestKernelRepresentation:
         expected = hardy_block_basis(w, [])
         basis = SubspaceBasis(analytic_ambient(1, 1, w), expected, window=w)
         psi = zero_symbol(2, 2)
-        rep = kernel_representation_check(basis, psi, zero_symbol(1, 1), n)
+        op = build_kernel_operator(psi, 1, operator_truncation(psi, w, n))
+        rep = kernel_representation_check(basis, psi, zero_symbol(1, 1), op)
         assert rep.overall
 
     def test_cyclic_diagonal_splitting_case(self):
@@ -344,7 +351,8 @@ class TestKernelRepresentation:
         # zero (+) the model space of z^2: span{1, z} in the second fiber
         target = SubspaceBasis(analytic_ambient(1, 1, w),
                                np.eye(2 * (w + 1))[:, [w + 1, w + 2]], window=w)
-        rep = kernel_representation_check(target, psi, None, 16)
+        op = build_kernel_operator(psi, 1, operator_truncation(psi, w, 16))
+        rep = kernel_representation_check(target, psi, None, op)
         assert rep.overall
         assert rep.named("kernel_distance").residual <= 1e-10
 
@@ -361,7 +369,8 @@ class TestRangeRepresentation:
             [constant_symbol([[r]]), zero_symbol(1, 2)],
             [make_symbol(2, 1, {-1: [[r], [r]]}), zero_symbol(2, 2)],
         ])
-        rep = range_representation_check(mixed, phi, n)
+        op = build_range_operator(phi, 1, operator_truncation(phi, mixed.window, n))
+        rep = range_representation_check(mixed, phi, op)
         assert rep.overall
         assert rep.named("span_distance").residual <= 1e-8
 
@@ -371,8 +380,8 @@ class TestRangeRepresentation:
         psi = kernel_symbol_from_u(spec.u, 1, 1)
         phi = range_symbol_from_u(spec.u, 1, 1)
         w = default_window(spec, n)
-        ker = kernel_subspace(psi, 1, 1, n, w)
-        rng = range_window_basis(phi, 1, 1, n, w)
+        ker = kernel_subspace(build_kernel_operator(psi, 1, operator_truncation(psi, w, n)), w)
+        rng = range_window_basis(build_range_operator(phi, 1, operator_truncation(phi, w, n)), w)
         assert principal_angle_distance(ker.basis, rng.basis) <= 1e-10
 
     @pytest.mark.parametrize("window", [0, 3, 9])
@@ -381,17 +390,12 @@ class TestRangeRepresentation:
         # exactness window, which is the truncation less the growth of the
         # analytic top row: the Hankel row is exact at the deepened truncation
         from conftest import random_symbol
-        built, images = [], []
-
-        def recording_build(*args):
-            built.append(build_range_operator(*args))
-            return built[-1]
+        images = []
 
         def recording_image_within(m, keep):
             images.append(m)
             return image_within(m, keep)
 
-        monkeypatch.setattr(subspaces, "build_range_operator", recording_build)
         monkeypatch.setattr(subspaces, "image_within", recording_image_within)
         rng = np.random.default_rng(40 + window)
         for _ in range(20):
@@ -400,8 +404,10 @@ class TestRangeRepresentation:
             bottom = [random_symbol(rng, df, cols, int(rng.integers(-6, 1)), int(rng.integers(0, 3)))
                       for cols in (de, df)]
             phi = block_symbol([top, bottom])
-            range_window_basis(phi, de, df, int(rng.integers(2, 12)), window)
-            v_op, growth = built[-1], max(0, top[0].kmax, top[1].kmax)
+            n = int(rng.integers(2, 12))
+            v_op = build_range_operator(phi, de, operator_truncation(phi, window, n))
+            range_window_basis(v_op, window)
+            growth = max(0, top[0].kmax, top[1].kmax)
             columns = v_op.domain.window_indices(v_op.domain.parts[0].deg_hi - growth)
             np.testing.assert_array_equal(images[-1], v_op.dense(cols=columns))
 
@@ -536,11 +542,13 @@ class TestRandomizedCorrespondence:
             mixed = mixed_invariant_subspace(spec, n)
             assert invariance_check(mixed) <= 1e-10
             psi = kernel_symbol_from_u(u, dim_e, dim_f)
-            ker = kernel_subspace(psi, dim_e, dim_f, n, mixed.window)
+            op = build_kernel_operator(psi, dim_e, operator_truncation(psi, mixed.window, n))
+            ker = kernel_subspace(op, mixed.window)
             assert principal_angle_distance(mixed.basis, ker.basis) <= 1e-8
             if unitary:
                 phi = range_symbol_from_u(u, dim_e, dim_f)
-                rng_basis = range_window_basis(phi, dim_e, dim_f, n, mixed.window)
+                op = build_range_operator(phi, dim_e, operator_truncation(phi, mixed.window, n))
+                rng_basis = range_window_basis(op, mixed.window)
                 assert principal_angle_distance(mixed.basis, rng_basis.basis) <= 1e-8
             assert bilateral_roundtrip(spec, n)[1] <= 1e-8
 
