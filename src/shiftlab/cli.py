@@ -32,7 +32,6 @@ from .operators import (
 )
 from .subspaces import (
     KERNEL_REP,
-    RANGE_REP,
     TYPE_I,
     TYPE_II,
     VARIANTS,
@@ -43,11 +42,9 @@ from .subspaces import (
     invariance_check,
     kernel_representation_check,
     kernel_subspace,
-    kernel_symbol_from_u,
     mixed_invariant_subspace,
     operator_truncation,
     range_representation_check,
-    range_symbol_from_u,
     range_window_basis,
     splitting_check_scalar,
     twocond_check,
@@ -294,18 +291,14 @@ def _spec_from_payload(payload) -> InvariantSubspaceSpec:
 
 
 def _validate_membership(spec: InvariantSubspaceSpec) -> None:
-    """Reject representation symbols whose analytic blocks are not analytic."""
-    if spec.variant == RANGE_REP:
-        a, b, _, _ = split_square_blocks(spec.phi, spec.dim_e)
-        if not (a.is_analytic() and b.is_analytic()):
+    """Reject a given Phi whose top blocks, or a given Psi whose bottom
+    blocks, are not analytic, whatever the variant."""
+    for key, sym, half, blocks in (("Phi", spec.phi, "top", slice(0, 2)),
+                                   ("Psi", spec.psi, "bottom", slice(2, 4))):
+        if sym is not None and not all(
+                s.is_analytic() for s in split_square_blocks(sym, spec.dim_e)[blocks]):
             raise ScenarioError(
-                "field spec.Phi: the top blocks must be bounded analytic "
-                "(block A or B carries negative coefficients)")
-    if spec.variant == KERNEL_REP:
-        _, _, a, b = split_square_blocks(spec.psi, spec.dim_e)
-        if not (a.is_analytic() and b.is_analytic()):
-            raise ScenarioError(
-                "field spec.Psi: the bottom blocks must be bounded analytic "
+                f"field spec.{key}: the {half} blocks must be bounded analytic "
                 "(block A or B carries negative coefficients)")
 
 
@@ -340,20 +333,6 @@ def _validate_candidates(spec: InvariantSubspaceSpec, candidates: tuple) -> None
                                     f"down to index {sym.kmin}")
 
 
-def _derived_psi(spec: InvariantSubspaceSpec) -> LaurentSymbol | None:
-    """Psi as given, else derived from a type_i U; None without either."""
-    if spec.psi is None and spec.variant == TYPE_I:
-        return kernel_symbol_from_u(spec.u, spec.dim_e, spec.dim_f)
-    return spec.psi
-
-
-def _derived_phi(spec: InvariantSubspaceSpec) -> LaurentSymbol | None:
-    """Phi as given, else derived from a type_i U; None without either."""
-    if spec.phi is None and spec.variant == TYPE_I:
-        return range_symbol_from_u(spec.u, spec.dim_e, spec.dim_f)
-    return spec.phi
-
-
 def _validate_check_requirements(sc: Scenario) -> None:
     spec = sc.spec
     needs_phi = {"range_rep", "splitting", "nehari"}
@@ -364,25 +343,23 @@ def _validate_check_requirements(sc: Scenario) -> None:
                 f"check {check} needs bilateral data (variant type_i or type_ii) "
                 f"as an independent comparison target; a {spec.variant} spec "
                 f"would compare the representation against itself")
-        if check == "kernel_rep" and _derived_psi(spec) is None:
+        if check == "kernel_rep" and "kernel" not in spec.mixed:
             raise ScenarioError(
                 f"check {check} requires field Psi (or a type_i U to derive it)")
-        if check in needs_phi and _derived_phi(spec) is None:
+        if check in needs_phi and "range" not in spec.mixed:
             raise ScenarioError(
                 f"check {check} requires field Phi (or a type_i U to derive it)")
-        if check in needs_either and _derived_phi(spec) is None \
-                and _derived_psi(spec) is None:
+        if check in needs_either and not spec.mixed:
             raise ScenarioError(f"check {check} requires field Phi or Psi")
         if check == "nehari":
-            phi = _derived_phi(spec)
+            phi = spec.mixed["range"]
             for i, pair in enumerate(sc.nehari_candidates):
                 lo, hi = min(phi.kmin, 0), max(sym.kmax for sym in (phi, *pair))
                 _within_cap((hi - lo + 1) * phi.rows ** 2, f"field nehari_candidates[{i}]",
                             f"the completed stack Phi - [0, 0; L1, L2] of degrees "
                             f"{lo}..{hi} at {phi.rows}x{phi.rows}")
         if check == "splitting":
-            phi = _derived_phi(spec)
-            if phi.shape != (2, 2) or spec.dim_e != 1 or spec.dim_f != 1:
+            if spec.mixed["range"].shape != (2, 2) or spec.dim_e != 1 or spec.dim_f != 1:
                 raise ScenarioError(
                     "check splitting needs scalar fibers (dimE = dimF = 1)")
 
@@ -410,9 +387,9 @@ def _target_subspace(sc: Scenario, n: int, operator) -> SubspaceBasis:
     spec = sc.spec
     if spec.variant in (TYPE_I, TYPE_II):
         return mixed_invariant_subspace(spec, n, sc.window)
-    kind, sym = ("kernel", spec.psi) if spec.variant == KERNEL_REP else ("range", spec.phi)
-    w = sc.window if sc.window is not None else n - sym.bandwidth
-    op = operator(kind, operator_truncation(sym, w, n))
+    kind = "kernel" if spec.variant == KERNEL_REP else "range"
+    w = sc.window if sc.window is not None else n - spec.mixed[kind].bandwidth
+    op = operator(kind, operator_truncation(spec.mixed[kind], w, n))
     return kernel_subspace(op, w) if kind == "kernel" else range_window_basis(op, w)
 
 
@@ -444,19 +421,11 @@ def _record_from_report(sc: Scenario, check: str, n: int, rep: VerificationRepor
     return Record(sc.name, check, n, residual, rep.overall, window, detail)
 
 
-def _operator_kinds(spec: InvariantSubspaceSpec) -> list[str]:
-    """The mixed operators the operator checks read, in build order: "range"
-    when Phi derives, then "kernel" when Psi does."""
-    return [kind for kind, sym in (("range", _derived_phi(spec)), ("kernel", _derived_psi(spec)))
-            if sym is not None]
-
-
 def _mixed_operator(sc: Scenario, kind: str, m: int) -> OperatorMatrix:
-    """The range operator of the derived Phi, or the kernel operator of the
-    derived Psi, at truncation m: the one call of the mixed builders."""
-    if kind == "range":
-        return build_range_operator(_derived_phi(sc.spec), sc.spec.dim_e, m)
-    return build_kernel_operator(_derived_psi(sc.spec), sc.spec.dim_e, m)
+    """The mixed operator of kind ("range" or "kernel") of the spec's mixed
+    symbol, at truncation m: the one call of the mixed builders."""
+    build = build_range_operator if kind == "range" else build_kernel_operator
+    return build(sc.spec.mixed[kind], sc.spec.dim_e, m)
 
 
 def _check_twocond(sc: Scenario, n: int, target, operator) -> Record:
@@ -470,21 +439,21 @@ def _check_invariance(sc: Scenario, n: int, target, operator) -> Record:
 
 
 def _check_kernel_rep(sc: Scenario, n: int, target, operator) -> Record:
-    basis, psi = target(), _derived_psi(sc.spec)
+    basis, psi = target(), sc.spec.mixed["kernel"]
     op = operator("kernel", operator_truncation(psi, basis.window, n))
     rep = kernel_representation_check(basis, psi, sc.spec.theta, op, sc.tol)
     return _record_from_report(sc, "kernel_rep", n, rep)
 
 
 def _check_range_rep(sc: Scenario, n: int, target, operator) -> Record:
-    basis, phi = target(), _derived_phi(sc.spec)
+    basis, phi = target(), sc.spec.mixed["range"]
     op = operator("range", operator_truncation(phi, basis.window, n))
     return _record_from_report(sc, "range_rep", n,
                                range_representation_check(basis, phi, op, sc.tol))
 
 
 def _check_splitting(sc: Scenario, n: int, target, operator) -> Record:
-    result = splitting_check_scalar(_derived_phi(sc.spec))
+    result = splitting_check_scalar(sc.spec.mixed["range"])
     expected = sc.expect.get("splitting", False)
     ok = result.splitting == expected
     return Record(sc.name, "splitting", n, 0.0 if ok else 1.0, ok,
@@ -493,7 +462,7 @@ def _check_splitting(sc: Scenario, n: int, target, operator) -> Record:
 
 def _check_intertwining(sc: Scenario, n: int, target, operator) -> Record:
     resid = {kind: intertwining_residual(operator(kind, n), kind)
-             for kind in _operator_kinds(sc.spec)}
+             for kind in sc.spec.mixed}
     worst = max(resid.values(), default=0.0)
     return Record(sc.name, "intertwining", n, worst, worst <= sc.tol,
                   detail="; ".join(f"{kind}={_fmt(r)}" for kind, r in resid.items()))
@@ -503,7 +472,7 @@ def _check_nehari(sc: Scenario, n: int, target, operator) -> Record:
     """Bracket the sweep at its last n, with one lower bound per n of the
     sweep from the shared range operator at that n."""
     swept = [(m, nehari_lower_bound(operator("range", m))) for m in sc.n_list]
-    bracket = nehari_bounds(_derived_phi(sc.spec), sc.spec.dim_e, swept,
+    bracket = nehari_bounds(sc.spec.mixed["range"], sc.spec.dim_e, swept,
                             sc.nehari_candidates)
     lows = [lo for _, lo in bracket.lower_bounds]
     monotone = all(x <= y + NEHARI_MONOTONE_SLACK for x, y in zip(lows, lows[1:]))
@@ -517,7 +486,7 @@ def _check_nehari(sc: Scenario, n: int, target, operator) -> Record:
 
 def _check_partial_isometry(sc: Scenario, n: int, target, operator) -> Record:
     expected = sc.expect.get("partial_isometry", True)
-    flags = {kind: svd_analysis(operator(kind, n), sc.tol) for kind in _operator_kinds(sc.spec)}
+    flags = {kind: svd_analysis(operator(kind, n), sc.tol) for kind in sc.spec.mixed}
     ok = all(flags.values()) == expected
     parts = "; ".join(f"{kind}_op={flag}" for kind, flag in flags.items())
     return Record(sc.name, "partial_isometry", n, 0.0 if ok else 1.0, ok,
@@ -552,7 +521,8 @@ def run(scenario: Scenario) -> Report:
     ``operator_truncation`` of their window, nehari at every n.  A build
     that raises is not kept, so each check records its own error.
     twocond, splitting and nehari run at the last n only.  Records are
-    emitted check-major, and nothing is kept across calls.
+    emitted check-major.  Operators and targets are not kept across calls;
+    the mixed symbols are, in ``scenario.spec.mixed``.
     """
     last = scenario.n_list[-1]
     operator = lru_cache(maxsize=None)(partial(_mixed_operator, scenario))

@@ -344,7 +344,14 @@ def short_gram(t: Triplets) -> tuple[Triplets, Triplets] | tuple[np.ndarray, np.
 
 def sparse_norm(t: Triplets) -> float:
     """Spectral norm of the matrix t lists, 0.0 when empty: sqrt(lambda_max)
-    of its ``short_gram``, accurate to order eps, as the SVD's norm is."""
-    gram = short_gram(t)[1]
+    of its ``short_gram``, accurate to order eps, as the SVD's norm is.
+
+    The Gram matrix squares the entries, which would underflow to 0 near
+    1e-200 and overflow near 1e200, so they are first scaled, exactly, by
+    the power of two that brings the largest magnitude into [0.5, 1), and
+    the root is scaled back.  A subnormal largest magnitude is scaled by
+    2**1021 at most, which stays finite."""
+    exp = max(int(np.frexp(np.max(np.abs(t.vals), initial=0.0))[1]), -1021)
+    gram = short_gram(t._replace(vals=t.vals * np.ldexp(1.0, -exp)))[1]
     gram = support_core(gram) if isinstance(gram, Triplets) else gram
-    return float(np.sqrt(np.max(np.linalg.eigvalsh(gram), initial=0.0)))
+    return float(np.ldexp(np.sqrt(np.max(np.linalg.eigvalsh(gram), initial=0.0)), exp))

@@ -35,8 +35,6 @@ from .symbols import (
     zero_symbol,
 )
 
-HARDY = "hardy"
-LEBESGUE = "lebesgue"
 # The residual tolerance: every residual gate of a check is residual <= tol,
 # and svd_analysis's binary band is tol wide.  It decides no rank.
 DEFAULT_TOL = 1e-8
@@ -54,13 +52,8 @@ class TruncatedSpace:
     fiber_dim: int
     deg_lo: int
     deg_hi: int
-    kind: str
 
     def __post_init__(self):
-        if self.kind not in (HARDY, LEBESGUE):
-            raise ValueError(f"unknown space kind {self.kind!r}")
-        if self.kind == HARDY and self.deg_lo != 0:
-            raise ValueError("hardy truncations start at degree 0")
         if self.deg_lo > self.deg_hi:
             raise ValueError("empty degree window")
         if self.fiber_dim <= 0:
@@ -68,11 +61,11 @@ class TruncatedSpace:
 
     @staticmethod
     def hardy(fiber_dim: int, n: int) -> "TruncatedSpace":
-        return TruncatedSpace(fiber_dim, 0, n, HARDY)
+        return TruncatedSpace(fiber_dim, 0, n)
 
     @staticmethod
     def lebesgue(fiber_dim: int, n: int) -> "TruncatedSpace":
-        return TruncatedSpace(fiber_dim, -n, n, LEBESGUE)
+        return TruncatedSpace(fiber_dim, -n, n)
 
     @property
     def num_degrees(self) -> int:

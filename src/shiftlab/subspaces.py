@@ -14,6 +14,7 @@ windows are reported in every verification result.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -91,6 +92,9 @@ class InvariantSubspaceSpec:
         dpf = self.dim_e + self.dim_f
         if self.variant == TYPE_I and self.u is None:
             raise SpecValidationError("type_i requires the field U")
+        if self.variant == TYPE_I and self.omega is not None:
+            raise SpecValidationError(
+                "type_i takes no field Omega; a doubly invariant part makes it type_ii")
         if self.variant == TYPE_II and self.omega is None:
             raise SpecValidationError("type_ii requires the field Omega")
         if self.variant == KERNEL_REP and self.psi is None:
@@ -126,6 +130,21 @@ class InvariantSubspaceSpec:
             if self.theta.rows != expected:
                 raise SpecValidationError(
                     f"field Theta has {self.theta.rows} rows, expected {expected}")
+
+    @cached_property
+    def mixed(self) -> dict[str, LaurentSymbol]:
+        """The square mixed symbols by operator kind, "range" (Phi) then
+        "kernel" (Psi): each as given, else derived from a type_i U; a kind
+        with neither is absent.  Derived on first use, not at construction,
+        since a U at a far degree is valid data whose derived stack need not
+        fit in memory."""
+        mixed = {"range": self.phi, "kernel": self.psi}
+        if self.variant == TYPE_I:
+            for kind, derive in (("range", range_symbol_from_u),
+                                 ("kernel", kernel_symbol_from_u)):
+                if mixed[kind] is None:
+                    mixed[kind] = derive(self.u, self.dim_e, self.dim_f)
+        return {kind: sym for kind, sym in mixed.items() if sym is not None}
 
     @property
     def dim_e0(self) -> int:

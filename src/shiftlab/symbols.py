@@ -9,6 +9,7 @@ rank profiles sample the circle.
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -48,6 +49,12 @@ class LaurentSymbol:
                 f"{self.rows}x{self.cols}"
             )
 
+    @cached_property
+    def terms(self) -> list[int]:
+        """Stack positions of the nonzero coefficients, found once per symbol
+        for the loops of ``eval_at``, ``symbol_mul`` and ``_left_gram``."""
+        return _nonzero_terms(self.coeffs)
+
     @property
     def kmax(self) -> int:
         return self.kmin + self.coeffs.shape[0] - 1
@@ -83,7 +90,7 @@ class LaurentSymbol:
     def eval_at(self, z: complex) -> np.ndarray:
         """Evaluate sum_k S_k z**k; intended for unit-modulus z."""
         acc = np.zeros((self.rows, self.cols), dtype=complex)
-        for i in _nonzero_terms(self.coeffs):
+        for i in self.terms:
             acc += self.coeffs[i] * z ** (self.kmin + i)
         return acc
 
@@ -209,8 +216,8 @@ def symbol_mul(s1: LaurentSymbol, s2: LaurentSymbol) -> LaurentSymbol:
     kmin = s1.kmin + s2.kmin
     n1, n2 = s1.coeffs.shape[0], s2.coeffs.shape[0]
     out = np.zeros((n1 + n2 - 1, s1.rows, s2.cols), dtype=complex)
-    for i in _nonzero_terms(s1.coeffs):
-        for j in _nonzero_terms(s2.coeffs):
+    for i in s1.terms:
+        for j in s2.terms:
             out[i + j] += s1.coeffs[i] @ s2.coeffs[j]
     return _canonical(s1.rows, s2.cols, kmin, out)
 
@@ -281,9 +288,8 @@ def _left_gram(s: LaurentSymbol) -> dict[int, np.ndarray]:
     """G(m) = sum_j S_j^H S_(j+m); S isometry-valued iff G(m) = delta_m0 I."""
     n = s.coeffs.shape[0]
     gram = {m: np.zeros((s.cols, s.cols), dtype=complex) for m in range(1 - n, n)}
-    terms = _nonzero_terms(s.coeffs)
-    for j in terms:
-        for i in terms:
+    for j in s.terms:
+        for i in s.terms:
             gram[i - j] += s.coeffs[j].conj().T @ s.coeffs[i]
     return gram
 

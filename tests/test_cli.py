@@ -771,12 +771,50 @@ class TestRepresentationVariants:
         assert main(["verify", write_scenario(tmp_path, payload)]) == 2
         assert "scalar fibers" in capsys.readouterr().err
 
-    def test_non_analytic_phi_exit_two(self, tmp_path, capsys):
-        payload = representation_payload("range_rep", ["invariance"])
-        payload["spec"]["Phi"] = {"rows": 2, "cols": 2,
-                                  "coeffs": [{"k": -1, "re": [1, 0, 0, 0]}]}
+    @pytest.mark.parametrize("payload, key, coeff", [
+        (representation_payload("range_rep", ["invariance"]), "Phi",
+         {"k": -1, "re": [1, 0, 0, 0]}),
+        (dict(minimal_payload(), checks=["range_rep"]), "Phi",
+         {"k": -2, "re": [1, 0, 0, 0]}),
+        (skewed_omega_payload(), "Psi", {"k": -1, "re": [0, 0, 1, 0]}),
+    ], ids=["range_rep", "type_i", "type_ii"])
+    def test_non_analytic_phi_exit_two(self, tmp_path, capsys, payload, key, coeff):
+        # a given Phi (top blocks A, B) or Psi (bottom blocks A, B) is held
+        # to the analytic-block rule at parse time, whatever the variant
+        if payload["spec"]["variant"] == "type_i":
+            payload["spec"]["U"] = symbol_to_literal(cli.timotin_u())
+        payload["spec"][key] = {"rows": 2, "cols": 2, "coeffs": [coeff]}
         assert main(["verify", write_scenario(tmp_path, payload)]) == 2
-        assert "field spec.Phi" in capsys.readouterr().err
+        assert f"field spec.{key}" in capsys.readouterr().err
+
+    def test_type_i_with_omega_exit_two(self, tmp_path, capsys):
+        # kernel_rep would derive Psi from U alone and miss Omega's part
+        embedded = cli.demo_subspace_specs()["timotin-embedded"]
+        payload = {"name": "type-i-omega", "checks": ["kernel_rep", "range_rep"],
+                   "n_list": [8],
+                   "spec": {"variant": "type_i", "dimE": 2, "dimF": 1,
+                            "U": symbol_to_literal(embedded.u),
+                            "Omega": symbol_to_literal(embedded.omega)}}
+        assert main(["verify", write_scenario(tmp_path, payload)]) == 2
+        assert "type_i takes no field Omega" in capsys.readouterr().err
+
+    def test_mixed_symbols_derived_once_per_spec(self, tmp_path, capsys, monkeypatch):
+        # every module that could hold the derivation is counted; the
+        # range symbol is derived through it as well
+        calls, original = [], subspaces.kernel_symbol_from_u
+
+        def counted(u, dim_e, dim_f):
+            calls.append(dim_e)
+            return original(u, dim_e, dim_f)
+
+        for module in (cli, subspaces):
+            monkeypatch.setattr(module, "kernel_symbol_from_u", counted, raising=False)
+        payload = dict(minimal_payload(), checks=list(cli.CHECK_IDS), n_list=[8, 16],
+                       nehari_candidates=[{"L1": {"rows": 1, "cols": 1, "coeffs": []},
+                                           "L2": {"rows": 1, "cols": 1, "coeffs": []}}])
+        payload["spec"]["U"] = symbol_to_literal(cli.timotin_u())
+        assert main(["verify", write_scenario(tmp_path, payload)]) == 0
+        assert len(calls) == 2
 
 
 def test_readme_lists_every_scenario_key():

@@ -405,6 +405,9 @@ class TestSparseNorm:
         st.integers(0, 2 ** 32 - 1), st.integers(0, 12), st.integers(0, 12))))
     @example(m=np.zeros((0, 0), dtype=complex))
     @example(m=np.zeros((3, 5), dtype=complex))
+    # the Gram matrix squares (v, 2v): to 0 at v = 1e-200, to inf at 1e200
+    @example(m=np.diag([1e-200, 2e-200]).astype(complex))
+    @example(m=np.diag([1e200, 2e200]).astype(complex))
     def test_matches_the_dense_svd(self, m):
         # tall, wide, rank-deficient, zero rows and columns, signed zeros
         value = sparse_norm(nonzero_triplets(m))

@@ -456,6 +456,15 @@ def planted_timotin(kind):
     return OperatorMatrix(op.domain, op.codomain, nonzero_triplets(m), op.exact_window)
 
 
+def diagonal_operator(v):
+    """The 2 x 2 diagonal (v, 2v) on two degree-0 Hardy windows, all of it
+    in the window: its Gram matrix underflows at v = 1e-200 and overflows
+    at v = 1e200 unless the entries are scaled first."""
+    space = ProductSpace.of(TruncatedSpace.hardy(1, 0), TruncatedSpace.hardy(1, 0))
+    entries = Triplets(np.array([0, 1]), np.array([0, 1]), np.array([v, 2 * v], dtype=complex))
+    return OperatorMatrix(space, space, entries, 0)
+
+
 class TestSvdAnalysis:
     def test_rank_one_hankel(self):
         assert svd_analysis(hankel_op(make_symbol(1, 1, {-1: [1]}), 8))
@@ -592,6 +601,8 @@ class TestTripletChecks:
 
     @settings(max_examples=80, deadline=None)
     @given(case=planted_cases())
+    @example(case=(diagonal_operator(1e-200), "range"))
+    @example(case=(diagonal_operator(1e200), "range"))
     def test_nehari_lower_bound_is_the_dense_norm(self, case):
         # sqrt(lambda_max) of the short-side Gram is backward stable but not
         # the SVD's rounding: it keeps relative accuracy of order eps (6.6 eps

@@ -134,6 +134,26 @@ class TestSpecValidation:
             InvariantSubspaceSpec("type_iii", 1, 1)
 
 
+class TestMixedSymbols:
+    """spec.mixed: the square symbol of each mixed operator kind."""
+
+    def test_type_i_derives_range_then_kernel(self):
+        mixed = timotin_spec().mixed
+        assert list(mixed) == ["range", "kernel"]
+        for kind, derive in (("range", range_symbol_from_u), ("kernel", kernel_symbol_from_u)):
+            expected = derive(timotin_u(), 1, 1)
+            assert mixed[kind].kmin == expected.kmin
+            np.testing.assert_array_equal(mixed[kind].coeffs, expected.coeffs)
+
+    def test_given_symbols_are_kept(self):
+        phi = range_symbol_from_u(timotin_u(), 1, 1)
+        assert InvariantSubspaceSpec("type_i", 1, 1, u=timotin_u(), phi=phi).mixed["range"] is phi
+        psi = kernel_symbol_from_u(timotin_u(), 1, 1)
+        spec = InvariantSubspaceSpec("type_ii", 1, 1, omega=identity_symbol(1), psi=psi)
+        assert spec.mixed == {"kernel": psi}
+        assert InvariantSubspaceSpec("range_rep", 1, 1, phi=phi).mixed == {"range": phi}
+
+
 class TestTwocond:
     def test_timotin_passes_all(self):
         rep = twocond_check(timotin_spec())

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import coeff_distance
+from shiftlab import symbols
+from shiftlab.operators import nehari_bounds
 from shiftlab.symbols import (
     IsometryKind,
     _left_gram,
@@ -215,6 +217,30 @@ class TestNonzeroTermLoops:
                 for i, c in enumerate(s1.coeffs):
                     ref += c * z ** (s1.kmin + i)
                 np.testing.assert_array_equal(s1.eval_at(z), ref)
+
+
+class TestNonzeroTermsOnce:
+    """Each symbol finds its nonzero coefficients once, however often the
+    circle is sampled."""
+
+    def test_nehari_sampling_does_not_rescan_the_stack(self, monkeypatch):
+        calls, original = [], symbols._nonzero_terms
+
+        def counted(coeffs):
+            calls.append(coeffs.shape[0])
+            return original(coeffs)
+
+        monkeypatch.setattr(symbols, "_nonzero_terms", counted)
+        counts = []
+        for k in (1000, 2000):
+            # L1 = 0.5 + 0.5 z^k: the completed symbol has band k and is
+            # sampled at 4k + 1 points
+            l1 = make_symbol(1, 1, {0: [0.5], k: [0.5]})
+            calls.clear()
+            bracket = nehari_bounds(timotin_symbol(), 1, [(4, 0.0)], [(l1, zero_symbol(1, 1))])
+            assert len(bracket.upper_bounds) == 1
+            counts.append(len(calls))
+        assert counts[0] == counts[1] < 50
 
 
 class TestClassification:
