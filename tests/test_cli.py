@@ -781,8 +781,6 @@ class TestRepresentationVariants:
     def test_non_analytic_phi_exit_two(self, tmp_path, capsys, payload, key, coeff):
         # a given Phi (top blocks A, B) or Psi (bottom blocks A, B) is held
         # to the analytic-block rule at parse time, whatever the variant
-        if payload["spec"]["variant"] == "type_i":
-            payload["spec"]["U"] = symbol_to_literal(cli.timotin_u())
         payload["spec"][key] = {"rows": 2, "cols": 2, "coeffs": [coeff]}
         assert main(["verify", write_scenario(tmp_path, payload)]) == 2
         assert f"field spec.{key}" in capsys.readouterr().err
