@@ -19,6 +19,23 @@ R's singular values agree with the core's up to rounding, so no rank
 decision on the demos, the sample scenario or the seed-0 benchmark inputs
 moves (the closest keeps a singular value 69x above its cutoff).
 
+A core can fall apart further.  Take its rows and columns as the nodes of
+a graph and its nonzero entries as the edges: after a permutation of its
+rows and of its columns the core is block diagonal, one block per
+connected component (Pothen & Fan, ACM TOMS 16, 1990).  Its singular
+values are then those of its blocks together, and its kernel and column
+space the direct sums of theirs, so factoring each block on its own is
+exact, as the strip is.  ``_blocks`` labels the components by hooking and
+pointer jumping; the blocks of one shape go through one stacked QR (tall
+kernel blocks, wide column-space blocks, each stripped as above) and one
+stacked SVD, and the vectors of every block are put back in one scatter.
+The blocks share one cutoff: ``numerical_rank`` counts their merged
+singular values at RANK_RTOL times sigma_max of the whole core, so a
+block whose values clear only its own cutoff gives them to the kernel.  A
+core of one component, which a fully dense core is without labelling, is
+factored whole, as above.  On the scalar-fiber benchmark inputs a
+512 x 256 core falls into 256 blocks of 2 x 1.
+
 Products with a basis take its unit columns (one nonzero entry, exactly
 1, such as the coordinate vectors ``nullspace`` adds for zero columns) as
 picks: ``times`` copies a column of the left factor for each, and
@@ -44,6 +61,15 @@ import numpy as np
 RANK_RTOL = 1e-10
 
 
+class Triplets(NamedTuple):
+    """Entries of a matrix as parallel arrays: entry i is vals[i] at row
+    rows[i], column cols[i]; positions not listed are zero."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+
 def _nonzero_parts(m: np.ndarray) -> np.ndarray:
     """(m.real != 0, m.imag != 0) side by side: a rows x 2 cols mask whose
     columns 2j and 2j + 1 belong to column j of m.  It is taken on the float
@@ -64,19 +90,140 @@ def _support(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(nonzero.any(axis=1)), np.flatnonzero(cols)
 
 
+def _components(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """The smallest node of the connected component of each of n nodes,
+    joined by the edges (a[k], b[k]).  Each round hooks the larger root of
+    every edge between two trees onto the smallest root it meets, then
+    jumps every pointer to its root (Shiloach & Vishkin, J. Algorithms 3,
+    1982): O(len(a)) a round, and an edge inside one tree is dropped."""
+    label = np.arange(n)
+    while True:
+        la, lb = label[a], label[b]
+        apart = la != lb
+        if not apart.any():
+            return label
+        a, b, la, lb = a[apart], b[apart], la[apart], lb[apart]
+        np.minimum.at(label, np.maximum(la, lb), np.minimum(la, lb))
+        while True:
+            up = label[label]
+            if np.array_equal(up, label):
+                break
+            label = up
+
+
+def _blocks(core: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]] | None:
+    """The connected blocks of a core with no zero row or column, as the
+    (g, p) row and (g, q) column indices of the g blocks of each shape
+    (p, q), ascending within a block; None when the core is one block,
+    which a fully dense core is without labelling.  Rows and columns are
+    the nodes, the nonzero entries the edges."""
+    r, c = core.shape
+    # the two part flags of an entry, read as one 16-bit word, are 0 exactly
+    # when the entry is
+    nonzero = _nonzero_parts(core).view(np.uint16) != 0
+    if nonzero.all():
+        return None
+    i, j = np.divmod(np.flatnonzero(nonzero), c)
+    label = _components(i, r + j, r + c)
+    roots = np.flatnonzero(label == np.arange(r + c))
+    if roots.size == 1:
+        return None
+    block = np.searchsorted(roots, label)  # the block of each row, then column
+    row_block, col_block = block[:r], block[r:]
+    p, q = (np.bincount(x, minlength=roots.size) for x in (row_block, col_block))
+    # the rows (columns) of every block, ascending, block after block
+    row_order, col_order = (np.argsort(x, kind="stable") for x in (row_block, col_block))
+    row_start, col_start = np.cumsum(p) - p, np.cumsum(q) - q
+    shapes, shape_of = _distinct(p * (c + 1) + q)
+    groups = []
+    for at in range(shapes.size):
+        sel = np.flatnonzero(shape_of == at)
+        groups.append((row_order[row_start[sel, None] + np.arange(p[sel[0]])],
+                       col_order[col_start[sel, None] + np.arange(q[sel[0]])]))
+    return groups
+
+
+def _gather(core: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The stack of blocks core[rows[i]][:, cols[i]]."""
+    return core[rows[:, :, None], cols[:, None, :]]
+
+
+def _short_stacks(a: np.ndarray, kernel: bool) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(sel, s) pairs that cover the stack a, each s what the SVD factors for
+    a[sel]: a[sel] itself, or, for tall kernel blocks (wide column-space
+    blocks), the triangle R (R*) of the QR factorisation of each a[sel]
+    (a[sel]*), stripped of its exactly-zero rows and stacked by their
+    count, as ``_triangle`` does for one core."""
+    t = a if kernel else a.conj().swapaxes(1, 2)
+    if t.shape[1] <= t.shape[2]:
+        return [(np.arange(a.shape[0]), a)]
+    r = np.linalg.qr(t, mode="r")
+    nonzero = (r != 0).any(axis=2)
+    count = nonzero.sum(axis=1)
+    r = np.take_along_axis(r, np.argsort(~nonzero, axis=1, kind="stable")[:, :, None], axis=1)
+    stacks = []
+    counts, count_of = _distinct(count)
+    for at, k in enumerate(counts):
+        sel = np.flatnonzero(count_of == at)
+        s = r[sel, :k]
+        stacks.append((sel, s if kernel else s.conj().swapaxes(1, 2)))
+    return stacks
+
+
+def _block_basis(core: np.ndarray, blocks: list[tuple[np.ndarray, np.ndarray]],
+                 kernel: bool) -> tuple[Triplets, int]:
+    """An orthonormal basis of the kernel (column space) of a core split into
+    ``blocks``, as the (core column (row), basis column, value) triplets of
+    its columns, and the rank of the core.  Each block's singular vectors
+    come from one stacked SVD per shape; one ``numerical_rank`` over the
+    merged singular values of all blocks sets the rank, so a block keeps
+    those of its values above the whole core's cutoff.  A block's kernel
+    takes its dropped right singular vectors and, when wide, its surplus
+    ones; its column space its kept left singular vectors."""
+    stacks = []  # (core rows or columns, singular values, vectors [block, j, :])
+    for rows, cols in blocks:
+        for sel, s in _short_stacks(_gather(core, rows, cols), kernel):
+            u, sv, vh = np.linalg.svd(s, full_matrices=kernel)
+            stacks.append((cols[sel], sv, vh.conj()) if kernel
+                          else (rows[sel], sv, u.swapaxes(1, 2)))
+    sv = np.concatenate([s.ravel() for _, s, _ in stacks])
+    first = np.cumsum([0] + [at.shape[0] for at, _, _ in stacks])
+    owner = np.concatenate([np.repeat(np.arange(f, f + s.shape[0]), s.shape[1])
+                            for f, (_, s, _) in zip(first, stacks)])
+    order = np.argsort(-sv, kind="stable")
+    rank = numerical_rank(sv[order])
+    kept = np.bincount(owner[order[:rank]], minlength=first[-1])
+    at_rows, at_cols, vals, width = [], [], [], 0
+    for f, (at, _, vecs) in zip(first, stacks):
+        j = np.arange(vecs.shape[1])
+        k = kept[f:f + at.shape[0], None]
+        b, j = np.nonzero(j >= k if kernel else j < k)
+        at_rows.append(at[b].ravel())
+        at_cols.append(np.repeat(width + np.arange(b.size), at.shape[1]))
+        vals.append(vecs[b, j].ravel())
+        width += b.size
+    return Triplets(*map(np.concatenate, (at_rows, at_cols, vals))), rank
+
+
 def singular_values(m: np.ndarray) -> np.ndarray:
     """Singular values of the nonzero core of m, descending.
 
     These are the nonzero singular values of m, possibly followed by
     zeros; the zeros that m's zero rows and columns add are left out, so
-    an empty or all-zero matrix gives an empty array.
+    an empty or all-zero matrix gives an empty array.  A core that falls
+    into blocks gives those of its blocks, merged, which leaves out the
+    zeros its block structure adds.
     """
     rows, cols = _support(m)
     if rows.size == 0:
         return np.zeros(0)
     if rows.size < m.shape[0] or cols.size < m.shape[1]:
         m = m[np.ix_(rows, cols)]
-    return np.linalg.svd(m, compute_uv=False)
+    blocks = _blocks(m)
+    if blocks is None:
+        return np.linalg.svd(m, compute_uv=False)
+    sv = [np.linalg.svd(_gather(m, r, c), compute_uv=False).ravel() for r, c in blocks]
+    return np.sort(np.concatenate(sv))[::-1]
 
 
 def spectral_norm(m: np.ndarray) -> float:
@@ -109,13 +256,19 @@ def nullspace(m: np.ndarray) -> np.ndarray:
     if rows.size == 0:
         return np.eye(d, dtype=complex)
     core = m[np.ix_(rows, cols)]
-    if core.shape[0] > core.shape[1]:
-        core = _triangle(core)
-    _, sv, vh = np.linalg.svd(core, full_matrices=True)
-    rank = numerical_rank(sv)
+    blocks = _blocks(core)
+    if blocks is None:
+        if core.shape[0] > core.shape[1]:
+            core = _triangle(core)
+        _, sv, vh = np.linalg.svd(core, full_matrices=True)
+        rank = numerical_rank(sv)
+        out = np.zeros((d, d - rank), dtype=complex)
+        out[cols, :cols.size - rank] = vh[rank:].conj().T
+    else:
+        basis, rank = _block_basis(core, blocks, kernel=True)
+        out = np.zeros((d, d - rank), dtype=complex)
+        out[cols[basis.rows], basis.cols] = basis.vals
     zero_cols = np.delete(np.arange(d), cols)
-    out = np.zeros((d, d - rank), dtype=complex)
-    out[cols, :cols.size - rank] = vh[rank:].conj().T
     out[zero_cols, cols.size - rank:] = np.eye(zero_cols.size)
     return out
 
@@ -127,12 +280,18 @@ def column_space(m: np.ndarray) -> np.ndarray:
     if rows.size == 0:
         return np.zeros((m.shape[0], 0), dtype=complex)
     core = m[np.ix_(rows, cols)]
-    if core.shape[0] < core.shape[1]:
-        core = _triangle(core.conj().T).conj().T
-    u, sv, _ = np.linalg.svd(core, full_matrices=False)
-    rank = numerical_rank(sv)
-    out = np.zeros((m.shape[0], rank), dtype=complex)
-    out[rows] = u[:, :rank]
+    blocks = _blocks(core)
+    if blocks is None:
+        if core.shape[0] < core.shape[1]:
+            core = _triangle(core.conj().T).conj().T
+        u, sv, _ = np.linalg.svd(core, full_matrices=False)
+        rank = numerical_rank(sv)
+        out = np.zeros((m.shape[0], rank), dtype=complex)
+        out[rows] = u[:, :rank]
+    else:
+        basis, rank = _block_basis(core, blocks, kernel=False)
+        out = np.zeros((m.shape[0], rank), dtype=complex)
+        out[rows[basis.rows], basis.cols] = basis.vals
     return out
 
 
@@ -228,15 +387,6 @@ def principal_angle_distance(b1: np.ndarray, b2: np.ndarray) -> float:
         b1, b2, split1 = b2, b1, split2
     r12 = b2 - _project(b1, split1, b2)
     return min(1.0, spectral_norm(r12))
-
-
-class Triplets(NamedTuple):
-    """Entries of a matrix as parallel arrays: entry i is vals[i] at row
-    rows[i], column cols[i]; positions not listed are zero."""
-
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
 
 
 def _keys(t: Triplets, width: int) -> np.ndarray:

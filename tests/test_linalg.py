@@ -1,13 +1,14 @@
 """Shared linear-algebra helpers."""
 
 import sys
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import nonzero_triplets, signed_zero_matrix
+from conftest import haar_unitary, nonzero_triplets, signed_zero_matrix
 from shiftlab import cli, linalg
 from shiftlab.linalg import (
     RANK_RTOL,
@@ -463,22 +464,43 @@ class TestSparseNorm:
         assert routes == [case == "banded"]
 
 
+class Factored(NamedTuple):
+    """One matrix that reached numpy's SVD or QR; a stacked call is
+    recorded block by block, each as its own ``shape[-2:]`` matrix."""
+
+    site: str  # the innermost public function on the call stack
+    routine: str  # "svd" or "qr"
+    a: np.ndarray
+    stacked: bool  # one block of a stacked (3-d) call
+    operand: np.ndarray | None  # the argument m of ``site``, when it has one
+
+
 @pytest.fixture
-def svd_calls(monkeypatch):
-    """(calling function, matrix) of every numpy SVD issued in the test."""
+def factor_calls(monkeypatch):
+    """Every matrix factored by numpy's SVD or QR in the test, in order."""
     try:
         from numpy.linalg import _linalg
     except ImportError:  # numpy < 2
         from numpy.linalg import linalg as _linalg
     calls = []
-    original = np.linalg.svd
 
-    def recording_svd(a, *args, **kwargs):
-        calls.append((sys._getframe(1).f_code.co_name, np.asarray(a)))
-        return original(a, *args, **kwargs)
+    def recording(routine, original):
+        def factor(a, *args, **kwargs):
+            frame = sys._getframe(1)
+            # private helpers and comprehensions: up to their public caller
+            while frame.f_code.co_name[0] in "_<" and frame.f_back is not None:
+                frame = frame.f_back
+            arr = np.asarray(a)
+            calls.extend(Factored(frame.f_code.co_name, routine, block, arr.ndim > 2,
+                                  frame.f_locals.get("m"))
+                         for block in arr.reshape(-1, *arr.shape[-2:]))
+            return original(a, *args, **kwargs)
+        return factor
 
-    monkeypatch.setattr(np.linalg, "svd", recording_svd)
-    monkeypatch.setattr(_linalg, "svd", recording_svd)
+    for routine in ("svd", "qr"):
+        factor = recording(routine, getattr(np.linalg, routine))
+        monkeypatch.setattr(np.linalg, routine, factor)
+        monkeypatch.setattr(_linalg, routine, factor)
     return calls
 
 
@@ -507,7 +529,7 @@ class TestTriangleFirst:
         assert_same_span(column_space(m), ref_column_space(m))
 
     @pytest.mark.parametrize("wide", [False, True])
-    def test_triangle_with_an_exactly_zero_row(self, wide, svd_calls):
+    def test_triangle_with_an_exactly_zero_row(self, wide, factor_calls):
         core = duplicated_column_core()
         triangle = np.linalg.qr(core, mode="r")
         assert not triangle[1].any() and triangle[2].any()
@@ -515,8 +537,9 @@ class TestTriangleFirst:
         kernel, span = nullspace(m), column_space(m)
         assert kernel.shape[1] == (2 if wide else 1) and span.shape[1] == 2
         # the zero row is stripped again before the SVD
-        assert len(svd_calls) == 2
-        for _, a in svd_calls:
+        svds = [c.a for c in factor_calls if c.routine == "svd"]
+        assert len(svds) == 2
+        for a in svds:
             assert (a != 0).any(axis=1).all() and (a != 0).any(axis=0).all()
         assert_same_span(kernel, ref_nullspace(m))
         assert_same_span(span, ref_column_space(m))
@@ -526,23 +549,7 @@ class TestEverySvdIsStripped:
     """While the CLI runs, no matrix reaching numpy's SVD has a zero row or
     column: the pipeline's matrices all go through the stripping helpers."""
 
-    def test_no_factorised_matrix_has_a_zero_row_or_column(self, monkeypatch):
-        try:
-            from numpy.linalg import _linalg
-        except ImportError:  # numpy < 2
-            from numpy.linalg import linalg as _linalg
-        seen = []
-        original = np.linalg.svd
-
-        def recording_svd(a, *args, **kwargs):
-            arr = np.asarray(a)
-            nonzero = arr != 0
-            seen.append((arr.shape, bool(nonzero.any(axis=-1).all()),
-                         bool(nonzero.any(axis=-2).all())))
-            return original(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", recording_svd)
-        monkeypatch.setattr(_linalg, "svd", recording_svd)
+    def test_no_factorised_matrix_has_a_zero_row_or_column(self, factor_calls):
         zero = (zero_symbol(2, 1), zero_symbol(2, 2))
         replicated = cli.Scenario(
             "replicated-1-2", InvariantSubspaceSpec(TYPE_I, 1, 2, u=cli.replicated_u(1, 2)),
@@ -550,8 +557,9 @@ class TestEverySvdIsStripped:
             expect={"partial_isometry": True}, nehari_candidates=(zero,))
         scenarios = cli.DEMOS["timotin-nonsplitting"]() + [replicated]
         assert cli.run_batch(scenarios).exit_status == 0
-        assert len(seen) > 20
-        bad = [shape for shape, rows_ok, cols_ok in seen if not (rows_ok and cols_ok)]
+        assert len([c for c in factor_calls if c.routine == "svd"]) > 20
+        bad = [(c.routine, c.a.shape) for c in factor_calls
+               if not ((c.a != 0).any(axis=1).all() and (c.a != 0).any(axis=0).all())]
         assert not bad, f"factorised with a zero row or column: {bad}"
 
 
@@ -562,35 +570,187 @@ class TestNoOperatorSizedSvd:
     lower bound off the Gram matrix's eigenvalues.  What reaches the SVD is
     only nehari_bounds' samples of the symbol on the circle."""
 
-    def test_operator_checks_factor_only_circle_samples(self, svd_calls):
+    def test_operator_checks_factor_only_circle_samples(self, factor_calls):
         zero = (zero_symbol(2, 1), zero_symbol(2, 2))
         replicated = cli.Scenario(
             "replicated-1-2", InvariantSubspaceSpec(TYPE_I, 1, 2, u=cli.replicated_u(1, 2)),
             ("partial_isometry", "intertwining", "nehari"), (64, 128, 256),
             expect={"partial_isometry": True}, nehari_candidates=(zero,))
         assert cli.run_batch([replicated]).exit_status == 0
-        assert svd_calls, "the circle samples are factored"
-        shapes = {a.shape for _, a in svd_calls}
+        assert factor_calls, "the circle samples are factored"
+        shapes = {c.a.shape for c in factor_calls}
         assert all(rows <= 3 and cols <= 3 for rows, cols in shapes), \
             f"operator-sized SVDs: {sorted(shapes)}"
 
 
 class TestEverySvdIsOneSided:
-    """While the CLI runs, nullspace factors a tall core through its triangle
-    and column_space a wide one through the triangle of its conjugate
-    transpose, so neither SVD has a long side whose vectors are discarded."""
+    """While the CLI runs, nullspace factors a tall core or block through its
+    triangle and column_space a wide one through the triangle of its
+    conjugate transpose, so neither SVD has a long side whose vectors are
+    discarded, and QR is only given tall matrices."""
 
-    def test_no_svd_forms_the_long_side(self, svd_calls):
+    def test_no_svd_forms_the_long_side(self, factor_calls):
         replicated = cli.Scenario(
             "replicated-1-2", InvariantSubspaceSpec(TYPE_I, 1, 2, u=cli.replicated_u(1, 2)),
             ("invariance", "kernel_rep", "range_rep"), (8, 16))
         scenarios = [sc for build in cli.DEMOS.values() for sc in build()] + [replicated]
         assert cli.run_batch(scenarios).exit_status == 0
-        kernel = [m.shape for site, m in svd_calls if site == "nullspace"]
-        span = [m.shape for site, m in svd_calls if site == "column_space"]
+        svds = [c for c in factor_calls if c.routine == "svd"]
+        kernel = [c.a.shape for c in svds if c.site == "nullspace"]
+        span = [c.a.shape for c in svds if c.site == "column_space"]
         assert len(kernel) > 20 and len(span) > 5
         assert not [s for s in kernel if s[0] > s[1]], "nullspace factored a tall matrix"
         assert not [s for s in span if s[0] < s[1]], "column_space factored a wide matrix"
+        triangles = [c.a.shape for c in factor_calls
+                     if c.routine == "qr" and c.site in ("nullspace", "column_space")]
+        assert triangles and not [s for s in triangles if s[0] <= s[1]], \
+            "QR given a matrix that is not tall"
+
+
+BLOCK_SHAPES = [(1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3), (4, 2), (2, 4), (3, 3)]
+
+
+@st.composite
+def permuted_block_cores(draw):
+    """(m, blocks): m is block diagonal after a permutation of its rows and
+    of its columns, with zero rows and columns besides, and ``blocks``
+    counts its nonzero blocks.  There is a tall, a wide and a repeated
+    shape among the blocks, each with a planted rank and nonzero singular
+    values in [0.5, 2]; those of one faint block are scaled by 1e-12, so
+    they clear its own cutoff by far but fall 25x below the whole core's."""
+    shapes = [(4, 2), (2, 4)] + draw(st.lists(st.sampled_from(BLOCK_SHAPES), min_size=1,
+                                              max_size=4))
+    shapes.append(shapes[-1])
+    ranks = [draw(st.integers(0, min(shape))) for shape in shapes]
+    faint = draw(st.integers(0, len(shapes) - 1))
+    for k in (0, 1, faint):
+        ranks[k] = max(ranks[k], 1)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows, cols = (sum(shape[i] for shape in shapes) + draw(st.integers(0, 2)) for i in (0, 1))
+    m = np.zeros((rows, cols), dtype=complex)
+    r = c = 0
+    for k, ((p, q), rank) in enumerate(zip(shapes, ranks)):
+        block = planted(rng, p, q, np.arange(p), np.arange(q), rank, False)
+        m[r:r + p, c:c + q] = block * (1e-12 if k == faint else 1.0)
+        r, c = r + p, c + q
+    blocks = sum(rank > 0 for rank in ranks)
+    return m[rng.permutation(rows)][:, rng.permutation(cols)], blocks
+
+
+def component_shapes(m):
+    """(rows, cols) of each connected block of m's nonzero pattern, by
+    union-find over its nonzero entries."""
+    parent = {}
+
+    def root(node):
+        while parent.setdefault(node, node) != node:
+            node = parent[node]
+        return node
+
+    for i, j in zip(*np.nonzero(m)):
+        parent[root(("row", i))] = root(("col", j))
+    shapes = {}
+    for node in parent:
+        p, q = shapes.get(root(node), (0, 0))
+        shapes[root(node)] = (p + 1, q) if node[0] == "row" else (p, q + 1)
+    return list(shapes.values())
+
+
+def rotated_timotin():
+    """The timotin column symbol with its two columns mixed by a fixed
+    unitary, as the benchmark's rotations mix them: every entry of every
+    coefficient is nonzero, so no core of its checks falls into blocks."""
+    w = haar_unitary(np.random.default_rng(11), 2)
+    u = cli.timotin_u()
+    return make_symbol(2, 2, {u.kmin + i: c @ w for i, c in enumerate(u.coeffs)})
+
+
+class TestConnectedBlocks:
+    """A core whose nonzero pattern falls into several connected blocks is
+    factored block by block, one stacked call per shape, with one rank
+    cutoff for the whole core; a core of one block as before."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(drawn=permuted_block_cores())
+    def test_permuted_block_diagonal_cores(self, drawn):
+        m, blocks = drawn
+        rows, cols = _support(m)
+        found = linalg._blocks(m[np.ix_(rows, cols)])
+        assert sum(r.shape[0] for r, _ in found) == blocks
+        sv, ref_sv = singular_values(m), ref_singular_values(m)
+        assert sv.size <= ref_sv.size and np.all(np.diff(sv) <= 0)
+        np.testing.assert_allclose(sv, ref_sv[:sv.size], rtol=0, atol=1e-13)
+        assert np.all(ref_sv[sv.size:] <= 1e-13)
+        assert_same_span(nullspace(m), ref_nullspace(m))
+        assert_same_span(column_space(m), ref_column_space(m))
+
+    def test_one_cutoff_for_all_blocks(self):
+        m = np.zeros((3, 3), dtype=complex)
+        m[0, 0], m[1, 1:] = 1.0, [1e-12, -1e-12]
+        assert nullspace(m).shape == (3, 2) and column_space(m).shape == (3, 1)
+        np.testing.assert_allclose(singular_values(m), [1.0, np.sqrt(2) * 1e-12], rtol=1e-15)
+
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_stacked_triangles_strip_their_zero_rows(self, wide, factor_calls):
+        # two blocks whose triangle has an exactly-zero row and one whose has
+        # none: one stacked QR, then one stacked SVD per count of rows
+        rng = np.random.default_rng(12)
+        dense = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+        core = np.zeros((12, 9), dtype=complex)
+        for k, block in enumerate([duplicated_column_core(), dense, 2 * duplicated_column_core()]):
+            core[4 * k:4 * k + 4, 3 * k:3 * k + 3] = block
+        m = core.conj().T if wide else core
+        if wide:
+            assert_same_span(column_space(m), ref_column_space(m))
+        else:
+            assert_same_span(nullspace(m), ref_nullspace(m))
+        calls = [c for c in factor_calls if c.site in ("nullspace", "column_space")]
+        qr = [c for c in calls if c.routine == "qr"]
+        svd = [c for c in calls if c.routine == "svd"]
+        assert [c.a.shape for c in qr] == [(4, 3)] * 3 and all(c.stacked for c in qr)
+        assert sorted(c.a.shape for c in svd) == ([(2, 3), (2, 3), (3, 3)] if not wide
+                                                  else [(3, 2), (3, 2), (3, 3)])
+        for c in svd:
+            assert (c.a != 0).any(axis=1).all() and (c.a != 0).any(axis=0).all()
+
+    def test_split_cores_factor_nothing_larger_than_a_block(self, factor_calls):
+        # the scalar demo's truncated mixed operators are diagonal
+        assert cli.demo("splitting-scalar").exit_status == 0
+        sites = ("nullspace", "column_space", "singular_values")
+        calls = [c for c in factor_calls if c.site in sites]
+        assert any(c.stacked for c in calls)
+        largest = {}
+        for c in calls:
+            key = id(c.operand)
+            if key not in largest:
+                largest[key] = max(p * q for p, q in component_shapes(c.operand))
+            assert c.a.size <= largest[key], (c.site, c.a.shape, c.operand.shape)
+
+    @pytest.mark.parametrize("name", ["timotin-nonsplitting", "timotin-rotated"])
+    def test_one_block_cores_take_the_whole_core_path(self, name, factor_calls):
+        if name == "timotin-rotated":
+            spec = InvariantSubspaceSpec(TYPE_I, 1, 1, u=rotated_timotin())
+            checks = ("twocond", "invariance", "kernel_rep", "range_rep", "splitting",
+                      "partial_isometry", "intertwining")
+            scenarios = [cli.Scenario(name, spec, checks, (8, 16),
+                                      expect={"splitting": False, "partial_isometry": True})]
+        else:
+            scenarios = cli.DEMOS[name]()
+        assert cli.run_batch(scenarios).exit_status == 0
+        sites = ("nullspace", "column_space", "singular_values")
+        calls = [c for c in factor_calls if c.site in sites]
+        whole = 0
+        for c in calls:
+            one_block = len(component_shapes(c.operand)) == 1
+            assert c.stacked != one_block, (c.site, c.a.shape, c.operand.shape)
+            if one_block:
+                whole += 1
+                core = c.operand[np.ix_(*_support(c.operand))]
+                side = {"nullspace": 1, "column_space": 0}.get(c.site)
+                assert side is None or core.shape[side] in c.a.shape
+        assert whole > 10
+        if name == "timotin-rotated":
+            assert not any(c.stacked for c in calls)
 
 
 @st.composite
