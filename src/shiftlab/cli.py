@@ -453,11 +453,11 @@ def _check_range_rep(sc: Scenario, n: int, target, operator) -> Record:
 
 
 def _check_splitting(sc: Scenario, n: int, target, operator) -> Record:
-    result = splitting_check_scalar(sc.spec.mixed["range"])
+    splitting = splitting_check_scalar(sc.spec.mixed["range"])
     expected = sc.expect.get("splitting", False)
-    ok = result.splitting == expected
+    ok = splitting == expected
     return Record(sc.name, "splitting", n, 0.0 if ok else 1.0, ok,
-                  detail=f"splitting={result.splitting} expected={expected}")
+                  detail=f"splitting={splitting} expected={expected}")
 
 
 def _check_intertwining(sc: Scenario, n: int, target, operator) -> Record:

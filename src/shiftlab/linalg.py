@@ -3,38 +3,36 @@
 Every SVD of the package happens here, and its one ``eigvalsh``, in
 ``sparse_norm``.  The truncated operators pair banded Toeplitz blocks with
 finite-rank Hankel blocks, so most of their rows or columns are entirely
-zero.  Each helper factors only the core of m on the rows and columns that
-hold a nonzero entry and embeds the result back.  That is exact: m and its
-core have the same nonzero singular values, hence the same sigma_max and the
-same rank at every relative cutoff, and every zero column of m is a kernel
-direction.
+zero, and what is left often falls apart further.  Take the rows and the
+columns of m that hold a nonzero entry as the nodes of a graph and its
+nonzero entries as the edges: after a permutation of its rows and of its
+columns, m is block diagonal up to zero rows and columns, one block per
+connected component (Pothen & Fan, ACM TOMS 16, 1990).  Its nonzero
+singular values are then those of its blocks together, and its kernel and
+column space the direct sums of theirs, every zero column of m a kernel
+direction besides, so factoring each block on its own is exact.  On the
+scalar-fiber benchmark inputs a 512 x 256 core falls into 256 blocks of
+2 x 1.
 
-A tall core reaches ``nullspace``, and a wide one ``column_space``, as the
+Every helper takes one path.  ``_blocks`` labels the components by hooking
+and pointer jumping (a core with no zero entry is one block without
+labelling); the blocks of one shape are gathered from m into one stack and
+go through one stacked SVD, and the vectors of every block are put back in
+one scatter.  A core of one component is a stack of one block.  The blocks
+share one cutoff: ``numerical_rank`` counts their merged singular values at
+RANK_RTOL times sigma_max of the whole of m, so a block whose values clear
+only its own cutoff gives them to the kernel.
+
+A tall block reaches ``nullspace``, and a wide one ``column_space``, as the
 triangle R of its QR factorisation (of its conjugate transpose when wide),
 with R's exactly-zero rows stripped again (Chan's R-SVD, ACM TOMS 8(1),
-1982).  R keeps the singular values and the short side's singular vectors,
-so no SVD forms the long side's vectors only to discard them.  Unlike the
-strip, this step is not exact but backward stable, as the direct SVD is:
-R's singular values agree with the core's up to rounding, so no rank
-decision on the demos, the sample scenario or the seed-0 benchmark inputs
-moves (the closest keeps a singular value 69x above its cutoff).
-
-A core can fall apart further.  Take its rows and columns as the nodes of
-a graph and its nonzero entries as the edges: after a permutation of its
-rows and of its columns the core is block diagonal, one block per
-connected component (Pothen & Fan, ACM TOMS 16, 1990).  Its singular
-values are then those of its blocks together, and its kernel and column
-space the direct sums of theirs, so factoring each block on its own is
-exact, as the strip is.  ``_blocks`` labels the components by hooking and
-pointer jumping; the blocks of one shape go through one stacked QR (tall
-kernel blocks, wide column-space blocks, each stripped as above) and one
-stacked SVD, and the vectors of every block are put back in one scatter.
-The blocks share one cutoff: ``numerical_rank`` counts their merged
-singular values at RANK_RTOL times sigma_max of the whole core, so a
-block whose values clear only its own cutoff gives them to the kernel.  A
-core of one component, which a fully dense core is without labelling, is
-factored whole, as above.  On the scalar-fiber benchmark inputs a
-512 x 256 core falls into 256 blocks of 2 x 1.
+1982); the blocks of one shape take one stacked QR.  R keeps the singular
+values and the short side's singular vectors, so no SVD forms the long
+side's vectors only to discard them.  Unlike the split, this step is not
+exact but backward stable, as the direct SVD is: R's singular values agree
+with the block's up to rounding, so no rank decision on the demos, the
+sample scenario or the seed-0 benchmark inputs moves (the closest keeps a
+singular value 69x above its cutoff).
 
 Products with a basis take its unit columns (one nonzero entry, exactly
 1, such as the coordinate vectors ``nullspace`` adds for zero columns) as
@@ -51,7 +49,7 @@ their entries are nonzero on the benchmark inputs, so products and
 differences of these lists (``sparse_product``, ``sparse_difference``)
 cost O(nnz) where the dense arrays cost O(d^2) memory and up to O(d^3)
 time.  A list goes back to a dense array only through ``dense_matrix``, or
-``support_core``, the core the stripping helpers above factor.
+``support_core``, the core on the rows and columns that hold an entry.
 """
 
 from typing import NamedTuple
@@ -79,17 +77,6 @@ def _nonzero_parts(m: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(m, dtype=complex).view(np.float64) != 0
 
 
-def _support(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of the rows and of the columns of m with an entry != 0."""
-    if m.flags.f_contiguous and not m.flags.c_contiguous:
-        # a column gather m[:, cols] is laid out column-major: read m.T uncopied
-        cols, rows = _support(m.T)
-        return rows, cols
-    nonzero = _nonzero_parts(m)
-    cols = nonzero.any(axis=0).reshape(m.shape[1], 2).any(axis=1)
-    return np.flatnonzero(nonzero.any(axis=1)), np.flatnonzero(cols)
-
-
 def _components(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     """The smallest node of the connected component of each of n nodes,
     joined by the edges (a[k], b[k]).  Each round hooks the larger root of
@@ -111,25 +98,29 @@ def _components(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
             label = up
 
 
-def _blocks(core: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]] | None:
-    """The connected blocks of a core with no zero row or column, as the
-    (g, p) row and (g, q) column indices of the g blocks of each shape
-    (p, q), ascending within a block; None when the core is one block,
-    which a fully dense core is without labelling.  Rows and columns are
-    the nodes, the nonzero entries the edges."""
-    r, c = core.shape
+def _blocks(m: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The connected blocks of m, as the (g, p) row and (g, q) column
+    indices of the g blocks of each shape (p, q), ascending within a block.
+    The rows and the columns of m that hold an entry != 0 are the nodes, the
+    entries the edges; a zero m has no block, and a core with no zero entry
+    is one block without labelling."""
+    r, c = m.shape
     # the two part flags of an entry, read as one 16-bit word, are 0 exactly
-    # when the entry is
-    nonzero = _nonzero_parts(core).view(np.uint16) != 0
-    if nonzero.all():
-        return None
+    # when the entry is; a column gather m[:, cols] is laid out column-major,
+    # so its mask is taken on m.T uncopied and transposed back
+    if m.flags.f_contiguous and not m.flags.c_contiguous:
+        nonzero = (_nonzero_parts(m.T).view(np.uint16) != 0).T
+    else:
+        nonzero = _nonzero_parts(m).view(np.uint16) != 0
+    rows, cols = np.flatnonzero(nonzero.any(axis=1)), np.flatnonzero(nonzero.any(axis=0))
+    if np.count_nonzero(nonzero) == rows.size * cols.size:
+        return [(rows[None], cols[None])] if rows.size else []
     i, j = np.divmod(np.flatnonzero(nonzero), c)
     label = _components(i, r + j, r + c)
-    roots = np.flatnonzero(label == np.arange(r + c))
-    if roots.size == 1:
-        return None
-    block = np.searchsorted(roots, label)  # the block of each row, then column
-    row_block, col_block = block[:r], block[r:]
+    node = np.concatenate([rows, r + cols])
+    roots = node[label[node] == node]
+    block = np.searchsorted(roots, label[node])  # the block of each row, then column
+    row_block, col_block = block[:rows.size], block[rows.size:]
     p, q = (np.bincount(x, minlength=roots.size) for x in (row_block, col_block))
     # the rows (columns) of every block, ascending, block after block
     row_order, col_order = (np.argsort(x, kind="stable") for x in (row_block, col_block))
@@ -138,14 +129,17 @@ def _blocks(core: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]] | None:
     groups = []
     for at in range(shapes.size):
         sel = np.flatnonzero(shape_of == at)
-        groups.append((row_order[row_start[sel, None] + np.arange(p[sel[0]])],
-                       col_order[col_start[sel, None] + np.arange(q[sel[0]])]))
+        groups.append((rows[row_order[row_start[sel, None] + np.arange(p[sel[0]])]],
+                       cols[col_order[col_start[sel, None] + np.arange(q[sel[0]])]]))
     return groups
 
 
-def _gather(core: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """The stack of blocks core[rows[i]][:, cols[i]]."""
-    return core[rows[:, :, None], cols[:, None, :]]
+def _gather(m: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The stack of blocks m[rows[i]][:, cols[i]]; m itself, uncopied, when
+    its one block is the whole of m, so that a dense m's SVD copies nothing."""
+    if rows.shape == (1, m.shape[0]) and cols.shape == (1, m.shape[1]):
+        return m[None]
+    return m[rows[:, :, None], cols[:, None, :]]
 
 
 def _short_stacks(a: np.ndarray, kernel: bool) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -153,7 +147,8 @@ def _short_stacks(a: np.ndarray, kernel: bool) -> list[tuple[np.ndarray, np.ndar
     a[sel]: a[sel] itself, or, for tall kernel blocks (wide column-space
     blocks), the triangle R (R*) of the QR factorisation of each a[sel]
     (a[sel]*), stripped of its exactly-zero rows and stacked by their
-    count, as ``_triangle`` does for one core."""
+    count: R keeps the singular values and the short side's singular
+    vectors up to rounding, and no zero row reaches the SVD."""
     t = a if kernel else a.conj().swapaxes(1, 2)
     if t.shape[1] <= t.shape[2]:
         return [(np.arange(a.shape[0]), a)]
@@ -170,21 +165,22 @@ def _short_stacks(a: np.ndarray, kernel: bool) -> list[tuple[np.ndarray, np.ndar
     return stacks
 
 
-def _block_basis(core: np.ndarray, blocks: list[tuple[np.ndarray, np.ndarray]],
+def _block_basis(m: np.ndarray, blocks: list[tuple[np.ndarray, np.ndarray]],
                  kernel: bool) -> tuple[Triplets, int]:
-    """An orthonormal basis of the kernel (column space) of a core split into
-    ``blocks``, as the (core column (row), basis column, value) triplets of
-    its columns, and the rank of the core.  Each block's singular vectors
-    come from one stacked SVD per shape; one ``numerical_rank`` over the
-    merged singular values of all blocks sets the rank, so a block keeps
-    those of its values above the whole core's cutoff.  A block's kernel
-    takes its dropped right singular vectors and, when wide, its surplus
-    ones; its column space its kept left singular vectors."""
-    stacks = []  # (core rows or columns, singular values, vectors [block, j, :])
+    """An orthonormal basis of the kernel (column space) of m on the columns
+    (rows) of its ``blocks``, as the (column (row) of m, basis column,
+    value) triplets of its columns, and the rank of m.  Each block's
+    singular vectors come from one stacked SVD per shape; one
+    ``numerical_rank`` over the merged singular values of all blocks sets
+    the rank, so a block keeps those of its values above the cutoff of the
+    whole of m.  A block's kernel takes its dropped right singular vectors
+    and, when wide, its surplus ones; its column space its kept left
+    singular vectors."""
+    stacks = []  # (rows or columns of m, singular values, vectors [block, j, :])
     for rows, cols in blocks:
-        for sel, s in _short_stacks(_gather(core, rows, cols), kernel):
+        for sel, s in _short_stacks(_gather(m, rows, cols), kernel):
             u, sv, vh = np.linalg.svd(s, full_matrices=kernel)
-            stacks.append((cols[sel], sv, vh.conj()) if kernel
+            stacks.append((cols[sel], sv, vh) if kernel
                           else (rows[sel], sv, u.swapaxes(1, 2)))
     sv = np.concatenate([s.ravel() for _, s, _ in stacks])
     first = np.cumsum([0] + [at.shape[0] for at, _, _ in stacks])
@@ -200,30 +196,25 @@ def _block_basis(core: np.ndarray, blocks: list[tuple[np.ndarray, np.ndarray]],
         b, j = np.nonzero(j >= k if kernel else j < k)
         at_rows.append(at[b].ravel())
         at_cols.append(np.repeat(width + np.arange(b.size), at.shape[1]))
-        vals.append(vecs[b, j].ravel())
+        # the kernel takes the conjugates of the rows of vh it keeps
+        vals.append((vecs[b, j].conj() if kernel else vecs[b, j]).ravel())
         width += b.size
     return Triplets(*map(np.concatenate, (at_rows, at_cols, vals))), rank
 
 
 def singular_values(m: np.ndarray) -> np.ndarray:
-    """Singular values of the nonzero core of m, descending.
+    """Singular values of the connected blocks of m, merged, descending.
 
     These are the nonzero singular values of m, possibly followed by
-    zeros; the zeros that m's zero rows and columns add are left out, so
-    an empty or all-zero matrix gives an empty array.  A core that falls
-    into blocks gives those of its blocks, merged, which leaves out the
-    zeros its block structure adds.
+    zeros; the zeros that m's zero rows and columns and its block structure
+    add are left out, so an empty or all-zero matrix gives an empty array.
     """
-    rows, cols = _support(m)
-    if rows.size == 0:
-        return np.zeros(0)
-    if rows.size < m.shape[0] or cols.size < m.shape[1]:
-        m = m[np.ix_(rows, cols)]
     blocks = _blocks(m)
-    if blocks is None:
-        return np.linalg.svd(m, compute_uv=False)
-    sv = [np.linalg.svd(_gather(m, r, c), compute_uv=False).ravel() for r, c in blocks]
-    return np.sort(np.concatenate(sv))[::-1]
+    if not blocks:
+        return np.zeros(0)
+    sv = np.concatenate([np.linalg.svd(_gather(m, r, c), compute_uv=False).ravel()
+                         for r, c in blocks])
+    return sv[np.argsort(-sv, kind="stable")]
 
 
 def spectral_norm(m: np.ndarray) -> float:
@@ -239,35 +230,18 @@ def numerical_rank(sv: np.ndarray) -> int:
     return int(np.sum(sv > RANK_RTOL * sv[0])) if sv.size else 0
 
 
-def _triangle(m: np.ndarray) -> np.ndarray:
-    """R of a QR factorisation of m, without its exactly-zero rows: m and R
-    have the same singular values and right singular vectors up to rounding,
-    and no zero row reaches the SVD."""
-    r = np.linalg.qr(m, mode="r")
-    return r[np.flatnonzero((r != 0).any(axis=1))]
-
-
 def nullspace(m: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (columns) of the kernel of m: the kernel of the
-    nonzero core on the support columns, then one unit vector per zero
+    """Orthonormal basis (columns) of the kernel of m: the kernels of its
+    connected blocks on their columns, then one unit vector per zero
     column."""
-    rows, cols = _support(m)
     d = m.shape[1]
-    if rows.size == 0:
+    blocks = _blocks(m)
+    if not blocks:
         return np.eye(d, dtype=complex)
-    core = m[np.ix_(rows, cols)]
-    blocks = _blocks(core)
-    if blocks is None:
-        if core.shape[0] > core.shape[1]:
-            core = _triangle(core)
-        _, sv, vh = np.linalg.svd(core, full_matrices=True)
-        rank = numerical_rank(sv)
-        out = np.zeros((d, d - rank), dtype=complex)
-        out[cols, :cols.size - rank] = vh[rank:].conj().T
-    else:
-        basis, rank = _block_basis(core, blocks, kernel=True)
-        out = np.zeros((d, d - rank), dtype=complex)
-        out[cols[basis.rows], basis.cols] = basis.vals
+    basis, rank = _block_basis(m, blocks, kernel=True)
+    cols = np.concatenate([c.ravel() for _, c in blocks])
+    out = np.zeros((d, d - rank), dtype=complex)
+    out[basis.rows, basis.cols] = basis.vals
     zero_cols = np.delete(np.arange(d), cols)
     out[zero_cols, cols.size - rank:] = np.eye(zero_cols.size)
     return out
@@ -276,22 +250,12 @@ def nullspace(m: np.ndarray) -> np.ndarray:
 def column_space(m: np.ndarray) -> np.ndarray:
     """Orthonormal basis (columns) of the column space of m, supported on
     the rows of m with a nonzero entry."""
-    rows, cols = _support(m)
-    if rows.size == 0:
+    blocks = _blocks(m)
+    if not blocks:
         return np.zeros((m.shape[0], 0), dtype=complex)
-    core = m[np.ix_(rows, cols)]
-    blocks = _blocks(core)
-    if blocks is None:
-        if core.shape[0] < core.shape[1]:
-            core = _triangle(core.conj().T).conj().T
-        u, sv, _ = np.linalg.svd(core, full_matrices=False)
-        rank = numerical_rank(sv)
-        out = np.zeros((m.shape[0], rank), dtype=complex)
-        out[rows] = u[:, :rank]
-    else:
-        basis, rank = _block_basis(core, blocks, kernel=False)
-        out = np.zeros((m.shape[0], rank), dtype=complex)
-        out[rows[basis.rows], basis.cols] = basis.vals
+    basis, rank = _block_basis(m, blocks, kernel=False)
+    out = np.zeros((m.shape[0], rank), dtype=complex)
+    out[basis.rows, basis.cols] = basis.vals
     return out
 
 
@@ -472,8 +436,7 @@ def sparse_difference(a: Triplets, b: Triplets) -> Triplets:
 
 def support_core(t: Triplets) -> np.ndarray:
     """The dense matrix of the entries t lists, on the rows and the columns
-    that hold one: for nonzero entries, the core the stripping helpers
-    factor."""
+    that hold one: for nonzero entries, the core ``_blocks`` splits."""
     (rows, at_row), (cols, at_col) = _distinct(t.rows), _distinct(t.cols)
     return dense_matrix(Triplets(at_row, at_col, t.vals), (rows.size, cols.size))
 

@@ -189,12 +189,6 @@ class VerificationReport:
     def overall(self) -> bool:
         return all(c.passed for c in self.checks if c.gating)
 
-    def named(self, name: str) -> CheckResult:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
 
 def analytic_ambient(dim_e: int, dim_f: int, w: int) -> ProductSpace:
     return ProductSpace.of(TruncatedSpace.hardy(dim_e, w),
@@ -543,22 +537,14 @@ def range_representation_check(n_basis: SubspaceBasis, phi: LaurentSymbol,
         CheckResult("span_distance", dist, dist <= tol, window=w)))
 
 
-@dataclass(frozen=True)
-class SplittingResult:
-    splitting: bool
-    witness: np.ndarray | None
-    coefficient_rank: int
-
-
-def splitting_check_scalar(phi: LaurentSymbol) -> SplittingResult:
+def splitting_check_scalar(phi: LaurentSymbol) -> bool:
     """Scalar splitting test: do the two analytic top entries line up?
 
     phi is the 2x2 square symbol [[a(z), b(z)], [c(zbar), d(zbar)]] with
     a, b, c and d analytic, and must be unitary-valued.  The subspace it
     represents splits exactly when the coefficient vectors of a and b are
     linearly dependent, that is, when the stack of their coefficients
-    has numerical rank <= 1; the witness is the dependence vector, from
-    the same factorisation as the rank.
+    has numerical rank <= 1.
     """
     if phi.shape != (2, 2):
         raise ValueError(f"symbol must be 2x2, got {phi.shape}")
@@ -570,11 +556,7 @@ def splitting_check_scalar(phi: LaurentSymbol) -> SplittingResult:
     if cls.kind is not IsometryKind.UNITARY:
         raise ValueError(
             f"assembled symbol is not unitary-valued (classified {cls.kind.value})")
-    # the top row's coefficients, one degree per row; nullspace drops the
-    # zero rows of degrees only the bottom row reaches
-    kernel = nullspace(phi.coeffs[:, 0, :])
-    rank = 2 - kernel.shape[1]
-    if rank <= 1:
-        # the last kernel column is the direction in which the stack is smallest
-        return SplittingResult(True, kernel[:, -1], rank)
-    return SplittingResult(False, None, rank)
+    # the top row's coefficients, one degree per row, of rank <= 1 exactly
+    # when they have a kernel; nullspace drops the zero rows of degrees only
+    # the bottom row reaches
+    return nullspace(phi.coeffs[:, 0, :]).shape[1] >= 1

@@ -67,12 +67,6 @@ class LaurentSymbol:
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
-    def coeff(self, k: int) -> np.ndarray:
-        """Coefficient of z**k (zero matrix outside the stored band)."""
-        if self.kmin <= k <= self.kmax:
-            return self.coeffs[k - self.kmin]
-        return np.zeros((self.rows, self.cols), dtype=complex)
-
     def is_zero(self) -> bool:
         return self.max_abs_coeff() == 0.0
 

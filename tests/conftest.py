@@ -8,6 +8,7 @@ does not judge the pipeline with the pipeline's own code.
 import numpy as np
 
 from shiftlab.linalg import (
+    RANK_RTOL,
     Triplets,
     image_within,
     nullspace,
@@ -86,6 +87,28 @@ def rotation_column_symbol(t) -> LaurentSymbol:
     t = 0, and sin t is the margin of the splitting rank decision."""
     c, s = np.cos(t), np.sin(t)
     return make_symbol(2, 2, {0: [[0, -s], [0, c]], 1: [[c, 0], [s, 0]]})
+
+
+def coeff(sym, k) -> np.ndarray:
+    """The coefficient of z**k of sym, a zero matrix outside its stored band."""
+    if sym.kmin <= k <= sym.kmax:
+        return sym.coeffs[k - sym.kmin]
+    return np.zeros(sym.shape, dtype=complex)
+
+
+def named(report, name):
+    """The check of a VerificationReport that is called ``name``."""
+    return {c.name: c for c in report.checks}[name]
+
+
+def ref_splitting_stack(phi) -> tuple[int, np.ndarray | None]:
+    """The numerical rank of the top row's coefficient stack of the square
+    scalar symbol phi, from a dense SVD at RANK_RTOL, and, when it is at
+    most 1, a unit witness w of the dependence of the two entries: the
+    stack maps w to (nearly) zero."""
+    _, sv, vh = np.linalg.svd(phi.coeffs[:, 0, :])
+    rank = int(np.sum(sv > RANK_RTOL * sv[0]))
+    return rank, (vh[-1].conj() if rank <= 1 else None)
 
 
 def swept_lower_bounds(phi, dim_e, n_list):
@@ -200,7 +223,7 @@ def ref_multiplication_matrix(sym, in_lo, in_hi, out_lo, out_hi) -> np.ndarray:
     n_out, n_in = out_hi - out_lo + 1, in_hi - in_lo + 1
     ent = np.zeros((n_out, r, n_in, c), dtype=complex)
     for k in range(sym.kmin, sym.kmax + 1):
-        blk = sym.coeff(k)
+        blk = coeff(sym, k)
         if not np.any(blk):
             continue
         i = np.arange(max(in_lo, out_lo - k), min(in_hi, out_hi - k) + 1)

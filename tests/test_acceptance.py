@@ -8,10 +8,12 @@ import numpy as np
 
 from conftest import (
     bilateral_roundtrip,
+    coeff,
     coeff_distance,
     haar_unitary,
     in_fiber_dims,
     inner_mixture,
+    named,
     random_symbol,
     shift_matrix,
     swept_lower_bounds,
@@ -209,12 +211,12 @@ def test_criterion_5_scalar_nonsplitting_reproduction():
     d1 = principal_angle_distance(mixed.basis, ker.basis)
     d2 = principal_angle_distance(mixed.basis, rng_basis.basis)
     d3 = principal_angle_distance(ker.basis, rng_basis.basis)
-    split = splitting_check_scalar(phi)
+    splitting = splitting_check_scalar(phi)
     v_flag = svd_analysis(build_range_operator(phi, 1, n))
-    ok = max(d1, d2, d3) <= 1e-8 and not split.splitting and v_flag
+    ok = max(d1, d2, d3) <= 1e-8 and not splitting and v_flag
     report(5, ok,
            f"triple agreement {max(d1, d2, d3):.3e} <= 1e-8, splitting flag "
-           f"{split.splitting} (want False), window partial isometry {v_flag}")
+           f"{splitting} (want False), window partial isometry {v_flag}")
 
 
 def test_criterion_6_replicated_evaluation_examples():
@@ -229,7 +231,7 @@ def test_criterion_6_replicated_evaluation_examples():
     phi = replicated_range_symbol(1, 2)
     op = build_range_operator(phi, 1, operator_truncation(phi, w, n))
     rep = range_representation_check(explicit, phi, op)
-    dist = rep.named("span_distance").residual
+    dist = named(rep, "span_distance").residual
     # two copies of f, three of f(0): invariance plus the dimension test
     explicit23 = SubspaceBasis(analytic_ambient(2, 3, w),
                                explicit_replicated_basis(2, 3, w), window=w)
@@ -278,7 +280,7 @@ def test_criterion_8_finite_rank_kernel_demo():
                            np.eye(2 * (w + 1))[:, [w + 1, w + 2]], window=w)
     op = build_kernel_operator(psi, 1, operator_truncation(psi, w, n))
     rep = kernel_representation_check(target, psi, None, op)
-    dist = rep.named("kernel_distance").residual
+    dist = named(rep, "kernel_distance").residual
     ok = rank == 4 and rep.overall and dist <= 1e-8
     report(8, ok,
            f"four-pole flipped-coefficient matrix has numerical rank {rank} "
@@ -294,7 +296,7 @@ def test_criterion_9_constant_unitary_recovery():
         g = haar_unitary(rng, 2)
         planted = symbol_mul(u, constant_symbol(g))
         # u is isometry-valued, so the mean of u^H planted over the circle is W
-        w = (u.adjoint() @ planted).coeff(0)
+        w = coeff(u.adjoint() @ planted, 0)
         assert np.max(np.abs(w.conj().T @ w - np.eye(2))) <= 1e-10
         assert coeff_distance(planted, symbol_mul(u, constant_symbol(w))) <= 1e-10
         worst = max(worst, float(np.max(np.abs(w - g))))

@@ -1,10 +1,14 @@
-"""Every public top-level name of the package has a caller in the pipeline,
-and every default of a public function or method is overridden by one.
+"""Every public top-level name of the package, and every public member of
+its classes, has a caller in the pipeline, and every default of a public
+function or method is overridden by one.
 
 The pipeline is the package's modules under ``src/shiftlab`` and the
 benchmark under ``perfbench/``.  A public function or class counts as used
-when some code there, outside its own definition, refers to it.  Tests do
-not keep a name or a default alive, the acceptance gate included: a
+when some code there, outside its own definition, refers to it; a public
+method, property or field (an annotated class attribute, as a dataclass or
+a NamedTuple declares it) when some code there, outside its own
+definition, reads it as an attribute.  Tests do not keep a name, a member
+or a default alive, the acceptance gate included: a
 reference computation that only tests need lives in ``tests/conftest.py``,
 apart from the code it judges.  The package re-exports nothing; modules
 are imported directly, as in ``from shiftlab import cli``.
@@ -12,6 +16,7 @@ are imported directly, as in ``from shiftlab import cli``.
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -41,15 +46,36 @@ def public_definitions(tree: ast.Module):
             and not node.name.startswith("_")]
 
 
+def public_members(definition: ast.ClassDef):
+    """(name, node) of each public method, property and field of a class."""
+    for node in definition.body:
+        if isinstance(node, ast.FunctionDef):
+            name = node.name
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            name = node.target.id
+        else:
+            continue
+        if not name.startswith("_"):
+            yield name, node
+
+
+def attribute_reads(nodes) -> Counter:
+    """How often each name is read as an attribute, x.name, in the given
+    subtrees."""
+    return Counter(node.attr for root in nodes for node in ast.walk(root)
+                   if isinstance(node, ast.Attribute))
+
+
 def parsed(paths) -> dict[Path, ast.Module]:
     return {path: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(paths)}
 
 
 def test_every_public_name_has_a_pipeline_caller():
     modules = parsed(PACKAGE.glob("*.py"))
-    outside = referenced_names(parsed((ROOT / "perfbench").glob("*.py")).values(),
-                               strings=True)
+    bench = parsed((ROOT / "perfbench").glob("*.py")).values()
+    outside = referenced_names(bench, strings=True)
     per_module = {path: referenced_names([tree]) for path, tree in modules.items()}
+    reads = attribute_reads([*modules.values(), *bench])
     unused = []
     for path, tree in modules.items():
         used = outside.union(*(names for p, names in per_module.items() if p != path))
@@ -57,7 +83,12 @@ def test_every_public_name_has_a_pipeline_caller():
             rest = [node for node in tree.body if node is not definition]
             if definition.name not in used | referenced_names(rest):
                 unused.append(f"{path.stem}.{definition.name}")
-    assert not unused, f"public names with no pipeline caller: {unused}"
+            if not isinstance(definition, ast.ClassDef):
+                continue
+            for name, node in public_members(definition):
+                if reads[name] == attribute_reads([node])[name] and name not in outside:
+                    unused.append(f"{path.stem}.{definition.name}.{name}")
+    assert not unused, f"public names and members with no pipeline caller: {unused}"
 
 
 def test_every_import_is_used():

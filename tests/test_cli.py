@@ -492,8 +492,8 @@ class TestMainEntry:
         assert "option --tol" in capsys.readouterr().err
 
     def test_large_tol_reports_without_traceback(self, capsys):
-        # the splitting rank and its witness come from one factorisation, so a
-        # tolerance that keeps fewer singular values cannot leave it without one
+        # the splitting verdict is the splitting rank alone, which no residual
+        # tolerance moves, so a large one reports it without a traceback
         sample = Path(__file__).resolve().parent.parent / "scenarios" \
             / "sample-inner-column.json"
         assert main(["verify", str(sample), "--tol", "0.9"]) == 0

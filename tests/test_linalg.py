@@ -13,7 +13,6 @@ from shiftlab import cli, linalg
 from shiftlab.linalg import (
     RANK_RTOL,
     Triplets,
-    _support,
     _unit_columns,
     column_space,
     short_gram,
@@ -257,12 +256,20 @@ def ref_unit_columns(b):
     return single[unit], at[unit], np.setdiff1d(np.arange(b.shape[1]), single[unit])
 
 
+def block_support(m):
+    """The rows and the columns of m that ``_blocks`` places in a block,
+    ascending."""
+    blocks = linalg._blocks(m)
+    return tuple(np.sort(np.concatenate([np.zeros(0, int)] + [b[k].ravel() for b in blocks]))
+                 for k in (0, 1))
+
+
 class TestNonzeroMasks:
-    """_support and _unit_columns read the float view of the complex data;
+    """_blocks and _unit_columns read the float view of the complex data;
     they must find exactly the entries m != 0 finds."""
 
     def check(self, m):
-        for got, ref in zip(_support(m), ref_support(m)):
+        for got, ref in zip(block_support(m), ref_support(m)):
             np.testing.assert_array_equal(got, ref)
         for got, ref in zip(_unit_columns(m), ref_unit_columns(m)):
             np.testing.assert_array_equal(got, ref)
@@ -472,6 +479,7 @@ class Factored(NamedTuple):
     routine: str  # "svd" or "qr"
     a: np.ndarray
     stacked: bool  # one block of a stacked (3-d) call
+    depth: int  # the number of blocks its call factors, 1 for a 2-d call
     operand: np.ndarray | None  # the argument m of ``site``, when it has one
 
 
@@ -491,9 +499,10 @@ def factor_calls(monkeypatch):
             while frame.f_code.co_name[0] in "_<" and frame.f_back is not None:
                 frame = frame.f_back
             arr = np.asarray(a)
+            blocks = arr.reshape(-1, *arr.shape[-2:])
             calls.extend(Factored(frame.f_code.co_name, routine, block, arr.ndim > 2,
-                                  frame.f_locals.get("m"))
-                         for block in arr.reshape(-1, *arr.shape[-2:]))
+                                  blocks.shape[0], frame.f_locals.get("m"))
+                         for block in blocks)
             return original(a, *args, **kwargs)
         return factor
 
@@ -668,14 +677,13 @@ def rotated_timotin():
 class TestConnectedBlocks:
     """A core whose nonzero pattern falls into several connected blocks is
     factored block by block, one stacked call per shape, with one rank
-    cutoff for the whole core; a core of one block as before."""
+    cutoff for the whole core; a core of one block is a stack of one."""
 
     @settings(max_examples=150, deadline=None)
     @given(drawn=permuted_block_cores())
     def test_permuted_block_diagonal_cores(self, drawn):
         m, blocks = drawn
-        rows, cols = _support(m)
-        found = linalg._blocks(m[np.ix_(rows, cols)])
+        found = linalg._blocks(m)
         assert sum(r.shape[0] for r, _ in found) == blocks
         sv, ref_sv = singular_values(m), ref_singular_values(m)
         assert sv.size <= ref_sv.size and np.all(np.diff(sv) <= 0)
@@ -726,8 +734,23 @@ class TestConnectedBlocks:
                 largest[key] = max(p * q for p, q in component_shapes(c.operand))
             assert c.a.size <= largest[key], (c.site, c.a.shape, c.operand.shape)
 
+    @settings(max_examples=150, deadline=None)
+    @given(m=st.one_of(permuted_block_cores().map(lambda drawn: drawn[0]), planted_matrices()),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_layout_and_column_order_move_no_bit(self, m, seed):
+        # a column-major copy and a column gather (column-major too) of a
+        # row-major m must find its blocks in the same order, so every basis
+        # column comes out in the same place
+        m = np.ascontiguousarray(m)  # a drawn block core is a column gather
+        perm = np.random.default_rng(seed).permutation(m.shape[1])
+        layouts = [np.asfortranarray(m), m[:, perm][:, np.argsort(perm)]]
+        for helper in (nullspace, column_space, singular_values):
+            expected = helper(m)
+            for other in layouts:
+                np.testing.assert_array_equal(helper(other), expected)
+
     @pytest.mark.parametrize("name", ["timotin-nonsplitting", "timotin-rotated"])
-    def test_one_block_cores_take_the_whole_core_path(self, name, factor_calls):
+    def test_one_component_cores_are_a_stack_of_one(self, name, factor_calls):
         if name == "timotin-rotated":
             spec = InvariantSubspaceSpec(TYPE_I, 1, 1, u=rotated_timotin())
             checks = ("twocond", "invariance", "kernel_rep", "range_rep", "splitting",
@@ -739,18 +762,18 @@ class TestConnectedBlocks:
         assert cli.run_batch(scenarios).exit_status == 0
         sites = ("nullspace", "column_space", "singular_values")
         calls = [c for c in factor_calls if c.site in sites]
-        whole = 0
+        single = 0
         for c in calls:
-            one_block = len(component_shapes(c.operand)) == 1
-            assert c.stacked != one_block, (c.site, c.a.shape, c.operand.shape)
-            if one_block:
-                whole += 1
-                core = c.operand[np.ix_(*_support(c.operand))]
+            assert c.stacked, (c.site, c.a.shape, c.operand.shape)
+            if len(component_shapes(c.operand)) == 1:
+                single += 1
+                assert c.depth == 1, (c.site, c.a.shape, c.operand.shape)
+                core = c.operand[np.ix_(*ref_support(c.operand))]
                 side = {"nullspace": 1, "column_space": 0}.get(c.site)
                 assert side is None or core.shape[side] in c.a.shape
-        assert whole > 10
+        assert single > 10
         if name == "timotin-rotated":
-            assert not any(c.stacked for c in calls)
+            assert single == len(calls)
 
 
 @st.composite

@@ -6,7 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import bilateral_roundtrip, in_fiber_dims, ref_multiplication_matrix
+from conftest import (
+    bilateral_roundtrip,
+    coeff,
+    in_fiber_dims,
+    named,
+    ref_multiplication_matrix,
+    ref_splitting_stack,
+)
 from shiftlab import cli, subspaces
 from shiftlab.linalg import column_space, image_within, nullspace, principal_angle_distance
 from shiftlab.operators import (
@@ -166,19 +173,19 @@ class TestTwocond:
             "type_i", 1, 1, u=make_symbol(2, 1, {0: [[1], [0]]}))
         rep = twocond_check(spec)
         assert rep.overall
-        assert rep.named("u_f_rank").passed  # rank 0 expected and found
+        assert named(rep, "u_f_rank").passed  # rank 0 expected and found
 
     def test_second_fiber_column_fails(self):
         spec = InvariantSubspaceSpec(
             "type_i", 1, 1, u=make_symbol(2, 1, {0: [[0], [1]]}))
         rep = twocond_check(spec)
         assert not rep.overall
-        assert not rep.named("u_f_rank").passed
+        assert not named(rep, "u_f_rank").passed
 
     def test_anticausal_first_block_fails(self):
         u = make_symbol(2, 1, {2: [[1], [0]]})
         rep = twocond_check(InvariantSubspaceSpec("type_i", 1, 1, u=u))
-        assert not rep.named("u_e_causal").passed
+        assert not named(rep, "u_e_causal").passed
 
     @pytest.mark.parametrize("coeffs, causal", [
         ({10 ** 12: [[1], [0]]}, 1.0),
@@ -188,7 +195,7 @@ class TestTwocond:
     def test_causal_check_reads_the_stored_coefficients(self, coeffs, causal):
         # a degree of 10**12 costs one stored coefficient, not a loop to it
         rep = twocond_check(InvariantSubspaceSpec("type_i", 1, 1, u=make_symbol(2, 1, coeffs)))
-        assert rep.named("u_e_causal").residual == causal
+        assert named(rep, "u_e_causal").residual == causal
 
     def test_type_ii_orthogonality_violation_detected(self):
         # omega aligned with the first-fiber content of U
@@ -196,7 +203,7 @@ class TestTwocond:
                                1: [[0, RS2], [RS2, 0], [RS2, 0]]})
         omega = constant_symbol([[1.0], [0.0]])
         rep = twocond_check(InvariantSubspaceSpec("type_ii", 2, 1, u=u, omega=omega))
-        assert not rep.named("omega_orthogonal_u").passed
+        assert not named(rep, "omega_orthogonal_u").passed
 
 
 class TestBilateralSubspace:
@@ -232,7 +239,7 @@ class TestBilateralSubspace:
                 vec = np.zeros(amb.dim, dtype=complex)
                 for m in (0, 1):
                     # one fiber per part: the indices of degree k + m in parts 0 and 1
-                    vec[amb.degree_indices(k + m, k + m)] += u.coeff(m)[:, e]
+                    vec[amb.degree_indices(k + m, k + m)] += coeff(u, m)[:, e]
                 np.testing.assert_allclose(proj @ vec, vec, atol=1e-12)
 
     @staticmethod
@@ -339,7 +346,7 @@ class TestKernelRepresentation:
         op = build_kernel_operator(psi, 1, operator_truncation(psi, mixed.window, n))
         rep = kernel_representation_check(mixed, psi, None, op)
         assert rep.overall
-        assert rep.named("kernel_distance").residual <= 1e-8
+        assert named(rep, "kernel_distance").residual <= 1e-8
 
     def test_identity_inner_factor_is_no_constraint(self):
         spec = timotin_spec()
@@ -349,7 +356,7 @@ class TestKernelRepresentation:
         op = build_kernel_operator(psi, 1, operator_truncation(psi, mixed.window, n))
         rep = kernel_representation_check(mixed, psi, identity_symbol(1), op)
         assert rep.overall
-        assert rep.named("kernel_distance").residual <= 1e-8
+        assert named(rep, "kernel_distance").residual <= 1e-8
 
     def test_zero_symbols_give_second_fiber(self):
         w = 5
@@ -374,7 +381,7 @@ class TestKernelRepresentation:
         op = build_kernel_operator(psi, 1, operator_truncation(psi, w, 16))
         rep = kernel_representation_check(target, psi, None, op)
         assert rep.overall
-        assert rep.named("kernel_distance").residual <= 1e-10
+        assert named(rep, "kernel_distance").residual <= 1e-10
 
 
 class TestRangeRepresentation:
@@ -392,7 +399,7 @@ class TestRangeRepresentation:
         op = build_range_operator(phi, 1, operator_truncation(phi, mixed.window, n))
         rep = range_representation_check(mixed, phi, op)
         assert rep.overall
-        assert rep.named("span_distance").residual <= 1e-8
+        assert named(rep, "span_distance").residual <= 1e-8
 
     def test_timotin_range_equals_kernel(self):
         spec = timotin_spec()
@@ -443,25 +450,25 @@ class TestSplitting:
         b = monomial_symbol(1, [[RS2]])
         c = monomial_symbol(1, [[RS2]])
         d = constant_symbol([[-RS2]])
-        res = splitting_check_scalar(scalar_phi(a, b, c, d))
-        assert not res.splitting and res.coefficient_rank == 2
+        phi = scalar_phi(a, b, c, d)
+        assert not splitting_check_scalar(phi) and ref_splitting_stack(phi)[0] == 2
 
     def test_zero_second_entry_splits(self):
-        res = splitting_check_scalar(scalar_phi(
-            identity_symbol(1), zero_symbol(1, 1),
-            zero_symbol(1, 1), monomial_symbol(1, [[1]])))
-        assert res.splitting
-        np.testing.assert_allclose(np.abs(res.witness), [0, 1], atol=1e-12)
+        phi = scalar_phi(identity_symbol(1), zero_symbol(1, 1),
+                         zero_symbol(1, 1), monomial_symbol(1, [[1]]))
+        assert splitting_check_scalar(phi)
+        np.testing.assert_allclose(np.abs(ref_splitting_stack(phi)[1]), [0, 1], atol=1e-12)
 
     def test_proportional_entries_split(self):
         a = monomial_symbol(1, [[RS2]])
         b = monomial_symbol(1, [[1j * RS2]])
         c = constant_symbol([[1j * RS2]])
         d = constant_symbol([[RS2]])
-        res = splitting_check_scalar(scalar_phi(a, b, c, d))
-        assert res.splitting
+        phi = scalar_phi(a, b, c, d)
+        assert splitting_check_scalar(phi)
         # witness proportional to (i, -1)
-        ratio = res.witness[0] / res.witness[1]
+        witness = ref_splitting_stack(phi)[1]
+        ratio = witness[0] / witness[1]
         np.testing.assert_allclose(ratio, -1j, atol=1e-10)
 
     def test_unimodular_rescaling_invariance(self):
@@ -469,35 +476,35 @@ class TestSplitting:
         b = monomial_symbol(1, [[RS2]])
         c = monomial_symbol(1, [[RS2]])
         d = constant_symbol([[-RS2]])
-        base = splitting_check_scalar(scalar_phi(a, b, c, d))
+        base = scalar_phi(a, b, c, d)
         u = np.exp(0.7j)
         # rotating the top row or the bottom row keeps unitarity and the verdict
-        res = splitting_check_scalar(scalar_phi(u * a, u * b, c, d))
-        assert res.splitting == base.splitting
-        assert res.coefficient_rank == base.coefficient_rank
+        rotated = scalar_phi(u * a, u * b, c, d)
+        assert splitting_check_scalar(rotated) == splitting_check_scalar(base)
+        assert ref_splitting_stack(rotated)[0] == ref_splitting_stack(base)[0]
 
     @pytest.mark.parametrize("t, rank", [(1e-9, 2), (1e-11, 1)])
     def test_fixed_cutoff_boundary(self, t, rank):
         # the top row's coefficient stack of U_t has singular values cos t and
         # sin t: sin t = 1e-9 is kept at the relative cutoff RANK_RTOL = 1e-10,
-        # 1e-11 is dropped, and the witness comes from the same factorisation
+        # 1e-11 is dropped, and the verdict follows the rank
         from conftest import rotation_column_symbol
         phi = range_symbol_from_u(rotation_column_symbol(t), 1, 1)
-        res = splitting_check_scalar(phi)
-        assert res.coefficient_rank == rank and res.splitting == (rank <= 1)
-        if res.splitting:
-            assert np.linalg.norm(res.witness) == pytest.approx(1.0, abs=1e-15)
-            np.testing.assert_allclose(np.abs(res.witness), [0, 1], atol=1e-12)
+        splitting = splitting_check_scalar(phi)
+        ref_rank, witness = ref_splitting_stack(phi)
+        assert ref_rank == rank and splitting == (rank <= 1)
+        if splitting:
+            assert np.linalg.norm(witness) == pytest.approx(1.0, abs=1e-15)
+            np.testing.assert_allclose(np.abs(witness), [0, 1], atol=1e-12)
         else:
-            assert res.witness is None
+            assert witness is None
 
     def test_witness_ignores_degree_gaps(self):
         # a = 1/sqrt 2 and b = z^3/sqrt 2 leave two all-zero coefficient rows
         a = constant_symbol([[RS2]])
         b = monomial_symbol(3, [[RS2]])
-        res = splitting_check_scalar(scalar_phi(a, b, monomial_symbol(3, [[RS2]]),
-                                                constant_symbol([[-RS2]])))
-        assert not res.splitting and res.coefficient_rank == 2
+        phi = scalar_phi(a, b, monomial_symbol(3, [[RS2]]), constant_symbol([[-RS2]]))
+        assert not splitting_check_scalar(phi) and ref_splitting_stack(phi)[0] == 2
 
     def test_non_unitary_rejected(self):
         with pytest.raises(ValueError, match="unitary"):
