@@ -5,8 +5,17 @@ The references are written here, apart from ``src/``, so that a check
 does not judge the pipeline with the pipeline's own code.
 """
 
-import numpy as np
+import contextlib
+import io
+import json
+import re
+import sys
+from pathlib import Path
 
+import numpy as np
+import pytest
+
+from shiftlab import cli, linalg, symbols
 from shiftlab.linalg import (
     RANK_RTOL,
     Triplets,
@@ -256,3 +265,127 @@ def ref_kernel_operator(psi, dim_e, n) -> np.ndarray:
     c, d, a, b = split_square_blocks(psi, dim_e)
     return np.block([[ref_hankel(c.entry_conj(), n), ref_toeplitz(a.adjoint(), n)],
                      [ref_hankel(d.entry_conj(), n), ref_toeplitz(b.adjoint(), n)]])
+
+
+# --- the byte-identity corpus -------------------------------------------------
+
+REPO = Path(__file__).resolve().parent.parent
+CORPUS = REPO / "tests" / "corpus"
+# the residuals of a text output line: its residual field, the intertwining
+# detail's two and the nehari detail's quoted bounds
+_TEXT_VALUES = re.compile(r"(?:(?<=residual=)|(?<=range=)|(?<=kernel=)|(?<='))"
+                          r"-?(?:inf|nan|\d[\d.]*(?:e[-+]\d+)?)")
+
+
+def corpus_inputs() -> dict[str, list[str]]:
+    """The corpus: each input's id and its ``shiftlab`` arguments, paths
+    relative to the repository.  The inputs are the five demos, the sample
+    scenario and the committed seed-0 and seed-7 scenario files of both
+    benchmark workloads under ``tests/corpus``."""
+    inputs = {f"demo-{name}": ["demo", name] for name in sorted(cli.DEMOS)}
+    inputs["sample-inner-column"] = ["verify", "scenarios/sample-inner-column.json"]
+    for path in sorted(CORPUS.glob("*-seed*/*.json")):
+        inputs[f"{path.parent.name}-{path.stem}"] = ["verify", str(path.relative_to(REPO))]
+    return inputs
+
+
+def _rank_site() -> str:
+    """The public functions of the package below ``cli`` that asked for the
+    rank being decided, innermost first: the site of the decision."""
+    frame, chain = sys._getframe(2), []
+    while frame is not None:
+        module, name = frame.f_globals.get("__name__", ""), frame.f_code.co_name
+        if module.startswith("shiftlab.") and module != "shiftlab.cli" \
+                and not name.startswith(("_", "<")):
+            chain.append(f"{module.removeprefix('shiftlab.')}.{name}")
+        frame = frame.f_back
+    return " < ".join(chain)
+
+
+@contextlib.contextmanager
+def recorded_rank_decisions():
+    """Wrap every numerical_rank call of the package; yields the list that
+    collects each decision's (site, rank, margin), the margin being
+    min(kept_min / cutoff, cutoff / dropped_max)."""
+    decisions, count = [], linalg.numerical_rank
+
+    def recorded(sv):
+        rank = count(sv)
+        cutoff = linalg.RANK_RTOL * sv[0] if sv.size else 0.0
+        kept = sv[rank - 1] / cutoff if rank else np.inf
+        dropped = cutoff / sv[rank] if rank < sv.size and sv[rank] > 0 else np.inf
+        decisions.append((_rank_site(), rank, min(kept, dropped)))
+        return rank
+
+    modules = (linalg, symbols)
+    for module in modules:
+        module.numerical_rank = recorded
+    try:
+        yield decisions
+    finally:
+        for module in modules:
+            module.numerical_rank = count
+
+
+def run_corpus() -> dict[str, dict]:
+    """Run every corpus input through ``cli.main`` in the text and the
+    structured format.  Each input gives its exit code, both outputs and
+    the rank decisions of its text run, as (site, rank, margin); its
+    structured run must decide the same (site, rank) pairs."""
+    out = {}
+    for key, argv in corpus_inputs().items():
+        if argv[0] == "verify":
+            argv = ["verify", str(REPO / argv[1])]
+        result = {}
+        for fmt in ("text", "structured"):
+            with recorded_rank_decisions() as decisions, \
+                    contextlib.redirect_stdout(io.StringIO()) as stdout:
+                code = cli.main([*argv, "--format", fmt])
+            assert result.setdefault("exit", code) == code, key
+            assert [d[:2] for d in result.setdefault("ranks", decisions)] \
+                == [d[:2] for d in decisions], key
+            result[fmt] = stdout.getvalue()
+        out[key] = result
+    return out
+
+
+@pytest.fixture(scope="session")
+def corpus() -> dict[str, dict]:
+    """``run_corpus``, once per test session."""
+    return run_corpus()
+
+
+def residual_matches(golden: float | None, new: float | None) -> bool:
+    """The corpus rule for one residual or nehari bound: a golden value that
+    is exactly 0 or above 1e-10 must be reproduced at 12 significant
+    digits; a smaller one is float-level noise, which may differ between
+    BLAS builds, and then both values must be at most 1e-12."""
+    if golden is None or new is None:
+        return golden is new
+    if golden == 0.0 or abs(golden) > 1e-10:
+        return f"{golden:.12g}" == f"{new:.12g}"
+    return abs(golden) <= 1e-12 and abs(new) <= 1e-12
+
+
+def _text_values(line: str) -> tuple[str, list[float]]:
+    """A text output line with its residual and bound values taken out."""
+    return _TEXT_VALUES.sub("#", line), [float(v) for v in _TEXT_VALUES.findall(line)]
+
+
+def corpus_mismatches(golden: str, new: str, fmt: str) -> list[str]:
+    """The lines of one output that break the corpus rule: every byte
+    compares equal except the residual values, which follow
+    ``residual_matches``."""
+    old_lines, new_lines = golden.splitlines(), new.splitlines()
+    if len(old_lines) != len(new_lines):
+        return [f"{len(new_lines)} lines, golden has {len(old_lines)}"]
+    bad = []
+    for old, line in zip(old_lines, new_lines):
+        if fmt == "text":
+            (a, x), (b, y) = _text_values(old), _text_values(line)
+        else:
+            a, b = json.loads(old), json.loads(line)
+            x, y = [a.pop("residual")], [b.pop("residual")]
+        if a != b or len(x) != len(y) or not all(map(residual_matches, x, y)):
+            bad.append(f"{line!r} (golden {old!r})")
+    return bad

@@ -9,8 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import coeff_distance, haar_unitary
-from shiftlab import cli, linalg, operators, subspaces, symbols
+from conftest import CORPUS, coeff_distance, haar_unitary
+from shiftlab import cli, operators, subspaces
 from shiftlab.cli import (
     DEMOS,
     ScenarioError,
@@ -397,27 +397,17 @@ class TestDemos:
         rec = next(r for r in report.records if r.check == "splitting")
         assert rec.passed and "splitting=True" in rec.detail
 
-    def test_rank_decisions_clear_their_cutoff_tenfold(self, monkeypatch):
-        # every numerical_rank decision of the demos and the sample scenario,
-        # with its margin min(kept_min / cutoff, cutoff / dropped_max); a
-        # decision that moves toward its cutoff, or a changed count, is a finding
-        margins = []
-        count = linalg.numerical_rank
-
-        def recorded(sv):
-            rank = count(sv)
-            cutoff = linalg.RANK_RTOL * sv[0] if sv.size else 0.0
-            kept = sv[rank - 1] / cutoff if rank else np.inf
-            dropped = cutoff / sv[rank] if rank < sv.size and sv[rank] > 0 else np.inf
-            margins.append(min(kept, dropped))
-            return rank
-
-        for module in (linalg, symbols):
-            monkeypatch.setattr(module, "numerical_rank", recorded)
-        for name in DEMOS:
-            assert demo(name).exit_status == 0
-        assert run(parse_scenario(str(SAMPLE))).exit_status == 0
-        assert len(margins) == 71
+    def test_rank_decisions_clear_their_cutoff_tenfold(self, corpus):
+        # every numerical_rank decision of the corpus (the demos, the sample
+        # scenario and the committed workload scenarios), with its margin
+        # min(kept_min / cutoff, cutoff / dropped_max); a decision that moves
+        # toward its cutoff, or a changed count, is a finding
+        index = json.loads((CORPUS / "golden" / "index.json").read_text())
+        decisions = [d for result in corpus.values() for d in result["ranks"]]
+        assert [[site, rank] for site, rank, _ in decisions] \
+            == [d for entry in index.values() for d in entry["ranks"]]
+        margins = [margin for _, _, margin in decisions]
+        assert len(margins) == 175
         assert min(margins) >= 10.0, sorted(margins)[:5]
 
     def test_structured_output_deterministic(self):
