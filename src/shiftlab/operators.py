@@ -113,6 +113,18 @@ class ProductSpace:
         range (so [0, w] in a Hardy part); w < 0 is empty."""
         return self.degree_indices(-w, w)
 
+    def shift_targets(self, kinds: tuple[str, ...]) -> np.ndarray:
+        """The block shift X that moves each part one degree "forward" or
+        "backward" (one entry of ``kinds`` per part), as an index map:
+        entry i is the flat index X moves index i to, one fiber along
+        inside i's part, or -1 where that leaves the part."""
+        targets = []
+        for off, part, kind in zip(self.offsets(), self.parts, kinds):
+            step = part.fiber_dim if kind == "forward" else -part.fiber_dim
+            moved = np.arange(part.dim) + step
+            targets.append(np.where((moved >= 0) & (moved < part.dim), moved + off, -1))
+        return np.concatenate(targets)
+
 
 @dataclass(frozen=True)
 class SubspaceBasis:
@@ -240,17 +252,15 @@ def _hankel(sym: LaurentSymbol, n: int) -> tuple[Triplets, int]:
 
 
 def shift_rows(m: np.ndarray, space: ProductSpace, kinds: tuple[str, ...]) -> np.ndarray:
-    """X @ m for the block shift X moving each part of ``space`` one degree
-    "forward" or "backward" (one entry of ``kinds`` per part), done by row
-    index."""
-    out = np.zeros_like(m)
-    for off, part, kind in zip(space.offsets(), space.parts, kinds):
-        src, dst = m[off:off + part.dim], out[off:off + part.dim]
-        f = part.fiber_dim
-        if kind == "forward":
-            dst[f:] = src[:-f]
-        else:
-            dst[:-f] = src[f:]
+    """X @ m for the block shift X of ``space.shift_targets(kinds)``: each
+    row of the result is gathered from the row that moves onto it, and a
+    row that none moves onto is zero."""
+    targets = space.shift_targets(kinds)
+    moved = np.flatnonzero(targets >= 0)
+    source = np.full(space.dim, -1)
+    source[targets[moved]] = moved
+    out = m[source]
+    out[np.flatnonzero(source < 0)] = 0
     return out
 
 
@@ -317,26 +327,24 @@ def _within(t: Triplets, axis: int, keep: np.ndarray, dim: int) -> Triplets:
         return t
     at = np.full(dim, -1)
     at[keep] = np.arange(keep.size)
-    moved = at[t[axis]]
-    inside = moved >= 0
-    out = [x[inside] for x in t]
-    out[axis] = moved[inside]
-    return Triplets(*out)
+    return _renumbered(t, axis, at)
 
 
 def _moved(t: Triplets, axis: int, space: ProductSpace, kinds: tuple[str, ...]) -> Triplets:
     """The entries of X m (axis 0) or of m X^T (axis 1), for the matrix m
-    that t lists and the block shift X of ``shift_rows``: the row or column
-    index of each entry moves by one fiber within its part, and an entry
-    moved out of its part drops out."""
-    bounds = np.array(space.offsets() + [space.dim])
-    step = np.array([p.fiber_dim if kind == "forward" else -p.fiber_dim
-                     for p, kind in zip(space.parts, kinds)])
-    part = sum(t[axis] >= bound for bound in bounds[1:-1])
-    moved = t[axis] + step[part]
-    keep = (moved >= bounds[part]) & (moved < bounds[part + 1])
-    out = [x[keep] for x in t]
-    out[axis] = moved[keep]
+    that t lists and the block shift X of ``space.shift_targets(kinds)``:
+    the row or column index of each entry moves to its target, and an entry
+    with none drops out."""
+    return _renumbered(t, axis, space.shift_targets(kinds))
+
+
+def _renumbered(t: Triplets, axis: int, at: np.ndarray) -> Triplets:
+    """The entries of t whose row (axis 0) or column (axis 1) index i has
+    at[i] >= 0, with that index replaced by at[i], in their order."""
+    moved = at[t[axis]]
+    inside = moved >= 0
+    out = [x[inside] for x in t]
+    out[axis] = moved[inside]
     return Triplets(*out)
 
 
@@ -451,12 +459,6 @@ def intertwining_residual(op: OperatorMatrix, kind: str) -> float:
     return spectral_norm(support_core(resid))
 
 
-@dataclass(frozen=True)
-class NehariBracket:
-    lower_bounds: list[tuple[int, float]]
-    upper_bounds: list[float]
-
-
 def nehari_lower_bound(op: OperatorMatrix) -> float:
     """Window-compressed spectral norm of a truncated mixed range operator:
     a lower bound for the norm of the untruncated operator, taken by
@@ -467,22 +469,15 @@ def nehari_lower_bound(op: OperatorMatrix) -> float:
 
 
 def nehari_bounds(phi: LaurentSymbol, dim_e: int,
-                  lower_bounds: Sequence[tuple[int, float]],
-                  candidates: Sequence[tuple[LaurentSymbol, LaurentSymbol]]
-                  ) -> NehariBracket:
-    """Bracket the distance-type norm of the mixed range operator of phi.
+                  candidates: Sequence[tuple[LaurentSymbol, LaurentSymbol]]) -> list[float]:
+    """Upper bounds for the norm of the mixed range operator of phi, the
+    norm that ``nehari_lower_bound`` bounds from below at each truncation.
 
-    Lower bounds: one (n, ``nehari_lower_bound``) pair per truncation of
-    the sweep, taken from the range operator of phi at n; a correct sweep
-    is nondecreasing.  Upper bounds: for each analytic candidate pair
-    (L1, L2), the sampled sup-norm of phi - [0, 0; L1, L2] over the
-    circle, since subtracting analytic symbols from the Hankel row does
-    not change the operator.  The sample count follows the widest block
-    band, not the band of the whole symbol.
+    For each analytic candidate pair (L1, L2), the sampled sup-norm of
+    phi - [0, 0; L1, L2] over the circle, since subtracting analytic
+    symbols from the Hankel row does not change the operator.  The sample
+    count follows the widest block band, not the band of the whole symbol.
     """
-    n_list = [n for n, _ in lower_bounds]
-    if n_list != sorted(n_list):
-        raise ValueError("n_list must be ascending")
     upper = []
     dim_f = phi.rows - dim_e
     for l1, l2 in candidates:
@@ -495,4 +490,4 @@ def nehari_bounds(phi: LaurentSymbol, dim_e: int,
         band = max(s.bandwidth for s in split_square_blocks(completed, dim_e))
         upper.append(max(spectral_norm(completed.eval_at(z))
                          for z in unit_circle_points(4 * band + 1)))
-    return NehariBracket(list(lower_bounds), upper)
+    return upper

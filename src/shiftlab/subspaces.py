@@ -178,7 +178,6 @@ class CheckResult:
     passed: bool
     window: int | None = None
     gating: bool = True
-    detail: str = ""
 
 
 @dataclass(frozen=True)
@@ -224,8 +223,7 @@ def twocond_check(spec: InvariantSubspaceSpec,
             cls = classify_isometry(spec.u)
             checks.append(CheckResult(
                 "u_isometry", cls.residual,
-                cls.kind in (IsometryKind.ISOMETRY, IsometryKind.UNITARY),
-                detail=cls.kind.value))
+                cls.kind in (IsometryKind.ISOMETRY, IsometryKind.UNITARY)))
             u_e, u_f = split_fiber_rows(spec.u, spec.dim_e)
             r_f = u_f.anti_analytic_weight()
             checks.append(CheckResult("u_f_analytic", r_f, r_f <= tol))
@@ -235,13 +233,10 @@ def twocond_check(spec: InvariantSubspaceSpec,
             band = max(s.bandwidth for s in spec.bilateral_symbols())
             ranks = rank_profile(u_f, 4 * band + 1)
             worst = max(abs(r - expected_rank) for r in ranks)
-            checks.append(CheckResult(
-                "u_f_rank", float(worst), worst == 0,
-                detail=f"expected rank {expected_rank}"))
+            checks.append(CheckResult("u_f_rank", float(worst), worst == 0))
         else:
             checks.append(CheckResult(
-                "u_f_rank", float(abs(expected_rank)), expected_rank == 0,
-                detail=f"expected rank {expected_rank} with no U present"))
+                "u_f_rank", float(abs(expected_rank)), expected_rank == 0))
         if spec.omega is not None:
             omega_full = spec.omega_full()
             omega_e, omega_f = split_fiber_rows(omega_full, spec.dim_e)
@@ -250,8 +245,7 @@ def twocond_check(spec: InvariantSubspaceSpec,
             ocls = classify_isometry(omega_e)
             checks.append(CheckResult(
                 "omega_isometry", ocls.residual,
-                ocls.kind in (IsometryKind.ISOMETRY, IsometryKind.UNITARY),
-                detail=ocls.kind.value))
+                ocls.kind in (IsometryKind.ISOMETRY, IsometryKind.UNITARY)))
             if spec.u is not None:
                 cross = (spec.u.adjoint() @ omega_full).max_abs_coeff()
                 checks.append(CheckResult("omega_orthogonal_u", cross, cross <= tol))
@@ -272,22 +266,20 @@ def _representation_symbol_checks(sym, spec, kernel, tol):
     weight = max(a.anti_analytic_weight(), b.anti_analytic_weight())
     checks.append(CheckResult(f"{label}_analytic_blocks", weight, weight <= tol))
     cls = classify_isometry(sym)
-    checks.append(CheckResult(
-        f"{label}_class", cls.residual, accepts_partial_isometry(cls),
-        detail=cls.kind.value))
+    checks.append(CheckResult(f"{label}_class", cls.residual, accepts_partial_isometry(cls)))
     return checks
 
 
 def _theta_check(theta: LaurentSymbol, tol: float) -> CheckResult:
     if theta.is_zero():
-        return CheckResult("theta_inner", 0.0, True, detail="zero")
+        return CheckResult("theta_inner", 0.0, True)
     cls = classify_isometry(theta)
     resid = max(cls.residual, theta.anti_analytic_weight())
     ok = theta.is_analytic(tol) and cls.kind in (IsometryKind.ISOMETRY,
                                                  IsometryKind.UNITARY)
-    # right-extremality of the factor is not decided here: recorded so the
-    # caller knows the factorization was verified, not classified.
-    return CheckResult("theta_inner", resid, ok, detail="extremality unverified")
+    # right-extremality of the factor is not decided here: the check
+    # verifies the factorization, it does not classify it.
+    return CheckResult("theta_inner", resid, ok)
 
 
 def bilateral_subspace(spec: InvariantSubspaceSpec, n: int) -> SubspaceBasis:
@@ -496,8 +488,7 @@ def kernel_representation_check(n_basis: SubspaceBasis, psi: LaurentSymbol,
     # splitting construction is not partial-isometry-valued), so the
     # classification is reported without gating the verdict
     cls = classify_isometry(psi)
-    checks.append(CheckResult(
-        "psi_class", cls.residual, True, gating=False, detail=cls.kind.value))
+    checks.append(CheckResult("psi_class", cls.residual, True, gating=False))
     candidate = kernel_subspace(op, w)
     if theta is not None:
         constraint = _first_part_constraint_basis(theta, dim_e, dim_f, w)
@@ -532,8 +523,7 @@ def range_representation_check(n_basis: SubspaceBasis, phi: LaurentSymbol,
     rng = range_window_basis(op, w)
     dist = principal_angle_distance(rng.basis, n_basis.basis)
     return VerificationReport((
-        CheckResult("phi_class", cls.residual, accepts_partial_isometry(cls),
-                    detail=cls.kind.value),
+        CheckResult("phi_class", cls.residual, accepts_partial_isometry(cls)),
         CheckResult("span_distance", dist, dist <= tol, window=w)))
 
 

@@ -24,16 +24,42 @@ from shiftlab.linalg import (
     principal_angle_distance,
     spectral_norm,
 )
-from shiftlab.operators import build_range_operator, nehari_lower_bound, shift_rows
-from shiftlab.subspaces import bilateral_subspace, invariance_check, mixed_from_bilateral
+from shiftlab.operators import build_range_operator, nehari_lower_bound
+from shiftlab.subspaces import (
+    TYPE_I,
+    TYPE_II,
+    InvariantSubspaceSpec,
+    bilateral_subspace,
+    invariance_check,
+    mixed_from_bilateral,
+)
 from shiftlab.symbols import (
     LaurentSymbol,
     block_symbol,
+    constant_symbol,
     make_symbol,
     monomial_symbol,
     split_square_blocks,
     zero_symbol,
 )
+
+
+def library_specs() -> dict:
+    """The demos' spec library, ``cli.demo_subspace_specs``, and three more
+    admissible specs that only tests use."""
+    rs2 = 1 / np.sqrt(2)
+    return {
+        **cli.demo_subspace_specs(),
+        "inner-splitting": InvariantSubspaceSpec(
+            TYPE_I, 1, 1, u=make_symbol(2, 1, {-1: [[1], [0]]})),
+        "constant-splitting": InvariantSubspaceSpec(
+            TYPE_I, 1, 1, u=make_symbol(2, 1, {0: [[1], [0]]})),
+        "timotin-embedded": InvariantSubspaceSpec(
+            TYPE_II, 2, 1,
+            u=make_symbol(3, 2, {0: [[0, 0], [0, rs2], [0, -rs2]],
+                                 1: [[0, 0], [rs2, 0], [rs2, 0]]}),
+            omega=constant_symbol([[1.0], [0.0]])),
+    }
 
 
 def random_symbol(rng, rows, cols, kmin, kmax) -> LaurentSymbol:
@@ -121,9 +147,9 @@ def ref_splitting_stack(phi) -> tuple[int, np.ndarray | None]:
 
 
 def swept_lower_bounds(phi, dim_e, n_list):
-    """nehari's (n, lower bound) pairs over a truncation sweep, each from the
-    range operator of phi at n, as ``cli.run`` collects them."""
-    return [(n, nehari_lower_bound(build_range_operator(phi, dim_e, n))) for n in n_list]
+    """nehari's lower bounds over a truncation sweep, each from the range
+    operator of phi at n, as ``cli.run`` collects them."""
+    return [nehari_lower_bound(build_range_operator(phi, dim_e, n)) for n in n_list]
 
 
 def coeff_distance(s1, s2) -> float:
@@ -132,20 +158,19 @@ def coeff_distance(s1, s2) -> float:
 
 
 def ref_intertwining_residual(op, kind) -> float:
-    """The intertwining residual from dense shifted copies of the whole
-    operator: || X V - V Y || (range) or || W X - Y* W || (kernel) on the
-    window columns, as ``operators.intertwining_residual`` defines it."""
-    v, space = op.dense(), op.domain
+    """The intertwining residual from dense products with the dense block
+    shifts of ``block_shift_matrix``: || X V - V Y || (range) or
+    || W X - Y* W || (kernel) on the window columns, as
+    ``operators.intertwining_residual`` defines it."""
+    v, space, codomain = op.dense(), op.domain, op.codomain
     n = space.parts[0].deg_hi
-    # a product V Y with a shift Y on the right is (Y^T V^T)^T, and the
-    # transpose of a forward shift is the backward one
     if kind == "range":
-        resid = (shift_rows(v, space, ("forward", "backward"))
-                 - shift_rows(v.T, space, ("backward", "backward")).T)
+        resid = (block_shift_matrix(codomain, ("forward", "backward")) @ v
+                 - v @ block_shift_matrix(space, ("forward", "forward")))
         w = min(op.exact_window, n) - 1
     else:
-        resid = (shift_rows(v.T, space, ("backward", "forward")).T
-                 - shift_rows(v, space, ("backward", "backward")))
+        resid = (v @ block_shift_matrix(space, ("forward", "backward"))
+                 - block_shift_matrix(codomain, ("backward", "backward")) @ v)
         w = min(op.exact_window, n - 1)
     return spectral_norm(resid[:, op.domain.window_indices(w)])
 
@@ -167,6 +192,16 @@ def shift_matrix(space, kind) -> np.ndarray:
     space, or its adjoint ("backward"): the reference for shift_rows."""
     fwd = np.eye(space.dim, k=-space.fiber_dim, dtype=complex)
     return fwd if kind == "forward" else fwd.conj().T
+
+
+def block_shift_matrix(space, kinds) -> np.ndarray:
+    """Dense block shift of a product space: the ``shift_matrix`` of each
+    part in its diagonal block, one kind per part.  The reference for
+    ``ProductSpace.shift_targets`` and its readers."""
+    out = np.zeros((space.dim, space.dim), dtype=complex)
+    for i, (part, kind) in enumerate(zip(space.parts, kinds)):
+        out[part_rows(space, i), part_rows(space, i)] = shift_matrix(part, kind)
+    return out
 
 
 def flip_first_part(m, ambient) -> np.ndarray:

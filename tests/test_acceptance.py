@@ -13,6 +13,7 @@ from conftest import (
     haar_unitary,
     in_fiber_dims,
     inner_mixture,
+    library_specs,
     named,
     random_symbol,
     shift_matrix,
@@ -184,7 +185,7 @@ def test_criterion_3_partial_isometry_suite():
 
 
 def test_criterion_4_bilateral_round_trip():
-    specs = demo_subspace_specs()
+    specs = library_specs()
     assert len(specs) >= 6
     n = 16
     worst_inv = worst_rev = 0.0
@@ -247,16 +248,13 @@ def test_criterion_7_norm_bracket():
     z11 = zero_symbol(1, 1)
     d = make_symbol(1, 1, {-1: [1]})
     phi = block_symbol([[z11, z11], [z11, d]])
-    bracket = nehari_bounds(phi, 1, swept_lower_bounds(phi, 1, [2, 4, 8]),
-                            [(z11, zero_symbol(1, 1))])
-    lower_gap = max(abs(lo - 1.0) for _, lo in bracket.lower_bounds)
-    upper_gap = abs(bracket.upper_bounds[0] - 1.0)
+    lower_gap = max(abs(lo - 1.0) for lo in swept_lower_bounds(phi, 1, [2, 4, 8]))
+    upper_gap = abs(nehari_bounds(phi, 1, [(z11, zero_symbol(1, 1))])[0] - 1.0)
     d2 = make_symbol(1, 1, {-1: [2], 1: [1]})
     cand = (z11, make_symbol(1, 1, {1: [1]}))
     phi2 = block_symbol([[z11, z11], [z11, d2]])
-    bracket2 = nehari_bounds(phi2, 1, swept_lower_bounds(phi2, 1, [4, 8, 16]), [cand])
-    low2 = abs(bracket2.lower_bounds[-1][1] - 2.0)
-    up2 = abs(bracket2.upper_bounds[0] - 2.0)
+    low2 = abs(swept_lower_bounds(phi2, 1, [4, 8, 16])[-1] - 2.0)
+    up2 = abs(nehari_bounds(phi2, 1, [cand])[0] - 2.0)
     ok = (lower_gap <= 1e-10 and upper_gap <= 1e-10
           and low2 <= 1e-8 and up2 <= 1e-8)
     report(7, ok,

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import CORPUS, coeff_distance, haar_unitary
+from conftest import CORPUS, coeff_distance, haar_unitary, library_specs
 from shiftlab import cli, operators, subspaces
 from shiftlab.cli import (
     DEMOS,
@@ -266,7 +266,46 @@ BUILD_ERROR_CASES = [
 ]
 
 
+def scaled_nehari_payload(scale):
+    """The nehari check of scale times the range symbol of timotin_u() with
+    its columns rotated by 0.1, a zero candidate, n up to 128: the lower
+    bounds are all equal to scale up to rounding relative to scale."""
+    t = 0.1
+    u = cli.timotin_u() @ make_symbol(2, 2, {0: [[np.cos(t), -np.sin(t)],
+                                                 [np.sin(t), np.cos(t)]]})
+    zero = {"rows": 1, "cols": 1, "coeffs": []}
+    return {
+        "name": "scaled-nehari",
+        "spec": {"variant": "range_rep", "dimE": 1, "dimF": 1,
+                 "Phi": symbol_to_literal(range_symbol_from_u(u, 1, 1) * scale)},
+        "checks": ["nehari"],
+        "n_list": [8, 16, 32, 64, 128],
+        "nehari_candidates": [{"L1": zero, "L2": zero}],
+    }
+
+
 class TestRun:
+    @pytest.mark.parametrize("scale", [1.0, 1e5])
+    def test_nehari_slack_scales_with_the_bounds(self, tmp_path, scale):
+        # at 1e5 the bounds fall by 1.5e-11 along the sweep, rounding far
+        # above an absolute 1e-12 and far below 1e-12 of their size
+        report = run(parse_scenario(write_scenario(tmp_path, scaled_nehari_payload(scale))))
+        assert report.exit_status == 0, report.text()
+
+    @pytest.mark.parametrize("scale", [1.0, 1e5])
+    def test_nehari_fall_in_the_sweep_fails(self, tmp_path, monkeypatch, scale):
+        # a planted genuine fall, 1e-9 of the bound at n = 32
+        original = cli.nehari_lower_bound
+
+        def falling(op):
+            lo = original(op)
+            return lo * (1 - 1e-9) if op.domain.parts[0].deg_hi == 32 else lo
+
+        monkeypatch.setattr(cli, "nehari_lower_bound", falling)
+        report = run(parse_scenario(write_scenario(tmp_path, scaled_nehari_payload(scale))))
+        [rec] = report.records
+        assert not rec.passed and rec.residual <= 1e-8, report.text()
+
     def test_nehari_scenario_with_candidate(self, tmp_path):
         payload = {
             "name": "rank-one-bracket",
@@ -777,7 +816,7 @@ class TestRepresentationVariants:
 
     def test_type_i_with_omega_exit_two(self, tmp_path, capsys):
         # kernel_rep would derive Psi from U alone and miss Omega's part
-        embedded = cli.demo_subspace_specs()["timotin-embedded"]
+        embedded = library_specs()["timotin-embedded"]
         payload = {"name": "type-i-omega", "checks": ["kernel_rep", "range_rep"],
                    "n_list": [8],
                    "spec": {"variant": "type_i", "dimE": 2, "dimF": 1,

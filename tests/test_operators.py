@@ -1,5 +1,6 @@
 """Truncated operator construction and identity tests."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    block_shift_matrix,
     nonzero_triplets,
     part_rows,
     ref_hankel,
@@ -21,8 +23,9 @@ from conftest import (
     swept_lower_bounds,
 )
 from shiftlab import cli, linalg, operators
-from shiftlab.linalg import Triplets, spectral_norm
+from shiftlab.linalg import Triplets, dense_matrix, spectral_norm
 from shiftlab.operators import (
+    _moved,
     _penrose_defect,
     _within,
     OperatorMatrix,
@@ -159,17 +162,33 @@ class TestHankel:
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
+@st.composite
+def shift_spaces(draw):
+    """A product of 1-3 Hardy and Lebesgue parts of fiber dimension 1-3 and
+    truncation 0-3."""
+    kinds = (TruncatedSpace.hardy, TruncatedSpace.lebesgue)
+    return ProductSpace.of(*draw(st.lists(
+        st.builds(lambda make, f, n: make(f, n), st.sampled_from(kinds),
+                  st.integers(1, 3), st.integers(0, 3)), min_size=1, max_size=3)))
+
+
 class TestShiftOps:
-    def test_shift_rows_matches_dense_shifts(self):
-        parts = (TruncatedSpace.lebesgue(2, 3), TruncatedSpace.hardy(1, 4))
-        space = ProductSpace.of(*parts)
-        m = np.random.default_rng(5).standard_normal((space.dim, 3))
-        for kinds in (("forward", "backward"), ("backward", "forward")):
-            blocks = [shift_matrix(p, k) for p, k in zip(parts, kinds)]
-            dense = np.zeros((space.dim, space.dim), dtype=complex)
-            dense[:parts[0].dim, :parts[0].dim] = blocks[0]
-            dense[parts[0].dim:, parts[0].dim:] = blocks[1]
-            np.testing.assert_array_equal(shift_rows(m, space, kinds), dense @ m)
+    @settings(max_examples=60, deadline=None)
+    @given(space=shift_spaces(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_shift_rows_matches_dense_shifts(self, space, seed):
+        # shift_rows and both axes of _moved against the dense block shift,
+        # for every tuple of kinds; the triplets are those of a matrix with
+        # zeros, signed zeros and exact entries
+        rng = np.random.default_rng(seed)
+        m = signed_zero_matrix(rng, space.dim, 3)
+        wide = signed_zero_matrix(rng, 2, space.dim)
+        for kinds in itertools.product(("forward", "backward"), repeat=len(space.parts)):
+            x = block_shift_matrix(space, kinds)
+            np.testing.assert_array_equal(shift_rows(m, space, kinds), x @ m)
+            moved = _moved(nonzero_triplets(m), 0, space, kinds)
+            np.testing.assert_array_equal(dense_matrix(moved, m.shape), x @ m)
+            moved = _moved(nonzero_triplets(wide), 1, space, kinds)
+            np.testing.assert_array_equal(dense_matrix(moved, wide.shape), wide @ x.T)
 
 
 class TestMixedOperators:
@@ -761,13 +780,12 @@ class TestNehari:
     def test_rank_one_distance(self):
         d = make_symbol(1, 1, {-1: [1]})
         phi = self._phi_for_scalar_d(d)
-        bracket = nehari_bounds(phi, 1, swept_lower_bounds(phi, 1, [4, 8]),
-                                [(zero_symbol(1, 1), zero_symbol(1, 1))])
-        for _, lo in bracket.lower_bounds:
+        lows = swept_lower_bounds(phi, 1, [4, 8])
+        upper = nehari_bounds(phi, 1, [(zero_symbol(1, 1), zero_symbol(1, 1))])
+        for lo in lows:
             assert abs(lo - 1.0) <= 1e-10
-        assert abs(bracket.upper_bounds[0] - 1.0) <= 1e-10
-        gap = bracket.upper_bounds[0] - bracket.lower_bounds[-1][1]
-        assert abs(gap) <= 1e-10
+        assert abs(upper[0] - 1.0) <= 1e-10
+        assert abs(upper[0] - lows[-1]) <= 1e-10
 
     def test_analytic_blocks_toeplitz_norm(self):
         a = make_symbol(1, 1, {0: [1], 1: [0.5]})
@@ -775,13 +793,12 @@ class TestNehari:
         c = make_symbol(1, 1, {0: [0.25]})
         d = make_symbol(1, 1, {1: [0.5]})
         phi = block_symbol([[a, b], [c, d]])
-        bracket = nehari_bounds(phi, 1, swept_lower_bounds(phi, 1, [4, 8, 16, 32]), [(c, d)])
-        lows = [lo for _, lo in bracket.lower_bounds]
+        lows = swept_lower_bounds(phi, 1, [4, 8, 16, 32])
         assert all(x <= y + 1e-12 for x, y in zip(lows, lows[1:]))
         # with the analytic candidates the bottom row cancels, so the
         # upper bound is the sup-norm of the top row; the sweep closes
         # the bracket from below
-        upper = bracket.upper_bounds[0]
+        [upper] = nehari_bounds(phi, 1, [(c, d)])
         assert abs(upper - 1.5) <= 1e-12
         gaps = [upper - lo for lo in lows]
         assert gaps[-1] >= -1e-10
@@ -792,18 +809,11 @@ class TestNehari:
         d = make_symbol(1, 1, {-1: [2], 1: [1]})
         phi = self._phi_for_scalar_d(d)
         cand = (zero_symbol(1, 1), make_symbol(1, 1, {1: [1]}))
-        bracket = nehari_bounds(phi, 1, swept_lower_bounds(phi, 1, [4, 8]), [cand])
-        assert abs(bracket.lower_bounds[-1][1] - 2.0) <= 1e-8
-        assert abs(bracket.upper_bounds[0] - 2.0) <= 1e-8
+        assert abs(swept_lower_bounds(phi, 1, [4, 8])[-1] - 2.0) <= 1e-8
+        assert abs(nehari_bounds(phi, 1, [cand])[0] - 2.0) <= 1e-8
 
     def test_non_analytic_candidate_rejected(self):
         d = make_symbol(1, 1, {-1: [1]})
         phi = self._phi_for_scalar_d(d)
         with pytest.raises(ValueError, match="analytic"):
-            nehari_bounds(phi, 1, swept_lower_bounds(phi, 1, [4]), [(zero_symbol(1, 1), d)])
-
-    def test_unsorted_sweep_rejected(self):
-        d = make_symbol(1, 1, {-1: [1]})
-        with pytest.raises(ValueError, match="ascending"):
-            phi = self._phi_for_scalar_d(d)
-            nehari_bounds(phi, 1, swept_lower_bounds(phi, 1, [8, 4]), [])
+            nehari_bounds(phi, 1, [(zero_symbol(1, 1), d)])
