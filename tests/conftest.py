@@ -352,14 +352,10 @@ def recorded_rank_decisions():
         decisions.append((_rank_site(), rank, min(kept, dropped)))
         return rank
 
-    modules = (linalg, symbols)
-    for module in modules:
-        module.numerical_rank = recorded
-    try:
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (linalg, symbols):
+            patch.setattr(module, "numerical_rank", recorded)
         yield decisions
-    finally:
-        for module in modules:
-            module.numerical_rank = count
 
 
 def run_corpus() -> dict[str, dict]:
