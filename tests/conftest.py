@@ -315,11 +315,13 @@ _TEXT_VALUES = re.compile(r"(?:(?<=residual=)|(?<=range=)|(?<=kernel=)|(?<='))"
 def corpus_inputs() -> dict[str, list[str]]:
     """The corpus: each input's id and its ``shiftlab`` arguments, paths
     relative to the repository.  The inputs are the five demos, the sample
-    scenario and the committed seed-0 and seed-7 scenario files of both
-    benchmark workloads under ``tests/corpus``."""
+    scenario, the committed seed-0 and seed-7 scenario files of both
+    benchmark workloads under ``tests/corpus``, and the scenario files under
+    ``tests/corpus/branches``, which reach the representation variants'
+    target subspace and twocond checks and ``svd_analysis``'s SVD fallback."""
     inputs = {f"demo-{name}": ["demo", name] for name in sorted(cli.DEMOS)}
     inputs["sample-inner-column"] = ["verify", "scenarios/sample-inner-column.json"]
-    for path in sorted(CORPUS.glob("*-seed*/*.json")):
+    for path in sorted([*CORPUS.glob("branches/*.json"), *CORPUS.glob("*-seed*/*.json")]):
         inputs[f"{path.parent.name}-{path.stem}"] = ["verify", str(path.relative_to(REPO))]
     return inputs
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import coeff_distance, haar_unitary, library_specs
+from conftest import CORPUS, coeff_distance, haar_unitary, library_specs
 from shiftlab import cli, operators, subspaces
 from shiftlab.cli import (
     DEMOS,
@@ -437,13 +437,14 @@ class TestDemos:
         assert rec.passed and "splitting=True" in rec.detail
 
     def test_rank_decisions_clear_their_cutoff_tenfold(self, corpus):
-        # every numerical_rank decision of the corpus (the demos, the sample
-        # scenario and the committed workload scenarios), with its margin
-        # min(kept_min / cutoff, cutoff / dropped_max); a decision that moves
-        # toward its cutoff, or a changed count, is a finding, and
-        # tests/test_corpus.py holds each (site, rank) to its golden
+        # every numerical_rank decision of the corpus (conftest.corpus_inputs),
+        # with its margin min(kept_min / cutoff, cutoff / dropped_max); a
+        # decision that moves toward its cutoff, or a count other than the
+        # committed index's, is a finding, and tests/test_corpus.py holds each
+        # (site, rank) to its golden
+        index = json.loads((CORPUS / "golden" / "index.json").read_text(encoding="utf-8"))
         margins = [margin for result in corpus.values() for _, _, margin in result["ranks"]]
-        assert len(margins) == 175
+        assert len(margins) == sum(len(entry["ranks"]) for entry in index.values())
         assert min(margins) >= 10.0, sorted(margins)[:5]
 
     def test_structured_output_deterministic(self):
