@@ -416,7 +416,7 @@ def _check_run_size(sc: Scenario, source: str) -> None:
 
 
 def _record_from_report(sc: Scenario, check: str, n: int, rep: VerificationReport) -> Record:
-    residual = max((c.residual for c in rep.checks if c.gating), default=0.0)
+    residual = max((c.residual for c in rep.checks), default=0.0)
     window = next((c.window for c in rep.checks if c.window is not None), None)
     detail = "; ".join(f"{c.name}={'ok' if c.passed else 'FAIL'}" for c in rep.checks)
     return Record(sc.name, check, n, residual, rep.overall, window, detail)
@@ -440,9 +440,9 @@ def _check_invariance(sc: Scenario, n: int, target, operator) -> Record:
 
 
 def _check_kernel_rep(sc: Scenario, n: int, target, operator) -> Record:
-    basis, psi = target(), sc.spec.mixed["kernel"]
-    op = operator("kernel", operator_truncation(psi, basis.window, n))
-    rep = kernel_representation_check(basis, psi, sc.spec.theta, op, sc.tol)
+    basis = target()
+    op = operator("kernel", operator_truncation(sc.spec.mixed["kernel"], basis.window, n))
+    rep = kernel_representation_check(basis, sc.spec.theta, op, sc.tol)
     return _record_from_report(sc, "kernel_rep", n, rep)
 
 

@@ -314,20 +314,19 @@ def image_within(m: np.ndarray, keep: np.ndarray) -> np.ndarray:
 
 
 def intersection(b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the intersection of two column spans.
+    """Orthonormal basis of the intersection of the spans of b1 and b2, both
+    with orthonormal columns.
 
-    Works on the stacked complement projectors, so no alternating
-    iteration is involved: v lies in both spans iff (I - P_i) v = 0.
+    v = b1 x = b2 y exactly when (x, y) is in the kernel of [b1, -b2], whose
+    sigma_max is at least 1, so the rank cutoff stays clear of rounding noise
+    even when both spans are everything.  Orthonormal kernel vectors have
+    |x| = |y| = 1/sqrt(2) and orthogonal x parts, so sqrt(2) b1 x is
+    orthonormal.
     """
-    d = b1.shape[0]
-    if b2.shape[0] != d:
+    if b2.shape[0] != b1.shape[0]:
         raise ValueError("ambient dimensions differ")
-    eye = np.eye(d, dtype=complex)
-    stacked = np.vstack([
-        eye - b1 @ b1.conj().T,
-        eye - b2 @ b2.conj().T,
-    ])
-    return nullspace(stacked)
+    kernel = nullspace(np.hstack([b1, -b2]))
+    return np.sqrt(2) * (b1 @ kernel[:b1.shape[1]])
 
 
 def principal_angle_distance(b1: np.ndarray, b2: np.ndarray) -> float:

@@ -229,20 +229,17 @@ def _toeplitz(sym: LaurentSymbol, n: int) -> tuple[Triplets, int]:
     return multiplication_entries(sym, 0, n, 0, n), n - max(sym.kmax, 0)
 
 
-def hankel_op(sym: LaurentSymbol, n: int) -> OperatorMatrix:
-    """Truncation of h |-> PJ[S h], with J sending z**k to z**(-k-1).
+def _hankel(sym: LaurentSymbol, n: int) -> tuple[Triplets, int]:
+    """The entries, unsorted, and the window of the truncation of
+    h |-> PJ[S h] on degree-n Hardy windows, J sending z**k to z**(-k-1).
 
     Degree block (j, i) is the coefficient of z**(-(j+i+1)), so only the
     anti-analytic part of the symbol enters.  The convention is pinned by
     the scalar example S = zbar, whose matrix is E00 (h |-> h(0)).  When
-    the anti-analytic band is deeper than n+1 the matrix is still formed
-    (top-left corner of the infinite matrix) but no input is exact.
+    the anti-analytic band is deeper than n+1 the entries are still formed
+    (top-left corner of the infinite matrix) but the window is -1: no
+    input is exact.
     """
-    return _block_operator(n, (sym.rows,), (sym.cols,), [[_hankel(sym, n)]])
-
-
-def _hankel(sym: LaurentSymbol, n: int) -> tuple[Triplets, int]:
-    """The entries, unsorted, and the window of ``hankel_op``."""
     # output degrees -n-1 .. -1 of S h sit on row blocks 0 .. n, and J
     # sends row block p (degree p - n - 1) to degree n - p
     t = multiplication_entries(sym, 0, n, -n - 1, -1)

@@ -124,11 +124,6 @@ class LaurentSymbol:
     def __sub__(self, other: "LaurentSymbol") -> "LaurentSymbol":
         return self + (-other)
 
-    def __mul__(self, scalar: complex) -> "LaurentSymbol":
-        return _canonical(self.rows, self.cols, self.kmin, self.coeffs * scalar)
-
-    __rmul__ = __mul__
-
     def __repr__(self) -> str:
         return (f"LaurentSymbol({self.rows}x{self.cols}, "
                 f"degrees [{self.kmin}, {self.kmax}])")
@@ -153,33 +148,19 @@ def _canonical(rows: int, cols: int, kmin: int, coeffs: np.ndarray) -> LaurentSy
     return LaurentSymbol(rows, cols, kmin + lo, coeffs[lo:hi + 1])
 
 
-def make_symbol(rows: int, cols: int, coeffs) -> LaurentSymbol:
-    """Build a symbol from ``{k: matrix}`` or an iterable of (k, matrix) pairs.
-
-    Indices must be distinct; gaps inside the band are filled with zero
-    matrices.  An empty coefficient list is rejected: use zero_symbol.
-    """
-    items = list(coeffs.items()) if isinstance(coeffs, dict) else list(coeffs)
-    if not items:
-        raise ValueError("empty coefficient list; use zero_symbol for the zero symbol")
-    seen = set()
-    mats = {}
-    for k, m in items:
-        k = int(k)
-        if k in seen:
-            raise ValueError(f"duplicate coefficient index {k}")
-        seen.add(k)
+def make_symbol(rows: int, cols: int, coeffs: dict) -> LaurentSymbol:
+    """Build a symbol from ``{k: matrix}``; gaps inside the band are filled
+    with zero matrices.  An empty dict is rejected: use zero_symbol."""
+    if not coeffs:
+        raise ValueError("no coefficients; use zero_symbol for the zero symbol")
+    kmin = int(min(coeffs))
+    out = np.zeros((int(max(coeffs)) - kmin + 1, rows, cols), dtype=complex)
+    for k, m in coeffs.items():
         m = np.asarray(m, dtype=complex)
         if m.size != rows * cols:
-            raise ValueError(
-                f"coefficient at index {k} has {m.size} entries, expected "
-                f"{rows}x{cols}"
-            )
-        mats[k] = m.reshape(rows, cols)
-    kmin, kmax = min(mats), max(mats)
-    out = np.zeros((kmax - kmin + 1, rows, cols), dtype=complex)
-    for k, m in mats.items():
-        out[k - kmin] = m
+            raise ValueError(f"coefficient at index {k} has {m.size} entries, "
+                             f"expected {rows}x{cols}")
+        out[k - kmin] = m.reshape(rows, cols)
     return _canonical(rows, cols, kmin, out)
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shiftlab import cli, linalg, symbols
+from shiftlab import cli, linalg, operators, symbols
 from shiftlab.linalg import (
     RANK_RTOL,
     Triplets,
@@ -122,6 +122,11 @@ def rotation_column_symbol(t) -> LaurentSymbol:
     t = 0, and sin t is the margin of the splitting rank decision."""
     c, s = np.cos(t), np.sin(t)
     return make_symbol(2, 2, {0: [[0, -s], [0, c]], 1: [[c, 0], [s, 0]]})
+
+
+def scaled(sym, c) -> LaurentSymbol:
+    """The symbol c * sym, coefficient by coefficient."""
+    return make_symbol(sym.rows, sym.cols, {sym.kmin + i: c * m for i, m in enumerate(sym.coeffs)})
 
 
 def coeff(sym, k) -> np.ndarray:
@@ -285,6 +290,13 @@ def ref_hankel(sym, n) -> np.ndarray:
     degree blocks reversed by J (z**k to z**(-k-1))."""
     m = ref_multiplication_matrix(sym, 0, n, -n - 1, -1)
     return m.reshape(n + 1, sym.rows, -1)[::-1].reshape(m.shape)
+
+
+def hankel_op(sym, n) -> operators.OperatorMatrix:
+    """The truncated Hankel operator of sym on degree-n Hardy windows, with
+    the entries and window of ``operators._hankel``, assembled as the mixed
+    builders assemble their blocks."""
+    return operators._block_operator(n, (sym.rows,), (sym.cols,), [[operators._hankel(sym, n)]])
 
 
 def ref_range_operator(phi, dim_e, n) -> np.ndarray:

@@ -11,6 +11,7 @@ from conftest import (
     coeff,
     coeff_distance,
     haar_unitary,
+    hankel_op,
     in_fiber_dims,
     inner_mixture,
     library_specs,
@@ -30,7 +31,6 @@ from shiftlab.operators import (
     SubspaceBasis,
     build_kernel_operator,
     build_range_operator,
-    hankel_op,
     intertwining_residual,
     nehari_bounds,
     svd_analysis,
@@ -277,7 +277,7 @@ def test_criterion_8_finite_rank_kernel_demo():
     target = SubspaceBasis(analytic_ambient(1, 1, w),
                            np.eye(2 * (w + 1))[:, [w + 1, w + 2]], window=w)
     op = build_kernel_operator(psi, 1, operator_truncation(psi, w, n))
-    rep = kernel_representation_check(target, psi, None, op)
+    rep = kernel_representation_check(target, None, op)
     dist = named(rep, "kernel_distance").residual
     ok = rank == 4 and rep.overall and dist <= 1e-8
     report(8, ok,

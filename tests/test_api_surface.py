@@ -4,7 +4,8 @@ function or method is overridden by one.
 
 The pipeline is the package's modules under ``src/shiftlab`` and the
 benchmark under ``perfbench/``.  A public function or class counts as used
-when some code there, outside its own definition, refers to it; a public
+when some code there, outside its own definition, refers to it (a word in a
+string, such as a stage name the benchmark times, is no reference); a public
 method, property or field (an annotated class attribute, as a dataclass or
 a NamedTuple declares it) when some code there, outside its own
 definition, reads it as an attribute.  Tests do not keep a name, a member
@@ -23,10 +24,10 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "shiftlab"
 
 
-def referenced_names(nodes, strings: bool = False) -> set[str]:
-    """Identifiers used in the given subtrees; with ``strings``, also words
-    inside string literals (the benchmark names the callables it times as
-    "module.function")."""
+def referenced_names(nodes) -> set[str]:
+    """Identifiers used in the given subtrees.  Words inside string literals
+    do not count: a callable that the benchmark only names, as a stage
+    "module.function" it times, has no caller."""
     names = set()
     for root in nodes:
         for node in ast.walk(root):
@@ -34,9 +35,6 @@ def referenced_names(nodes, strings: bool = False) -> set[str]:
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
-            elif strings and isinstance(node, ast.Constant) \
-                    and isinstance(node.value, str):
-                names.update(re.findall(r"\w+", node.value))
     return names
 
 
@@ -73,7 +71,7 @@ def parsed(paths) -> dict[Path, ast.Module]:
 def test_every_public_name_has_a_pipeline_caller():
     modules = parsed(PACKAGE.glob("*.py"))
     bench = parsed((ROOT / "perfbench").glob("*.py")).values()
-    outside = referenced_names(bench, strings=True)
+    outside = referenced_names(bench)
     per_module = {path: referenced_names([tree]) for path, tree in modules.items()}
     reads = attribute_reads([*modules.values(), *bench])
     unused = []

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import CORPUS, coeff_distance, haar_unitary, library_specs
+from conftest import CORPUS, coeff_distance, haar_unitary, library_specs, scaled
 from shiftlab import cli, operators, subspaces
 from shiftlab.cli import (
     DEMOS,
@@ -239,7 +239,7 @@ BUILD_ERROR_CASES = [
       "  invariance         n=8    window=5 residual=0 PASS\n"
       "  kernel_rep         n=1    residual=inf FAIL  [error: symbol band [0, 3] exceeds truncation 1]\n"
       "  kernel_rep         n=2    residual=inf FAIL  [error: symbol band [0, 3] exceeds truncation 2]\n"
-      "  kernel_rep         n=8    window=5 residual=0 PASS  [psi_class=ok; kernel_distance=ok]\n"
+      "  kernel_rep         n=8    window=5 residual=0 PASS  [kernel_distance=ok]\n"
       "overall FAIL\n"),
      [("partial_isometry", 1, False, None), ("partial_isometry", 2, False, None),
       ("partial_isometry", 8, False, 1.0), ("intertwining", 1, False, None),
@@ -277,7 +277,7 @@ def scaled_nehari_payload(scale):
     return {
         "name": "scaled-nehari",
         "spec": {"variant": "range_rep", "dimE": 1, "dimF": 1,
-                 "Phi": symbol_to_literal(range_symbol_from_u(u, 1, 1) * scale)},
+                 "Phi": symbol_to_literal(scaled(range_symbol_from_u(u, 1, 1), scale))},
         "checks": ["nehari"],
         "n_list": [8, 16, 32, 64, 128],
         "nehari_candidates": [{"L1": zero, "L2": zero}],

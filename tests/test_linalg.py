@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import haar_unitary, nonzero_triplets, signed_zero_matrix
+from conftest import haar_unitary, hankel_op, nonzero_triplets, signed_zero_matrix
 from shiftlab import cli, linalg
 from shiftlab.linalg import (
     RANK_RTOL,
@@ -31,7 +31,6 @@ from shiftlab.operators import (
     _binary_singular_values,
     _penrose_certified,
     build_kernel_operator,
-    hankel_op,
 )
 from shiftlab.subspaces import TYPE_I, InvariantSubspaceSpec
 from shiftlab.symbols import make_symbol, zero_symbol

@@ -9,10 +9,12 @@ import pytest
 from conftest import (
     bilateral_roundtrip,
     coeff,
+    hankel_op,
     in_fiber_dims,
     named,
     ref_multiplication_matrix,
     ref_splitting_stack,
+    scaled,
 )
 from shiftlab import cli, subspaces
 from shiftlab.linalg import column_space, image_within, nullspace, principal_angle_distance
@@ -20,7 +22,6 @@ from shiftlab.operators import (
     SubspaceBasis,
     build_kernel_operator,
     build_range_operator,
-    hankel_op,
 )
 from shiftlab.subspaces import (
     InvariantSubspaceSpec,
@@ -258,7 +259,7 @@ class TestBilateralSubspace:
     def test_non_isometric_column_is_orthonormalized(self):
         # the generators of 2 U are orthogonal with norm 2, not a basis as they stand
         n = 6
-        u = 2 * timotin_u()
+        u = scaled(timotin_u(), 2)
         gens = self.scalar_fiber_generators(u, n)
         np.testing.assert_allclose(gens.conj().T @ gens, 4 * np.eye(gens.shape[1]),
                                    atol=1e-12)
@@ -344,7 +345,7 @@ class TestKernelRepresentation:
         mixed = mixed_invariant_subspace(spec, n)
         psi = kernel_symbol_from_u(spec.u, 1, 1)
         op = build_kernel_operator(psi, 1, operator_truncation(psi, mixed.window, n))
-        rep = kernel_representation_check(mixed, psi, None, op)
+        rep = kernel_representation_check(mixed, None, op)
         assert rep.overall
         assert named(rep, "kernel_distance").residual <= 1e-8
 
@@ -354,7 +355,7 @@ class TestKernelRepresentation:
         mixed = mixed_invariant_subspace(spec, n)
         psi = kernel_symbol_from_u(spec.u, 1, 1)
         op = build_kernel_operator(psi, 1, operator_truncation(psi, mixed.window, n))
-        rep = kernel_representation_check(mixed, psi, identity_symbol(1), op)
+        rep = kernel_representation_check(mixed, identity_symbol(1), op)
         assert rep.overall
         assert named(rep, "kernel_distance").residual <= 1e-8
 
@@ -365,8 +366,36 @@ class TestKernelRepresentation:
         basis = SubspaceBasis(analytic_ambient(1, 1, w), expected, window=w)
         psi = zero_symbol(2, 2)
         op = build_kernel_operator(psi, 1, operator_truncation(psi, w, n))
-        rep = kernel_representation_check(basis, psi, zero_symbol(1, 1), op)
+        rep = kernel_representation_check(basis, zero_symbol(1, 1), op)
         assert rep.overall
+
+    @pytest.mark.parametrize("power, passes", [(2, True), (1, False)])
+    def test_inner_factor_cuts_the_first_fiber(self, power, passes):
+        # every vector is in the kernel of Psi = 0, and theta = z^2 cuts it to
+        # z^2 H^2 (+) H^2; theta = z keeps the degree-1 direction as well
+        w = 6
+        basis = SubspaceBasis(analytic_ambient(1, 1, w),
+                              hardy_block_basis(w, range(2, w + 1)), window=w)
+        psi = zero_symbol(2, 2)
+        op = build_kernel_operator(psi, 1, operator_truncation(psi, w, w))
+        rep = kernel_representation_check(basis, monomial_symbol(power, [[1]]), op)
+        dist = named(rep, "kernel_distance").residual
+        assert rep.overall is passes
+        assert (dist <= 1e-12) if passes else (dist > 1e-8)
+
+    def test_constant_unitary_theta_on_a_full_kernel(self):
+        # Psi = 0 and a constant rotation theta both leave every vector, so
+        # both spans intersected are everything: the rank of the intersection
+        # must not be decided on rounding noise
+        w, t = 4, 0.3
+        amb = analytic_ambient(2, 1, w)
+        basis = SubspaceBasis(amb, np.eye(amb.dim, dtype=complex), window=w)
+        psi = zero_symbol(3, 3)
+        op = build_kernel_operator(psi, 2, operator_truncation(psi, w, w))
+        theta = constant_symbol([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+        rep = kernel_representation_check(basis, theta, op)
+        assert rep.overall
+        assert named(rep, "kernel_distance").residual <= 1e-12
 
     def test_cyclic_diagonal_splitting_case(self):
         poles = [0.5, 1 / 3, 0.25, 0.2]
@@ -379,7 +408,7 @@ class TestKernelRepresentation:
         target = SubspaceBasis(analytic_ambient(1, 1, w),
                                np.eye(2 * (w + 1))[:, [w + 1, w + 2]], window=w)
         op = build_kernel_operator(psi, 1, operator_truncation(psi, w, 16))
-        rep = kernel_representation_check(target, psi, None, op)
+        rep = kernel_representation_check(target, None, op)
         assert rep.overall
         assert named(rep, "kernel_distance").residual <= 1e-10
 
@@ -479,7 +508,7 @@ class TestSplitting:
         base = scalar_phi(a, b, c, d)
         u = np.exp(0.7j)
         # rotating the top row or the bottom row keeps unitarity and the verdict
-        rotated = scalar_phi(u * a, u * b, c, d)
+        rotated = scalar_phi(scaled(a, u), scaled(b, u), c, d)
         assert splitting_check_scalar(rotated) == splitting_check_scalar(base)
         assert ref_splitting_stack(rotated)[0] == ref_splitting_stack(base)[0]
 
@@ -622,7 +651,7 @@ class TestEveryBasisIsOrthonormal:
                       ("twocond", "invariance", "partial_isometry", "intertwining")))]
         # generators of 2 U are not orthonormal: the column_space fallback
         runs.append(cli.Scenario("twice-timotin", InvariantSubspaceSpec(
-            "type_i", 1, 1, u=2 * timotin_u()), ("invariance", "kernel_rep"), (8, 16)))
+            "type_i", 1, 1, u=scaled(timotin_u(), 2)), ("invariance", "kernel_rep"), (8, 16)))
         return runs
 
     def test_every_basis_built_is_orthonormal(self, monkeypatch):

@@ -75,10 +75,6 @@ class TestConstruction:
         with pytest.raises(ValueError, match="entries"):
             make_symbol(2, 2, {0: [1, 2, 3]})
 
-    def test_duplicate_index_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            make_symbol(1, 1, [(0, [1]), (0, [2])])
-
     def test_square_blocks_reassemble(self):
         rng = np.random.default_rng(8)
         s = make_symbol(3, 3, {k: rng.standard_normal((3, 3)) for k in (-2, 0, 1)})
