@@ -330,7 +330,8 @@ def corpus_inputs() -> dict[str, list[str]]:
     scenario, the committed seed-0 and seed-7 scenario files of both
     benchmark workloads under ``tests/corpus``, and the scenario files under
     ``tests/corpus/branches``, which reach the representation variants'
-    target subspace and twocond checks and ``svd_analysis``'s SVD fallback."""
+    target subspace and twocond checks, ``svd_analysis``'s SVD fallback and
+    a ``nehari`` sweep whose lower bounds are distinct and not round."""
     inputs = {f"demo-{name}": ["demo", name] for name in sorted(cli.DEMOS)}
     inputs["sample-inner-column"] = ["verify", "scenarios/sample-inner-column.json"]
     for path in sorted([*CORPUS.glob("branches/*.json"), *CORPUS.glob("*-seed*/*.json")]):

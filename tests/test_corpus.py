@@ -25,7 +25,7 @@ def golden(key: str, fmt: str) -> str:
 
 def test_corpus_runs_every_golden_input(corpus):
     assert list(corpus) == list(INDEX)
-    assert len(INDEX) == 17
+    assert len(INDEX) == 18
 
 
 @pytest.mark.parametrize("key", list(INDEX))
