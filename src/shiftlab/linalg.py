@@ -1,18 +1,17 @@
 """Dense complex linear-algebra helpers shared across the package.
 
-Every SVD of the package happens here, and its one ``eigvalsh``, in
-``sparse_norm``.  The truncated operators pair banded Toeplitz blocks with
-finite-rank Hankel blocks, so most of their rows or columns are entirely
-zero, and what is left often falls apart further.  Take the rows and the
-columns of m that hold a nonzero entry as the nodes of a graph and its
-nonzero entries as the edges: after a permutation of its rows and of its
-columns, m is block diagonal up to zero rows and columns, one block per
-connected component (Pothen & Fan, ACM TOMS 16, 1990).  Its nonzero
-singular values are then those of its blocks together, and its kernel and
-column space the direct sums of theirs, every zero column of m a kernel
-direction besides, so factoring each block on its own is exact.  On the
-scalar-fiber benchmark inputs a 512 x 256 core falls into 256 blocks of
-2 x 1.
+Every SVD of the package happens here.  The truncated operators pair
+banded Toeplitz blocks with finite-rank Hankel blocks, so most of their
+rows or columns are entirely zero, and what is left often falls apart
+further.  Take the rows and the columns of m that hold a nonzero entry as
+the nodes of a graph and its nonzero entries as the edges: after a
+permutation of its rows and of its columns, m is block diagonal up to
+zero rows and columns, one block per connected component (Pothen & Fan,
+ACM TOMS 16, 1990).  Its nonzero singular values are then those of its
+blocks together, and its kernel and column space the direct sums of
+theirs, every zero column of m a kernel direction besides, so factoring
+each block on its own is exact.  On the scalar-fiber benchmark inputs a
+512 x 256 core falls into 256 blocks of 2 x 1.
 
 Every helper takes one path.  ``_blocks`` labels the components by hooking
 and pointer jumping (a core with no zero entry is one block without
@@ -50,6 +49,8 @@ differences of these lists (``sparse_product``, ``sparse_difference``)
 cost O(nnz) where the dense arrays cost O(d^2) memory and up to O(d^3)
 time.  A list goes back to a dense array only through ``dense_matrix``, or
 ``support_core``, the core on the rows and columns that hold an entry.
+``sparse_norm`` takes a list's spectral norm by a Lanczos iteration on the
+list itself, with no Gram matrix and no dense copy.
 """
 
 from typing import NamedTuple
@@ -57,6 +58,9 @@ from typing import NamedTuple
 import numpy as np
 
 RANK_RTOL = 1e-10
+# sparse_norm's Lanczos iteration stops once the residual of its top Ritz
+# pair is at most this many eps times the Ritz value.
+LANCZOS_STOP = 4.0
 
 
 class Triplets(NamedTuple):
@@ -222,6 +226,12 @@ def spectral_norm(m: np.ndarray) -> float:
     (residuals built from index shifts are often exact)."""
     sv = singular_values(m)
     return float(sv[0]) if sv.size else 0.0
+
+
+def spectral_norms(stack: np.ndarray) -> np.ndarray:
+    """Largest singular value of each matrix of a stack of nonempty
+    matrices, by one values-only SVD of the whole stack."""
+    return np.linalg.svd(stack, compute_uv=False)[:, 0]
 
 
 def numerical_rank(sv: np.ndarray) -> int:
@@ -442,9 +452,10 @@ def support_core(t: Triplets) -> np.ndarray:
 
 def short_gram(t: Triplets) -> tuple[Triplets, Triplets] | tuple[np.ndarray, np.ndarray]:
     """(W, W* W) for W the one of V, the matrix t lists, and V* with no more
-    nonzero columns than rows, so W* W is the smaller Gram matrix.  Sparse
-    while the product forms no more terms than V's nonzero core has entries,
-    which keeps its memory to the core's; past that, W is the dense core."""
+    nonzero columns than rows, so W* W is the smaller Gram matrix, for the
+    Penrose certificate.  Sparse while the product forms no more terms than
+    V's nonzero core has entries, which keeps its memory to the core's; past
+    that, W is the dense core."""
     rows, cols = (np.count_nonzero(np.bincount(x)) for x in (t.rows, t.cols))
     w = t if rows >= cols else Triplets(t.cols, t.rows, t.vals.conj())
     gram = sparse_product(Triplets(w.cols, w.rows, w.vals.conj()), w, rows * cols)
@@ -455,15 +466,71 @@ def short_gram(t: Triplets) -> tuple[Triplets, Triplets] | tuple[np.ndarray, np.
 
 
 def sparse_norm(t: Triplets) -> float:
-    """Spectral norm of the matrix t lists, 0.0 when empty: sqrt(lambda_max)
-    of its ``short_gram``, accurate to order eps, as the SVD's norm is.
+    """Spectral norm of the matrix t lists, exactly 0.0 for an empty or
+    all-zero list: the square root of the top Ritz value of a Lanczos
+    iteration on W* W (Lanczos, J. Res. Nat. Bur. Standards 45, 1950;
+    Paige, 1971), for W the one of V, the matrix t lists, and V* with no
+    more nonzero columns than rows, on those columns.
 
-    The Gram matrix squares the entries, which would underflow to 0 near
+    Each step multiplies by W and then by W* straight from the entries, by
+    row sums of their products (``np.bincount``, real and imaginary parts
+    apart), so no Gram matrix is formed and a step costs O(nnz) besides the
+    full reorthogonalisation, taken twice.  The iteration stops once the
+    residual beta_k |s_k| of the top Ritz pair, beta_k the norm of the
+    next Lanczos vector before it is scaled and s_k the last entry of the
+    top eigenvector of the tridiagonal matrix T_k, is at most
+    LANCZOS_STOP * eps * theta, theta that Ritz value, or once the Krylov
+    space is exhausted: invariant (beta_k = 0), or all of the space after
+    as many steps as W has nonzero columns, where theta is lambda_max
+    itself.  The test takes T_k's eigenvectors, so it runs at every step up
+    to 8 and then every k / 8 steps, which keeps their cost to a few times
+    that of the last one.  A Ritz value never exceeds lambda_max, so every
+    return is a lower bound up to rounding.
+
+    The start vector is fixed, so the result is the same at every call: its
+    entries' phases and magnitudes follow the golden-ratio sequence j * phi
+    mod 1, which no symmetric or alternating pattern of the entries makes
+    orthogonal to the top eigenvector, as it can make the all-ones vector.
+
+    W* W squares the entries, which would underflow to 0 near
     1e-200 and overflow near 1e200, so they are first scaled, exactly, by
     the power of two that brings the largest magnitude into [0.5, 1), and
     the root is scaled back.  A subnormal largest magnitude is scaled by
     2**1021 at most, which stays finite."""
-    exp = max(int(np.frexp(np.max(np.abs(t.vals), initial=0.0))[1]), -1021)
-    gram = short_gram(t._replace(vals=t.vals * np.ldexp(1.0, -exp)))[1]
-    gram = support_core(gram) if isinstance(gram, Triplets) else gram
-    return float(np.ldexp(np.sqrt(np.max(np.linalg.eigvalsh(gram), initial=0.0)), exp))
+    if not np.any(t.vals):
+        return 0.0
+    exp = max(int(np.frexp(np.max(np.abs(t.vals)))[1]), -1021)
+    vals = t.vals * np.ldexp(1.0, -exp)
+    (rows, at_row), (cols, at_col) = _distinct(t.rows), _distinct(t.cols)
+    if rows.size < cols.size:
+        rows, at_row, cols, at_col, vals = cols, at_col, rows, at_row, vals.conj()
+    height, d, adjoint = rows.size, cols.size, vals.conj()
+
+    def gram_times(q):
+        p = vals * q[at_col]
+        y = np.bincount(at_row, p.real, height) + 1j * np.bincount(at_row, p.imag, height)
+        p = adjoint * y[at_row]
+        return np.bincount(at_col, p.real, d) + 1j * np.bincount(at_col, p.imag, d)
+
+    golden = np.arange(d) * ((np.sqrt(5.0) - 1.0) / 2.0) % 1.0
+    start = (2.0 - golden) * np.exp(2j * np.pi * golden)
+    basis = np.empty((min(d, 8), d), dtype=complex)
+    basis[0] = start / np.linalg.norm(start)
+    alphas, betas, check = [], [], 1
+    for k in range(1, d + 1):
+        w = gram_times(basis[k - 1])
+        alphas.append(np.vdot(basis[k - 1], w).real)
+        for _ in range(2):
+            w -= (basis[:k] @ w.conj()).conj() @ basis[:k]
+        beta = np.linalg.norm(w)
+        exhausted = k == d or beta == 0
+        if k == check or exhausted:
+            check = k + 1 + k // 8
+            theta, s = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
+            if exhausted or beta * abs(s[-1, -1]) <= LANCZOS_STOP * np.finfo(float).eps * theta[-1]:
+                break
+        if k == basis.shape[0]:
+            basis = np.vstack([basis, np.empty((min(k, d - k), d), dtype=complex)])
+        betas.append(beta)
+        basis[k] = w / beta
+    return float(np.ldexp(np.sqrt(max(theta[-1], 0.0)), exp))

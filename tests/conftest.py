@@ -192,6 +192,17 @@ def ref_penrose_norm(m) -> float:
     return float(np.linalg.norm(a @ gram))
 
 
+def gram_norm(t: Triplets) -> float:
+    """The spectral norm of the matrix t lists as sqrt(lambda_max) of its
+    dense ``short_gram`` by ``eigvalsh``, 0.0 when empty, with the entries
+    first scaled by the power of two that brings the largest into [0.5, 1):
+    the oracle ``linalg.sparse_norm``'s Lanczos iteration is held to."""
+    exp = max(int(np.frexp(np.max(np.abs(t.vals), initial=0.0))[1]), -1021)
+    gram = linalg.short_gram(t._replace(vals=t.vals * np.ldexp(1.0, -exp)))[1]
+    gram = linalg.support_core(gram) if isinstance(gram, Triplets) else gram
+    return float(np.ldexp(np.sqrt(np.max(np.linalg.eigvalsh(gram), initial=0.0)), exp))
+
+
 def shift_matrix(space, kind) -> np.ndarray:
     """Dense truncated multiplication by z ("forward") on one truncated
     space, or its adjoint ("backward"): the reference for shift_rows."""

@@ -8,7 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import haar_unitary, hankel_op, nonzero_triplets, signed_zero_matrix
+from conftest import (
+    gram_norm,
+    haar_unitary,
+    hankel_op,
+    nonzero_triplets,
+    ref_penrose_norm,
+    signed_zero_matrix,
+)
 from shiftlab import cli, linalg
 from shiftlab.linalg import (
     RANK_RTOL,
@@ -30,6 +37,7 @@ from shiftlab.linalg import (
 from shiftlab.operators import (
     _binary_singular_values,
     _penrose_certified,
+    _penrose_defect,
     build_kernel_operator,
 )
 from shiftlab.subspaces import TYPE_I, InvariantSubspaceSpec
@@ -401,15 +409,32 @@ def cancelling_blocks(rng, blocks, wide):
     return (m.T if wide else m), np.sqrt(3) * scales.max()
 
 
+sparse_matrices = st.one_of(planted_matrices(), st.builds(
+    lambda seed, rows, cols: signed_zero_matrix(np.random.default_rng(seed), rows, cols),
+    st.integers(0, 2 ** 32 - 1), st.integers(0, 12), st.integers(0, 12)))
+
+
+def hermitian_with_values(rng, values, top=None):
+    """q diag(values) q* for a random unitary q, whose first column is
+    replaced by the unit vector top, when given, before orthonormalising:
+    the eigenvector of values[0]."""
+    d = len(values)
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    if top is not None:
+        a[:, 0] = top
+    q = np.linalg.qr(a)[0]
+    return (q * np.asarray(values)) @ q.conj().T
+
+
 class TestSparseNorm:
-    """sparse_norm, sqrt(lambda_max) of the short-side Gram matrix, against
-    the values-only SVD of the dense matrix.  Both are backward stable, so
-    they agree to a small multiple of eps: rel=1e-13 is about 450 eps."""
+    """sparse_norm, the Lanczos iteration on the short side's W* W, against
+    the values-only SVD of the dense matrix and the dense ``eigvalsh`` of
+    the Gram matrix (``conftest.gram_norm``).  All three are backward
+    stable, so they agree to a small multiple of eps: rel=1e-13 is about
+    450 eps."""
 
     @settings(max_examples=150, deadline=None)
-    @given(m=st.one_of(planted_matrices(), st.builds(
-        lambda seed, rows, cols: signed_zero_matrix(np.random.default_rng(seed), rows, cols),
-        st.integers(0, 2 ** 32 - 1), st.integers(0, 12), st.integers(0, 12))))
+    @given(m=sparse_matrices)
     @example(m=np.zeros((0, 0), dtype=complex))
     @example(m=np.zeros((3, 5), dtype=complex))
     # the Gram matrix squares (v, 2v): to 0 at v = 1e-200, to inf at 1e200
@@ -417,14 +442,75 @@ class TestSparseNorm:
     @example(m=np.diag([1e200, 2e200]).astype(complex))
     def test_matches_the_dense_svd(self, m):
         # tall, wide, rank-deficient, zero rows and columns, signed zeros
-        value = sparse_norm(nonzero_triplets(m))
+        t = nonzero_triplets(m)
+        value = sparse_norm(t)
         assert type(value) is float
         assert value == pytest.approx(ref_norm(m), rel=1e-13, abs=0.0)
+        assert value == pytest.approx(gram_norm(t), rel=1e-13, abs=0.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(m=sparse_matrices)
+    @example(m=np.diag([1e-200, 2e-200]).astype(complex))
+    @example(m=np.diag([1e200, 2e200]).astype(complex))
+    def test_never_above_the_oracle(self, m):
+        # a Ritz value never exceeds lambda_max, so the norm is a lower
+        # bound up to rounding
+        t = nonzero_triplets(m)
+        assert sparse_norm(t) <= gram_norm(t) * (1 + 8 * np.finfo(float).eps)
+
+    def test_repeated_calls_are_bit_identical(self):
+        rng = np.random.default_rng(12)
+        m = rng.standard_normal((40, 30)) + 1j * rng.standard_normal((40, 30))
+        m[rng.random(m.shape) < 0.7] = 0
+        t = nonzero_triplets(m)
+        first = sparse_norm(t)
+        copy = Triplets(*(x.copy() for x in t))
+        assert all(sparse_norm(x) == first for x in (t, t, copy, t))
 
     def test_empty_list_is_exactly_zero(self):
         empty = np.zeros(0, dtype=np.intp)
         value = sparse_norm(Triplets(empty, empty, np.zeros(0, dtype=complex)))
         assert value == 0.0 and type(value) is float
+
+    def test_all_zero_list_is_exactly_zero(self):
+        at = np.arange(3)
+        value = sparse_norm(Triplets(at, at, np.array([0.0, -0.0, complex(-0.0, -0.0)])))
+        assert value == 0.0 and type(value) is float
+
+    @pytest.mark.parametrize("d", [5, 40, 300])
+    def test_lone_top_block_at_the_last_index(self, d):
+        # block diagonal: 2 x 2 blocks of norm 0.99, then a lone 1 x 1 block
+        # of norm 1 at the last index, which only the start vector's last
+        # entry reaches
+        m = np.kron(np.eye(d // 2), 0.9 * np.array([[1, 0.1], [0.1, 1]]))
+        m = np.pad(m, ((0, 1), (0, 1))).astype(complex)
+        m[-1, -1] = 1.0
+        t = nonzero_triplets(m)
+        assert sparse_norm(t) == pytest.approx(gram_norm(t), rel=1e-13, abs=0.0)
+        assert sparse_norm(t) == pytest.approx(1.0, rel=1e-13)
+
+    @pytest.mark.parametrize("d", [6, 40, 300])
+    def test_alternating_top_singular_vector(self, d):
+        # the top eigenvector (1, -1, 1, ...) is orthogonal to all ones, and
+        # the Krylov space of all ones would hold only the eigenvalues 0.9
+        # and 0.5 below it
+        alternating = (-1.0) ** np.arange(d) / np.sqrt(d)
+        values = np.where(np.arange(d) < d // 2, 0.9, 0.5)
+        values[0] = 1.0
+        m = hermitian_with_values(np.random.default_rng(d), values, alternating)
+        assert np.vdot(np.ones(d), m @ alternating) == pytest.approx(0.0, abs=1e-12)
+        t = nonzero_triplets(m)
+        assert sparse_norm(t) == pytest.approx(gram_norm(t), rel=1e-13, abs=0.0)
+        assert sparse_norm(t) == pytest.approx(1.0, rel=1e-13)
+
+    @pytest.mark.parametrize("d", [5, 40, 300])
+    def test_top_values_clustered_within_1e_9(self, d):
+        values = np.linspace(0.2, 1.0, d)
+        values[:3] = [1.0, 1.0 - 4e-10, 1.0 - 1e-9]
+        m = hermitian_with_values(np.random.default_rng(d + 1), values)
+        t = nonzero_triplets(m)
+        assert sparse_norm(t) == pytest.approx(gram_norm(t), rel=1e-13, abs=0.0)
+        assert sparse_norm(t) == pytest.approx(ref_norm(m), rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("wide", [False, True])
     @pytest.mark.parametrize("route", ["sparse", "dense"])
@@ -452,7 +538,9 @@ class TestSparseNorm:
     @pytest.mark.parametrize("case", ["banded", "dense"])
     def test_both_gram_routes_match_the_dense_svd(self, case, monkeypatch):
         # a banded list takes the sparse product; a dense matrix has more
-        # product terms than entries, and its Gram matrix is formed densely
+        # product terms than entries, and its Gram matrix is formed densely.
+        # short_gram serves the Penrose certificate and the oracle gram_norm;
+        # sparse_norm forms no Gram matrix
         routes, original = [], linalg.sparse_product
 
         def spied(a, b, limit):
@@ -466,7 +554,11 @@ class TestSparseNorm:
             m = cancelling_blocks(rng, 6, False)[0]
         else:
             m = rng.standard_normal((7, 5)) + 1j * rng.standard_normal((7, 5))
-        assert sparse_norm(nonzero_triplets(m)) == pytest.approx(ref_norm(m), rel=1e-13)
+        t = nonzero_triplets(m)
+        assert gram_norm(t) == pytest.approx(ref_norm(m), rel=1e-13)
+        assert routes == [case == "banded"]
+        routes.clear()
+        assert _penrose_defect(t) == pytest.approx(ref_penrose_norm(m), rel=1e-10, abs=1e-12)
         assert routes == [case == "banded"]
 
 
@@ -574,9 +666,10 @@ class TestEverySvdIsStripped:
 class TestNoOperatorSizedSvd:
     """The operator checks of replicated_u(1, 2) factor nothing larger than
     the symbol's 3 x 3 fiber: the Penrose certificate passes
-    partial_isometry, intertwining leaves no residual, and nehari reads its
-    lower bound off the Gram matrix's eigenvalues.  What reaches the SVD is
-    only nehari_bounds' samples of the symbol on the circle."""
+    partial_isometry, intertwining leaves no residual, and nehari takes its
+    lower bound by a Lanczos iteration on the window's entries.  What
+    reaches the SVD is only nehari_bounds' samples of the symbol on the
+    circle, as one stack of 3 x 3 values."""
 
     def test_operator_checks_factor_only_circle_samples(self, factor_calls):
         zero = (zero_symbol(2, 1), zero_symbol(2, 2))

@@ -50,6 +50,7 @@ from shiftlab.symbols import (
     make_symbol,
     monomial_symbol,
     split_square_blocks,
+    unit_circle_points,
     zero_symbol,
 )
 
@@ -627,9 +628,9 @@ class TestTripletChecks:
     @example(case=(diagonal_operator(1e-200), "range"))
     @example(case=(diagonal_operator(1e200), "range"))
     def test_nehari_lower_bound_is_the_dense_norm(self, case):
-        # sqrt(lambda_max) of the short-side Gram is backward stable but not
-        # the SVD's rounding: it keeps relative accuracy of order eps (6.6 eps
-        # at most on 192 random mixed operators), here held to about 450 eps
+        # the top Ritz value of the Lanczos iteration on the short side's
+        # W* W is not the SVD's rounding: it keeps relative accuracy of
+        # order eps, here held to about 450 eps
         op, _ = case
         cols = op.domain.window_indices(op.exact_window)
         assert nehari_lower_bound(op) == pytest.approx(spectral_norm(op.dense(cols=cols)),
@@ -815,6 +816,30 @@ class TestNehari:
         cand = (zero_symbol(1, 1), make_symbol(1, 1, {1: [1]}))
         assert abs(swept_lower_bounds(phi, 1, [4, 8])[-1] - 2.0) <= 1e-8
         assert abs(nehari_bounds(phi, 1, [cand])[0] - 2.0) <= 1e-8
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_upper_bounds_match_the_pointwise_loop(self, seed):
+        # all circle points at once, in chunks, against one eval_at and one
+        # spectral_norm per point; z**k there rounds differently from the
+        # root of index k j mod N, by a few eps times k
+        rng = np.random.default_rng(seed)
+        dim_e, dim_f = (int(x) for x in rng.integers(1, 3, 2))
+
+        def sparse_symbol(rows, cols, degrees):
+            return make_symbol(rows, cols, {int(k): rng.standard_normal((rows, cols))
+                                            + 1j * rng.standard_normal((rows, cols))
+                                            for k in rng.choice(degrees, 3, replace=False)})
+
+        phi = sparse_symbol(dim_e + dim_f, dim_e + dim_f, np.arange(-6, 7))
+        candidates = [(sparse_symbol(dim_f, dim_e, np.arange(0, 40)),
+                       sparse_symbol(dim_f, dim_f, np.arange(0, 40))),
+                      (zero_symbol(dim_f, dim_e), zero_symbol(dim_f, dim_f))]
+        for (l1, l2), upper in zip(candidates, nehari_bounds(phi, dim_e, candidates)):
+            completed = phi - block_symbol([[zero_symbol(dim_e, dim_e), zero_symbol(dim_e, dim_f)],
+                                            [l1, l2]])
+            band = max(s.bandwidth for s in split_square_blocks(completed, dim_e))
+            ref = max(spectral_norm(completed.eval_at(z)) for z in unit_circle_points(4 * band + 1))
+            assert upper == pytest.approx(ref, rel=1e-12)
 
     def test_non_analytic_candidate_rejected(self):
         d = make_symbol(1, 1, {-1: [1]})
