@@ -467,36 +467,31 @@ def short_gram(t: Triplets) -> tuple[Triplets, Triplets] | tuple[np.ndarray, np.
 
 def sparse_norm(t: Triplets) -> float:
     """Spectral norm of the matrix t lists, exactly 0.0 for an empty or
-    all-zero list: the square root of the top Ritz value of a Lanczos
-    iteration on W* W (Lanczos, J. Res. Nat. Bur. Standards 45, 1950;
-    Paige, 1971), for W the one of V, the matrix t lists, and V* with no
-    more nonzero columns than rows, on those columns.
+    all-zero list: sqrt of the top Ritz value theta of a Lanczos iteration
+    on W* W (Lanczos, J. Res. Nat. Bur. Standards 45, 1950; Paige, 1971),
+    for W the one of V, the matrix t lists, and V* with no more nonzero
+    columns than rows, on those columns.
 
     Each step multiplies by W and then by W* straight from the entries, by
-    row sums of their products (``np.bincount``, real and imaginary parts
-    apart), so no Gram matrix is formed and a step costs O(nnz) besides the
-    full reorthogonalisation, taken twice.  The iteration stops once the
-    residual beta_k |s_k| of the top Ritz pair, beta_k the norm of the
-    next Lanczos vector before it is scaled and s_k the last entry of the
-    top eigenvector of the tridiagonal matrix T_k, is at most
-    LANCZOS_STOP * eps * theta, theta that Ritz value, or once the Krylov
-    space is exhausted: invariant (beta_k = 0), or all of the space after
-    as many steps as W has nonzero columns, where theta is lambda_max
-    itself.  The test takes T_k's eigenvectors, so it runs at every step up
-    to 8 and then every k / 8 steps, which keeps their cost to a few times
-    that of the last one.  A Ritz value never exceeds lambda_max, so every
-    return is a lower bound up to rounding.
+    ``np.bincount`` row sums of their products (real and imaginary parts
+    apart), so no Gram matrix is formed, and reorthogonalises fully, twice.
+    It stops once the top Ritz pair's residual beta_k |s_k| (s_k the last
+    entry of T_k's top eigenvector) is at most LANCZOS_STOP * eps * theta,
+    or once the Krylov space is exhausted: invariant (beta_k = 0), or the
+    whole space after as many steps as W has columns, where theta is
+    lambda_max.  The test needs T_k's eigenvectors, so it runs at every
+    step up to 8 and then every k / 8 steps.  A Ritz value never exceeds
+    lambda_max, so every return is a lower bound up to rounding.  The start
+    vector is fixed, its phases and magnitudes following the golden-ratio
+    sequence j * phi mod 1, which no symmetric or alternating pattern of
+    the entries makes orthogonal to the top eigenvector, as it can the
+    all-ones vector.
 
-    The start vector is fixed, so the result is the same at every call: its
-    entries' phases and magnitudes follow the golden-ratio sequence j * phi
-    mod 1, which no symmetric or alternating pattern of the entries makes
-    orthogonal to the top eigenvector, as it can make the all-ones vector.
-
-    W* W squares the entries, which would underflow to 0 near
-    1e-200 and overflow near 1e200, so they are first scaled, exactly, by
-    the power of two that brings the largest magnitude into [0.5, 1), and
-    the root is scaled back.  A subnormal largest magnitude is scaled by
-    2**1021 at most, which stays finite."""
+    W* W squares the entries, which would underflow to 0 near 1e-200 and
+    overflow near 1e200, so they are first scaled, exactly, by the power of
+    two that brings the largest magnitude into [0.5, 1), and the root is
+    scaled back.  A subnormal largest magnitude is scaled by 2**1021 at
+    most, which stays finite."""
     if not np.any(t.vals):
         return 0.0
     exp = max(int(np.frexp(np.max(np.abs(t.vals)))[1]), -1021)
