@@ -20,6 +20,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .linalg import SizeCapError, check_size
 from .operators import (
     DEFAULT_TOL,
     OperatorMatrix,
@@ -66,9 +67,6 @@ DEFAULT_N_LIST = (8, 16, 32)
 # largest bound (they are accurate relative to their size), float noise on
 # equal bounds, and still count as rising with n.
 NEHARI_MONOTONE_SLACK = 1e-12
-# Largest dense complex array a scenario may ask for: 2**24 entries are
-# 256 MiB of complex128.  The sample scenario at n = 512 needs 4.2e6.
-MAX_DENSE_ENTRIES = 2 ** 24
 
 
 class ScenarioError(ValueError):
@@ -177,11 +175,11 @@ def _fields(obj, table: dict[str, Row], path: str) -> dict:
 
 
 def _within_cap(entries: int, source: str, what: str) -> None:
-    """Reject, before it is allocated, a dense complex array above the cap."""
-    if entries > MAX_DENSE_ENTRIES:
-        raise ScenarioError(f"{source}: {what} holds {entries:.3g} complex entries "
-                            f"({entries / 2 ** 26:.3g} GiB), above the cap of "
-                            f"{MAX_DENSE_ENTRIES} ({MAX_DENSE_ENTRIES / 2 ** 26:g} GiB)")
+    """Reject, before it is allocated, an array above ``linalg``'s cap."""
+    try:
+        check_size(what, entries)
+    except SizeCapError as exc:
+        raise ScenarioError(f"{source}: {exc}") from exc
 
 
 def symbol_from_literal(payload, field_name: str = "symbol") -> LaurentSymbol:
@@ -394,27 +392,6 @@ def _target_subspace(sc: Scenario, n: int, operator) -> SubspaceBasis:
     return kernel_subspace(op, w) if kind == "kernel" else range_window_basis(op, w)
 
 
-def _check_run_size(sc: Scenario, source: str) -> None:
-    """Cap the largest dense complex matrix a run of sc builds.
-
-    Without invariance, kernel_rep or range_rep no subspace is built, and
-    the largest is the mixed operator at n.  Otherwise the bilateral
-    ambient has 2n + 1 degrees per fiber, and a mixed operator requested
-    at the ``operator_truncation`` of a window stays within
-    max(n, window) + max |k| + 1 degrees (the 1 for Psi, Phi from U).
-    The nehari candidates are capped with the check's requirements, at
-    parse time: their completed stack does not depend on n.
-    """
-    spec, n = sc.spec, sc.n_list[-1]
-    degrees, dpf = n + 1, spec.dim_e + spec.dim_f
-    if {"invariance", "kernel_rep", "range_rep"} & set(sc.checks):
-        reach = 1 + max(max(-sym.kmin, sym.kmax) for sym in
-                        (spec.u, spec.omega, spec.psi, spec.phi, spec.theta) if sym is not None)
-        degrees = 2 * (max(n, sc.window or 0) + reach) + 1
-    _within_cap((degrees * dpf) ** 2, source, f"at n = {n} the largest dense matrix, "
-                f"{degrees} degrees of dimE + dimF = {dpf} fibers,")
-
-
 def _record_from_report(sc: Scenario, check: str, n: int, rep: VerificationReport) -> Record:
     residual = max((c.residual for c in rep.checks), default=0.0)
     window = next((c.window for c in rep.checks if c.window is not None), None)
@@ -517,7 +494,8 @@ def run(scenario: Scenario) -> Report:
     first use, keyed by kind ("range", "kernel") and truncation: operator
     checks read it at n, representation checks and targets at the
     ``operator_truncation`` of their window, nehari at every n.  A build
-    that raises is not kept, so each check records its own error.
+    that raises is not kept, so each check records its own error; an array
+    above the size cap stops the run with a ScenarioError naming n.
     twocond, splitting and nehari run at the last n only.  Records are
     emitted check-major.  Operators and targets are not kept across calls;
     the mixed symbols are, in ``scenario.spec.mixed``.
@@ -535,13 +513,21 @@ def run(scenario: Scenario) -> Report:
             except (ValueError, KeyError) as exc:
                 records[check].append(Record(scenario.name, check, n, float("inf"), False,
                                              detail=f"error: {exc}"))
+            except SizeCapError as exc:
+                raise ScenarioError(f"at n = {n} {exc}") from exc
     return Report([r for check in scenario.checks for r in records[check]])
 
 
-def run_batch(scenarios: list[Scenario]) -> Report:
+def run_batch(scenarios: list[Scenario], labels: list[str] | None = None) -> Report:
+    """Run the scenarios in name order; a run that reaches the size cap
+    stops the batch, its error prefixed with the scenario's label."""
     records: list[Record] = []
-    for sc in sorted(scenarios, key=lambda s: s.name):
-        records.extend(run(sc).records)
+    for label, sc in sorted(zip(labels or [""] * len(scenarios), scenarios),
+                            key=lambda pair: pair[1].name):
+        try:
+            records.extend(run(sc).records)
+        except ScenarioError as exc:
+            raise ScenarioError(f"{label}{exc}") from exc
     return Report(records)
 
 
@@ -742,10 +728,8 @@ def main(argv: list[str] | None = None) -> int:
             if args.tol is not None:
                 overrides["tol"] = _option(args.tol, float, "tol", "--tol")
             scenarios = [replace(parse_scenario(path), **overrides) for path in args.paths]
-            for path, sc in zip(args.paths, scenarios):
-                _check_run_size(sc, f"{path}: " + ("option --n" if args.n is not None
-                                                   else "field n_list"))
-            report = run_batch(scenarios)
+            source = "option --n" if args.n is not None else "field n_list"
+            report = run_batch(scenarios, [f"{path}: {source}: " for path in args.paths])
     except ScenarioError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

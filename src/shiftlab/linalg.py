@@ -51,13 +51,21 @@ time.  A list goes back to a dense array only through ``dense_matrix``, or
 ``support_core``, the core on the rows and columns that hold an entry.
 ``sparse_norm`` takes a list's spectral norm by a Lanczos iteration on the
 list itself, with no Gram matrix and no dense copy.
+
+Every array whose size grows with the truncation is sized, where it is
+made, by ``check_size``, which raises ``SizeCapError`` above
+``MAX_DENSE_ENTRIES`` entries.
 """
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 
 RANK_RTOL = 1e-10
+# Largest array, in entries, that a step may allocate: 2**24 complex128
+# entries are 256 MiB.  The sample scenario's largest at n = 512 has 1.6e6.
+MAX_DENSE_ENTRIES = 2 ** 24
 # sparse_norm's Lanczos iteration stops once the residual of its top Ritz
 # pair is at most this many eps times the Ritz value.
 LANCZOS_STOP = 4.0
@@ -70,6 +78,18 @@ class Triplets(NamedTuple):
     rows: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
+
+
+class SizeCapError(Exception):
+    """An array above the cap was asked for; not a ValueError: it stops a run."""
+
+
+def check_size(what: str, *shape: int) -> None:
+    """Raise SizeCapError if the array ``what`` of this shape, in Python ints
+    (whose product does not wrap), has more than MAX_DENSE_ENTRIES entries."""
+    if math.prod(shape) > MAX_DENSE_ENTRIES:
+        raise SizeCapError(f"{what}, {' x '.join(map(str, shape))} entries, is above the cap of "
+                           f"{MAX_DENSE_ENTRIES} ({MAX_DENSE_ENTRIES / 2 ** 26:g} GiB)")
 
 
 def _nonzero_parts(m: np.ndarray) -> np.ndarray:
@@ -143,6 +163,7 @@ def _gather(m: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     its one block is the whole of m, so that a dense m's SVD copies nothing."""
     if rows.shape == (1, m.shape[0]) and cols.shape == (1, m.shape[1]):
         return m[None]
+    check_size("the block stack", *rows.shape, cols.shape[1])
     return m[rows[:, :, None], cols[:, None, :]]
 
 
@@ -183,6 +204,8 @@ def _block_basis(m: np.ndarray, blocks: list[tuple[np.ndarray, np.ndarray]],
     stacks = []  # (rows or columns of m, singular values, vectors [block, j, :])
     for rows, cols in blocks:
         for sel, s in _short_stacks(_gather(m, rows, cols), kernel):
+            if kernel:  # full_matrices: a 1 x d block has d x d of them
+                check_size("the right singular vectors", s.shape[0], s.shape[2], s.shape[2])
             u, sv, vh = np.linalg.svd(s, full_matrices=kernel)
             stacks.append((cols[sel], sv, vh) if kernel
                           else (rows[sel], sv, u.swapaxes(1, 2)))
@@ -247,11 +270,11 @@ def nullspace(m: np.ndarray) -> np.ndarray:
     d = m.shape[1]
     blocks = _blocks(m)
     if not blocks:
+        check_size("the kernel basis", d, d)
         return np.eye(d, dtype=complex)
     basis, rank = _block_basis(m, blocks, kernel=True)
     cols = np.concatenate([c.ravel() for _, c in blocks])
-    out = np.zeros((d, d - rank), dtype=complex)
-    out[basis.rows, basis.cols] = basis.vals
+    out = dense_matrix(basis, (d, d - rank))
     zero_cols = np.delete(np.arange(d), cols)
     out[zero_cols, cols.size - rank:] = np.eye(zero_cols.size)
     return out
@@ -264,9 +287,7 @@ def column_space(m: np.ndarray) -> np.ndarray:
     if not blocks:
         return np.zeros((m.shape[0], 0), dtype=complex)
     basis, rank = _block_basis(m, blocks, kernel=False)
-    out = np.zeros((m.shape[0], rank), dtype=complex)
-    out[basis.rows, basis.cols] = basis.vals
-    return out
+    return dense_matrix(basis, (m.shape[0], rank))
 
 
 def _unit_columns(b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -287,6 +308,7 @@ def _unit_columns(b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b, with each unit column of b taken as a pick of a column of a."""
+    check_size("the product", a.shape[0], b.shape[1])
     picks, at, dense = _unit_columns(b)
     if picks.size == 0:
         return a @ b
@@ -335,6 +357,7 @@ def intersection(b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
     """
     if b2.shape[0] != b1.shape[0]:
         raise ValueError("ambient dimensions differ")
+    check_size("the stack [b1, -b2]", b1.shape[0], b1.shape[1] + b2.shape[1])
     kernel = nullspace(np.hstack([b1, -b2]))
     return np.sqrt(2) * (b1 @ kernel[:b1.shape[1]])
 
@@ -382,6 +405,7 @@ def row_major(t: Triplets) -> Triplets:
 def dense_matrix(t: Triplets, shape: tuple[int, int]) -> np.ndarray:
     """The matrix of the given shape that holds the entries t lists, each
     position at most once, and zeros elsewhere."""
+    check_size("the dense matrix", *shape)
     m = np.zeros(shape, dtype=t.vals.dtype)
     m[t.rows, t.cols] = t.vals
     return m
@@ -415,6 +439,7 @@ def sparse_product(a: Triplets, b: Triplets, limit: int) -> Triplets | None:
     terms = int(count.sum())
     if terms > limit:
         return None
+    check_size("the terms of a sparse product", terms)
     left = np.repeat(np.arange(a.rows.size), count)
     # term t of entry e of a takes entry start[e] + (t - first term of e) of b
     right = order[np.repeat(start + count - np.cumsum(count), count) + np.arange(terms)]
@@ -509,6 +534,7 @@ def sparse_norm(t: Triplets) -> float:
 
     golden = np.arange(d) * ((np.sqrt(5.0) - 1.0) / 2.0) % 1.0
     start = (2.0 - golden) * np.exp(2j * np.pi * golden)
+    check_size("the Lanczos basis", min(d, 8), d)
     basis = np.empty((min(d, 8), d), dtype=complex)
     basis[0] = start / np.linalg.norm(start)
     alphas, betas, check = [], [], 1
@@ -525,6 +551,7 @@ def sparse_norm(t: Triplets) -> float:
             if exhausted or beta * abs(s[-1, -1]) <= LANCZOS_STOP * np.finfo(float).eps * theta[-1]:
                 break
         if k == basis.shape[0]:
+            check_size("the Lanczos basis", k + min(k, d - k), d)
             basis = np.vstack([basis, np.empty((min(k, d - k), d), dtype=complex)])
         betas.append(beta)
         basis[k] = w / beta

@@ -17,6 +17,7 @@ import numpy as np
 
 from .linalg import (
     Triplets,
+    check_size,
     dense_matrix,
     row_major,
     singular_values,
@@ -200,12 +201,16 @@ def multiplication_entries(sym: LaurentSymbol, in_lo: int, in_hi: int,
     Hankel truncations and the bilateral generators all come from these
     entries.  An entry == 0 (-0.0 too) is left out, as m != 0 leaves it
     out; the list runs coefficient by coefficient, each a row-major run.
+    Its length is checked against the size cap before any index is made.
     """
     r, c = sym.rows, sym.cols
+    spans = [(k, blk, *np.nonzero(blk), max(in_lo, out_lo - k), min(in_hi, out_hi - k))
+             for k, blk in enumerate(sym.coeffs, sym.kmin)]
+    check_size(f"the entry list of a {r}x{c} symbol on input degrees {in_lo}..{in_hi}",
+               sum(a.size * max(0, hi - lo + 1) for _, _, a, _, lo, hi in spans))
     rows, cols, vals = [], [], []
-    for k, blk in enumerate(sym.coeffs, sym.kmin):
-        a, b = np.nonzero(blk)
-        i = np.arange(max(in_lo, out_lo - k), min(in_hi, out_hi - k) + 1)[:, None]
+    for k, blk, a, b, lo, hi in spans:
+        i = np.arange(lo, hi + 1)[:, None]
         rows.append(((i + k - out_lo) * r + a).ravel())
         cols.append(((i - in_lo) * c + b).ravel())
         vals.append(np.tile(blk[a, b], i.size))
@@ -276,6 +281,7 @@ def _block_operator(n: int, rows: tuple[int, ...], cols: tuple[int, ...],
     Hardy windows of the fibers cols to those of the fibers rows, its entries
     sorted once, with one window, the minimum over the blocks."""
     dom, cod = (ProductSpace.of(*(TruncatedSpace.hardy(d, n) for d in f)) for f in (cols, rows))
+    check_size("a block operator's entry list", sum(t.rows.size for r in blocks for t, _ in r))
     parts = [Triplets(t.rows + cod.offsets()[i], t.cols + dom.offsets()[j], t.vals)
              for i, row in enumerate(blocks) for j, (t, _) in enumerate(row)]
     entries = row_major(Triplets(*map(np.concatenate, zip(*parts))))

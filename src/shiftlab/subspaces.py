@@ -19,6 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import (
+    Triplets,
     column_space,
     dense_matrix,
     image_within,
@@ -295,14 +296,25 @@ def bilateral_subspace(spec: InvariantSubspaceSpec, n: int) -> SubspaceBasis:
     orthonormalized.
     """
     amb = bilateral_ambient(spec.dim_e, spec.dim_f, n)
-    gens = [np.zeros((amb.dim, 0), dtype=complex)]
-    if spec.u is not None:
-        gens.append(_generators(spec.u, spec.dim_e, 0, n - spec.u.kmax, n))
     omega = spec.omega_full()
-    if omega is not None:
-        gens.append(_generators(omega, spec.dim_e, -n - omega.kmin, n - omega.kmax, n))
-    stacked = np.hstack(gens)
-    columns = block_symbol([[s for s in (spec.u, omega) if s is not None]])
+    gens = ([(spec.u, 0)] if spec.u is not None else []) \
+        + ([(omega, -n - omega.kmin)] if omega is not None else [])
+    parts, width = [], 0  # the entries of sym z^k e for k in [k_lo, n - sym.kmax]
+    for sym, k_lo in gens:
+        if n < max(abs(sym.kmin), abs(sym.kmax)):
+            raise ValueError(f"symbol band [{sym.kmin}, {sym.kmax}] exceeds truncation {n}")
+        s_e, s_f = split_fiber_rows(sym, spec.dim_e)
+        if not s_f.is_zero() and k_lo + s_f.kmin < 0:
+            raise ValueError(
+                "second-fiber generator content at negative degree "
+                f"{k_lo + s_f.kmin}: the symbol violates analyticity")
+        # first-fiber rows at degrees [-n, n] over second-fiber rows at [0, n]
+        for s, lo, first_row in ((s_e, -n, 0), (s_f, 0, (2 * n + 1) * spec.dim_e)):
+            t = multiplication_entries(s, k_lo, n - sym.kmax, lo, n)
+            parts.append(Triplets(t.rows + first_row, t.cols + width, t.vals))
+        width += (n - sym.kmax - k_lo + 1) * sym.cols
+    stacked = dense_matrix(Triplets(*map(np.concatenate, zip(*parts))), (amb.dim, width))
+    columns = block_symbol([[sym for sym, _ in gens]])
     basis = stacked
     if classify_isometry(columns).kind not in (IsometryKind.ISOMETRY, IsometryKind.UNITARY):
         basis = column_space(stacked)
@@ -311,31 +323,6 @@ def bilateral_subspace(spec: InvariantSubspaceSpec, n: int) -> SubspaceBasis:
                 f"generators are numerically dependent: {stacked.shape[1]} columns "
                 f"span only {basis.shape[1]} directions")
     return SubspaceBasis(amb, basis, window=default_window(spec, n))
-
-
-def _generators(sym: LaurentSymbol, dim_e: int, k_lo: int, k_hi: int,
-                n: int) -> np.ndarray:
-    """Columns sym z^k e for k in [k_lo, k_hi] in the bilateral ambient:
-    first-fiber rows at degrees [-n, n] over second-fiber rows at [0, n]."""
-    if n < max(abs(sym.kmin), abs(sym.kmax)):
-        raise ValueError(f"symbol band [{sym.kmin}, {sym.kmax}] exceeds truncation {n}")
-    s_e, s_f = split_fiber_rows(sym, dim_e)
-    if not s_f.is_zero() and k_lo + s_f.kmin < 0:
-        raise ValueError(
-            "second-fiber generator content at negative degree "
-            f"{k_lo + s_f.kmin}: the symbol violates analyticity")
-    width = (k_hi - k_lo + 1) * sym.cols
-    return np.vstack([dense_matrix(multiplication_entries(s, k_lo, k_hi, lo, n),
-                                   ((n - lo + 1) * s.rows, width))
-                      for s, lo in ((s_e, -n), (s_f, 0))])
-
-
-def _flip_permutation(amb: ProductSpace) -> np.ndarray:
-    """Index permutation of the coefficient flip k -> -k on the first part."""
-    e_part = amb.parts[0]
-    perm = np.arange(amb.dim)
-    perm[:e_part.dim] = perm[:e_part.dim].reshape(-1, e_part.fiber_dim)[::-1].ravel()
-    return perm
 
 
 def mixed_from_bilateral(n3: SubspaceBasis, window: int | None = None) -> SubspaceBasis:
@@ -347,23 +334,19 @@ def mixed_from_bilateral(n3: SubspaceBasis, window: int | None = None) -> Subspa
     shrunk below the symbol bands this reproduces exactly the elements of
     the untruncated invariant subspace with degree at most the window.
     """
-    amb = n3.ambient
+    e_part, f_part = n3.ambient.parts
     w = n3.window if window is None else window
     if w is None:
         raise ValueError("no comparison window available; pass window explicitly")
     if w < 0:
         raise ValueError("window is empty; increase the truncation")
-    if w > amb.parts[0].deg_hi:
-        raise ValueError(
-            f"window {w} exceeds the ambient truncation {amb.parts[0].deg_hi}")
-    dim_e = amb.parts[0].fiber_dim
-    dim_f = amb.parts[1].fiber_dim
-    perm = _flip_permutation(amb)
-    flipped = n3.basis[perm, :]
-    target = analytic_ambient(dim_e, dim_f, w)
-    keep = amb.degree_indices(0, w)
-    constraints = flipped.conj().T[:, keep]
-    kernel = nullspace(constraints)
+    if w > e_part.deg_hi:
+        raise ValueError(f"window {w} exceeds the ambient truncation {e_part.deg_hi}")
+    target = analytic_ambient(e_part.fiber_dim, f_part.fiber_dim, w)
+    # the rows of the window degrees after the flip k -> -k of the first part
+    flipped = e_part.degree_indices(-w, 0).reshape(-1, e_part.fiber_dim)[::-1].ravel()
+    rows = np.concatenate([flipped, e_part.dim + f_part.degree_indices(0, w)])
+    kernel = nullspace(n3.basis[rows].conj().T)
     return SubspaceBasis(target, kernel, window=w)
 
 
@@ -481,12 +464,12 @@ def kernel_representation_check(n_basis: SubspaceBasis, theta: LaurentSymbol | N
     come from general bounded symbols.
     """
     amb = n_basis.ambient
-    dim_e, dim_f = amb.parts[0].fiber_dim, amb.parts[1].fiber_dim
+    dim_f = amb.parts[1].fiber_dim
     w = amb.parts[0].deg_hi
     checks = []
     candidate = kernel_subspace(op, w)
     if theta is not None:
-        constraint = _first_part_constraint_basis(theta, dim_e, dim_f, w)
+        constraint = _first_part_constraint_basis(theta, dim_f, w)
         joint = intersection(candidate.basis, constraint)
         candidate = SubspaceBasis(candidate.ambient, joint, window=w)
         checks.append(_theta_check(theta, tol))
@@ -495,17 +478,15 @@ def kernel_representation_check(n_basis: SubspaceBasis, theta: LaurentSymbol | N
     return VerificationReport(tuple(checks))
 
 
-def _first_part_constraint_basis(theta: LaurentSymbol, dim_e: int, dim_f: int,
-                                 w: int) -> np.ndarray:
+def _first_part_constraint_basis(theta: LaurentSymbol, dim_f: int, w: int) -> np.ndarray:
     """Basis of (theta multiples or zero) (+) (everything) in the window ambient."""
-    amb = analytic_ambient(dim_e, dim_f, w)
-    e_dim = amb.parts[0].dim
-    f_dim = amb.parts[1].dim
     e_basis = inner_multiples_window_basis(theta, w)
-    top = np.vstack([e_basis, np.zeros((f_dim, e_basis.shape[1]), dtype=complex)])
-    bottom = np.vstack([np.zeros((e_dim, f_dim), dtype=complex),
-                        np.eye(f_dim, dtype=complex)])
-    return np.hstack([top, bottom])
+    e_dim, k = e_basis.shape
+    f = np.arange((w + 1) * dim_f)  # the second part's coordinates, degrees 0..w
+    basis = dense_matrix(Triplets(e_dim + f, k + f, np.ones(f.size, complex)),
+                         (e_dim + f.size, k + f.size))
+    basis[:e_dim, :k] = e_basis
+    return basis
 
 
 def range_representation_check(n_basis: SubspaceBasis, phi: LaurentSymbol,

@@ -1,16 +1,27 @@
 """Scenario parsing, batch running, demos, and exit-code contract."""
 
+import io
 import json
 import re
 import time
+import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import CORPUS, coeff_distance, haar_unitary, library_specs, scaled
-from shiftlab import cli, operators, subspaces
+from conftest import (
+    CORPUS,
+    REPO,
+    coeff_distance,
+    corpus_inputs,
+    haar_unitary,
+    library_specs,
+    scaled,
+)
+from shiftlab import cli, linalg, operators, subspaces
 from shiftlab.cli import (
     DEMOS,
     ScenarioError,
@@ -659,19 +670,20 @@ class TestMainEntry:
         assert main(["verify", write_scenario(tmp_path, payload)]) == 2
         assert f"field spec.{field} must be" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("k, checks, named", [
+    @pytest.mark.parametrize("k, checks, code, named", [
         # a single coefficient at degree 10**12 used to hang the causality check
-        (10 ** 12, ["twocond"], "field spec.U: the stack of degrees 0..1000000000000"),
-        # within the literal cap, but Psi derived from it spans degrees 0..4e6
-        (4_000_000, ["kernel_rep"], "field n_list: at n = 4 the largest dense matrix"),
+        (10 ** 12, ["twocond"], 2, "field spec.U: the stack of degrees 0..1000000000000"),
+        # within the literal cap, but Psi derived from it spans degrees 0..4e6:
+        # the truncation is below the band, an error record and no array
+        (4_000_000, ["kernel_rep"], 1, "exceeds truncation 4]"),
     ], ids=["twocond", "derived-psi"])
-    def test_far_coefficient_finishes_in_seconds(self, tmp_path, capsys, k, checks, named):
+    def test_far_coefficient_finishes_in_seconds(self, tmp_path, capsys, k, checks, code, named):
         payload = dict(minimal_payload(), checks=checks, n_list=[4])
         payload["spec"]["U"]["coeffs"][0]["k"] = k
         start = time.perf_counter()
-        assert main(["verify", write_scenario(tmp_path, payload)]) == 2
+        assert main(["verify", write_scenario(tmp_path, payload)]) == code
         assert time.perf_counter() - start < 5.0
-        assert named in capsys.readouterr().err
+        assert named in "".join(capsys.readouterr())
 
     def test_twocond_cost_follows_nonzero_coefficients(self, tmp_path, capsys):
         # two coefficients 1000 degrees apart: the symbol products and the
@@ -688,14 +700,18 @@ class TestMainEntry:
     @pytest.mark.parametrize("payload, argv, named", [
         (minimal_payload(), ["--n", "1000000000"], "option --n: at n = 1000000000 "),
         (dict(minimal_payload(), n_list=[10 ** 9]), [], "field n_list: at n = 1000000000 "),
+        # the window deepens the kernel operator to 2**52 degrees from the first n
         (dict(representation_payload("kernel_rep", ["invariance"]), window=2 ** 52), [],
-         "field n_list: at n = 16 the largest dense matrix, 9007199254740997 degrees"),
+         "field n_list: at n = 8 the entry list of a 1x1 symbol on input degrees "
+         "0..4503599627370497"),
     ], ids=["option", "field", "deepened-window"])
     def test_oversized_run_exit_two(self, tmp_path, capsys, payload, argv, named):
         # each run would ask numpy for more bytes than it can index
-        assert main(["verify", write_scenario(tmp_path, payload), *argv]) == 2
-        err = capsys.readouterr().err
-        assert named in err and "above the cap" in err
+        path = write_scenario(tmp_path, payload)
+        assert main(["verify", path, *argv]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith(f"input error: {path}: {named}") and "above the cap" in err
+        assert out == "" and "Traceback" not in err
 
     def test_nehari_candidate_completion_is_capped(self, tmp_path, capsys):
         # L1 alone is 5e6 + 1 entries, within the literal cap; completed
@@ -709,10 +725,11 @@ class TestMainEntry:
         assert "field nehari_candidates[1]: the completed stack" in err
         assert "degrees 0..5000000 at 2x2" in err and "above the cap" in err
 
-    @pytest.mark.parametrize("n, code", [(1024, 0), (4096, 2)])
+    @pytest.mark.parametrize("n, code", [(1024, 0), (4096, 0), (2 ** 23, 2)])
     def test_operator_only_run_is_sized_by_the_mixed_operator(self, tmp_path, capsys, n, code):
-        # partial_isometry and intertwining build no subspace, only the mixed
-        # operators: (n + 1)(dimE + dimF) = 3075 rows at n = 1024, within the cap
+        # partial_isometry and intertwining build no subspace and no dense
+        # operator, only the mixed operators' entry lists, O(n) long: at
+        # n = 2**23 the first list is refused before any O(n) array exists
         rng = np.random.default_rng(1)
         u = cli.replicated_u(1, 2)
         d = np.zeros((3, 3), dtype=complex)
@@ -723,9 +740,15 @@ class TestMainEntry:
                    "spec": {"variant": "type_i", "dimE": 1, "dimF": 2,
                             "U": symbol_to_literal(rotated)},
                    "checks": ["partial_isometry", "intertwining"], "n_list": [8]}
-        assert main(["verify", write_scenario(tmp_path, payload), "--n", str(n)]) == code
+        tracemalloc.start()
+        try:
+            assert main(["verify", write_scenario(tmp_path, payload), "--n", str(n)]) == code
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         out, err = capsys.readouterr()
-        assert ("above the cap" in err) if code else ("overall PASS" in out)
+        assert ("entry list" in err and "above the cap" in err and peak < n) if code \
+            else ("overall PASS" in out)
 
     def test_size_cap_admits_the_shipped_runs(self):
         sample = parse_scenario(str(SAMPLE))
@@ -734,7 +757,19 @@ class TestMainEntry:
             cli.Scenario("operators-wide", cli.replicated_spec(1, 2),
                          ("partial_isometry", "intertwining", "nehari"), (64, 128, 256))]
         for sc in runs:
-            cli._check_run_size(sc, sc.name)
+            assert run(sc).exit_status == 0
+
+    def test_cap_hit_in_a_batch_prints_no_report(self, tmp_path, capsys):
+        # the first file runs and passes, the second reaches the cap: no
+        # report of either is printed, and the error names the second file
+        first = write_scenario(tmp_path, dict(minimal_payload(), name="a"), "first.json")
+        second = write_scenario(tmp_path, dict(minimal_payload(), name="b", n_list=[10 ** 8]),
+                                "second.json")
+        assert main(["verify", first, second]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"input error: {second}: field n_list: at n = 100000000 ")
+        assert "above the cap" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("text", ["[" * 100000 + "]" * 100000, "1" * 5000],
                              ids=["deep-nesting", "long-integer"])
@@ -761,6 +796,69 @@ class TestMainEntry:
 
     def test_unknown_demo_exit_two(self, capsys):
         assert main(["demo", "nope"]) == 2
+
+
+class TestSizeCapBoundsMemory:
+    """With the cap lowered to CAP entries, every corpus input, at its own
+    sweep and at sixteen times its last n, passes or exits 2 naming the cap,
+    and its tracemalloc peak stays at most K * CAP * 16 bytes.
+
+    K is the largest measured multiple, 6.03, rounded up: the largest array
+    the cap admits is not the only one live.  On the dense path the
+    generator matrix and the products cut from it are, 3.7 times the
+    largest array on the sample scenario at n = 512 and at n = 1,024.  On
+    the sparse path an entry takes 32 bytes, and assembling a block
+    operator holds its blocks, their offset copies, the concatenation, the
+    sort keys and order and the sorted list at once: the operators-wide
+    inputs at n = 4,096 reach 6.03 when a sparse product stops them."""
+
+    CAP = 2 ** 16
+    K = 7
+
+    def peak_of(self, monkeypatch, call):
+        """call()'s result, stdout, stderr and tracemalloc peak, under CAP."""
+        monkeypatch.setattr(linalg, "MAX_DENSE_ENTRIES", self.CAP)
+        monkeypatch.chdir(REPO)
+        out, err = io.StringIO(), io.StringIO()
+        tracemalloc.start()
+        try:
+            with redirect_stdout(out), redirect_stderr(err):
+                result = call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= self.K * self.CAP * 16
+        return result, out.getvalue(), err.getvalue()
+
+    @pytest.mark.parametrize("key", list(corpus_inputs()))
+    def test_verify_passes_or_names_the_cap(self, monkeypatch, key):
+        argv = corpus_inputs()[key]
+        runs = [argv]
+        if argv[0] == "verify":
+            last = parse_scenario(str(REPO / argv[1])).n_list[-1]
+            runs.append([*argv, "--n", str(16 * last)])
+        for args in runs:
+            code, out, err = self.peak_of(monkeypatch, lambda: main(args))
+            assert (code, err) == (0, "") or (code == 2 and out == "" and "above the cap" in err)
+
+    @pytest.mark.parametrize("name", sorted(DEMOS))
+    def test_demo_at_a_larger_n_passes_or_names_the_cap(self, monkeypatch, name):
+        def status(sc):
+            try:
+                return run(replace(sc, n_list=(16 * sc.n_list[-1],))).exit_status
+            except ScenarioError as exc:
+                return str(exc)
+
+        for sc in DEMOS[name]():
+            result = self.peak_of(monkeypatch, lambda: status(sc))[0]
+            assert result == 0 or "above the cap" in result
+
+    def test_lanczos_basis_growth_reaches_the_cap(self, monkeypatch):
+        # the nehari lower bound at n = 256 keeps 256 Lanczos vectors of length 260
+        argv = ["verify", "tests/corpus/branches/cyclic-hankel-nehari.json", "--n", "256"]
+        code, out, err = self.peak_of(monkeypatch, lambda: main(argv))
+        assert code == 2 and out == ""
+        assert "at n = 256 the Lanczos basis, 256 x 260 entries, is above the cap" in err
 
 
 class TestRepresentationVariants:

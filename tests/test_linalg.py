@@ -1,5 +1,6 @@
 """Shared linear-algebra helpers."""
 
+import re
 import sys
 from typing import NamedTuple
 
@@ -16,7 +17,7 @@ from conftest import (
     ref_penrose_norm,
     signed_zero_matrix,
 )
-from shiftlab import cli, linalg
+from shiftlab import cli, linalg, operators
 from shiftlab.linalg import (
     RANK_RTOL,
     Triplets,
@@ -905,3 +906,55 @@ class TestUnitColumnProducts:
             b2 = np.linalg.qr(b1 + 10.0 ** log_eps * noise)[0]
         assert abs(principal_angle_distance(b1, b2)
                    - principal_angle_distance(b2, b1)) <= 1e-14
+
+
+def _block_diagonal(count: int, size: int) -> np.ndarray:
+    m = np.zeros((count * size, count * size), dtype=complex)
+    for i in range(count):
+        at = slice(i * size, (i + 1) * size)
+        m[at, at] = 1 + np.arange(size * size).reshape(size, size) ** 2
+    return m
+
+
+def _dense_triplets(rows: int, cols: int) -> Triplets:
+    i, j = np.divmod(np.arange(rows * cols), cols)
+    return Triplets(i, j, np.ones(rows * cols, dtype=complex))
+
+
+class TestSizeCap:
+    """Every allocation that grows with the truncation is checked against
+    MAX_DENSE_ENTRIES before it is made: with the cap lowered, each one
+    refuses an array just above it, naming the array and its shape."""
+
+    @pytest.mark.parametrize("cap, call, named", [
+        (50, lambda: linalg.dense_matrix(_dense_triplets(1, 1), (10, 10)),
+         "the dense matrix, 10 x 10 entries"),
+        (40, lambda: singular_values(_block_diagonal(3, 4)), "the block stack, 3 x 4 x 4 entries"),
+        (50, lambda: nullspace(np.ones((1, 10), dtype=complex)),
+         "the right singular vectors, 1 x 10 x 10 entries"),
+        (50, lambda: nullspace(np.zeros((3, 10), dtype=complex)),
+         "the kernel basis, 10 x 10 entries"),
+        (50, lambda: column_space(np.eye(10, dtype=complex)), "the dense matrix, 10 x 10 entries"),
+        (50, lambda: times(np.ones((10, 2)), np.ones((2, 10))), "the product, 10 x 10 entries"),
+        (50, lambda: linalg.intersection(np.eye(10, 4), np.eye(10, 4)),
+         "the stack [b1, -b2], 10 x 8 entries"),
+        (50, lambda: sparse_product(_dense_triplets(8, 8), _dense_triplets(8, 8), 10 ** 6),
+         "the terms of a sparse product, 512 entries"),
+        (50, lambda: sparse_norm(_dense_triplets(10, 10)), "the Lanczos basis, 8 x 10 entries"),
+        (50, lambda: operators.multiplication_entries(make_symbol(1, 1, {0: [[1.0]]}),
+                                                      0, 99, 0, 99),
+         "the entry list of a 1x1 symbol on input degrees 0..99, 100 entries"),
+        # each block of [[1, 1], [zbar, zbar]] has at most 11 entries at n = 10, together 24
+        (20, lambda: operators.build_range_operator(
+            make_symbol(2, 2, {0: [[1, 1], [0, 0]], -1: [[0, 0], [1, 1]]}), 1, 10),
+         "a block operator's entry list, 24 entries"),
+    ], ids=["dense_matrix", "gather", "svd-vectors", "zero-kernel", "column-space", "times",
+            "intersection", "sparse-product", "lanczos-basis", "entry-list", "block-operator"])
+    def test_each_growing_allocation_is_checked(self, monkeypatch, cap, call, named):
+        monkeypatch.setattr(linalg, "MAX_DENSE_ENTRIES", cap)
+        with pytest.raises(linalg.SizeCapError, match=re.escape(f"{named}, is above the cap of")):
+            call()
+
+    def test_the_cap_error_is_no_value_or_key_error(self):
+        # cli.run records a ValueError or KeyError as a failed check
+        assert not issubclass(linalg.SizeCapError, (ValueError, KeyError))
