@@ -200,12 +200,13 @@ def multiplication_entries(sym: LaurentSymbol, in_lo: int, in_hi: int,
     Degree block (j, i) is the coefficient of z**(j-i).  Toeplitz and
     Hankel truncations and the bilateral generators all come from these
     entries.  An entry == 0 (-0.0 too) is left out, as m != 0 leaves it
-    out; the list runs coefficient by coefficient, each a row-major run.
-    Its length is checked against the size cap before any index is made.
+    out; the list runs over the nonzero coefficients, each a row-major
+    run, and is checked against the size cap before any index is made.
     """
     r, c = sym.rows, sym.cols
+    blocks = [(sym.kmin + i, sym.coeffs[i]) for i in sym.terms or [0]]  # [0]: one empty run
     spans = [(k, blk, *np.nonzero(blk), max(in_lo, out_lo - k), min(in_hi, out_hi - k))
-             for k, blk in enumerate(sym.coeffs, sym.kmin)]
+             for k, blk in blocks]
     check_size(f"the entry list of a {r}x{c} symbol on input degrees {in_lo}..{in_hi}",
                sum(a.size * max(0, hi - lo + 1) for _, _, a, _, lo, hi in spans))
     rows, cols, vals = [], [], []

@@ -805,12 +805,13 @@ class TestSizeCapBoundsMemory:
 
     K is the largest measured multiple, 6.03, rounded up: the largest array
     the cap admits is not the only one live.  On the dense path the
-    generator matrix and the products cut from it are, 3.7 times the
-    largest array on the sample scenario at n = 512 and at n = 1,024.  On
-    the sparse path an entry takes 32 bytes, and assembling a block
-    operator holds its blocks, their offset copies, the concatenation, the
-    sort keys and order and the sorted list at once: the operators-wide
-    inputs at n = 4,096 reach 6.03 when a sparse product stops them."""
+    generator matrix lives on beside the constraint and the kernel cut from
+    it, 3.0 times the largest array on the sample scenario at n = 512 and
+    at n = 1,024.  On the sparse path an entry takes 32 bytes, and
+    assembling a block operator holds its blocks, their offset copies, the
+    concatenation, the sort keys and order and the sorted list at once: the
+    operators-wide inputs at n = 4,096 reach 6.03 when a sparse product
+    stops them."""
 
     CAP = 2 ** 16
     K = 7
