@@ -1,6 +1,8 @@
 """Dense complex linear-algebra helpers shared across the package.
 
-Every SVD of the package happens here.  The truncated operators pair
+Every SVD of the package happens here, but for the stacked values-only
+SVDs of the circle samples of ``symbols.circle_values``, which
+``rank_profile`` and ``nehari_bounds`` take.  The truncated operators pair
 banded Toeplitz blocks with finite-rank Hankel blocks, so most of their
 rows or columns are entirely zero, and what is left often falls apart
 further.  Take the rows and the columns of m that hold a nonzero entry as
@@ -249,12 +251,6 @@ def spectral_norm(m: np.ndarray) -> float:
     (residuals built from index shifts are often exact)."""
     sv = singular_values(m)
     return float(sv[0]) if sv.size else 0.0
-
-
-def spectral_norms(stack: np.ndarray) -> np.ndarray:
-    """Largest singular value of each matrix of a stack of nonempty
-    matrices, by one values-only SVD of the whole stack."""
-    return np.linalg.svd(stack, compute_uv=False)[:, 0]
 
 
 def numerical_rank(sv: np.ndarray) -> int:

@@ -26,14 +26,13 @@ from .linalg import (
     sparse_norm,
     sparse_product,
     spectral_norm,
-    spectral_norms,
     support_core,
 )
 from .symbols import (
     LaurentSymbol,
     block_symbol,
+    circle_values,
     split_square_blocks,
-    unit_circle_points,
     zero_symbol,
 )
 
@@ -480,8 +479,9 @@ def nehari_bounds(phi: LaurentSymbol, dim_e: int,
 
     For each analytic candidate pair (L1, L2), the sampled sup-norm of
     phi - [0, 0; L1, L2] over the circle, since subtracting analytic
-    symbols from the Hankel row does not change the operator.  The sample
-    count follows the widest block band, not the band of the whole symbol.
+    symbols from the Hankel row does not change the operator: the largest
+    singular value over the chunks of ``circle_values``.  The sample count
+    follows the widest block band, not the band of the whole symbol.
     """
     upper = []
     dim_f = phi.rows - dim_e
@@ -493,24 +493,7 @@ def nehari_bounds(phi: LaurentSymbol, dim_e: int,
         completed = phi - block_symbol([[zero_symbol(dim_e, dim_e), zero_symbol(dim_e, dim_f)],
                                         [l1, l2]])
         band = max(s.bandwidth for s in split_square_blocks(completed, dim_e))
-        upper.append(_sampled_sup(completed, 4 * band + 1))
+        upper.append(max(float(np.linalg.svd(values, compute_uv=False)[:, 0].max())
+                         for values in circle_values(completed, 4 * band + 1)))
     return upper
 
-
-def _sampled_sup(sym: LaurentSymbol, count: int) -> float:
-    """The largest norm of sym at the count-th roots of unity z_j, all
-    evaluated at once over its nonzero terms.  z_j**k is taken as the root
-    of index k j mod count, so a large k loses no accuracy.  The points go
-    in chunks whose index and value arrays hold at most a quarter of the
-    entries of sym's coefficient stack, which the parse-time cap bounds."""
-    roots = unit_circle_points(count)
-    terms = np.array(sym.terms, dtype=int)
-    powers = sym.kmin + terms
-    coeffs = sym.coeffs[terms].reshape(terms.size, -1)
-    step = max(1, sym.coeffs.size // (4 * max(terms.size, coeffs.shape[1])))
-    sup = 0.0
-    for lo in range(0, count, step):
-        at = np.arange(lo, min(lo + step, count))
-        values = roots[np.outer(at, powers) % count] @ coeffs
-        sup = max(sup, float(spectral_norms(values.reshape(-1, sym.rows, sym.cols)).max()))
-    return sup

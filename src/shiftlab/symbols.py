@@ -4,16 +4,18 @@ A symbol is a finite sum ``S(z) = sum_k S_k z**k`` with complex matrix
 coefficients, understood as a function on the unit circle.  Products,
 adjoints and isometry classification all work at the coefficient level,
 so algebraic identities are exact (no circle sampling involved); only
-rank profiles sample the circle.
+``circle_values``, which rank profiles and the Nehari upper bounds read,
+samples the circle.
 """
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
 import numpy as np
 
-from .linalg import numerical_rank, singular_values
+from .linalg import numerical_rank
 
 CLASSIFY_TOL = 1e-10
 
@@ -52,7 +54,7 @@ class LaurentSymbol:
     @cached_property
     def terms(self) -> list[int]:
         """Stack positions of the nonzero coefficients, found once per symbol
-        for the loops of ``eval_at``, ``symbol_mul`` and ``_left_gram``."""
+        for ``circle_values`` and the loops of ``symbol_mul`` and ``_left_gram``."""
         return _nonzero_terms(self.coeffs)
 
     @property
@@ -80,13 +82,6 @@ class LaurentSymbol:
         if cut <= 0:
             return 0.0
         return float(np.max(np.abs(self.coeffs[:cut])))
-
-    def eval_at(self, z: complex) -> np.ndarray:
-        """Evaluate sum_k S_k z**k; intended for unit-modulus z."""
-        acc = np.zeros((self.rows, self.cols), dtype=complex)
-        for i in self.terms:
-            acc += self.coeffs[i] * z ** (self.kmin + i)
-        return acc
 
     def adjoint(self) -> "LaurentSymbol":
         """Pointwise adjoint on the circle: coefficient k becomes coeff(-k)^H."""
@@ -253,6 +248,23 @@ def unit_circle_points(num_samples: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(num_samples) / num_samples)
 
 
+def circle_values(sym: LaurentSymbol, count: int) -> Iterator[np.ndarray]:
+    """The values of sym at the count-th roots of unity z_j, in order of j,
+    as (chunk, rows, cols) stacks, each evaluated at once over sym's nonzero
+    terms.  z_j**k is taken as the root of index k j mod count, so a large k
+    loses no accuracy.  A chunk's index and value arrays hold at most a
+    quarter of the entries of sym's coefficient stack, which the parse-time
+    cap bounds."""
+    roots = unit_circle_points(count)
+    terms = np.array(sym.terms, dtype=int)
+    powers = sym.kmin + terms
+    coeffs = sym.coeffs[terms].reshape(terms.size, sym.rows * sym.cols)
+    step = max(1, sym.coeffs.size // (4 * max(terms.size, coeffs.shape[1])))
+    for lo in range(0, count, step):
+        at = np.arange(lo, min(lo + step, count))
+        yield (roots[np.outer(at, powers) % count] @ coeffs).reshape(-1, sym.rows, sym.cols)
+
+
 @dataclass(frozen=True)
 class IsometryClass:
     kind: IsometryKind
@@ -317,13 +329,15 @@ def accepts_partial_isometry(cls: IsometryClass) -> bool:
 
 
 def rank_profile(s: LaurentSymbol, num_samples: int) -> list[int]:
-    """Numerical rank of S at equally spaced circle points."""
+    """Numerical rank of S at the num_samples-th roots of unity: one
+    values-only SVD per chunk of ``circle_values``, one ``numerical_rank``
+    per point."""
     if num_samples < 2 * s.bandwidth + 1:
         raise ValueError(
             f"num_samples = {num_samples} undersamples a bandwidth-{s.bandwidth} symbol"
         )
-    return [numerical_rank(singular_values(s.eval_at(z)))
-            for z in unit_circle_points(num_samples)]
+    return [numerical_rank(sv) for values in circle_values(s, num_samples)
+            for sv in np.linalg.svd(values, compute_uv=False)]
 
 
 def make_cyclic_symbol(poles, weights, degree: int) -> LaurentSymbol:

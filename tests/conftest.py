@@ -275,6 +275,15 @@ def nonzero_triplets(m) -> Triplets:
     return Triplets(rows, cols, m[rows, cols])
 
 
+def eval_at(sym, z) -> np.ndarray:
+    """sum_k S_k z**k at one unit-modulus z, with one power of z per stored
+    coefficient: the per-point reference for ``symbols.circle_values``."""
+    acc = np.zeros((sym.rows, sym.cols), dtype=complex)
+    for i, c in enumerate(sym.coeffs):
+        acc += c * z ** (sym.kmin + i)
+    return acc
+
+
 def ref_multiplication_matrix(sym, in_lo, in_hi, out_lo, out_hi) -> np.ndarray:
     """Dense matrix of h |-> S h from input degrees [in_lo, in_hi] to output
     degrees [out_lo, out_hi], written coefficient block by coefficient

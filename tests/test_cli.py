@@ -483,6 +483,21 @@ class TestMainEntry:
         path = write_scenario(tmp_path, payload)
         assert main(["verify", path]) == 1
 
+    def test_nehari_of_a_zero_symbol_passes(self, tmp_path, capsys):
+        # the completed symbol has no nonzero term, so the circle sampler
+        # evaluates an empty term stack
+        zero = {"rows": 1, "cols": 1, "coeffs": []}
+        payload = {
+            "name": "zero-phi",
+            "spec": {"variant": "range_rep", "dimE": 1, "dimF": 1,
+                     "Phi": {"rows": 2, "cols": 2, "coeffs": []}},
+            "checks": ["nehari"],
+            "n_list": [4, 8],
+            "nehari_candidates": [{"L1": zero, "L2": zero}],
+        }
+        assert main(["verify", write_scenario(tmp_path, payload)]) == 0
+        assert "[lower=['0', '0'] upper=['0']]" in capsys.readouterr().out
+
     def test_input_error_exit_two(self, tmp_path, capsys):
         path = tmp_path / "missing.json"
         assert main(["verify", str(path)]) == 2

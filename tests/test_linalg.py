@@ -864,7 +864,9 @@ class TestConnectedBlocks:
                 core = c.operand[np.ix_(*ref_support(c.operand))]
                 side = {"nullspace": 1, "column_space": 0}.get(c.site)
                 assert side is None or core.shape[side] in c.a.shape
-        assert single > 10
+        # rank_profile factors its circle samples as one stack per chunk,
+        # outside these sites
+        assert single >= {"timotin-nonsplitting": 6, "timotin-rotated": 23}[name]
         if name == "timotin-rotated":
             assert single == len(calls)
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     block_shift_matrix,
+    eval_at,
     hankel_op,
     nonzero_triplets,
     part_rows,
@@ -838,7 +839,8 @@ class TestNehari:
             completed = phi - block_symbol([[zero_symbol(dim_e, dim_e), zero_symbol(dim_e, dim_f)],
                                             [l1, l2]])
             band = max(s.bandwidth for s in split_square_blocks(completed, dim_e))
-            ref = max(spectral_norm(completed.eval_at(z)) for z in unit_circle_points(4 * band + 1))
+            ref = max(spectral_norm(eval_at(completed, z))
+                      for z in unit_circle_points(4 * band + 1))
             assert upper == pytest.approx(ref, rel=1e-12)
 
     def test_non_analytic_candidate_rejected(self):

@@ -2,16 +2,18 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import coeff, coeff_distance
+from conftest import coeff, coeff_distance, eval_at
 from shiftlab import symbols
+from shiftlab.linalg import numerical_rank, singular_values
 from shiftlab.operators import nehari_bounds
 from shiftlab.symbols import (
     IsometryKind,
     _left_gram,
     block_symbol,
+    circle_values,
     classify_isometry,
     constant_symbol,
     identity_symbol,
@@ -57,7 +59,7 @@ class TestConstruction:
     def test_diagonal_assembly(self):
         s = make_symbol(2, 2, {0: [[1, 0], [0, 0]], 1: [[0, 0], [0, 1]]})
         assert (s.kmin, s.kmax) == (0, 1)
-        np.testing.assert_allclose(s.eval_at(1j), np.diag([1, 1j]))
+        np.testing.assert_allclose(eval_at(s, 1j), np.diag([1, 1j]))
 
     def test_canonical_trims_zero_extremes(self):
         s = make_symbol(1, 1, {-2: [0], 0: [3], 2: [0]})
@@ -160,7 +162,7 @@ class TestProperties:
         prod = symbol_mul(s1, s2)
         for z in unit_circle_points(5):
             np.testing.assert_allclose(
-                prod.eval_at(z), s1.eval_at(z) @ s2.eval_at(z), atol=1e-12)
+                eval_at(prod, z), eval_at(s1, z) @ eval_at(s2, z), atol=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(s=small_symbols())
@@ -168,7 +170,7 @@ class TestProperties:
         assert coeff_distance(s.adjoint().adjoint(), s) == 0
         for z in unit_circle_points(4):
             np.testing.assert_allclose(
-                s.adjoint().eval_at(z), s.eval_at(z).conj().T, atol=1e-12)
+                eval_at(s.adjoint(), z), eval_at(s, z).conj().T, atol=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(s=small_symbols())
@@ -176,7 +178,7 @@ class TestProperties:
         assert coeff_distance(s.conj_arg().conj_arg(), s) == 0
         for z in unit_circle_points(4):
             np.testing.assert_allclose(
-                s.conj_arg().eval_at(z), s.eval_at(np.conj(z)), atol=1e-12)
+                eval_at(s.conj_arg(), z), eval_at(s, np.conj(z)), atol=1e-12)
 
 
 class TestNonzeroTermLoops:
@@ -208,11 +210,6 @@ class TestNonzeroTermLoops:
                     if 0 <= j + m < n:
                         ref += s1.coeffs[j].conj().T @ s1.coeffs[j + m]
                 np.testing.assert_array_equal(gram[m], ref)
-            for z in unit_circle_points(9):
-                ref = np.zeros((2, 3), dtype=complex)
-                for i, c in enumerate(s1.coeffs):
-                    ref += c * z ** (s1.kmin + i)
-                np.testing.assert_array_equal(s1.eval_at(z), ref)
 
 
 class TestNonzeroTermsOnce:
@@ -248,7 +245,7 @@ class TestClassification:
         # pointwise oracle: phi(z)^H phi(z) = 1 on sampled circle points
         for z in unit_circle_points(7):
             np.testing.assert_allclose(
-                phi.eval_at(z).conj().T @ phi.eval_at(z), [[1.0]], atol=1e-12)
+                eval_at(phi, z).conj().T @ eval_at(phi, z), [[1.0]], atol=1e-12)
 
     def test_identity_unitary(self):
         cls = classify_isometry(identity_symbol(2))
@@ -261,7 +258,7 @@ class TestClassification:
         assert cls.residual <= 1e-14
         for z in unit_circle_points(9):
             np.testing.assert_allclose(
-                phi.eval_at(z).conj().T @ phi.eval_at(z), np.eye(2), atol=1e-12)
+                eval_at(phi, z).conj().T @ eval_at(phi, z), np.eye(2), atol=1e-12)
 
     def test_zero_kind(self):
         assert classify_isometry(zero_symbol(2, 2)).kind is IsometryKind.ZERO
@@ -310,6 +307,47 @@ class TestRankProfile:
     def test_undersampling_rejected(self):
         with pytest.raises(ValueError, match="undersamples"):
             rank_profile(timotin_symbol(), 2)
+
+    def test_zero_symbol_has_rank_zero_everywhere(self):
+        assert rank_profile(zero_symbol(1, 2), 5) == [0] * 5
+
+
+@st.composite
+def sparse_symbols(draw):
+    """Up to four nonzero Gaussian coefficients at degrees in [-60, 60]; none
+    gives the zero symbol, one a symbol of bandwidth 0."""
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    degrees = draw(st.sets(st.integers(-60, 60), max_size=4))
+    if not degrees:
+        return zero_symbol(rows, cols)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return make_symbol(rows, cols, {
+        k: rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+        for k in degrees})
+
+
+class TestCircleValues:
+    """The chunked sampler against the per-point oracle ``conftest.eval_at``,
+    which takes z**k where the sampler takes the root of index k j mod N."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(s=sparse_symbols(), extra=st.integers(0, 40))
+    # 101 stored coefficients of 2 entries, 2 terms: chunks of 25 points,
+    # and 205 points take 9 chunks, the last of 5
+    @example(s=make_symbol(2, 1, {-50: [[1], [-0.5j]], 50: [[0.25], [2]]}), extra=4)
+    def test_chunks_match_the_pointwise_oracle(self, s, extra):
+        count = 2 * s.bandwidth + 1 + extra
+        chunks = list(circle_values(s, count))
+        width = max(len(s.terms), s.rows * s.cols)
+        assert len({c.shape[0] for c in chunks[:-1]}) <= 1
+        assert all(c.shape[0] == 1 or 4 * c.shape[0] * width <= s.coeffs.size for c in chunks)
+        values = np.concatenate(chunks)
+        assert values.shape == (count, s.rows, s.cols)
+        points = unit_circle_points(count)
+        for z, v in zip(points, values):
+            np.testing.assert_allclose(v, eval_at(s, z), rtol=1e-12, atol=1e-12)
+        assert rank_profile(s, count) == [numerical_rank(singular_values(eval_at(s, z)))
+                                          for z in points]
 
 
 class TestCyclicSymbol:
