@@ -1,4 +1,17 @@
-"""Dense complex linear-algebra helpers shared across the package.
+"""Complex linear algebra on entry lists, shared across the package.
+
+Every matrix the package builds is held as a ``Triplets`` list of its
+entries: the truncated operators, the window slices cut from them, the
+generator matrices, the subspace bases and the residuals of the checks.
+Under 1 % of their entries are nonzero on the benchmark inputs, so
+products and differences of these lists (``times``, ``sparse_product``,
+``sparse_difference``) cost O(nnz) where dense arrays cost O(d^2) memory
+and up to O(d^3) time.  A list becomes a dense array only inside a
+connected block, in ``dense_matrix`` (``OperatorMatrix.dense``, the
+fallback of ``svd_analysis``), in ``support_core`` and in the dense cores
+``times`` multiplies when that is cheaper than the terms.
+``sparse_norm`` takes a list's spectral norm by a Lanczos iteration on the
+list itself, with no Gram matrix and no dense copy.
 
 Every SVD of the package happens here, but for the stacked values-only
 SVDs of the circle samples of ``symbols.circle_values``, which
@@ -15,14 +28,16 @@ theirs, every zero column of m a kernel direction besides, so factoring
 each block on its own is exact.  On the scalar-fiber benchmark inputs a
 512 x 256 core falls into 256 blocks of 2 x 1.
 
-Every helper takes one path.  ``_blocks`` labels the components by hooking
-and pointer jumping (a core with no zero entry is one block without
-labelling); the blocks of one shape are gathered from m into one stack and
-go through one stacked SVD, and the vectors of every block are put back in
-one scatter.  A core of one component is a stack of one block.  The blocks
-share one cutoff: ``numerical_rank`` counts their merged singular values at
-RANK_RTOL times sigma_max of the whole of m, so a block whose values clear
-only its own cutoff gives them to the kernel.
+Every helper takes one path.  ``_blocks`` labels the components from the
+entries' rows and columns by hooking and pointer jumping (a core with no
+zero entry is one block without labelling) and fills one dense stack per
+block shape by scatter; the stack goes through one stacked SVD, and the
+vectors of every block come back as one entry list.  A core of one
+component is a stack of one block, and ``MAX_DENSE_ENTRIES`` bounds a
+stack, not the ambient.  The blocks share one cutoff: ``numerical_rank``
+counts their merged singular values at RANK_RTOL times sigma_max of the
+whole of m, so a block whose values clear only its own cutoff gives them
+to the kernel.
 
 A tall block reaches ``nullspace``, and a wide one ``column_space``, as the
 triangle R of its QR factorisation (of its conjugate transpose when wide),
@@ -35,24 +50,12 @@ with the block's up to rounding, so no rank decision on the demos, the
 sample scenario or the seed-0 benchmark inputs moves (the closest keeps a
 singular value 69x above its cutoff).
 
-Products with a basis take its unit columns (one nonzero entry, exactly
-1, such as the coordinate vectors ``nullspace`` adds for zero columns) as
-picks: ``times`` copies a column of the left factor for each, and
-``project`` a row of its argument, so only the other columns are
-multiplied.  A pick is exact.
+A zero column of m is a kernel direction, one entry of value 1, and every
+product treats it as any other entry: 1 times x is exact, so no unit
+column needs a case of its own.
 
 Every numerical rank of the package is counted by ``numerical_rank``, at
 the one relative cutoff ``RANK_RTOL``.  No residual tolerance moves it.
-
-The truncated operators are held as their lists of nonzero entries, the
-``Triplets`` their builders emit, in ``row_major`` order.  Under 1 % of
-their entries are nonzero on the benchmark inputs, so products and
-differences of these lists (``sparse_product``, ``sparse_difference``)
-cost O(nnz) where the dense arrays cost O(d^2) memory and up to O(d^3)
-time.  A list goes back to a dense array only through ``dense_matrix``, or
-``support_core``, the core on the rows and columns that hold an entry.
-``sparse_norm`` takes a list's spectral norm by a Lanczos iteration on the
-list itself, with no Gram matrix and no dense copy.
 
 Every array whose size grows with the truncation is sized, where it is
 made, by ``check_size``, which raises ``SizeCapError`` above
@@ -66,7 +69,7 @@ import numpy as np
 
 RANK_RTOL = 1e-10
 # Largest array, in entries, that a step may allocate: 2**24 complex128
-# entries are 256 MiB.  The sample scenario's largest at n = 512 has 1.6e6.
+# entries are 256 MiB.
 MAX_DENSE_ENTRIES = 2 ** 24
 # sparse_norm's Lanczos iteration stops once the residual of its top Ritz
 # pair is at most this many eps times the Ritz value.
@@ -82,6 +85,10 @@ class Triplets(NamedTuple):
     vals: np.ndarray
 
 
+# the empty entry list, of a matrix or basis with no entry
+_NONE = Triplets(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0, dtype=complex))
+
+
 class SizeCapError(Exception):
     """An array above the cap was asked for; not a ValueError: it stops a run."""
 
@@ -94,13 +101,19 @@ def check_size(what: str, *shape: int) -> None:
                            f"{MAX_DENSE_ENTRIES} ({MAX_DENSE_ENTRIES / 2 ** 26:g} GiB)")
 
 
-def _nonzero_parts(m: np.ndarray) -> np.ndarray:
-    """(m.real != 0, m.imag != 0) side by side: a rows x 2 cols mask whose
-    columns 2j and 2j + 1 belong to column j of m.  It is taken on the float
-    view of the complex data, which numpy compares several times faster than
-    the complex array; an entry is != 0 exactly when one of its parts is
-    (-0.0 is not).  A C-contiguous complex m is not copied."""
-    return np.ascontiguousarray(m, dtype=complex).view(np.float64) != 0
+def _entries(m: np.ndarray) -> Triplets:
+    """The entries != 0 of the dense array m, in row-major order; -0.0 is
+    left out, as m != 0 leaves it out."""
+    rows, cols = np.nonzero(m)
+    return Triplets(rows, cols, m[rows, cols])
+
+
+def _compressed(index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_distinct(index)`` by counting, in O(len(index) + max(index)): the
+    distinct values of the indices >= 0, ascending, and the position of
+    each index among them."""
+    present = np.bincount(index) != 0
+    return np.flatnonzero(present), (np.cumsum(present) - 1)[index]
 
 
 def _components(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
@@ -124,49 +137,54 @@ def _components(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
             label = up
 
 
-def _blocks(m: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The connected blocks of m, as the (g, p) row and (g, q) column
-    indices of the g blocks of each shape (p, q), ascending within a block.
-    The rows and the columns of m that hold an entry != 0 are the nodes, the
-    entries the edges; a zero m has no block, and a core with no zero entry
-    is one block without labelling."""
-    r, c = m.shape
-    # the two part flags of an entry, read as one 16-bit word, are 0 exactly
-    # when the entry is; a column gather m[:, cols] is laid out column-major,
-    # so its mask is taken on m.T uncopied and transposed back
-    if m.flags.f_contiguous and not m.flags.c_contiguous:
-        nonzero = (_nonzero_parts(m.T).view(np.uint16) != 0).T
+def _starts(counts: np.ndarray) -> np.ndarray:
+    """For items grouped into runs of the given lengths, each item's place
+    in its run."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def _blocks(m: Triplets) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The connected blocks of the matrix m lists, each position at most
+    once: for the g blocks of each shape (p, q), their (g, p) row and (g, q)
+    column indices, ascending within a block, and the (g, p, q) stack of the
+    blocks, filled by scatter.  The rows and the columns that hold an entry
+    != 0 are the nodes, those entries the edges; an m with none has no
+    block, and a core with no zero entry is one block without labelling."""
+    nonzero = np.flatnonzero(m.vals != 0)
+    vals = m.vals[nonzero]
+    (rows, at_row), (cols, at_col) = (_compressed(x[nonzero]) for x in m[:2])
+    r, c = rows.size, cols.size
+    if not r:
+        return []
+    if vals.size == r * c:
+        label = np.zeros(r + c, dtype=np.intp)
     else:
-        nonzero = _nonzero_parts(m).view(np.uint16) != 0
-    rows, cols = np.flatnonzero(nonzero.any(axis=1)), np.flatnonzero(nonzero.any(axis=0))
-    if np.count_nonzero(nonzero) == rows.size * cols.size:
-        return [(rows[None], cols[None])] if rows.size else []
-    i, j = np.divmod(np.flatnonzero(nonzero), c)
-    label = _components(i, r + j, r + c)
-    node = np.concatenate([rows, r + cols])
-    roots = node[label[node] == node]
-    block = np.searchsorted(roots, label[node])  # the block of each row, then column
-    row_block, col_block = block[:rows.size], block[rows.size:]
+        label = _components(at_row, r + at_col, r + c)
+    roots = np.flatnonzero(label == np.arange(r + c))
+    block = np.searchsorted(roots, label)  # the block of each row, then column
+    row_block, col_block = block[:r], block[r:]
     p, q = (np.bincount(x, minlength=roots.size) for x in (row_block, col_block))
-    # the rows (columns) of every block, ascending, block after block
+    # the rows (columns) of every block, ascending, block after block, and
+    # the place of each row (column) in its block
     row_order, col_order = (np.argsort(x, kind="stable") for x in (row_block, col_block))
     row_start, col_start = np.cumsum(p) - p, np.cumsum(q) - q
+    row_at, col_at = np.empty(r, dtype=np.intp), np.empty(c, dtype=np.intp)
+    row_at[row_order], col_at[col_order] = _starts(p), _starts(q)
     shapes, shape_of = _distinct(p * (c + 1) + q)
+    entry_block = row_block[at_row]
+    place = np.empty(roots.size, dtype=np.intp)  # of each block in its shape's stack
     groups = []
     for at in range(shapes.size):
         sel = np.flatnonzero(shape_of == at)
-        groups.append((rows[row_order[row_start[sel, None] + np.arange(p[sel[0]])]],
-                       cols[col_order[col_start[sel, None] + np.arange(q[sel[0]])]]))
+        place[sel] = np.arange(sel.size)
+        e = np.flatnonzero(shape_of[entry_block] == at)
+        height, width = p[sel[0]], q[sel[0]]
+        check_size("the block stack", sel.size, height, width)
+        stack = np.zeros((sel.size, height, width), dtype=vals.dtype)
+        stack[place[entry_block[e]], row_at[at_row[e]], col_at[at_col[e]]] = vals[e]
+        groups.append((rows[row_order[row_start[sel, None] + np.arange(height)]],
+                       cols[col_order[col_start[sel, None] + np.arange(width)]], stack))
     return groups
-
-
-def _gather(m: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """The stack of blocks m[rows[i]][:, cols[i]]; m itself, uncopied, when
-    its one block is the whole of m, so that a dense m's SVD copies nothing."""
-    if rows.shape == (1, m.shape[0]) and cols.shape == (1, m.shape[1]):
-        return m[None]
-    check_size("the block stack", *rows.shape, cols.shape[1])
-    return m[rows[:, :, None], cols[:, None, :]]
 
 
 def _short_stacks(a: np.ndarray, kernel: bool) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -192,20 +210,20 @@ def _short_stacks(a: np.ndarray, kernel: bool) -> list[tuple[np.ndarray, np.ndar
     return stacks
 
 
-def _block_basis(m: np.ndarray, blocks: list[tuple[np.ndarray, np.ndarray]],
+def _block_basis(blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
                  kernel: bool) -> tuple[Triplets, int]:
-    """An orthonormal basis of the kernel (column space) of m on the columns
-    (rows) of its ``blocks``, as the (column (row) of m, basis column,
-    value) triplets of its columns, and the rank of m.  Each block's
-    singular vectors come from one stacked SVD per shape; one
-    ``numerical_rank`` over the merged singular values of all blocks sets
-    the rank, so a block keeps those of its values above the cutoff of the
-    whole of m.  A block's kernel takes its dropped right singular vectors
-    and, when wide, its surplus ones; its column space its kept left
-    singular vectors."""
-    stacks = []  # (rows or columns of m, singular values, vectors [block, j, :])
-    for rows, cols in blocks:
-        for sel, s in _short_stacks(_gather(m, rows, cols), kernel):
+    """An orthonormal basis of the kernel (column space) of a matrix on the
+    columns (rows) of its ``blocks``, as the (column (row) of the matrix,
+    basis column, value) triplets of its entries != 0, and the rank of the
+    matrix.  Each block's singular vectors come from one stacked SVD per
+    shape; one ``numerical_rank`` over the merged singular values of all
+    blocks sets the rank, so a block keeps those of its values above the
+    cutoff of the whole matrix.  A block's kernel takes its dropped right
+    singular vectors and, when wide, its surplus ones; its column space its
+    kept left singular vectors."""
+    stacks = []  # (rows or columns of the matrix, singular values, vectors [block, j, :])
+    for rows, cols, stack in blocks:
+        for sel, s in _short_stacks(stack, kernel):
             if kernel:  # full_matrices: a 1 x d block has d x d of them
                 check_size("the right singular vectors", s.shape[0], s.shape[2], s.shape[2])
             u, sv, vh = np.linalg.svd(s, full_matrices=kernel)
@@ -228,27 +246,32 @@ def _block_basis(m: np.ndarray, blocks: list[tuple[np.ndarray, np.ndarray]],
         # the kernel takes the conjugates of the rows of vh it keeps
         vals.append((vecs[b, j].conj() if kernel else vecs[b, j]).ravel())
         width += b.size
-    return Triplets(*map(np.concatenate, (at_rows, at_cols, vals))), rank
+    basis = Triplets(*map(np.concatenate, (at_rows, at_cols, vals)))
+    nonzero = np.flatnonzero(basis.vals != 0)
+    return Triplets(*(x[nonzero] for x in basis)), rank
 
 
-def singular_values(m: np.ndarray) -> np.ndarray:
-    """Singular values of the connected blocks of m, merged, descending.
+def singular_values(m: Triplets | np.ndarray) -> np.ndarray:
+    """Singular values of the connected blocks of m, merged, descending: m
+    is an entry list, each position at most once, or a dense array, read
+    through its entries != 0.
 
     These are the nonzero singular values of m, possibly followed by
     zeros; the zeros that m's zero rows and columns and its block structure
     add are left out, so an empty or all-zero matrix gives an empty array.
     """
-    blocks = _blocks(m)
+    blocks = _blocks(_entries(m) if isinstance(m, np.ndarray) else m)
     if not blocks:
         return np.zeros(0)
-    sv = np.concatenate([np.linalg.svd(_gather(m, r, c), compute_uv=False).ravel()
-                         for r, c in blocks])
+    sv = np.concatenate([np.linalg.svd(stack, compute_uv=False).ravel()
+                         for _, _, stack in blocks])
     return sv[np.argsort(-sv, kind="stable")]
 
 
-def spectral_norm(m: np.ndarray) -> float:
-    """Largest singular value; exactly 0.0 for an empty or all-zero matrix
-    (residuals built from index shifts are often exact)."""
+def spectral_norm(m: Triplets | np.ndarray) -> float:
+    """Largest singular value of m, an entry list or a dense array; exactly
+    0.0 for an empty or all-zero matrix (residuals built from index shifts
+    are often exact)."""
     sv = singular_values(m)
     return float(sv[0]) if sv.size else 0.0
 
@@ -259,91 +282,80 @@ def numerical_rank(sv: np.ndarray) -> int:
     return int(np.sum(sv > RANK_RTOL * sv[0])) if sv.size else 0
 
 
-def nullspace(m: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (columns) of the kernel of m: the kernels of its
-    connected blocks on their columns, then one unit vector per zero
-    column."""
-    d = m.shape[1]
+def basis_width(t: Triplets) -> int:
+    """The number of columns of the orthonormal basis t lists: each column
+    holds an entry != 0, so it is one past the largest column index."""
+    return int(t.cols.max(initial=-1)) + 1
+
+
+def nullspace(m: Triplets, width: int) -> Triplets:
+    """Orthonormal basis of the kernel of the matrix of ``width`` columns
+    that m lists: the kernels of its connected blocks on their columns,
+    then one entry 1 per zero column, a unit vector."""
     blocks = _blocks(m)
-    if not blocks:
-        check_size("the kernel basis", d, d)
-        return np.eye(d, dtype=complex)
-    basis, rank = _block_basis(m, blocks, kernel=True)
-    cols = np.concatenate([c.ravel() for _, c in blocks])
-    out = dense_matrix(basis, (d, d - rank))
-    zero_cols = np.delete(np.arange(d), cols)
-    out[zero_cols, cols.size - rank:] = np.eye(zero_cols.size)
-    return out
+    basis, rank = _block_basis(blocks, kernel=True) if blocks else (_NONE, 0)
+    cols = np.concatenate([np.zeros(0, dtype=np.intp)] + [c.ravel() for _, c, _ in blocks])
+    check_size("the kernel basis's unit columns", width)
+    zero_cols = np.delete(np.arange(width), cols)
+    units = Triplets(zero_cols, cols.size - rank + np.arange(zero_cols.size),
+                     np.ones(zero_cols.size, dtype=complex))
+    return Triplets(*map(np.concatenate, zip(basis, units)))
 
 
-def column_space(m: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (columns) of the column space of m, supported on
-    the rows of m with a nonzero entry."""
+def column_space(m: Triplets) -> Triplets:
+    """Orthonormal basis of the column space of the matrix m lists,
+    supported on the rows that hold an entry != 0."""
     blocks = _blocks(m)
-    if not blocks:
-        return np.zeros((m.shape[0], 0), dtype=complex)
-    basis, rank = _block_basis(m, blocks, kernel=False)
-    return dense_matrix(basis, (m.shape[0], rank))
+    return _block_basis(blocks, kernel=False)[0] if blocks else _NONE
 
 
-def _unit_columns(b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Indices of the columns of b that are unit vectors (one nonzero entry,
-    exactly 1), the row of that entry in each, and the indices of the other
-    columns."""
-    nonzero = _nonzero_parts(b)
-    # nonzero real and imaginary parts per column; int32 holds any row count
-    # below MAX_DENSE_ENTRIES, and sums faster than count_nonzero's intp
-    count = nonzero.sum(axis=0, dtype=np.int32).reshape(b.shape[1], 2)
-    single = np.flatnonzero((count[:, 0] == 1) & (count[:, 1] == 0))
-    at = nonzero[:, 2 * single].argmax(axis=0) if single.size else single
-    unit = b[at, single] == 1
-    dense = np.ones(b.shape[1], dtype=bool)
-    dense[single[unit]] = False
-    return single[unit], at[unit], np.flatnonzero(dense)
+def _adjoint(t: Triplets) -> Triplets:
+    return Triplets(t.cols, t.rows, t.vals.conj())
 
 
-def times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b, with each unit column of b taken as a pick of a column of a."""
-    check_size("the product", a.shape[0], b.shape[1])
-    picks, at, dense = _unit_columns(b)
-    if picks.size == 0:
-        return a @ b
-    source = np.zeros(b.shape[1], dtype=int)
-    source[picks] = at
-    out = a[:, source].astype(np.result_type(a, b), copy=False)
-    out[:, dense] = a @ b[:, dense]
-    return out
+def _core_entries(t: Triplets) -> int:
+    """Entries of the dense core of t: its rows times its columns with an entry."""
+    return np.count_nonzero(np.bincount(t.rows)) * np.count_nonzero(np.bincount(t.cols))
 
 
-def _project(b, split, x):
-    """project(b, x), given b's ``_unit_columns`` split."""
-    _, at, dense = split
-    b_dense = b[:, dense]
-    out = b_dense @ (b_dense.conj().T @ x)
-    np.add.at(out, at, x[at])
-    return out
+def times(a: Triplets, b: Triplets) -> Triplets:
+    """The product of the matrices a and b list, one entry per position:
+    ``sparse_product`` while it forms no more terms than the dense cores of
+    a and b have entries together, the rule of ``short_gram``; past that,
+    the product of those cores, with its entries != 0."""
+    product = sparse_product(a, b, _core_entries(a) + _core_entries(b))
+    if product is not None:
+        return product
+    (rows, at_row), (cols, at_col) = _compressed(a.rows), _compressed(b.cols)
+    inner, at_inner = _compressed(np.concatenate([a.cols, b.rows]))
+    left = dense_matrix(Triplets(at_row, at_inner[:a.cols.size], a.vals), (rows.size, inner.size))
+    right = dense_matrix(Triplets(at_inner[a.cols.size:], at_col, b.vals),
+                         (inner.size, cols.size))
+    check_size("the product", rows.size, cols.size)
+    i, j, vals = _entries(left @ right)
+    return Triplets(rows[i], cols[j], vals)
 
 
-def project(b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """b (b* x), with each unit column of b taken as a pick of a row of x
-    and added back onto that row."""
-    return _project(b, _unit_columns(b), x)
+def project(b: Triplets, x: Triplets) -> Triplets:
+    """b (b* x), for the basis b and the matrix x the lists describe."""
+    return times(b, times(_adjoint(b), x))
 
 
-def image_within(m: np.ndarray, keep: np.ndarray) -> np.ndarray:
+def image_within(m: Triplets, shape: tuple[int, int], keep: np.ndarray) -> Triplets:
     """Orthonormal basis of the images m x that vanish outside the rows keep,
-    restricted to those rows.
+    restricted to those rows, for the matrix of the given shape m lists.
 
     Solving for the inputs, rather than cutting them, keeps images whose
     content outside the rows cancels.
     """
-    outside = np.delete(np.arange(m.shape[0]), keep)
-    return column_space(times(m[keep], nullspace(m[outside])))
+    outside = np.delete(np.arange(shape[0]), keep)
+    kernel = nullspace(_within(m, 0, outside, shape[0]), shape[1])
+    return column_space(times(_within(m, 0, keep, shape[0]), kernel))
 
 
-def intersection(b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
+def intersection(b1: Triplets, b2: Triplets) -> Triplets:
     """Orthonormal basis of the intersection of the spans of b1 and b2, both
-    with orthonormal columns.
+    with orthonormal columns over one ambient.
 
     v = b1 x = b2 y exactly when (x, y) is in the kernel of [b1, -b2], whose
     sigma_max is at least 1, so the rank cutoff stays clear of rounding noise
@@ -351,34 +363,54 @@ def intersection(b1: np.ndarray, b2: np.ndarray) -> np.ndarray:
     |x| = |y| = 1/sqrt(2) and orthogonal x parts, so sqrt(2) b1 x is
     orthonormal.
     """
-    if b2.shape[0] != b1.shape[0]:
-        raise ValueError("ambient dimensions differ")
-    check_size("the stack [b1, -b2]", b1.shape[0], b1.shape[1] + b2.shape[1])
-    kernel = nullspace(np.hstack([b1, -b2]))
-    return np.sqrt(2) * (b1 @ kernel[:b1.shape[1]])
+    k1 = basis_width(b1)
+    stack = Triplets(np.concatenate([b1.rows, b2.rows]), np.concatenate([b1.cols, k1 + b2.cols]),
+                     np.concatenate([b1.vals, -b2.vals]))
+    kernel = nullspace(stack, k1 + basis_width(b2))
+    image = times(b1, _within(kernel, 0, np.arange(k1), k1 + basis_width(b2)))
+    return image._replace(vals=np.sqrt(2) * image.vals)
 
 
-def principal_angle_distance(b1: np.ndarray, b2: np.ndarray) -> float:
+def principal_angle_distance(b1: Triplets, b2: Triplets) -> float:
     """Sine of the largest principal angle; 1.0 when dimensions differ.
 
-    Both arguments must have orthonormal columns over the same ambient.
-    Computed through the projector residual (I - P1) B2 rather than the
+    Both arguments must list orthonormal columns over the same ambient.
+    Computed through the projector residual (I - P2) B1 rather than the
     cosine Gram matrix: cosines lose small angles below sqrt(eps), the
     sine form measures coinciding subspaces at machine precision.  For
-    equal dimensions ||(I - P1) B2|| = ||(I - P2) B1|| in exact arithmetic
-    (Stewart & Sun, Matrix Perturbation Theory, 1990), so one side is enough.
+    equal dimensions ||(I - P2) B1|| = ||(I - P1) B2|| in exact arithmetic
+    (Stewart & Sun, Matrix Perturbation Theory, 1990), so one side is enough:
+    the checks pass their target basis second, whose unit columns, kernel
+    directions of zero columns, project exactly.
     """
-    if b1.shape[0] != b2.shape[0]:
-        raise ValueError("ambient dimensions differ")
-    if b1.shape[1] != b2.shape[1]:
+    k = basis_width(b1)
+    if k != basis_width(b2):
         return 1.0
-    if b1.shape[1] == 0:
+    if k == 0:
         return 0.0
-    split1, split2 = _unit_columns(b1), _unit_columns(b2)
-    if split1[0].size < split2[0].size:
-        b1, b2, split1 = b2, b1, split2
-    r12 = b2 - _project(b1, split1, b2)
-    return min(1.0, spectral_norm(r12))
+    return min(1.0, spectral_norm(sparse_difference(b1, project(b2, b1))))
+
+
+def _within(t: Triplets, axis: int, keep: np.ndarray, dim: int) -> Triplets:
+    """The entries of the submatrix on the rows (axis 0) or the columns
+    (axis 1) keep, distinct indices out of dim, ascending when they are all
+    of them: the entries whose index is kept, renumbered by its position in
+    keep, which keeps their order."""
+    if keep.size == dim:
+        return t
+    at = np.full(dim, -1)
+    at[keep] = np.arange(keep.size)
+    return _renumbered(t, axis, at)
+
+
+def _renumbered(t: Triplets, axis: int, at: np.ndarray) -> Triplets:
+    """The entries of t whose row (axis 0) or column (axis 1) index i has
+    at[i] >= 0, with that index replaced by at[i], in their order."""
+    moved = at[t[axis]]
+    inside = moved >= 0
+    out = [x[inside] for x in t]
+    out[axis] = moved[inside]
+    return Triplets(*out)
 
 
 def _keys(t: Triplets, width: int) -> np.ndarray:
@@ -388,6 +420,10 @@ def _keys(t: Triplets, width: int) -> np.ndarray:
 
 def _width(*lists: Triplets) -> int:
     return 1 + max((int(t.cols.max()) for t in lists if t.cols.size), default=0)
+
+
+def _height(t: Triplets) -> int:
+    return 1 + int(t.rows.max(initial=0))
 
 
 def row_major(t: Triplets) -> Triplets:
@@ -408,9 +444,9 @@ def dense_matrix(t: Triplets, shape: tuple[int, int]) -> np.ndarray:
 
 
 def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """np.unique(keys, return_inverse=True) for keys >= 0, by the stable sort
-    every triplet helper uses: the distinct keys, ascending, and the
-    position of each key among them."""
+    """np.unique(keys, return_inverse=True) for keys >= 0, by the stable
+    sort: the distinct keys, ascending, and the position of each key among
+    them."""
     order = np.argsort(keys, kind="stable")
     new = np.diff(keys[order], prepend=-1) != 0
     at = np.empty(keys.size, dtype=np.intp)
@@ -428,23 +464,31 @@ def sparse_product(a: Triplets, b: Triplets, limit: int) -> Triplets | None:
     position (i, j) are summed.  The memory is a few arrays of one element
     per term, which ``limit`` bounds.
     """
-    order = np.argsort(b.rows, kind="stable")
     height = 1 + max(int(a.cols.max(initial=-1)), int(b.rows.max(initial=-1)))
-    pointer = np.concatenate([[0], np.cumsum(np.bincount(b.rows, minlength=height))])
-    start, count = pointer[a.cols], pointer[a.cols + 1] - pointer[a.cols]
+    per_row = np.bincount(b.rows, minlength=height)
+    count = per_row[a.cols]
     terms = int(count.sum())
     if terms > limit:
         return None
     check_size("the terms of a sparse product", terms)
+    order = np.argsort(b.rows, kind="stable")
+    start = (np.cumsum(per_row) - per_row)[a.cols]
     left = np.repeat(np.arange(a.rows.size), count)
     # term t of entry e of a takes entry start[e] + (t - first term of e) of b
     right = order[np.repeat(start + count - np.cumsum(count), count) + np.arange(terms)]
     width = _width(b)
-    keys, at = _distinct(a.rows[left] * width + b.cols[right])
+    keys, at = _merged(a.rows[left] * width + b.cols[right], _height(a) * width)
     vals = np.zeros(keys.size, dtype=np.result_type(a.vals, b.vals))
     np.add.at(vals, at, a.vals[left] * b.vals[right])
     rows, cols = np.divmod(keys, width)
     return Triplets(rows, cols, vals)
+
+
+def _merged(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_distinct(keys)`` for keys in [0, size): by counting while its
+    arrays, of 9 bytes a key value, take no more memory than the 8-byte keys
+    and their 16-byte values together, else by the stable sort."""
+    return _compressed(keys) if 9 * size <= 24 * keys.size else _distinct(keys)
 
 
 def sparse_difference(a: Triplets, b: Triplets) -> Triplets:
@@ -453,7 +497,8 @@ def sparse_difference(a: Triplets, b: Triplets) -> Triplets:
     would compute it, (value in a or 0) - (value in b or 0), so equal
     entries cancel to an exact zero and are left out."""
     width = _width(a, b)
-    keys, at = _distinct(np.concatenate([_keys(a, width), _keys(b, width)]))
+    keys, at = _merged(np.concatenate([_keys(a, width), _keys(b, width)]),
+                       max(_height(a), _height(b)) * width)
     diff = np.zeros(keys.size, dtype=np.result_type(a.vals, b.vals))
     minus = np.zeros_like(diff)
     diff[at[:a.rows.size]] = a.vals
@@ -467,7 +512,7 @@ def sparse_difference(a: Triplets, b: Triplets) -> Triplets:
 def support_core(t: Triplets) -> np.ndarray:
     """The dense matrix of the entries t lists, on the rows and the columns
     that hold one: for nonzero entries, the core ``_blocks`` splits."""
-    (rows, at_row), (cols, at_col) = _distinct(t.rows), _distinct(t.cols)
+    (rows, at_row), (cols, at_col) = _compressed(t.rows), _compressed(t.cols)
     return dense_matrix(Triplets(at_row, at_col, t.vals), (rows.size, cols.size))
 
 
@@ -517,7 +562,7 @@ def sparse_norm(t: Triplets) -> float:
         return 0.0
     exp = max(int(np.frexp(np.max(np.abs(t.vals)))[1]), -1021)
     vals = t.vals * np.ldexp(1.0, -exp)
-    (rows, at_row), (cols, at_col) = _distinct(t.rows), _distinct(t.cols)
+    (rows, at_row), (cols, at_col) = _compressed(t.rows), _compressed(t.cols)
     if rows.size < cols.size:
         rows, at_row, cols, at_col, vals = cols, at_col, rows, at_row, vals.conj()
     height, d, adjoint = rows.size, cols.size, vals.conj()

@@ -17,6 +17,9 @@ import numpy as np
 
 from .linalg import (
     Triplets,
+    _renumbered,
+    _within,
+    basis_width,
     check_size,
     dense_matrix,
     row_major,
@@ -129,7 +132,8 @@ class ProductSpace:
 
 @dataclass(frozen=True)
 class SubspaceBasis:
-    """Orthonormal basis of a subspace of a (product of) truncated space(s).
+    """Orthonormal basis of a subspace of a (product of) truncated space(s),
+    held as the entries of its columns.
 
     The maker guarantees orthonormality, so it is not checked here: the
     columns come from an SVD helper in ``linalg`` or are multiples of an
@@ -141,18 +145,17 @@ class SubspaceBasis:
     """
 
     ambient: ProductSpace
-    basis: np.ndarray
+    basis: Triplets
     window: int | None = None
 
     def __post_init__(self):
-        if self.basis.shape[0] != self.ambient.dim:
-            raise ValueError(
-                f"basis rows {self.basis.shape[0]} != ambient dim {self.ambient.dim}"
-            )
+        if self.basis.rows.size and self.basis.rows.max() >= self.ambient.dim:
+            raise ValueError(f"basis row {self.basis.rows.max()} is outside the ambient "
+                             f"of dim {self.ambient.dim}")
 
     @property
     def dim(self) -> int:
-        return self.basis.shape[1]
+        return basis_width(self.basis)
 
 
 @dataclass(frozen=True)
@@ -254,17 +257,11 @@ def _hankel(sym: LaurentSymbol, n: int) -> tuple[Triplets, int]:
     return Triplets((n - block) * sym.rows + fiber, t.cols, t.vals), window
 
 
-def shift_rows(m: np.ndarray, space: ProductSpace, kinds: tuple[str, ...]) -> np.ndarray:
-    """X @ m for the block shift X of ``space.shift_targets(kinds)``: each
-    row of the result is gathered from the row that moves onto it, and a
-    row that none moves onto is zero."""
-    targets = space.shift_targets(kinds)
-    moved = np.flatnonzero(targets >= 0)
-    source = np.full(space.dim, -1)
-    source[targets[moved]] = moved
-    out = m[source]
-    out[np.flatnonzero(source < 0)] = 0
-    return out
+def shift_rows(m: Triplets, space: ProductSpace, kinds: tuple[str, ...]) -> Triplets:
+    """The entries of X m for the matrix m lists and the block shift X of
+    ``space.shift_targets(kinds)``: each row index moves to its target, and
+    an entry whose row has none drops out."""
+    return _moved(m, 0, space, kinds)
 
 
 def _require_analytic(sym: LaurentSymbol, name: str) -> None:
@@ -322,34 +319,12 @@ def build_kernel_operator(psi: LaurentSymbol, dim_e: int, n: int) -> OperatorMat
                             [_hankel(d.entry_conj(), n), _toeplitz(b.adjoint(), n)]])
 
 
-def _within(t: Triplets, axis: int, keep: np.ndarray, dim: int) -> Triplets:
-    """The entries of the submatrix on the rows (axis 0) or the columns
-    (axis 1) keep, ascending distinct indices out of dim: the entries whose
-    index is kept, renumbered by its position in keep, which keeps their
-    order."""
-    if keep.size == dim:
-        return t
-    at = np.full(dim, -1)
-    at[keep] = np.arange(keep.size)
-    return _renumbered(t, axis, at)
-
-
 def _moved(t: Triplets, axis: int, space: ProductSpace, kinds: tuple[str, ...]) -> Triplets:
     """The entries of X m (axis 0) or of m X^T (axis 1), for the matrix m
     that t lists and the block shift X of ``space.shift_targets(kinds)``:
     the row or column index of each entry moves to its target, and an entry
     with none drops out."""
     return _renumbered(t, axis, space.shift_targets(kinds))
-
-
-def _renumbered(t: Triplets, axis: int, at: np.ndarray) -> Triplets:
-    """The entries of t whose row (axis 0) or column (axis 1) index i has
-    at[i] >= 0, with that index replaced by at[i], in their order."""
-    moved = at[t[axis]]
-    inside = moved >= 0
-    out = [x[inside] for x in t]
-    out[axis] = moved[inside]
-    return Triplets(*out)
 
 
 def _penrose_defect(v: Triplets) -> float:

@@ -20,13 +20,15 @@ import numpy as np
 
 from .linalg import (
     Triplets,
+    _within,
+    basis_width,
     column_space,
-    dense_matrix,
     image_within,
     intersection,
     nullspace,
     principal_angle_distance,
     project,
+    sparse_difference,
     spectral_norm,
     times,
 )
@@ -313,15 +315,14 @@ def bilateral_subspace(spec: InvariantSubspaceSpec, n: int) -> SubspaceBasis:
             t = multiplication_entries(s, k_lo, n - sym.kmax, lo, n)
             parts.append(Triplets(t.rows + first_row, t.cols + width, t.vals))
         width += (n - sym.kmax - k_lo + 1) * sym.cols
-    stacked = dense_matrix(Triplets(*map(np.concatenate, zip(*parts))), (amb.dim, width))
+    basis = Triplets(*map(np.concatenate, zip(*parts)))
     columns = block_symbol([[sym for sym, _ in gens]])
-    basis = stacked
     if classify_isometry(columns).kind not in (IsometryKind.ISOMETRY, IsometryKind.UNITARY):
-        basis = column_space(stacked)
-        if basis.shape[1] != stacked.shape[1]:
+        basis = column_space(basis)
+        if basis_width(basis) != width:
             raise ValueError(
-                f"generators are numerically dependent: {stacked.shape[1]} columns "
-                f"span only {basis.shape[1]} directions")
+                f"generators are numerically dependent: {width} columns "
+                f"span only {basis_width(basis)} directions")
     return SubspaceBasis(amb, basis, window=default_window(spec, n))
 
 
@@ -346,7 +347,8 @@ def mixed_from_bilateral(n3: SubspaceBasis, window: int | None = None) -> Subspa
     # the rows of the window degrees after the flip k -> -k of the first part
     flipped = e_part.degree_indices(-w, 0).reshape(-1, e_part.fiber_dim)[::-1].ravel()
     rows = np.concatenate([flipped, e_part.dim + f_part.degree_indices(0, w)])
-    kernel = nullspace(n3.basis[rows].conj().T)
+    cut = _within(n3.basis, 0, rows, n3.ambient.dim)
+    kernel = nullspace(Triplets(cut.cols, cut.rows, cut.vals.conj()), rows.size)
     return SubspaceBasis(target, kernel, window=w)
 
 
@@ -371,10 +373,9 @@ def shift_invariance_residual(basis: SubspaceBasis, kinds: tuple[str, str]) -> f
            if kind == "forward"]
     kill_rows = np.concatenate(top) if top else np.zeros(0, dtype=int)
     b = basis.basis
-    compressed = times(b, nullspace(b[kill_rows, :]))
+    compressed = times(b, nullspace(_within(b, 0, kill_rows, amb.dim), basis.dim))
     image = shift_rows(compressed, amb, kinds)
-    resid = image - project(b, image)
-    return spectral_norm(resid)
+    return spectral_norm(sparse_difference(image, project(b, image)))
 
 
 def invariance_check(basis: SubspaceBasis) -> float:
@@ -421,7 +422,8 @@ def kernel_subspace(op: OperatorMatrix, window: int) -> SubspaceBasis:
     to make the window columns exact even when the symbol has a deep
     anti-analytic band.
     """
-    kernel = nullspace(op.dense(cols=op.domain.window_indices(window)))
+    cols = op.domain.window_indices(window)
+    kernel = nullspace(_within(op.entries, 1, cols, op.domain.dim), cols.size)
     return SubspaceBasis(_window_ambient(op, window), kernel, window=window)
 
 
@@ -434,12 +436,13 @@ def range_window_basis(op: OperatorMatrix, window: int) -> SubspaceBasis:
     Solving, rather than cutting the input degree, keeps range elements
     whose high-degree input content cancels in the image.
     """
-    basis = image_within(op.dense(cols=op.domain.window_indices(op.exact_window)),
-                         op.codomain.window_indices(window))
+    cols = op.domain.window_indices(op.exact_window)
+    basis = image_within(_within(op.entries, 1, cols, op.domain.dim),
+                         (op.codomain.dim, cols.size), op.codomain.window_indices(window))
     return SubspaceBasis(_window_ambient(op, window), basis, window=window)
 
 
-def inner_multiples_window_basis(theta: LaurentSymbol, w: int) -> np.ndarray:
+def inner_multiples_window_basis(theta: LaurentSymbol, w: int) -> Triplets:
     """Orthonormal basis of the multiples of the inner column with degree <= w.
 
     Solves for inputs whose image stays inside the window, which keeps
@@ -448,7 +451,8 @@ def inner_multiples_window_basis(theta: LaurentSymbol, w: int) -> np.ndarray:
     """
     n_in = w + max(0, theta.kmax)
     t_op = toeplitz_op(theta, n_in)
-    return image_within(t_op.dense(), t_op.codomain.window_indices(w))
+    return image_within(t_op.entries, (t_op.codomain.dim, t_op.domain.dim),
+                        t_op.codomain.window_indices(w))
 
 
 def kernel_representation_check(n_basis: SubspaceBasis, theta: LaurentSymbol | None,
@@ -478,15 +482,14 @@ def kernel_representation_check(n_basis: SubspaceBasis, theta: LaurentSymbol | N
     return VerificationReport(tuple(checks))
 
 
-def _first_part_constraint_basis(theta: LaurentSymbol, dim_f: int, w: int) -> np.ndarray:
+def _first_part_constraint_basis(theta: LaurentSymbol, dim_f: int, w: int) -> Triplets:
     """Basis of (theta multiples or zero) (+) (everything) in the window ambient."""
     e_basis = inner_multiples_window_basis(theta, w)
-    e_dim, k = e_basis.shape
+    e_dim, k = (w + 1) * theta.rows, basis_width(e_basis)
     f = np.arange((w + 1) * dim_f)  # the second part's coordinates, degrees 0..w
-    basis = dense_matrix(Triplets(e_dim + f, k + f, np.ones(f.size, complex)),
-                         (e_dim + f.size, k + f.size))
-    basis[:e_dim, :k] = e_basis
-    return basis
+    return Triplets(np.concatenate([e_basis.rows, e_dim + f]),
+                    np.concatenate([e_basis.cols, k + f]),
+                    np.concatenate([e_basis.vals, np.ones(f.size, complex)]))
 
 
 def range_representation_check(n_basis: SubspaceBasis, phi: LaurentSymbol,
@@ -523,6 +526,8 @@ def splitting_check_scalar(phi: LaurentSymbol) -> bool:
         raise ValueError(
             f"assembled symbol is not unitary-valued (classified {cls.kind.value})")
     # the top row's coefficients, one degree per row, of rank <= 1 exactly
-    # when they have a kernel; nullspace drops the zero rows of degrees only
-    # the bottom row reaches
-    return nullspace(phi.coeffs[:, 0, :]).shape[1] >= 1
+    # when they have a kernel; the degrees only the bottom row reaches hold
+    # no entry
+    top = phi.coeffs[:, 0, :]
+    degree, col = np.nonzero(top)
+    return basis_width(nullspace(Triplets(degree, col, top[degree, col]), 2)) >= 1

@@ -272,12 +272,14 @@ class IsometryClass:
 
 
 def _left_gram(s: LaurentSymbol) -> dict[int, np.ndarray]:
-    """G(m) = sum_j S_j^H S_(j+m); S isometry-valued iff G(m) = delta_m0 I."""
-    n = s.coeffs.shape[0]
-    gram = {m: np.zeros((s.cols, s.cols), dtype=complex) for m in range(1 - n, n)}
+    """G(m) = sum_j S_j^H S_(j+m) at every lag m = i - j of two nonzero
+    terms; G is zero at every other lag, so S is isometry-valued iff
+    G(0) = I and every listed G(m), m != 0, is 0."""
+    gram = {}
     for j in s.terms:
         for i in s.terms:
-            gram[i - j] += s.coeffs[j].conj().T @ s.coeffs[i]
+            lag = gram.setdefault(i - j, np.zeros((s.cols, s.cols), dtype=complex))
+            lag += s.coeffs[j].conj().T @ s.coeffs[i]
     return gram
 
 

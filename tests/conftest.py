@@ -19,12 +19,11 @@ from shiftlab import cli, linalg, operators, symbols
 from shiftlab.linalg import (
     RANK_RTOL,
     Triplets,
-    image_within,
-    nullspace,
-    principal_angle_distance,
+    basis_width,
+    dense_matrix,
     spectral_norm,
 )
-from shiftlab.operators import build_range_operator, nehari_lower_bound
+from shiftlab.operators import SubspaceBasis, build_range_operator, nehari_lower_bound
 from shiftlab.subspaces import (
     TYPE_I,
     TYPE_II,
@@ -244,10 +243,13 @@ def bilateral_roundtrip(spec, n) -> tuple[float, float]:
     assert w3 >= 0, "truncation too small for a reverse window"
     amb = b3.ambient
     lifted = np.zeros((amb.dim, mixed.dim), dtype=complex)
-    lifted[amb.degree_indices(0, b3.window)] = mixed.basis
+    lifted[amb.degree_indices(0, b3.window)] = dense_basis(mixed)
     keep = amb.window_indices(w3)
-    reverse = nullspace(flip_first_part(lifted, amb).conj().T[:, keep])
-    distance = principal_angle_distance(reverse, image_within(b3.basis, keep))
+    reverse = dense_nullspace(flip_first_part(lifted, amb).conj().T[:, keep])
+    gens = dense_basis(b3)
+    outside = np.delete(np.arange(amb.dim), keep)
+    within = dense_column_space(gens[keep] @ dense_nullspace(gens[outside]))
+    distance = dense_principal_angle_distance(reverse, within)
     return invariance_check(mixed), distance
 
 
@@ -263,8 +265,80 @@ def in_fiber_dims(basis) -> tuple[int, int]:
     exactly when they add up to its dimension; the deficit is its split
     defect."""
     amb = basis.ambient
-    first, second = (basis.basis[part_rows(amb, i)] for i in (0, 1))
-    return nullspace(second).shape[1], nullspace(first).shape[1]
+    first, second = (dense_basis(basis)[part_rows(amb, i)] for i in (0, 1))
+    return dense_nullspace(second).shape[1], dense_nullspace(first).shape[1]
+
+
+def dense_basis(basis: SubspaceBasis) -> np.ndarray:
+    """The columns of a SubspaceBasis as a dense ambient-by-dim array."""
+    return dense_matrix(basis.basis, (basis.ambient.dim, basis.dim))
+
+
+def basis_from_columns(ambient, columns, window) -> SubspaceBasis:
+    """A SubspaceBasis of the dense orthonormal columns."""
+    return SubspaceBasis(ambient, nonzero_triplets(columns), window=window)
+
+
+def dense_of_list(t: Triplets, rows: int) -> np.ndarray:
+    """The dense rows-by-``basis_width(t)`` matrix of a basis t lists."""
+    return dense_matrix(t, (rows, basis_width(t)))
+
+
+# Dense oracles of the entry-list helpers of ``linalg``: each factors or
+# multiplies the dense array as it stands, with no block split and no
+# entry list.
+
+def _core(m):
+    nonzero = m != 0
+    return np.flatnonzero(nonzero.any(axis=1)), np.flatnonzero(nonzero.any(axis=0))
+
+
+def dense_nullspace(m) -> np.ndarray:
+    """Orthonormal kernel basis of the dense m: the right singular vectors of
+    its nonzero core past the core's numerical rank at RANK_RTOL, on the
+    core's columns, then one unit vector per zero column of m."""
+    rows, cols = _core(m)
+    kernel = np.zeros((m.shape[1], 0), dtype=complex)
+    if cols.size:
+        _, sv, vh = np.linalg.svd(m[np.ix_(rows, cols)], full_matrices=True)
+        rank = int(np.sum(sv > RANK_RTOL * sv[0]))
+        kernel = np.zeros((m.shape[1], cols.size - rank), dtype=complex)
+        kernel[cols] = vh[rank:].conj().T
+    units = np.eye(m.shape[1], dtype=complex)[:, np.setdiff1d(np.arange(m.shape[1]), cols)]
+    return np.hstack([kernel, units])
+
+
+def dense_column_space(m) -> np.ndarray:
+    """Orthonormal basis of the column space of the dense m: the left
+    singular vectors of its nonzero core up to the core's numerical rank at
+    RANK_RTOL, on the core's rows."""
+    rows, cols = _core(m)
+    out = np.zeros((m.shape[0], 0), dtype=complex)
+    if rows.size:
+        u, sv, _ = np.linalg.svd(m[np.ix_(rows, cols)], full_matrices=False)
+        rank = int(np.sum(sv > RANK_RTOL * sv[0]))
+        out = np.zeros((m.shape[0], rank), dtype=complex)
+        out[rows] = u[:, :rank]
+    return out
+
+
+def dense_times(a, b) -> np.ndarray:
+    return a @ b
+
+
+def dense_project(b, x) -> np.ndarray:
+    """b (b* x)."""
+    return b @ (b.conj().T @ x)
+
+
+def dense_principal_angle_distance(b1, b2) -> float:
+    """||(I - P2) B1||, at most 1; 1.0 when the dimensions differ, 0.0 for
+    two empty bases."""
+    if b1.shape[1] != b2.shape[1]:
+        return 1.0
+    if b1.shape[1] == 0:
+        return 0.0
+    return min(1.0, float(np.linalg.norm(b1 - dense_project(b2, b1), 2)))
 
 
 def nonzero_triplets(m) -> Triplets:

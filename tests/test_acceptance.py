@@ -7,9 +7,11 @@ per-criterion lines; ``-s`` additionally shows the printed summaries).
 import numpy as np
 
 from conftest import (
+    basis_from_columns,
     bilateral_roundtrip,
     coeff,
     coeff_distance,
+    dense_column_space,
     haar_unitary,
     hankel_op,
     in_fiber_dims,
@@ -26,9 +28,8 @@ from shiftlab.cli import (
     replicated_range_symbol,
     timotin_u,
 )
-from shiftlab.linalg import column_space, principal_angle_distance, spectral_norm
+from shiftlab.linalg import principal_angle_distance, spectral_norm
 from shiftlab.operators import (
-    SubspaceBasis,
     build_kernel_operator,
     build_range_operator,
     intertwining_residual,
@@ -105,7 +106,7 @@ def explicit_replicated_basis(dim_e, dim_f, w):
             for j in range(dim_f):
                 v[dim_e * (w + 1) + j] = 1
         cols.append(v / np.linalg.norm(v))
-    return column_space(np.column_stack(cols))
+    return dense_column_space(np.column_stack(cols))
 
 
 def test_criterion_1_intertwining_identities():
@@ -227,15 +228,15 @@ def test_criterion_6_replicated_evaluation_examples():
     spec12 = demo_subspace_specs()["replicated-1-2"]
     mixed = mixed_invariant_subspace(spec12, n)
     w = mixed.window
-    explicit = SubspaceBasis(analytic_ambient(1, 2, w),
-                             explicit_replicated_basis(1, 2, w), window=w)
+    explicit = basis_from_columns(analytic_ambient(1, 2, w),
+                                  explicit_replicated_basis(1, 2, w), w)
     phi = replicated_range_symbol(1, 2)
     op = build_range_operator(phi, 1, operator_truncation(phi, w, n))
     rep = range_representation_check(explicit, phi, op)
     dist = named(rep, "span_distance").residual
     # two copies of f, three of f(0): invariance plus the dimension test
-    explicit23 = SubspaceBasis(analytic_ambient(2, 3, w),
-                               explicit_replicated_basis(2, 3, w), window=w)
+    explicit23 = basis_from_columns(analytic_ambient(2, 3, w),
+                                    explicit_replicated_basis(2, 3, w), w)
     inv = invariance_check(explicit23)
     defect = explicit23.dim - sum(in_fiber_dims(explicit23))
     ok = rep.overall and dist <= 1e-8 and inv <= 1e-10 and defect > 0
@@ -274,8 +275,8 @@ def test_criterion_8_finite_rank_kernel_demo():
     psi = block_symbol([[a, zero_symbol(1, 1)], [zero_symbol(1, 1), theta_f]])
     w = len(poles) - 1
     # zero (+) the model space of z^2 in the window: span{1, z} in the second fiber
-    target = SubspaceBasis(analytic_ambient(1, 1, w),
-                           np.eye(2 * (w + 1))[:, [w + 1, w + 2]], window=w)
+    target = basis_from_columns(analytic_ambient(1, 1, w),
+                                np.eye(2 * (w + 1))[:, [w + 1, w + 2]], w)
     op = build_kernel_operator(psi, 1, operator_truncation(psi, w, n))
     rep = kernel_representation_check(target, None, op)
     dist = named(rep, "kernel_distance").residual

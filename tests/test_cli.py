@@ -819,14 +819,14 @@ class TestSizeCapBoundsMemory:
     and its tracemalloc peak stays at most K * CAP * 16 bytes.
 
     K is the largest measured multiple, 6.03, rounded up: the largest array
-    the cap admits is not the only one live.  On the dense path the
-    generator matrix lives on beside the constraint and the kernel cut from
-    it, 3.0 times the largest array on the sample scenario at n = 512 and
-    at n = 1,024.  On the sparse path an entry takes 32 bytes, and
-    assembling a block operator holds its blocks, their offset copies, the
-    concatenation, the sort keys and order and the sorted list at once: the
-    operators-wide inputs at n = 4,096 reach 6.03 when a sparse product
-    stops them."""
+    the cap admits is not the only one live.  An entry takes 32 bytes, and
+    the subspace checks hold the entry lists of the generators, the bases
+    and the operators beside the dense stack of a block: the timotin-rot
+    inputs reach 3.06 at n = 256 and 3.67 at n = 4,096, where a block stack
+    stops them.  Assembling a block operator holds its blocks, their offset
+    copies, the concatenation, the sort keys and order and the sorted list
+    at once: the operators-wide inputs at n = 4,096 reach 6.03 when a
+    sparse product stops them."""
 
     CAP = 2 ** 16
     K = 7
@@ -875,6 +875,29 @@ class TestSizeCapBoundsMemory:
         code, out, err = self.peak_of(monkeypatch, lambda: main(argv))
         assert code == 2 and out == ""
         assert "at n = 256 the Lanczos basis, 256 x 260 entries, is above the cap" in err
+
+
+class TestMemoryGrowth:
+    """The subspace checks hold entry lists and factor dense arrays only
+    inside a connected block, so on the scalar-fiber inputs, whose blocks
+    are at most 2 x 2, memory grows about linearly in n: from n = 512 to
+    n = 4,096, eight times as far, the tracemalloc peak of a run may grow at
+    most 15 times, growth exponent 1.3.  Ambient-size dense arrays made it
+    grow as n**2 and stopped the n = 4,096 run at the size cap."""
+
+    @staticmethod
+    def peak(sc) -> int:
+        tracemalloc.start()
+        try:
+            assert run(sc).exit_status == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_scalar_splitting_rot_grows_at_most_as_n_to_1_3(self):
+        sc = parse_scenario(str(REPO / "tests/corpus/sweep-dense-seed0/scalar-splitting-rot.json"))
+        small, large = (self.peak(replace(sc, n_list=(n,))) for n in (512, 4096))
+        assert large <= 15 * small
 
 
 class TestRepresentationVariants:

@@ -9,7 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import conftest
 from conftest import (
+    dense_of_list,
+    dense_principal_angle_distance,
     gram_norm,
     haar_unitary,
     hankel_op,
@@ -21,7 +24,7 @@ from shiftlab import cli, linalg, operators
 from shiftlab.linalg import (
     RANK_RTOL,
     Triplets,
-    _unit_columns,
+    basis_width,
     column_space,
     short_gram,
     sparse_difference,
@@ -45,14 +48,33 @@ from shiftlab.subspaces import TYPE_I, InvariantSubspaceSpec
 from shiftlab.symbols import make_symbol, zero_symbol
 
 
+def kernel_of(m):
+    """``nullspace`` of the entries of the dense m, as a dense basis."""
+    return dense_of_list(nullspace(nonzero_triplets(m), m.shape[1]), m.shape[1])
+
+
+def span_of(m):
+    """``column_space`` of the entries of the dense m, as a dense basis."""
+    return dense_of_list(column_space(nonzero_triplets(m)), m.shape[0])
+
+
+def every_entry(m) -> Triplets:
+    """Every entry of the dense m as a triplet, zeros and -0.0 included."""
+    rows, cols = np.indices(m.shape)
+    return Triplets(rows.ravel(), cols.ravel(), m.ravel())
+
+
 class TestSpectralNorm:
     def test_zero_matrix_is_exactly_zero(self):
         value = spectral_norm(np.zeros((5, 3), dtype=complex))
+        assert value == 0.0 and type(value) is float
+        value = spectral_norm(every_entry(np.zeros((5, 3), dtype=complex)))
         assert value == 0.0 and type(value) is float
 
     def test_empty_matrix_is_exactly_zero(self):
         assert spectral_norm(np.zeros((4, 0), dtype=complex)) == 0.0
         assert spectral_norm(np.zeros((0, 0))) == 0.0
+        assert spectral_norm(linalg._NONE) == 0.0
 
 
 def orthonormal(rng, d, k):
@@ -74,12 +96,13 @@ class TestPrincipalAngleDistance:
         r12 = b2 - b1 @ (b1.conj().T @ b2)
         r21 = b1 - b2 @ (b2.conj().T @ b1)
         reference = min(1.0, max(np.linalg.norm(r12, 2), np.linalg.norm(r21, 2)))
-        assert abs(principal_angle_distance(b1, b2) - reference) <= 1e-14
+        distance = principal_angle_distance(nonzero_triplets(b1), nonzero_triplets(b2))
+        assert abs(distance - reference) <= 1e-14
 
     def test_dimension_mismatch_is_one(self):
         rng = np.random.default_rng(0)
-        assert principal_angle_distance(orthonormal(rng, 6, 2),
-                                        orthonormal(rng, 6, 3)) == 1.0
+        assert principal_angle_distance(nonzero_triplets(orthonormal(rng, 6, 2)),
+                                        nonzero_triplets(orthonormal(rng, 6, 3))) == 1.0
 
 
 # Dense references: the full matrix factored as it stands, zero rows and
@@ -134,7 +157,7 @@ def assert_orthonormal(b):
 def assert_same_span(b, ref):
     assert b.shape == ref.shape
     assert_orthonormal(b)
-    assert principal_angle_distance(b, ref) <= 1e-12
+    assert dense_principal_angle_distance(b, ref) <= 1e-12
 
 
 @st.composite
@@ -176,8 +199,8 @@ class TestSupportStripping:
         assert np.all(sv[nonzero.size:] <= 1e-12)
         assert spectral_norm(m) == pytest.approx(ref_sv[0] if ref_sv.size else 0.0,
                                                  abs=1e-12)
-        assert_same_span(nullspace(m), ref_nullspace(m))
-        assert_same_span(column_space(m), ref_column_space(m))
+        assert_same_span(kernel_of(m), ref_nullspace(m))
+        assert_same_span(span_of(m), ref_column_space(m))
         for tol in (1e-8, 0.3):
             assert _binary_singular_values(m, tol) == ref_binary(m, tol)
 
@@ -193,7 +216,7 @@ class TestSupportStripping:
     def test_zero_columns_are_kernel_unit_vectors(self):
         m = np.zeros((3, 4), dtype=complex)
         m[:, 1] = [1.0, 2.0, 0.0]
-        kernel = nullspace(m)
+        kernel = kernel_of(m)
         assert kernel.shape == (4, 3)
         assert np.allclose(kernel[1], 0.0)
         assert np.allclose(m @ kernel, 0.0)
@@ -201,7 +224,7 @@ class TestSupportStripping:
     def test_column_space_lives_on_support_rows(self):
         m = np.zeros((5, 2), dtype=complex)
         m[[0, 3], 0] = [3.0, 4.0]
-        basis = column_space(m)
+        basis = span_of(m)
         assert basis.shape == (5, 1)
         np.testing.assert_allclose(np.abs(basis[:, 0]), [0.6, 0, 0, 0.8, 0], atol=1e-15)
 
@@ -256,31 +279,25 @@ def ref_support(m):
     return np.flatnonzero(nonzero.any(axis=1)), np.flatnonzero(nonzero.any(axis=0))
 
 
-def ref_unit_columns(b):
-    nonzero = b != 0
-    single = np.flatnonzero(np.count_nonzero(nonzero, axis=0) == 1)
-    at = nonzero[:, single].argmax(axis=0) if single.size else single
-    unit = b[at, single] == 1
-    return single[unit], at[unit], np.setdiff1d(np.arange(b.shape[1]), single[unit])
-
-
-def block_support(m):
-    """The rows and the columns of m that ``_blocks`` places in a block,
-    ascending."""
-    blocks = linalg._blocks(m)
+def block_support(t):
+    """The rows and the columns of the matrix t lists that ``_blocks``
+    places in a block, ascending."""
+    blocks = linalg._blocks(t)
     return tuple(np.sort(np.concatenate([np.zeros(0, int)] + [b[k].ravel() for b in blocks]))
                  for k in (0, 1))
 
 
 class TestNonzeroMasks:
-    """_blocks and _unit_columns read the float view of the complex data;
-    they must find exactly the entries m != 0 finds."""
+    """_blocks reads an entry list that may list zeros, -0.0 and entries
+    with one part zero; it must find exactly the entries m != 0 finds, and
+    its stacks must hold exactly m's values there."""
 
     def check(self, m):
-        for got, ref in zip(block_support(m), ref_support(m)):
+        t = every_entry(m)
+        for got, ref in zip(block_support(t), ref_support(m)):
             np.testing.assert_array_equal(got, ref)
-        for got, ref in zip(_unit_columns(m), ref_unit_columns(m)):
-            np.testing.assert_array_equal(got, ref)
+        for rows, cols, stack in linalg._blocks(t):
+            np.testing.assert_array_equal(stack, m[rows[:, :, None], cols[:, None, :]])
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(0, 9), cols=st.integers(0, 9))
@@ -626,8 +643,8 @@ class TestTriangleFirst:
         rng = np.random.default_rng(seed)
         rows, cols = (short, short + extra) if wide else (short + extra, short)
         m = planted(rng, rows, cols, np.arange(rows), np.arange(cols), rank, binary)
-        assert_same_span(nullspace(m), ref_nullspace(m))
-        assert_same_span(column_space(m), ref_column_space(m))
+        assert_same_span(kernel_of(m), ref_nullspace(m))
+        assert_same_span(span_of(m), ref_column_space(m))
 
     @pytest.mark.parametrize("wide", [False, True])
     def test_triangle_with_an_exactly_zero_row(self, wide, factor_calls):
@@ -635,7 +652,7 @@ class TestTriangleFirst:
         triangle = np.linalg.qr(core, mode="r")
         assert not triangle[1].any() and triangle[2].any()
         m = core.conj().T if wide else core
-        kernel, span = nullspace(m), column_space(m)
+        kernel, span = kernel_of(m), span_of(m)
         assert kernel.shape[1] == (2 if wide else 1) and span.shape[1] == 2
         # the zero row is stripped again before the SVD
         svds = [c.a for c in factor_calls if c.routine == "svd"]
@@ -739,6 +756,15 @@ def permuted_block_cores(draw):
     return m[rng.permutation(rows)][:, rng.permutation(cols)], blocks
 
 
+def operand_matrix(m):
+    """The dense matrix of an operand, a dense array or the entry list of a
+    matrix no larger than its largest row and column index."""
+    if isinstance(m, np.ndarray):
+        return m
+    shape = (int(m.rows.max(initial=-1)) + 1, int(m.cols.max(initial=-1)) + 1)
+    return linalg.dense_matrix(m, shape)
+
+
 def component_shapes(m):
     """(rows, cols) of each connected block of m's nonzero pattern, by
     union-find over its nonzero entries."""
@@ -749,7 +775,7 @@ def component_shapes(m):
             node = parent[node]
         return node
 
-    for i, j in zip(*np.nonzero(m)):
+    for i, j in zip(*np.nonzero(operand_matrix(m))):
         parent[root(("row", i))] = root(("col", j))
     shapes = {}
     for node in parent:
@@ -776,19 +802,19 @@ class TestConnectedBlocks:
     @given(drawn=permuted_block_cores())
     def test_permuted_block_diagonal_cores(self, drawn):
         m, blocks = drawn
-        found = linalg._blocks(m)
-        assert sum(r.shape[0] for r, _ in found) == blocks
+        found = linalg._blocks(nonzero_triplets(m))
+        assert sum(r.shape[0] for r, _, _ in found) == blocks
         sv, ref_sv = singular_values(m), ref_singular_values(m)
         assert sv.size <= ref_sv.size and np.all(np.diff(sv) <= 0)
         np.testing.assert_allclose(sv, ref_sv[:sv.size], rtol=0, atol=1e-13)
         assert np.all(ref_sv[sv.size:] <= 1e-13)
-        assert_same_span(nullspace(m), ref_nullspace(m))
-        assert_same_span(column_space(m), ref_column_space(m))
+        assert_same_span(kernel_of(m), ref_nullspace(m))
+        assert_same_span(span_of(m), ref_column_space(m))
 
     def test_one_cutoff_for_all_blocks(self):
         m = np.zeros((3, 3), dtype=complex)
         m[0, 0], m[1, 1:] = 1.0, [1e-12, -1e-12]
-        assert nullspace(m).shape == (3, 2) and column_space(m).shape == (3, 1)
+        assert kernel_of(m).shape == (3, 2) and span_of(m).shape == (3, 1)
         np.testing.assert_allclose(singular_values(m), [1.0, np.sqrt(2) * 1e-12], rtol=1e-15)
 
     @pytest.mark.parametrize("wide", [False, True])
@@ -802,9 +828,9 @@ class TestConnectedBlocks:
             core[4 * k:4 * k + 4, 3 * k:3 * k + 3] = block
         m = core.conj().T if wide else core
         if wide:
-            assert_same_span(column_space(m), ref_column_space(m))
+            assert_same_span(span_of(m), ref_column_space(m))
         else:
-            assert_same_span(nullspace(m), ref_nullspace(m))
+            assert_same_span(kernel_of(m), ref_nullspace(m))
         calls = [c for c in factor_calls if c.site in ("nullspace", "column_space")]
         qr = [c for c in calls if c.routine == "qr"]
         svd = [c for c in calls if c.routine == "svd"]
@@ -825,22 +851,26 @@ class TestConnectedBlocks:
             key = id(c.operand)
             if key not in largest:
                 largest[key] = max(p * q for p, q in component_shapes(c.operand))
-            assert c.a.size <= largest[key], (c.site, c.a.shape, c.operand.shape)
+            assert c.a.size <= largest[key], (c.site, c.a.shape)
 
     @settings(max_examples=150, deadline=None)
     @given(m=st.one_of(permuted_block_cores().map(lambda drawn: drawn[0]), planted_matrices()),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_layout_and_column_order_move_no_bit(self, m, seed):
-        # a column-major copy and a column gather (column-major too) of a
-        # row-major m must find its blocks in the same order, so every basis
-        # column comes out in the same place
-        m = np.ascontiguousarray(m)  # a drawn block core is a column gather
-        perm = np.random.default_rng(seed).permutation(m.shape[1])
-        layouts = [np.asfortranarray(m), m[:, perm][:, np.argsort(perm)]]
-        for helper in (nullspace, column_space, singular_values):
-            expected = helper(m)
+        # the entry list of m in row-major order, shuffled, and with m's
+        # zero entries listed as well must find its blocks in the same
+        # order, so every basis column comes out in the same place, bit for
+        # bit
+        t = nonzero_triplets(m)
+        order = np.random.default_rng(seed).permutation(t.rows.size)
+        layouts = [Triplets(*(x[order] for x in t)), every_entry(m)]
+        for helper in (lambda t: nullspace(t, m.shape[1]), column_space):
+            expected = dense_of_list(helper(t), m.shape[0] + m.shape[1])
             for other in layouts:
-                np.testing.assert_array_equal(helper(other), expected)
+                np.testing.assert_array_equal(
+                    dense_of_list(helper(other), m.shape[0] + m.shape[1]), expected)
+        for other in layouts:
+            np.testing.assert_array_equal(singular_values(other), singular_values(m))
 
     @pytest.mark.parametrize("name", ["timotin-nonsplitting", "timotin-rotated"])
     def test_one_component_cores_are_a_stack_of_one(self, name, factor_calls):
@@ -857,11 +887,12 @@ class TestConnectedBlocks:
         calls = [c for c in factor_calls if c.site in sites]
         single = 0
         for c in calls:
-            assert c.stacked, (c.site, c.a.shape, c.operand.shape)
+            assert c.stacked, (c.site, c.a.shape)
             if len(component_shapes(c.operand)) == 1:
                 single += 1
-                assert c.depth == 1, (c.site, c.a.shape, c.operand.shape)
-                core = c.operand[np.ix_(*ref_support(c.operand))]
+                assert c.depth == 1, (c.site, c.a.shape)
+                operand = operand_matrix(c.operand)
+                core = operand[np.ix_(*ref_support(operand))]
                 side = {"nullspace": 1, "column_space": 0}.get(c.site)
                 assert side is None or core.shape[side] in c.a.shape
         # rank_profile factors its circle samples as one stack per chunk,
@@ -891,12 +922,15 @@ class TestUnitColumnProducts:
     @settings(max_examples=120, deadline=None)
     @given(drawn=unit_heavy_bases(), left=st.integers(0, 8))
     def test_times_and_project_match_dense_products(self, drawn, left):
+        # a unit column is one entry of value 1
         b, rng = drawn
         d, k = b.shape
         a = rng.standard_normal((left, d)) + 1j * rng.standard_normal((left, d))
         x = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
-        assert np.max(np.abs(times(a, b) - a @ b), initial=0.0) <= 1e-13
-        assert np.max(np.abs(project(b, x) - b @ (b.conj().T @ x)), initial=0.0) <= 1e-13
+        product = linalg.dense_matrix(times(nonzero_triplets(a), nonzero_triplets(b)), (left, k))
+        assert np.max(np.abs(product - a @ b), initial=0.0) <= 1e-13
+        projected = linalg.dense_matrix(project(nonzero_triplets(b), nonzero_triplets(x)), (d, k))
+        assert np.max(np.abs(projected - b @ (b.conj().T @ x)), initial=0.0) <= 1e-13
 
     @settings(max_examples=120, deadline=None)
     @given(first=unit_heavy_bases(), second=unit_heavy_bases(), log_eps=st.floats(-16, 0))
@@ -906,8 +940,129 @@ class TestUnitColumnProducts:
         if b2.shape != b1.shape:  # a rotated copy of b1 instead
             noise = rng.standard_normal(b1.shape) + 1j * rng.standard_normal(b1.shape)
             b2 = np.linalg.qr(b1 + 10.0 ** log_eps * noise)[0]
-        assert abs(principal_angle_distance(b1, b2)
-                   - principal_angle_distance(b2, b1)) <= 1e-14
+        t1, t2 = nonzero_triplets(b1), nonzero_triplets(b2)
+        assert abs(principal_angle_distance(t1, t2) - principal_angle_distance(t2, t1)) <= 1e-14
+
+
+@st.composite
+def entry_lists(draw):
+    """(t, m): a matrix m with planted connected blocks, each a dense block
+    of planted rank on its own rows and columns, and unit columns, one entry
+    1 each; and t, the list of m's entries with explicit zeros, -0.0 and
+    complex(-0.0, -0.0) listed at some positions m leaves empty, shuffled."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows, cols = draw(st.integers(0, 14)), draw(st.integers(0, 14))
+    m = np.zeros((rows, cols), dtype=complex)
+    free_rows, free_cols = list(rng.permutation(rows)), list(rng.permutation(cols))
+    for p, q in draw(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), max_size=4)):
+        if p > len(free_rows) or q > len(free_cols):
+            break
+        at_rows, at_cols = [free_rows.pop() for _ in range(p)], [free_cols.pop() for _ in range(q)]
+        m[np.ix_(at_rows, at_cols)] = planted(rng, p, q, np.arange(p), np.arange(q),
+                                              draw(st.integers(1, 4)), draw(st.booleans()))
+    for _ in range(min(draw(st.integers(0, 4)), len(free_cols))):
+        if rows:  # a unit column, on a row of a block or a free one
+            m[rng.integers(rows), free_cols.pop()] = 1.0
+    t = nonzero_triplets(m)
+    empty = np.flatnonzero(m.ravel() == 0)
+    zeros = rng.choice(empty, size=min(empty.size, draw(st.integers(0, 6))), replace=False)
+    signed = np.array([0.0, -0.0, complex(-0.0, -0.0)])[rng.integers(0, 3, zeros.size)]
+    t = Triplets(*(np.concatenate([x, y]) for x, y in zip(t, (*np.divmod(zeros, max(cols, 1)),
+                                                               signed))))
+    order = rng.permutation(t.rows.size)
+    return Triplets(*(x[order] for x in t)), m
+
+
+HADAMARD = 0.5 * np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]])
+
+
+def dyadic_basis(rng, d):
+    """An orthonormal basis on d rows whose entries are exact in binary, as
+    is every product and sum the helpers form of them: unit columns, and
+    columns of Hadamard blocks / 2 on four rows each, shuffled."""
+    rows, columns, at = rng.permutation(d), [np.zeros((d, 0))], 0
+    while at < d:
+        if d - at >= 4 and rng.random() < 0.5:
+            block = np.zeros((d, 4))
+            block[rows[at:at + 4]] = HADAMARD
+            columns.append(block[:, rng.random(4) < 0.6])
+            at += 4
+        else:
+            if rng.random() < 0.7:
+                columns.append(np.eye(d)[:, [rows[at]]])
+            at += 1
+    b = np.hstack(columns).astype(complex)
+    return b[:, rng.permutation(b.shape[1])]
+
+
+def structural_zeros(a, b):
+    """The entries of a @ b that no pair of nonzero entries reaches."""
+    return ((a != 0).astype(int) @ (b != 0).astype(int)) == 0
+
+
+class TestTripletHelpersMatchDenseOracles:
+    """The entry-list helpers of ``linalg`` against the dense oracles of
+    ``tests/conftest.py``, which factor and multiply the whole arrays: equal
+    rank, orthonormal output, span distance at most 1e-12, and an exact 0
+    wherever the oracle gives one, that is on the rows and entries no
+    nonzero term reaches and, on dyadic inputs, where every sum is exact, at
+    every exact 0 of the oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(drawn=entry_lists())
+    def test_nullspace_and_column_space(self, drawn):
+        t, m = drawn
+        for got, oracle in ((nullspace(t, m.shape[1]), conftest.dense_nullspace(m)),
+                            (column_space(t), conftest.dense_column_space(m))):
+            assert basis_width(got) == oracle.shape[1]
+            basis = dense_of_list(got, oracle.shape[0])
+            assert_orthonormal(basis)
+            assert dense_principal_angle_distance(basis, oracle) <= 1e-12
+            zero_rows = ~oracle.any(axis=1)
+            assert not basis[zero_rows].any()
+
+    @settings(max_examples=150, deadline=None)
+    @given(drawn=entry_lists(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_times_and_project(self, drawn, seed):
+        t, m = drawn
+        rows, cols = m.shape
+        rng = np.random.default_rng(seed)
+        # m's planted blocks and unit columns against a signed-zero matrix
+        # and, exactly, two signed-zero matrices
+        for a, x in ((m, signed_zero_matrix(rng, cols, 5)),
+                     (signed_zero_matrix(rng, rows, cols), signed_zero_matrix(rng, cols, 5))):
+            product = linalg.dense_matrix(times(nonzero_triplets(a), nonzero_triplets(x)),
+                                          (rows, 5))
+            oracle = conftest.dense_times(a, x)
+            np.testing.assert_allclose(product, oracle, rtol=0, atol=1e-12)
+            zeros = structural_zeros(a, x) if a is m else oracle == 0
+            assert not product[zeros].any()
+        # the projection onto m's kernel, which is 0 on the basis's zero
+        # rows, and exactly onto a dyadic basis
+        for b, exact in ((conftest.dense_nullspace(m), False), (dyadic_basis(rng, cols), True)):
+            x = signed_zero_matrix(rng, cols, 3)
+            projected = linalg.dense_matrix(project(nonzero_triplets(b), nonzero_triplets(x)),
+                                            (cols, 3))
+            oracle = conftest.dense_project(b, x)
+            np.testing.assert_allclose(projected, oracle, rtol=0, atol=1e-12)
+            zeros = (oracle == 0) if exact else structural_zeros(b, b.conj().T @ x)
+            assert not projected[zeros].any()
+
+    @settings(max_examples=150, deadline=None)
+    @given(drawn=entry_lists(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_principal_angle_distance(self, drawn, seed):
+        _, m = drawn
+        rng = np.random.default_rng(seed)
+        kernel = conftest.dense_nullspace(m)
+        exact = [dyadic_basis(rng, kernel.shape[0]) for _ in range(2)]
+        pairs = [(kernel, kernel[:, ::-1]), (kernel, conftest.dense_column_space(kernel[:, :-1])),
+                 (exact[0], exact[0][:, ::-1]), (exact[0], exact[1])]
+        for first, second in pairs:
+            got = principal_angle_distance(nonzero_triplets(first), nonzero_triplets(second))
+            oracle = conftest.dense_principal_angle_distance(first, second)
+            assert abs(got - oracle) <= 1e-12
+            if first is exact[0]:
+                assert (got == 0.0) == (oracle == 0.0)
 
 
 def _block_diagonal(count: int, size: int) -> np.ndarray:
@@ -932,14 +1087,18 @@ class TestSizeCap:
         (50, lambda: linalg.dense_matrix(_dense_triplets(1, 1), (10, 10)),
          "the dense matrix, 10 x 10 entries"),
         (40, lambda: singular_values(_block_diagonal(3, 4)), "the block stack, 3 x 4 x 4 entries"),
-        (50, lambda: nullspace(np.ones((1, 10), dtype=complex)),
+        (50, lambda: nullspace(_dense_triplets(1, 10), 10),
          "the right singular vectors, 1 x 10 x 10 entries"),
-        (50, lambda: nullspace(np.zeros((3, 10), dtype=complex)),
-         "the kernel basis, 10 x 10 entries"),
-        (50, lambda: column_space(np.eye(10, dtype=complex)), "the dense matrix, 10 x 10 entries"),
-        (50, lambda: times(np.ones((10, 2)), np.ones((2, 10))), "the product, 10 x 10 entries"),
-        (50, lambda: linalg.intersection(np.eye(10, 4), np.eye(10, 4)),
-         "the stack [b1, -b2], 10 x 8 entries"),
+        # no entry: a unit column per column
+        (50, lambda: nullspace(linalg._NONE, 100), "the kernel basis's unit columns, 100 entries"),
+        (50, lambda: column_space(_dense_triplets(10, 10)), "the block stack, 1 x 10 x 10 entries"),
+        # 200 terms, more than the 2 x 20 entries of the two cores
+        (50, lambda: times(_dense_triplets(10, 2), _dense_triplets(2, 10)),
+         "the product, 10 x 10 entries"),
+        # the spans of two dense 10 x 4 bases: [b1, -b2] is one block
+        (50, lambda: linalg.intersection(*(nonzero_triplets(orthonormal(np.random.default_rng(k),
+                                                                        10, 4)) for k in (0, 1))),
+         "the block stack, 1 x 10 x 8 entries"),
         (50, lambda: sparse_product(_dense_triplets(8, 8), _dense_triplets(8, 8), 10 ** 6),
          "the terms of a sparse product, 512 entries"),
         (50, lambda: sparse_norm(_dense_triplets(10, 10)), "the Lanczos basis, 8 x 10 entries"),

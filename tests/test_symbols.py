@@ -1,5 +1,7 @@
 """Coefficient-level symbol algebra tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -201,15 +203,17 @@ class TestNonzeroTermLoops:
                 for j, b in enumerate(s2.coeffs):
                     dense[i + j] += a @ b
             np.testing.assert_array_equal(symbol_mul(s1, s2).coeffs, dense)
+            # the Gram lags are those of pairs of nonzero terms; every other
+            # lag of the dense loop sums exact zeros
             n = len(s1.coeffs)
             gram = _left_gram(s1)
-            assert sorted(gram) == list(range(1 - n, n))
+            assert sorted(gram) == sorted({i - j for i in s1.terms for j in s1.terms})
             for m in range(1 - n, n):
                 ref = np.zeros((3, 3), dtype=complex)
                 for j in range(n):
                     if 0 <= j + m < n:
                         ref += s1.coeffs[j].conj().T @ s1.coeffs[j + m]
-                np.testing.assert_array_equal(gram[m], ref)
+                np.testing.assert_array_equal(gram.get(m, np.zeros((3, 3))), ref)
 
 
 class TestNonzeroTermsOnce:
@@ -281,6 +285,26 @@ class TestClassification:
         phi = make_symbol(1, 3, {0: [[r, 0, 0]], 1: [[0, r, r]]})
         cls = classify_isometry(phi)
         assert cls.kind is IsometryKind.COISOMETRY
+
+
+class TestLeftGramMemory:
+    """_left_gram keeps one matrix per lag of two nonzero terms, not one per
+    lag of the stored band, so a far coefficient costs memory in proportion
+    to the coefficient stack alone."""
+
+    def test_far_coefficient_stays_within_a_small_multiple_of_the_stack(self):
+        # U = diag(z**200000, 1): the stack holds 200,001 2 x 2 coefficients,
+        # two of them nonzero; one Gram matrix per lag of the band took 18x
+        # the stack's bytes
+        u = make_symbol(2, 2, {0: [[0, 0], [0, 1]], 200000: [[1, 0], [0, 0]]})
+        tracemalloc.start()
+        try:
+            cls = classify_isometry(u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cls.kind is IsometryKind.UNITARY and cls.residual == 0.0
+        assert peak <= 3 * u.coeffs.nbytes
 
 
 class TestRankProfile:
