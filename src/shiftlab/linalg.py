@@ -364,10 +364,10 @@ def intersection(b1: Triplets, b2: Triplets) -> Triplets:
     orthonormal.
     """
     k1 = basis_width(b1)
+    width = k1 + basis_width(b2)
     stack = Triplets(np.concatenate([b1.rows, b2.rows]), np.concatenate([b1.cols, k1 + b2.cols]),
                      np.concatenate([b1.vals, -b2.vals]))
-    kernel = nullspace(stack, k1 + basis_width(b2))
-    image = times(b1, _within(kernel, 0, np.arange(k1), k1 + basis_width(b2)))
+    image = times(b1, _within(nullspace(stack, width), 0, np.arange(k1), width))
     return image._replace(vals=np.sqrt(2) * image.vals)
 
 
