@@ -254,7 +254,8 @@ def _block_basis(blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
 def singular_values(m: Triplets | np.ndarray) -> np.ndarray:
     """Singular values of the connected blocks of m, merged, descending: m
     is an entry list, each position at most once, or a dense array, read
-    through its entries != 0.
+    through its entries != 0 (the window slice of ``svd_analysis``'s
+    fallback).
 
     These are the nonzero singular values of m, possibly followed by
     zeros; the zeros that m's zero rows and columns and its block structure
@@ -282,10 +283,11 @@ def numerical_rank(sv: np.ndarray) -> int:
     return int(np.sum(sv > RANK_RTOL * sv[0])) if sv.size else 0
 
 
-def basis_width(t: Triplets) -> int:
-    """The number of columns of the orthonormal basis t lists: each column
-    holds an entry != 0, so it is one past the largest column index."""
-    return int(t.cols.max(initial=-1)) + 1
+def extent(t: Triplets, axis: int) -> int:
+    """One past the largest row (axis 0) or column (axis 1) index that t
+    lists, 0 when t is empty: the number of columns of an orthonormal
+    basis, each of which holds an entry != 0."""
+    return int(t[axis].max(initial=-1)) + 1
 
 
 def nullspace(m: Triplets, width: int) -> Triplets:
@@ -363,8 +365,8 @@ def intersection(b1: Triplets, b2: Triplets) -> Triplets:
     |x| = |y| = 1/sqrt(2) and orthogonal x parts, so sqrt(2) b1 x is
     orthonormal.
     """
-    k1 = basis_width(b1)
-    width = k1 + basis_width(b2)
+    k1 = extent(b1, 1)
+    width = k1 + extent(b2, 1)
     stack = Triplets(np.concatenate([b1.rows, b2.rows]), np.concatenate([b1.cols, k1 + b2.cols]),
                      np.concatenate([b1.vals, -b2.vals]))
     image = times(b1, _within(nullspace(stack, width), 0, np.arange(k1), width))
@@ -383,8 +385,8 @@ def principal_angle_distance(b1: Triplets, b2: Triplets) -> float:
     the checks pass their target basis second, whose unit columns, kernel
     directions of zero columns, project exactly.
     """
-    k = basis_width(b1)
-    if k != basis_width(b2):
+    k = extent(b1, 1)
+    if k != extent(b2, 1):
         return 1.0
     if k == 0:
         return 0.0
@@ -418,19 +420,11 @@ def _keys(t: Triplets, width: int) -> np.ndarray:
     return t.rows.astype(np.int64) * width + t.cols
 
 
-def _width(*lists: Triplets) -> int:
-    return 1 + max((int(t.cols.max()) for t in lists if t.cols.size), default=0)
-
-
-def _height(t: Triplets) -> int:
-    return 1 + int(t.rows.max(initial=0))
-
-
 def row_major(t: Triplets) -> Triplets:
     """The entries of t, each position listed at most once, in the row-major
     order of np.nonzero.  The sort is stable, so a list made of sorted runs
     is merged in linear time."""
-    order = np.argsort(_keys(t, _width(t)), kind="stable")
+    order = np.argsort(_keys(t, extent(t, 1)), kind="stable")
     return Triplets(*(x[order] for x in t))
 
 
@@ -464,7 +458,7 @@ def sparse_product(a: Triplets, b: Triplets, limit: int) -> Triplets | None:
     position (i, j) are summed.  The memory is a few arrays of one element
     per term, which ``limit`` bounds.
     """
-    height = 1 + max(int(a.cols.max(initial=-1)), int(b.rows.max(initial=-1)))
+    height = max(extent(a, 1), extent(b, 0))
     per_row = np.bincount(b.rows, minlength=height)
     count = per_row[a.cols]
     terms = int(count.sum())
@@ -476,19 +470,12 @@ def sparse_product(a: Triplets, b: Triplets, limit: int) -> Triplets | None:
     left = np.repeat(np.arange(a.rows.size), count)
     # term t of entry e of a takes entry start[e] + (t - first term of e) of b
     right = order[np.repeat(start + count - np.cumsum(count), count) + np.arange(terms)]
-    width = _width(b)
-    keys, at = _merged(a.rows[left] * width + b.cols[right], _height(a) * width)
+    width = extent(b, 1)
+    keys, at = _distinct(a.rows[left] * width + b.cols[right])
     vals = np.zeros(keys.size, dtype=np.result_type(a.vals, b.vals))
     np.add.at(vals, at, a.vals[left] * b.vals[right])
     rows, cols = np.divmod(keys, width)
     return Triplets(rows, cols, vals)
-
-
-def _merged(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_distinct(keys)`` for keys in [0, size): by counting while its
-    arrays, of 9 bytes a key value, take no more memory than the 8-byte keys
-    and their 16-byte values together, else by the stable sort."""
-    return _compressed(keys) if 9 * size <= 24 * keys.size else _distinct(keys)
 
 
 def sparse_difference(a: Triplets, b: Triplets) -> Triplets:
@@ -496,9 +483,8 @@ def sparse_difference(a: Triplets, b: Triplets) -> Triplets:
     b, in row-major order.  A position is computed as the dense arrays
     would compute it, (value in a or 0) - (value in b or 0), so equal
     entries cancel to an exact zero and are left out."""
-    width = _width(a, b)
-    keys, at = _merged(np.concatenate([_keys(a, width), _keys(b, width)]),
-                       max(_height(a), _height(b)) * width)
+    width = max(extent(a, 1), extent(b, 1))
+    keys, at = _distinct(np.concatenate([_keys(a, width), _keys(b, width)]))
     diff = np.zeros(keys.size, dtype=np.result_type(a.vals, b.vals))
     minus = np.zeros_like(diff)
     diff[at[:a.rows.size]] = a.vals

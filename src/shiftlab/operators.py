@@ -19,9 +19,9 @@ from .linalg import (
     Triplets,
     _renumbered,
     _within,
-    basis_width,
     check_size,
     dense_matrix,
+    extent,
     row_major,
     singular_values,
     short_gram,
@@ -155,7 +155,7 @@ class SubspaceBasis:
 
     @property
     def dim(self) -> int:
-        return basis_width(self.basis)
+        return extent(self.basis, 1)
 
 
 @dataclass(frozen=True)
@@ -413,9 +413,8 @@ def intertwining_residual(op: OperatorMatrix, kind: str) -> float:
     that meet at one position are subtracted, and only the window columns
     are kept.  Equal entries cancel exactly, which leaves nothing on the
     mixed operators of the demos and the benchmark, and the residual is
-    then exactly 0.0.  Otherwise its spectral norm is that of the
-    residual's nonzero core, the array the dense residual's SVD would
-    factor.
+    then exactly 0.0.  Otherwise its spectral norm is taken from the
+    connected blocks of the residual's entries.
     """
     if kind not in ("range", "kernel"):
         raise ValueError(f"unknown intertwining kind {kind!r}")
@@ -435,7 +434,7 @@ def intertwining_residual(op: OperatorMatrix, kind: str) -> float:
         raise ValueError("empty exactness window: truncation too small")
     cols = space.window_indices(w)
     resid = sparse_difference(*(_within(t, 1, cols, space.dim) for t in pair))
-    return spectral_norm(support_core(resid))
+    return spectral_norm(resid)
 
 
 def nehari_lower_bound(op: OperatorMatrix) -> float:

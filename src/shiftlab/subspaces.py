@@ -21,8 +21,8 @@ import numpy as np
 from .linalg import (
     Triplets,
     _within,
-    basis_width,
     column_space,
+    extent,
     image_within,
     intersection,
     nullspace,
@@ -319,10 +319,10 @@ def bilateral_subspace(spec: InvariantSubspaceSpec, n: int) -> SubspaceBasis:
     columns = block_symbol([[sym for sym, _ in gens]])
     if classify_isometry(columns).kind not in (IsometryKind.ISOMETRY, IsometryKind.UNITARY):
         basis = column_space(basis)
-        if basis_width(basis) != width:
+        if extent(basis, 1) != width:
             raise ValueError(
                 f"generators are numerically dependent: {width} columns "
-                f"span only {basis_width(basis)} directions")
+                f"span only {extent(basis, 1)} directions")
     return SubspaceBasis(amb, basis, window=default_window(spec, n))
 
 
@@ -485,7 +485,7 @@ def kernel_representation_check(n_basis: SubspaceBasis, theta: LaurentSymbol | N
 def _first_part_constraint_basis(theta: LaurentSymbol, dim_f: int, w: int) -> Triplets:
     """Basis of (theta multiples or zero) (+) (everything) in the window ambient."""
     e_basis = inner_multiples_window_basis(theta, w)
-    e_dim, k = (w + 1) * theta.rows, basis_width(e_basis)
+    e_dim, k = (w + 1) * theta.rows, extent(e_basis, 1)
     f = np.arange((w + 1) * dim_f)  # the second part's coordinates, degrees 0..w
     return Triplets(np.concatenate([e_basis.rows, e_dim + f]),
                     np.concatenate([e_basis.cols, k + f]),
@@ -530,4 +530,4 @@ def splitting_check_scalar(phi: LaurentSymbol) -> bool:
     # no entry
     top = phi.coeffs[:, 0, :]
     degree, col = np.nonzero(top)
-    return basis_width(nullspace(Triplets(degree, col, top[degree, col]), 2)) >= 1
+    return extent(nullspace(Triplets(degree, col, top[degree, col]), 2), 1) >= 1

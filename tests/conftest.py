@@ -19,8 +19,8 @@ from shiftlab import cli, linalg, operators, symbols
 from shiftlab.linalg import (
     RANK_RTOL,
     Triplets,
-    basis_width,
     dense_matrix,
+    extent,
     spectral_norm,
 )
 from shiftlab.operators import SubspaceBasis, build_range_operator, nehari_lower_bound
@@ -280,8 +280,8 @@ def basis_from_columns(ambient, columns, window) -> SubspaceBasis:
 
 
 def dense_of_list(t: Triplets, rows: int) -> np.ndarray:
-    """The dense rows-by-``basis_width(t)`` matrix of a basis t lists."""
-    return dense_matrix(t, (rows, basis_width(t)))
+    """The dense rows-by-``extent(t, 1)`` matrix of a basis t lists."""
+    return dense_matrix(t, (rows, extent(t, 1)))
 
 
 # Dense oracles of the entry-list helpers of ``linalg``: each factors or

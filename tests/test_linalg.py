@@ -24,8 +24,8 @@ from shiftlab import cli, linalg, operators
 from shiftlab.linalg import (
     RANK_RTOL,
     Triplets,
-    basis_width,
     column_space,
+    extent,
     short_gram,
     sparse_difference,
     sparse_norm,
@@ -1014,7 +1014,7 @@ class TestTripletHelpersMatchDenseOracles:
         t, m = drawn
         for got, oracle in ((nullspace(t, m.shape[1]), conftest.dense_nullspace(m)),
                             (column_space(t), conftest.dense_column_space(m))):
-            assert basis_width(got) == oracle.shape[1]
+            assert extent(got, 1) == oracle.shape[1]
             basis = dense_of_list(got, oracle.shape[0])
             assert_orthonormal(basis)
             assert dense_principal_angle_distance(basis, oracle) <= 1e-12
