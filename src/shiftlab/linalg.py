@@ -40,15 +40,22 @@ whole of m, so a block whose values clear only its own cutoff gives them
 to the kernel.
 
 A tall block reaches ``nullspace``, and a wide one ``column_space``, as the
-triangle R of its QR factorisation (of its conjugate transpose when wide),
-with R's exactly-zero rows stripped again (Chan's R-SVD, ACM TOMS 8(1),
-1982); the blocks of one shape take one stacked QR.  R keeps the singular
-values and the short side's singular vectors, so no SVD forms the long
-side's vectors only to discard them.  Unlike the split, this step is not
-exact but backward stable, as the direct SVD is: R's singular values agree
-with the block's up to rounding, so no rank decision on the demos, the
-sample scenario or the seed-0 benchmark inputs moves (the closest keeps a
-singular value 69x above its cutoff).
+triangle R of its QR factorisation (of its conjugate transpose when wide;
+Chan's R-SVD, ACM TOMS 8(1), 1982); the blocks of one shape take one
+stacked QR.  R keeps the singular values and the short side's singular
+vectors, so no SVD forms the long side's vectors only to discard them.
+The blocks the package factors are cuts of isometries, whose triangles are
+diagonal up to rounding but for a few columns: an R of more than one
+column drops its entries at or below NEGLIGIBLE eps times its largest, and
+``_blocks`` splits what is left, so the SVDs take the triangle's blocks
+and a column of R with nothing left is a kernel direction.  Unlike the
+split of m, neither step is exact, but both are backward stable, as the
+direct SVD is: the dropped entries move R by at most NEGLIGIBLE eps q
+max|R| <= 3.6e-12 sigma_max in norm, q <= 4,096 being R's side under the
+size cap, which is below RANK_RTOL / 10 times sigma_max, so no rank
+decision whose singular values lie tenfold from its cutoff can move; on
+the demos, the sample scenario and the seed-0 and seed-7 benchmark inputs
+none moves (the closest lies 69 times from its cutoff).
 
 A zero column of m is a kernel direction, one entry of value 1, and every
 product treats it as any other entry: 1 times x is exact, so no unit
@@ -74,6 +81,9 @@ MAX_DENSE_ENTRIES = 2 ** 24
 # sparse_norm's Lanczos iteration stops once the residual of its top Ritz
 # pair is at most this many eps times the Ritz value.
 LANCZOS_STOP = 4.0
+# A QR triangle's entries at or below this many eps times its largest
+# magnitude are dropped before the triangle is split into blocks.
+NEGLIGIBLE = 4.0
 
 
 class Triplets(NamedTuple):
@@ -187,26 +197,42 @@ def _blocks(m: Triplets) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     return groups
 
 
-def _short_stacks(a: np.ndarray, kernel: bool) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(sel, s) pairs that cover the stack a, each s what the SVD factors for
-    a[sel]: a[sel] itself, or, for tall kernel blocks (wide column-space
-    blocks), the triangle R (R*) of the QR factorisation of each a[sel]
-    (a[sel]*), stripped of its exactly-zero rows and stacked by their
-    count: R keeps the singular values and the short side's singular
-    vectors up to rounding, and no zero row reaches the SVD."""
-    t = a if kernel else a.conj().swapaxes(1, 2)
-    if t.shape[1] <= t.shape[2]:
-        return [(np.arange(a.shape[0]), a)]
-    r = np.linalg.qr(t, mode="r")
-    nonzero = (r != 0).any(axis=2)
-    count = nonzero.sum(axis=1)
-    r = np.take_along_axis(r, np.argsort(~nonzero, axis=1, kind="stable")[:, :, None], axis=1)
+def _factored(blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+              kernel: bool) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(ids, sv, vecs) for each stack the SVD factors for ``blocks``: ids the
+    columns (kernel) or rows (column space) of the matrix on each block's
+    vectors, sv its singular values and vecs[block, j, :] its right (left)
+    singular vectors.  A tall kernel block (wide column-space block) is
+    factored through the triangle R (R*) of its QR factorisation (of its
+    conjugate transpose), one stacked QR per shape: R keeps the singular
+    values and the short side's singular vectors up to rounding.  Past one
+    column, each R drops its entries at or below NEGLIGIBLE eps times its
+    largest and goes through ``_blocks`` again, its rows (columns) on fresh
+    indices and the other side on the block's own, so the SVD sees the
+    triangle's blocks; a column of R with nothing left is a kernel
+    direction, one entry 1."""
     stacks = []
-    counts, count_of = _distinct(count)
-    for at, k in enumerate(counts):
-        sel = np.flatnonzero(count_of == at)
-        s = r[sel, :k]
-        stacks.append((sel, s if kernel else s.conj().swapaxes(1, 2)))
+    for rows, cols, a in blocks:
+        ids = cols if kernel else rows
+        t = a if kernel else a.conj().swapaxes(1, 2)
+        if t.shape[1] > t.shape[2]:
+            r = np.linalg.qr(t, mode="r")
+            if r.shape[2] > 1:
+                size = np.abs(r)
+                kept = size > NEGLIGIBLE * np.finfo(float).eps * size.max((1, 2), keepdims=True)
+                b, i, j = np.nonzero(kept)
+                fresh = b * r.shape[1] + i
+                stacks += _factored(_blocks(Triplets(fresh, ids[b, j], r[b, i, j]) if kernel else
+                                            Triplets(ids[b, j], fresh, r[b, i, j].conj())), kernel)
+                if kernel:  # a column of R with nothing left: a unit kernel vector
+                    gone = ids[~kept.any(axis=1)][:, None]
+                    stacks.append((gone, np.zeros((gone.size, 0)), np.ones((gone.size, 1, 1))))
+                continue
+            a = r if kernel else r.conj().swapaxes(1, 2)
+        if kernel:  # full_matrices: a 1 x d block has d x d of them
+            check_size("the right singular vectors", a.shape[0], a.shape[2], a.shape[2])
+        u, sv, vh = np.linalg.svd(a, full_matrices=kernel)
+        stacks.append((ids, sv, vh if kernel else u.swapaxes(1, 2)))
     return stacks
 
 
@@ -221,14 +247,7 @@ def _block_basis(blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
     cutoff of the whole matrix.  A block's kernel takes its dropped right
     singular vectors and, when wide, its surplus ones; its column space its
     kept left singular vectors."""
-    stacks = []  # (rows or columns of the matrix, singular values, vectors [block, j, :])
-    for rows, cols, stack in blocks:
-        for sel, s in _short_stacks(stack, kernel):
-            if kernel:  # full_matrices: a 1 x d block has d x d of them
-                check_size("the right singular vectors", s.shape[0], s.shape[2], s.shape[2])
-            u, sv, vh = np.linalg.svd(s, full_matrices=kernel)
-            stacks.append((cols[sel], sv, vh) if kernel
-                          else (rows[sel], sv, u.swapaxes(1, 2)))
+    stacks = _factored(blocks, kernel)
     sv = np.concatenate([s.ravel() for _, s, _ in stacks])
     first = np.cumsum([0] + [at.shape[0] for at, _, _ in stacks])
     owner = np.concatenate([np.repeat(np.arange(f, f + s.shape[0]), s.shape[1])

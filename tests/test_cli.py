@@ -822,7 +822,7 @@ class TestSizeCapBoundsMemory:
     the cap admits is not the only one live.  An entry takes 32 bytes, and
     the subspace checks hold the entry lists of the generators, the bases
     and the operators beside the dense stack of a block: the timotin-rot
-    inputs reach 3.06 at n = 256 and 3.67 at n = 4,096, where a block stack
+    inputs reach 2.06 at n = 256 and 3.67 at n = 4,096, where a block stack
     stops them.  Assembling a block operator holds its blocks, their offset
     copies, the concatenation, the sort keys and order and the sorted list
     at once: the operators-wide inputs at n = 4,096 reach 6.03 when a

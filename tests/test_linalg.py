@@ -1,12 +1,13 @@
 """Shared linear-algebra helpers."""
 
+import dataclasses
 import re
 import sys
 from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import conftest
@@ -44,7 +45,7 @@ from shiftlab.operators import (
     _penrose_defect,
     build_kernel_operator,
 )
-from shiftlab.subspaces import TYPE_I, InvariantSubspaceSpec
+from shiftlab.subspaces import TYPE_I, InvariantSubspaceSpec, bilateral_subspace
 from shiftlab.symbols import make_symbol, zero_symbol
 
 
@@ -874,6 +875,10 @@ class TestConnectedBlocks:
 
     @pytest.mark.parametrize("name", ["timotin-nonsplitting", "timotin-rotated"])
     def test_one_component_cores_are_a_stack_of_one(self, name, factor_calls):
+        # a core of one block is a stack of one: the QR of a tall kernel
+        # (wide column-space) core, else its SVD; the SVDs after the QR take
+        # the blocks of its triangle, each connected, which split the short
+        # side and hold the core's Frobenius norm
         if name == "timotin-rotated":
             spec = InvariantSubspaceSpec(TYPE_I, 1, 1, u=rotated_timotin())
             checks = ("twocond", "invariance", "kernel_rep", "range_rep", "splitting",
@@ -885,21 +890,47 @@ class TestConnectedBlocks:
         assert cli.run_batch(scenarios).exit_status == 0
         sites = ("nullspace", "column_space", "singular_values")
         calls = [c for c in factor_calls if c.site in sites]
-        single = 0
+        by_operand = {}
         for c in calls:
-            assert c.stacked, (c.site, c.a.shape)
-            if len(component_shapes(c.operand)) == 1:
-                single += 1
-                assert c.depth == 1, (c.site, c.a.shape)
-                operand = operand_matrix(c.operand)
-                core = operand[np.ix_(*ref_support(operand))]
-                side = {"nullspace": 1, "column_space": 0}.get(c.site)
-                assert side is None or core.shape[side] in c.a.shape
+            by_operand.setdefault(id(c.operand), []).append(c)
+        single = split = 0
+        for group in by_operand.values():
+            first = group[0]
+            if len(component_shapes(first.operand)) > 1:
+                continue
+            single += len(group)
+            operand = operand_matrix(first.operand)
+            core = operand[np.ix_(*ref_support(operand))]
+            transposed = first.routine == "qr" and first.site == "column_space"
+            assert first.stacked and first.depth == 1, (first.site, first.a.shape)
+            assert first.a.shape == (core.T if transposed else core).shape, first.site
+            if first.routine == "svd":
+                assert len(group) == 1, (first.site, first.a.shape)
+                continue
+            svds = [c for c in group if c.routine == "svd"]
+            side = 1 if first.site == "nullspace" else 0
+            assert all(len(component_shapes(c.a)) == 1 for c in svds)
+            assert sum(c.a.shape[side] for c in svds) <= core.shape[side]
+            norm = sum(np.linalg.norm(c.a) ** 2 for c in svds)
+            assert norm == pytest.approx(np.linalg.norm(core) ** 2, rel=1e-12)
+            split += len(svds) > 1
         # rank_profile factors its circle samples as one stack per chunk,
         # outside these sites
         assert single >= {"timotin-nonsplitting": 6, "timotin-rotated": 23}[name]
         if name == "timotin-rotated":
-            assert single == len(calls)
+            assert single == len(calls) and split
+
+
+class TestTriangleBlocks:
+    """The QR triangle of a block that cuts an isometry is diagonal up to
+    rounding but for a few columns: its SVDs take the triangle's blocks."""
+
+    def test_seed0_timotin_factors_no_operand_above_four_entries(self, factor_calls):
+        sc = cli.parse_scenario(str(conftest.CORPUS / "sweep-dense-seed0" / "timotin-rot.json"))
+        assert cli.run_batch([dataclasses.replace(sc, n_list=(64,))]).exit_status == 0
+        assert max(c.a.size for c in factor_calls if c.routine == "qr") > 64 ** 2
+        largest = max((c.a.size, c.site, c.a.shape) for c in factor_calls if c.routine == "svd")
+        assert largest[0] <= 4, largest
 
 
 @st.composite
@@ -1000,26 +1031,80 @@ def structural_zeros(a, b):
     return ((a != 0).astype(int) @ (b != 0).astype(int)) == 0
 
 
+def assert_matches_oracles(t, m):
+    """nullspace and column_space of the entry list t of the dense m against
+    the dense oracles: equal rank, orthonormal output, span distance at most
+    1e-12, and a column space that is exactly 0 on the zero rows of m."""
+    for got, oracle in ((nullspace(t, m.shape[1]), conftest.dense_nullspace(m)),
+                        (column_space(t), conftest.dense_column_space(m))):
+        assert extent(got, 1) == oracle.shape[1]
+        basis = dense_of_list(got, oracle.shape[0])
+        assert_orthonormal(basis)
+        assert dense_principal_angle_distance(basis, oracle) <= 1e-12
+    assert not basis[~m.any(axis=1)].any()
+
+
+def ginibre(rng, rows, cols):
+    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+
 class TestTripletHelpersMatchDenseOracles:
     """The entry-list helpers of ``linalg`` against the dense oracles of
     ``tests/conftest.py``, which factor and multiply the whole arrays: equal
     rank, orthonormal output, span distance at most 1e-12, and an exact 0
-    wherever the oracle gives one, that is on the rows and entries no
-    nonzero term reaches and, on dyadic inputs, where every sum is exact, at
-    every exact 0 of the oracle."""
+    on the rows and entries no nonzero term reaches and, on dyadic inputs,
+    where every sum is exact, at every exact 0 of the oracle."""
 
     @settings(max_examples=150, deadline=None)
     @given(drawn=entry_lists())
     def test_nullspace_and_column_space(self, drawn):
         t, m = drawn
-        for got, oracle in ((nullspace(t, m.shape[1]), conftest.dense_nullspace(m)),
-                            (column_space(t), conftest.dense_column_space(m))):
-            assert extent(got, 1) == oracle.shape[1]
-            basis = dense_of_list(got, oracle.shape[0])
-            assert_orthonormal(basis)
-            assert dense_principal_angle_distance(basis, oracle) <= 1e-12
-            zero_rows = ~oracle.any(axis=1)
-            assert not basis[zero_rows].any()
+        assert_matches_oracles(t, m)
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 2 ** 32 - 1), short=st.integers(1, 8), extra=st.integers(1, 8),
+           wide=st.booleans())
+    def test_ginibre_triangles_are_not_split(self, seed, short, extra, wide, factor_calls):
+        # no entry of a Ginibre block's triangle is negligible, so each SVD
+        # keeps the block's short side whole
+        factor_calls.clear()
+        rng = np.random.default_rng(seed)
+        p, q = (short, short + extra) if wide else (short + extra, short)
+        m = np.zeros((p + 2, q + 2), dtype=complex)
+        m[np.ix_(rng.permutation(p + 2)[:p], rng.permutation(q + 2)[:q])] = ginibre(rng, p, q)
+        assert_matches_oracles(nonzero_triplets(m), m)
+        svds = [c.a.shape for c in factor_calls
+                if c.routine == "svd" and c.site in ("nullspace", "column_space")]
+        assert len(svds) == 2 and all(min(shape) == short for shape in svds), svds
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 16),
+           share=st.tuples(st.floats(0.2, 1.0), st.floats(0.2, 1.0)), adjoint=st.booleans())
+    def test_cuts_of_rotated_timotin_bases(self, seed, n, share, adjoint):
+        # rows and columns cut from an isometry: the triangles of these
+        # blocks are diagonal up to rounding but for a few columns
+        basis = bilateral_subspace(InvariantSubspaceSpec(TYPE_I, 1, 1, u=rotated_timotin()),
+                                   n).basis
+        full = dense_of_list(basis, extent(basis, 0))
+        rng = np.random.default_rng(seed)
+        rows, cols = (np.flatnonzero(rng.random(d) < keep) for d, keep in zip(full.shape, share))
+        m = full[np.ix_(rows, cols)]
+        m = m.conj().T if adjoint else m
+        assert_matches_oracles(nonzero_triplets(m), m)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), short=st.integers(2, 6), extra=st.integers(1, 6),
+           faint=st.integers(0, 5))
+    def test_a_vanished_triangle_column_is_a_unit_kernel_vector(self, seed, short, extra, faint):
+        # the column of norm 1e-20 leaves nothing in its triangle column
+        # above NEGLIGIBLE eps times the largest entry
+        m = ginibre(np.random.default_rng(seed), short + extra, short)
+        m[:, faint % short] *= 1e-20 / np.linalg.norm(m[:, faint % short])
+        kernel = nullspace(nonzero_triplets(m), short)
+        np.testing.assert_array_equal(dense_of_list(kernel, short),
+                                      np.eye(short)[:, [faint % short]])
+        assert_matches_oracles(nonzero_triplets(m), m)
 
     @settings(max_examples=150, deadline=None)
     @given(drawn=entry_lists(), seed=st.integers(0, 2 ** 32 - 1))
