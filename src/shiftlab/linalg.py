@@ -31,13 +31,13 @@ each block on its own is exact.  On the scalar-fiber benchmark inputs a
 Every helper takes one path.  ``_blocks`` labels the components from the
 entries' rows and columns by hooking and pointer jumping (a core with no
 zero entry is one block without labelling) and fills one dense stack per
-block shape by scatter; the stack goes through one stacked SVD, and the
-vectors of every block come back as one entry list.  A core of one
-component is a stack of one block, and ``MAX_DENSE_ENTRIES`` bounds a
-stack, not the ambient.  The blocks share one cutoff: ``numerical_rank``
-counts their merged singular values at RANK_RTOL times sigma_max of the
-whole of m, so a block whose values clear only its own cutoff gives them
-to the kernel.
+block shape by scatter; the stack goes through one stacked SVD (or QR,
+below), and the vectors of every block come back as one entry list.  A
+core of one component is a stack of one block, and ``MAX_DENSE_ENTRIES``
+bounds a stack, not the ambient.  The blocks share one cutoff:
+``numerical_rank`` counts their merged singular values at RANK_RTOL times
+sigma_max of the whole of m, so a block whose values clear only its own
+cutoff gives them to the kernel.
 
 A tall block reaches ``nullspace``, and a wide one ``column_space``, as the
 triangle R of its QR factorisation (of its conjugate transpose when wide;

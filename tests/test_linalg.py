@@ -797,7 +797,8 @@ def rotated_timotin():
 class TestConnectedBlocks:
     """A core whose nonzero pattern falls into several connected blocks is
     factored block by block, one stacked call per shape, with one rank
-    cutoff for the whole core; a core of one block is a stack of one."""
+    cutoff for the whole core; a core of one block is a stack of one, whose
+    QR triangle the SVDs may take in blocks."""
 
     @settings(max_examples=150, deadline=None)
     @given(drawn=permuted_block_cores())
@@ -821,7 +822,8 @@ class TestConnectedBlocks:
     @pytest.mark.parametrize("wide", [False, True])
     def test_stacked_triangles_strip_their_zero_rows(self, wide, factor_calls):
         # two blocks whose triangle has an exactly-zero row and one whose has
-        # none: one stacked QR, then one stacked SVD per count of rows
+        # none: one stacked QR, then one stacked SVD per shape of the
+        # triangles' blocks
         rng = np.random.default_rng(12)
         dense = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
         core = np.zeros((12, 9), dtype=complex)
@@ -1035,13 +1037,14 @@ def assert_matches_oracles(t, m):
     """nullspace and column_space of the entry list t of the dense m against
     the dense oracles: equal rank, orthonormal output, span distance at most
     1e-12, and a column space that is exactly 0 on the zero rows of m."""
-    for got, oracle in ((nullspace(t, m.shape[1]), conftest.dense_nullspace(m)),
-                        (column_space(t), conftest.dense_column_space(m))):
+    kernel, span = nullspace(t, m.shape[1]), column_space(t)
+    for got, oracle in ((kernel, conftest.dense_nullspace(m)),
+                        (span, conftest.dense_column_space(m))):
         assert extent(got, 1) == oracle.shape[1]
         basis = dense_of_list(got, oracle.shape[0])
         assert_orthonormal(basis)
         assert dense_principal_angle_distance(basis, oracle) <= 1e-12
-    assert not basis[~m.any(axis=1)].any()
+    assert not dense_of_list(span, m.shape[0])[~m.any(axis=1)].any()
 
 
 def ginibre(rng, rows, cols):
