@@ -55,7 +55,8 @@ max|R| <= 3.6e-12 sigma_max in norm, q <= 4,096 being R's side under the
 size cap, which is below RANK_RTOL / 10 times sigma_max, so no rank
 decision whose singular values lie tenfold from its cutoff can move; on
 the demos, the sample scenario and the seed-0 and seed-7 benchmark inputs
-none moves (the closest lies 69 times from its cutoff).
+none moves (the closest lies 69 times from its cutoff).  A basis vector
+drops its entries at or below NEGLIGIBLE eps, the rounding of an exact 0.
 
 A zero column of m is a kernel direction, one entry of value 1, and every
 product treats it as any other entry: 1 times x is exact, so no unit
@@ -81,8 +82,8 @@ MAX_DENSE_ENTRIES = 2 ** 24
 # sparse_norm's Lanczos iteration stops once the residual of its top Ritz
 # pair is at most this many eps times the Ritz value.
 LANCZOS_STOP = 4.0
-# A QR triangle's entries at or below this many eps times its largest
-# magnitude are dropped before the triangle is split into blocks.
+# Entries at or below this many eps times the largest are dropped: of a QR
+# triangle before it is split into blocks, and of a basis vector, of norm 1.
 NEGLIGIBLE = 4.0
 
 
@@ -240,13 +241,13 @@ def _block_basis(blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
                  kernel: bool) -> tuple[Triplets, int]:
     """An orthonormal basis of the kernel (column space) of a matrix on the
     columns (rows) of its ``blocks``, as the (column (row) of the matrix,
-    basis column, value) triplets of its entries != 0, and the rank of the
-    matrix.  Each block's singular vectors come from one stacked SVD per
-    shape; one ``numerical_rank`` over the merged singular values of all
-    blocks sets the rank, so a block keeps those of its values above the
-    cutoff of the whole matrix.  A block's kernel takes its dropped right
-    singular vectors and, when wide, its surplus ones; its column space its
-    kept left singular vectors."""
+    basis column, value) triplets of its entries above NEGLIGIBLE eps, and
+    the rank of the matrix.  Each block's singular vectors come from one
+    stacked SVD per shape; one ``numerical_rank`` over the merged singular
+    values of all blocks sets the rank, so a block keeps those of its values
+    above the cutoff of the whole matrix.  A block's kernel takes its
+    dropped right singular vectors and, when wide, its surplus ones; its
+    column space its kept left singular vectors."""
     stacks = _factored(blocks, kernel)
     sv = np.concatenate([s.ravel() for _, s, _ in stacks])
     first = np.cumsum([0] + [at.shape[0] for at, _, _ in stacks])
@@ -266,8 +267,8 @@ def _block_basis(blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
         vals.append((vecs[b, j].conj() if kernel else vecs[b, j]).ravel())
         width += b.size
     basis = Triplets(*map(np.concatenate, (at_rows, at_cols, vals)))
-    nonzero = np.flatnonzero(basis.vals != 0)
-    return Triplets(*(x[nonzero] for x in basis)), rank
+    kept = np.flatnonzero(np.abs(basis.vals) > NEGLIGIBLE * np.finfo(float).eps)
+    return Triplets(*(x[kept] for x in basis)), rank
 
 
 def singular_values(m: Triplets | np.ndarray) -> np.ndarray:

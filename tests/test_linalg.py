@@ -892,6 +892,8 @@ class TestConnectedBlocks:
         assert cli.run_batch(scenarios).exit_status == 0
         sites = ("nullspace", "column_space", "singular_values")
         calls = [c for c in factor_calls if c.site in sites]
+        assert all(c.stacked for c in calls), [(c.site, c.a.shape) for c in calls
+                                               if not c.stacked]
         by_operand = {}
         for c in calls:
             by_operand.setdefault(id(c.operand), []).append(c)
@@ -1036,15 +1038,26 @@ def structural_zeros(a, b):
 def assert_matches_oracles(t, m):
     """nullspace and column_space of the entry list t of the dense m against
     the dense oracles: equal rank, orthonormal output, span distance at most
-    1e-12, and a column space that is exactly 0 on the zero rows of m."""
-    kernel, span = nullspace(t, m.shape[1]), column_space(t)
-    for got, oracle in ((kernel, conftest.dense_nullspace(m)),
-                        (span, conftest.dense_column_space(m))):
+    1e-12, and an exact 0 on every row where the oracle's basis is 0."""
+    for got, oracle in ((nullspace(t, m.shape[1]), conftest.dense_nullspace(m)),
+                        (column_space(t), conftest.dense_column_space(m))):
         assert extent(got, 1) == oracle.shape[1]
         basis = dense_of_list(got, oracle.shape[0])
         assert_orthonormal(basis)
         assert dense_principal_angle_distance(basis, oracle) <= 1e-12
-    assert not dense_of_list(span, m.shape[0])[~m.any(axis=1)].any()
+        zero_rows = ~oracle.any(axis=1)
+        assert not basis[zero_rows].any()
+
+
+def unit_column_beside_a_rank_one_block(seed):
+    """(t, m): a 4 x 3 block, a unit column on its first row beside a 4 x 2
+    block of rank 1.  The unit column adds to the rank, so in exact
+    arithmetic every kernel vector is 0 on it, and the oracle gives 0 there;
+    a factorisation that leaves rounding of order eps there fails."""
+    m = np.zeros((4, 3), dtype=complex)
+    m[:, 1:] = planted(np.random.default_rng(seed), 4, 2, np.arange(4), np.arange(2), 1, False)
+    m[0, 0] = 1.0
+    return nonzero_triplets(m), m
 
 
 def ginibre(rng, rows, cols):
@@ -1055,11 +1068,14 @@ class TestTripletHelpersMatchDenseOracles:
     """The entry-list helpers of ``linalg`` against the dense oracles of
     ``tests/conftest.py``, which factor and multiply the whole arrays: equal
     rank, orthonormal output, span distance at most 1e-12, and an exact 0
-    on the rows and entries no nonzero term reaches and, on dyadic inputs,
-    where every sum is exact, at every exact 0 of the oracle."""
+    wherever the oracle gives one, that is on the rows and entries no
+    nonzero term reaches and, on dyadic inputs, where every sum is exact, at
+    every exact 0 of the oracle."""
 
     @settings(max_examples=150, deadline=None)
     @given(drawn=entry_lists())
+    @example(drawn=unit_column_beside_a_rank_one_block(19))
+    @example(drawn=unit_column_beside_a_rank_one_block(0))
     def test_nullspace_and_column_space(self, drawn):
         t, m = drawn
         assert_matches_oracles(t, m)
