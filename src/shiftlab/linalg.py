@@ -58,6 +58,36 @@ the demos, the sample scenario and the seed-0 and seed-7 benchmark inputs
 none moves (the closest lies 69 times from its cutoff).  A basis vector
 drops its entries at or below NEGLIGIBLE eps, the rounding of an exact 0.
 
+Those cuts of isometries fall apart further before ``_blocks`` scatters
+anything: their columns (for ``nullspace``; rows for ``column_space``) are
+mutually orthogonal up to rounding but for a few pairs.  The sparse Gram
+matrix m* m (m m*) is formed from the entries while it takes no more terms
+than the ``times`` rule admits, which a dense block exceeds; two columns
+join when the cosine of their Gram entry exceeds NEGLIGIBLE eps,
+``_components`` labels the groups, and each row is listed once per group
+it meets, on fresh indices, so each group is factored as a block of its
+own, through the QR, the triangle's drop and split and the SVD above.  The
+2n x (n + 1) cores of seed-0 ``timotin-rot``, one block each, fall into
+groups of one column but for one or two, so no QR or SVD operand holds
+more than 4 entries, where the whole block took a dense QR of O(n^3)
+time.  The cosine test alone is unsound: [a, a + d b, e, e + d b] has a
+kernel vector, yet its columns 1, 2 meet 3, 4 only at the cosine d**2.
+So the split is certified from the singular values the
+groups already have: every dropped Gram entry X[j, k] between two groups
+must be at most NEGLIGIBLE eps s_j s_k, s being the smallest singular value
+of each side's group above the rounding floor NEGLIGIBLE eps sigma_max, and
+a connected block that holds a larger one is factored whole, as before.
+The certificate mirrors the triangle drop: S_1^-1 V_1* X V_2 S_2^-1, the
+cosines between the groups' left singular vectors above the floor, is what
+the whole block's QR would hold between them and the split drops, and it
+is at most NEGLIGIBLE eps q in norm, q being the block's columns.  Each
+singular value above the floor is then that of m to a relative NEGLIGIBLE
+eps q, at most 1.5e-8 for any q the cap admits, and those below it move m
+by at most NEGLIGIBLE eps q sigma_max, the triangle drop's budget.  Taking
+s among the kept values alone is not enough: 144 groups, each dropping a
+value 0.9 times the cutoff, add up to a singular value of m 10.8 times the
+cutoff that the split would lose.
+
 A zero column of m is a kernel direction, one entry of value 1, and every
 product treats it as any other entry: 1 times x is exact, so no unit
 column needs a case of its own.
@@ -83,7 +113,9 @@ MAX_DENSE_ENTRIES = 2 ** 24
 # pair is at most this many eps times the Ritz value.
 LANCZOS_STOP = 4.0
 # Entries at or below this many eps times the largest are dropped: of a QR
-# triangle before it is split into blocks, and of a basis vector, of norm 1.
+# triangle before it is split into blocks, and of a basis vector, of norm 1;
+# so are Gram cosines between the groups of a block's columns (rows), under
+# the certificate of _block_basis.
 NEGLIGIBLE = 4.0
 
 
@@ -237,24 +269,124 @@ def _factored(blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
     return stacks
 
 
-def _block_basis(blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
-                 kernel: bool) -> tuple[Triplets, int]:
-    """An orthonormal basis of the kernel (column space) of a matrix on the
-    columns (rows) of its ``blocks``, as the (column (row) of the matrix,
-    basis column, value) triplets of its entries above NEGLIGIBLE eps, and
-    the rank of the matrix.  Each block's singular vectors come from one
-    stacked SVD per shape; one ``numerical_rank`` over the merged singular
-    values of all blocks sets the rank, so a block keeps those of its values
-    above the cutoff of the whole matrix.  A block's kernel takes its
-    dropped right singular vectors and, when wide, its surplus ones; its
-    column space its kept left singular vectors."""
-    stacks = _factored(blocks, kernel)
-    sv = np.concatenate([s.ravel() for _, s, _ in stacks])
-    first = np.cumsum([0] + [at.shape[0] for at, _, _ in stacks])
-    owner = np.concatenate([np.repeat(np.arange(f, f + s.shape[0]), s.shape[1])
-                            for f, (_, s, _) in zip(first, stacks)])
-    order = np.argsort(-sv, kind="stable")
-    rank = numerical_rank(sv[order])
+class _Groups(NamedTuple):
+    """The mutually orthogonal groups of the ids of a matrix, its columns
+    (kernel) or rows (column space): ``core``, its entries != 0 on
+    compressed indices in row-major order, ``ids`` the id of each
+    compressed index, ``group`` the group of each, named by its smallest,
+    and (j, k, size) the entries of the Gram matrix between two groups,
+    size being |gram[j, k]| for the core times ``scale``."""
+
+    core: Triplets
+    ids: np.ndarray
+    group: np.ndarray
+    j: np.ndarray
+    k: np.ndarray
+    size: np.ndarray
+    scale: float
+
+
+def _orthogonal_groups(m: Triplets, kernel: bool) -> _Groups | None:
+    """The groups of the columns (kernel) or rows (column space) of the
+    matrix m lists that its Gram matrix (m* m, or m m*) joins by an entry
+    above NEGLIGIBLE eps times the norms of its two ids; None where no two
+    ids share a row (column), where the core has no zero entry, where the
+    sparse Gram matrix forms more terms than the ``times`` rule admits, or
+    where one group fills each connected block.  Before the product, the
+    entries are scaled by the power of two that brings the largest into
+    [0.5, 1), exactly, so no square the SVD would see underflows, and put
+    in row-major order, so each sum of the Gram matrix takes its terms in
+    one order, whatever the order of the list."""
+    # explicit zeros only add to the counts, so no entry needs filtering yet
+    if np.bincount(m.rows if kernel else m.cols).max(initial=0) < 2:
+        return None
+    nonzero = np.flatnonzero(m.vals != 0)
+    (rows, at_row), (cols, at_col) = (_compressed(x[nonzero]) for x in m[:2])
+    if nonzero.size == rows.size * cols.size:
+        return None
+    order = np.argsort(at_row.astype(np.int64) * cols.size + at_col, kind="stable")
+    core = Triplets(at_row[order], at_col[order], m.vals[nonzero[order]])
+    scale = np.ldexp(1.0, -max(int(np.frexp(np.max(np.abs(core.vals)))[1]), -1021))
+    w = Triplets(core.cols, core.rows, core.vals.conj() * scale) if kernel else \
+        core._replace(vals=core.vals * scale)  # the ids on the rows of w
+    gram = sparse_product(w, _adjoint(w), 2 * rows.size * cols.size)
+    if gram is None:
+        return None
+    ids = cols if kernel else rows
+    norm = np.zeros(ids.size)
+    diagonal = gram.rows == gram.cols
+    norm[gram.rows[diagonal]] = np.sqrt(gram.vals[diagonal].real)
+    upper = np.flatnonzero(gram.rows < gram.cols)
+    j, k, size = gram.rows[upper], gram.cols[upper], np.abs(gram.vals[upper])
+    joined = size > NEGLIGIBLE * np.finfo(float).eps * norm[j] * norm[k]
+    group = _components(j[joined], k[joined], ids.size)
+    apart = np.flatnonzero(group[j] != group[k])
+    if not apart.size:
+        return None
+    return _Groups(core, ids, group, j[apart], k[apart], size[apart], scale)
+
+
+def _regrouped(groups: _Groups, kernel: bool) -> Triplets:
+    """The core with its rows (columns) listed once per group of the
+    columns (rows) they meet, on fresh indices in the order of (row
+    (column), group), so each group is a connected block of its own, and
+    its columns (rows) on their ids."""
+    at, other = (groups.core.cols, groups.core.rows) if kernel else groups.core[:2]
+    fresh = _distinct(other.astype(np.int64) * groups.ids.size + groups.group[at])[1]
+    ids, vals = groups.ids[at], groups.core.vals
+    return Triplets(fresh, ids, vals) if kernel else Triplets(ids, fresh, vals)
+
+
+def _block_basis(m: Triplets, kernel: bool) -> tuple[Triplets, int]:
+    """An orthonormal basis of the kernel (column space) of the matrix m
+    lists, on its columns (rows) that hold an entry != 0, as the (column
+    (row) of m, basis column, value) triplets of its entries above
+    NEGLIGIBLE eps, and the rank of m.
+
+    Each connected block (``_blocks``), or each group of its columns (rows)
+    that ``_orthogonal_groups`` finds, the other side listed once per
+    group, is factored by ``_factored``; one ``numerical_rank`` over the
+    merged singular values sets the rank, so a block keeps those of its
+    values above the cutoff of the whole matrix.  The split into groups is
+    certified: each Gram entry X[j, k] between two groups must be at most
+    NEGLIGIBLE eps s_j s_k, s being the smallest singular value of each
+    side's group above NEGLIGIBLE eps sigma_max, 0 for a group with none;
+    the connected blocks that hold an entry above that are factored whole,
+    and the rest is certified again.  A block's kernel takes its dropped
+    right singular vectors and, when wide, its surplus ones; its column
+    space its kept left singular vectors."""
+    groups, blocks = _orthogonal_groups(m, kernel), None
+    while True:
+        found = _blocks(m if groups is None else _regrouped(groups, kernel))
+        if not found:
+            return _NONE, 0
+        stacks = _factored(found, kernel)
+        sv = np.concatenate([s.ravel() for _, s, _ in stacks])
+        first = np.cumsum([0] + [at.shape[0] for at, _, _ in stacks])
+        owner = np.concatenate([np.repeat(np.arange(f, f + s.shape[0]), s.shape[1])
+                                for f, (_, s, _) in zip(first, stacks)])
+        order = np.argsort(-sv, kind="stable")
+        rank = numerical_rank(sv[order])
+        if groups is None:
+            break
+        # the smallest singular value of each group above the rounding
+        # floor, NEGLIGIBLE eps sigma_max, 0 where none is
+        lead = np.searchsorted(groups.ids, np.concatenate([at[:, 0] for at, _, _ in stacks]))
+        top = order[:np.count_nonzero(sv > NEGLIGIBLE * np.finfo(float).eps * sv[order[0]])]
+        least = np.full(groups.ids.size, np.inf)
+        np.minimum.at(least, groups.group[lead[owner[top]]], sv[top])
+        least[least == np.inf] = 0.0
+        least *= groups.scale
+        group, j, k = groups.group, groups.j, groups.k
+        bad = groups.size > NEGLIGIBLE * np.finfo(float).eps * least[group[j]] * least[group[k]]
+        if not bad.any():
+            break
+        if blocks is None:  # the connected block of each id, named by its smallest
+            blocks = _components(group[j], group[k], group.size)[group]
+        group = np.where(np.isin(blocks, blocks[j[bad]]), blocks, group)
+        apart = group[j] != group[k]
+        groups = groups._replace(group=group, j=j[apart], k=k[apart],
+                                 size=groups.size[apart]) if apart.any() else None
     kept = np.bincount(owner[order[:rank]], minlength=first[-1])
     at_rows, at_cols, vals, width = [], [], [], 0
     for f, (at, _, vecs) in zip(first, stacks):
@@ -314,12 +446,10 @@ def nullspace(m: Triplets, width: int) -> Triplets:
     """Orthonormal basis of the kernel of the matrix of ``width`` columns
     that m lists: the kernels of its connected blocks on their columns,
     then one entry 1 per zero column, a unit vector."""
-    blocks = _blocks(m)
-    basis, rank = _block_basis(blocks, kernel=True) if blocks else (_NONE, 0)
-    cols = np.concatenate([np.zeros(0, dtype=np.intp)] + [c.ravel() for _, c, _ in blocks])
+    basis, rank = _block_basis(m, kernel=True)
     check_size("the kernel basis's unit columns", width)
-    zero_cols = np.delete(np.arange(width), cols)
-    units = Triplets(zero_cols, cols.size - rank + np.arange(zero_cols.size),
+    zero_cols = np.flatnonzero(np.bincount(m.cols[m.vals != 0], minlength=width) == 0)
+    units = Triplets(zero_cols, width - zero_cols.size - rank + np.arange(zero_cols.size),
                      np.ones(zero_cols.size, dtype=complex))
     return Triplets(*map(np.concatenate, zip(basis, units)))
 
@@ -327,8 +457,7 @@ def nullspace(m: Triplets, width: int) -> Triplets:
 def column_space(m: Triplets) -> Triplets:
     """Orthonormal basis of the column space of the matrix m lists,
     supported on the rows that hold an entry != 0."""
-    blocks = _blocks(m)
-    return _block_basis(blocks, kernel=False)[0] if blocks else _NONE
+    return _block_basis(m, kernel=False)[0]
 
 
 def _adjoint(t: Triplets) -> Triplets:

@@ -818,15 +818,17 @@ class TestSizeCapBoundsMemory:
     sweep and at sixteen times its last n, passes or exits 2 naming the cap,
     and its tracemalloc peak stays at most K * CAP * 16 bytes.
 
-    K is the largest measured multiple, 6.03, rounded up: the largest array
+    K is the largest measured multiple, 6.77, rounded up: the largest array
     the cap admits is not the only one live.  An entry takes 32 bytes, and
     the subspace checks hold the entry lists of the generators, the bases
-    and the operators beside the dense stack of a block: the timotin-rot
-    inputs reach 2.06 at n = 256 and 3.67 at n = 4,096, where a block stack
-    stops them.  Assembling a block operator holds its blocks, their offset
-    copies, the concatenation, the sort keys and order and the sorted list
-    at once: the operators-wide inputs at n = 4,096 reach 6.03 when a
-    sparse product stops them."""
+    and the operators beside those of a factorisation: the timotin-rot
+    cores fall into mutually orthogonal groups of a few entries each, so no
+    block stack stops these inputs, and at n = 4,096 they run to the end
+    and reach 6.77, in the column_space of the range check, whose Gram
+    matrix, groups and stacks are live at once.  Assembling a block
+    operator holds its blocks, their offset copies, the concatenation, the
+    sort keys and order and the sorted list at once: the operators-wide
+    inputs at n = 4,096 reach 6.03 when a sparse product stops them."""
 
     CAP = 2 ** 16
     K = 7
@@ -898,6 +900,14 @@ class TestMemoryGrowth:
         sc = parse_scenario(str(REPO / "tests/corpus/sweep-dense-seed0/scalar-splitting-rot.json"))
         small, large = (self.peak(replace(sc, n_list=(n,))) for n in (512, 4096))
         assert large <= 15 * small
+
+    def test_timotin_rot_verifies_at_n_16384(self, capsys):
+        # its cores fall into mutually orthogonal groups of at most 4
+        # entries; factored whole, a 32,768 x 16,385 block stack was far
+        # above the cap
+        path = str(REPO / "tests/corpus/sweep-dense-seed0/timotin-rot.json")
+        assert main(["verify", path, "--n", "16384"]) == 0
+        assert "FAIL" not in capsys.readouterr().out
 
 
 class TestRepresentationVariants:

@@ -880,7 +880,10 @@ class TestConnectedBlocks:
         # a core of one block is a stack of one: the QR of a tall kernel
         # (wide column-space) core, else its SVD; the SVDs after the QR take
         # the blocks of its triangle, each connected, which split the short
-        # side and hold the core's Frobenius norm
+        # side and hold the core's Frobenius norm.  A core whose columns
+        # (rows) fall into mutually orthogonal groups is factored group by
+        # group instead: the groups' columns (rows) partition the core's,
+        # and their squared Frobenius norms sum to the core's
         if name == "timotin-rotated":
             spec = InvariantSubspaceSpec(TYPE_I, 1, 1, u=rotated_timotin())
             checks = ("twocond", "invariance", "kernel_rep", "range_rep", "splitting",
@@ -897,7 +900,7 @@ class TestConnectedBlocks:
         by_operand = {}
         for c in calls:
             by_operand.setdefault(id(c.operand), []).append(c)
-        single = split = 0
+        single = split = grouped = 0
         for group in by_operand.values():
             first = group[0]
             if len(component_shapes(first.operand)) > 1:
@@ -905,14 +908,24 @@ class TestConnectedBlocks:
             single += len(group)
             operand = operand_matrix(first.operand)
             core = operand[np.ix_(*ref_support(operand))]
-            transposed = first.routine == "qr" and first.site == "column_space"
-            assert first.stacked and first.depth == 1, (first.site, first.a.shape)
-            assert first.a.shape == (core.T if transposed else core).shape, first.site
-            if first.routine == "svd":
-                assert len(group) == 1, (first.site, first.a.shape)
-                continue
-            svds = [c for c in group if c.routine == "svd"]
             side = 1 if first.site == "nullspace" else 0
+            groups = (None if first.site == "singular_values"
+                      else linalg._orthogonal_groups(first.operand, kernel=side == 1))
+            if groups is None:
+                transposed = first.routine == "qr" and first.site == "column_space"
+                assert first.stacked and first.depth == 1, (first.site, first.a.shape)
+                assert first.a.shape == (core.T if transposed else core).shape, first.site
+                if first.routine == "svd":
+                    assert len(group) == 1, (first.site, first.a.shape)
+                    continue
+            else:
+                found = linalg._blocks(linalg._regrouped(groups, kernel=side == 1))
+                ids = np.concatenate([block[side].ravel() for block in found])
+                np.testing.assert_array_equal(np.sort(ids), ref_support(operand)[side])
+                norm = sum(np.linalg.norm(stack) ** 2 for _, _, stack in found)
+                assert norm == pytest.approx(np.linalg.norm(core) ** 2, rel=1e-12)
+                grouped += 1
+            svds = [c for c in group if c.routine == "svd"]
             assert all(len(component_shapes(c.a)) == 1 for c in svds)
             assert sum(c.a.shape[side] for c in svds) <= core.shape[side]
             norm = sum(np.linalg.norm(c.a) ** 2 for c in svds)
@@ -922,19 +935,24 @@ class TestConnectedBlocks:
         # outside these sites
         assert single >= {"timotin-nonsplitting": 6, "timotin-rotated": 23}[name]
         if name == "timotin-rotated":
-            assert single == len(calls) and split
+            assert single == len(calls) and split and grouped
 
 
 class TestTriangleBlocks:
-    """The QR triangle of a block that cuts an isometry is diagonal up to
-    rounding but for a few columns: its SVDs take the triangle's blocks."""
+    """The blocks the package factors cut isometries: their columns (rows)
+    fall into mutually orthogonal groups but for a few, and the QR triangle
+    of a group is diagonal up to rounding but for a few columns, so the QRs
+    take the groups and the SVDs the triangles' blocks."""
 
     def test_seed0_timotin_factors_no_operand_above_four_entries(self, factor_calls):
+        # at n = 1,024 a whole block is 2,048 x 1,025; no QR or SVD operand
+        # grows with n
         sc = cli.parse_scenario(str(conftest.CORPUS / "sweep-dense-seed0" / "timotin-rot.json"))
-        assert cli.run_batch([dataclasses.replace(sc, n_list=(64,))]).exit_status == 0
-        assert max(c.a.size for c in factor_calls if c.routine == "qr") > 64 ** 2
-        largest = max((c.a.size, c.site, c.a.shape) for c in factor_calls if c.routine == "svd")
-        assert largest[0] <= 4, largest
+        assert cli.run_batch([dataclasses.replace(sc, n_list=(1024,))]).exit_status == 0
+        for routine in ("qr", "svd"):
+            largest = max((c.a.size, c.site, c.a.shape) for c in factor_calls
+                          if c.routine == routine)
+            assert largest[0] <= 4, (routine, largest)
 
 
 @st.composite
@@ -1167,6 +1185,125 @@ class TestTripletHelpersMatchDenseOracles:
             assert abs(got - oracle) <= 1e-12
             if first is exact[0]:
                 assert (got == 0.0) == (oracle == 0.0)
+
+
+def coupled_through_a_faint_direction():
+    """The 4 x 4 matrix [a, a + d b, e, e + d b], d = 1e-9, for the first
+    three unit vectors a, b and e.  Columns 1 and 2 meet columns 3 and 4
+    only through column 2 and column 4, whose Gram cosine d**2 is below
+    rounding, yet col2 - col1 - col4 + col3 = 0: each pair alone keeps its
+    small singular value d / sqrt(2), above the cutoff, and has no kernel."""
+    a, b, e = np.eye(4)[:3]
+    d = 1e-9
+    return np.column_stack([a, a + d * b, e, e + d * b]).astype(complex)
+
+
+def dropped_values_that_add_up(groups=144):
+    """(groups + 1) x (2 groups) matrix of columns e_a and e_a + d u, u the
+    last unit vector: each pair is a group, whose singular values are about
+    sqrt(2) and d / sqrt(2), 0.9 times the cutoff, and no two groups have a
+    Gram cosine above d**2.  Each group drops its small value, yet they add
+    up: m has the singular value 0.9 sqrt(groups) = 10.8 times the cutoff,
+    tenfold above it, and rank groups + 1."""
+    m = np.zeros((groups + 1, 2 * groups), dtype=complex)
+    at = np.arange(groups)
+    m[at, at] = m[at, groups + at] = 1.0
+    m[groups, groups:] = 0.9 * RANK_RTOL * 2.0  # d, sigma_max being sqrt(2)
+    return m
+
+
+@st.composite
+def orthogonal_column_groups(draw):
+    """(m, adjoint): groups of columns, each a planted block of rank at
+    least 1 on rows of its own, whose rows are then mixed in tiles of 2 or 3
+    rows of different groups by Haar unitaries.  Columns of different
+    groups share rows, and their Gram entries, exactly 0 before the
+    rotation, are rounding.  One group may be faint, 1e-12 times the
+    others, below the cutoff.  ``adjoint``: m* is factored instead, whose
+    rows fall into the groups."""
+    shapes = draw(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 3)), min_size=2,
+                           max_size=5))
+    faint = draw(st.integers(-1, len(shapes) - 1))  # -1: none
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    block = np.zeros((sum(p for p, _ in shapes), sum(q for _, q in shapes)), dtype=complex)
+    rows, r, c = [], 0, 0
+    for k, (p, q) in enumerate(shapes):
+        rank = draw(st.integers(1, min(p, q)))
+        planted_block = planted(rng, p, q, np.arange(p), np.arange(q), rank, False)
+        block[r:r + p, c:c + q] = planted_block * (1e-12 if k == faint else 1.0)
+        rows.append(list(range(r, r + p)))
+        r, c = r + p, c + q
+    # the rows group after group in turn, so each tile takes rows of
+    # different groups
+    order = [row for turn in range(4) for group in rows for row in group[turn:turn + 1]]
+    tile = draw(st.integers(2, 3))
+    mix = np.zeros((r, r), dtype=complex)
+    for start in range(0, r, tile):
+        at = order[start:start + tile]
+        mix[np.ix_(at, at)] = haar_unitary(rng, len(at))
+    m = (mix @ block)[:, rng.permutation(c)]
+    return m, draw(st.booleans())
+
+
+class TestOrthogonalGroups:
+    """A core whose columns (rows) fall into mutually orthogonal groups is
+    factored group by group, under the certificate that every Gram entry
+    between two groups lies within NEGLIGIBLE eps of the product of the
+    groups' smallest kept singular values; a cosine test alone is unsound."""
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0 ** -560, 2.0 ** 520])
+    def test_a_coupling_below_every_cosine_is_certified(self, scale):
+        # scaled so far that the Gram entries of the unscaled entries would
+        # underflow to 0 or overflow, which would pass any certificate
+        m = scale * coupled_through_a_faint_direction()
+        t = nonzero_triplets(m)
+        # the cosines alone split the columns into {1, 2} and {3, 4}, whose
+        # kernels are both 0
+        groups = linalg._orthogonal_groups(t, kernel=True)
+        assert groups is not None
+        assert [list(np.flatnonzero(groups.group == g)) for g in np.unique(groups.group)] == \
+            [[0, 1], [2, 3]]
+        kernel = nullspace(t, 4)
+        assert extent(kernel, 1) == 1
+        assert_same_span(dense_of_list(kernel, 4), ref_nullspace(m))
+        # the column space of m*, whose rows fall into the same groups
+        adjoint = m.conj().T
+        assert span_of(adjoint).shape == (4, 3)
+        assert_same_span(span_of(adjoint), ref_column_space(adjoint))
+
+    def test_dropped_values_of_many_groups_are_certified(self):
+        # a group's values between the rounding floor and the cutoff count
+        # in the certificate: the smallest kept value of each group would
+        # pass the split, and lose the rank that the dropped values add up to
+        m = dropped_values_that_add_up()
+        sv = ref_singular_values(m)
+        assert sv.size == 145 and sv[-1] >= 10 * RANK_RTOL * sv[0]
+        t = nonzero_triplets(m)
+        groups = linalg._orthogonal_groups(t, kernel=True)
+        assert groups is not None and np.unique(groups.group).size == 144
+        assert_same_span(kernel_of(m), ref_nullspace(m))
+        assert kernel_of(m).shape == (288, 143)
+        adjoint = m.conj().T
+        assert_same_span(span_of(adjoint), ref_column_space(adjoint))
+
+    def test_a_failing_block_alone_is_factored_whole(self, factor_calls):
+        # beside the coupled block, a block of two columns, (1, 1, 0) and
+        # (1, -1, 1), whose Gram entry is exactly 0, stays split in groups
+        m = np.zeros((7, 6), dtype=complex)
+        m[:4, :4] = coupled_through_a_faint_direction()
+        m[4:, 4:] = [[1, 1], [1, -1], [0, 1]]
+        kernel = kernel_of(m)
+        assert kernel.shape == (6, 1)
+        assert_same_span(kernel, ref_nullspace(m))
+        shapes = {(c.routine, c.a.shape) for c in factor_calls}
+        assert ("svd", (3, 4)) in shapes and ("qr", (3, 2)) not in shapes, shapes
+
+    @settings(max_examples=150, deadline=None)
+    @given(drawn=orthogonal_column_groups())
+    def test_rotated_orthogonal_groups_match_the_oracles(self, drawn):
+        m, adjoint = drawn
+        m = m.conj().T if adjoint else m
+        assert_matches_oracles(nonzero_triplets(m), m)
 
 
 def _block_diagonal(count: int, size: int) -> np.ndarray:
