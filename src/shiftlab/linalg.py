@@ -44,49 +44,43 @@ triangle R of its QR factorisation (of its conjugate transpose when wide;
 Chan's R-SVD, ACM TOMS 8(1), 1982); the blocks of one shape take one
 stacked QR.  R keeps the singular values and the short side's singular
 vectors, so no SVD forms the long side's vectors only to discard them.
-The blocks the package factors are cuts of isometries, whose triangles are
-diagonal up to rounding but for a few columns: an R of more than one
-column drops its entries at or below NEGLIGIBLE eps times its largest, and
-``_blocks`` splits what is left, so the SVDs take the triangle's blocks
-and a column of R with nothing left is a kernel direction.  Unlike the
-split of m, neither step is exact, but both are backward stable, as the
-direct SVD is: the dropped entries move R by at most NEGLIGIBLE eps q
-max|R| <= 3.6e-12 sigma_max in norm, q <= 4,096 being R's side under the
-size cap, which is below RANK_RTOL / 10 times sigma_max, so no rank
-decision whose singular values lie tenfold from its cutoff can move; on
-the demos, the sample scenario and the seed-0 and seed-7 benchmark inputs
-none moves (the closest lies 69 times from its cutoff).  A basis vector
+Unlike the split of m, this step is not exact, but it is backward stable,
+as the direct SVD is: R's singular values are the block's up to rounding.
+An R of more than one column goes through ``_blocks`` again, on its
+entries != 0, so no exactly-zero row of R reaches the SVD.  A basis vector
 drops its entries at or below NEGLIGIBLE eps, the rounding of an exact 0.
 
 Those cuts of isometries fall apart further before ``_blocks`` scatters
 anything: their columns (for ``nullspace``; rows for ``column_space``) are
 mutually orthogonal up to rounding but for a few pairs.  The sparse Gram
 matrix m* m (m m*) is formed from the entries while it takes no more terms
-than the ``times`` rule admits, which a dense block exceeds; two columns
-join when the cosine of their Gram entry exceeds NEGLIGIBLE eps,
-``_components`` labels the groups, and each row is listed once per group
-it meets, on fresh indices, so each group is factored as a block of its
-own, through the QR, the triangle's drop and split and the SVD above.  The
-2n x (n + 1) cores of seed-0 ``timotin-rot``, one block each, fall into
-groups of one column but for one or two, so no QR or SVD operand holds
-more than 4 entries, where the whole block took a dense QR of O(n^3)
-time.  The cosine test alone is unsound: [a, a + d b, e, e + d b] has a
-kernel vector, yet its columns 1, 2 meet 3, 4 only at the cosine d**2.
-So the split is certified from the singular values the
-groups already have: every dropped Gram entry X[j, k] between two groups
-must be at most NEGLIGIBLE eps s_j s_k, s being the smallest singular value
-of each side's group above the rounding floor NEGLIGIBLE eps sigma_max, and
-a connected block that holds a larger one is factored whole, as before.
-The certificate mirrors the triangle drop: S_1^-1 V_1* X V_2 S_2^-1, the
-cosines between the groups' left singular vectors above the floor, is what
-the whole block's QR would hold between them and the split drops, and it
-is at most NEGLIGIBLE eps q in norm, q being the block's columns.  Each
-singular value above the floor is then that of m to a relative NEGLIGIBLE
-eps q, at most 1.5e-8 for any q the cap admits, and those below it move m
-by at most NEGLIGIBLE eps q sigma_max, the triangle drop's budget.  Taking
-s among the kept values alone is not enough: 144 groups, each dropping a
-value 0.9 times the cutoff, add up to a singular value of m 10.8 times the
-cutoff that the split would lose.
+than the ``times`` rule and the cap admit, which a dense block exceeds;
+two columns join when the cosine of their Gram entry exceeds NEGLIGIBLE
+eps, ``_components`` labels the groups, and each row is listed once per
+group it meets, on fresh indices, so each group is factored as a block of
+its own, through the QR and the SVD above.  The 2n x (n + 1) cores of
+seed-0 ``timotin-rot``, one block each, fall into groups of one column but
+for one or two, so no QR or SVD operand holds more than 4 entries, where
+the whole block took a dense QR of O(n^3) time.  The cosine test alone is
+unsound: [a, a + d b, e, e + d b] has a kernel vector, yet its columns 1,
+2 meet 3, 4 only at the cosine d**2.  So the split is certified from the
+singular values the groups already have: every dropped Gram entry X[j, k]
+between two groups must be at most NEGLIGIBLE eps s_j s_k, s being the
+smallest singular value of each side's group above the rounding floor
+NEGLIGIBLE eps sigma_max, and a connected block that holds a larger one is
+factored whole, as before.  S_1^-1 V_1* X V_2 S_2^-1, the cosines between
+the groups' left singular vectors above the floor, is what the whole
+block's QR would hold between them and the split drops, and it is at most
+NEGLIGIBLE eps q in norm, q being the block's columns.  Each singular
+value above the floor is then that of m to a relative NEGLIGIBLE eps q, at
+most 1.5e-8 for any q the cap admits, and those below it move m by at most
+NEGLIGIBLE eps q sigma_max, below RANK_RTOL / 10 times sigma_max while q
+<= 11,258, so no rank decision whose singular values lie tenfold from its
+cutoff can move; on the demos, the sample scenario and the seed-0 and
+seed-7 benchmark inputs none moves.  Taking s among the kept values alone
+is not enough: 144 groups, each dropping a value 0.9 times the cutoff, add
+up to a singular value of m 10.8 times the cutoff that the split would
+lose.
 
 A zero column of m is a kernel direction, one entry of value 1, and every
 product treats it as any other entry: 1 times x is exact, so no unit
@@ -112,10 +106,9 @@ MAX_DENSE_ENTRIES = 2 ** 24
 # sparse_norm's Lanczos iteration stops once the residual of its top Ritz
 # pair is at most this many eps times the Ritz value.
 LANCZOS_STOP = 4.0
-# Entries at or below this many eps times the largest are dropped: of a QR
-# triangle before it is split into blocks, and of a basis vector, of norm 1;
-# so are Gram cosines between the groups of a block's columns (rows), under
-# the certificate of _block_basis.
+# Entries of a basis vector, of norm 1, at or below this many eps are
+# dropped; so are Gram cosines between the groups of a block's columns
+# (rows), under the certificate of _block_basis.
 NEGLIGIBLE = 4.0
 
 
@@ -239,11 +232,10 @@ def _factored(blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
     factored through the triangle R (R*) of its QR factorisation (of its
     conjugate transpose), one stacked QR per shape: R keeps the singular
     values and the short side's singular vectors up to rounding.  Past one
-    column, each R drops its entries at or below NEGLIGIBLE eps times its
-    largest and goes through ``_blocks`` again, its rows (columns) on fresh
-    indices and the other side on the block's own, so the SVD sees the
-    triangle's blocks; a column of R with nothing left is a kernel
-    direction, one entry 1."""
+    column, the entries != 0 of each R go through ``_blocks`` again, its
+    rows (columns) on fresh indices and the other side on the block's own,
+    so no exactly-zero row of R reaches the SVD; a column of R that is
+    exactly 0 is a kernel direction, one entry 1."""
     stacks = []
     for rows, cols, a in blocks:
         ids = cols if kernel else rows
@@ -251,13 +243,12 @@ def _factored(blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
         if t.shape[1] > t.shape[2]:
             r = np.linalg.qr(t, mode="r")
             if r.shape[2] > 1:
-                size = np.abs(r)
-                kept = size > NEGLIGIBLE * np.finfo(float).eps * size.max((1, 2), keepdims=True)
+                kept = r != 0
                 b, i, j = np.nonzero(kept)
                 fresh = b * r.shape[1] + i
                 stacks += _factored(_blocks(Triplets(fresh, ids[b, j], r[b, i, j]) if kernel else
                                             Triplets(ids[b, j], fresh, r[b, i, j].conj())), kernel)
-                if kernel:  # a column of R with nothing left: a unit kernel vector
+                if kernel:  # a column of R that is 0: a unit kernel vector
                     gone = ids[~kept.any(axis=1)][:, None]
                     stacks.append((gone, np.zeros((gone.size, 0)), np.ones((gone.size, 1, 1))))
                 continue
@@ -291,12 +282,12 @@ def _orthogonal_groups(m: Triplets, kernel: bool) -> _Groups | None:
     matrix m lists that its Gram matrix (m* m, or m m*) joins by an entry
     above NEGLIGIBLE eps times the norms of its two ids; None where no two
     ids share a row (column), where the core has no zero entry, where the
-    sparse Gram matrix forms more terms than the ``times`` rule admits, or
-    where one group fills each connected block.  Before the product, the
-    entries are scaled by the power of two that brings the largest into
-    [0.5, 1), exactly, so no square the SVD would see underflows, and put
-    in row-major order, so each sum of the Gram matrix takes its terms in
-    one order, whatever the order of the list."""
+    sparse Gram matrix forms more terms than the ``times`` rule or the cap
+    admits, or where one group fills each connected block.  Before the
+    product, the entries are scaled by the power of two that brings the
+    largest into [0.5, 1), exactly, so no square the SVD would see
+    underflows, and put in row-major order, so each sum of the Gram matrix
+    takes its terms in one order, whatever the order of the list."""
     # explicit zeros only add to the counts, so no entry needs filtering yet
     if np.bincount(m.rows if kernel else m.cols).max(initial=0) < 2:
         return None
@@ -306,10 +297,11 @@ def _orthogonal_groups(m: Triplets, kernel: bool) -> _Groups | None:
         return None
     order = np.argsort(at_row.astype(np.int64) * cols.size + at_col, kind="stable")
     core = Triplets(at_row[order], at_col[order], m.vals[nonzero[order]])
+    del nonzero, at_row, at_col, order  # only the core is read from here on
     scale = np.ldexp(1.0, -max(int(np.frexp(np.max(np.abs(core.vals)))[1]), -1021))
     w = Triplets(core.cols, core.rows, core.vals.conj() * scale) if kernel else \
         core._replace(vals=core.vals * scale)  # the ids on the rows of w
-    gram = sparse_product(w, _adjoint(w), 2 * rows.size * cols.size)
+    gram = sparse_product(w, _adjoint(w), min(2 * rows.size * cols.size, MAX_DENSE_ENTRIES))
     if gram is None:
         return None
     ids = cols if kernel else rows

@@ -274,22 +274,13 @@ class IsometryClass:
 def _left_gram(s: LaurentSymbol) -> dict[int, np.ndarray]:
     """G(m) = sum_j S_j^H S_(j+m) at every lag m = i - j of two nonzero
     terms; G is zero at every other lag, so S is isometry-valued iff
-    G(0) = I and every listed G(m), m != 0, is 0.
-
-    One pass over the terms j marks the lags i - j that occur; a second adds
-    S_j^H times the stack of all nonzero terms into their lags, so each lag
-    still takes one product per j, in the order of j, and only the lags that
-    occur are held."""
-    terms, last = np.asarray(s.terms), s.coeffs.shape[0] - 1
-    occurs = np.zeros(2 * last + 1, dtype=bool)  # at lag + last
-    for j in terms:
-        occurs[terms - j + last] = True
-    lags = np.flatnonzero(occurs) - last
-    gram = np.zeros((lags.size, s.cols, s.cols), dtype=complex)
-    stack = s.coeffs[terms]
-    for j in terms:
-        gram[np.searchsorted(lags, terms - j)] += s.coeffs[j].conj().T @ stack
-    return dict(zip(lags.tolist(), gram))
+    G(0) = I and every listed G(m), m != 0, is 0."""
+    gram = {}
+    for j in s.terms:
+        for i in s.terms:
+            lag = gram.setdefault(i - j, np.zeros((s.cols, s.cols), dtype=complex))
+            lag += s.coeffs[j].conj().T @ s.coeffs[i]
+    return gram
 
 
 def classify_isometry(s: LaurentSymbol) -> IsometryClass:

@@ -818,14 +818,14 @@ class TestSizeCapBoundsMemory:
     sweep and at sixteen times its last n, passes or exits 2 naming the cap,
     and its tracemalloc peak stays at most K * CAP * 16 bytes.
 
-    K is the largest measured multiple, 6.77, rounded up: the largest array
+    K is the largest measured multiple, 6.36, rounded up: the largest array
     the cap admits is not the only one live.  An entry takes 32 bytes, and
     the subspace checks hold the entry lists of the generators, the bases
     and the operators beside those of a factorisation: the timotin-rot
     cores fall into mutually orthogonal groups of a few entries each, so no
     block stack stops these inputs, and at n = 4,096 they run to the end
-    and reach 6.77, in the column_space of the range check, whose Gram
-    matrix, groups and stacks are live at once.  Assembling a block
+    and reach 6.36, in the ``_blocks`` of a core listed group by group,
+    beside the sorted copy of the core and the groups.  Assembling a block
     operator holds its blocks, their offset copies, the concatenation, the
     sort keys and order and the sorted list at once: the operators-wide
     inputs at n = 4,096 reach 6.03 when a sparse product stops them."""

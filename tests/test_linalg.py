@@ -940,9 +940,8 @@ class TestConnectedBlocks:
 
 class TestTriangleBlocks:
     """The blocks the package factors cut isometries: their columns (rows)
-    fall into mutually orthogonal groups but for a few, and the QR triangle
-    of a group is diagonal up to rounding but for a few columns, so the QRs
-    take the groups and the SVDs the triangles' blocks."""
+    fall into mutually orthogonal groups but for a few, so the QRs and the
+    SVDs take the groups, whatever n."""
 
     def test_seed0_timotin_factors_no_operand_above_four_entries(self, factor_calls):
         # at n = 1,024 a whole block is 2,048 x 1,025; no QR or SVD operand
@@ -1134,13 +1133,14 @@ class TestTripletHelpersMatchDenseOracles:
     @given(seed=st.integers(0, 2 ** 32 - 1), short=st.integers(2, 6), extra=st.integers(1, 6),
            faint=st.integers(0, 5))
     def test_a_vanished_triangle_column_is_a_unit_kernel_vector(self, seed, short, extra, faint):
-        # the column of norm 1e-20 leaves nothing in its triangle column
-        # above NEGLIGIBLE eps times the largest entry
+        # the column of norm 1e-20 keeps a singular value far below the
+        # cutoff, whose right singular vector is that unit vector up to a
+        # phase and rounding, at the oracles' tolerance
         m = ginibre(np.random.default_rng(seed), short + extra, short)
         m[:, faint % short] *= 1e-20 / np.linalg.norm(m[:, faint % short])
         kernel = nullspace(nonzero_triplets(m), short)
-        np.testing.assert_array_equal(dense_of_list(kernel, short),
-                                      np.eye(short)[:, [faint % short]])
+        np.testing.assert_allclose(np.abs(dense_of_list(kernel, short)),
+                                   np.eye(short)[:, [faint % short]], rtol=0, atol=1e-12)
         assert_matches_oracles(nonzero_triplets(m), m)
 
     @settings(max_examples=150, deadline=None)
@@ -1249,7 +1249,8 @@ class TestOrthogonalGroups:
     """A core whose columns (rows) fall into mutually orthogonal groups is
     factored group by group, under the certificate that every Gram entry
     between two groups lies within NEGLIGIBLE eps of the product of the
-    groups' smallest kept singular values; a cosine test alone is unsound."""
+    groups' smallest singular values above the rounding floor; a cosine
+    test alone is unsound."""
 
     @pytest.mark.parametrize("scale", [1.0, 2.0 ** -560, 2.0 ** 520])
     def test_a_coupling_below_every_cosine_is_certified(self, scale):
@@ -1297,6 +1298,23 @@ class TestOrthogonalGroups:
         assert_same_span(kernel, ref_nullspace(m))
         shapes = {(c.routine, c.a.shape) for c in factor_calls}
         assert ("svd", (3, 4)) in shapes and ("qr", (3, 2)) not in shapes, shapes
+
+    def test_a_gram_product_above_the_cap_keeps_the_whole_block(self, monkeypatch):
+        # a connected 16 x 16 circulant band of 5 entries a row and a column,
+        # singular: its block stack holds 256 entries and its Gram matrix
+        # takes 16 * 5**2 = 400 terms, fewer than the 512 of the times rule;
+        # under a cap of 256 the groups decline and the block is factored
+        # whole, as the cap admits
+        at = np.arange(16)
+        m = np.zeros((16, 16), dtype=complex)
+        for shift, value in enumerate([1, 2, -3, 1 + 1j, -1 - 1j]):
+            m[at, (at + shift) % 16] = value
+        monkeypatch.setattr(linalg, "MAX_DENSE_ENTRIES", m.size)
+        t = nonzero_triplets(m)
+        for kernel in (True, False):
+            assert linalg._orthogonal_groups(t, kernel) is None
+        assert extent(nullspace(t, 16), 1) == 1
+        assert_matches_oracles(t, m)
 
     @settings(max_examples=150, deadline=None)
     @given(drawn=orthogonal_column_groups())
