@@ -108,7 +108,9 @@ MAX_DENSE_ENTRIES = 2 ** 24
 LANCZOS_STOP = 4.0
 # Entries of a basis vector, of norm 1, at or below this many eps are
 # dropped; so are Gram cosines between the groups of a block's columns
-# (rows), under the certificate of _block_basis.
+# (rows), under the certificate of _block_basis, and the Penrose
+# certificate (operators._penrose_defect) multiplies no column by a Gram
+# entry of cosine at or below it, and bounds those entries instead.
 NEGLIGIBLE = 4.0
 
 
@@ -646,7 +648,8 @@ def support_core(t: Triplets) -> np.ndarray:
 def short_gram(t: Triplets) -> tuple[Triplets, Triplets] | tuple[np.ndarray, np.ndarray]:
     """(W, W* W) for W the one of V, the matrix t lists, and V* with no more
     nonzero columns than rows, so W* W is the smaller Gram matrix, for the
-    Penrose certificate.  Sparse while the product forms no more terms than
+    Penrose certificate, which multiplies W further only on the columns
+    that W* W couples.  Sparse while the product forms no more terms than
     V's nonzero core has entries, which keeps its memory to the core's; past
     that, W is the dense core."""
     rows, cols = (np.count_nonzero(np.bincount(x)) for x in (t.rows, t.cols))

@@ -16,7 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    NEGLIGIBLE,
     Triplets,
+    _core_entries,
     _renumbered,
     _within,
     check_size,
@@ -42,10 +44,11 @@ from .symbols import (
 # The residual tolerance: every residual gate of a check is residual <= tol,
 # and svd_analysis's binary band is tol wide.  It decides no rank.
 DEFAULT_TOL = 1e-8
-# The share of the Penrose bound tol (1 - tol^2) that ||V V* V - V||_F may
-# reach and still certify the binary band without an SVD; the rest covers
-# the rounding of the two products, which leave ||V V* V - V||_F below
-# 2e-14 on the partial isometries of the demos and the benchmark.
+# The share of the Penrose bound tol (1 - tol^2) that _penrose_defect's
+# upper bound on ||V V* V - V||_F may reach and still certify the binary
+# band without an SVD; the rest covers the rounding of the products, which
+# leave the bound below 4e-14 on the partial isometries of the demos and
+# the benchmark.
 PENROSE_MARGIN = 0.5
 
 
@@ -328,15 +331,47 @@ def _moved(t: Triplets, axis: int, space: ProductSpace, kinds: tuple[str, ...]) 
 
 
 def _penrose_defect(v: Triplets) -> float:
-    """||V V* V - V||_F of the matrix V that v lists, which is the same for V*
-    and for V's nonzero core: ||W G - W||_F for the W and G = W* W of
-    ``short_gram``, W G sparse under G's term budget, else dense."""
+    """An upper bound, up to rounding, on ||V V* V - V||_F for the matrix V
+    that v lists, which is the same for V* and for V's nonzero core:
+    ||W G - W||_F for the W and G = W* W of ``short_gram``.
+
+    G's entries off the diagonal whose cosine |G_jk| / sqrt(G_jj G_kk)
+    exceeds NEGLIGIBLE eps are kept, the others form X, and a column is
+    coupled when a kept entry lies in its row or its column (both ends: the
+    computed G need not be bit-Hermitian).  W G - W is (W G' - W) + W X, G'
+    being G without X: an uncoupled column j of W G' - W is (G_jj - 1) w_j,
+    the coupled ones are W_c G_cc - W_c on the coupled columns alone, and
+    ||W X||_F <= ||W||_2 ||X||_F, ||W||_2^2 = ||G||_2 being at most G's
+    largest absolute row sum.  So the bound is
+
+        sqrt(sum over uncoupled j of G_jj (G_jj - 1)^2 + ||W_c G_cc - W_c||_F^2)
+            + sqrt(max_j sum_k |G_jk|) ||X||_F,
+
+    the product sparse under the term budget of V's nonzero core, with no
+    product at all when no column is coupled.  A dense G (``short_gram``'s
+    dense route), or a product past its budget, gives ||W G - W||_F of the
+    dense cores instead."""
     w, gram = short_gram(v)
     if isinstance(gram, Triplets):
-        core_size = np.count_nonzero(np.bincount(v.rows)) * np.count_nonzero(np.bincount(v.cols))
-        image = sparse_product(w, gram, core_size)
+        j, k, g = gram
+        size, diagonal = np.abs(g), j == k
+        norm2 = np.zeros(extent(w, 1))
+        norm2[j[diagonal]] = g[diagonal].real
+        root = np.sqrt(norm2)
+        kept = ~diagonal & (size > NEGLIGIBLE * np.finfo(float).eps * root[j] * root[k])
+        dropped = float(np.linalg.norm(g[~diagonal & ~kept]))
+        coupled = np.zeros(norm2.size, dtype=bool)
+        coupled[j[kept]] = coupled[k[kept]] = True
+        lone = norm2[~coupled]
+        wc = Triplets(*(x[coupled[w.cols]] for x in w))
+        # with no coupled column there is nothing to multiply
+        image = sparse_product(wc, Triplets(*(x[coupled[j] & coupled[k]] for x in gram)),
+                               _core_entries(v)) if wc.rows.size else wc
         if image is not None:
-            return float(np.linalg.norm(sparse_difference(image, w).vals))
+            squares = np.sum(lone * (lone - 1.0) ** 2) \
+                + np.linalg.norm(sparse_difference(image, wc).vals) ** 2
+            spread = np.sqrt(np.bincount(j, size).max()) * dropped if dropped else 0.0
+            return float(np.sqrt(squares) + spread)
         w, gram = support_core(w), support_core(gram)
     return float(np.linalg.norm(w @ gram - w))
 
@@ -348,8 +383,8 @@ def _penrose_certified(v: Triplets, tol: float) -> bool:
     E = V (V* V) - V has singular values s |s^2 - 1| over V's s.  Each s
     outside the band gives at least tol (1 - tol^2), the value at s = tol
     (conservative for tol >= 1/2, never passing for tol >= 1), so a smaller
-    ||E||_F leaves no s outside it.  PENROSE_MARGIN covers the rounding of
-    the two products.
+    ||E||_F leaves no s outside it, and ``_penrose_defect`` bounds ||E||_F
+    from above.  PENROSE_MARGIN covers the rounding of the products.
     """
     return _penrose_defect(v) < PENROSE_MARGIN * tol * (1.0 - tol * tol)
 
@@ -380,12 +415,13 @@ def svd_analysis(op: OperatorMatrix, tol: float = DEFAULT_TOL) -> bool:
     Each side is first tried with the Penrose identity V V* V = V, which
     holds exactly for partial isometries (Halmos & McLaughlin, Pacific J.
     Math. 13, 1963), on the operator's nonzero entries inside the window:
-    two sparse products bound every singular value outside the band away
-    from it, so a small enough ||V V* V - V||_F passes the side without a
-    dense copy or an SVD.  The certificate is sufficient, never necessary:
-    a side it does not pass is materialised as its dense window slice
-    (``OperatorMatrix.dense``) and goes to the values-only SVD, which alone
-    can reject, so every verdict is the SVD's.
+    every singular value outside the band keeps ||V V* V - V||_F away from
+    0, and ``_penrose_defect`` bounds that norm from the sparse Gram matrix
+    and a product on the few columns it couples, so a small enough bound
+    passes the side without a dense copy or an SVD.  The certificate is
+    sufficient, never necessary: a side it does not pass is materialised as
+    its dense window slice (``OperatorMatrix.dense``) and goes to the
+    values-only SVD, which alone can reject, so every verdict is the SVD's.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")

@@ -818,7 +818,7 @@ class TestSizeCapBoundsMemory:
     sweep and at sixteen times its last n, passes or exits 2 naming the cap,
     and its tracemalloc peak stays at most K * CAP * 16 bytes.
 
-    K is the largest measured multiple, 6.36, rounded up: the largest array
+    K is the largest measured multiple, 6.41, rounded up: the largest array
     the cap admits is not the only one live.  An entry takes 32 bytes, and
     the subspace checks hold the entry lists of the generators, the bases
     and the operators beside those of a factorisation: the timotin-rot
@@ -828,7 +828,9 @@ class TestSizeCapBoundsMemory:
     beside the sorted copy of the core and the groups.  Assembling a block
     operator holds its blocks, their offset copies, the concatenation, the
     sort keys and order and the sorted list at once: the operators-wide
-    inputs at n = 4,096 reach 6.03 when a sparse product stops them."""
+    inputs at n = 4,096 reach 6.41 while the kernel operator is assembled
+    beside the cached range operator, whose Penrose certificate passes,
+    before the kernel operator's Gram product, 48n + 39 terms, stops them."""
 
     CAP = 2 ** 16
     K = 7

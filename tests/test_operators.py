@@ -2,6 +2,7 @@
 
 import itertools
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    CORPUS,
     block_shift_matrix,
     eval_at,
     hankel_op,
@@ -29,6 +31,7 @@ from shiftlab import cli, linalg, operators
 from shiftlab.linalg import Triplets, dense_matrix, spectral_norm
 from shiftlab.operators import (
     _moved,
+    _penrose_certified,
     _penrose_defect,
     _within,
     OperatorMatrix,
@@ -44,6 +47,7 @@ from shiftlab.operators import (
     toeplitz_op,
 )
 from shiftlab.subspaces import kernel_symbol_from_u, range_symbol_from_u
+from test_linalg import ref_binary
 from shiftlab.symbols import (
     block_symbol,
     constant_symbol,
@@ -483,9 +487,29 @@ def diagonal_operator(v):
     """The 2 x 2 diagonal (v, 2v) on two degree-0 Hardy windows, all of it
     in the window: its Gram matrix underflows at v = 1e-200 and overflows
     at v = 1e200 unless the entries are scaled first."""
-    space = ProductSpace.of(TruncatedSpace.hardy(1, 0), TruncatedSpace.hardy(1, 0))
-    entries = Triplets(np.array([0, 1]), np.array([0, 1]), np.array([v, 2 * v], dtype=complex))
-    return OperatorMatrix(space, space, entries, 0)
+    return diagonal_of(v, 2 * v)
+
+
+def diagonal_of(*values):
+    """The diagonal matrix of values on as many degree-0 Hardy windows, all
+    of it in the window."""
+    space = ProductSpace.of(*[TruncatedSpace.hardy(1, 0)] * len(values))
+    at = np.arange(len(values))
+    return OperatorMatrix(space, space, Triplets(at, at, np.array(values, dtype=complex)), 0)
+
+
+def shared_row_matrix(q=500, shared=400, b=np.sqrt(6e-16)):
+    """The (q + 1) x q matrix with column j holding 1 at row j + 1, and row 0
+    holding b in the first ``shared`` columns, as a window-wide operator.
+    Every Gram cosine between two columns is b**2 = 6e-16, below the
+    NEGLIGIBLE eps = 8.9e-16 that couples them, yet together they raise the
+    top singular value to sqrt(1 + shared b**2), 1 + 1.2e-13."""
+    rows = np.concatenate([np.arange(q) + 1, np.zeros(shared, dtype=int)])
+    cols = np.concatenate([np.arange(q), np.arange(shared)])
+    vals = np.concatenate([np.ones(q), np.full(shared, b)]).astype(complex)
+    domain = ProductSpace.of(TruncatedSpace.hardy(1, q - 1))
+    codomain = ProductSpace.of(TruncatedSpace.hardy(1, q))
+    return OperatorMatrix(domain, codomain, linalg.row_major(Triplets(rows, cols, vals)), q)
 
 
 class TestSvdAnalysis:
@@ -660,6 +684,76 @@ class TestTripletChecks:
         assert _penrose_defect(nonzero_triplets(m)) == pytest.approx(ref_penrose_norm(m),
                                                                      rel=1e-10, abs=1e-12)
         assert routes == ([True, True] if case == "banded" else [False])
+
+
+class TestPenroseBound:
+    """``_penrose_defect`` multiplies only the columns its Gram matrix
+    couples and bounds the Gram entries it drops by ||W||_2 ||X||_F, so it
+    never reads below ||V V* V - V||_F but by rounding, however small each
+    dropped entry is."""
+
+    @staticmethod
+    def further_products(monkeypatch):
+        """The operand sizes of every sparse product after the Gram step."""
+        sizes, original = [], operators.sparse_product
+
+        def recorded(a, b, limit):
+            sizes.append((a.rows.size, b.rows.size))
+            return original(a, b, limit)
+
+        monkeypatch.setattr(operators, "sparse_product", recorded)
+        return sizes
+
+    def test_shared_row_is_not_certified(self):
+        # each cross cosine is dropped, yet the top singular value is
+        # 1 + 1.2e-13, outside the band at tol = 1e-13: without the
+        # ||W||_2 ||X||_F term the value reads 1.3e-14 and certifies
+        op = shared_row_matrix()
+        m = op.dense()
+        assert _penrose_defect(op.entries) >= ref_penrose_norm(m) * (1 - 1e-10)
+        assert not _penrose_certified(op.entries, 1e-13)
+        assert svd_analysis(op, 1e-13) == ref_binary(m, 1e-13)
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=planted_cases())
+    @example(case=(diagonal_operator(1e-200), "range"))
+    @example(case=(diagonal_operator(1e200), "range"))
+    @example(case=(diagonal_of(1e-150, 1.0, 1e50), "range"))
+    def test_never_below_the_dense_reference(self, case):
+        op, _ = case
+        rows = op.codomain.window_indices(op.exact_window)
+        cols = op.domain.window_indices(op.exact_window)
+        for side, dense in ((_within(op.entries, 0, rows, op.codomain.dim), op.dense(rows=rows)),
+                            (_within(op.entries, 1, cols, op.domain.dim), op.dense(cols=cols))):
+            # "not below", as at 1e200 the value is inf and the dense oracle's
+            # complex products of inf read nan
+            assert not _penrose_defect(side) < ref_penrose_norm(dense) * (1 - 1e-10) - 1e-15
+
+    @pytest.mark.parametrize("op", [diagonal_operator(1e-200), diagonal_operator(1e200),
+                                    diagonal_of(1e-150, 1.0, 1e50)],
+                             ids=["1e-200", "1e200", "mixed"])
+    def test_uncoupled_columns_take_the_closed_form(self, op, monkeypatch):
+        # no Gram entry off the diagonal, so no column is coupled: the value
+        # is sqrt(sum of G_jj (G_jj - 1)^2), with no product after the Gram
+        # step; G underflows to 0 at 1e-200 and overflows to inf at 1e200
+        sizes = self.further_products(monkeypatch)
+        with np.errstate(over="ignore"):
+            gram = np.abs(op.entries.vals) ** 2
+            closed = float(np.sqrt(np.sum(gram * (gram - 1.0) ** 2)))
+        assert _penrose_defect(op.entries) == pytest.approx(closed, rel=1e-12, abs=0.0)
+        assert sizes == []
+
+    @pytest.mark.parametrize("n", [256, 4096])
+    @pytest.mark.parametrize("path", ["operators-wide-seed0/replicated-1-2-rot0.json",
+                                      "sweep-dense-seed0/timotin-rot.json"])
+    def test_further_products_stay_small(self, path, n, monkeypatch):
+        # a work count, not a timing: whatever n is, no operand of a sparse
+        # product after the Gram step holds more than 9 entries
+        sizes = self.further_products(monkeypatch)
+        sc = cli.parse_scenario(str(CORPUS / path))
+        report = cli.run(replace(sc, n_list=(n,), checks=("partial_isometry",)))
+        assert report.exit_status == 0
+        assert sizes and max(max(pair) for pair in sizes) <= 9
 
 
 class TestNoOperatorSizedCopies:
