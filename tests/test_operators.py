@@ -47,7 +47,6 @@ from shiftlab.operators import (
     toeplitz_op,
 )
 from shiftlab.subspaces import kernel_symbol_from_u, range_symbol_from_u
-from test_linalg import ref_binary
 from shiftlab.symbols import (
     block_symbol,
     constant_symbol,
@@ -712,7 +711,7 @@ class TestPenroseBound:
         m = op.dense()
         assert _penrose_defect(op.entries) >= ref_penrose_norm(m) * (1 - 1e-10)
         assert not _penrose_certified(op.entries, 1e-13)
-        assert svd_analysis(op, 1e-13) == ref_binary(m, 1e-13)
+        assert svd_analysis(op, 1e-13) == reference_flag(op, 1e-13)
 
     @settings(max_examples=80, deadline=None)
     @given(case=planted_cases())
@@ -727,7 +726,8 @@ class TestPenroseBound:
                             (_within(op.entries, 1, cols, op.domain.dim), op.dense(cols=cols))):
             # "not below", as at 1e200 the value is inf and the dense oracle's
             # complex products of inf read nan
-            assert not _penrose_defect(side) < ref_penrose_norm(dense) * (1 - 1e-10) - 1e-15
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert not _penrose_defect(side) < ref_penrose_norm(dense) * (1 - 1e-10) - 1e-15
 
     @pytest.mark.parametrize("op", [diagonal_operator(1e-200), diagonal_operator(1e200),
                                     diagonal_of(1e-150, 1.0, 1e50)],
@@ -740,7 +740,7 @@ class TestPenroseBound:
         with np.errstate(over="ignore"):
             gram = np.abs(op.entries.vals) ** 2
             closed = float(np.sqrt(np.sum(gram * (gram - 1.0) ** 2)))
-        assert _penrose_defect(op.entries) == pytest.approx(closed, rel=1e-12, abs=0.0)
+            assert _penrose_defect(op.entries) == pytest.approx(closed, rel=1e-12, abs=0.0)
         assert sizes == []
 
     @pytest.mark.parametrize("n", [256, 4096])
