@@ -27,12 +27,14 @@ from .operators import (
     build_kernel_operator,
     build_range_operator,
     intertwining_residual,
+    leading_section,
     nehari_bounds,
     nehari_lower_bound,
     svd_analysis,
 )
 from .subspaces import (
     KERNEL_REP,
+    RANGE_REP,
     TYPE_I,
     TYPE_II,
     VARIANTS,
@@ -40,6 +42,7 @@ from .subspaces import (
     SpecValidationError,
     SubspaceBasis,
     VerificationReport,
+    default_window,
     invariance_check,
     kernel_representation_check,
     kernel_subspace,
@@ -382,12 +385,22 @@ def parse_scenario(path: str) -> Scenario:
         raise ScenarioError(f"{path}: {exc}") from exc
 
 
-def _target_subspace(sc: Scenario, n: int, operator) -> SubspaceBasis:
+def _target_window(sc: Scenario, n: int) -> int:
+    """The degree window of the target subspace at n: the scenario's
+    window, else n less the band of the symbols that give the subspace."""
     spec = sc.spec
+    if sc.window is not None:
+        return sc.window
     if spec.variant in (TYPE_I, TYPE_II):
-        return mixed_invariant_subspace(spec, n, sc.window)
+        return default_window(spec, n)
+    return n - spec.mixed["kernel" if spec.variant == KERNEL_REP else "range"].bandwidth
+
+
+def _target_subspace(sc: Scenario, n: int, operator) -> SubspaceBasis:
+    spec, w = sc.spec, _target_window(sc, n)
+    if spec.variant in (TYPE_I, TYPE_II):
+        return mixed_invariant_subspace(spec, n, w)
     kind = "kernel" if spec.variant == KERNEL_REP else "range"
-    w = sc.window if sc.window is not None else n - spec.mixed[kind].bandwidth
     op = operator(kind, operator_truncation(spec.mixed[kind], w, n))
     return kernel_subspace(op, w) if kind == "kernel" else range_window_basis(op, w)
 
@@ -404,6 +417,36 @@ def _mixed_operator(sc: Scenario, kind: str, m: int) -> OperatorMatrix:
     symbol, at truncation m: the one call of the mixed builders."""
     build = build_range_operator if kind == "range" else build_kernel_operator
     return build(sc.spec.mixed[kind], sc.spec.dim_e, m)
+
+
+def _deepest_operator(sc: Scenario, kind: str) -> OperatorMatrix | None:
+    """The mixed operator of kind at the deepest truncation a run of sc
+    reads, or None when that assembly fails (the size cap, or a band wider
+    than every truncation the run reads).  The operator checks read n; a
+    representation check of the kind, and the target of a representation
+    variant of the kind, read the ``operator_truncation`` of the target's
+    window."""
+    sym = sc.spec.mixed[kind]
+    check, variant = ("kernel_rep", KERNEL_REP) if kind == "kernel" else ("range_rep", RANGE_REP)
+    # invariance, kernel_rep and range_rep read the target
+    windowed = check in sc.checks or (
+        sc.spec.variant == variant
+        and not {"invariance", "kernel_rep", "range_rep"}.isdisjoint(sc.checks))
+    deepest = max(operator_truncation(sym, _target_window(sc, n), n) if windowed else n
+                  for n in sc.n_list)
+    try:
+        return _mixed_operator(sc, kind, deepest)
+    except (ValueError, SizeCapError):
+        return None
+
+
+def _mixed_section(sc: Scenario, deepest, kind: str, m: int) -> OperatorMatrix:
+    """The mixed operator of kind at truncation m: the leading section of
+    the run's deepest assembly ``deepest(kind)``, or, when that failed, of
+    an assembly at m alone, whose error then names m as the build at m
+    always did."""
+    op = deepest(kind)
+    return leading_section(_mixed_operator(sc, kind, m) if op is None else op, m)
 
 
 def _check_twocond(sc: Scenario, n: int, target, operator) -> Record:
@@ -490,18 +533,28 @@ def run(scenario: Scenario) -> Report:
 
     The loop is n-major: at each n, every check that reads n runs in the
     order listed.  The target subspace is built at most once per n, on
-    first use.  Each mixed operator is built at most once per call, on
-    first use, keyed by kind ("range", "kernel") and truncation: operator
-    checks read it at n, representation checks and targets at the
-    ``operator_truncation`` of their window, nehari at every n.  A build
-    that raises is not kept, so each check records its own error; an array
-    above the size cap stops the run with a ScenarioError naming n.
-    twocond, splitting and nehari run at the last n only.  Records are
-    emitted check-major.  Operators and targets are not kept across calls;
-    the mixed symbols are, in ``scenario.spec.mixed``.
+    first use.  Each mixed operator kind ("range", "kernel") is assembled
+    at most once per call, on first use, at the deepest truncation the run
+    reads (``_deepest_operator``), and each truncation a check reads is cut
+    from it once per call as its leading section, which is the builder's
+    operator at that truncation, band error included: operator checks read
+    n, representation checks and targets the ``operator_truncation`` of
+    their window, nehari every n.  When that assembly fails, each
+    truncation is assembled alone, so an error names the n that meets it.
+    A check that raises keeps nothing, so each check records its own
+    error; an array above the size cap stops the run with a ScenarioError
+    naming n.  twocond, splitting and nehari run at the last n only.
+    Records are emitted check-major.
+
+    Operators and targets are not kept across calls.  The mixed symbols
+    are, in ``scenario.spec.mixed``, and so are the classifications of the
+    spec's symbols (``symbols.classify_isometry``): a second call on one
+    parsed scenario classifies nothing, so repeated in-process runs read
+    faster than a one-shot ``verify`` of a scenario with symbol checks.
     """
     last = scenario.n_list[-1]
-    operator = lru_cache(maxsize=None)(partial(_mixed_operator, scenario))
+    deepest = lru_cache(maxsize=None)(partial(_deepest_operator, scenario))
+    operator = lru_cache(maxsize=None)(partial(_mixed_section, scenario, deepest))
     records: dict[str, list[Record]] = {check: [] for check in scenario.checks}
     for n in scenario.n_list:
         target = lru_cache(maxsize=None)(partial(_target_subspace, scenario, n, operator))

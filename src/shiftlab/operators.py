@@ -12,6 +12,7 @@ of degree k, fiber i sits at flat index (k - deg_lo) * fiber_dim + i.
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -161,6 +162,14 @@ class SubspaceBasis:
         return extent(self.basis, 1)
 
 
+class _Block(NamedTuple):
+    """One block of a block operator: the symbol and whether the block is
+    its Hankel (True) or its Toeplitz (False) truncation."""
+
+    hankel: bool
+    sym: LaurentSymbol
+
+
 @dataclass(frozen=True)
 class OperatorMatrix:
     """Matrix between truncated spaces with an exactness window, held only as
@@ -170,13 +179,16 @@ class OperatorMatrix:
     ``exact_window = w`` means: for inputs supported on the domain's
     window-w degrees, applying the matrix agrees with the untruncated
     operator (whose output then also fits inside the codomain).  A value
-    of -1 means no input degree is exact at this truncation.
+    of -1 means no input degree is exact at this truncation.  ``blocks``
+    lists the blocks of a block operator in the order they were assembled,
+    so ``leading_section`` can give each shallower truncation its window.
     """
 
     domain: ProductSpace
     codomain: ProductSpace
     entries: Triplets
     exact_window: int
+    blocks: tuple[_Block, ...] = ()
 
     def __post_init__(self):
         for index, dim in ((self.entries.rows, self.codomain.dim),
@@ -206,7 +218,8 @@ def multiplication_entries(sym: LaurentSymbol, in_lo: int, in_hi: int,
     Hankel truncations and the bilateral generators all come from these
     entries.  An entry == 0 (-0.0 too) is left out, as m != 0 leaves it
     out; the list runs over the nonzero coefficients, each a row-major
-    run, and is checked against the size cap before any index is made.
+    run, and is checked against the size cap before any index is made (a
+    zero symbol, whose one run is empty, makes none).
     """
     r, c = sym.rows, sym.cols
     blocks = [(sym.kmin + i, sym.coeffs[i]) for i in sym.terms or [0]]  # [0]: one empty run
@@ -216,7 +229,7 @@ def multiplication_entries(sym: LaurentSymbol, in_lo: int, in_hi: int,
                sum(a.size * max(0, hi - lo + 1) for _, _, a, _, lo, hi in spans))
     rows, cols, vals = [], [], []
     for k, blk, a, b, lo, hi in spans:
-        i = np.arange(lo, hi + 1)[:, None]
+        i = np.arange(lo, hi + 1 if a.size else lo)[:, None]  # a zero block makes no index
         rows.append(((i + k - out_lo) * r + a).ravel())
         cols.append(((i - in_lo) * c + b).ravel())
         vals.append(np.tile(blk[a, b], i.size))
@@ -230,34 +243,44 @@ def toeplitz_op(sym: LaurentSymbol, n: int) -> OperatorMatrix:
     Exact window: n - max(kmax, 0), since the symbol raises degrees by
     at most kmax.
     """
-    return _block_operator(n, (sym.rows,), (sym.cols,), [[_toeplitz(sym, n)]])
+    return _block_operator(n, (sym.rows,), (sym.cols,), [[_Block(False, sym)]])
 
 
-def _toeplitz(sym: LaurentSymbol, n: int) -> tuple[Triplets, int]:
-    """The entries, unsorted, and the window of ``toeplitz_op``."""
-    if n < max(abs(sym.kmin), sym.kmax):
-        raise ValueError(f"truncation n = {n} is smaller than the symbol band "
-                         f"[{sym.kmin}, {sym.kmax}]")
-    return multiplication_entries(sym, 0, n, 0, n), n - max(sym.kmax, 0)
+def _toeplitz(sym: LaurentSymbol, n: int) -> Triplets:
+    """The entries, unsorted, of ``toeplitz_op``."""
+    return multiplication_entries(sym, 0, n, 0, n)
 
 
-def _hankel(sym: LaurentSymbol, n: int) -> tuple[Triplets, int]:
-    """The entries, unsorted, and the window of the truncation of
-    h |-> PJ[S h] on degree-n Hardy windows, J sending z**k to z**(-k-1).
+def _hankel(sym: LaurentSymbol, n: int) -> Triplets:
+    """The entries, unsorted, of the truncation of h |-> PJ[S h] on degree-n
+    Hardy windows, J sending z**k to z**(-k-1).
 
     Degree block (j, i) is the coefficient of z**(-(j+i+1)), so only the
     anti-analytic part of the symbol enters.  The convention is pinned by
     the scalar example S = zbar, whose matrix is E00 (h |-> h(0)).  When
     the anti-analytic band is deeper than n+1 the entries are still formed
     (top-left corner of the infinite matrix) but the window is -1: no
-    input is exact.
+    input is exact (``_window``).
     """
     # output degrees -n-1 .. -1 of S h sit on row blocks 0 .. n, and J
     # sends row block p (degree p - n - 1) to degree n - p
     t = multiplication_entries(sym, 0, n, -n - 1, -1)
     block, fiber = np.divmod(t.rows, sym.rows)
-    window = n if max(0, -sym.kmin) <= n + 1 else -1
-    return Triplets((n - block) * sym.rows + fiber, t.cols, t.vals), window
+    return Triplets((n - block) * sym.rows + fiber, t.cols, t.vals)
+
+
+def _window(block: _Block, n: int) -> int:
+    """The exactness window of one block at truncation n: n less the top
+    degree of a Toeplitz block's symbol, and n for a Hankel block unless its
+    anti-analytic band is deeper than n + 1, then -1.  A Toeplitz block
+    whose band is wider than n raises ValueError."""
+    s = block.sym
+    if block.hankel:
+        return n if max(0, -s.kmin) <= n + 1 else -1
+    if n < max(abs(s.kmin), s.kmax):
+        raise ValueError(f"truncation n = {n} is smaller than the symbol band "
+                         f"[{s.kmin}, {s.kmax}]")
+    return n - max(s.kmax, 0)
 
 
 def shift_rows(m: Triplets, space: ProductSpace, kinds: tuple[str, ...]) -> Triplets:
@@ -276,16 +299,59 @@ def _require_analytic(sym: LaurentSymbol, name: str) -> None:
 
 
 def _block_operator(n: int, rows: tuple[int, ...], cols: tuple[int, ...],
-                    blocks: list[list[tuple[Triplets, int]]]) -> OperatorMatrix:
-    """The block operator of the blocks' (entries, window) from the degree-n
-    Hardy windows of the fibers cols to those of the fibers rows, its entries
-    sorted once, with one window, the minimum over the blocks."""
+                    blocks: list[list[_Block]]) -> OperatorMatrix:
+    """The block operator of the blocks from the degree-n Hardy windows of
+    the fibers cols to those of the fibers rows: block by block, its window
+    (which checks its band) and its entries, then the entries sorted once,
+    with one window, the minimum over the blocks."""
     dom, cod = (ProductSpace.of(*(TruncatedSpace.hardy(d, n) for d in f)) for f in (cols, rows))
-    check_size("a block operator's entry list", sum(t.rows.size for r in blocks for t, _ in r))
+    built = [[(_window(b, n), (_hankel if b.hankel else _toeplitz)(b.sym, n)) for b in row]
+             for row in blocks]
+    check_size("a block operator's entry list", sum(t.rows.size for r in built for _, t in r))
     parts = [Triplets(t.rows + cod.offsets()[i], t.cols + dom.offsets()[j], t.vals)
-             for i, row in enumerate(blocks) for j, (t, _) in enumerate(row)]
+             for i, row in enumerate(built) for j, (_, t) in enumerate(row)]
     entries = row_major(Triplets(*map(np.concatenate, zip(*parts))))
-    return OperatorMatrix(dom, cod, entries, min(w for row in blocks for _, w in row))
+    return OperatorMatrix(dom, cod, entries, min(w for row in built for w, _ in row),
+                          tuple(b for row in blocks for b in row))
+
+
+def _leading(index: np.ndarray, space: ProductSpace, m: int) -> np.ndarray:
+    """Each flat index of the Hardy product space renumbered into its
+    degree-m section (degrees 0..m of each part), or -1 where its degree is
+    above m, in time linear in the indices, not in space.dim."""
+    starts = np.array(space.offsets())
+    part = np.searchsorted(starts, index, side="right") - 1
+    local = index - starts[part]
+    width = np.array([p.fiber_dim for p in space.parts]) * (m + 1)
+    return np.where(local < width[part], (np.cumsum(width) - width)[part] + local, -1)
+
+
+def leading_section(op: OperatorMatrix, m: int) -> OperatorMatrix:
+    """The truncation at m of the block operator op, built here at a
+    truncation n >= m: its leading section, degrees 0..m of each part on
+    rows and on columns.
+
+    Finite sections of Toeplitz and Hankel operators nest, the m-section
+    being the top-left corner of the n-section (Boettcher & Silbermann,
+    Analysis of Toeplitz Operators, 2nd ed., 2006), and the basis is
+    degree-major, so the kept entries, renumbered, stay in row-major order:
+    the section is the matrix the builder gives at m, entry for entry.  Its
+    window is the builder's at m, each Toeplitz block's band checked as the
+    builder checks it.
+    """
+    n = op.domain.parts[0].deg_hi
+    if not 0 <= m <= n:
+        raise ValueError(f"truncation {m} is not a leading section of truncation {n}")
+    if m == n:
+        return op
+    window = min(_window(b, m) for b in op.blocks)
+    rows = _leading(op.entries.rows, op.codomain, m)
+    cols = _leading(op.entries.cols, op.domain, m)
+    keep = (rows >= 0) & (cols >= 0)
+    dom, cod = (ProductSpace.of(*(TruncatedSpace.hardy(p.fiber_dim, m) for p in space.parts))
+                for space in (op.domain, op.codomain))
+    return OperatorMatrix(dom, cod, Triplets(rows[keep], cols[keep], op.entries.vals[keep]),
+                          window, op.blocks)
 
 
 def build_range_operator(phi: LaurentSymbol, dim_e: int, n: int) -> OperatorMatrix:
@@ -300,8 +366,8 @@ def build_range_operator(phi: LaurentSymbol, dim_e: int, n: int) -> OperatorMatr
     _require_analytic(a, "A")
     _require_analytic(b, "B")
     dims = (dim_e, phi.rows - dim_e)
-    return _block_operator(n, dims, dims, [[_toeplitz(a, n), _toeplitz(b, n)],
-                                           [_hankel(c, n), _hankel(d, n)]])
+    return _block_operator(n, dims, dims, [[_Block(False, a), _Block(False, b)],
+                                           [_Block(True, c), _Block(True, d)]])
 
 
 def build_kernel_operator(psi: LaurentSymbol, dim_e: int, n: int) -> OperatorMatrix:
@@ -318,8 +384,8 @@ def build_kernel_operator(psi: LaurentSymbol, dim_e: int, n: int) -> OperatorMat
     # conjugate-transposed in place; T_S^* is the Toeplitz matrix of S^*.
     dims = (dim_e, psi.rows - dim_e)
     return _block_operator(n, dims, dims,
-                           [[_hankel(c.entry_conj(), n), _toeplitz(a.adjoint(), n)],
-                            [_hankel(d.entry_conj(), n), _toeplitz(b.adjoint(), n)]])
+                           [[_Block(True, c.entry_conj()), _Block(False, a.adjoint())],
+                            [_Block(True, d.entry_conj()), _Block(False, b.adjoint())]])
 
 
 def _moved(t: Triplets, axis: int, space: ProductSpace, kinds: tuple[str, ...]) -> Triplets:

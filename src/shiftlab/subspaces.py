@@ -149,6 +149,13 @@ class InvariantSubspaceSpec:
                     mixed[kind] = derive(self.u, self.dim_e, self.dim_f)
         return {kind: sym for kind, sym in mixed.items() if sym is not None}
 
+    @cached_property
+    def column_symbol(self) -> LaurentSymbol:
+        """[U, Omega], Omega at full height: the column symbol of the
+        generators of ``bilateral_subspace``, once per spec, so its class is
+        found once per spec."""
+        return block_symbol([[sym for sym in (self.u, self.omega_full()) if sym is not None]])
+
     @property
     def dim_e0(self) -> int:
         return self.u.cols if self.u is not None else 0
@@ -316,8 +323,8 @@ def bilateral_subspace(spec: InvariantSubspaceSpec, n: int) -> SubspaceBasis:
             parts.append(Triplets(t.rows + first_row, t.cols + width, t.vals))
         width += (n - sym.kmax - k_lo + 1) * sym.cols
     basis = Triplets(*map(np.concatenate, zip(*parts)))
-    columns = block_symbol([[sym for sym, _ in gens]])
-    if classify_isometry(columns).kind not in (IsometryKind.ISOMETRY, IsometryKind.UNITARY):
+    if classify_isometry(spec.column_symbol).kind not in (IsometryKind.ISOMETRY,
+                                                          IsometryKind.UNITARY):
         basis = column_space(basis)
         if extent(basis, 1) != width:
             raise ValueError(

@@ -57,6 +57,12 @@ class LaurentSymbol:
         for ``circle_values`` and the loops of ``symbol_mul`` and ``_left_gram``."""
         return _nonzero_terms(self.coeffs)
 
+    @cached_property
+    def _isometry_class(self) -> "IsometryClass":
+        """``classify_isometry``'s class of the symbol, found once: the
+        symbol is frozen."""
+        return _classified(self)
+
     @property
     def kmax(self) -> int:
         return self.kmin + self.coeffs.shape[0] - 1
@@ -290,8 +296,14 @@ def classify_isometry(s: LaurentSymbol) -> IsometryClass:
     projection for every unit-modulus z; isometry-valued additionally has
     the projection equal to the identity.  Coisometry/unitary use the dual
     product S(z) S(z)^H.  The residual reports the maximal violation of
-    the identities backing the returned kind.
+    the identities backing the returned kind.  The class is found once per
+    symbol object and kept on it, as its ``terms`` are.
     """
+    return s._isometry_class
+
+
+def _classified(s: LaurentSymbol) -> IsometryClass:
+    """The class ``classify_isometry`` returns, computed."""
     if s.is_zero():
         return IsometryClass(IsometryKind.ZERO, 0.0)
     left = _left_gram(s)

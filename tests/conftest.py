@@ -386,11 +386,32 @@ def ref_hankel(sym, n) -> np.ndarray:
     return m.reshape(n + 1, sym.rows, -1)[::-1].reshape(m.shape)
 
 
+def assert_same_build(section, build):
+    """section() and build() give the same operator, bit for bit (rows,
+    cols and vals with their dtypes, window, domain and codomain), or raise
+    the same ValueError."""
+    try:
+        want = build()
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            section()
+        assert str(raised.value) == str(exc)
+        return
+    got = section()
+    for a, b in zip(got.entries, want.entries):
+        np.testing.assert_array_equal(a, b)
+        assert a.dtype == b.dtype
+    assert (got.exact_window, got.domain, got.codomain) == \
+        (want.exact_window, want.domain, want.codomain)
+
+
 def hankel_op(sym, n) -> operators.OperatorMatrix:
     """The truncated Hankel operator of sym on degree-n Hardy windows, with
-    the entries and window of ``operators._hankel``, assembled as the mixed
-    builders assemble their blocks."""
-    return operators._block_operator(n, (sym.rows,), (sym.cols,), [[operators._hankel(sym, n)]])
+    the entries of ``operators._hankel`` and the window of
+    ``operators._window``, assembled as the mixed builders assemble their
+    blocks."""
+    return operators._block_operator(n, (sym.rows,), (sym.cols,),
+                                     [[operators._Block(True, sym)]])
 
 
 def ref_range_operator(phi, dim_e, n) -> np.ndarray:

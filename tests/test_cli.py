@@ -15,13 +15,14 @@ import pytest
 from conftest import (
     CORPUS,
     REPO,
+    assert_same_build,
     coeff_distance,
     corpus_inputs,
     haar_unitary,
     library_specs,
     scaled,
 )
-from shiftlab import cli, linalg, operators, subspaces
+from shiftlab import cli, linalg, operators, subspaces, symbols
 from shiftlab.cli import (
     DEMOS,
     ScenarioError,
@@ -33,8 +34,9 @@ from shiftlab.cli import (
     symbol_from_literal,
     symbol_to_literal,
 )
-from shiftlab.subspaces import kernel_symbol_from_u, range_symbol_from_u
-from shiftlab.symbols import make_symbol
+from shiftlab.operators import build_kernel_operator, build_range_operator, leading_section
+from shiftlab.subspaces import kernel_symbol_from_u, operator_truncation, range_symbol_from_u
+from shiftlab.symbols import LaurentSymbol, make_symbol
 
 
 SAMPLE = Path(__file__).resolve().parent.parent / "scenarios" / "sample-inner-column.json"
@@ -225,9 +227,14 @@ ZERO_CANDIDATE = {"L1": {"rows": 1, "cols": 1, "coeffs": []},
                   "L2": {"rows": 1, "cols": 1, "coeffs": []}}
 # Scenarios whose operator builds fail at small n, with their text output
 # and their structured records as (check, n, pass, residual).  The kernel
-# operator of U = [1; z^3] / sqrt(2) needs n >= 3, and so does the range
-# operator of Phi = [z^3, 0; 0, zbar], whose nehari sweep error is recorded
-# at the last n.
+# operator of U = [1; z^3] / sqrt(2) needs n >= 3, also on the descending
+# sweep 8, 2, 1 (given to ``run`` directly: a scenario file must ascend),
+# whose deepest truncation comes first and whose last-n checks run at
+# n = 1; the range operator of Phi = [z^3, 0; 0, zbar] needs n >= 3, and
+# its nehari sweep error is recorded at the last n; the Hankel block
+# zbar^4 of Phi = [1, 0; zbar^4, 0] is deeper than n + 1 at n = 1, 2, so
+# those truncations have no exact input, and the target reads the range
+# operator at truncation 4 for n = 1, 2.
 BUILD_ERROR_CASES = [
     ({"name": "kernel-too-small",
       "spec": {"variant": "type_i", "dimE": 1, "dimF": 1,
@@ -274,6 +281,60 @@ BUILD_ERROR_CASES = [
       "overall FAIL\n"),
      [("nehari", 8, False, None), ("intertwining", 1, False, None),
       ("intertwining", 2, False, None), ("intertwining", 8, True, 0.0)]),
+    ({"name": "kernel-too-small-descending",
+      "spec": {"variant": "type_i", "dimE": 1, "dimF": 1,
+               "U": {"rows": 2, "cols": 1, "coeffs": [
+                   {"k": 0, "re": [0.7071067811865476, 0]},
+                   {"k": 3, "re": [0, 0.7071067811865476]}]}},
+      "checks": ["partial_isometry", "intertwining", "nehari", "invariance", "kernel_rep"],
+      "n_list": [8, 2, 1],
+      "nehari_candidates": [ZERO_CANDIDATE]},
+     ("scenario kernel-too-small-descending\n"
+      "  partial_isometry   n=8    residual=1 FAIL  [range_op=False; kernel_op=False expected=True]\n"
+      "  partial_isometry   n=2    residual=inf FAIL  [error: truncation n = 2 is smaller than the symbol band [-3, -3]]\n"
+      "  partial_isometry   n=1    residual=inf FAIL  [error: truncation n = 1 is smaller than the symbol band [-3, -3]]\n"
+      "  intertwining       n=8    residual=0 PASS  [range=0; kernel=0]\n"
+      "  intertwining       n=2    residual=inf FAIL  [error: truncation n = 2 is smaller than the symbol band [-3, -3]]\n"
+      "  intertwining       n=1    residual=inf FAIL  [error: empty exactness window: truncation too small]\n"
+      "  nehari             n=1    residual=0 FAIL  [lower=['1', '1', '0'] upper=['1']]\n"
+      "  invariance         n=8    window=5 residual=0 PASS\n"
+      "  invariance         n=2    residual=inf FAIL  [error: symbol band [0, 3] exceeds truncation 2]\n"
+      "  invariance         n=1    residual=inf FAIL  [error: symbol band [0, 3] exceeds truncation 1]\n"
+      "  kernel_rep         n=8    window=5 residual=0 PASS  [kernel_distance=ok]\n"
+      "  kernel_rep         n=2    residual=inf FAIL  [error: symbol band [0, 3] exceeds truncation 2]\n"
+      "  kernel_rep         n=1    residual=inf FAIL  [error: symbol band [0, 3] exceeds truncation 1]\n"
+      "overall FAIL\n"),
+     [("partial_isometry", 8, False, 1.0), ("partial_isometry", 2, False, None),
+      ("partial_isometry", 1, False, None), ("intertwining", 8, True, 0.0),
+      ("intertwining", 2, False, None), ("intertwining", 1, False, None),
+      ("nehari", 1, False, 0.0), ("invariance", 8, True, 0.0),
+      ("invariance", 2, False, None), ("invariance", 1, False, None),
+      ("kernel_rep", 8, True, 0.0), ("kernel_rep", 2, False, None),
+      ("kernel_rep", 1, False, None)]),
+    ({"name": "deep-hankel",
+      "spec": {"variant": "range_rep", "dimE": 1, "dimF": 1,
+               "Phi": {"rows": 2, "cols": 2, "coeffs": [
+                   {"k": 0, "re": [1, 0, 0, 0]}, {"k": -4, "re": [0, 0, 1, 0]}]}},
+      "checks": ["partial_isometry", "intertwining", "nehari", "invariance"],
+      "n_list": [1, 2, 8],
+      "nehari_candidates": [ZERO_CANDIDATE]},
+     ("scenario deep-hankel\n"
+      "  partial_isometry   n=1    residual=1 FAIL  [range_op=False expected=True]\n"
+      "  partial_isometry   n=2    residual=1 FAIL  [range_op=False expected=True]\n"
+      "  partial_isometry   n=8    residual=1 FAIL  [range_op=False expected=True]\n"
+      "  intertwining       n=1    residual=inf FAIL  [error: empty exactness window: truncation too small]\n"
+      "  intertwining       n=2    residual=inf FAIL  [error: empty exactness window: truncation too small]\n"
+      "  intertwining       n=8    residual=0 PASS  [range=0]\n"
+      "  nehari             n=8    residual=0 PASS  [lower=['0', '0', '1.41421356237'] upper=['1.41421356237']]\n"
+      "  invariance         n=1    residual=inf FAIL  [error: empty degree window]\n"
+      "  invariance         n=2    residual=inf FAIL  [error: empty degree window]\n"
+      "  invariance         n=8    window=4 residual=4.71027737605e-16 PASS\n"
+      "overall FAIL\n"),
+     [("partial_isometry", 1, False, 1.0), ("partial_isometry", 2, False, 1.0),
+      ("partial_isometry", 8, False, 1.0), ("intertwining", 1, False, None),
+      ("intertwining", 2, False, None), ("intertwining", 8, True, 0.0),
+      ("nehari", 8, True, 0.0), ("invariance", 1, False, None),
+      ("invariance", 2, False, None), ("invariance", 8, True, 4.71027737605e-16)]),
 ]
 
 
@@ -367,7 +428,7 @@ class TestRun:
         assert builds == [8, 16, 8, 16]
         assert first.structured() == second.structured()
 
-    def test_mixed_operators_built_once_per_kind_and_n(self, monkeypatch, tmp_path):
+    def test_mixed_operators_built_once_per_kind(self, monkeypatch, tmp_path):
         builds = []
         # every module that could import a mixed builder is counted
         for module in (cli, subspaces):
@@ -389,13 +450,20 @@ class TestRun:
             "nehari_candidates": [{"L1": dict(zero, rows=2),
                                    "L2": dict(zero, rows=2, cols=2)}],
         }
+        # the target of a window-20 range_rep spec reads the range operator
+        # at truncation 21 for every n, deeper than the sweep
+        windowed = dict(representation_payload("range_rep",
+                                               ["invariance", "partial_isometry", "intertwining"]),
+                        window=20)
         timotin, = DEMOS["timotin-nonsplitting"]()
-        # the demo runs all seven checks: kernel_rep and range_rep read the
-        # operators that partial_isometry and intertwining read at each n
+        # one assembly per kind, at the deepest truncation the run reads; the
+        # demo runs all seven checks, and kernel_rep and range_rep read the
+        # operators at n, as partial_isometry and intertwining do
         for sc, once in (
-                (parse_scenario(write_scenario(tmp_path, payload)),
-                 [("range", 4), ("kernel", 4), ("range", 8), ("kernel", 8)]),
-                (timotin, [("kernel", 8), ("range", 8), ("kernel", 16), ("range", 16)])):
+                (parse_scenario(write_scenario(tmp_path, payload)), [("range", 8), ("kernel", 8)]),
+                (parse_scenario(write_scenario(tmp_path, windowed, "windowed.json")),
+                 [("range", 21)]),
+                (timotin, [("kernel", 16), ("range", 16)])):
             builds.clear()
             first = run(sc)
             assert first.exit_status == 0, first.text()
@@ -405,12 +473,32 @@ class TestRun:
             assert builds == once + once
             assert first.structured() == second.structured()
 
+    def test_classifications_found_once_per_symbol(self, monkeypatch):
+        # each symbol a seed-0 scalar-splitting-rot run classifies is
+        # classified once, two _left_gram calls (S^H S and S S^H), and its
+        # class is that of a fresh copy, bit for bit
+        grams, classified = [], []
+        left_gram, classify = symbols._left_gram, subspaces.classify_isometry
+        monkeypatch.setattr(symbols, "_left_gram", lambda s: grams.append(s) or left_gram(s))
+        monkeypatch.setattr(subspaces, "classify_isometry",
+                            lambda s: classified.append(s) or classify(s))
+        sc = parse_scenario(str(CORPUS / "sweep-dense-seed0" / "scalar-splitting-rot.json"))
+        assert run(sc).exit_status == 0
+        distinct = {id(s): s for s in classified}
+        assert len(classified) == 10 and len(distinct) == 3
+        assert len(grams) == 2 * len(distinct)
+        for s in distinct.values():
+            copy = LaurentSymbol(s.rows, s.cols, s.kmin, s.coeffs.copy())
+            assert classify(s) == symbols._classified(copy)
+
     @pytest.mark.parametrize("payload, text, records", BUILD_ERROR_CASES,
-                             ids=["kernel-too-small", "range-too-small"])
+                             ids=[case[0]["name"] for case in BUILD_ERROR_CASES])
     def test_build_errors_keep_their_records(self, tmp_path, payload, text, records):
         # a build error stays with the check that met it: the same records,
         # in the same order, as when every check built its own operators
-        report = run(parse_scenario(write_scenario(tmp_path, payload)))
+        ascending = dict(payload, n_list=sorted(payload["n_list"]))
+        sc = parse_scenario(write_scenario(tmp_path, ascending))
+        report = run(replace(sc, n_list=tuple(payload["n_list"])))
         assert report.text() == text
         assert report.structured() == "".join(
             json.dumps({"check": check, "n": n, "pass": passed, "residual": residual,
@@ -425,6 +513,32 @@ class TestRun:
         report = run_batch([a, b])
         names = [r.scenario for r in report.records]
         assert names == sorted(names)
+
+
+class TestLeadingSections:
+    """Each corpus input's mixed operators, built once at the deepest
+    truncation a run reads, give every truncation of its sweep, and every
+    window truncation its targets and representation checks read, as a
+    leading section equal to the builder's operator at that truncation."""
+
+    @staticmethod
+    def scenarios(argv):
+        if argv[0] == "demo":
+            return DEMOS[argv[1]]()
+        return [parse_scenario(str(REPO / argv[1]))]
+
+    @pytest.mark.parametrize("key", list(corpus_inputs()))
+    def test_sections_are_the_builds(self, key):
+        for sc in self.scenarios(corpus_inputs()[key]):
+            for kind, sym in sc.spec.mixed.items():
+                deepest = cli._deepest_operator(sc, kind)
+                build = build_range_operator if kind == "range" else build_kernel_operator
+                top = deepest.domain.parts[0].deg_hi
+                reads = {m for n in sc.n_list
+                         for m in (n, operator_truncation(sym, cli._target_window(sc, n), n))}
+                for m in sorted(m for m in reads if m <= top):
+                    assert_same_build(lambda: leading_section(deepest, m),
+                                      lambda: build(sym, sc.spec.dim_e, m))
 
 
 class TestDemos:
@@ -715,11 +829,15 @@ class TestMainEntry:
     @pytest.mark.parametrize("payload, argv, named", [
         (minimal_payload(), ["--n", "1000000000"], "option --n: at n = 1000000000 "),
         (dict(minimal_payload(), n_list=[10 ** 9]), [], "field n_list: at n = 1000000000 "),
+        # the run's deepest range operator is refused from n = 8 on, and
+        # the error still names the n whose own truncation reaches the cap
+        (dict(minimal_payload(), checks=["partial_isometry", "intertwining"],
+              n_list=[8, 10 ** 9]), [], "field n_list: at n = 1000000000 "),
         # the window deepens the kernel operator to 2**52 degrees from the first n
         (dict(representation_payload("kernel_rep", ["invariance"]), window=2 ** 52), [],
          "field n_list: at n = 8 the entry list of a 1x1 symbol on input degrees "
          "0..4503599627370497"),
-    ], ids=["option", "field", "deepened-window"])
+    ], ids=["option", "field", "late-n", "deepened-window"])
     def test_oversized_run_exit_two(self, tmp_path, capsys, payload, argv, named):
         # each run would ask numpy for more bytes than it can index
         path = write_scenario(tmp_path, payload)
@@ -818,7 +936,7 @@ class TestSizeCapBoundsMemory:
     sweep and at sixteen times its last n, passes or exits 2 naming the cap,
     and its tracemalloc peak stays at most K * CAP * 16 bytes.
 
-    K is the largest measured multiple, 6.41, rounded up: the largest array
+    K is the largest measured multiple, 6.42, rounded up: the largest array
     the cap admits is not the only one live.  An entry takes 32 bytes, and
     the subspace checks hold the entry lists of the generators, the bases
     and the operators beside those of a factorisation: the timotin-rot
@@ -828,9 +946,12 @@ class TestSizeCapBoundsMemory:
     beside the sorted copy of the core and the groups.  Assembling a block
     operator holds its blocks, their offset copies, the concatenation, the
     sort keys and order and the sorted list at once: the operators-wide
-    inputs at n = 4,096 reach 6.41 while the kernel operator is assembled
-    beside the cached range operator, whose Penrose certificate passes,
-    before the kernel operator's Gram product, 48n + 39 terms, stops them."""
+    inputs at n = 4,096 reach 6.42 (6.41 when each n built its own
+    operators) while the kernel operator is assembled beside the range
+    operator, each once per run at its deepest truncation, here the one n,
+    which is read as it stands, and the range operator's Penrose
+    certificate passes before the kernel operator's Gram product, 48n + 39
+    terms, stops them."""
 
     CAP = 2 ** 16
     K = 7

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     CORPUS,
+    assert_same_build,
     block_shift_matrix,
     eval_at,
     hankel_op,
@@ -40,6 +41,7 @@ from shiftlab.operators import (
     build_kernel_operator,
     build_range_operator,
     intertwining_residual,
+    leading_section,
     nehari_bounds,
     nehari_lower_bound,
     shift_rows,
@@ -339,6 +341,47 @@ class TestBuilders:
         space = ProductSpace.of(TruncatedSpace.hardy(1, 2))
         with pytest.raises(ValueError, match="outside"):
             OperatorMatrix(space, space, Triplets(np.array([3]), np.array([0]), np.ones(1)), 2)
+
+
+class TestLeadingSection:
+    """The leading section at m of a mixed operator built at n >= m is the
+    builder's operator at m: the same entries in the same order, with their
+    dtypes, the same spaces and window, or the same band error."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), de=st.integers(1, 2), df=st.integers(1, 2),
+           kind=st.sampled_from(["range", "kernel"]))
+    def test_section_is_the_build(self, data, de, df, kind):
+        # the other block row reaches k = -10, deeper than m + 1 for small m
+        analytic = [kind == "range", kind == "kernel"]
+        grid = [[data.draw(signed_zero_symbols(r, c, analytic=a)) for c in (de, df)]
+                for r, a in zip((de, df), analytic)]
+        build = build_range_operator if kind == "range" else build_kernel_operator
+        n = data.draw(st.integers(max(s.kmax for s in grid[analytic.index(True)]), 12))
+        m = data.draw(st.integers(0, n))
+        sym = block_symbol(grid)
+        deepest = build(sym, de, n)
+        assert_same_build(lambda: leading_section(deepest, m), lambda: build(sym, de, m))
+
+    def test_deep_band_keeps_its_entries(self):
+        # C = zbar + zbar^9: at m = 2 the band is deeper than m + 1, so the
+        # window is -1, but the zbar entry is still formed
+        phi = block_symbol([[constant_symbol([[1.0]]), zero_symbol(1, 1)],
+                            [make_symbol(1, 1, {-9: [1], -1: [1]}), zero_symbol(1, 1)]])
+        section = leading_section(build_range_operator(phi, 1, 10), 2)
+        assert section.exact_window == -1 and section.entries.rows.size == 4
+        assert_same_build(lambda: section, lambda: build_range_operator(phi, 1, 2))
+
+    def test_band_error_names_the_section(self):
+        # the Toeplitz block z^3 needs n >= 3: the section at 2 fails as the
+        # build at 2 does, and a truncation above the build is refused
+        phi = block_symbol([[monomial_symbol(3, [[1.0]]), zero_symbol(1, 1)],
+                            [zero_symbol(1, 1), zero_symbol(1, 1)]])
+        deepest = build_range_operator(phi, 1, 8)
+        with pytest.raises(ValueError, match=r"truncation n = 2 is smaller than the symbol band \[3, 3\]"):
+            leading_section(deepest, 2)
+        with pytest.raises(ValueError, match="not a leading section"):
+            leading_section(deepest, 9)
 
 
 class TestWindowTightness:
