@@ -948,10 +948,10 @@ class TestSizeCapBoundsMemory:
     sort keys and order and the sorted list at once: the operators-wide
     inputs at n = 4,096 reach 6.42 (6.41 when each n built its own
     operators) while the kernel operator is assembled beside the range
-    operator, each once per run at its deepest truncation, here the one n,
-    which is read as it stands, and the range operator's Penrose
-    certificate passes before the kernel operator's Gram product, 48n + 39
-    terms, stops them."""
+    operator.  Each is assembled once per run at its deepest truncation,
+    here the one n, and read as it stands; the range operator's Penrose
+    certificate passes, and the kernel operator's Gram product, 48n + 39
+    terms, stops the run."""
 
     CAP = 2 ** 16
     K = 7
