@@ -31,24 +31,38 @@ each block on its own is exact.  On the scalar-fiber benchmark inputs a
 Every helper takes one path.  ``_blocks`` labels the components from the
 entries' rows and columns by hooking and pointer jumping (a core with no
 zero entry is one block without labelling) and fills one dense stack per
-block shape by scatter; the stack goes through one stacked SVD (or QR,
-below), and the vectors of every block come back as one entry list.  A
-core of one component is a stack of one block, and ``MAX_DENSE_ENTRIES``
-bounds a stack, not the ambient.  The blocks share one cutoff:
-``numerical_rank`` counts their merged singular values at RANK_RTOL times
-sigma_max of the whole of m, so a block whose values clear only its own
-cutoff gives them to the kernel.
+block shape by scatter; the stack goes through one stacked SVD (or QR, or
+the closed form, below), and the vectors of every block come back as one
+entry list.  A core of one component is a stack of one block, and
+``MAX_DENSE_ENTRIES`` bounds a stack, not the ambient.  The blocks share
+one cutoff: ``numerical_rank`` counts their merged singular values at
+RANK_RTOL times sigma_max of the whole of m, so a block whose values clear
+only its own cutoff gives them to the kernel.
 
-A tall block reaches ``nullspace``, and a wide one ``column_space``, as the
-triangle R of its QR factorisation (of its conjugate transpose when wide;
-Chan's R-SVD, ACM TOMS 8(1), 1982); the blocks of one shape take one
-stacked QR.  R keeps the singular values and the short side's singular
-vectors, so no SVD forms the long side's vectors only to discard them.
-Unlike the split of m, this step is not exact, but it is backward stable,
-as the direct SVD is: R's singular values are the block's up to rounding.
-An R of more than one column goes through ``_blocks`` again, on its
-entries != 0, so no exactly-zero row of R reaches the SVD.  A basis vector
-drops its entries at or below NEGLIGIBLE eps, the rounding of an exact 0.
+A block whose operand has one column, the block itself for ``nullspace``
+and its conjugate transpose for ``column_space`` (so a block of one row
+there), is factored in closed form by ``_column_norms``, as are the
+one-column and one-row stacks of ``singular_values``: a p x 1 matrix x is
+(x / |x|) |x| 1, an SVD as it stands, so its one singular value is the
+2-norm |x| and its right singular vector the unit 1, exactly, by shape
+alone.  The kernel thus takes the unit vector of a dropped column, and the
+column space the unit vector of a kept row, with no QR and no SVD; the
+norm is taken after an exact power-of-two scaling, so it neither
+overflows nor underflows.  On the scalar-fiber and ``timotin-rot``
+benchmark inputs nearly every block and every group is of this shape, and
+LAPACK's overhead per matrix, not its arithmetic, was their cost.
+
+Past one column, a tall block reaches ``nullspace``, and a wide one
+``column_space``, as the triangle R of its QR factorisation (of its
+conjugate transpose when wide; Chan's R-SVD, ACM TOMS 8(1), 1982); the
+blocks of one shape take one stacked QR.  R keeps the singular values and
+the short side's singular vectors, so no SVD forms the long side's vectors
+only to discard them.  Unlike the split of m, this step is not exact, but
+it is backward stable, as the direct SVD is: R's singular values are the
+block's up to rounding.  R goes through ``_blocks`` again, on its entries
+!= 0, so no exactly-zero row of R reaches the SVD, and a block of R with
+one column takes the closed form.  A basis vector drops its entries at or
+below NEGLIGIBLE eps, the rounding of an exact 0.
 
 Those cuts of isometries fall apart further before ``_blocks`` scatters
 anything: their columns (for ``nullspace``; rows for ``column_space``) are
@@ -58,10 +72,11 @@ than the ``times`` rule and the cap admit, which a dense block exceeds;
 two columns join when the cosine of their Gram entry exceeds NEGLIGIBLE
 eps, ``_components`` labels the groups, and each row is listed once per
 group it meets, on fresh indices, so each group is factored as a block of
-its own, through the QR and the SVD above.  The 2n x (n + 1) cores of
-seed-0 ``timotin-rot``, one block each, fall into groups of one column but
-for one or two, so no QR or SVD operand holds more than 4 entries, where
-the whole block took a dense QR of O(n^3) time.  The cosine test alone is
+its own, through the closed form, the QR or the SVD above.  The
+2n x (n + 1) cores of seed-0 ``timotin-rot``, one block each, fall into
+groups of one column but for one or two, so no operand of the closed
+form, the QR or the SVD holds more than 4 entries, where the whole block
+took a dense QR of O(n^3) time.  The cosine test alone is
 unsound: [a, a + d b, e, e + d b] has a kernel vector, yet its columns 1,
 2 meet 3, 4 only at the cosine d**2.  So the split is certified from the
 singular values the groups already have: every dropped Gram entry X[j, k]
@@ -227,39 +242,52 @@ def _blocks(m: Triplets) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
 
 def _factored(blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
               kernel: bool) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(ids, sv, vecs) for each stack the SVD factors for ``blocks``: ids the
+    """(ids, sv, vecs) for each stack factored for ``blocks``: ids the
     columns (kernel) or rows (column space) of the matrix on each block's
     vectors, sv its singular values and vecs[block, j, :] its right (left)
-    singular vectors.  A tall kernel block (wide column-space block) is
-    factored through the triangle R (R*) of its QR factorisation (of its
-    conjugate transpose), one stacked QR per shape: R keeps the singular
-    values and the short side's singular vectors up to rounding.  Past one
-    column, the entries != 0 of each R go through ``_blocks`` again, its
-    rows (columns) on fresh indices and the other side on the block's own,
-    so no exactly-zero row of R reaches the SVD; a column of R that is
-    exactly 0 is a kernel direction, one entry 1."""
+    singular vectors.  The operand t is each block (kernel) or its
+    conjugate transpose (column space).  A t of one column takes the closed
+    form, ``_column_norms`` and the unit vector 1, with no QR and no SVD.
+    A taller t is factored through the triangle R of its QR factorisation,
+    one stacked QR per shape: R keeps the singular values and the short
+    side's singular vectors up to rounding.  The entries != 0 of each R go
+    through ``_blocks`` again, its rows (columns) on fresh indices and the
+    other side on the block's own, so no exactly-zero row of R reaches the
+    SVD; a column of R that is exactly 0 is a kernel direction, one entry
+    1.  Any other t is factored by one stacked SVD."""
     stacks = []
     for rows, cols, a in blocks:
         ids = cols if kernel else rows
         t = a if kernel else a.conj().swapaxes(1, 2)
-        if t.shape[1] > t.shape[2]:
+        if t.shape[2] == 1:  # the norm, and the unit vector 1
+            stacks.append((ids, _column_norms(t), np.ones((t.shape[0], 1, 1), dtype=t.dtype)))
+        elif t.shape[1] > t.shape[2]:
             r = np.linalg.qr(t, mode="r")
-            if r.shape[2] > 1:
-                kept = r != 0
-                b, i, j = np.nonzero(kept)
-                fresh = b * r.shape[1] + i
-                stacks += _factored(_blocks(Triplets(fresh, ids[b, j], r[b, i, j]) if kernel else
-                                            Triplets(ids[b, j], fresh, r[b, i, j].conj())), kernel)
-                if kernel:  # a column of R that is 0: a unit kernel vector
-                    gone = ids[~kept.any(axis=1)][:, None]
-                    stacks.append((gone, np.zeros((gone.size, 0)), np.ones((gone.size, 1, 1))))
-                continue
-            a = r if kernel else r.conj().swapaxes(1, 2)
-        if kernel:  # full_matrices: a 1 x d block has d x d of them
-            check_size("the right singular vectors", a.shape[0], a.shape[2], a.shape[2])
-        u, sv, vh = np.linalg.svd(a, full_matrices=kernel)
-        stacks.append((ids, sv, vh if kernel else u.swapaxes(1, 2)))
+            kept = r != 0
+            b, i, j = np.nonzero(kept)
+            fresh = b * r.shape[1] + i
+            stacks += _factored(_blocks(Triplets(fresh, ids[b, j], r[b, i, j]) if kernel else
+                                        Triplets(ids[b, j], fresh, r[b, i, j].conj())), kernel)
+            if kernel:  # a column of R that is 0: a unit kernel vector
+                gone = ids[~kept.any(axis=1)][:, None]
+                stacks.append((gone, np.zeros((gone.size, 0)), np.ones((gone.size, 1, 1))))
+        else:
+            if kernel:  # full_matrices: a 1 x d block has d x d of them
+                check_size("the right singular vectors", a.shape[0], a.shape[2], a.shape[2])
+            u, sv, vh = np.linalg.svd(a, full_matrices=kernel)
+            stacks.append((ids, sv, vh if kernel else u.swapaxes(1, 2)))
     return stacks
+
+
+def _column_norms(t: np.ndarray) -> np.ndarray:
+    """The singular value of each block of the stack t (g, p, 1), its
+    column's 2-norm, as (g, 1).  The magnitudes of each column are first
+    scaled, exactly, by the power of two that brings the largest into
+    [0.5, 1), by 2**1021 at most, so no square underflows or overflows, and
+    the root is scaled back."""
+    mag = np.abs(t[:, :, 0])
+    exp = np.maximum(np.frexp(mag.max(axis=1, keepdims=True))[1], -1021)
+    return np.ldexp(np.sqrt(np.sum(np.ldexp(mag, -exp) ** 2, axis=1, keepdims=True)), exp)
 
 
 class _Groups(NamedTuple):
@@ -401,7 +429,9 @@ def singular_values(m: Triplets | np.ndarray) -> np.ndarray:
     """Singular values of the connected blocks of m, merged, descending: m
     is an entry list, each position at most once, or a dense array, read
     through its entries != 0 (the window slice of ``svd_analysis``'s
-    fallback).
+    fallback).  A stack of one column or one row takes the closed form of
+    ``_factored``, its norms by ``_column_norms``; any other stack one
+    stacked values-only SVD.
 
     These are the nonzero singular values of m, possibly followed by
     zeros; the zeros that m's zero rows and columns and its block structure
@@ -410,8 +440,10 @@ def singular_values(m: Triplets | np.ndarray) -> np.ndarray:
     blocks = _blocks(_entries(m) if isinstance(m, np.ndarray) else m)
     if not blocks:
         return np.zeros(0)
-    sv = np.concatenate([np.linalg.svd(stack, compute_uv=False).ravel()
-                         for _, _, stack in blocks])
+    sv = np.concatenate([
+        (_column_norms(stack if stack.shape[2] == 1 else stack.swapaxes(1, 2))
+         if 1 in stack.shape[1:] else np.linalg.svd(stack, compute_uv=False)).ravel()
+        for _, _, stack in blocks])
     return sv[np.argsort(-sv, kind="stable")]
 
 
@@ -585,10 +617,13 @@ def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sort: the distinct keys, ascending, and the position of each key among
     them."""
     order = np.argsort(keys, kind="stable")
-    new = np.diff(keys[order], prepend=-1) != 0
+    ordered = keys[order]
+    new = np.empty(keys.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
     at = np.empty(keys.size, dtype=np.intp)
     at[order] = np.cumsum(new) - 1
-    return keys[order[new]], at
+    return ordered[new], at
 
 
 def sparse_product(a: Triplets, b: Triplets, limit: int) -> Triplets | None:

@@ -85,9 +85,11 @@ class TruncatedSpace:
 
     def degree_indices(self, lo: int, hi: int) -> np.ndarray:
         """Flat indices of degrees [lo, hi], clipped to the stored range."""
-        start = (max(lo, self.deg_lo) - self.deg_lo) * self.fiber_dim
-        stop = (min(hi, self.deg_hi) - self.deg_lo + 1) * self.fiber_dim
-        return np.arange(start, max(start, stop))
+        lo, hi = max(lo, self.deg_lo), min(hi, self.deg_hi)
+        start = (lo - self.deg_lo) * self.fiber_dim
+        stop = max(start, (hi - self.deg_lo + 1) * self.fiber_dim)
+        check_size(f"the indices of degrees {lo}..{hi} at fiber {self.fiber_dim}", stop - start)
+        return np.arange(start, stop)
 
 
 @dataclass(frozen=True)
@@ -126,6 +128,7 @@ class ProductSpace:
         "backward" (one entry of ``kinds`` per part), as an index map:
         entry i is the flat index X moves index i to, one fiber along
         inside i's part, or -1 where that leaves the part."""
+        check_size("the block shift's index map", self.dim)
         targets = []
         for off, part, kind in zip(self.offsets(), self.parts, kinds):
             step = part.fiber_dim if kind == "forward" else -part.fiber_dim

@@ -837,7 +837,13 @@ class TestMainEntry:
         (dict(representation_payload("kernel_rep", ["invariance"]), window=2 ** 52), [],
          "field n_list: at n = 8 the entry list of a 1x1 symbol on input degrees "
          "0..4503599627370497"),
-    ], ids=["option", "field", "late-n", "deepened-window"])
+        # a kernel operator of one entry at n = 10**9: its window's index
+        # arrays, as long as the truncation, are refused before they exist
+        ({"name": "zbar-kernel", "checks": ["partial_isometry"], "n_list": [10 ** 9],
+          "spec": {"variant": "kernel_rep", "dimE": 1, "dimF": 1,
+                   "Psi": {"rows": 2, "cols": 2, "coeffs": [{"k": -1, "re": [1, 0, 0, 0]}]}}},
+         [], "field n_list: at n = 1000000000 "),
+    ], ids=["option", "field", "late-n", "deepened-window", "index-arrays"])
     def test_oversized_run_exit_two(self, tmp_path, capsys, payload, argv, named):
         # each run would ask numpy for more bytes than it can index
         path = write_scenario(tmp_path, payload)

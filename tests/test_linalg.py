@@ -582,11 +582,12 @@ class TestSparseNorm:
 
 
 class Factored(NamedTuple):
-    """One matrix that reached numpy's SVD or QR; a stacked call is
-    recorded block by block, each as its own ``shape[-2:]`` matrix."""
+    """One matrix that reached numpy's SVD or QR, or the closed form of a
+    one-column stack, ``linalg._column_norms``; a stacked call is recorded
+    block by block, each as its own ``shape[-2:]`` matrix."""
 
     site: str  # the innermost public function on the call stack
-    routine: str  # "svd" or "qr"
+    routine: str  # "svd", "qr" or "norm"
     a: np.ndarray
     stacked: bool  # one block of a stacked (3-d) call
     depth: int  # the number of blocks its call factors, 1 for a 2-d call
@@ -595,7 +596,8 @@ class Factored(NamedTuple):
 
 @pytest.fixture
 def factor_calls(monkeypatch):
-    """Every matrix factored by numpy's SVD or QR in the test, in order."""
+    """Every matrix factored by numpy's SVD or QR, or in closed form, in
+    the test, in order."""
     try:
         from numpy.linalg import _linalg
     except ImportError:  # numpy < 2
@@ -620,6 +622,7 @@ def factor_calls(monkeypatch):
         factor = recording(routine, getattr(np.linalg, routine))
         monkeypatch.setattr(np.linalg, routine, factor)
         monkeypatch.setattr(_linalg, routine, factor)
+    monkeypatch.setattr(linalg, "_column_norms", recording("norm", linalg._column_norms))
     return calls
 
 
@@ -665,8 +668,9 @@ class TestTriangleFirst:
 
 
 class TestEverySvdIsStripped:
-    """While the CLI runs, no matrix reaching numpy's SVD has a zero row or
-    column: the pipeline's matrices all go through the stripping helpers."""
+    """While the CLI runs, no matrix reaching numpy's SVD or the closed form
+    has a zero row or column: the pipeline's matrices all go through the
+    stripping helpers."""
 
     def test_no_factorised_matrix_has_a_zero_row_or_column(self, factor_calls):
         zero = (zero_symbol(2, 1), zero_symbol(2, 2))
@@ -676,7 +680,7 @@ class TestEverySvdIsStripped:
             expect={"partial_isometry": True}, nehari_candidates=(zero,))
         scenarios = cli.DEMOS["timotin-nonsplitting"]() + [replicated]
         assert cli.run_batch(scenarios).exit_status == 0
-        assert len([c for c in factor_calls if c.routine == "svd"]) > 20
+        assert len([c for c in factor_calls if c.routine in ("svd", "norm")]) > 20
         bad = [(c.routine, c.a.shape) for c in factor_calls
                if not ((c.a != 0).any(axis=1).all() and (c.a != 0).any(axis=0).all())]
         assert not bad, f"factorised with a zero row or column: {bad}"
@@ -877,10 +881,12 @@ class TestConnectedBlocks:
 
     @pytest.mark.parametrize("name", ["timotin-nonsplitting", "timotin-rotated"])
     def test_one_component_cores_are_a_stack_of_one(self, name, factor_calls):
-        # a core of one block is a stack of one: the QR of a tall kernel
-        # (wide column-space) core, else its SVD; the SVDs after the QR take
-        # the blocks of its triangle, each connected, which split the short
-        # side and hold the core's Frobenius norm.  A core whose columns
+        # a core of one block is a stack of one: the closed form of a
+        # one-column kernel (one-row column-space) core, the QR of a tall
+        # kernel (wide column-space) core, else its SVD; the SVDs and the
+        # closed forms after the QR take the blocks of its triangle, each
+        # connected, which split the short side and hold the core's
+        # Frobenius norm.  A core whose columns
         # (rows) fall into mutually orthogonal groups is factored group by
         # group instead: the groups' columns (rows) partition the core's,
         # and their squared Frobenius norms sum to the core's
@@ -912,10 +918,13 @@ class TestConnectedBlocks:
             groups = (None if first.site == "singular_values"
                       else linalg._orthogonal_groups(first.operand, kernel=side == 1))
             if groups is None:
-                transposed = first.routine == "qr" and first.site == "column_space"
+                # the QR of a column-space core takes its conjugate
+                # transpose, and the closed form the side with one column
+                transposed = (first.routine == "qr" and first.site == "column_space"
+                              or first.routine == "norm" and core.shape[1] != 1)
                 assert first.stacked and first.depth == 1, (first.site, first.a.shape)
                 assert first.a.shape == (core.T if transposed else core).shape, first.site
-                if first.routine == "svd":
+                if first.routine in ("svd", "norm"):
                     assert len(group) == 1, (first.site, first.a.shape)
                     continue
             else:
@@ -925,9 +934,11 @@ class TestConnectedBlocks:
                 norm = sum(np.linalg.norm(stack) ** 2 for _, _, stack in found)
                 assert norm == pytest.approx(np.linalg.norm(core) ** 2, rel=1e-12)
                 grouped += 1
-            svds = [c for c in group if c.routine == "svd"]
+            # the one column of a closed-form operand is one column (row)
+            svds = [c for c in group if c.routine in ("svd", "norm")]
             assert all(len(component_shapes(c.a)) == 1 for c in svds)
-            assert sum(c.a.shape[side] for c in svds) <= core.shape[side]
+            assert sum(1 if c.routine == "norm" else c.a.shape[side] for c in svds) \
+                <= core.shape[side]
             norm = sum(np.linalg.norm(c.a) ** 2 for c in svds)
             assert norm == pytest.approx(np.linalg.norm(core) ** 2, rel=1e-12)
             split += len(svds) > 1
@@ -940,18 +951,16 @@ class TestConnectedBlocks:
 
 class TestTriangleBlocks:
     """The blocks the package factors cut isometries: their columns (rows)
-    fall into mutually orthogonal groups but for a few, so the QRs and the
-    SVDs take the groups, whatever n."""
+    fall into mutually orthogonal groups but for a few, so the QRs, the SVDs
+    and the closed forms take the groups, whatever n."""
 
     def test_seed0_timotin_factors_no_operand_above_four_entries(self, factor_calls):
-        # at n = 1,024 a whole block is 2,048 x 1,025; no QR or SVD operand
-        # grows with n
+        # at n = 1,024 a whole block is 2,048 x 1,025; no QR, SVD or
+        # closed-form operand grows with n
         sc = cli.parse_scenario(str(conftest.CORPUS / "sweep-dense-seed0" / "timotin-rot.json"))
         assert cli.run_batch([dataclasses.replace(sc, n_list=(1024,))]).exit_status == 0
-        for routine in ("qr", "svd"):
-            largest = max((c.a.size, c.site, c.a.shape) for c in factor_calls
-                          if c.routine == routine)
-            assert largest[0] <= 4, (routine, largest)
+        largest = max((c.a.size, c.routine, c.site, c.a.shape) for c in factor_calls)
+        assert largest[0] <= 4, largest
 
 
 @st.composite
@@ -1081,6 +1090,80 @@ def ginibre(rng, rows, cols):
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 
 
+def block_diagonal(blocks):
+    """The block-diagonal matrix of the dense blocks, in their order."""
+    m = np.zeros(tuple(sum(b.shape[i] for b in blocks) for i in (0, 1)), dtype=complex)
+    r = c = 0
+    for b in blocks:
+        m[r:r + b.shape[0], c:c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    return m
+
+
+def one_column_matrix(seed, count, length, wide, scale, faint):
+    """A matrix of ``count`` blocks of one column (one row when ``wide``) of
+    ``length`` entries each, on shuffled rows and columns beside a zero row
+    and a zero column, its entries of magnitude about ``scale``; when
+    ``faint``, the first block is 1e-13 times as large, so its value falls
+    far below the cutoff.  Returns the matrix and its blocks."""
+    rng = np.random.default_rng(seed)
+    blocks = [ginibre(rng, 1, length) if wide else ginibre(rng, length, 1) for _ in range(count)]
+    blocks = [b * scale * (1e-13 if faint and k == 0 else 1.0) for k, b in enumerate(blocks)]
+    m = block_diagonal(blocks + [np.zeros((1, 1))])
+    return m[rng.permutation(m.shape[0])][:, rng.permutation(m.shape[1])], blocks
+
+
+@st.composite
+def one_column_matrices(draw):
+    return one_column_matrix(draw(st.integers(0, 2 ** 32 - 1)), draw(st.integers(1, 6)),
+                             draw(st.integers(1, 8)), draw(st.booleans()),
+                             10.0 ** draw(st.integers(-200, 200)), draw(st.booleans()))
+
+
+def lone_entries(values, wide):
+    """One block per list of values, a column of them (a row when ``wide``),
+    block diagonal; returns the matrix and its blocks."""
+    blocks = [np.array([v], dtype=complex) for v in values]
+    blocks = blocks if wide else [b.T for b in blocks]
+    return block_diagonal(blocks), blocks
+
+
+class TestOneColumnClosedForm:
+    """A block of one column, or of one row where the column space or
+    ``singular_values`` reads it, is factored in closed form: its value is
+    the column's 2-norm and its vector the unit 1, which no QR and no SVD
+    computes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(drawn=one_column_matrices())
+    @example(drawn=one_column_matrix(3, 4, 5, False, 1e-200, True))
+    @example(drawn=one_column_matrix(4, 4, 5, True, 1e200, True))
+    @example(drawn=one_column_matrix(5, 3, 3, False, 1e200, False))
+    # a subnormal entry beside a normal one, and blocks of subnormals alone
+    @example(drawn=lone_entries([[1.0, 5e-324], [5e-324], [3e-320 + 4e-320j, 1e-310]], False))
+    @example(drawn=lone_entries([[1.0, 5e-324], [5e-324], [3e-320 + 4e-320j, 1e-310]], True))
+    # a column with a single entry != 0
+    @example(drawn=lone_entries([[0.0, 0.0, 2 - 3j, 0.0], [1.0, 1.0]], False))
+    def test_values_and_spans_match_the_oracles(self, drawn):
+        m, blocks = drawn
+        ref = np.sort(np.concatenate([np.linalg.svd(b, compute_uv=False) for b in blocks]))[::-1]
+        np.testing.assert_allclose(singular_values(m), ref[ref > 0], rtol=1e-14, atol=0)
+        assert_matches_oracles(nonzero_triplets(m), m)
+
+    def test_no_qr_or_svd_takes_one_column(self, factor_calls):
+        # the seed-0 sweep-dense scenarios, n = 32..256, split their cores
+        # into thousands of one-column blocks and groups: each goes to the
+        # closed form, none to LAPACK
+        scenarios = [cli.parse_scenario(str(conftest.CORPUS / "sweep-dense-seed0" / name))
+                     for name in ("scalar-splitting-rot.json", "timotin-rot.json")]
+        assert all(sc.n_list[-1] == 256 for sc in scenarios)
+        assert cli.run_batch(scenarios).exit_status == 0
+        one_column = {(c.routine, c.site, c.a.shape) for c in factor_calls
+                      if c.routine != "norm" and c.a.shape[1] == 1}
+        assert not one_column, one_column
+        assert sum(c.routine == "norm" for c in factor_calls) > 1000
+
+
 class TestTripletHelpersMatchDenseOracles:
     """The entry-list helpers of ``linalg`` against the dense oracles of
     ``tests/conftest.py``, which factor and multiply the whole arrays: equal
@@ -1111,7 +1194,7 @@ class TestTripletHelpersMatchDenseOracles:
         m[np.ix_(rng.permutation(p + 2)[:p], rng.permutation(q + 2)[:q])] = ginibre(rng, p, q)
         assert_matches_oracles(nonzero_triplets(m), m)
         svds = [c.a.shape for c in factor_calls
-                if c.routine == "svd" and c.site in ("nullspace", "column_space")]
+                if c.routine in ("svd", "norm") and c.site in ("nullspace", "column_space")]
         assert len(svds) == 2 and all(min(shape) == short for shape in svds), svds
 
     @settings(max_examples=100, deadline=None)
@@ -1368,8 +1451,13 @@ class TestSizeCap:
         (20, lambda: operators.build_range_operator(
             make_symbol(2, 2, {0: [[1, 1], [0, 0]], -1: [[0, 0], [1, 1]]}), 1, 10),
          "a block operator's entry list, 24 entries"),
+        (50, lambda: operators.TruncatedSpace.lebesgue(2, 99).degree_indices(-200, 24),
+         "the indices of degrees -99..24 at fiber 2, 248 entries"),
+        (50, lambda: operators.ProductSpace.of(*[operators.TruncatedSpace.hardy(1, 49)] * 2)
+         .shift_targets(("forward", "backward")), "the block shift's index map, 100 entries"),
     ], ids=["dense_matrix", "gather", "svd-vectors", "zero-kernel", "column-space", "times",
-            "intersection", "sparse-product", "lanczos-basis", "entry-list", "block-operator"])
+            "intersection", "sparse-product", "lanczos-basis", "entry-list", "block-operator",
+            "degree-indices", "shift-targets"])
     def test_each_growing_allocation_is_checked(self, monkeypatch, cap, call, named):
         monkeypatch.setattr(linalg, "MAX_DENSE_ENTRIES", cap)
         with pytest.raises(linalg.SizeCapError, match=re.escape(f"{named}, is above the cap of")):
