@@ -441,9 +441,8 @@ def singular_values(m: Triplets | np.ndarray) -> np.ndarray:
     if not blocks:
         return np.zeros(0)
     sv = np.concatenate([
-        (_column_norms(stack if stack.shape[2] == 1 else stack.swapaxes(1, 2))
-         if 1 in stack.shape[1:] else np.linalg.svd(stack, compute_uv=False)).ravel()
-        for _, _, stack in blocks])
+        (_column_norms(stack.reshape(stack.shape[0], -1, 1)) if 1 in stack.shape[1:]
+         else np.linalg.svd(stack, compute_uv=False)).ravel() for _, _, stack in blocks])
     return sv[np.argsort(-sv, kind="stable")]
 
 

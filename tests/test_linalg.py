@@ -886,10 +886,10 @@ class TestConnectedBlocks:
         # kernel (wide column-space) core, else its SVD; the SVDs and the
         # closed forms after the QR take the blocks of its triangle, each
         # connected, which split the short side and hold the core's
-        # Frobenius norm.  A core whose columns
-        # (rows) fall into mutually orthogonal groups is factored group by
-        # group instead: the groups' columns (rows) partition the core's,
-        # and their squared Frobenius norms sum to the core's
+        # Frobenius norm.  A core whose columns (rows) fall into mutually
+        # orthogonal groups is factored group by group instead: the groups'
+        # columns (rows) partition the core's, and their squared Frobenius
+        # norms sum to the core's
         if name == "timotin-rotated":
             spec = InvariantSubspaceSpec(TYPE_I, 1, 1, u=rotated_timotin())
             checks = ("twocond", "invariance", "kernel_rep", "range_rep", "splitting",
@@ -934,7 +934,7 @@ class TestConnectedBlocks:
                 norm = sum(np.linalg.norm(stack) ** 2 for _, _, stack in found)
                 assert norm == pytest.approx(np.linalg.norm(core) ** 2, rel=1e-12)
                 grouped += 1
-            # the one column of a closed-form operand is one column (row)
+            # a closed-form operand stands for one column (row) of the core
             svds = [c for c in group if c.routine in ("svd", "norm")]
             assert all(len(component_shapes(c.a)) == 1 for c in svds)
             assert sum(1 if c.routine == "norm" else c.a.shape[side] for c in svds) \
