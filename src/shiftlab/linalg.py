@@ -7,9 +7,8 @@ Under 1 % of their entries are nonzero on the benchmark inputs, so
 products and differences of these lists (``times``, ``sparse_product``,
 ``sparse_difference``) cost O(nnz) where dense arrays cost O(d^2) memory
 and up to O(d^3) time.  A list becomes a dense array only inside a
-connected block, in ``dense_matrix`` (``OperatorMatrix.dense``, the
-fallback of ``svd_analysis``), in ``support_core`` and in the dense cores
-``times`` multiplies when that is cheaper than the terms.
+connected block and in the dense cores ``times`` multiplies, through
+``dense_matrix``, when that is cheaper than the terms.
 ``sparse_norm`` takes a list's spectral norm by a Lanczos iteration on the
 list itself, with no Gram matrix and no dense copy.
 
@@ -152,13 +151,6 @@ def check_size(what: str, *shape: int) -> None:
     if math.prod(shape) > MAX_DENSE_ENTRIES:
         raise SizeCapError(f"{what}, {' x '.join(map(str, shape))} entries, is above the cap of "
                            f"{MAX_DENSE_ENTRIES} ({MAX_DENSE_ENTRIES / 2 ** 26:g} GiB)")
-
-
-def _entries(m: np.ndarray) -> Triplets:
-    """The entries != 0 of the dense array m, in row-major order; -0.0 is
-    left out, as m != 0 leaves it out."""
-    rows, cols = np.nonzero(m)
-    return Triplets(rows, cols, m[rows, cols])
 
 
 def _compressed(index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -425,19 +417,17 @@ def _block_basis(m: Triplets, kernel: bool) -> tuple[Triplets, int]:
     return Triplets(*(x[kept] for x in basis)), rank
 
 
-def singular_values(m: Triplets | np.ndarray) -> np.ndarray:
-    """Singular values of the connected blocks of m, merged, descending: m
-    is an entry list, each position at most once, or a dense array, read
-    through its entries != 0 (the window slice of ``svd_analysis``'s
-    fallback).  A stack of one column or one row takes the closed form of
-    ``_factored``, its norms by ``_column_norms``; any other stack one
-    stacked values-only SVD.
+def singular_values(m: Triplets) -> np.ndarray:
+    """Singular values of the connected blocks of the matrix the entry list
+    m describes, each position at most once, merged, descending.  A stack
+    of one column or one row takes the closed form of ``_factored``, its
+    norms by ``_column_norms``; any other stack one stacked values-only SVD.
 
     These are the nonzero singular values of m, possibly followed by
     zeros; the zeros that m's zero rows and columns and its block structure
     add are left out, so an empty or all-zero matrix gives an empty array.
     """
-    blocks = _blocks(_entries(m) if isinstance(m, np.ndarray) else m)
+    blocks = _blocks(m)
     if not blocks:
         return np.zeros(0)
     sv = np.concatenate([
@@ -446,10 +436,10 @@ def singular_values(m: Triplets | np.ndarray) -> np.ndarray:
     return sv[np.argsort(-sv, kind="stable")]
 
 
-def spectral_norm(m: Triplets | np.ndarray) -> float:
-    """Largest singular value of m, an entry list or a dense array; exactly
-    0.0 for an empty or all-zero matrix (residuals built from index shifts
-    are often exact)."""
+def spectral_norm(m: Triplets) -> float:
+    """Largest singular value of the matrix the entry list m describes;
+    exactly 0.0 for an empty or all-zero matrix (residuals built from index
+    shifts are often exact)."""
     sv = singular_values(m)
     return float(sv[0]) if sv.size else 0.0
 
@@ -508,8 +498,9 @@ def times(a: Triplets, b: Triplets) -> Triplets:
     right = dense_matrix(Triplets(at_inner[a.cols.size:], at_col, b.vals),
                          (inner.size, cols.size))
     check_size("the product", rows.size, cols.size)
-    i, j, vals = _entries(left @ right)
-    return Triplets(rows[i], cols[j], vals)
+    dense = left @ right
+    i, j = np.nonzero(dense)  # -0.0 is left out, as dense != 0 leaves it out
+    return Triplets(rows[i], cols[j], dense[i, j])
 
 
 def project(b: Triplets, x: Triplets) -> Triplets:
@@ -672,27 +663,16 @@ def sparse_difference(a: Triplets, b: Triplets) -> Triplets:
     return Triplets(rows, cols, diff[keep])
 
 
-def support_core(t: Triplets) -> np.ndarray:
-    """The dense matrix of the entries t lists, on the rows and the columns
-    that hold one: for nonzero entries, the core ``_blocks`` splits."""
-    (rows, at_row), (cols, at_col) = _compressed(t.rows), _compressed(t.cols)
-    return dense_matrix(Triplets(at_row, at_col, t.vals), (rows.size, cols.size))
-
-
-def short_gram(t: Triplets) -> tuple[Triplets, Triplets] | tuple[np.ndarray, np.ndarray]:
+def short_gram(t: Triplets) -> tuple[Triplets, Triplets] | None:
     """(W, W* W) for W the one of V, the matrix t lists, and V* with no more
     nonzero columns than rows, so W* W is the smaller Gram matrix, for the
     Penrose certificate, which multiplies W further only on the columns
-    that W* W couples.  Sparse while the product forms no more terms than
-    V's nonzero core has entries, which keeps its memory to the core's; past
-    that, W is the dense core."""
+    that W* W couples; None when the product forms more terms than V's
+    nonzero core has entries, a budget that keeps its memory to the core's."""
     rows, cols = (np.count_nonzero(np.bincount(x)) for x in (t.rows, t.cols))
     w = t if rows >= cols else Triplets(t.cols, t.rows, t.vals.conj())
     gram = sparse_product(Triplets(w.cols, w.rows, w.vals.conj()), w, rows * cols)
-    if gram is not None:
-        return w, gram
-    a = support_core(w)
-    return a, a.conj().T @ a
+    return None if gram is None else (w, gram)
 
 
 def sparse_norm(t: Triplets) -> float:

@@ -23,7 +23,6 @@ from .linalg import (
     _renumbered,
     _within,
     check_size,
-    dense_matrix,
     extent,
     row_major,
     singular_values,
@@ -32,7 +31,6 @@ from .linalg import (
     sparse_norm,
     sparse_product,
     spectral_norm,
-    support_core,
 )
 from .symbols import (
     LaurentSymbol,
@@ -176,8 +174,7 @@ class _Block(NamedTuple):
 @dataclass(frozen=True)
 class OperatorMatrix:
     """Matrix between truncated spaces with an exactness window, held only as
-    its entries != 0 in the row-major order of np.nonzero; ``dense``
-    materialises the slice a factorisation needs.
+    its entries != 0 in the row-major order of np.nonzero.
 
     ``exact_window = w`` means: for inputs supported on the domain's
     window-w degrees, applying the matrix agrees with the untruncated
@@ -199,16 +196,6 @@ class OperatorMatrix:
             if index.size and not 0 <= index.min() <= index.max() < dim:
                 raise ValueError(f"an entry lies outside the {self.codomain.dim} x "
                                  f"{self.domain.dim} matrix")
-
-    def dense(self, rows: np.ndarray | None = None,
-              cols: np.ndarray | None = None) -> np.ndarray:
-        """The dense submatrix on the given codomain rows and domain columns
-        (ascending distinct indices; None keeps all of them)."""
-        t, shape = self.entries, [self.codomain.dim, self.domain.dim]
-        for axis, keep in enumerate((rows, cols)):
-            if keep is not None:
-                t, shape[axis] = _within(t, axis, keep, shape[axis]), keep.size
-        return dense_matrix(t, tuple(shape))
 
 
 def multiplication_entries(sym: LaurentSymbol, in_lo: int, in_hi: int,
@@ -284,13 +271,6 @@ def _window(block: _Block, n: int) -> int:
         raise ValueError(f"truncation n = {n} is smaller than the symbol band "
                          f"[{s.kmin}, {s.kmax}]")
     return n - max(s.kmax, 0)
-
-
-def shift_rows(m: Triplets, space: ProductSpace, kinds: tuple[str, ...]) -> Triplets:
-    """The entries of X m for the matrix m lists and the block shift X of
-    ``space.shift_targets(kinds)``: each row index moves to its target, and
-    an entry whose row has none drops out."""
-    return _moved(m, 0, space, kinds)
 
 
 def _require_analytic(sym: LaurentSymbol, name: str) -> None:
@@ -391,7 +371,8 @@ def build_kernel_operator(psi: LaurentSymbol, dim_e: int, n: int) -> OperatorMat
                             [_Block(True, d.entry_conj()), _Block(False, b.adjoint())]])
 
 
-def _moved(t: Triplets, axis: int, space: ProductSpace, kinds: tuple[str, ...]) -> Triplets:
+def block_shifted(t: Triplets, axis: int, space: ProductSpace,
+                  kinds: tuple[str, ...]) -> Triplets:
     """The entries of X m (axis 0) or of m X^T (axis 1), for the matrix m
     that t lists and the block shift X of ``space.shift_targets(kinds)``:
     the row or column index of each entry moves to its target, and an entry
@@ -417,32 +398,33 @@ def _penrose_defect(v: Triplets) -> float:
             + sqrt(max_j sum_k |G_jk|) ||X||_F,
 
     the product sparse under the term budget of V's nonzero core, with no
-    product at all when no column is coupled.  A dense G (``short_gram``'s
-    dense route), or a product past its budget, gives ||W G - W||_F of the
-    dense cores instead."""
-    w, gram = short_gram(v)
-    if isinstance(gram, Triplets):
-        j, k, g = gram
-        size, diagonal = np.abs(g), j == k
-        norm2 = np.zeros(extent(w, 1))
-        norm2[j[diagonal]] = g[diagonal].real
-        root = np.sqrt(norm2)
-        kept = ~diagonal & (size > NEGLIGIBLE * np.finfo(float).eps * root[j] * root[k])
-        dropped = float(np.linalg.norm(g[~diagonal & ~kept]))
-        coupled = np.zeros(norm2.size, dtype=bool)
-        coupled[j[kept]] = coupled[k[kept]] = True
-        lone = norm2[~coupled]
-        wc = Triplets(*(x[coupled[w.cols]] for x in w))
-        # with no coupled column there is nothing to multiply
-        image = sparse_product(wc, Triplets(*(x[coupled[j] & coupled[k]] for x in gram)),
-                               _core_entries(v)) if wc.rows.size else wc
-        if image is not None:
-            squares = np.sum(lone * (lone - 1.0) ** 2) \
-                + np.linalg.norm(sparse_difference(image, wc).vals) ** 2
-            spread = np.sqrt(np.bincount(j, size).max()) * dropped if dropped else 0.0
-            return float(np.sqrt(squares) + spread)
-        w, gram = support_core(w), support_core(gram)
-    return float(np.linalg.norm(w @ gram - w))
+    product at all when no column is coupled.  Past that budget, for G or
+    for the product, the bound is inf, which certifies nothing: a dense
+    core costs the SVD's order either way, and the SVD decides."""
+    found = short_gram(v)
+    if found is None:
+        return np.inf
+    w, gram = found
+    j, k, g = gram
+    size, diagonal = np.abs(g), j == k
+    norm2 = np.zeros(extent(w, 1))
+    norm2[j[diagonal]] = g[diagonal].real
+    root = np.sqrt(norm2)
+    kept = ~diagonal & (size > NEGLIGIBLE * np.finfo(float).eps * root[j] * root[k])
+    dropped = float(np.linalg.norm(g[~diagonal & ~kept]))
+    coupled = np.zeros(norm2.size, dtype=bool)
+    coupled[j[kept]] = coupled[k[kept]] = True
+    lone = norm2[~coupled]
+    wc = Triplets(*(x[coupled[w.cols]] for x in w))
+    # with no coupled column there is nothing to multiply
+    image = sparse_product(wc, Triplets(*(x[coupled[j] & coupled[k]] for x in gram)),
+                           _core_entries(v)) if wc.rows.size else wc
+    if image is None:
+        return np.inf
+    squares = np.sum(lone * (lone - 1.0) ** 2) \
+        + np.linalg.norm(sparse_difference(image, wc).vals) ** 2
+    spread = np.sqrt(np.bincount(j, size).max()) * dropped if dropped else 0.0
+    return float(np.sqrt(squares) + spread)
 
 
 def _penrose_certified(v: Triplets, tol: float) -> bool:
@@ -458,11 +440,9 @@ def _penrose_certified(v: Triplets, tol: float) -> bool:
     return _penrose_defect(v) < PENROSE_MARGIN * tol * (1.0 - tol * tol)
 
 
-def _binary_singular_values(m: np.ndarray, tol: float) -> bool:
-    """Every singular value of m within tol of 0 or 1, by the values-only
-    SVD; an empty matrix gives no evidence, so False."""
-    if m.size == 0:
-        return False
+def _binary_singular_values(m: Triplets, tol: float) -> bool:
+    """Every singular value of the matrix the entry list m describes within
+    tol of 0 or 1, by the values-only SVD of its connected blocks."""
     sv = singular_values(m)
     return bool(np.all((sv <= tol) | (np.abs(sv - 1.0) <= tol)))
 
@@ -487,22 +467,23 @@ def svd_analysis(op: OperatorMatrix, tol: float = DEFAULT_TOL) -> bool:
     every singular value outside the band keeps ||V V* V - V||_F away from
     0, and ``_penrose_defect`` bounds that norm from the sparse Gram matrix
     and a product on the few columns it couples, so a small enough bound
-    passes the side without a dense copy or an SVD.  The certificate is
-    sufficient, never necessary: a side it does not pass is materialised as
-    its dense window slice (``OperatorMatrix.dense``) and goes to the
-    values-only SVD, which alone can reject, so every verdict is the SVD's.
+    passes the side without an SVD.  The certificate is sufficient, never
+    necessary: a side it does not pass goes, as the same entry list, to the
+    values-only SVD of its connected blocks, which alone can reject, so
+    every verdict is the SVD's.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     rows = op.codomain.window_indices(op.exact_window)
     cols = op.domain.window_indices(op.exact_window)
-    sides = [(rows, 0, op.codomain.dim, lambda: op.dense(rows=rows))]
+    sides = [(rows, 0, op.codomain.dim)]
     if rows.size < op.codomain.dim or cols.size < op.domain.dim:
-        sides.append((cols, 1, op.domain.dim, lambda: op.dense(cols=cols)))
-    return any(keep.size > 0
-               and (_penrose_certified(_within(op.entries, axis, keep, dim), tol)
-                    or _binary_singular_values(compress(), tol))
-               for keep, axis, dim, compress in sides)
+        sides.append((cols, 1, op.domain.dim))
+    for keep, axis, dim in sides:
+        side = _within(op.entries, axis, keep, dim)
+        if keep.size and (_penrose_certified(side, tol) or _binary_singular_values(side, tol)):
+            return True
+    return False
 
 
 def intertwining_residual(op: OperatorMatrix, kind: str) -> float:
@@ -528,12 +509,12 @@ def intertwining_residual(op: OperatorMatrix, kind: str) -> float:
     # a product V Y with a shift Y on the right moves column indices by Y^T,
     # and the transpose of a forward shift is the backward one
     if kind == "range":
-        pair = (_moved(v, 0, op.codomain, ("forward", "backward")),
-                _moved(v, 1, space, ("backward", "backward")))
+        pair = (block_shifted(v, 0, op.codomain, ("forward", "backward")),
+                block_shifted(v, 1, space, ("backward", "backward")))
         w = min(op.exact_window, n) - 1
     else:
-        pair = (_moved(v, 1, space, ("backward", "forward")),
-                _moved(v, 0, op.codomain, ("backward", "backward")))
+        pair = (block_shifted(v, 1, space, ("backward", "forward")),
+                block_shifted(v, 0, op.codomain, ("backward", "backward")))
         w = min(op.exact_window, n - 1)
     if w < 0:
         raise ValueError("empty exactness window: truncation too small")

@@ -38,8 +38,8 @@ from .operators import (
     ProductSpace,
     SubspaceBasis,
     TruncatedSpace,
+    block_shifted,
     multiplication_entries,
-    shift_rows,
     toeplitz_op,
 )
 from .symbols import (
@@ -381,7 +381,7 @@ def shift_invariance_residual(basis: SubspaceBasis, kinds: tuple[str, str]) -> f
     kill_rows = np.concatenate(top) if top else np.zeros(0, dtype=int)
     b = basis.basis
     compressed = times(b, nullspace(_within(b, 0, kill_rows, amb.dim), basis.dim))
-    image = shift_rows(compressed, amb, kinds)
+    image = block_shifted(compressed, 0, amb, kinds)
     return spectral_norm(sparse_difference(image, project(b, image)))
 
 

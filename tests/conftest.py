@@ -166,7 +166,7 @@ def ref_intertwining_residual(op, kind) -> float:
     shifts of ``block_shift_matrix``: || X V - V Y || (range) or
     || W X - Y* W || (kernel) on the window columns, as
     ``operators.intertwining_residual`` defines it."""
-    v, space, codomain = op.dense(), op.domain, op.codomain
+    v, space, codomain = dense_operator(op), op.domain, op.codomain
     n = space.parts[0].deg_hi
     if kind == "range":
         resid = (block_shift_matrix(codomain, ("forward", "backward")) @ v
@@ -176,7 +176,17 @@ def ref_intertwining_residual(op, kind) -> float:
         resid = (v @ block_shift_matrix(space, ("forward", "backward"))
                  - block_shift_matrix(codomain, ("backward", "backward")) @ v)
         w = min(op.exact_window, n - 1)
-    return spectral_norm(resid[:, op.domain.window_indices(w)])
+    return spectral_norm(nonzero_triplets(resid[:, op.domain.window_indices(w)]))
+
+
+def ref_binary(m, tol) -> bool:
+    """Every singular value of the dense m within tol of 0 or 1, by its
+    dense SVD; an empty matrix gives no evidence, so False: the reference
+    for one side of ``operators.svd_analysis``."""
+    if m.size == 0:
+        return False
+    sv = np.linalg.svd(m, compute_uv=False)
+    return bool(np.all((sv <= tol) | (np.abs(sv - 1.0) <= tol)))
 
 
 def ref_penrose_norm(m) -> float:
@@ -192,19 +202,20 @@ def ref_penrose_norm(m) -> float:
 
 
 def gram_norm(t: Triplets) -> float:
-    """The spectral norm of the matrix t lists as sqrt(lambda_max) of its
-    dense ``short_gram`` by ``eigvalsh``, 0.0 when empty, with the entries
-    first scaled by the power of two that brings the largest into [0.5, 1):
-    the oracle ``linalg.sparse_norm``'s Lanczos iteration is held to."""
+    """The spectral norm of the matrix t lists as sqrt(lambda_max) of the
+    dense Gram matrix of its ``support_core`` on the short side, by
+    ``eigvalsh``, 0.0 when empty, with the entries first scaled by the
+    power of two that brings the largest into [0.5, 1): the oracle
+    ``linalg.sparse_norm``'s Lanczos iteration is held to."""
     exp = max(int(np.frexp(np.max(np.abs(t.vals), initial=0.0))[1]), -1021)
-    gram = linalg.short_gram(t._replace(vals=t.vals * np.ldexp(1.0, -exp)))[1]
-    gram = linalg.support_core(gram) if isinstance(gram, Triplets) else gram
+    a = support_core(t._replace(vals=t.vals * np.ldexp(1.0, -exp)))
+    gram = a.conj().T @ a if a.shape[0] >= a.shape[1] else a @ a.conj().T
     return float(np.ldexp(np.sqrt(np.max(np.linalg.eigvalsh(gram), initial=0.0)), exp))
 
 
 def shift_matrix(space, kind) -> np.ndarray:
     """Dense truncated multiplication by z ("forward") on one truncated
-    space, or its adjoint ("backward"): the reference for shift_rows."""
+    space, or its adjoint ("backward"): the reference for block_shifted."""
     fwd = np.eye(space.dim, k=-space.fiber_dim, dtype=complex)
     return fwd if kind == "forward" else fwd.conj().T
 
@@ -277,6 +288,23 @@ def dense_basis(basis: SubspaceBasis) -> np.ndarray:
 def basis_from_columns(ambient, columns, window) -> SubspaceBasis:
     """A SubspaceBasis of the dense orthonormal columns."""
     return SubspaceBasis(ambient, nonzero_triplets(columns), window=window)
+
+
+def dense_operator(op, rows=None, cols=None) -> np.ndarray:
+    """The dense submatrix of the operator op on the given codomain rows and
+    domain columns (ascending distinct indices; None keeps all of them)."""
+    t, shape = op.entries, [op.codomain.dim, op.domain.dim]
+    for axis, keep in enumerate((rows, cols)):
+        if keep is not None:
+            t, shape[axis] = linalg._within(t, axis, keep, shape[axis]), keep.size
+    return dense_matrix(t, tuple(shape))
+
+
+def support_core(t: Triplets) -> np.ndarray:
+    """The dense matrix of the entries t lists, on the rows and the columns
+    that hold one: for nonzero entries, the core ``linalg._blocks`` splits."""
+    (rows, at_row), (cols, at_col) = (np.unique(x, return_inverse=True) for x in t[:2])
+    return dense_matrix(Triplets(at_row, at_col, t.vals), (rows.size, cols.size))
 
 
 def dense_of_list(t: Triplets, rows: int) -> np.ndarray:

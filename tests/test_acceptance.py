@@ -12,12 +12,14 @@ from conftest import (
     coeff,
     coeff_distance,
     dense_column_space,
+    dense_operator,
     haar_unitary,
     hankel_op,
     in_fiber_dims,
     inner_mixture,
     library_specs,
     named,
+    nonzero_triplets,
     random_symbol,
     shift_matrix,
     swept_lower_bounds,
@@ -136,15 +138,15 @@ def test_criterion_2_toeplitz_hankel_structure():
         t = toeplitz_op(s, n)
         fwd = shift_matrix(TruncatedSpace.hardy(cols, n), "forward")
         bwd = shift_matrix(TruncatedSpace.hardy(rows, n), "backward")
-        resid = bwd @ t.dense() @ fwd - t.dense()
+        resid = bwd @ dense_operator(t) @ fwd - dense_operator(t)
         idx = t.domain.window_indices(t.exact_window - 1)
-        worst_toe = max(worst_toe, spectral_norm(resid[:, idx]))
+        worst_toe = max(worst_toe, spectral_norm(nonzero_triplets(resid[:, idx])))
         h = hankel_op(s, n)
-        resid = h.dense() @ fwd - bwd @ h.dense()
+        resid = dense_operator(h) @ fwd - bwd @ dense_operator(h)
         idx = h.domain.window_indices(n - 1)
-        worst_han = max(worst_han, spectral_norm(resid[:, idx]))
-        adj_gap = np.max(np.abs(h.dense().conj().T
-                                - hankel_op(s.conj_arg().adjoint(), n).dense()))
+        worst_han = max(worst_han, spectral_norm(nonzero_triplets(resid[:, idx])))
+        adj_gap = np.max(np.abs(dense_operator(h).conj().T
+                                - dense_operator(hankel_op(s.conj_arg().adjoint(), n))))
         worst_adj = max(worst_adj, float(adj_gap))
     ok = worst_toe <= 1e-12 and worst_han <= 1e-12 and worst_adj <= 1e-12
     report(2, ok,
@@ -167,15 +169,15 @@ def test_criterion_3_partial_isometry_suite():
         for n in (8, 16, 32):
             w_op = build_kernel_operator(psi, dim_e, n)
             worst_w = max(worst_w, binary_deviation(
-                w_op.dense(cols=w_op.domain.window_indices(w_op.exact_window))))
+                dense_operator(w_op, cols=w_op.domain.window_indices(w_op.exact_window))))
             if dim_e0 == dim_e + dim_f:
                 v_op = build_range_operator(phi, dim_e, n)
                 rows = v_op.codomain.window_indices(v_op.exact_window)
-                worst_v = max(worst_v, binary_deviation(v_op.dense(rows=rows)))
+                worst_v = max(worst_v, binary_deviation(dense_operator(v_op, rows=rows)))
                 w = min(w_op.exact_window, v_op.exact_window)
                 idx = w_op.domain.window_indices(w)
-                total = (w_op.dense().conj().T @ w_op.dense()
-                         + v_op.dense() @ v_op.dense().conj().T)
+                total = (dense_operator(w_op).conj().T @ dense_operator(w_op)
+                         + dense_operator(v_op) @ dense_operator(v_op).conj().T)
                 gap = np.max(np.abs(total[np.ix_(idx, idx)] - np.eye(idx.size)))
                 worst_sum = max(worst_sum, float(gap))
     ok = worst_w <= tol and worst_v <= tol and worst_sum <= tol
@@ -269,7 +271,7 @@ def test_criterion_8_finite_rank_kernel_demo():
     n = 16
     a = make_cyclic_symbol(poles, weights, 2 * n + 1)
     h = hankel_op(a, n)
-    sv = np.linalg.svd(h.dense(), compute_uv=False)
+    sv = np.linalg.svd(dense_operator(h), compute_uv=False)
     rank = int(np.sum(sv > 1e-8 * sv[0]))
     theta_f = make_symbol(1, 1, {2: [1]})
     psi = block_symbol([[a, zero_symbol(1, 1)], [zero_symbol(1, 1), theta_f]])

@@ -216,3 +216,26 @@ def test_readme_lists_every_threshold():
     assert not missing, f"float constants missing from the README's Thresholds table: {missing}"
     wrong = sorted(name for name, value in constants.items() if float(documented[name]) != value)
     assert not wrong, f"README Thresholds rows whose value differs from the code: {wrong}"
+
+
+def test_no_dense_twin_of_an_entry_list():
+    """Every matrix of the package is read through its entry list: in
+    ``src/``, ``linalg.dense_matrix`` is called only from ``linalg.times``,
+    whose dense cores are the product's one dense route, and no code calls
+    a ``.dense(`` method, so no dense copy of a whole matrix comes back
+    beside its entries."""
+    dense_callers, dense_methods = set(), []
+    for path, tree in parsed(PACKAGE.glob("*.py")).items():
+        for top in tree.body:
+            owner = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "dense_matrix":
+                    dense_callers.add(owner)
+                if isinstance(func, ast.Attribute) and func.attr == "dense":
+                    dense_methods.append(f"{path.name}:{node.lineno}")
+    assert dense_callers <= {"linalg.times"}, f"dense_matrix callers: {sorted(dense_callers)}"
+    assert not dense_methods, f"calls of a .dense( method: {dense_methods}"

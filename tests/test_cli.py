@@ -889,6 +889,15 @@ class TestMainEntry:
         assert ("entry list" in err and "above the cap" in err and peak < n) if code \
             else ("overall PASS" in out)
 
+    def test_uncertified_operator_is_not_made_dense(self, capsys):
+        # the range operator that the Penrose certificate does not pass is
+        # 12,291 x 12,291 at n = 4096, above the cap as a dense matrix; its
+        # SVD reads the window's entries, so the run completes
+        path = CORPUS / "branches" / "replicated-1-2-range-symbol.json"
+        assert main(["verify", str(path), "--n", "4096"]) == 0
+        out = capsys.readouterr().out
+        assert "n=4096" in out and "range_op=False" in out and "overall PASS" in out
+
     def test_size_cap_admits_the_shipped_runs(self):
         sample = parse_scenario(str(SAMPLE))
         runs = [sc for make in DEMOS.values() for sc in make()] + [

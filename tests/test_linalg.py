@@ -13,13 +13,16 @@ from hypothesis import strategies as st
 import conftest
 from conftest import (
     dense_of_list,
+    dense_operator,
     dense_principal_angle_distance,
     gram_norm,
     haar_unitary,
     hankel_op,
     nonzero_triplets,
+    ref_binary,
     ref_penrose_norm,
     signed_zero_matrix,
+    support_core,
 )
 from shiftlab import cli, linalg, operators
 from shiftlab.linalg import (
@@ -31,7 +34,6 @@ from shiftlab.linalg import (
     sparse_difference,
     sparse_norm,
     sparse_product,
-    support_core,
     nullspace,
     principal_angle_distance,
     project,
@@ -67,14 +69,14 @@ def every_entry(m) -> Triplets:
 
 class TestSpectralNorm:
     def test_zero_matrix_is_exactly_zero(self):
-        value = spectral_norm(np.zeros((5, 3), dtype=complex))
+        value = spectral_norm(nonzero_triplets(np.zeros((5, 3), dtype=complex)))
         assert value == 0.0 and type(value) is float
         value = spectral_norm(every_entry(np.zeros((5, 3), dtype=complex)))
         assert value == 0.0 and type(value) is float
 
     def test_empty_matrix_is_exactly_zero(self):
-        assert spectral_norm(np.zeros((4, 0), dtype=complex)) == 0.0
-        assert spectral_norm(np.zeros((0, 0))) == 0.0
+        assert spectral_norm(nonzero_triplets(np.zeros((4, 0), dtype=complex))) == 0.0
+        assert spectral_norm(nonzero_triplets(np.zeros((0, 0)))) == 0.0
         assert spectral_norm(linalg._NONE) == 0.0
 
 
@@ -128,13 +130,6 @@ def ref_column_space(m, rtol=RANK_RTOL):
     if sv[0] == 0.0:
         return np.zeros((m.shape[0], 0), dtype=complex)
     return u[:, :int(np.sum(sv > rtol * sv[0]))]
-
-
-def ref_binary(m, tol):
-    if m.size == 0:
-        return False
-    sv = ref_singular_values(m)
-    return bool(np.all((sv <= tol) | (np.abs(sv - 1.0) <= tol)))
 
 
 def planted(rng, rows, cols, support_rows, support_cols, rank, binary):
@@ -194,16 +189,18 @@ class TestSupportStripping:
     the dense factorization of m itself."""
 
     def check(self, m):
-        sv, ref_sv = singular_values(m), ref_singular_values(m)
+        t = nonzero_triplets(m)
+        sv, ref_sv = singular_values(t), ref_singular_values(m)
         nonzero = ref_sv[ref_sv > 1e-12]
         np.testing.assert_allclose(sv[sv > 1e-12], nonzero, rtol=0, atol=1e-12)
         assert np.all(sv[nonzero.size:] <= 1e-12)
-        assert spectral_norm(m) == pytest.approx(ref_sv[0] if ref_sv.size else 0.0,
+        assert spectral_norm(t) == pytest.approx(ref_sv[0] if ref_sv.size else 0.0,
                                                  abs=1e-12)
         assert_same_span(kernel_of(m), ref_nullspace(m))
         assert_same_span(span_of(m), ref_column_space(m))
         for tol in (1e-8, 0.3):
-            assert _binary_singular_values(m, tol) == ref_binary(m, tol)
+            # an empty matrix is svd_analysis's empty window, refused there
+            assert (m.size > 0 and _binary_singular_values(t, tol)) == ref_binary(m, tol)
 
     @settings(max_examples=150, deadline=None)
     @given(m=planted_matrices())
@@ -265,14 +262,19 @@ class TestPenroseCertificate:
             m = m.conj().T
         if _penrose_certified(nonzero_triplets(m), tol):
             assert ref_binary(m, tol)
-        assert _binary_singular_values(m, tol) == ref_binary(m, tol)
+        assert _binary_singular_values(nonzero_triplets(m), tol) == ref_binary(m, tol)
 
     @pytest.mark.parametrize("tol", PENROSE_TOLS)
     def test_partial_isometries_are_certified_below_one(self, tol):
+        # three 3 x 2 partial isometries of ranks 1, 2 and 1 on disjoint
+        # rows and columns, so the Gram matrix stays under its term budget
         rng = np.random.default_rng(3)
-        m = orthonormal(rng, 9, 4)[:, [0, 1, 2]] @ orthonormal(rng, 6, 3).conj().T
-        assert _penrose_certified(nonzero_triplets(m), tol) == (tol < 1.0)
-        assert _binary_singular_values(m, tol)
+        m = block_diagonal([orthonormal(rng, 3, r) @ orthonormal(rng, 2, r).conj().T
+                            for r in (1, 2, 1)])
+        t = nonzero_triplets(m)
+        assert short_gram(t) is not None
+        assert _penrose_certified(t, tol) == (tol < 1.0)
+        assert _binary_singular_values(t, tol)
 
 
 def ref_support(m):
@@ -348,7 +350,7 @@ class TestNonzeroTriplets:
     def test_all_zero_operator(self):
         op = build_kernel_operator(zero_symbol(2, 2), 1, 4)
         assert op.entries.rows.size == 0
-        m = op.dense()
+        m = dense_operator(op)
         m[::3, ::2] = complex(-0.0, -0.0)
         self.check(m)
         assert nonzero_triplets(m).rows.size == 0
@@ -357,7 +359,7 @@ class TestNonzeroTriplets:
         # the builder lists the whole matrix; the window is applied by each check
         op = hankel_op(make_symbol(1, 1, {-5: [1], -6: [-0.0]}), 2)
         assert op.exact_window == -1
-        m = op.dense()
+        m = dense_operator(op)
         self.check(m)
         for got, ref in zip(op.entries, nonzero_triplets(m)):
             np.testing.assert_array_equal(got, ref)
@@ -534,14 +536,21 @@ class TestSparseNorm:
     @pytest.mark.parametrize("wide", [False, True])
     @pytest.mark.parametrize("route", ["sparse", "dense"])
     def test_the_gram_is_taken_on_the_short_side(self, route, wide):
+        # a dense core forms more Gram terms than it has entries: no Gram
+        # matrix, an infinite Penrose bound, and the SVD decides
         rng = np.random.default_rng(8)
         m = (cancelling_blocks(rng, 4, False)[0] if route == "sparse"
              else planted(rng, 12, 8, np.arange(12), np.arange(8), 3, False))
         m = m.conj().T if wide else m
-        gram = short_gram(nonzero_triplets(m))[1]
-        assert isinstance(gram, Triplets) == (route == "sparse")
-        assert (support_core(gram) if route == "sparse" else gram).shape == (8, 8)
-        assert sparse_norm(nonzero_triplets(m)) == pytest.approx(ref_norm(m), rel=1e-13)
+        t = nonzero_triplets(m)
+        if route == "sparse":
+            assert support_core(short_gram(t)[1]).shape == (8, 8)
+        else:
+            assert short_gram(t) is None
+            assert _penrose_defect(t) == np.inf
+            for tol in PENROSE_TOLS:
+                assert _binary_singular_values(t, tol) == ref_binary(m, tol)
+        assert sparse_norm(t) == pytest.approx(ref_norm(m), rel=1e-13)
 
     @pytest.mark.parametrize("wide", [False, True])
     def test_gram_entries_that_cancel(self, wide):
@@ -557,9 +566,10 @@ class TestSparseNorm:
     @pytest.mark.parametrize("case", ["banded", "dense"])
     def test_both_gram_routes_match_the_dense_svd(self, case, monkeypatch):
         # a banded list takes the sparse product; a dense matrix has more
-        # product terms than entries, and its Gram matrix is formed densely.
-        # short_gram serves the Penrose certificate and the oracle gram_norm;
-        # sparse_norm forms no Gram matrix
+        # product terms than entries, so no Gram matrix is formed, the
+        # Penrose bound is inf and the SVD decides.  short_gram serves the
+        # Penrose certificate alone; sparse_norm forms no Gram matrix, and
+        # the oracle gram_norm forms its own, densely
         routes, original = [], linalg.sparse_product
 
         def spied(a, b, limit):
@@ -575,9 +585,13 @@ class TestSparseNorm:
             m = rng.standard_normal((7, 5)) + 1j * rng.standard_normal((7, 5))
         t = nonzero_triplets(m)
         assert gram_norm(t) == pytest.approx(ref_norm(m), rel=1e-13)
-        assert routes == [case == "banded"]
-        routes.clear()
-        assert _penrose_defect(t) == pytest.approx(ref_penrose_norm(m), rel=1e-10, abs=1e-12)
+        assert routes == []
+        if case == "banded":
+            assert _penrose_defect(t) == pytest.approx(ref_penrose_norm(m), rel=1e-10, abs=1e-12)
+        else:
+            assert _penrose_defect(t) == np.inf
+            for tol in PENROSE_TOLS:
+                assert _binary_singular_values(t, tol) == ref_binary(m, tol)
         assert routes == [case == "banded"]
 
 
@@ -810,7 +824,7 @@ class TestConnectedBlocks:
         m, blocks = drawn
         found = linalg._blocks(nonzero_triplets(m))
         assert sum(r.shape[0] for r, _, _ in found) == blocks
-        sv, ref_sv = singular_values(m), ref_singular_values(m)
+        sv, ref_sv = singular_values(nonzero_triplets(m)), ref_singular_values(m)
         assert sv.size <= ref_sv.size and np.all(np.diff(sv) <= 0)
         np.testing.assert_allclose(sv, ref_sv[:sv.size], rtol=0, atol=1e-13)
         assert np.all(ref_sv[sv.size:] <= 1e-13)
@@ -821,7 +835,8 @@ class TestConnectedBlocks:
         m = np.zeros((3, 3), dtype=complex)
         m[0, 0], m[1, 1:] = 1.0, [1e-12, -1e-12]
         assert kernel_of(m).shape == (3, 2) and span_of(m).shape == (3, 1)
-        np.testing.assert_allclose(singular_values(m), [1.0, np.sqrt(2) * 1e-12], rtol=1e-15)
+        np.testing.assert_allclose(singular_values(nonzero_triplets(m)),
+                                   [1.0, np.sqrt(2) * 1e-12], rtol=1e-15)
 
     @pytest.mark.parametrize("wide", [False, True])
     def test_stacked_triangles_strip_their_zero_rows(self, wide, factor_calls):
@@ -877,7 +892,7 @@ class TestConnectedBlocks:
                 np.testing.assert_array_equal(
                     dense_of_list(helper(other), m.shape[0] + m.shape[1]), expected)
         for other in layouts:
-            np.testing.assert_array_equal(singular_values(other), singular_values(m))
+            np.testing.assert_array_equal(singular_values(other), singular_values(t))
 
     @pytest.mark.parametrize("name", ["timotin-nonsplitting", "timotin-rotated"])
     def test_one_component_cores_are_a_stack_of_one(self, name, factor_calls):
@@ -1147,7 +1162,8 @@ class TestOneColumnClosedForm:
     def test_values_and_spans_match_the_oracles(self, drawn):
         m, blocks = drawn
         ref = np.sort(np.concatenate([np.linalg.svd(b, compute_uv=False) for b in blocks]))[::-1]
-        np.testing.assert_allclose(singular_values(m), ref[ref > 0], rtol=1e-14, atol=0)
+        np.testing.assert_allclose(singular_values(nonzero_triplets(m)), ref[ref > 0],
+                                   rtol=1e-14, atol=0)
         assert_matches_oracles(nonzero_triplets(m), m)
 
     def test_no_qr_or_svd_takes_one_column(self, factor_calls):
@@ -1428,7 +1444,8 @@ class TestSizeCap:
     @pytest.mark.parametrize("cap, call, named", [
         (50, lambda: linalg.dense_matrix(_dense_triplets(1, 1), (10, 10)),
          "the dense matrix, 10 x 10 entries"),
-        (40, lambda: singular_values(_block_diagonal(3, 4)), "the block stack, 3 x 4 x 4 entries"),
+        (40, lambda: singular_values(nonzero_triplets(_block_diagonal(3, 4))),
+         "the block stack, 3 x 4 x 4 entries"),
         (50, lambda: nullspace(_dense_triplets(1, 10), 10),
          "the right singular vectors, 1 x 10 x 10 entries"),
         # no entry: a unit column per column

@@ -12,6 +12,7 @@ from conftest import (
     coeff,
     dense_basis,
     dense_column_space,
+    dense_operator,
     dense_principal_angle_distance,
     hankel_op,
     in_fiber_dims,
@@ -339,7 +340,7 @@ class TestInvariance:
         v = build_range_operator(phi, 1, 12)
         w = v.exact_window
         cols = v.domain.window_indices(w)
-        ker = nullspace(nonzero_triplets(v.dense(cols=cols)), cols.size)
+        ker = nullspace(nonzero_triplets(dense_operator(v, cols=cols)), cols.size)
         kb = SubspaceBasis(analytic_ambient(1, 1, w), ker, window=w)
         assert shift_invariance_residual(kb, ("forward", "forward")) <= 1e-10
 
@@ -471,7 +472,7 @@ class TestRangeRepresentation:
             range_window_basis(v_op, window)
             growth = max(0, top[0].kmax, top[1].kmax)
             columns = v_op.domain.window_indices(v_op.domain.parts[0].deg_hi - growth)
-            np.testing.assert_array_equal(images[-1], v_op.dense(cols=columns))
+            np.testing.assert_array_equal(images[-1], dense_operator(v_op, cols=columns))
 
 
 def scalar_phi(a, b, c, d):
@@ -622,7 +623,7 @@ class TestHankelRankLink:
             weights = [2.0 ** -j for j in range(npoles)]
             sym = make_cyclic_symbol(poles, weights, 2 * 12 + 1)
             h = hankel_op(sym, 12)
-            sv = np.linalg.svd(h.dense(), compute_uv=False)
+            sv = np.linalg.svd(dense_operator(h), compute_uv=False)
             rank = int(np.sum(sv > 1e-10 * sv[0]))
             assert rank == npoles
 
