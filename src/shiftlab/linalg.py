@@ -46,10 +46,10 @@ one-column and one-row stacks of ``singular_values``: a p x 1 matrix x is
 2-norm |x| and its right singular vector the unit 1, exactly, by shape
 alone.  The kernel thus takes the unit vector of a dropped column, and the
 column space the unit vector of a kept row, with no QR and no SVD; the
-norm is taken after an exact power-of-two scaling, so it neither
-overflows nor underflows.  On the scalar-fiber and ``timotin-rot``
-benchmark inputs nearly every block and every group is of this shape, and
-LAPACK's overhead per matrix, not its arithmetic, was their cost.
+norm is taken after the exact scaling of ``_exponent``.  On the
+scalar-fiber and ``timotin-rot`` benchmark inputs nearly every block and
+every group is of this shape, and LAPACK's overhead per matrix, not its
+arithmetic, was their cost.
 
 Past one column, a tall block reaches ``nullspace``, and a wide one
 ``column_space``, as the triangle R of its QR factorisation (of its
@@ -65,36 +65,35 @@ below NEGLIGIBLE eps, the rounding of an exact 0.
 
 Those cuts of isometries fall apart further before ``_blocks`` scatters
 anything: their columns (for ``nullspace``; rows for ``column_space``) are
-mutually orthogonal up to rounding but for a few pairs.  The sparse Gram
-matrix m* m (m m*) is formed from the entries while it takes no more terms
-than the ``times`` rule and the cap admit, which a dense block exceeds;
-two columns join when the cosine of their Gram entry exceeds NEGLIGIBLE
-eps, ``_components`` labels the groups, and each row is listed once per
-group it meets, on fresh indices, so each group is factored as a block of
-its own, through the closed form, the QR or the SVD above.  The
-2n x (n + 1) cores of seed-0 ``timotin-rot``, one block each, fall into
-groups of one column but for one or two, so no operand of the closed
-form, the QR or the SVD holds more than 4 entries, where the whole block
-took a dense QR of O(n^3) time.  The cosine test alone is
-unsound: [a, a + d b, e, e + d b] has a kernel vector, yet its columns 1,
-2 meet 3, 4 only at the cosine d**2.  So the split is certified from the
-singular values the groups already have: every dropped Gram entry X[j, k]
-between two groups must be at most NEGLIGIBLE eps s_j s_k, s being the
-smallest singular value of each side's group above the rounding floor
-NEGLIGIBLE eps sigma_max, and a connected block that holds a larger one is
-factored whole, as before.  S_1^-1 V_1* X V_2 S_2^-1, the cosines between
-the groups' left singular vectors above the floor, is what the whole
-block's QR would hold between them and the split drops, and it is at most
-NEGLIGIBLE eps q in norm, q being the block's columns.  Each singular
-value above the floor is then that of m to a relative NEGLIGIBLE eps q, at
-most 1.5e-8 for any q the cap admits, and those below it move m by at most
-NEGLIGIBLE eps q sigma_max, below RANK_RTOL / 10 times sigma_max while q
-<= 11,258, so no rank decision whose singular values lie tenfold from its
-cutoff can move; on the demos, the sample scenario and the seed-0 and
-seed-7 benchmark inputs none moves.  Taking s among the kept values alone
-is not enough: 144 groups, each dropping a value 0.9 times the cutoff, add
-up to a singular value of m 10.8 times the cutoff that the split would
-lose.
+mutually orthogonal up to rounding but for a few pairs.  ``_gram`` forms
+the sparse Gram matrix m* m (m m*) of the entries scaled by ``_exponent``
+while it takes no more terms than the ``times`` rule and the cap admit,
+which a dense block exceeds, and joins two columns when the cosine of
+their Gram entry exceeds NEGLIGIBLE eps; ``_components`` labels the
+groups, and each row is listed once per group it meets, on fresh indices,
+so each group is factored as a block of its own, through the closed form,
+the QR or the SVD above.  The 2n x (n + 1) cores of seed-0 ``timotin-rot``,
+one block each, fall into groups of one column but for one or two, so no
+operand of the closed form, the QR or the SVD holds more than 4 entries,
+where the whole block took a dense QR of O(n^3) time.  The cosine test
+alone is unsound: [a, a + d b, e, e + d b] has a kernel vector, yet its
+columns 1, 2 meet 3, 4 only at the cosine d**2.  So the split is certified
+from the singular values the groups already have: every dropped Gram entry
+X[j, k] between two groups must be at most NEGLIGIBLE eps s_j s_k, s being
+the smallest singular value of each side's group above the rounding floor
+NEGLIGIBLE eps sigma_max, else m is factored by its connected blocks.
+S_1^-1 V_1* X V_2 S_2^-1, the cosines between the groups' left singular
+vectors above the floor, is what the whole block's QR would hold between
+them and the split drops, and it is at most NEGLIGIBLE eps q in norm, q
+being the block's columns.  Each singular value above the floor is then
+that of m to a relative NEGLIGIBLE eps q, at most 1.5e-8 for any q the cap
+admits, and those below it move m by at most NEGLIGIBLE eps q sigma_max,
+below RANK_RTOL / 10 times sigma_max while q <= 11,258, so no rank
+decision whose singular values lie tenfold from its cutoff can move; on
+the demos, the sample scenario and the seed-0 and seed-7 benchmark inputs
+none moves.  Taking s among the kept values alone is not enough: 144
+groups, each dropping a value 0.9 times the cutoff, add up to a singular
+value of m 10.8 times the cutoff that the split would lose.
 
 A zero column of m is a kernel direction, one entry of value 1, and every
 product treats it as any other entry: 1 times x is exact, so no unit
@@ -121,10 +120,9 @@ MAX_DENSE_ENTRIES = 2 ** 24
 # pair is at most this many eps times the Ritz value.
 LANCZOS_STOP = 4.0
 # Entries of a basis vector, of norm 1, at or below this many eps are
-# dropped; so are Gram cosines between the groups of a block's columns
-# (rows), under the certificate of _block_basis, and the Penrose
-# certificate (operators._penrose_defect) multiplies no column by a Gram
-# entry of cosine at or below it, and bounds those entries instead.
+# dropped, and _gram joins no two rows whose Gram cosine is at or below it
+# (the groups of _block_basis drop such entries under a certificate, the
+# Penrose certificate of operators._penrose_defect bounds them).
 NEGLIGIBLE = 4.0
 
 
@@ -273,13 +271,40 @@ def _factored(blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
 
 def _column_norms(t: np.ndarray) -> np.ndarray:
     """The singular value of each block of the stack t (g, p, 1), its
-    column's 2-norm, as (g, 1).  The magnitudes of each column are first
-    scaled, exactly, by the power of two that brings the largest into
-    [0.5, 1), by 2**1021 at most, so no square underflows or overflows, and
-    the root is scaled back."""
+    column's 2-norm, as (g, 1), taken after the scaling of ``_exponent``
+    per column and scaled back."""
     mag = np.abs(t[:, :, 0])
-    exp = np.maximum(np.frexp(mag.max(axis=1, keepdims=True))[1], -1021)
+    exp = _exponent(mag, axis=1)
     return np.ldexp(np.sqrt(np.sum(np.ldexp(mag, -exp) ** 2, axis=1, keepdims=True)), exp)
+
+
+def _exponent(mag: np.ndarray, axis: int | None = None) -> np.ndarray:
+    """The exponent e >= -1021 for which np.ldexp(x, -e) brings the largest
+    of the magnitudes mag (along axis, kept with length 1) into [0.5, 1);
+    a subnormal largest is scaled by 2**1021, to below 0.5.  A power of two
+    is exact on every entry within 2**-1021 of the largest, and so is its
+    undoing; no square of a scaled entry overflows, and the largest's does
+    not underflow, as squares near 1e-200 would unscaled."""
+    return np.maximum(np.frexp(np.max(mag, axis=axis, keepdims=axis is not None))[1], -1021)
+
+
+def _gram(w: Triplets, limit: int) -> tuple[Triplets, np.ndarray, np.ndarray] | None:
+    """(G, d, joined) for G = W* W, the Gram matrix of the columns of the
+    matrix W that w lists, by ``sparse_product``: d is G's diagonal, real,
+    and joined marks the entries of G off its diagonal whose cosine
+    |G_jk| / sqrt(d_j d_k) exceeds NEGLIGIBLE eps, the one rule by which the
+    groups of ``_orthogonal_groups`` and the Penrose certificate
+    (``operators._penrose_defect``) drop a Gram entry.  None when the
+    product takes more than ``limit`` terms."""
+    gram = sparse_product(_adjoint(w), w, limit)
+    if gram is None:
+        return None
+    j, k, g = gram
+    d = np.zeros(extent(w, 1))
+    diagonal = j == k
+    d[j[diagonal]] = g[diagonal].real
+    root = np.sqrt(d)
+    return gram, d, ~diagonal & (np.abs(g) > NEGLIGIBLE * np.finfo(float).eps * root[j] * root[k])
 
 
 class _Groups(NamedTuple):
@@ -320,19 +345,17 @@ def _orthogonal_groups(m: Triplets, kernel: bool) -> _Groups | None:
     order = np.argsort(at_row.astype(np.int64) * cols.size + at_col, kind="stable")
     core = Triplets(at_row[order], at_col[order], m.vals[nonzero[order]])
     del nonzero, at_row, at_col, order  # only the core is read from here on
-    scale = np.ldexp(1.0, -max(int(np.frexp(np.max(np.abs(core.vals)))[1]), -1021))
-    w = Triplets(core.cols, core.rows, core.vals.conj() * scale) if kernel else \
-        core._replace(vals=core.vals * scale)  # the ids on the rows of w
-    gram = sparse_product(w, _adjoint(w), min(2 * rows.size * cols.size, MAX_DENSE_ENTRIES))
-    if gram is None:
+    scale = np.ldexp(1.0, -_exponent(np.abs(core.vals)))
+    w = core._replace(vals=core.vals * scale)
+    if not kernel:
+        w = _adjoint(w)  # the ids on the columns of w
+    found = _gram(w, min(2 * rows.size * cols.size, MAX_DENSE_ENTRIES))
+    if found is None:
         return None
+    (j, k, g), _, joined = found
+    upper = np.flatnonzero(j < k)
+    j, k, size, joined = j[upper], k[upper], np.abs(g[upper]), joined[upper]
     ids = cols if kernel else rows
-    norm = np.zeros(ids.size)
-    diagonal = gram.rows == gram.cols
-    norm[gram.rows[diagonal]] = np.sqrt(gram.vals[diagonal].real)
-    upper = np.flatnonzero(gram.rows < gram.cols)
-    j, k, size = gram.rows[upper], gram.cols[upper], np.abs(gram.vals[upper])
-    joined = size > NEGLIGIBLE * np.finfo(float).eps * norm[j] * norm[k]
     group = _components(j[joined], k[joined], ids.size)
     apart = np.flatnonzero(group[j] != group[k])
     if not apart.size:
@@ -362,14 +385,12 @@ def _block_basis(m: Triplets, kernel: bool) -> tuple[Triplets, int]:
     group, is factored by ``_factored``; one ``numerical_rank`` over the
     merged singular values sets the rank, so a block keeps those of its
     values above the cutoff of the whole matrix.  The split into groups is
-    certified: each Gram entry X[j, k] between two groups must be at most
-    NEGLIGIBLE eps s_j s_k, s being the smallest singular value of each
-    side's group above NEGLIGIBLE eps sigma_max, 0 for a group with none;
-    the connected blocks that hold an entry above that are factored whole,
-    and the rest is certified again.  A block's kernel takes its dropped
-    right singular vectors and, when wide, its surplus ones; its column
-    space its kept left singular vectors."""
-    groups, blocks = _orthogonal_groups(m, kernel), None
+    certified as the module docstring states, s being 0 for a group with no
+    value above the floor; where it is not, a second and last pass factors
+    m by its connected blocks.  A block's kernel takes its dropped right
+    singular vectors and, when wide, its surplus ones; its column space its
+    kept left singular vectors."""
+    groups = _orthogonal_groups(m, kernel)
     while True:
         found = _blocks(m if groups is None else _regrouped(groups, kernel))
         if not found:
@@ -392,15 +413,10 @@ def _block_basis(m: Triplets, kernel: bool) -> tuple[Triplets, int]:
         least[least == np.inf] = 0.0
         least *= groups.scale
         group, j, k = groups.group, groups.j, groups.k
-        bad = groups.size > NEGLIGIBLE * np.finfo(float).eps * least[group[j]] * least[group[k]]
-        if not bad.any():
+        if np.all(groups.size <= NEGLIGIBLE * np.finfo(float).eps
+                  * least[group[j]] * least[group[k]]):
             break
-        if blocks is None:  # the connected block of each id, named by its smallest
-            blocks = _components(group[j], group[k], group.size)[group]
-        group = np.where(np.isin(blocks, blocks[j[bad]]), blocks, group)
-        apart = group[j] != group[k]
-        groups = groups._replace(group=group, j=j[apart], k=k[apart],
-                                 size=groups.size[apart]) if apart.any() else None
+        groups = None  # not certified: m is factored by its connected blocks
     kept = np.bincount(owner[order[:rank]], minlength=first[-1])
     at_rows, at_cols, vals, width = [], [], [], 0
     for f, (at, _, vecs) in zip(first, stacks):
@@ -487,8 +503,8 @@ def _core_entries(t: Triplets) -> int:
 def times(a: Triplets, b: Triplets) -> Triplets:
     """The product of the matrices a and b list, one entry per position:
     ``sparse_product`` while it forms no more terms than the dense cores of
-    a and b have entries together, the rule of ``short_gram``; past that,
-    the product of those cores, with its entries != 0."""
+    a and b have entries together, the budget ``_orthogonal_groups`` gives
+    ``_gram``; past that, the product of those cores, with its entries != 0."""
     product = sparse_product(a, b, _core_entries(a) + _core_entries(b))
     if product is not None:
         return product
@@ -663,18 +679,6 @@ def sparse_difference(a: Triplets, b: Triplets) -> Triplets:
     return Triplets(rows, cols, diff[keep])
 
 
-def short_gram(t: Triplets) -> tuple[Triplets, Triplets] | None:
-    """(W, W* W) for W the one of V, the matrix t lists, and V* with no more
-    nonzero columns than rows, so W* W is the smaller Gram matrix, for the
-    Penrose certificate, which multiplies W further only on the columns
-    that W* W couples; None when the product forms more terms than V's
-    nonzero core has entries, a budget that keeps its memory to the core's."""
-    rows, cols = (np.count_nonzero(np.bincount(x)) for x in (t.rows, t.cols))
-    w = t if rows >= cols else Triplets(t.cols, t.rows, t.vals.conj())
-    gram = sparse_product(Triplets(w.cols, w.rows, w.vals.conj()), w, rows * cols)
-    return None if gram is None else (w, gram)
-
-
 def sparse_norm(t: Triplets) -> float:
     """Spectral norm of the matrix t lists, exactly 0.0 for an empty or
     all-zero list: sqrt of the top Ritz value theta of a Lanczos iteration
@@ -697,14 +701,11 @@ def sparse_norm(t: Triplets) -> float:
     the entries makes orthogonal to the top eigenvector, as it can the
     all-ones vector.
 
-    W* W squares the entries, which would underflow to 0 near 1e-200 and
-    overflow near 1e200, so they are first scaled, exactly, by the power of
-    two that brings the largest magnitude into [0.5, 1), and the root is
-    scaled back.  A subnormal largest magnitude is scaled by 2**1021 at
-    most, which stays finite."""
+    W* W squares the entries, so they are first scaled by ``_exponent``,
+    and the root is scaled back."""
     if not np.any(t.vals):
         return 0.0
-    exp = max(int(np.frexp(np.max(np.abs(t.vals)))[1]), -1021)
+    exp = _exponent(np.abs(t.vals))
     vals = t.vals * np.ldexp(1.0, -exp)
     (rows, at_row), (cols, at_col) = _compressed(t.rows), _compressed(t.cols)
     if rows.size < cols.size:

@@ -17,16 +17,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import (
-    NEGLIGIBLE,
     Triplets,
-    _core_entries,
+    _adjoint,
+    _gram,
     _renumbered,
     _within,
     check_size,
     extent,
     row_major,
     singular_values,
-    short_gram,
     sparse_difference,
     sparse_norm,
     sparse_product,
@@ -383,10 +382,12 @@ def block_shifted(t: Triplets, axis: int, space: ProductSpace,
 def _penrose_defect(v: Triplets) -> float:
     """An upper bound, up to rounding, on ||V V* V - V||_F for the matrix V
     that v lists, which is the same for V* and for V's nonzero core:
-    ||W G - W||_F for the W and G = W* W of ``short_gram``.
+    ||W G - W||_F for W the one of V and V* with no more nonzero columns
+    than rows, the short side, and G = W* W, the smaller Gram matrix, by
+    ``_gram`` on W, unscaled: G_jj (G_jj - 1)^2 is not scale-invariant.
 
-    G's entries off the diagonal whose cosine |G_jk| / sqrt(G_jj G_kk)
-    exceeds NEGLIGIBLE eps are kept, the others form X, and a column is
+    G's entries off the diagonal that ``_gram`` joins, of cosine above
+    NEGLIGIBLE eps, are kept, the others form X, and a column is
     coupled when a kept entry lies in its row or its column (both ends: the
     computed G need not be bit-Hermitian).  W G - W is (W G' - W) + W X, G'
     being G without X: an uncoupled column j of W G' - W is (G_jj - 1) w_j,
@@ -401,29 +402,26 @@ def _penrose_defect(v: Triplets) -> float:
     product at all when no column is coupled.  Past that budget, for G or
     for the product, the bound is inf, which certifies nothing: a dense
     core costs the SVD's order either way, and the SVD decides."""
-    found = short_gram(v)
+    rows, cols = (np.count_nonzero(np.bincount(x)) for x in v[:2])
+    w = v if rows >= cols else _adjoint(v)
+    found = _gram(w, rows * cols)
     if found is None:
         return np.inf
-    w, gram = found
+    gram, norm2, kept = found
     j, k, g = gram
-    size, diagonal = np.abs(g), j == k
-    norm2 = np.zeros(extent(w, 1))
-    norm2[j[diagonal]] = g[diagonal].real
-    root = np.sqrt(norm2)
-    kept = ~diagonal & (size > NEGLIGIBLE * np.finfo(float).eps * root[j] * root[k])
-    dropped = float(np.linalg.norm(g[~diagonal & ~kept]))
+    dropped = float(np.linalg.norm(g[(j != k) & ~kept]))
     coupled = np.zeros(norm2.size, dtype=bool)
     coupled[j[kept]] = coupled[k[kept]] = True
     lone = norm2[~coupled]
     wc = Triplets(*(x[coupled[w.cols]] for x in w))
     # with no coupled column there is nothing to multiply
     image = sparse_product(wc, Triplets(*(x[coupled[j] & coupled[k]] for x in gram)),
-                           _core_entries(v)) if wc.rows.size else wc
+                           rows * cols) if wc.rows.size else wc
     if image is None:
         return np.inf
     squares = np.sum(lone * (lone - 1.0) ** 2) \
         + np.linalg.norm(sparse_difference(image, wc).vals) ** 2
-    spread = np.sqrt(np.bincount(j, size).max()) * dropped if dropped else 0.0
+    spread = np.sqrt(np.bincount(j, np.abs(g)).max()) * dropped if dropped else 0.0
     return float(np.sqrt(squares) + spread)
 
 

@@ -239,3 +239,32 @@ def test_no_dense_twin_of_an_entry_list():
                     dense_methods.append(f"{path.name}:{node.lineno}")
     assert dense_callers <= {"linalg.times"}, f"dense_matrix callers: {sorted(dense_callers)}"
     assert not dense_methods, f"calls of a .dense( method: {dense_methods}"
+
+
+def test_one_gram_former_and_one_scaling():
+    """The Gram rule and the exact scaling are each written once: in
+    ``src/``, ``np.frexp`` is called only in ``linalg._exponent``, a
+    ``sparse_product`` with an ``_adjoint(...)`` factor is formed only in
+    ``linalg._gram``, and no module but ``linalg`` imports ``NEGLIGIBLE``,
+    the cosine cut of that rule."""
+    frexp, grams, imports = set(), set(), set()
+    for path, tree in parsed(PACKAGE.glob("*.py")).items():
+        for top in tree.body:
+            owner = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+            for node in ast.walk(top):
+                if isinstance(node, ast.ImportFrom) and \
+                        any(alias.name == "NEGLIGIBLE" for alias in node.names):
+                    imports.add(path.stem)
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "frexp":
+                    frexp.add(owner)
+                if name == "sparse_product" and any(
+                        isinstance(arg, ast.Call) and getattr(arg.func, "id", None) == "_adjoint"
+                        for arg in node.args[:2]):
+                    grams.add(owner)
+    assert frexp <= {"linalg._exponent"}, f"np.frexp callers: {sorted(frexp)}"
+    assert grams <= {"linalg._gram"}, f"Gram formers: {sorted(grams)}"
+    assert not imports, f"modules importing NEGLIGIBLE: {sorted(imports)}"

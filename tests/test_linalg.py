@@ -30,7 +30,6 @@ from shiftlab.linalg import (
     Triplets,
     column_space,
     extent,
-    short_gram,
     sparse_difference,
     sparse_norm,
     sparse_product,
@@ -230,6 +229,22 @@ class TestSupportStripping:
 PENROSE_TOLS = [1e-12, 1e-8, 1e-4, 0.3, 0.7, 1.5]
 
 
+def penrose_gram(t, monkeypatch):
+    """The (G, d, joined) that ``_penrose_defect(t)`` forms through
+    ``linalg._gram``, or None past its budget."""
+    found = []
+
+    def spied(w, limit):
+        found.append(linalg._gram(w, limit))
+        return found[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(operators, "_gram", spied)
+        _penrose_defect(t)
+    (gram,) = found
+    return gram
+
+
 def band_edges(tol):
     """Singular values just inside and just outside the binary band of tol
     at both of its edges, and 0.5, 0 and 1."""
@@ -265,14 +280,14 @@ class TestPenroseCertificate:
         assert _binary_singular_values(nonzero_triplets(m), tol) == ref_binary(m, tol)
 
     @pytest.mark.parametrize("tol", PENROSE_TOLS)
-    def test_partial_isometries_are_certified_below_one(self, tol):
+    def test_partial_isometries_are_certified_below_one(self, tol, monkeypatch):
         # three 3 x 2 partial isometries of ranks 1, 2 and 1 on disjoint
         # rows and columns, so the Gram matrix stays under its term budget
         rng = np.random.default_rng(3)
         m = block_diagonal([orthonormal(rng, 3, r) @ orthonormal(rng, 2, r).conj().T
                             for r in (1, 2, 1)])
         t = nonzero_triplets(m)
-        assert short_gram(t) is not None
+        assert penrose_gram(t, monkeypatch) is not None
         assert _penrose_certified(t, tol) == (tol < 1.0)
         assert _binary_singular_values(t, tol)
 
@@ -414,6 +429,47 @@ class TestSparseProducts:
         np.testing.assert_array_equal(core, ref)
 
 
+class TestGram:
+    """``linalg._gram`` joins the columns whose Gram cosine exceeds
+    NEGLIGIBLE eps, on the entries scaled by ``linalg._exponent``, at every
+    scale."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(entries=st.dictionaries(st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                                   st.tuples(st.integers(-2 ** 10, 2 ** 10),
+                                             st.integers(-2 ** 10, 2 ** 10)),
+                                   min_size=1, max_size=20),
+           power=st.integers(-1074, 990))
+    # the Gram entries of these would underflow to 0 or overflow unscaled
+    @example(entries={(0, 0): (3, 1), (1, 0): (1, -2), (1, 1): (5, 0)}, power=-560)
+    @example(entries={(0, 0): (3, 1), (1, 0): (1, -2), (1, 1): (5, 0)}, power=520)
+    # every entry subnormal
+    @example(entries={(0, 0): (3, 1), (1, 0): (1, -2), (2, 1): (-7, 4)}, power=-1074)
+    def test_joined_matches_the_dense_cosine(self, entries, power):
+        (rows, cols), ints = zip(*entries.keys()), np.array(list(entries.values()))
+        # Gaussian integers of at most 11 bits: their Gram matrix is exact
+        mantissas = ints[:, 0] + 1j * ints[:, 1]
+        t = Triplets(np.array(rows), np.array(cols), np.ldexp(ints, power).view(complex).ravel())
+        np.testing.assert_array_equal(t.vals, mantissas * 2.0 ** power)
+        exp = linalg._exponent(np.abs(t.vals))
+        scaled = np.ldexp(t.vals.view(float), -exp).view(complex)
+        assert np.max(np.abs(scaled)) < 1.0
+        assert np.max(np.abs(scaled)) >= 0.5 or exp == -1021 or not scaled.any()
+        assert np.ldexp(scaled.view(float), exp).tobytes() == t.vals.tobytes()
+        gram, d, joined = linalg._gram(t._replace(vals=scaled), 10 ** 4)
+        w = np.zeros((6, 6), dtype=complex)
+        w[rows, cols] = mantissas
+        dense = w.conj().T @ w
+        norms = np.sqrt(np.abs(np.diag(dense)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cosine = np.abs(dense) / np.outer(norms, norms)
+        oracle = (cosine > linalg.NEGLIGIBLE * np.finfo(float).eps) & ~np.eye(6, dtype=bool)
+        found = np.zeros((6, 6), dtype=bool)
+        found[gram.rows, gram.cols] = joined
+        np.testing.assert_array_equal(found, oracle)
+        np.testing.assert_array_equal(np.ldexp(d, 2 * (exp - power)), np.diag(dense).real[:d.size])
+
+
 def ref_norm(m):
     """sigma_max by the values-only SVD of the dense matrix; 0.0 when empty."""
     return float(np.linalg.svd(m, compute_uv=False)[0]) if m.size else 0.0
@@ -535,7 +591,7 @@ class TestSparseNorm:
 
     @pytest.mark.parametrize("wide", [False, True])
     @pytest.mark.parametrize("route", ["sparse", "dense"])
-    def test_the_gram_is_taken_on_the_short_side(self, route, wide):
+    def test_the_gram_is_taken_on_the_short_side(self, route, wide, monkeypatch):
         # a dense core forms more Gram terms than it has entries: no Gram
         # matrix, an infinite Penrose bound, and the SVD decides
         rng = np.random.default_rng(8)
@@ -544,22 +600,23 @@ class TestSparseNorm:
         m = m.conj().T if wide else m
         t = nonzero_triplets(m)
         if route == "sparse":
-            assert support_core(short_gram(t)[1]).shape == (8, 8)
+            assert support_core(penrose_gram(t, monkeypatch)[0]).shape == (8, 8)
         else:
-            assert short_gram(t) is None
+            assert penrose_gram(t, monkeypatch) is None
             assert _penrose_defect(t) == np.inf
             for tol in PENROSE_TOLS:
                 assert _binary_singular_values(t, tol) == ref_binary(m, tol)
         assert sparse_norm(t) == pytest.approx(ref_norm(m), rel=1e-13)
 
     @pytest.mark.parametrize("wide", [False, True])
-    def test_gram_entries_that_cancel(self, wide):
+    def test_gram_entries_that_cancel(self, wide, monkeypatch):
         m, norm = cancelling_blocks(np.random.default_rng(9), 5, wide)
         t = nonzero_triplets(m)
-        _, gram = short_gram(t)
+        gram, _, joined = penrose_gram(t, monkeypatch)
         assert isinstance(gram, Triplets), "banded blocks take the sparse product"
         off_diagonal = gram.vals[gram.rows != gram.cols]
         assert off_diagonal.size and np.all(off_diagonal == 0)
+        assert not joined.any()
         assert sparse_norm(t) == pytest.approx(norm, rel=1e-13)
         assert sparse_norm(t) == pytest.approx(ref_norm(m), rel=1e-13)
 
@@ -567,9 +624,9 @@ class TestSparseNorm:
     def test_both_gram_routes_match_the_dense_svd(self, case, monkeypatch):
         # a banded list takes the sparse product; a dense matrix has more
         # product terms than entries, so no Gram matrix is formed, the
-        # Penrose bound is inf and the SVD decides.  short_gram serves the
-        # Penrose certificate alone; sparse_norm forms no Gram matrix, and
-        # the oracle gram_norm forms its own, densely
+        # Penrose bound is inf and the SVD decides.  linalg._gram forms the
+        # Penrose certificate's Gram matrix; sparse_norm forms none, and the
+        # oracle gram_norm forms its own, densely
         routes, original = [], linalg.sparse_product
 
         def spied(a, b, limit):
@@ -1386,17 +1443,30 @@ class TestOrthogonalGroups:
         adjoint = m.conj().T
         assert_same_span(span_of(adjoint), ref_column_space(adjoint))
 
-    def test_a_failing_block_alone_is_factored_whole(self, factor_calls):
-        # beside the coupled block, a block of two columns, (1, 1, 0) and
-        # (1, -1, 1), whose Gram entry is exactly 0, stays split in groups
+    def test_an_uncertified_split_falls_back_to_the_connected_blocks(self, factor_calls,
+                                                                      monkeypatch):
+        # beside the coupled block, whose split fails the certificate, a
+        # block of two columns, (1, 1, 0) and (1, -1, 1), whose Gram entry is
+        # exactly 0: the fallback drops every group, that block's too, and
+        # factors m by its connected blocks, as with no groups at all
         m = np.zeros((7, 6), dtype=complex)
         m[:4, :4] = coupled_through_a_faint_direction()
         m[4:, 4:] = [[1, 1], [1, -1], [0, 1]]
         kernel = kernel_of(m)
         assert kernel.shape == (6, 1)
         assert_same_span(kernel, ref_nullspace(m))
-        shapes = {(c.routine, c.a.shape) for c in factor_calls}
-        assert ("svd", (3, 4)) in shapes and ("qr", (3, 2)) not in shapes, shapes
+        split = [c for c in factor_calls if c.site == "nullspace"]
+        factor_calls.clear()
+        monkeypatch.setattr(linalg, "_orthogonal_groups", lambda m, kernel: None)
+        np.testing.assert_array_equal(kernel_of(m), kernel)
+        whole = [c for c in factor_calls if c.site == "nullspace"]
+        assert ("svd", (3, 4)) in {(c.routine, c.a.shape) for c in whole}
+        assert ("qr", (3, 2)) in {(c.routine, c.a.shape) for c in whole}
+        # the fallback pass factors what the connected blocks alone factor
+        fallback = split[len(split) - len(whole):]
+        assert [(c.routine, c.a.shape) for c in fallback] == \
+            [(c.routine, c.a.shape) for c in whole]
+        assert all(np.array_equal(a.a, b.a) for a, b in zip(fallback, whole))
 
     def test_a_gram_product_above_the_cap_keeps_the_whole_block(self, monkeypatch):
         # a connected 16 x 16 circulant band of 5 entries a row and a column,

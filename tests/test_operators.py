@@ -726,7 +726,7 @@ class TestTripletChecks:
             routes.append(product is not None)
             return product
 
-        # the Gram step (linalg.short_gram) forms W* W, the certificate W (W* W)
+        # the Gram step (linalg._gram) forms W* W, the certificate W (W* W)
         monkeypatch.setattr(linalg, "sparse_product", spied)
         monkeypatch.setattr(operators, "sparse_product", spied)
         if case == "banded":
