@@ -27,6 +27,15 @@ theirs, every zero column of m a kernel direction besides, so factoring
 each block on its own is exact.  On the scalar-fiber benchmark inputs a
 512 x 256 core falls into 256 blocks of 2 x 1.
 
+Every factorisation reads columns.  ``nullspace`` factors m and
+``column_space`` its transpose, the index arrays swapped and no value
+copied: if m^T = U S V*, then m = conj(V) S U^T, so the left singular
+vectors of m are the rows of numpy's vh = V* of m^T as they stand, and the
+kernel of m is spanned by the conjugates of the rows of m's own vh that
+its rank drops, or that a wide block has beyond its values.  Only ``_block_basis`` knows which of the two it builds;
+every helper below splits, groups and factors the columns of the matrix it
+is given.
+
 Every helper takes one path.  ``_blocks`` labels the components from the
 entries' rows and columns by hooking and pointer jumping (a core with no
 zero entry is one block without labelling) and fills one dense stack per
@@ -36,64 +45,59 @@ entry list.  A core of one component is a stack of one block, and
 ``MAX_DENSE_ENTRIES`` bounds a stack, not the ambient.  The blocks share
 one cutoff: ``numerical_rank`` counts their merged singular values at
 RANK_RTOL times sigma_max of the whole of m, so a block whose values clear
-only its own cutoff gives them to the kernel.
+only its own cutoff gives them to the kernel.  A basis vector drops its
+entries at or below NEGLIGIBLE eps, the rounding of an exact 0.
 
-A block whose operand has one column, the block itself for ``nullspace``
-and its conjugate transpose for ``column_space`` (so a block of one row
-there), is factored in closed form by ``_column_norms``, as are the
-one-column and one-row stacks of ``singular_values``: a p x 1 matrix x is
-(x / |x|) |x| 1, an SVD as it stands, so its one singular value is the
-2-norm |x| and its right singular vector the unit 1, exactly, by shape
-alone.  The kernel thus takes the unit vector of a dropped column, and the
-column space the unit vector of a kept row, with no QR and no SVD; the
-norm is taken after the exact scaling of ``_exponent``.  On the
-scalar-fiber and ``timotin-rot`` benchmark inputs nearly every block and
-every group is of this shape, and LAPACK's overhead per matrix, not its
-arithmetic, was their cost.
+A block of one column, as every one-column and one-row stack of
+``singular_values``, is factored in closed form by ``_column_norms``: a
+p x 1 matrix x is (x / |x|) |x| 1, an SVD as it stands, so its one singular
+value is the 2-norm |x| and its right singular vector the unit 1, exactly,
+by shape alone, with no QR and no SVD; the norm is taken after the exact
+scaling of ``_exponent``.  On the scalar-fiber and ``timotin-rot``
+benchmark inputs nearly every block and every group is of this shape, and
+LAPACK's overhead per matrix, not its arithmetic, was their cost.
 
-Past one column, a tall block reaches ``nullspace``, and a wide one
-``column_space``, as the triangle R of its QR factorisation (of its
-conjugate transpose when wide; Chan's R-SVD, ACM TOMS 8(1), 1982); the
-blocks of one shape take one stacked QR.  R keeps the singular values and
-the short side's singular vectors, so no SVD forms the long side's vectors
-only to discard them.  Unlike the split of m, this step is not exact, but
-it is backward stable, as the direct SVD is: R's singular values are the
-block's up to rounding.  R goes through ``_blocks`` again, on its entries
-!= 0, so no exactly-zero row of R reaches the SVD, and a block of R with
-one column takes the closed form.  A basis vector drops its entries at or
-below NEGLIGIBLE eps, the rounding of an exact 0.
+A taller block reaches the SVD as the triangle R of its QR factorisation,
+one stacked QR per shape (Chan's R-SVD, ACM TOMS 8(1), 1982): R keeps the
+singular values and the right singular vectors, so no SVD forms the long
+side's vectors only to discard them.  Unlike the split of m, this step is
+not exact, but it is backward stable, as the direct SVD is: R's singular
+values are the block's up to rounding.  A row or a column of R that is
+exactly 0 goes to the SVD as it stands: the singular values it leaves at
+0 fall below the cutoff, and their right singular vectors are kernel
+directions like any other.
 
 Those cuts of isometries fall apart further before ``_blocks`` scatters
-anything: their columns (for ``nullspace``; rows for ``column_space``) are
-mutually orthogonal up to rounding but for a few pairs.  ``_gram`` forms
-the sparse Gram matrix m* m (m m*) of the entries scaled by ``_exponent``
-while it takes no more terms than the ``times`` rule and the cap admit,
-which a dense block exceeds, and joins two columns when the cosine of
-their Gram entry exceeds NEGLIGIBLE eps; ``_components`` labels the
-groups, and each row is listed once per group it meets, on fresh indices,
-so each group is factored as a block of its own, through the closed form,
-the QR or the SVD above.  The 2n x (n + 1) cores of seed-0 ``timotin-rot``,
-one block each, fall into groups of one column but for one or two, so no
-operand of the closed form, the QR or the SVD holds more than 4 entries,
-where the whole block took a dense QR of O(n^3) time.  The cosine test
-alone is unsound: [a, a + d b, e, e + d b] has a kernel vector, yet its
-columns 1, 2 meet 3, 4 only at the cosine d**2.  So the split is certified
-from the singular values the groups already have: every dropped Gram entry
-X[j, k] between two groups must be at most NEGLIGIBLE eps s_j s_k, s being
-the smallest singular value of each side's group above the rounding floor
-NEGLIGIBLE eps sigma_max, else m is factored by its connected blocks.
-S_1^-1 V_1* X V_2 S_2^-1, the cosines between the groups' left singular
-vectors above the floor, is what the whole block's QR would hold between
-them and the split drops, and it is at most NEGLIGIBLE eps q in norm, q
-being the block's columns.  Each singular value above the floor is then
-that of m to a relative NEGLIGIBLE eps q, at most 1.5e-8 for any q the cap
-admits, and those below it move m by at most NEGLIGIBLE eps q sigma_max,
-below RANK_RTOL / 10 times sigma_max while q <= 11,258, so no rank
-decision whose singular values lie tenfold from its cutoff can move; on
-the demos, the sample scenario and the seed-0 and seed-7 benchmark inputs
-none moves.  Taking s among the kept values alone is not enough: 144
-groups, each dropping a value 0.9 times the cutoff, add up to a singular
-value of m 10.8 times the cutoff that the split would lose.
+anything: their columns are mutually orthogonal up to rounding but for a
+few pairs.  ``_gram`` forms the sparse Gram matrix m* m of the entries
+scaled by ``_exponent`` while it takes no more terms than the ``times``
+rule and the cap admit, which a dense block exceeds, and joins two columns
+when the cosine of their Gram entry exceeds NEGLIGIBLE eps;
+``_components`` labels the groups, and each row is listed once per group
+it meets, on fresh indices, so each group is factored as a block of its
+own, through the closed form, the QR or the SVD above.  The 2n x (n + 1)
+cores of seed-0 ``timotin-rot``, one block each, fall into groups of one
+column but for one or two, so no operand of the closed form, the QR or the
+SVD holds more than 4 entries, where the whole block took a dense QR of
+O(n^3) time.  The cosine test alone is unsound: [a, a + d b, e, e + d b]
+has a kernel vector, yet its columns 1, 2 meet 3, 4 only at the cosine
+d**2.  So the split is certified from the singular values the groups
+already have: every dropped Gram entry X[j, k] between two groups must be
+at most NEGLIGIBLE eps s_j s_k, s being the smallest singular value of
+each side's group above the rounding floor NEGLIGIBLE eps sigma_max, else
+m is factored by its connected blocks.  S_1^-1 V_1* X V_2 S_2^-1, the
+cosines between the groups' left singular vectors above the floor, is
+what the whole block's QR would hold between them and the split drops,
+and it is at most NEGLIGIBLE eps q in norm, q being the block's columns.
+Each singular value above the floor is then that of m to a relative
+NEGLIGIBLE eps q, at most 1.5e-8 for any q the cap admits, and those below
+it move m by at most NEGLIGIBLE eps q sigma_max, below RANK_RTOL / 10
+times sigma_max while q <= 11,258, so no rank decision whose singular
+values lie tenfold from its cutoff can move; on the demos, the sample
+scenario and the seed-0 and seed-7 benchmark inputs none moves.  Taking s
+among the kept values alone is not enough: 144 groups, each dropping a
+value 0.9 times the cutoff, add up to a singular value of m 10.8 times the
+cutoff that the split would lose.
 
 A zero column of m is a kernel direction, one entry of value 1, and every
 product treats it as any other entry: 1 times x is exact, so no unit
@@ -186,10 +190,10 @@ def _starts(counts: np.ndarray) -> np.ndarray:
     return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
-def _blocks(m: Triplets) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def _blocks(m: Triplets) -> list[tuple[np.ndarray, np.ndarray]]:
     """The connected blocks of the matrix m lists, each position at most
-    once: for the g blocks of each shape (p, q), their (g, p) row and (g, q)
-    column indices, ascending within a block, and the (g, p, q) stack of the
+    once: for the g blocks of each shape (p, q), their (g, q) column
+    indices, ascending within a block, and the (g, p, q) stack of the
     blocks, filled by scatter.  The rows and the columns that hold an entry
     != 0 are the nodes, those entries the edges; an m with none has no
     block, and a core with no zero entry is one block without labelling."""
@@ -210,9 +214,9 @@ def _blocks(m: Triplets) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     # the rows (columns) of every block, ascending, block after block, and
     # the place of each row (column) in its block
     row_order, col_order = (np.argsort(x, kind="stable") for x in (row_block, col_block))
-    row_start, col_start = np.cumsum(p) - p, np.cumsum(q) - q
     row_at, col_at = np.empty(r, dtype=np.intp), np.empty(c, dtype=np.intp)
     row_at[row_order], col_at[col_order] = _starts(p), _starts(q)
+    col_start = np.cumsum(q) - q
     shapes, shape_of = _distinct(p * (c + 1) + q)
     entry_block = row_block[at_row]
     place = np.empty(roots.size, dtype=np.intp)  # of each block in its shape's stack
@@ -225,47 +229,29 @@ def _blocks(m: Triplets) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         check_size("the block stack", sel.size, height, width)
         stack = np.zeros((sel.size, height, width), dtype=vals.dtype)
         stack[place[entry_block[e]], row_at[at_row[e]], col_at[at_col[e]]] = vals[e]
-        groups.append((rows[row_order[row_start[sel, None] + np.arange(height)]],
-                       cols[col_order[col_start[sel, None] + np.arange(width)]], stack))
+        groups.append((cols[col_order[col_start[sel, None] + np.arange(width)]], stack))
     return groups
 
 
-def _factored(blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
-              kernel: bool) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(ids, sv, vecs) for each stack factored for ``blocks``: ids the
-    columns (kernel) or rows (column space) of the matrix on each block's
-    vectors, sv its singular values and vecs[block, j, :] its right (left)
-    singular vectors.  The operand t is each block (kernel) or its
-    conjugate transpose (column space).  A t of one column takes the closed
-    form, ``_column_norms`` and the unit vector 1, with no QR and no SVD.
-    A taller t is factored through the triangle R of its QR factorisation,
-    one stacked QR per shape: R keeps the singular values and the short
-    side's singular vectors up to rounding.  The entries != 0 of each R go
-    through ``_blocks`` again, its rows (columns) on fresh indices and the
-    other side on the block's own, so no exactly-zero row of R reaches the
-    SVD; a column of R that is exactly 0 is a kernel direction, one entry
-    1.  Any other t is factored by one stacked SVD."""
+def _factored(blocks: list[tuple[np.ndarray, np.ndarray]],
+              full_matrices: bool) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(cols, sv, vh) for each stack of ``blocks``: cols the columns of the
+    matrix on each block, sv the block's singular values and vh[block] its
+    right singular vectors as numpy's SVD gives them, conjugated, one a row,
+    all of them for a wide block when ``full_matrices``.  A block of one
+    column takes the closed form, ``_column_norms`` and the unit vector 1,
+    with no QR and no SVD; a taller block reaches the stacked SVD as the
+    triangle R of its stacked QR factorisation; any other block as it is."""
     stacks = []
-    for rows, cols, a in blocks:
-        ids = cols if kernel else rows
-        t = a if kernel else a.conj().swapaxes(1, 2)
-        if t.shape[2] == 1:  # the norm, and the unit vector 1
-            stacks.append((ids, _column_norms(t), np.ones((t.shape[0], 1, 1), dtype=t.dtype)))
-        elif t.shape[1] > t.shape[2]:
-            r = np.linalg.qr(t, mode="r")
-            kept = r != 0
-            b, i, j = np.nonzero(kept)
-            fresh = b * r.shape[1] + i
-            stacks += _factored(_blocks(Triplets(fresh, ids[b, j], r[b, i, j]) if kernel else
-                                        Triplets(ids[b, j], fresh, r[b, i, j].conj())), kernel)
-            if kernel:  # a column of R that is 0: a unit kernel vector
-                gone = ids[~kept.any(axis=1)][:, None]
-                stacks.append((gone, np.zeros((gone.size, 0)), np.ones((gone.size, 1, 1))))
-        else:
-            if kernel:  # full_matrices: a 1 x d block has d x d of them
-                check_size("the right singular vectors", a.shape[0], a.shape[2], a.shape[2])
-            u, sv, vh = np.linalg.svd(a, full_matrices=kernel)
-            stacks.append((ids, sv, vh if kernel else u.swapaxes(1, 2)))
+    for cols, a in blocks:
+        if a.shape[2] == 1:  # the norm, and the unit vector 1
+            stacks.append((cols, _column_norms(a), np.ones((a.shape[0], 1, 1), dtype=a.dtype)))
+            continue
+        if a.shape[1] > a.shape[2]:
+            a = np.linalg.qr(a, mode="r")
+        elif full_matrices:  # a 1 x d block has d x d of them
+            check_size("the right singular vectors", a.shape[0], a.shape[2], a.shape[2])
+        stacks.append((cols, *np.linalg.svd(a, full_matrices=full_matrices)[1:]))
     return stacks
 
 
@@ -308,12 +294,12 @@ def _gram(w: Triplets, limit: int) -> tuple[Triplets, np.ndarray, np.ndarray] | 
 
 
 class _Groups(NamedTuple):
-    """The mutually orthogonal groups of the ids of a matrix, its columns
-    (kernel) or rows (column space): ``core``, its entries != 0 on
-    compressed indices in row-major order, ``ids`` the id of each
-    compressed index, ``group`` the group of each, named by its smallest,
-    and (j, k, size) the entries of the Gram matrix between two groups,
-    size being |gram[j, k]| for the core times ``scale``."""
+    """The mutually orthogonal groups of the columns of a matrix: ``core``,
+    its entries != 0 on compressed indices in row-major order, ``ids`` the
+    column of each compressed column index, ``group`` the group of each,
+    named by its smallest, and (j, k, size) the entries of the Gram matrix
+    between two groups, size being |gram[j, k]| for the core times
+    ``scale``."""
 
     core: Triplets
     ids: np.ndarray
@@ -324,19 +310,19 @@ class _Groups(NamedTuple):
     scale: float
 
 
-def _orthogonal_groups(m: Triplets, kernel: bool) -> _Groups | None:
-    """The groups of the columns (kernel) or rows (column space) of the
-    matrix m lists that its Gram matrix (m* m, or m m*) joins by an entry
-    above NEGLIGIBLE eps times the norms of its two ids; None where no two
-    ids share a row (column), where the core has no zero entry, where the
-    sparse Gram matrix forms more terms than the ``times`` rule or the cap
-    admits, or where one group fills each connected block.  Before the
-    product, the entries are scaled by the power of two that brings the
-    largest into [0.5, 1), exactly, so no square the SVD would see
-    underflows, and put in row-major order, so each sum of the Gram matrix
-    takes its terms in one order, whatever the order of the list."""
+def _orthogonal_groups(m: Triplets) -> _Groups | None:
+    """The groups of the columns of the matrix m lists that its Gram matrix
+    m* m joins by an entry above NEGLIGIBLE eps times the norms of its two
+    columns; None where no two columns share a row, where the core has no
+    zero entry, where the sparse Gram matrix forms more terms than the
+    ``times`` rule or the cap admits, or where one group fills each
+    connected block.  Before the product, the entries are scaled by the
+    power of two that brings the largest into [0.5, 1), exactly, so no
+    square the SVD would see underflows, and put in row-major order, so
+    each sum of the Gram matrix takes its terms in one order, whatever the
+    order of the list."""
     # explicit zeros only add to the counts, so no entry needs filtering yet
-    if np.bincount(m.rows if kernel else m.cols).max(initial=0) < 2:
+    if np.bincount(m.rows).max(initial=0) < 2:
         return None
     nonzero = np.flatnonzero(m.vals != 0)
     (rows, at_row), (cols, at_col) = (_compressed(x[nonzero]) for x in m[:2])
@@ -346,56 +332,51 @@ def _orthogonal_groups(m: Triplets, kernel: bool) -> _Groups | None:
     core = Triplets(at_row[order], at_col[order], m.vals[nonzero[order]])
     del nonzero, at_row, at_col, order  # only the core is read from here on
     scale = np.ldexp(1.0, -_exponent(np.abs(core.vals)))
-    w = core._replace(vals=core.vals * scale)
-    if not kernel:
-        w = _adjoint(w)  # the ids on the columns of w
-    found = _gram(w, min(2 * rows.size * cols.size, MAX_DENSE_ENTRIES))
+    found = _gram(core._replace(vals=core.vals * scale),
+                  min(2 * rows.size * cols.size, MAX_DENSE_ENTRIES))
     if found is None:
         return None
     (j, k, g), _, joined = found
     upper = np.flatnonzero(j < k)
     j, k, size, joined = j[upper], k[upper], np.abs(g[upper]), joined[upper]
-    ids = cols if kernel else rows
-    group = _components(j[joined], k[joined], ids.size)
+    group = _components(j[joined], k[joined], cols.size)
     apart = np.flatnonzero(group[j] != group[k])
     if not apart.size:
         return None
-    return _Groups(core, ids, group, j[apart], k[apart], size[apart], scale)
+    return _Groups(core, cols, group, j[apart], k[apart], size[apart], scale)
 
 
-def _regrouped(groups: _Groups, kernel: bool) -> Triplets:
-    """The core with its rows (columns) listed once per group of the
-    columns (rows) they meet, on fresh indices in the order of (row
-    (column), group), so each group is a connected block of its own, and
-    its columns (rows) on their ids."""
-    at, other = (groups.core.cols, groups.core.rows) if kernel else groups.core[:2]
-    fresh = _distinct(other.astype(np.int64) * groups.ids.size + groups.group[at])[1]
-    ids, vals = groups.ids[at], groups.core.vals
-    return Triplets(fresh, ids, vals) if kernel else Triplets(ids, fresh, vals)
+def _regrouped(groups: _Groups) -> Triplets:
+    """The core with its rows listed once per group of the columns they
+    meet, on fresh indices in the order of (row, group), so each group is a
+    connected block of its own, and its columns on their ids."""
+    rows, cols, vals = groups.core
+    fresh = _distinct(rows.astype(np.int64) * groups.ids.size + groups.group[cols])[1]
+    return Triplets(fresh, groups.ids[cols], vals)
 
 
 def _block_basis(m: Triplets, kernel: bool) -> tuple[Triplets, int]:
-    """An orthonormal basis of the kernel (column space) of the matrix m
-    lists, on its columns (rows) that hold an entry != 0, as the (column
-    (row) of m, basis column, value) triplets of its entries above
-    NEGLIGIBLE eps, and the rank of m.
+    """An orthonormal basis of the kernel of the matrix m lists (``kernel``)
+    or of the column space of its transpose, on its columns that hold an
+    entry != 0, as the (column of m, basis column, value) triplets of its
+    entries above NEGLIGIBLE eps, and the rank of m.
 
-    Each connected block (``_blocks``), or each group of its columns (rows)
-    that ``_orthogonal_groups`` finds, the other side listed once per
-    group, is factored by ``_factored``; one ``numerical_rank`` over the
-    merged singular values sets the rank, so a block keeps those of its
-    values above the cutoff of the whole matrix.  The split into groups is
+    Each connected block (``_blocks``), or each group of its columns that
+    ``_orthogonal_groups`` finds, its rows listed once per group, is
+    factored by ``_factored``; one ``numerical_rank`` over the merged
+    singular values sets the rank, so a block keeps those of its values
+    above the cutoff of the whole matrix.  The split into groups is
     certified as the module docstring states, s being 0 for a group with no
     value above the floor; where it is not, a second and last pass factors
-    m by its connected blocks.  A block's kernel takes its dropped right
-    singular vectors and, when wide, its surplus ones; its column space its
-    kept left singular vectors."""
-    groups = _orthogonal_groups(m, kernel)
+    m by its connected blocks.  A block's kernel takes the conjugates of
+    its dropped rows of vh and, when wide, of its surplus ones; the column
+    space of the transpose its kept rows as they stand."""
+    groups = _orthogonal_groups(m)
     while True:
-        found = _blocks(m if groups is None else _regrouped(groups, kernel))
+        found = _blocks(m if groups is None else _regrouped(groups))
         if not found:
             return _NONE, 0
-        stacks = _factored(found, kernel)
+        stacks = _factored(found, full_matrices=kernel)
         sv = np.concatenate([s.ravel() for _, s, _ in stacks])
         first = np.cumsum([0] + [at.shape[0] for at, _, _ in stacks])
         owner = np.concatenate([np.repeat(np.arange(f, f + s.shape[0]), s.shape[1])
@@ -419,14 +400,15 @@ def _block_basis(m: Triplets, kernel: bool) -> tuple[Triplets, int]:
         groups = None  # not certified: m is factored by its connected blocks
     kept = np.bincount(owner[order[:rank]], minlength=first[-1])
     at_rows, at_cols, vals, width = [], [], [], 0
-    for f, (at, _, vecs) in zip(first, stacks):
-        j = np.arange(vecs.shape[1])
+    for f, (at, _, vh) in zip(first, stacks):
+        j = np.arange(vh.shape[1])
         k = kept[f:f + at.shape[0], None]
         b, j = np.nonzero(j >= k if kernel else j < k)
         at_rows.append(at[b].ravel())
         at_cols.append(np.repeat(width + np.arange(b.size), at.shape[1]))
-        # the kernel takes the conjugates of the rows of vh it keeps
-        vals.append((vecs[b, j].conj() if kernel else vecs[b, j]).ravel())
+        # the kernel takes the conjugates of the rows of vh, the column
+        # space of the transpose the rows as they stand
+        vals.append((vh[b, j].conj() if kernel else vh[b, j]).ravel())
         width += b.size
     basis = Triplets(*map(np.concatenate, (at_rows, at_cols, vals)))
     kept = np.flatnonzero(np.abs(basis.vals) > NEGLIGIBLE * np.finfo(float).eps)
@@ -448,7 +430,7 @@ def singular_values(m: Triplets) -> np.ndarray:
         return np.zeros(0)
     sv = np.concatenate([
         (_column_norms(stack.reshape(stack.shape[0], -1, 1)) if 1 in stack.shape[1:]
-         else np.linalg.svd(stack, compute_uv=False)).ravel() for _, _, stack in blocks])
+         else np.linalg.svd(stack, compute_uv=False)).ravel() for _, stack in blocks])
     return sv[np.argsort(-sv, kind="stable")]
 
 
@@ -487,8 +469,9 @@ def nullspace(m: Triplets, width: int) -> Triplets:
 
 def column_space(m: Triplets) -> Triplets:
     """Orthonormal basis of the column space of the matrix m lists,
-    supported on the rows that hold an entry != 0."""
-    return _block_basis(m, kernel=False)[0]
+    supported on the rows that hold an entry != 0, from the factorisation
+    of its transpose: the index arrays swapped, no value copied."""
+    return _block_basis(Triplets(m.cols, m.rows, m.vals), kernel=False)[0]
 
 
 def _adjoint(t: Triplets) -> Triplets:
@@ -599,14 +582,6 @@ def _renumbered(t: Triplets, axis: int, at: np.ndarray) -> Triplets:
 def _keys(t: Triplets, width: int) -> np.ndarray:
     """Row-major position of each entry in a matrix of ``width`` columns."""
     return t.rows.astype(np.int64) * width + t.cols
-
-
-def row_major(t: Triplets) -> Triplets:
-    """The entries of t, each position listed at most once, in the row-major
-    order of np.nonzero.  The sort is stable, so a list made of sorted runs
-    is merged in linear time."""
-    order = np.argsort(_keys(t, extent(t, 1)), kind="stable")
-    return Triplets(*(x[order] for x in t))
 
 
 def dense_matrix(t: Triplets, shape: tuple[int, int]) -> np.ndarray:

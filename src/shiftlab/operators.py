@@ -24,7 +24,6 @@ from .linalg import (
     _within,
     check_size,
     extent,
-    row_major,
     singular_values,
     sparse_difference,
     sparse_norm,
@@ -173,7 +172,8 @@ class _Block(NamedTuple):
 @dataclass(frozen=True)
 class OperatorMatrix:
     """Matrix between truncated spaces with an exactness window, held only as
-    its entries != 0 in the row-major order of np.nonzero.
+    its entries != 0, each position once, in the order its builder emits
+    them.
 
     ``exact_window = w`` means: for inputs supported on the domain's
     window-w degrees, applying the matrix agrees with the untruncated
@@ -236,12 +236,12 @@ def toeplitz_op(sym: LaurentSymbol, n: int) -> OperatorMatrix:
 
 
 def _toeplitz(sym: LaurentSymbol, n: int) -> Triplets:
-    """The entries, unsorted, of ``toeplitz_op``."""
+    """The entries of ``toeplitz_op``."""
     return multiplication_entries(sym, 0, n, 0, n)
 
 
 def _hankel(sym: LaurentSymbol, n: int) -> Triplets:
-    """The entries, unsorted, of the truncation of h |-> PJ[S h] on degree-n
+    """The entries of the truncation of h |-> PJ[S h] on degree-n
     Hardy windows, J sending z**k to z**(-k-1).
 
     Degree block (j, i) is the coefficient of z**(-(j+i+1)), so only the
@@ -284,16 +284,17 @@ def _block_operator(n: int, rows: tuple[int, ...], cols: tuple[int, ...],
                     blocks: list[list[_Block]]) -> OperatorMatrix:
     """The block operator of the blocks from the degree-n Hardy windows of
     the fibers cols to those of the fibers rows: block by block, its window
-    (which checks its band) and its entries, then the entries sorted once,
-    with one window, the minimum over the blocks."""
+    (which checks its band) and its entries, offset to its place and
+    concatenated as they come, with one window, the minimum over the
+    blocks."""
     dom, cod = (ProductSpace.of(*(TruncatedSpace.hardy(d, n) for d in f)) for f in (cols, rows))
     built = [[(_window(b, n), (_hankel if b.hankel else _toeplitz)(b.sym, n)) for b in row]
              for row in blocks]
     check_size("a block operator's entry list", sum(t.rows.size for r in built for _, t in r))
     parts = [Triplets(t.rows + cod.offsets()[i], t.cols + dom.offsets()[j], t.vals)
              for i, row in enumerate(built) for j, (_, t) in enumerate(row)]
-    entries = row_major(Triplets(*map(np.concatenate, zip(*parts))))
-    return OperatorMatrix(dom, cod, entries, min(w for row in built for w, _ in row),
+    return OperatorMatrix(dom, cod, Triplets(*map(np.concatenate, zip(*parts))),
+                          min(w for row in built for w, _ in row),
                           tuple(b for row in blocks for b in row))
 
 
@@ -315,11 +316,12 @@ def leading_section(op: OperatorMatrix, m: int) -> OperatorMatrix:
 
     Finite sections of Toeplitz and Hankel operators nest, the m-section
     being the top-left corner of the n-section (Boettcher & Silbermann,
-    Analysis of Toeplitz Operators, 2nd ed., 2006), and the basis is
-    degree-major, so the kept entries, renumbered, stay in row-major order:
-    the section is the matrix the builder gives at m, entry for entry.  Its
-    window is the builder's at m, each Toeplitz block's band checked as the
-    builder checks it.
+    Analysis of Toeplitz Operators, 2nd ed., 2006), and the builder emits
+    each block's coefficients over ascending input degrees, so the kept
+    entries, renumbered, in their order, are the runs the builder emits at
+    m: the section is the builder's operator at m, entry for entry, in
+    order.  Its window is the builder's at m, each Toeplitz block's band
+    checked as the builder checks it.
     """
     n = op.domain.parts[0].deg_hi
     if not 0 <= m <= n:

@@ -242,11 +242,22 @@ def test_no_dense_twin_of_an_entry_list():
 
 
 def test_one_gram_former_and_one_scaling():
-    """The Gram rule and the exact scaling are each written once: in
-    ``src/``, ``np.frexp`` is called only in ``linalg._exponent``, a
-    ``sparse_product`` with an ``_adjoint(...)`` factor is formed only in
-    ``linalg._gram``, and no module but ``linalg`` imports ``NEGLIGIBLE``,
-    the cosine cut of that rule."""
+    """The Gram rule, the exact scaling and the orientation of a
+    factorisation are each written once: in ``src/``, ``np.frexp`` is
+    called only in ``linalg._exponent``, a ``sparse_product`` with an
+    ``_adjoint(...)`` factor is formed only in ``linalg._gram``, no module
+    but ``linalg`` imports ``NEGLIGIBLE``, the cosine cut of that rule, no
+    ``linalg`` function but ``_block_basis`` takes a ``kernel`` parameter,
+    and ``_factored`` calls neither itself nor ``_blocks``: each block is
+    factored in one pass."""
+    linalg = ast.parse((PACKAGE / "linalg.py").read_text(encoding="utf-8"))
+    functions = [node for node in ast.walk(linalg) if isinstance(node, ast.FunctionDef)]
+    oriented = {f.name for f in functions
+                if "kernel" in [a.arg for a in f.args.args + f.args.kwonlyargs]}
+    assert oriented == {"_block_basis"}, f"functions taking kernel: {sorted(oriented)}"
+    factored = next(f for f in functions if f.name == "_factored")
+    calls = referenced_names([factored]) & {"_factored", "_blocks"}
+    assert not calls, f"_factored calls {sorted(calls)}"
     frexp, grams, imports = set(), set(), set()
     for path, tree in parsed(PACKAGE.glob("*.py")).items():
         for top in tree.body:

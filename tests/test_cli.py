@@ -951,22 +951,22 @@ class TestSizeCapBoundsMemory:
     sweep and at sixteen times its last n, passes or exits 2 naming the cap,
     and its tracemalloc peak stays at most K * CAP * 16 bytes.
 
-    K is the largest measured multiple, 6.42, rounded up: the largest array
+    K is the largest measured multiple, 6.33, rounded up: the largest array
     the cap admits is not the only one live.  An entry takes 32 bytes, and
     the subspace checks hold the entry lists of the generators, the bases
     and the operators beside those of a factorisation: the timotin-rot
     cores fall into mutually orthogonal groups of a few entries each, so no
     block stack stops these inputs, and at n = 4,096 they run to the end
-    and reach 6.36, in the ``_blocks`` of a core listed group by group,
+    and reach 6.33, in the ``_blocks`` of a core listed group by group,
     beside the sorted copy of the core and the groups.  Assembling a block
-    operator holds its blocks, their offset copies, the concatenation, the
-    sort keys and order and the sorted list at once: the operators-wide
-    inputs at n = 4,096 reach 6.42 (6.41 when each n built its own
-    operators) while the kernel operator is assembled beside the range
-    operator.  Each is assembled once per run at its deepest truncation,
-    here the one n, and read as it stands; the range operator's Penrose
-    certificate passes, and the kernel operator's Gram product, 48n + 39
-    terms, stops the run."""
+    operator holds its blocks, their offset copies and the concatenation at
+    once, with no sort: the operators-wide inputs at n = 4,096 reach 4.53
+    there, and 6.18 at their peak, in the Penrose certificate's sparse
+    products beside both operators (6.42 while the assembly sorted its
+    entries).  Each operator is assembled once per run at its deepest
+    truncation, here the one n, and read as it stands; the range operator's
+    Penrose certificate passes, and the kernel operator's Gram product,
+    48n + 39 terms, stops the run."""
 
     CAP = 2 ** 16
     K = 7

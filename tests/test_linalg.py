@@ -297,12 +297,17 @@ def ref_support(m):
     return np.flatnonzero(nonzero.any(axis=1)), np.flatnonzero(nonzero.any(axis=0))
 
 
+def transposed(t):
+    """The entry list of the transpose of the matrix t lists."""
+    return Triplets(t.cols, t.rows, t.vals)
+
+
 def block_support(t):
     """The rows and the columns of the matrix t lists that ``_blocks``
-    places in a block, ascending."""
-    blocks = linalg._blocks(t)
-    return tuple(np.sort(np.concatenate([np.zeros(0, int)] + [b[k].ravel() for b in blocks]))
-                 for k in (0, 1))
+    places in a block, ascending: its rows as the columns of the transpose."""
+    return tuple(np.sort(np.concatenate([np.zeros(0, int)]
+                                        + [cols.ravel() for cols, _ in linalg._blocks(x)]))
+                 for x in (transposed(t), t))
 
 
 class TestNonzeroMasks:
@@ -314,8 +319,11 @@ class TestNonzeroMasks:
         t = every_entry(m)
         for got, ref in zip(block_support(t), ref_support(m)):
             np.testing.assert_array_equal(got, ref)
-        for rows, cols, stack in linalg._blocks(t):
-            np.testing.assert_array_equal(stack, m[rows[:, :, None], cols[:, None, :]])
+        for cols, stack in linalg._blocks(t):
+            for at, block in zip(cols, stack):
+                # a block's rows are those its columns meet, ascending
+                rows = np.flatnonzero((m[:, at] != 0).any(axis=1))
+                np.testing.assert_array_equal(block, m[np.ix_(rows, at)])
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(0, 9), cols=st.integers(0, 9))
@@ -706,9 +714,9 @@ def duplicated_column_core():
 
 
 class TestTriangleFirst:
-    """Tall cores reach nullspace, and wide cores column_space, through the
-    triangle of a QR factorisation; both must agree with the dense
-    factorization of the core itself."""
+    """Tall cores reach nullspace, and wide cores column_space (as their
+    tall transpose), through the triangle of a QR factorisation; both must
+    agree with the dense factorization of the core itself."""
 
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), short=st.integers(1, 10),
@@ -723,17 +731,21 @@ class TestTriangleFirst:
 
     @pytest.mark.parametrize("wide", [False, True])
     def test_triangle_with_an_exactly_zero_row(self, wide, factor_calls):
+        # the core is real, so the tall one of m and its transpose is the
+        # core itself; its triangle reaches the SVD as it is, and the zero
+        # singular value of its zero row is a kernel direction like any other
         core = duplicated_column_core()
         triangle = np.linalg.qr(core, mode="r")
         assert not triangle[1].any() and triangle[2].any()
         m = core.conj().T if wide else core
+        factor_calls.clear()
         kernel, span = kernel_of(m), span_of(m)
         assert kernel.shape[1] == (2 if wide else 1) and span.shape[1] == 2
-        # the zero row is stripped again before the SVD
-        svds = [c.a for c in factor_calls if c.routine == "svd"]
-        assert len(svds) == 2
-        for a in svds:
-            assert (a != 0).any(axis=1).all() and (a != 0).any(axis=0).all()
+        tall, short = ("column_space", "nullspace") if wide else ("nullspace", "column_space")
+        assert sorted((c.site, c.routine, c.a.shape) for c in factor_calls) == \
+            sorted([(tall, "qr", (4, 3)), (tall, "svd", (3, 3)), (short, "svd", (3, 4))])
+        np.testing.assert_array_equal(
+            [c.a for c in factor_calls if c.routine == "svd" and c.site == tall], [triangle])
         assert_same_span(kernel, ref_nullspace(m))
         assert_same_span(span, ref_column_space(m))
 
@@ -779,10 +791,10 @@ class TestNoOperatorSizedSvd:
 
 
 class TestEverySvdIsOneSided:
-    """While the CLI runs, nullspace factors a tall core or block through its
-    triangle and column_space a wide one through the triangle of its
-    conjugate transpose, so neither SVD has a long side whose vectors are
-    discarded, and QR is only given tall matrices."""
+    """While the CLI runs, nullspace factors m and column_space its
+    transpose, each a tall block through its triangle, so no SVD operand is
+    tall, no SVD has a long side whose vectors are discarded, and QR is only
+    given tall matrices."""
 
     def test_no_svd_forms_the_long_side(self, factor_calls):
         replicated = cli.Scenario(
@@ -794,8 +806,7 @@ class TestEverySvdIsOneSided:
         kernel = [c.a.shape for c in svds if c.site == "nullspace"]
         span = [c.a.shape for c in svds if c.site == "column_space"]
         assert len(kernel) > 20 and len(span) > 5
-        assert not [s for s in kernel if s[0] > s[1]], "nullspace factored a tall matrix"
-        assert not [s for s in span if s[0] < s[1]], "column_space factored a wide matrix"
+        assert not [s for s in kernel + span if s[0] > s[1]], "an SVD operand is tall"
         triangles = [c.a.shape for c in factor_calls
                      if c.routine == "qr" and c.site in ("nullspace", "column_space")]
         assert triangles and not [s for s in triangles if s[0] <= s[1]], \
@@ -880,7 +891,7 @@ class TestConnectedBlocks:
     def test_permuted_block_diagonal_cores(self, drawn):
         m, blocks = drawn
         found = linalg._blocks(nonzero_triplets(m))
-        assert sum(r.shape[0] for r, _, _ in found) == blocks
+        assert sum(cols.shape[0] for cols, _ in found) == blocks
         sv, ref_sv = singular_values(nonzero_triplets(m)), ref_singular_values(m)
         assert sv.size <= ref_sv.size and np.all(np.diff(sv) <= 0)
         np.testing.assert_allclose(sv, ref_sv[:sv.size], rtol=0, atol=1e-13)
@@ -896,10 +907,10 @@ class TestConnectedBlocks:
                                    [1.0, np.sqrt(2) * 1e-12], rtol=1e-15)
 
     @pytest.mark.parametrize("wide", [False, True])
-    def test_stacked_triangles_strip_their_zero_rows(self, wide, factor_calls):
+    def test_stacked_triangles_go_straight_to_the_svd(self, wide, factor_calls):
         # two blocks whose triangle has an exactly-zero row and one whose has
-        # none: one stacked QR, then one stacked SVD per shape of the
-        # triangles' blocks
+        # none, of m or of its transpose: one stacked QR, then one stacked
+        # SVD of the three triangles as they are
         rng = np.random.default_rng(12)
         dense = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
         core = np.zeros((12, 9), dtype=complex)
@@ -914,10 +925,8 @@ class TestConnectedBlocks:
         qr = [c for c in calls if c.routine == "qr"]
         svd = [c for c in calls if c.routine == "svd"]
         assert [c.a.shape for c in qr] == [(4, 3)] * 3 and all(c.stacked for c in qr)
-        assert sorted(c.a.shape for c in svd) == ([(2, 3), (2, 3), (3, 3)] if not wide
-                                                  else [(3, 2), (3, 2), (3, 3)])
-        for c in svd:
-            assert (c.a != 0).any(axis=1).all() and (c.a != 0).any(axis=0).all()
+        assert [c.a.shape for c in svd] == [(3, 3)] * 3 and all(c.depth == 3 for c in svd)
+        assert [bool((c.a != 0).any(axis=1).all()) for c in svd] == [False, True, False]
 
     def test_split_cores_factor_nothing_larger_than_a_block(self, factor_calls):
         # the scalar demo's truncated mixed operators are diagonal
@@ -953,15 +962,13 @@ class TestConnectedBlocks:
 
     @pytest.mark.parametrize("name", ["timotin-nonsplitting", "timotin-rotated"])
     def test_one_component_cores_are_a_stack_of_one(self, name, factor_calls):
-        # a core of one block is a stack of one: the closed form of a
-        # one-column kernel (one-row column-space) core, the QR of a tall
-        # kernel (wide column-space) core, else its SVD; the SVDs and the
-        # closed forms after the QR take the blocks of its triangle, each
-        # connected, which split the short side and hold the core's
-        # Frobenius norm.  A core whose columns (rows) fall into mutually
-        # orthogonal groups is factored group by group instead: the groups'
-        # columns (rows) partition the core's, and their squared Frobenius
-        # norms sum to the core's
+        # a core of one block is a stack of one, of the core (kernel) or of
+        # its transpose (column space): the closed form of one column, the
+        # QR of a tall one, whose triangle the SVD then takes as it is and
+        # which holds the core's Frobenius norm, else its SVD.  A core whose
+        # columns (rows) fall into mutually orthogonal groups is factored
+        # group by group instead: the groups' columns (rows) partition the
+        # core's, and their squared Frobenius norms sum to the core's
         if name == "timotin-rotated":
             spec = InvariantSubspaceSpec(TYPE_I, 1, 1, u=rotated_timotin())
             checks = ("twocond", "invariance", "kernel_rep", "range_rep", "splitting",
@@ -987,23 +994,24 @@ class TestConnectedBlocks:
             operand = operand_matrix(first.operand)
             core = operand[np.ix_(*ref_support(operand))]
             side = 1 if first.site == "nullspace" else 0
+            factored = first.operand if side else transposed(first.operand)
             groups = (None if first.site == "singular_values"
-                      else linalg._orthogonal_groups(first.operand, kernel=side == 1))
+                      else linalg._orthogonal_groups(factored))
             if groups is None:
-                # the QR of a column-space core takes its conjugate
-                # transpose, and the closed form the side with one column
-                transposed = (first.routine == "qr" and first.site == "column_space"
-                              or first.routine == "norm" and core.shape[1] != 1)
+                # the column space factors the transpose, and the closed
+                # form of singular_values the side with one column
+                flipped = (first.site == "column_space"
+                           or first.routine == "norm" and core.shape[1] != 1)
                 assert first.stacked and first.depth == 1, (first.site, first.a.shape)
-                assert first.a.shape == (core.T if transposed else core).shape, first.site
+                assert first.a.shape == (core.T if flipped else core).shape, first.site
                 if first.routine in ("svd", "norm"):
                     assert len(group) == 1, (first.site, first.a.shape)
                     continue
             else:
-                found = linalg._blocks(linalg._regrouped(groups, kernel=side == 1))
-                ids = np.concatenate([block[side].ravel() for block in found])
+                found = linalg._blocks(linalg._regrouped(groups))
+                ids = np.concatenate([cols.ravel() for cols, _ in found])
                 np.testing.assert_array_equal(np.sort(ids), ref_support(operand)[side])
-                norm = sum(np.linalg.norm(stack) ** 2 for _, _, stack in found)
+                norm = sum(np.linalg.norm(stack) ** 2 for _, stack in found)
                 assert norm == pytest.approx(np.linalg.norm(core) ** 2, rel=1e-12)
                 grouped += 1
             # a closed-form operand stands for one column (row) of the core
@@ -1416,7 +1424,7 @@ class TestOrthogonalGroups:
         t = nonzero_triplets(m)
         # the cosines alone split the columns into {1, 2} and {3, 4}, whose
         # kernels are both 0
-        groups = linalg._orthogonal_groups(t, kernel=True)
+        groups = linalg._orthogonal_groups(t)
         assert groups is not None
         assert [list(np.flatnonzero(groups.group == g)) for g in np.unique(groups.group)] == \
             [[0, 1], [2, 3]]
@@ -1436,7 +1444,7 @@ class TestOrthogonalGroups:
         sv = ref_singular_values(m)
         assert sv.size == 145 and sv[-1] >= 10 * RANK_RTOL * sv[0]
         t = nonzero_triplets(m)
-        groups = linalg._orthogonal_groups(t, kernel=True)
+        groups = linalg._orthogonal_groups(t)
         assert groups is not None and np.unique(groups.group).size == 144
         assert_same_span(kernel_of(m), ref_nullspace(m))
         assert kernel_of(m).shape == (288, 143)
@@ -1457,7 +1465,7 @@ class TestOrthogonalGroups:
         assert_same_span(kernel, ref_nullspace(m))
         split = [c for c in factor_calls if c.site == "nullspace"]
         factor_calls.clear()
-        monkeypatch.setattr(linalg, "_orthogonal_groups", lambda m, kernel: None)
+        monkeypatch.setattr(linalg, "_orthogonal_groups", lambda m: None)
         np.testing.assert_array_equal(kernel_of(m), kernel)
         whole = [c for c in factor_calls if c.site == "nullspace"]
         assert ("svd", (3, 4)) in {(c.routine, c.a.shape) for c in whole}
@@ -1480,8 +1488,8 @@ class TestOrthogonalGroups:
             m[at, (at + shift) % 16] = value
         monkeypatch.setattr(linalg, "MAX_DENSE_ENTRIES", m.size)
         t = nonzero_triplets(m)
-        for kernel in (True, False):
-            assert linalg._orthogonal_groups(t, kernel) is None
+        for operand in (t, transposed(t)):
+            assert linalg._orthogonal_groups(operand) is None
         assert extent(nullspace(t, 16), 1) == 1
         assert_matches_oracles(t, m)
 
