@@ -38,11 +38,10 @@ from .subspaces import (
     TYPE_I,
     TYPE_II,
     VARIANTS,
+    CheckResult,
     InvariantSubspaceSpec,
     SpecValidationError,
     SubspaceBasis,
-    VerificationReport,
-    default_window,
     invariance_check,
     kernel_representation_check,
     kernel_subspace,
@@ -388,12 +387,7 @@ def parse_scenario(path: str) -> Scenario:
 def _target_window(sc: Scenario, n: int) -> int:
     """The degree window of the target subspace at n: the scenario's
     window, else n less the band of the symbols that give the subspace."""
-    spec = sc.spec
-    if sc.window is not None:
-        return sc.window
-    if spec.variant in (TYPE_I, TYPE_II):
-        return default_window(spec, n)
-    return n - spec.mixed["kernel" if spec.variant == KERNEL_REP else "range"].bandwidth
+    return n - sc.spec.band if sc.window is None else sc.window
 
 
 def _target_subspace(sc: Scenario, n: int, operator) -> SubspaceBasis:
@@ -405,11 +399,11 @@ def _target_subspace(sc: Scenario, n: int, operator) -> SubspaceBasis:
     return kernel_subspace(op, w) if kind == "kernel" else range_window_basis(op, w)
 
 
-def _record_from_report(sc: Scenario, check: str, n: int, rep: VerificationReport) -> Record:
-    residual = max((c.residual for c in rep.checks), default=0.0)
-    window = next((c.window for c in rep.checks if c.window is not None), None)
-    detail = "; ".join(f"{c.name}={'ok' if c.passed else 'FAIL'}" for c in rep.checks)
-    return Record(sc.name, check, n, residual, rep.overall, window, detail)
+def _record_from_report(sc: Scenario, check: str, n: int, rep: tuple[CheckResult, ...],
+                        window: int | None = None) -> Record:
+    residual = max((c.residual for c in rep), default=0.0)
+    detail = "; ".join(f"{c.name}={'ok' if c.passed else 'FAIL'}" for c in rep)
+    return Record(sc.name, check, n, residual, all(c.passed for c in rep), window, detail)
 
 
 def _mixed_operator(sc: Scenario, kind: str, m: int) -> OperatorMatrix:
@@ -463,19 +457,19 @@ def _check_kernel_rep(sc: Scenario, n: int, target, operator) -> Record:
     basis = target()
     op = operator("kernel", operator_truncation(sc.spec.mixed["kernel"], basis.window, n))
     rep = kernel_representation_check(basis, sc.spec.theta, op, sc.tol)
-    return _record_from_report(sc, "kernel_rep", n, rep)
+    return _record_from_report(sc, "kernel_rep", n, rep, basis.window)
 
 
 def _check_range_rep(sc: Scenario, n: int, target, operator) -> Record:
     basis, phi = target(), sc.spec.mixed["range"]
     op = operator("range", operator_truncation(phi, basis.window, n))
     return _record_from_report(sc, "range_rep", n,
-                               range_representation_check(basis, phi, op, sc.tol))
+                               range_representation_check(basis, phi, op, sc.tol), basis.window)
 
 
 def _check_splitting(sc: Scenario, n: int, target, operator) -> Record:
     splitting = splitting_check_scalar(sc.spec.mixed["range"])
-    expected = sc.expect.get("splitting", False)
+    expected = sc.expect.get("splitting", _EXPECT["splitting"].default)
     ok = splitting == expected
     return Record(sc.name, "splitting", n, 0.0 if ok else 1.0, ok,
                   detail=f"splitting={splitting} expected={expected}")
@@ -503,7 +497,7 @@ def _check_nehari(sc: Scenario, n: int, target, operator) -> Record:
 
 
 def _check_partial_isometry(sc: Scenario, n: int, target, operator) -> Record:
-    expected = sc.expect.get("partial_isometry", True)
+    expected = sc.expect.get("partial_isometry", _EXPECT["partial_isometry"].default)
     flags = {kind: svd_analysis(operator(kind, n), sc.tol) for kind in sc.spec.mixed}
     ok = all(flags.values()) == expected
     parts = "; ".join(f"{kind}_op={flag}" for kind, flag in flags.items())

@@ -442,10 +442,11 @@ def spectral_norm(m: Triplets) -> float:
     return float(sv[0]) if sv.size else 0.0
 
 
-def numerical_rank(sv: np.ndarray) -> int:
+def numerical_rank(sv: np.ndarray) -> int | np.ndarray:
     """Number of the descending singular values sv above RANK_RTOL * sv[0];
-    0 for an empty array."""
-    return int(np.sum(sv > RANK_RTOL * sv[0])) if sv.size else 0
+    0 for an empty array.  A stack of rows gives one count per row."""
+    ranks = np.count_nonzero(sv > RANK_RTOL * sv[..., :1], axis=-1)
+    return int(ranks) if sv.ndim == 1 else ranks
 
 
 def extent(t: Triplets, axis: int) -> int:

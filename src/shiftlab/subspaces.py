@@ -9,8 +9,10 @@ both sides of the correspondence, verifies the admissibility conditions,
 and checks kernel/range representations through the mixed operators.
 
 All subspace work happens in a degree window shrunk from the truncation
-by the symbol bands, so truncation artifacts never enter comparisons;
-windows are reported in every verification result.
+by the band of the symbols that give the subspace
+(``InvariantSubspaceSpec.band``), so truncation artifacts never enter
+comparisons; every subspace basis carries its window.  A check returns
+its verdicts as a tuple of ``CheckResult``.
 """
 
 from dataclasses import dataclass
@@ -156,6 +158,16 @@ class InvariantSubspaceSpec:
         found once per spec."""
         return block_symbol([[sym for sym in (self.u, self.omega_full()) if sym is not None]])
 
+    @cached_property
+    def band(self) -> int:
+        """The widest bandwidth of the symbols that give the subspace: U and
+        Omega for the bilateral variants, Psi or Phi for a representation
+        variant (a U given beside them does not count).  The default
+        comparison window at n is n less this band."""
+        given = {KERNEL_REP: (self.psi,), RANGE_REP: (self.phi,)}.get(
+            self.variant, (self.u, self.omega))
+        return max((sym.bandwidth for sym in given if sym is not None), default=0)
+
     @property
     def dim_e0(self) -> int:
         return self.u.cols if self.u is not None else 0
@@ -172,30 +184,12 @@ class InvariantSubspaceSpec:
             return self.omega
         return block_symbol([[self.omega], [zero_symbol(self.dim_f, self.omega.cols)]])
 
-    def bilateral_symbols(self) -> list[LaurentSymbol]:
-        out = []
-        if self.u is not None:
-            out.append(self.u)
-        if self.omega is not None:
-            out.append(self.omega)
-        return out
-
 
 @dataclass(frozen=True)
 class CheckResult:
     name: str
     residual: float
     passed: bool
-    window: int | None = None
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    checks: tuple[CheckResult, ...]
-
-    @property
-    def overall(self) -> bool:
-        return all(c.passed for c in self.checks)
 
 
 def analytic_ambient(dim_e: int, dim_f: int, w: int) -> ProductSpace:
@@ -208,13 +202,8 @@ def bilateral_ambient(dim_e: int, dim_f: int, n: int) -> ProductSpace:
                            TruncatedSpace.hardy(dim_f, n))
 
 
-def default_window(spec: InvariantSubspaceSpec, n: int) -> int:
-    band = max((s.bandwidth for s in spec.bilateral_symbols()), default=0)
-    return n - band
-
-
 def twocond_check(spec: InvariantSubspaceSpec,
-                  tol: float = DEFAULT_TOL) -> VerificationReport:
+                  tol: float = DEFAULT_TOL) -> tuple[CheckResult, ...]:
     """Admissibility of the bilateral data (or of the representation symbols).
 
     For the bilateral variants this verifies, sample-free where possible:
@@ -222,8 +211,10 @@ def twocond_check(spec: InvariantSubspaceSpec,
     analytic, its first-fiber block has no coefficients above index 1,
     the sampled rank of the second-fiber block matches the fiber
     dimension count, and the doubly invariant column maps into the first
-    fiber orthogonally to the simply invariant columns.  Failures are
-    reported, not raised.
+    fiber orthogonally to the simply invariant columns.  For a
+    representation variant, Psi's bottom blocks (Phi's top blocks) must be
+    analytic, the symbol partial-isometry-valued, and a given Theta inner.
+    Failures are reported, not raised.
     """
     checks: list[CheckResult] = []
     if spec.variant in (TYPE_I, TYPE_II):
@@ -239,8 +230,7 @@ def twocond_check(spec: InvariantSubspaceSpec,
             # stored coefficients of index >= 2, however sparse the degrees
             causal = float(np.max(np.abs(u_e.coeffs[max(0, 2 - u_e.kmin):]), initial=0.0))
             checks.append(CheckResult("u_e_causal", causal, causal <= tol))
-            band = max(s.bandwidth for s in spec.bilateral_symbols())
-            ranks = rank_profile(u_f, 4 * band + 1)
+            ranks = rank_profile(u_f, 4 * spec.band + 1)
             worst = max(abs(r - expected_rank) for r in ranks)
             checks.append(CheckResult("u_f_rank", float(worst), worst == 0))
         else:
@@ -258,25 +248,16 @@ def twocond_check(spec: InvariantSubspaceSpec,
             if spec.u is not None:
                 cross = (spec.u.adjoint() @ omega_full).max_abs_coeff()
                 checks.append(CheckResult("omega_orthogonal_u", cross, cross <= tol))
-    elif spec.variant == KERNEL_REP:
-        checks.extend(_representation_symbol_checks(spec.psi, spec, kernel=True, tol=tol))
     else:
-        checks.extend(_representation_symbol_checks(spec.phi, spec, kernel=False, tol=tol))
-    if spec.theta is not None and spec.variant in (KERNEL_REP, RANGE_REP):
-        checks.append(_theta_check(spec.theta, tol))
-    return VerificationReport(tuple(checks))
-
-
-def _representation_symbol_checks(sym, spec, kernel, tol):
-    checks = []
-    label = "psi" if kernel else "phi"
-    blocks = split_square_blocks(sym, spec.dim_e)
-    a, b = blocks[2:] if kernel else blocks[:2]
-    weight = max(a.anti_analytic_weight(), b.anti_analytic_weight())
-    checks.append(CheckResult(f"{label}_analytic_blocks", weight, weight <= tol))
-    cls = classify_isometry(sym)
-    checks.append(CheckResult(f"{label}_class", cls.residual, accepts_partial_isometry(cls)))
-    return checks
+        label, sym, half = (("psi", spec.psi, slice(2, 4)) if spec.variant == KERNEL_REP
+                            else ("phi", spec.phi, slice(0, 2)))
+        weight = max(s.anti_analytic_weight() for s in split_square_blocks(sym, spec.dim_e)[half])
+        cls = classify_isometry(sym)
+        checks.append(CheckResult(f"{label}_analytic_blocks", weight, weight <= tol))
+        checks.append(CheckResult(f"{label}_class", cls.residual, accepts_partial_isometry(cls)))
+        if spec.theta is not None:
+            checks.append(_theta_check(spec.theta, tol))
+    return tuple(checks)
 
 
 def _theta_check(theta: LaurentSymbol, tol: float) -> CheckResult:
@@ -330,7 +311,7 @@ def bilateral_subspace(spec: InvariantSubspaceSpec, n: int) -> SubspaceBasis:
             raise ValueError(
                 f"generators are numerically dependent: {width} columns "
                 f"span only {extent(basis, 1)} directions")
-    return SubspaceBasis(amb, basis, window=default_window(spec, n))
+    return SubspaceBasis(amb, basis, window=n - spec.band)
 
 
 def mixed_from_bilateral(n3: SubspaceBasis, window: int | None = None) -> SubspaceBasis:
@@ -464,7 +445,7 @@ def inner_multiples_window_basis(theta: LaurentSymbol, w: int) -> Triplets:
 
 def kernel_representation_check(n_basis: SubspaceBasis, theta: LaurentSymbol | None,
                                 op: OperatorMatrix,
-                                tol: float = DEFAULT_TOL) -> VerificationReport:
+                                tol: float = DEFAULT_TOL) -> tuple[CheckResult, ...]:
     """Compare a subspace against kernel-of-mixed-operator form.
 
     Computes the window slice of ker of op, the mixed adjoint operator of
@@ -485,8 +466,8 @@ def kernel_representation_check(n_basis: SubspaceBasis, theta: LaurentSymbol | N
         candidate = SubspaceBasis(candidate.ambient, joint, window=w)
         checks.append(_theta_check(theta, tol))
     dist = principal_angle_distance(candidate.basis, n_basis.basis)
-    checks.append(CheckResult("kernel_distance", dist, dist <= tol, window=w))
-    return VerificationReport(tuple(checks))
+    checks.append(CheckResult("kernel_distance", dist, dist <= tol))
+    return tuple(checks)
 
 
 def _first_part_constraint_basis(theta: LaurentSymbol, dim_f: int, w: int) -> Triplets:
@@ -501,16 +482,15 @@ def _first_part_constraint_basis(theta: LaurentSymbol, dim_f: int, w: int) -> Tr
 
 def range_representation_check(n_basis: SubspaceBasis, phi: LaurentSymbol,
                                op: OperatorMatrix,
-                               tol: float = DEFAULT_TOL) -> VerificationReport:
+                               tol: float = DEFAULT_TOL) -> tuple[CheckResult, ...]:
     """Compare a subspace against the window slice of the range of op, the
     mixed operator of phi at ``operator_truncation``."""
     w = n_basis.ambient.parts[0].deg_hi
     cls = classify_isometry(phi)
     rng = range_window_basis(op, w)
     dist = principal_angle_distance(rng.basis, n_basis.basis)
-    return VerificationReport((
-        CheckResult("phi_class", cls.residual, accepts_partial_isometry(cls)),
-        CheckResult("span_distance", dist, dist <= tol, window=w)))
+    return (CheckResult("phi_class", cls.residual, accepts_partial_isometry(cls)),
+            CheckResult("span_distance", dist, dist <= tol))
 
 
 def splitting_check_scalar(phi: LaurentSymbol) -> bool:

@@ -344,14 +344,14 @@ def accepts_partial_isometry(cls: IsometryClass) -> bool:
 
 def rank_profile(s: LaurentSymbol, num_samples: int) -> list[int]:
     """Numerical rank of S at the num_samples-th roots of unity: one
-    values-only SVD per chunk of ``circle_values``, one ``numerical_rank``
-    per point."""
+    values-only SVD and one ``numerical_rank`` per chunk of
+    ``circle_values``."""
     if num_samples < 2 * s.bandwidth + 1:
         raise ValueError(
             f"num_samples = {num_samples} undersamples a bandwidth-{s.bandwidth} symbol"
         )
-    return [numerical_rank(sv) for values in circle_values(s, num_samples)
-            for sv in np.linalg.svd(values, compute_uv=False)]
+    return [rank for values in circle_values(s, num_samples)
+            for rank in numerical_rank(np.linalg.svd(values, compute_uv=False)).tolist()]
 
 
 def make_cyclic_symbol(poles, weights, degree: int) -> LaurentSymbol:

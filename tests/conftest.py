@@ -136,8 +136,8 @@ def coeff(sym, k) -> np.ndarray:
 
 
 def named(report, name):
-    """The check of a VerificationReport that is called ``name``."""
-    return {c.name: c for c in report.checks}[name]
+    """The check called ``name`` of a tuple of check results."""
+    return {c.name: c for c in report}[name]
 
 
 def ref_splitting_stack(phi) -> tuple[int, np.ndarray | None]:
@@ -250,7 +250,7 @@ def bilateral_roundtrip(spec, n) -> tuple[float, float]:
     """
     b3 = bilateral_subspace(spec, n)
     mixed = mixed_from_bilateral(b3)
-    w3 = b3.window - max(s.bandwidth for s in spec.bilateral_symbols())
+    w3 = b3.window - spec.band
     assert w3 >= 0, "truncation too small for a reverse window"
     amb = b3.ambient
     lifted = np.zeros((amb.dim, mixed.dim), dtype=complex)
@@ -499,16 +499,18 @@ def _rank_site() -> str:
 def recorded_rank_decisions():
     """Wrap every numerical_rank call of the package; yields the list that
     collects each decision's (site, rank, margin), the margin being
-    min(kept_min / cutoff, cutoff / dropped_max)."""
+    min(kept_min / cutoff, cutoff / dropped_max).  A call on a stack of
+    rows makes one decision per row, in order."""
     decisions, count = [], linalg.numerical_rank
 
     def recorded(sv):
-        rank = count(sv)
-        cutoff = linalg.RANK_RTOL * sv[0] if sv.size else 0.0
-        kept = sv[rank - 1] / cutoff if rank else np.inf
-        dropped = cutoff / sv[rank] if rank < sv.size and sv[rank] > 0 else np.inf
-        decisions.append((_rank_site(), rank, min(kept, dropped)))
-        return rank
+        ranks = count(sv)
+        for row, rank in zip(np.atleast_2d(sv), np.atleast_1d(ranks).tolist()):
+            cutoff = linalg.RANK_RTOL * row[0] if row.size else 0.0
+            kept = row[rank - 1] / cutoff if rank else np.inf
+            dropped = cutoff / row[rank] if rank < row.size and row[rank] > 0 else np.inf
+            decisions.append((_rank_site(), rank, min(kept, dropped)))
+        return ranks
 
     with pytest.MonkeyPatch.context() as patch:
         for module in (linalg, symbols):

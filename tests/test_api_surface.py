@@ -279,3 +279,37 @@ def test_one_gram_former_and_one_scaling():
     assert frexp <= {"linalg._exponent"}, f"np.frexp callers: {sorted(frexp)}"
     assert grams <= {"linalg._gram"}, f"Gram formers: {sorted(grams)}"
     assert not imports, f"modules importing NEGLIGIBLE: {sorted(imports)}"
+
+
+def owned_subtrees(tree: ast.Module, stem: str):
+    """(owner, subtree) covering the whole module: each method of a class
+    is owned by ``stem.Class.method``, each other statement by
+    ``stem.name`` or ``stem.<module>``."""
+    for top in tree.body:
+        if not isinstance(top, ast.ClassDef):
+            yield f"{stem}.{getattr(top, 'name', '<module>')}", top
+            continue
+        for node in top.body:
+            yield f"{stem}.{top.name}.{getattr(node, 'name', '<body>')}", node
+
+
+def test_one_band_rule_and_no_kernel_flag():
+    """The band whose n less it is every default comparison window is
+    written once: in ``cli`` and ``subspaces`` only
+    ``InvariantSubspaceSpec.band`` reads a ``.bandwidth``.  No ``subspaces``
+    function takes a ``kernel`` flag: the checks of Psi and of Phi are not
+    one helper's two orientations."""
+    readers, flagged = set(), set()
+    for stem in ("cli", "subspaces"):
+        tree = ast.parse((PACKAGE / f"{stem}.py").read_text(encoding="utf-8"))
+        for owner, subtree in owned_subtrees(tree, stem):
+            if any(isinstance(node, ast.Attribute) and node.attr == "bandwidth"
+                   for node in ast.walk(subtree)):
+                readers.add(owner)
+        if stem == "subspaces":
+            flagged = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+                       and "kernel" in [a.arg for a in node.args.posonlyargs + node.args.args
+                                        + node.args.kwonlyargs]}
+    assert readers == {"subspaces.InvariantSubspaceSpec.band"}, \
+        f".bandwidth readers: {sorted(readers)}"
+    assert not flagged, f"subspaces functions taking kernel: {sorted(flagged)}"

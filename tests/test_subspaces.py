@@ -34,7 +34,6 @@ from shiftlab.subspaces import (
     SpecValidationError,
     analytic_ambient,
     bilateral_subspace,
-    default_window,
     invariance_check,
     kernel_representation_check,
     kernel_subspace,
@@ -168,25 +167,55 @@ class TestMixedSymbols:
         assert InvariantSubspaceSpec("range_rep", 1, 1, phi=phi).mixed == {"range": phi}
 
 
+class TestBand:
+    """spec.band: the widest bandwidth of U and Omega for the bilateral
+    variants, of Psi for kernel_rep and of Phi for range_rep.  Every
+    default window at n is n less it: the bilateral basis's, the cli
+    target's and the window its records report."""
+
+    @pytest.mark.parametrize("spec, band", [
+        (timotin_spec(), 1),
+        # Omega's band 3 exceeds U's band 1, and counts
+        (InvariantSubspaceSpec("type_ii", 1, 1, u=make_symbol(2, 1, {0: [[0], [RS2]],
+                                                                     1: [[0], [RS2]]}),
+                               omega=make_symbol(1, 1, {-1: [0.6], 2: [0.8]})), 3),
+        # a U of band 5 given beside Psi (band 2) or Phi (band 2) does not count
+        (InvariantSubspaceSpec("kernel_rep", 1, 1, u=make_symbol(2, 1, {0: [[1], [0]],
+                                                                        5: [[0], [1]]}),
+                               psi=kernel_symbol_from_u(timotin_u(), 1, 1)), 2),
+        (InvariantSubspaceSpec("range_rep", 1, 1, u=make_symbol(2, 1, {0: [[1], [0]],
+                                                                       5: [[0], [1]]}),
+                               phi=range_symbol_from_u(timotin_u(), 1, 1)), 2),
+    ], ids=["type_i", "type_ii", "kernel_rep", "range_rep"])
+    def test_every_default_window_is_n_less_the_band(self, spec, band):
+        n = 12
+        assert spec.band == band
+        if spec.variant in ("type_i", "type_ii"):
+            assert bilateral_subspace(spec, n).window == n - spec.band
+        sc = cli.Scenario("band", spec, ("invariance",), (n,))
+        assert cli._target_window(sc, n) == n - spec.band
+        assert [r.window for r in cli.run(sc).records] == [n - spec.band]
+
+
 class TestTwocond:
     def test_timotin_passes_all(self):
         rep = twocond_check(timotin_spec())
-        assert rep.overall
-        names = {c.name for c in rep.checks}
+        assert all(c.passed for c in rep)
+        names = {c.name for c in rep}
         assert {"u_isometry", "u_f_analytic", "u_e_causal", "u_f_rank"} <= names
 
     def test_constant_column_splitting_case(self):
         spec = InvariantSubspaceSpec(
             "type_i", 1, 1, u=make_symbol(2, 1, {0: [[1], [0]]}))
         rep = twocond_check(spec)
-        assert rep.overall
+        assert all(c.passed for c in rep)
         assert named(rep, "u_f_rank").passed  # rank 0 expected and found
 
     def test_second_fiber_column_fails(self):
         spec = InvariantSubspaceSpec(
             "type_i", 1, 1, u=make_symbol(2, 1, {0: [[0], [1]]}))
         rep = twocond_check(spec)
-        assert not rep.overall
+        assert not all(c.passed for c in rep)
         assert not named(rep, "u_f_rank").passed
 
     def test_anticausal_first_block_fails(self):
@@ -353,7 +382,7 @@ class TestKernelRepresentation:
         psi = kernel_symbol_from_u(spec.u, 1, 1)
         op = build_kernel_operator(psi, 1, operator_truncation(psi, mixed.window, n))
         rep = kernel_representation_check(mixed, None, op)
-        assert rep.overall
+        assert all(c.passed for c in rep)
         assert named(rep, "kernel_distance").residual <= 1e-8
 
     def test_identity_inner_factor_is_no_constraint(self):
@@ -363,7 +392,7 @@ class TestKernelRepresentation:
         psi = kernel_symbol_from_u(spec.u, 1, 1)
         op = build_kernel_operator(psi, 1, operator_truncation(psi, mixed.window, n))
         rep = kernel_representation_check(mixed, identity_symbol(1), op)
-        assert rep.overall
+        assert all(c.passed for c in rep)
         assert named(rep, "kernel_distance").residual <= 1e-8
 
     def test_zero_symbols_give_second_fiber(self):
@@ -374,7 +403,7 @@ class TestKernelRepresentation:
         psi = zero_symbol(2, 2)
         op = build_kernel_operator(psi, 1, operator_truncation(psi, w, n))
         rep = kernel_representation_check(basis, zero_symbol(1, 1), op)
-        assert rep.overall
+        assert all(c.passed for c in rep)
 
     @pytest.mark.parametrize("power, passes", [(2, True), (1, False)])
     def test_inner_factor_cuts_the_first_fiber(self, power, passes):
@@ -387,7 +416,7 @@ class TestKernelRepresentation:
         op = build_kernel_operator(psi, 1, operator_truncation(psi, w, w))
         rep = kernel_representation_check(basis, monomial_symbol(power, [[1]]), op)
         dist = named(rep, "kernel_distance").residual
-        assert rep.overall is passes
+        assert all(c.passed for c in rep) is passes
         assert (dist <= 1e-12) if passes else (dist > 1e-8)
 
     def test_constant_unitary_theta_on_a_full_kernel(self):
@@ -401,7 +430,7 @@ class TestKernelRepresentation:
         op = build_kernel_operator(psi, 2, operator_truncation(psi, w, w))
         theta = constant_symbol([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
         rep = kernel_representation_check(basis, theta, op)
-        assert rep.overall
+        assert all(c.passed for c in rep)
         assert named(rep, "kernel_distance").residual <= 1e-12
 
     def test_cyclic_diagonal_splitting_case(self):
@@ -416,7 +445,7 @@ class TestKernelRepresentation:
                                     np.eye(2 * (w + 1))[:, [w + 1, w + 2]], w)
         op = build_kernel_operator(psi, 1, operator_truncation(psi, w, 16))
         rep = kernel_representation_check(target, None, op)
-        assert rep.overall
+        assert all(c.passed for c in rep)
         assert named(rep, "kernel_distance").residual <= 1e-10
 
 
@@ -434,7 +463,7 @@ class TestRangeRepresentation:
         ])
         op = build_range_operator(phi, 1, operator_truncation(phi, mixed.window, n))
         rep = range_representation_check(mixed, phi, op)
-        assert rep.overall
+        assert all(c.passed for c in rep)
         assert named(rep, "span_distance").residual <= 1e-8
 
     def test_timotin_range_equals_kernel(self):
@@ -442,7 +471,7 @@ class TestRangeRepresentation:
         n = 16
         psi = kernel_symbol_from_u(spec.u, 1, 1)
         phi = range_symbol_from_u(spec.u, 1, 1)
-        w = default_window(spec, n)
+        w = n - spec.band
         ker = kernel_subspace(build_kernel_operator(psi, 1, operator_truncation(psi, w, n)), w)
         rng = range_window_basis(build_range_operator(phi, 1, operator_truncation(phi, w, n)), w)
         assert principal_angle_distance(ker.basis, rng.basis) <= 1e-10
@@ -551,7 +580,7 @@ class TestSplitting:
 class TestReplicatedFamily:
     def test_m2n3_is_type_ii_and_non_splitting(self):
         spec = replicated_spec_m2n3()
-        assert twocond_check(spec).overall and not spec.omega.is_zero()
+        assert all(c.passed for c in twocond_check(spec)) and not spec.omega.is_zero()
         mixed = mixed_invariant_subspace(spec, 16)
         explicit = explicit_replicated_basis(2, 3, mixed.window)
         assert principal_angle_distance(mixed.basis, nonzero_triplets(explicit)) <= 1e-12
@@ -601,7 +630,7 @@ class TestRandomizedCorrespondence:
             u, _, _ = inner_mixture(rng, dim_e, dim_f, dim_e0)
             spec = InvariantSubspaceSpec("type_i", dim_e, dim_f, u=u)
             rep = twocond_check(spec)
-            assert rep.overall, [c for c in rep.checks if not c.passed]
+            assert all(c.passed for c in rep), [c for c in rep if not c.passed]
             mixed = mixed_invariant_subspace(spec, n)
             assert invariance_check(mixed) <= 1e-10
             psi = kernel_symbol_from_u(u, dim_e, dim_f)
