@@ -299,17 +299,16 @@ def test_one_band_rule_and_no_kernel_flag():
     ``InvariantSubspaceSpec.band`` reads a ``.bandwidth``.  No ``subspaces``
     function takes a ``kernel`` flag: the checks of Psi and of Phi are not
     one helper's two orientations."""
-    readers, flagged = set(), set()
-    for stem in ("cli", "subspaces"):
-        tree = ast.parse((PACKAGE / f"{stem}.py").read_text(encoding="utf-8"))
-        for owner, subtree in owned_subtrees(tree, stem):
-            if any(isinstance(node, ast.Attribute) and node.attr == "bandwidth"
-                   for node in ast.walk(subtree)):
-                readers.add(owner)
-        if stem == "subspaces":
-            flagged = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
-                       and "kernel" in [a.arg for a in node.args.posonlyargs + node.args.args
-                                        + node.args.kwonlyargs]}
+    trees = {stem: ast.parse((PACKAGE / f"{stem}.py").read_text(encoding="utf-8"))
+             for stem in ("cli", "subspaces")}
+    readers = {owner for stem, tree in trees.items()
+               for owner, subtree in owned_subtrees(tree, stem)
+               if any(isinstance(node, ast.Attribute) and node.attr == "bandwidth"
+                      for node in ast.walk(subtree))}
+    flagged = {node.name for node in ast.walk(trees["subspaces"])
+               if isinstance(node, ast.FunctionDef)
+               and "kernel" in [a.arg for a in node.args.posonlyargs + node.args.args
+                                + node.args.kwonlyargs]}
     assert readers == {"subspaces.InvariantSubspaceSpec.band"}, \
         f".bandwidth readers: {sorted(readers)}"
     assert not flagged, f"subspaces functions taking kernel: {sorted(flagged)}"
